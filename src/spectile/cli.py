@@ -29,11 +29,11 @@ from .groups import (
     make_group,
 )
 from .harness import (
+    SubgroupTilingReport,
     VerificationPlan,
     case5_nonexistence_probe,
     probe_sizes,
     verify_fuglede,
-    verify_subgroup_tiling,
 )
 from .spectra import find_spectrum
 from .structure import leaf_decomposition, pq_shape
@@ -74,10 +74,11 @@ def parse_set_document(text: str) -> tuple[Group, Multiset]:
         if not isinstance(e, list) or len(e) != len(group.moduli):
             raise InvalidElement(f"element {e!r} has wrong arity for {list(group.moduli)}")
         x = tuple(e)
-        if not group.contains(x):
+        # JSON true/false load as bool, a subclass of int
+        if any(isinstance(c, bool) for c in x) or not group.contains(x):
             raise InvalidElement(f"element {e!r} out of range for {list(group.moduli)}")
         m = 1 if mults is None else mults[i]
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ParseError(f"multiplicity {m!r} must be a positive integer")
         counts[x] = counts.get(x, 0) + m
     return group, Multiset(group, counts)
@@ -283,7 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     report = verify_fuglede(plan)
-    sub_report = verify_subgroup_tiling(plan)
+    sub_report = SubgroupTilingReport.from_sweep(report)
     _emit({"fuglede": report.to_dict(), "subgroup_tiling": sub_report.to_dict()})
     violations = any(t["violations"] for t in sub_report.per_size.values())
     sub_undecided = any(t["undecided"] for t in sub_report.per_size.values())
@@ -340,7 +341,8 @@ def _require_seed(args: argparse.Namespace) -> int:
     import random as _random
 
     seed = _random.SystemRandom().randrange(2**31)
-    print(json.dumps({"generated_seed": seed}))
+    # stdout carries only the report, which records the seed as well
+    print(json.dumps({"generated_seed": seed}), file=sys.stderr)
     return seed
 
 

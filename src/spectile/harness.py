@@ -2,9 +2,11 @@
 
 verify_fuglede decides spectrality and tiling independently for every
 candidate set and tallies agreement; any disagreement is recorded with full
-witness data. The sweep works on element indices with precomputed tables;
-its decisions are exactly those of the public per-set operations (a test
-pins this), just without per-candidate setup cost.
+witness data. The same pass tallies the subgroup-complement claim: a tile
+found only by exact cover is a violation of it. The sweep works on element
+indices with precomputed tables; its decisions are exactly those of the
+public per-set operations (a test pins this), just without per-candidate
+setup cost.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 from .cyclotomic import char_table, char_sum_vanishes
@@ -151,6 +153,18 @@ class _SweepContext:
         self._transversal_tables: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}
         self.spectral_memo: dict[tuple[int, int], Union[bool, Undecided]] = {}
 
+    # Exact-cover columns, built on the first cover decision: sweeps that
+    # never reach the cover (the case-5 probe) do not pay for them.
+    @cached_property
+    def add_bit_cols(self) -> list[list[int]]:
+        """add_bit_cols[s][g] = 1 << index(g + s)."""
+        return [[1 << i for i in row] for row in self.add_rows]  # add is symmetric
+
+    @cached_property
+    def sub_cols(self) -> list[tuple[int, ...]]:
+        """sub_cols[s][c] = index(c - s)."""
+        return list(zip(*self.sub_rows))
+
     def transversal_tables(self, m: int) -> list[tuple[Subgroup, tuple[int, ...]]]:
         """Coset-id tables for every subgroup of order m."""
         cached = self._transversal_tables.get(m)
@@ -234,19 +248,22 @@ def _spectral_fast(
 def _cover_decide(
     ctx: _SweepContext, cand: tuple[int, ...], budget: int
 ) -> Union[bool, Undecided]:
-    """Exact-cover tiling decision for a candidate given by element indices."""
-    n = ctx.n
-    add_rows = ctx.add_rows
-    sub_rows = ctx.sub_rows
-    option_masks = []
-    for g in range(n):
-        row = add_rows[g]
-        mask = 0
-        for s in cand:
-            mask |= 1 << row[s]
-        option_masks.append(mask)
-    cell_options = [sorted(sub_rows[c][s] for s in cand) for c in range(n)]
-    out, _nodes = _cover_search(n, option_masks, cell_options, option_masks[0], budget)
+    """Exact-cover tiling decision for a candidate given by element indices.
+
+    Option g (the translate cand + g) covers the bits add_bit_cols[s][g];
+    they are distinct, so their sum is their union. Cell c is covered by
+    the translates c - s, listed in candidate order: the order only steers
+    the branching of the exhaustive search, not its verdict.
+    """
+    # unpack a list, not a map: CPython builds the argument tuple of
+    # zip(*map(...)) by resizing, which bypasses the tuple free list on
+    # allocation but not on release, so the free list would fill up to
+    # 2 000 retained tuples of every candidate size
+    add_bit_cols = ctx.add_bit_cols
+    sub_cols = ctx.sub_cols
+    option_masks = list(map(sum, zip(*[add_bit_cols[s] for s in cand])))
+    cell_options = list(zip(*[sub_cols[s] for s in cand]))
+    out, _nodes = _cover_search(ctx.n, option_masks, cell_options, option_masks[0], budget)
     if out is UNDECIDED:
         return UNDECIDED
     return out is not None
@@ -321,6 +338,13 @@ class VerificationPlan:
 
 @dataclass
 class SizeTally:
+    """Verdict tallies of one size; merging chunk tallies is associative.
+
+    The Fuglede tallies skip a candidate with an undecided verdict. The
+    subgroup-complement tallies (`tiles_any`, `violations`,
+    `tile_undecided`) count every tile verdict, whatever the spectral one.
+    """
+
     size: int
     examined: int = 0
     spectral: int = 0
@@ -330,6 +354,31 @@ class SizeTally:
     mismatches: list[dict] = field(default_factory=list)
     undecided: list[dict] = field(default_factory=list)
     tile_sets: list[tuple[Element, ...]] = field(default_factory=list)
+    tiles_any: int = 0
+    violations: list[dict] = field(default_factory=list)
+    tile_undecided: list[dict] = field(default_factory=list)
+
+    def merge(self, other: SizeTally) -> None:
+        self.examined += other.examined
+        self.spectral += other.spectral
+        self.tiles += other.tiles
+        self.both_yes += other.both_yes
+        self.both_no += other.both_no
+        self.mismatches.extend(other.mismatches)
+        self.undecided.extend(other.undecided)
+        self.tile_sets.extend(other.tile_sets)
+        self.tiles_any += other.tiles_any
+        self.violations.extend(other.violations)
+        self.tile_undecided.extend(other.tile_undecided)
+
+    def subgroup_tiling_dict(self) -> dict:
+        return {
+            "size": self.size,
+            "examined": self.examined,
+            "tiles": self.tiles_any,
+            "violations": self.violations,
+            "undecided": self.tile_undecided,
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -448,16 +497,21 @@ def _mismatch_entry(
     }
 
 
-def _sweep_size(
-    plan: VerificationPlan, k: int, ctx: _SweepContext
+def _sweep_chunk(
+    ctx: _SweepContext, k: int, cands: Iterable[tuple[int, ...]], budget: int, collect: bool
 ) -> SizeTally:
+    """Decide both properties for each candidate and tally the verdicts."""
     tally = SizeTally(size=k)
-    budget = plan.budget
-    collect = plan.collect_tiles
-    for cand in _enumerate_candidates(plan, k, ctx):
+    for cand in cands:
         tally.examined += 1
         sp = _spectral_fast(ctx, cand, budget)
-        ti, _method = _tile_fast(ctx, cand, budget)
+        ti, method = _tile_fast(ctx, cand, budget)
+        if ti is UNDECIDED:
+            tally.tile_undecided.append({"set": _coords(ctx, cand)})
+        elif ti:
+            tally.tiles_any += 1
+            if method == ComplementMethod.EXACT_COVER.value:
+                tally.violations.append({"set": _coords(ctx, cand)})
         if sp is UNDECIDED or ti is UNDECIDED:
             tally.undecided.append(
                 {
@@ -496,7 +550,9 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
         per_size = _parallel_sweep(plan, ctx)
     else:
         for k in plan.sizes:
-            per_size[k] = _sweep_size(plan, k, ctx)
+            per_size[k] = _sweep_chunk(
+                ctx, k, _enumerate_candidates(plan, k, ctx), plan.budget, plan.collect_tiles
+            )
     return VerificationReport(
         group=plan.group.moduli,
         mode=plan.mode,
@@ -521,46 +577,9 @@ def _worker_init(moduli: tuple[int, ...], budget: int) -> None:  # pragma: no co
     _WORKER_STATE["budget"] = budget
 
 
-def _worker_chunk(args: tuple[int, list[tuple[int, ...]], bool]) -> dict:  # pragma: no cover
+def _worker_chunk(args: tuple[int, list[tuple[int, ...]], bool]) -> SizeTally:  # pragma: no cover
     k, chunk, collect = args
-    ctx = _WORKER_STATE["ctx"]
-    budget = _WORKER_STATE["budget"]
-    out = {
-        "examined": 0,
-        "spectral": 0,
-        "tiles": 0,
-        "both_yes": 0,
-        "both_no": 0,
-        "mismatches": [],
-        "undecided": [],
-        "tile_sets": [],
-    }
-    for cand in chunk:
-        out["examined"] += 1
-        sp = _spectral_fast(ctx, cand, budget)
-        ti, _m = _tile_fast(ctx, cand, budget)
-        if sp is UNDECIDED or ti is UNDECIDED:
-            out["undecided"].append(
-                {
-                    "set": _coords(ctx, cand),
-                    "spectral": "undecided" if sp is UNDECIDED else sp,
-                    "tile": "undecided" if ti is UNDECIDED else ti,
-                }
-            )
-            continue
-        if sp:
-            out["spectral"] += 1
-        if ti:
-            out["tiles"] += 1
-            if collect:
-                out["tile_sets"].append(tuple(ctx.group.coords_of(i) for i in cand))
-        if sp and ti:
-            out["both_yes"] += 1
-        elif not sp and not ti:
-            out["both_no"] += 1
-        else:
-            out["mismatches"].append(_mismatch_entry(ctx, cand, sp, ti, budget))
-    return out
+    return _sweep_chunk(_WORKER_STATE["ctx"], k, chunk, _WORKER_STATE["budget"], collect)
 
 
 def _parallel_sweep(
@@ -586,16 +605,11 @@ def _parallel_sweep(
             if chunk:
                 jobs.append((k, chunk, plan.collect_tiles))
             for out in pool.imap(_worker_chunk, jobs):
-                tally.examined += out["examined"]
-                tally.spectral += out["spectral"]
-                tally.tiles += out["tiles"]
-                tally.both_yes += out["both_yes"]
-                tally.both_no += out["both_no"]
-                tally.mismatches.extend(out["mismatches"])
-                tally.undecided.extend(out["undecided"])
-                tally.tile_sets.extend(out["tile_sets"])
-            tally.mismatches.sort(key=lambda e: e["set"])
-            tally.undecided.sort(key=lambda e: e["set"])
+                tally.merge(out)
+            for entries in (
+                tally.mismatches, tally.undecided, tally.violations, tally.tile_undecided
+            ):
+                entries.sort(key=lambda e: e["set"])
             tally.tile_sets.sort()
             per_size[k] = tally
     return per_size
@@ -609,6 +623,18 @@ class SubgroupTilingReport:
     seed: Optional[int]
     per_size: dict[int, dict]
     elapsed: float
+
+    @classmethod
+    def from_sweep(cls, report: VerificationReport) -> SubgroupTilingReport:
+        """The subgroup-complement tallies of a sweep; elapsed is the sweep's."""
+        return cls(
+            group=report.group,
+            mode=report.mode,
+            sizes=report.sizes,
+            seed=report.seed,
+            per_size={k: t.subgroup_tiling_dict() for k, t in report.per_size.items()},
+            elapsed=report.elapsed,
+        )
 
     @property
     def ok(self) -> bool:
@@ -631,36 +657,11 @@ class SubgroupTilingReport:
 def verify_subgroup_tiling(plan: VerificationPlan) -> SubgroupTilingReport:
     """Check that every tile found also admits a subgroup complement.
 
-    Tiles that fail every subgroup transversal are sought by exact cover;
-    any found that way is a violation of the subgroup-complement claim.
+    A view of verify_fuglede(plan): its sweep decides tiling by subgroup
+    transversals first and exact cover second, so a tile found by exact
+    cover is a violation of the subgroup-complement claim.
     """
-    start = time.perf_counter()
-    ctx = _sweep_context(plan.group)
-    per_size: dict[int, dict] = {}
-    for k in plan.sizes:
-        entry = {"size": k, "examined": 0, "tiles": 0, "violations": [], "undecided": []}
-        for cand in _enumerate_candidates(plan, k, ctx):
-            entry["examined"] += 1
-            if ctx.n % k:
-                continue
-            if _subgroup_transversal(ctx, cand):
-                entry["tiles"] += 1
-                continue
-            ti = _cover_decide(ctx, cand, plan.budget)
-            if ti is UNDECIDED:
-                entry["undecided"].append({"set": _coords(ctx, cand)})
-            elif ti:
-                entry["tiles"] += 1
-                entry["violations"].append({"set": _coords(ctx, cand)})
-        per_size[k] = entry
-    return SubgroupTilingReport(
-        group=plan.group.moduli,
-        mode=plan.mode,
-        sizes=plan.sizes,
-        seed=plan.seed,
-        per_size=per_size,
-        elapsed=time.perf_counter() - start,
-    )
+    return SubgroupTilingReport.from_sweep(verify_fuglede(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     UNDECIDED,
@@ -76,7 +76,7 @@ class _OutOfBudget(Exception):
 def _cover_search(
     n: int,
     option_masks: list[int],
-    cell_options: list[list[int]],
+    cell_options: Sequence[Sequence[int]],
     start_mask: int,
     budget: int,
 ) -> tuple[Union[list[int], None, Undecided], int]:
@@ -122,6 +122,10 @@ def _cover_search(
         return search(start_mask, [0]), nodes
     except _OutOfBudget:
         return UNDECIDED, nodes
+    finally:
+        # search reaches itself through its closure; breaking that cycle
+        # frees the options now, not at the next garbage collection
+        del search
 
 
 def find_complement(

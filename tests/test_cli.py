@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from spectile import Multiset, make_group
+from spectile import InvalidElement, Multiset, ParseError, make_group
 from spectile.cli import (
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -40,6 +41,15 @@ def test_parse_errors():
         parse_set_document(_doc([2, 3], [[0]]))
     with pytest.raises(Exception):
         parse_set_document(_doc([2, 3], [[0, 0]], [0]))
+
+
+def test_parse_rejects_bool(capsys):
+    with pytest.raises(InvalidElement):
+        parse_set_document(_doc([2, 3], [[0, 0], [True, 0]]))
+    with pytest.raises(InvalidElement):
+        parse_set_document(_doc([2, 3], [[0, False]]))
+    with pytest.raises(ParseError):
+        parse_set_document(_doc([2, 3], [[0, 0]], [True]))
 
 
 def test_analyze_command(tmp_path, capsys):
@@ -132,6 +142,46 @@ def test_verify_command_sampled_with_seed(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == EXIT_OK
     assert out["fuglede"]["seed"] == 7
+
+
+def test_verify_without_seed_prints_one_document(capsys):
+    rc = main(["verify", "--group", "2,3", "--sizes", "2,3", "--samples", "5"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert rc == EXIT_OK
+    assert json.loads(captured.err) == {"generated_seed": out["fuglede"]["seed"]}
+
+
+def _verify_json(capsys, argv):
+    rc = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    for block in out.values():
+        block.pop("elapsed_seconds")
+    return rc, out
+
+
+def test_verify_workers_give_the_same_report(capsys):
+    argv = ["verify", "--group", "2,2,3", "--sizes", "2,3,4,6", "--exhaustive"]
+    serial = _verify_json(capsys, argv + ["--workers", "1"])
+    parallel = _verify_json(capsys, argv + ["--workers", "2"])
+    assert serial == parallel
+    assert serial[0] == EXIT_OK
+
+
+def test_verify_reports_tiles_without_subgroup_complement(capsys):
+    # on Z_8 these tile, but hit some coset of the only subgroup of
+    # order 8/k twice
+    rc, out = _verify_json(capsys, ["verify", "--group", "8", "--sizes", "2,4", "--exhaustive"])
+    assert rc == EXIT_MISMATCH
+    assert out["fuglede"]["ok"] is True
+    sub = out["subgroup_tiling"]["per_size"]
+    assert [e["set"] for e in sub["2"]["violations"]] == [[[0], [2]], [[0], [4]], [[0], [6]]]
+    assert [e["set"] for e in sub["4"]["violations"]] == [
+        [[0], [1], [4], [5]],
+        [[0], [2], [4], [6]],
+        [[0], [3], [4], [7]],
+    ]
+    assert sub["2"]["undecided"] == sub["4"]["undecided"] == []
 
 
 def test_probe_command(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from spectile import (
     InvalidArgument,
     Multiset,
     SpectrumConstruction,
+    SubgroupTilingReport,
     VerificationPlan,
     automorphism_index_perms,
     case5_nonexistence_probe,
@@ -103,6 +105,63 @@ def test_fast_paths_agree_with_public_api(z36):
             )
         )
         assert fast_ti == public_ti
+
+
+def _tiles_brute_force(moduli, S):
+    """True iff S + T partitions G for some 0-containing T with |S| |T| = |G|."""
+    elems = list(itertools.product(*(range(n) for n in moduli)))
+    n = len(elems)
+    if n % len(S):
+        return False
+    for rest in itertools.combinations(elems[1:], n // len(S) - 1):
+        sums = {
+            tuple((a + b) % m for a, b, m in zip(s, t, moduli))
+            for s in S
+            for t in (elems[0],) + rest
+        }
+        if len(sums) == n:
+            return True
+    return False
+
+
+# Z_8 has tiles that are no subgroup transversal ({0, 2}, tiled by
+# {0, 1, 4, 5}); on Z_2 x Z_6 every tile is one
+@pytest.mark.parametrize(
+    "moduli, methods_seen",
+    [((8,), {None, "subgroup", "exact-cover"}), ((2, 6), {None, "subgroup"})],
+)
+def test_tile_fast_agrees_with_brute_force(moduli, methods_seen):
+    G = make_group(moduli)
+    ctx = _sweep_context(G)
+    methods = set()
+    for k in range(1, G.order + 1):
+        if G.order % k:
+            continue
+        for rest in itertools.combinations(range(1, G.order), k - 1):
+            cand = (0,) + rest
+            tile, method = _tile_fast(ctx, cand, 5_000_000)
+            assert tile == _tiles_brute_force(moduli, [G.coords_of(i) for i in cand]), cand
+            methods.add(method)
+    assert methods == methods_seen
+
+
+def test_subgroup_tiling_counts_tiles_whose_spectral_verdict_is_undecided():
+    # a budget of 2 nodes leaves the cover undecided at size 2 and the
+    # clique search undecided on tiles at size 4, unless the spectral memo
+    # kept the verdicts of an earlier sweep of Z_8
+    z8 = make_group([8])
+    _sweep_context(z8).spectral_memo.clear()
+    report = verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4), budget=2))
+    view = SubgroupTilingReport.from_sweep(report)
+    assert {e["tile"] for e in report.per_size[2].undecided} == {"undecided"}
+    assert {e["tile"] for e in report.per_size[4].undecided} == {True}
+    for k, tally in report.per_size.items():
+        undecided = tally.undecided
+        sub = view.per_size[k]
+        assert sub["undecided"] == [
+            {"set": e["set"]} for e in undecided if e["tile"] == "undecided"
+        ]
+        assert sub["tiles"] == tally.tiles + sum(e["tile"] is True for e in undecided)
 
 
 def test_canonicalize_reduces_and_agrees(z12):
