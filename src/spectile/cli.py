@@ -16,6 +16,7 @@ from typing import Optional
 
 from .cyclotomic import cube_decompose, zero_set
 from .errors import (
+    DEFAULT_BUDGET,
     UNDECIDED,
     InvalidElement,
     ParseError,
@@ -43,8 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_UNDECIDED = 3
-
-DEFAULT_BUDGET = 5_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ anywhere; floats appear only in tests as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .errors import GroupMismatch, InvalidArgument, NotTwoDistinctPrimes
-from .groups import Element, Group, Multiset, dot
+from .groups import Element, Group, Multiset, dot, is_prime
 
 
 @dataclass(frozen=True)
@@ -304,6 +304,29 @@ class CharTable:
         self._rows[g_index] = row
         return row
 
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """row(g) for every g, by element index."""
+        return [self.row(g) for g in range(self.group.order)]
+
+    def zero_mask(self, cand: tuple[int, ...]) -> int:
+        """Bitmask over element indices of the zero set of a set of indices.
+
+        Bit g is set for every nonzero g at which the character sum of the
+        set vanishes. Requires mass_ok(len(cand)).
+        """
+        rows = self.rows
+        target = len(cand) * self.bias_unit
+        mask = 0
+        for g in range(1, self.group.order):
+            row = rows[g]
+            acc = 0
+            for s in cand:
+                acc += row[s]
+            if acc == target:
+                mask |= 1 << g
+        return mask
+
     def vanishes_index(self, items: list[tuple[int, int]], g_index: int) -> bool:
         """Exact vanishing of sum mult * zeta^{<x,g>} over (index, mult) pairs."""
         row = self.row(g_index)
@@ -373,20 +396,16 @@ def zero_set(G: Group, A: Multiset) -> ZeroSet:
         return ZeroSet(G, frozenset())
     table = char_table(G)
     out = []
-    if table.mass_ok(A.mass):
-        items = [(G.index_of(x), m) for x, m in A.items()]
-        target = A.mass * table.bias_unit
-        for gi in range(1, G.order):
-            row = table.row(gi)
-            acc = 0
-            for idx, m in items:
-                acc += m * row[idx]
-            if acc == target:
-                out.append(G.coords_of(gi))
-    else:  # pragma: no cover - only for masses beyond the packed range
+    if not table.mass_ok(A.mass):  # pragma: no cover - only for masses beyond the packed range
         for g in G.elements:
             if g != G.identity and char_sum(G, A, g).is_zero:
                 out.append(g)
+    elif A.is_set:
+        mask = table.zero_mask(tuple(G.index_of(x) for x in A.mult))
+        out = [G.coords_of(gi) for gi in range(1, G.order) if mask >> gi & 1]
+    else:
+        items = [(G.index_of(x), m) for x, m in A.items()]
+        out = [G.coords_of(gi) for gi in range(1, G.order) if table.vanishes_index(items, gi)]
     return ZeroSet(G, frozenset(out))
 
 
@@ -414,17 +433,6 @@ class CubeDecomposition:
         return Multiset(group, counts)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def cube_decompose(A: Multiset) -> Optional[CubeDecomposition]:
     """Write a multiset on Z_p x Z_q as full-row plus full-column weights.
 
@@ -436,7 +444,7 @@ def cube_decompose(A: Multiset) -> Optional[CubeDecomposition]:
     if len(G.moduli) != 2:
         raise NotTwoDistinctPrimes(f"need two factors, got {G.moduli!r}")
     p, q = G.moduli
-    if p == q or not (_is_prime(p) and _is_prime(q)):
+    if p == q or not (is_prime(p) and is_prime(q)):
         raise NotTwoDistinctPrimes(f"moduli {G.moduli!r} are not two distinct primes")
 
     def a(i: int, j: int) -> int:

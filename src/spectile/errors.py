@@ -1,4 +1,4 @@
-"""Exception types and the explicit Undecided search outcome."""
+"""Exception types, the explicit Undecided search outcome and the default search budget."""
 
 from __future__ import annotations
 
@@ -97,3 +97,6 @@ class Undecided:
 
 
 UNDECIDED = Undecided()
+
+# search nodes a clique or exact-cover search may spend before it answers UNDECIDED
+DEFAULT_BUDGET = 5_000_000

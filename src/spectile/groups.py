@@ -257,6 +257,17 @@ class Subgroup:
 # element-level operations
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def dot(G: Group, x: Element, y: Element) -> int:
     """The duality pairing sum_i (M/n_i) x_i y_i mod M."""
     G.check(x)
@@ -350,6 +361,55 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
                 table[G.index_of(G.add(x, h))] = next_id
             next_id += 1
     return tuple(table)
+
+
+class IndexTables:
+    """Element-index tables shared by every index-level decision on one group.
+
+    The sweep and the public per-set operations decide on element indices
+    through these tables; build one per group with :func:`index_tables`.
+    """
+
+    def __init__(self, G: Group):
+        self.group = G
+        self.n = G.order
+        elements = G.elements
+        index_of = G.index_of
+        add = G.add
+        sub = G.sub
+        self.add_rows = [[index_of(add(x, y)) for y in elements] for x in elements]
+        self.sub_rows = [[index_of(sub(x, y)) for y in elements] for x in elements]
+        self._coset_tables: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}
+
+    @cached_property
+    def orders(self) -> list[int]:
+        """orders[i] = element_order of the element with index i."""
+        return [element_order(self.group, x) for x in self.group.elements]
+
+    # Exact-cover columns, built on the first cover decision: sweeps that
+    # never reach the cover (the case-5 probe) do not pay for them.
+    @cached_property
+    def add_bit_cols(self) -> list[list[int]]:
+        """add_bit_cols[s][g] = 1 << index(g + s)."""
+        return [[1 << i for i in row] for row in self.add_rows]  # add is symmetric
+
+    @cached_property
+    def sub_cols(self) -> list[tuple[int, ...]]:
+        """sub_cols[s][c] = index(c - s)."""
+        return list(zip(*self.sub_rows))
+
+    def coset_tables(self, m: int) -> list[tuple[Subgroup, tuple[int, ...]]]:
+        """(H, coset_id_table(H)) for every subgroup H of order m, canonically sorted."""
+        cached = self._coset_tables.get(m)
+        if cached is None:
+            cached = [(H, coset_id_table(H)) for H in subgroups_of_order(self.group, m)]
+            self._coset_tables[m] = cached
+        return cached
+
+
+@lru_cache(maxsize=None)
+def index_tables(G: Group) -> IndexTables:
+    return IndexTables(G)
 
 
 def sylow_projection(G: Group, A: Multiset, r: int) -> Multiset:

@@ -3,10 +3,12 @@
 verify_fuglede decides spectrality and tiling independently for every
 candidate set and tallies agreement; any disagreement is recorded with full
 witness data. The same pass tallies the subgroup-complement claim: a tile
-found only by exact cover is a violation of it. The sweep works on element
-indices with precomputed tables; its decisions are exactly those of the
-public per-set operations (a test pins this), just without per-candidate
-setup cost.
+found only by exact cover is a violation of it. The sweep makes each
+decision with the same index-level routine as the public per-set
+operations (CharTable.zero_mask, spectra.spectrum_search,
+tiling.subgroup_transversal and tiling.cover_complement), on candidates
+that are already element indices; what it adds is the per-group spectral
+memo.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 from .cyclotomic import char_table, char_sum_vanishes
 from .errors import (
+    DEFAULT_BUDGET,
     UNDECIDED,
     BudgetExhausted,
     InvalidArgument,
@@ -33,30 +36,30 @@ from .errors import (
 from .groups import (
     Element,
     Group,
+    IndexTables,
     Multiset,
     Subgroup,
-    coset_id_table,
     cyclic_subgroup,
-    element_order,
+    index_tables,
+    is_prime,
     subgroups_of_order,
 )
 from .spectra import (
-    CliqueSearch,
     SpectrumWitness,
     find_spectrum,
     is_spectral_pair,
+    spectrum_search,
 )
 from .structure import PQShape, assumption_a_holds, leaf_constancy, leaf_decomposition
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
-    _cover_search,
+    cover_complement,
     find_complement,
     is_tiling_pair,
+    subgroup_transversal,
     tiles_by_subgroup,
 )
-
-DEFAULT_BUDGET = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +92,8 @@ def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
     """
     by_prime: dict[int, list[int]] = {}
     for i, n in enumerate(G.moduli):
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                raise InvalidArgument(f"modulus {n} is not prime")
-            d += 1
+        if not is_prime(n):
+            raise InvalidArgument(f"modulus {n} is not prime")
         by_prime.setdefault(n, []).append(i)
     blocks: list[tuple[int, list[int], list[tuple[int, ...]]]] = []
     for p, positions in sorted(by_prime.items()):
@@ -125,180 +125,53 @@ def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# per-group sweep machinery
-
-
-class _SweepContext:
-    """Index tables shared by every candidate decision on one group."""
-
-    def __init__(self, G: Group):
-        self.group = G
-        n = G.order
-        self.n = n
-        elements = G.elements
-        index_of = G.index_of
-        add = G.add
-        sub = G.sub
-        self.add_rows = [
-            [index_of(add(x, y)) for y in elements] for x in elements
-        ]
-        self.sub_rows = [
-            [index_of(sub(x, y)) for y in elements] for x in elements
-        ]
-        table = char_table(G)
-        self.char = table
-        self.char_rows = [table.row(g) for g in range(n)]
-        self.bias_unit = table.bias_unit
-        self.mass_ok = table.mass_ok
-        self._transversal_tables: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}
-        self.spectral_memo: dict[tuple[int, int], Union[bool, Undecided]] = {}
-
-    # Exact-cover columns, built on the first cover decision: sweeps that
-    # never reach the cover (the case-5 probe) do not pay for them.
-    @cached_property
-    def add_bit_cols(self) -> list[list[int]]:
-        """add_bit_cols[s][g] = 1 << index(g + s)."""
-        return [[1 << i for i in row] for row in self.add_rows]  # add is symmetric
-
-    @cached_property
-    def sub_cols(self) -> list[tuple[int, ...]]:
-        """sub_cols[s][c] = index(c - s)."""
-        return list(zip(*self.sub_rows))
-
-    def transversal_tables(self, m: int) -> list[tuple[Subgroup, tuple[int, ...]]]:
-        """Coset-id tables for every subgroup of order m."""
-        cached = self._transversal_tables.get(m)
-        if cached is None:
-            cached = [(H, coset_id_table(H)) for H in subgroups_of_order(self.group, m)]
-            self._transversal_tables[m] = cached
-        return cached
+# per-candidate decisions of the sweep
 
 
 @lru_cache(maxsize=None)
-def _sweep_context(G: Group) -> _SweepContext:
-    return _SweepContext(G)
+def _spectral_memo(G: Group) -> dict[tuple[int, int], tuple[bool, int]]:
+    """Spectral verdicts on G by (zero mask, size), each with the clique
+    nodes its search spent."""
+    return {}
 
 
-def _zero_mask(ctx: _SweepContext, cand: tuple[int, ...]) -> int:
-    """Bitmask over element indices of the zero set of the candidate set."""
-    rows = ctx.char_rows
-    target = len(cand) * ctx.bias_unit
-    mask = 0
-    for g in range(1, ctx.n):
-        row = rows[g]
-        acc = 0
-        for s in cand:
-            acc += row[s]
-        if acc == target:
-            mask |= 1 << g
-    return mask
-
-
-def _spectral_from_mask(
-    ctx: _SweepContext, zmask: int, k: int, budget: int
+def _spectral_decide(
+    memo: dict[tuple[int, int], tuple[bool, int]],
+    tables: IndexTables,
+    zmask: int,
+    k: int,
+    budget: int,
 ) -> Union[bool, Undecided]:
-    """Clique decision: is there a 0-containing k-set with diffs in zmask?"""
-    if k == 1:
-        return True
-    memo = ctx.spectral_memo
+    """Clique decision: is there a 0-containing k-set with diffs in zmask?
+
+    The search is deterministic, so a budget decides it exactly when the
+    full search needs at most that many nodes. A memo hit that needed more
+    answers UNDECIDED, as a fresh search would: the verdict does not depend
+    on what earlier calls in the process decided.
+    """
     key = (zmask, k)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    verts = []
-    m = zmask
-    while m:
-        lb = m & -m
-        verts.append(lb.bit_length() - 1)
-        m ^= lb
-    out: Union[bool, Undecided]
-    if len(verts) < k - 1:
-        out = False
-    else:
-        sub_rows = ctx.sub_rows
-        deg = []
-        for v in verts:
-            row = sub_rows[v]
-            deg.append(sum(1 for w in verts if w != v and (zmask >> row[w]) & 1))
-        order = sorted(range(len(verts)), key=lambda i: (-deg[i], verts[i]))
-        ordered = [verts[i] for i in order]
-        pos = {v: i for i, v in enumerate(ordered)}
-        adj = [0] * len(ordered)
-        for v in ordered:
-            row = sub_rows[v]
-            mask = 0
-            for w in ordered:
-                if w != v and (zmask >> row[w]) & 1:
-                    mask |= 1 << pos[w]
-            adj[pos[v]] = mask
-        clique = CliqueSearch(adj, budget).find(k - 1)
-        if clique is UNDECIDED:
-            return UNDECIDED  # budget-dependent: do not memoize
-        out = clique is not None
-    memo[key] = out
-    return out
-
-
-def _spectral_fast(
-    ctx: _SweepContext, cand: tuple[int, ...], budget: int
-) -> Union[bool, Undecided]:
-    return _spectral_from_mask(ctx, _zero_mask(ctx, cand), len(cand), budget)
-
-
-def _cover_decide(
-    ctx: _SweepContext, cand: tuple[int, ...], budget: int
-) -> Union[bool, Undecided]:
-    """Exact-cover tiling decision for a candidate given by element indices.
-
-    Option g (the translate cand + g) covers the bits add_bit_cols[s][g];
-    they are distinct, so their sum is their union. Cell c is covered by
-    the translates c - s, listed in candidate order: the order only steers
-    the branching of the exhaustive search, not its verdict.
-    """
-    # unpack a list, not a map: CPython builds the argument tuple of
-    # zip(*map(...)) by resizing, which bypasses the tuple free list on
-    # allocation but not on release, so the free list would fill up to
-    # 2 000 retained tuples of every candidate size
-    add_bit_cols = ctx.add_bit_cols
-    sub_cols = ctx.sub_cols
-    option_masks = list(map(sum, zip(*[add_bit_cols[s] for s in cand])))
-    cell_options = list(zip(*[sub_cols[s] for s in cand]))
-    out, _nodes = _cover_search(ctx.n, option_masks, cell_options, option_masks[0], budget)
-    if out is UNDECIDED:
-        return UNDECIDED
-    return out is not None
-
-
-def _subgroup_transversal(ctx: _SweepContext, cand: tuple[int, ...]) -> bool:
-    """True iff the candidate hits every coset of some index-|cand| subgroup once."""
-    n = ctx.n
-    k = len(cand)
-    if n % k:
-        return False
-    for _H, ids in ctx.transversal_tables(n // k):
-        seen = 0
-        for s in cand:
-            b = 1 << ids[s]
-            if seen & b:
-                break
-            seen |= b
-        else:
-            return True
-    return False
+    if hit is None:
+        lam, nodes = spectrum_search(tables, zmask, k, budget)
+        if lam is UNDECIDED:
+            return UNDECIDED
+        hit = memo[key] = (lam is not None, nodes)
+    verdict, nodes = hit
+    return verdict if nodes <= budget else UNDECIDED
 
 
 def _tile_fast(
-    ctx: _SweepContext, cand: tuple[int, ...], budget: int
+    tables: IndexTables, cand: tuple[int, ...], budget: int
 ) -> tuple[Union[bool, Undecided], Optional[str]]:
     """Tile decision, subgroup complements first, exact cover as backstop."""
-    if ctx.n % len(cand):
+    if tables.n % len(cand):
         return False, None
-    if _subgroup_transversal(ctx, cand):
+    if subgroup_transversal(tables, cand) is not None:
         return True, ComplementMethod.SUBGROUP.value
-    out = _cover_decide(ctx, cand, budget)
+    out, _nodes = cover_complement(tables, cand, budget)
     if out is UNDECIDED:
         return UNDECIDED, None
-    return out, (ComplementMethod.EXACT_COVER.value if out else None)
+    return out is not None, (ComplementMethod.EXACT_COVER.value if out else None)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +305,9 @@ class VerificationReport:
         }
 
 
-def _enumerate_candidates(
-    plan: VerificationPlan, k: int, ctx: _SweepContext
-) -> Iterator[tuple[int, ...]]:
+def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[tuple[int, ...]]:
     """Candidate 0-containing k-sets as sorted index tuples."""
-    n = ctx.n
+    n = plan.group.order
     if plan.mode == "exhaustive":
         base: Iterable[tuple[int, ...]] = (
             (0,) + combo for combo in itertools.combinations(range(1, n), k - 1)
@@ -464,15 +335,14 @@ def _enumerate_candidates(
     return sampled()
 
 
-def _coords(ctx: _SweepContext, cand: tuple[int, ...]) -> list[list[int]]:
-    return [list(ctx.group.coords_of(i)) for i in cand]
+def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
+    return [list(G.coords_of(i)) for i in cand]
 
 
 def _mismatch_entry(
-    ctx: _SweepContext, cand: tuple[int, ...], spectral: bool, tile: bool, budget: int
+    G: Group, cand: tuple[int, ...], spectral: bool, tile: bool, budget: int
 ) -> dict:
     """Full witness data for a disagreement (rare: a theorem violation)."""
-    G = ctx.group
     S = Multiset.set_of(G, [G.coords_of(i) for i in cand])
     spectrum = None
     complement = None
@@ -489,7 +359,7 @@ def _mismatch_entry(
             if isinstance(wit, ComplementWitness):
                 complement = [list(x) for x in wit.t.support]
     return {
-        "set": _coords(ctx, cand),
+        "set": _coords(G, cand),
         "spectral": spectral,
         "tile": tile,
         "spectrum": spectrum,
@@ -498,24 +368,27 @@ def _mismatch_entry(
 
 
 def _sweep_chunk(
-    ctx: _SweepContext, k: int, cands: Iterable[tuple[int, ...]], budget: int, collect: bool
+    G: Group, k: int, cands: Iterable[tuple[int, ...]], budget: int, collect: bool
 ) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts."""
+    tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
+    memo = _spectral_memo(G)
     tally = SizeTally(size=k)
     for cand in cands:
         tally.examined += 1
-        sp = _spectral_fast(ctx, cand, budget)
-        ti, method = _tile_fast(ctx, cand, budget)
+        sp = _spectral_decide(memo, tables, zero_mask(cand), k, budget)
+        ti, method = _tile_fast(tables, cand, budget)
         if ti is UNDECIDED:
-            tally.tile_undecided.append({"set": _coords(ctx, cand)})
+            tally.tile_undecided.append({"set": _coords(G, cand)})
         elif ti:
             tally.tiles_any += 1
             if method == ComplementMethod.EXACT_COVER.value:
-                tally.violations.append({"set": _coords(ctx, cand)})
+                tally.violations.append({"set": _coords(G, cand)})
         if sp is UNDECIDED or ti is UNDECIDED:
             tally.undecided.append(
                 {
-                    "set": _coords(ctx, cand),
+                    "set": _coords(G, cand),
                     "spectral": "undecided" if sp is UNDECIDED else sp,
                     "tile": "undecided" if ti is UNDECIDED else ti,
                 }
@@ -526,13 +399,13 @@ def _sweep_chunk(
         if ti:
             tally.tiles += 1
             if collect:
-                tally.tile_sets.append(tuple(ctx.group.coords_of(i) for i in cand))
+                tally.tile_sets.append(tuple(G.coords_of(i) for i in cand))
         if sp and ti:
             tally.both_yes += 1
         elif not sp and not ti:
             tally.both_no += 1
         else:
-            tally.mismatches.append(_mismatch_entry(ctx, cand, sp, ti, budget))
+            tally.mismatches.append(_mismatch_entry(G, cand, sp, ti, budget))
     return tally
 
 
@@ -544,14 +417,13 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     spectral <=> tile equivalence on the planned group.
     """
     start = time.perf_counter()
-    ctx = _sweep_context(plan.group)
     per_size: dict[int, SizeTally] = {}
     if plan.workers > 1:
-        per_size = _parallel_sweep(plan, ctx)
+        per_size = _parallel_sweep(plan)
     else:
         for k in plan.sizes:
             per_size[k] = _sweep_chunk(
-                ctx, k, _enumerate_candidates(plan, k, ctx), plan.budget, plan.collect_tiles
+                plan.group, k, _enumerate_candidates(plan, k), plan.budget, plan.collect_tiles
             )
     return VerificationReport(
         group=plan.group.moduli,
@@ -573,18 +445,16 @@ _WORKER_STATE: dict = {}
 
 
 def _worker_init(moduli: tuple[int, ...], budget: int) -> None:  # pragma: no cover
-    _WORKER_STATE["ctx"] = _sweep_context(Group(moduli))
+    _WORKER_STATE["group"] = Group(moduli)
     _WORKER_STATE["budget"] = budget
 
 
 def _worker_chunk(args: tuple[int, list[tuple[int, ...]], bool]) -> SizeTally:  # pragma: no cover
     k, chunk, collect = args
-    return _sweep_chunk(_WORKER_STATE["ctx"], k, chunk, _WORKER_STATE["budget"], collect)
+    return _sweep_chunk(_WORKER_STATE["group"], k, chunk, _WORKER_STATE["budget"], collect)
 
 
-def _parallel_sweep(
-    plan: VerificationPlan, ctx: _SweepContext
-) -> dict[int, SizeTally]:  # pragma: no cover - exercised via the CLI
+def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:  # pragma: no cover - exercised via the CLI
     import multiprocessing as mp
 
     chunk_size = 4096
@@ -597,7 +467,7 @@ def _parallel_sweep(
             tally = SizeTally(size=k)
             jobs = []
             chunk: list[tuple[int, ...]] = []
-            for cand in _enumerate_candidates(plan, k, ctx):
+            for cand in _enumerate_candidates(plan, k):
                 chunk.append(cand)
                 if len(chunk) >= chunk_size:
                     jobs.append((k, chunk, plan.collect_tiles))
@@ -695,7 +565,7 @@ def _verified_spectrum(S: Multiset, lam_elems: Iterable[Element]) -> Optional[Sp
 
 
 def _elements_of_order(G: Group, r: int) -> list[Element]:
-    return [x for x in G.elements if element_order(G, x) == r]
+    return [x for x, order in zip(G.elements, index_tables(G).orders) if order == r]
 
 
 def tile_to_spectrum(
@@ -945,7 +815,9 @@ def case5_nonexistence_probe(
     if count_per_size < 0:
         raise InvalidArgument("count_per_size must be nonnegative")
 
-    ctx = _sweep_context(G)
+    tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
+    memo = _spectral_memo(G)
     pg, qg = shape.p_group, shape.q_group
     p_elems = pg.elements
     q_elems = qg.elements
@@ -983,7 +855,7 @@ def case5_nonexistence_probe(
             cand = tuple(sorted(G.index_of(x) for x in elems))
             examined += 1
 
-            verdict = _spectral_fast(ctx, cand, budget)
+            verdict = _spectral_decide(memo, tables, zero_mask(cand), len(cand), budget)
             if verdict is UNDECIDED:
                 undecided.append({"size": size, "set": [list(x) for x in sorted(S.mult)]})
             elif verdict:

@@ -5,6 +5,11 @@ differences all lie in the zero set of S. Searching for one is a clique
 problem on the Cayley graph of the zero set; the search here is a
 deterministic branch-and-bound with a greedy-coloring bound and an explicit
 node budget, so a missing spectrum is only ever reported after exhaustion.
+
+spectrum_search is the one spectrum search: it works on element indices and
+a zero mask, and both find_spectrum and the verification sweeps call it.
+is_spectral_pair stays on coordinate differences: it is the independent
+check every returned witness passes.
 """
 
 from __future__ import annotations
@@ -12,18 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .cyclotomic import ZeroSet, char_sum_vanishes, char_table, zero_set
+from .cyclotomic import char_sum_vanishes, char_table
 from .errors import (
+    DEFAULT_BUDGET,
     UNDECIDED,
     BudgetExhausted,
     EmptyInput,
     GroupMismatch,
+    Overflow,
     Undecided,
     InvalidArgument,
 )
-from .groups import Element, Group, Multiset, Subgroup, coset_id_table
-
-DEFAULT_BUDGET = 5_000_000
+from .groups import IndexTables, Multiset, Subgroup, coset_id_table, index_tables
 
 
 @dataclass(frozen=True)
@@ -35,10 +40,10 @@ class SpectrumWitness:
 
 
 def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
-    """True iff |S| = |L| and every nonzero difference of L kills S-hat."""
+    """True iff |S| = |L|, L is a set and every nonzero difference of L kills S-hat."""
     if S.group != L.group:
         raise GroupMismatch("S and L live on different groups")
-    if S.mass != L.mass:
+    if S.mass != L.mass or not L.is_set:
         return False
     G = S.group
     pts = L.support
@@ -120,22 +125,49 @@ class CliqueSearch:
             self._expand(R + [v], Q & self.adj[v], target)
 
 
-def _order_vertices(verts: list[Element], zs: ZeroSet, G: Group) -> tuple[list[Element], list[int]]:
-    """Vertex order (degree desc, then lexicographic) and adjacency masks."""
-    member = zs.elements
-    deg = {}
+def spectrum_search(
+    tables: IndexTables, zmask: int, k: int, budget: int
+) -> tuple[Union[list[int], None, Undecided], int]:
+    """A 0-containing k-set of element indices with every nonzero difference
+    in zmask, by clique search; returned with the search nodes spent.
+
+    zmask is a zero mask (CharTable.zero_mask). Vertices are ordered by
+    degree descending, then by index (= lexicographic order). The search is
+    deterministic, so a budget decides it exactly when the full search
+    needs at most that many nodes. The set is None when exhaustive search
+    proves there is none, UNDECIDED when the budget ran out first.
+    """
+    if k == 1:
+        return [0], 0
+    verts = []
+    m = zmask
+    while m:
+        lb = m & -m
+        verts.append(lb.bit_length() - 1)
+        m ^= lb
+    if len(verts) < k - 1:
+        return None, 0
+    sub_rows = tables.sub_rows
+    deg = []
     for v in verts:
-        deg[v] = sum(1 for w in verts if w != v and G.sub(v, w) in member)
-    order = sorted(verts, key=lambda v: (-deg[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)
-    for v in order:
+        row = sub_rows[v]
+        deg.append(sum(1 for w in verts if w != v and (zmask >> row[w]) & 1))
+    order = sorted(range(len(verts)), key=lambda i: (-deg[i], verts[i]))
+    ordered = [verts[i] for i in order]
+    pos = {v: i for i, v in enumerate(ordered)}
+    adj = [0] * len(ordered)
+    for v in ordered:
+        row = sub_rows[v]
         mask = 0
-        for w in order:
-            if w != v and G.sub(v, w) in member:
+        for w in ordered:
+            if w != v and (zmask >> row[w]) & 1:
                 mask |= 1 << pos[w]
         adj[pos[v]] = mask
-    return order, adj
+    search = CliqueSearch(adj, budget)
+    clique = search.find(k - 1)
+    if clique is None or clique is UNDECIDED:
+        return clique, search.nodes
+    return [0] + [ordered[i] for i in clique], search.nodes
 
 
 def find_spectrum(
@@ -151,30 +183,18 @@ def find_spectrum(
     if not S.is_set:
         raise InvalidArgument("spectrum search expects a set (0/1 multiset)")
     G = S.group
-    k = S.mass
-    if k == 1:
-        return SpectrumWitness(lam=Multiset.set_of(G, [G.identity]), checked_pairs=0)
-    zs = zero_set(G, S)
-    if len(zs) < k - 1:
-        return None
-    order, adj = _order_vertices(sorted(zs.elements), zs, G)
-    search = CliqueSearch(adj, budget)
-    clique = search.find(k - 1)
-    if clique is UNDECIDED:
-        return UNDECIDED
-    if clique is None:
-        return None
-    lam_elems = [G.identity] + [order[i] for i in clique]
-    lam = Multiset.set_of(G, lam_elems)
+    table = char_table(G)
+    if not table.mass_ok(S.mass):  # pragma: no cover - far beyond any table size
+        raise Overflow(f"|S| = {S.mass} is beyond the packed character table range")
+    cand = tuple(G.index_of(x) for x in S.mult)
+    lam_idx, _nodes = spectrum_search(index_tables(G), table.zero_mask(cand), S.mass, budget)
+    if lam_idx is None or lam_idx is UNDECIDED:
+        return lam_idx
+    lam = Multiset.set_of(G, [G.coords_of(i) for i in lam_idx])
     # re-verify the certificate instead of trusting the search
-    pairs = 0
-    pts = lam.support
-    for i, a in enumerate(pts):
-        for b in pts[:i]:
-            if G.sub(a, b) not in zs:  # pragma: no cover - search guarantees this
-                raise InvalidArgument("internal error: clique witness failed verification")
-            pairs += 1
-    return SpectrumWitness(lam=lam, checked_pairs=pairs)
+    if not is_spectral_pair(S, lam):  # pragma: no cover - search guarantees this
+        raise InvalidArgument("internal error: clique witness failed verification")
+    return SpectrumWitness(lam=lam, checked_pairs=S.mass * (S.mass - 1) // 2)
 
 
 def is_spectral(S: Multiset, budget: int = DEFAULT_BUDGET) -> bool:

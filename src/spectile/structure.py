@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .cyclotomic import char_sum_vanishes
@@ -32,20 +32,11 @@ from .groups import (
     Subgroup,
     cyclic_subgroup,
     direction_rep,
+    index_tables,
+    is_prime,
     sylow_projection,
 )
 from .tiling import ComplementMethod, ComplementWitness, is_tiling_pair
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -98,7 +89,7 @@ def pq_shape(G: Group) -> PQShape:
     if len(G.moduli) != 4:
         raise NotPQShape(f"need four cyclic factors, got {G.moduli!r}")
     primes = sorted(set(G.moduli))
-    if len(primes) != 2 or not all(_is_prime(r) for r in primes):
+    if len(primes) != 2 or not all(is_prime(r) for r in primes):
         raise NotPQShape(f"moduli {G.moduli!r} are not two distinct primes")
     p, q = primes
     p_pos = tuple(i for i, n in enumerate(G.moduli) if n == p)
@@ -264,7 +255,7 @@ def prop1_validate(T: Multiset) -> tuple[bool, bool]:
     if len(singles) != 1 or len(doubles) != 1:
         raise WrongShape(f"moduli {G.moduli!r} are not of shape (p, q, q)")
     p, q = singles[0], doubles[0]
-    if p == q or not (_is_prime(p) and _is_prime(q)):
+    if p == q or not (is_prime(p) and is_prime(q)):
         raise WrongShape(f"moduli {G.moduli!r} are not distinct primes (p, q, q)")
     p_pos = G.moduli.index(p)
     q_pos = [i for i in range(3) if i != p_pos]
@@ -295,20 +286,6 @@ def prop1_validate(T: Multiset) -> tuple[bool, bool]:
             conclusion = False
             break
     return hypothesis, conclusion
-
-
-@lru_cache(maxsize=None)
-def _cyclic_coset_ids(G: Group, g: Element) -> tuple[int, ...]:
-    """Coset id (by element index) for the cosets of <g>."""
-    H = cyclic_subgroup(G, g)
-    table = [-1] * G.order
-    next_id = 0
-    for i, x in enumerate(G.elements):
-        if table[i] == -1:
-            for h in H:
-                table[G.index_of(G.add(x, h))] = next_id
-            next_id += 1
-    return tuple(table)
 
 
 class TrichotomyWitnessKind(str, enum.Enum):
@@ -346,6 +323,7 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
     pts = A.support
     witnesses: dict[tuple[Element, Element], tuple[TrichotomyWitnessKind, Direction]] = {}
     index_of = G.index_of
+    coset_tables = index_tables(G).coset_tables(p * q)
     for a in pg.elements:
         if a == pg.identity:
             continue
@@ -353,7 +331,10 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
             if b == qg.identity:
                 continue
             g = shape.join(a, b)
-            ids = _cyclic_coset_ids(G, g)
+            # g has order pq, so <g> is the one subgroup of order pq that
+            # puts g in the coset of 0 (coset id 0)
+            gi = index_of(g)
+            H, ids = next((H, ids) for H, ids in coset_tables if ids[gi] == 0)
             seen: dict[int, Element] = {}
             collision: Optional[tuple[Element, Element]] = None
             for x in pts:
@@ -365,7 +346,7 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
             if collision is None:
                 # every coset holds at most one point, so |A| = pq and
                 # <(a, b)> is a tiling complement
-                t = Multiset.set_of(G, cyclic_subgroup(G, g))
+                t = H.as_set()
                 witness = ComplementWitness(t=t, method=ComplementMethod.SUBGROUP)
                 if not is_tiling_pair(A, t):  # pragma: no cover
                     raise InvalidArgument("internal error: transversal failed verification")

@@ -5,6 +5,12 @@ partition the group. The search always fixes the translate at 0 first
 (complements are translation-invariant, so some complement contains 0 iff
 any exists) and branches on the uncovered cell with the fewest remaining
 options.
+
+subgroup_transversal and cover_complement are the one subgroup-complement
+test and the one exact cover: they work on element indices, and both the
+public operations and the verification sweeps call them. is_tiling_pair
+stays on coordinate sums: it is the independent check every returned
+witness passes.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
+    DEFAULT_BUDGET,
     UNDECIDED,
     EmptyInput,
     GroupMismatch,
@@ -23,16 +30,7 @@ from .errors import (
     NotADivisor,
     Undecided,
 )
-from .groups import (
-    Element,
-    Group,
-    Multiset,
-    Subgroup,
-    coset_id_table,
-    subgroups_of_order,
-)
-
-DEFAULT_BUDGET = 5_000_000
+from .groups import Element, Group, IndexTables, Multiset, Subgroup, index_tables
 
 
 class ComplementMethod(str, enum.Enum):
@@ -128,6 +126,46 @@ def _cover_search(
         del search
 
 
+def cover_complement(
+    tables: IndexTables, cand: Sequence[int], budget: int
+) -> tuple[Union[list[int], None, Undecided], int]:
+    """Exact cover: a tiling complement (element indices, 0 first) of the set
+    of element indices cand, with the search nodes spent.
+
+    Option g (the translate cand + g) covers the bits add_bit_cols[s][g];
+    they are distinct, so their sum is their union. Cell c is covered by
+    the translates c - s, listed in the order of cand: the order only steers
+    the branching of the exhaustive search, not its verdict.
+    """
+    # unpack a list, not a map: CPython builds the argument tuple of
+    # zip(*map(...)) by resizing, which bypasses the tuple free list on
+    # allocation but not on release, so the free list would fill up to
+    # 2 000 retained tuples of every candidate size
+    add_bit_cols = tables.add_bit_cols
+    sub_cols = tables.sub_cols
+    option_masks = list(map(sum, zip(*[add_bit_cols[s] for s in cand])))
+    cell_options = list(zip(*[sub_cols[s] for s in cand]))
+    return _cover_search(tables.n, option_masks, cell_options, option_masks[0], budget)
+
+
+def subgroup_transversal(tables: IndexTables, cand: Sequence[int]) -> Optional[Subgroup]:
+    """The first subgroup of order |G| / |cand| (in canonical order) whose
+    cosets the set of element indices cand hits once each, or None.
+
+    Requires |cand| to divide |G|.
+    """
+    for H, ids in tables.coset_tables(tables.n // len(cand)):
+        seen = 0
+        for s in cand:
+            b = 1 << ids[s]
+            if seen & b:
+                break
+            seen |= b
+        else:
+            return H
+    return None
+
+
 def find_complement(
     S: Multiset, budget: int = DEFAULT_BUDGET
 ) -> Union[ComplementWitness, None, Undecided]:
@@ -143,34 +181,14 @@ def find_complement(
     G = S.group
     if G.order % S.mass:
         return None
-    if S.mass == G.order:
-        return ComplementWitness(
-            t=Multiset.set_of(G, [G.identity]), method=ComplementMethod.EXACT_COVER
-        )
-    n = G.order
-    index_of = G.index_of
-    add = G.add
-    option_masks = []
-    for g in G.elements:
-        mask = 0
-        for s in S.mult:
-            mask |= 1 << index_of(add(s, g))
-        option_masks.append(mask)
-    # cell c is covered by translate g exactly when g = c - s for some s
-    sub = G.sub
-    cell_options = []
-    for c in G.elements:
-        cell_options.append(sorted(index_of(sub(c, s)) for s in S.mult))
-    out, _nodes = _cover_search(n, option_masks, cell_options, option_masks[0], budget)
-    if out is UNDECIDED:
-        return UNDECIDED
-    if out is None:
-        return None
+    cand = sorted(G.index_of(x) for x in S.mult)
+    out, _nodes = cover_complement(index_tables(G), cand, budget)
+    if out is None or out is UNDECIDED:
+        return out
     t = Multiset.set_of(G, [G.coords_of(g) for g in out])
-    witness = ComplementWitness(t=t, method=ComplementMethod.EXACT_COVER)
     if not is_tiling_pair(S, t):  # pragma: no cover - cover search guarantees this
         raise InvalidArgument("internal error: cover witness failed verification")
-    return witness
+    return ComplementWitness(t=t, method=ComplementMethod.EXACT_COVER)
 
 
 def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
@@ -180,21 +198,7 @@ def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
     G = S.group
     if S.mass == 0 or G.order % S.mass:
         raise NotADivisor(f"|S| = {S.mass} does not divide |G| = {G.order}")
-    m = G.order // S.mass
-    index_of = G.index_of
-    for H in subgroups_of_order(G, m):
-        ids = coset_id_table(H)
-        seen = 0
-        ok = True
-        for s in S.mult:
-            b = 1 << ids[index_of(s)]
-            if seen & b:
-                ok = False
-                break
-            seen |= b
-        if ok:
-            return H
-    return None
+    return subgroup_transversal(index_tables(G), [G.index_of(x) for x in S.mult])
 
 
 def enumerate_tiles(

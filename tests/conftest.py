@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import spectile
 from spectile import make_group, pq_shape
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """The environment of this process, with the tested spectile importable."""
+    src = str(Path(spectile.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

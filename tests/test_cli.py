@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -217,3 +219,13 @@ def test_reports_survive_json_round_trip(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == EXIT_OK
     assert json.loads(json.dumps(out)) == out
+
+
+def test_import_loads_no_test_only_dependency(subprocess_env):
+    # numpy, networkx and sympy are installed for tests; the package uses none
+    code = "import sys, spectile; print(sorted({'numpy', 'networkx', 'sympy'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -72,6 +73,13 @@ def test_cyclotomic_examples():
         cyclotomic_poly(0)
 
 
+def test_cyclotomic_poly_matches_sympy():
+    x = sympy.symbols("x")
+    for n in range(1, 61):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert cyclotomic_poly(n).coeffs == tuple(int(c) for c in reversed(coeffs)), n
+
+
 def test_cyclotomic_product_small():
     for n in range(1, 40):
         prod = IntPolynomial.one()
@@ -129,6 +137,25 @@ def test_exact_matches_float(moduli):
         assert abs(exact.evaluate() - approx) < 1e-6
         assert (abs(approx) < 1e-6) == exact.is_zero
         assert char_sum_vanishes(G, A, g) == exact.is_zero
+
+
+@pytest.mark.parametrize("moduli", [[2, 3], [4], [6, 6], [2, 2, 3, 3]])
+def test_zero_set_matches_float(moduli):
+    # sets take the zero-mask path, multisets the per-g vanishing test
+    G = make_group(moduli)
+    rng = random.Random(29)
+    for _ in range(30):
+        pts = rng.sample(range(G.order), rng.randint(1, min(20, G.order)))
+        for mult in (
+            {G.coords_of(i): 1 for i in pts},
+            {G.coords_of(i): rng.randint(1, 3) for i in pts},
+        ):
+            A = Multiset(G, mult)
+            expected = {
+                g for g in G.elements
+                if g != G.identity and abs(_numeric_char_sum(G, A, g)) < 1e-6
+            }
+            assert zero_set(G, A).elements == expected
 
 
 def test_packed_table_agrees_with_direct(z36):

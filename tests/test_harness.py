@@ -1,6 +1,11 @@
+import cmath
 import itertools
+import json
 import random
+import subprocess
+import sys
 
+import networkx as nx
 import pytest
 
 from spectile import (
@@ -26,7 +31,11 @@ from spectile import (
     verify_fuglede,
     verify_subgroup_tiling,
 )
-from spectile.harness import _spectral_fast, _sweep_context, _tile_fast
+from spectile.cli import main
+from spectile.errors import DEFAULT_BUDGET
+from spectile.groups import index_tables
+from spectile.harness import _sweep_chunk, _tile_fast
+from spectile.tiling import cover_complement
 
 
 def test_verify_fuglede_z6(z6):
@@ -87,24 +96,67 @@ def test_verification_plan_validation(z6):
         VerificationPlan(group=z6, sizes=(2,), mode="nope")
 
 
-def test_fast_paths_agree_with_public_api(z36):
-    ctx = _sweep_context(z36)
-    rng = random.Random(2)
-    for _ in range(120):
-        k = rng.choice([2, 3, 4, 5, 6, 9])
-        cand = tuple(sorted([0] + rng.sample(range(1, 36), k - 1)))
-        S = Multiset.set_of(z36, [z36.coords_of(i) for i in cand])
-        fast_sp = _spectral_fast(ctx, cand, 5_000_000)
-        assert fast_sp == is_spectral(S)
-        fast_ti, _ = _tile_fast(ctx, cand, 5_000_000)
-        public_ti = (
-            z36.order % k == 0
-            and (
-                tiles_by_subgroup(S) is not None
-                or find_complement(S) is not None
-            )
+def _zero_set_float(moduli, elems):
+    """Nonzero g whose character sum over elems vanishes, in floating point.
+
+    On the groups below the exponent is 2, 3 or 6, so a nonzero character
+    sum is a nonzero Eisenstein integer, of absolute value at least 1: the
+    rounding cannot turn a verdict.
+    """
+    M = 6
+    zero = (0,) * len(moduli)
+    out = set()
+    for g in itertools.product(*(range(n) for n in moduli)):
+        total = sum(
+            cmath.exp(2j * cmath.pi * sum(M // n * a * b for a, b, n in zip(x, g, moduli)) / M)
+            for x in elems
         )
-        assert fast_ti == public_ti
+        if g != zero and abs(total) < 0.5:
+            out.add(g)
+    return out
+
+
+def _spectral_by_networkx(moduli, elems):
+    """Some clique of len(elems) - 1 vertices in the Cayley graph of the zero set.
+
+    With 0 added, such a clique is a spectrum: every nonzero difference of
+    its points lies in the zero set.
+    """
+    zs = _zero_set_float(moduli, elems)
+    graph = nx.Graph()
+    graph.add_nodes_from(zs)
+    graph.add_edges_from(
+        (a, b)
+        for a, b in itertools.combinations(zs, 2)
+        if tuple((x - y) % n for x, y, n in zip(a, b, moduli)) in zs
+    )
+    clique = max((len(c) for c in nx.find_cliques(graph)), default=0)
+    return clique >= len(elems) - 1
+
+
+@pytest.mark.parametrize("moduli, samples", [((2, 3), None), ((2, 2, 3), None), ((2, 2, 3, 3), 150)])
+def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
+    G = make_group(moduli)
+    n = G.order
+    if samples is None:
+        cands = [
+            (0,) + rest for k in range(1, n + 1) for rest in itertools.combinations(range(1, n), k - 1)
+        ]
+    else:
+        rng = random.Random(2)
+        cands = [
+            tuple(sorted([0] + rng.sample(range(1, n), rng.choice([2, 3, 4, 5, 6, 9, 12, 18]) - 1)))
+            for _ in range(samples)
+        ]
+    verdicts = set()
+    for cand in cands:
+        elems = [G.coords_of(i) for i in cand]
+        expected = _spectral_by_networkx(moduli, elems)
+        verdicts.add(expected)
+        assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
+        tally = _sweep_chunk(G, len(cand), [cand], DEFAULT_BUDGET, False)
+        assert tally.spectral == expected, cand
+    assert verdicts == {True, False}
 
 
 def _tiles_brute_force(moduli, S):
@@ -132,25 +184,28 @@ def _tiles_brute_force(moduli, S):
 )
 def test_tile_fast_agrees_with_brute_force(moduli, methods_seen):
     G = make_group(moduli)
-    ctx = _sweep_context(G)
+    tables = index_tables(G)
     methods = set()
     for k in range(1, G.order + 1):
         if G.order % k:
             continue
         for rest in itertools.combinations(range(1, G.order), k - 1):
             cand = (0,) + rest
-            tile, method = _tile_fast(ctx, cand, 5_000_000)
-            assert tile == _tiles_brute_force(moduli, [G.coords_of(i) for i in cand]), cand
+            elems = [G.coords_of(i) for i in cand]
+            expected = _tiles_brute_force(moduli, elems)
+            cover, _nodes = cover_complement(tables, cand, DEFAULT_BUDGET)
+            assert (cover is not None) == expected, cand
+            assert (find_complement(Multiset.set_of(G, elems)) is not None) == expected, cand
+            tile, method = _tile_fast(tables, cand, DEFAULT_BUDGET)
+            assert tile == expected, cand
             methods.add(method)
     assert methods == methods_seen
 
 
 def test_subgroup_tiling_counts_tiles_whose_spectral_verdict_is_undecided():
     # a budget of 2 nodes leaves the cover undecided at size 2 and the
-    # clique search undecided on tiles at size 4, unless the spectral memo
-    # kept the verdicts of an earlier sweep of Z_8
+    # clique search undecided on tiles at size 4
     z8 = make_group([8])
-    _sweep_context(z8).spectral_memo.clear()
     report = verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4), budget=2))
     view = SubgroupTilingReport.from_sweep(report)
     assert {e["tile"] for e in report.per_size[2].undecided} == {"undecided"}
@@ -162,6 +217,24 @@ def test_subgroup_tiling_counts_tiles_whose_spectral_verdict_is_undecided():
             {"set": e["set"]} for e in undecided if e["tile"] == "undecided"
         ]
         assert sub["tiles"] == tally.tiles + sum(e["tile"] is True for e in undecided)
+
+
+def test_budget_bound_report_does_not_depend_on_earlier_sweeps(capsys, subprocess_env):
+    argv = ["verify", "--group", "8", "--sizes", "2,4", "--budget", "2"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "spectile.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env, timeout=120,
+    )
+    verify_fuglede(VerificationPlan(group=make_group([8]), sizes=(2, 4)))
+    rc = main(argv)
+    after = json.loads(capsys.readouterr().out)
+    expected = json.loads(fresh.stdout)
+    for doc in (after, expected):
+        doc["fuglede"].pop("elapsed_seconds")
+        doc["subgroup_tiling"].pop("elapsed_seconds")
+    assert expected["fuglede"]["per_size"]["4"]["undecided"]
+    assert after == expected
+    assert rc == fresh.returncode
 
 
 def test_canonicalize_reduces_and_agrees(z12):

@@ -8,6 +8,7 @@ from spectile import (
     EmptyInput,
     GroupMismatch,
     Multiset,
+    NotASpectralPair,
     annihilator,
     char_sum_vanishes,
     cyclic_subgroup,
@@ -19,6 +20,7 @@ from spectile import (
     is_spectral,
     is_spectral_pair,
     make_group,
+    spectral_to_complement,
     subgroups_of_order,
     zero_set,
 )
@@ -36,6 +38,15 @@ def test_is_spectral_pair_examples(z6):
     assert not is_spectral_pair(S, Multiset.set_of(z6, [(0, 0), (0, 1)]))
     with pytest.raises(GroupMismatch):
         is_spectral_pair(S, Multiset.set_of(make_group([6]), [(0,)]))
+
+
+def test_is_spectral_pair_rejects_a_multiset_spectrum(z36, shape36):
+    S = Multiset.set_of(z36, [(0, 0, 0, 0), (0, 0, 1, 0)])
+    lam = Multiset(z36, {(0, 0, 0, 0): 2})
+    assert find_spectrum(S) is None
+    assert not is_spectral_pair(S, lam)
+    with pytest.raises(NotASpectralPair):
+        spectral_to_complement(shape36, S, lam)
 
 
 def test_find_spectrum_examples(z6):
