@@ -232,7 +232,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_enumerate_tiles(args: argparse.Namespace) -> int:
     group = make_group(_parse_moduli(args.group))
-    mode = "sample" if args.samples else "exhaustive"
+    mode = "exhaustive" if _samples(args) is None else "sample"
     seed = _require_seed(args) if mode == "sample" else None
     found = 0
     for S, wit in enumerate_tiles(
@@ -270,7 +270,7 @@ def _parse_sizes(spec: str, group: Group) -> tuple[int, ...]:
 def cmd_verify(args: argparse.Namespace) -> int:
     group = make_group(_parse_moduli(args.group))
     sizes = _parse_sizes(args.sizes, group)
-    mode = "sample" if args.samples else "exhaustive"
+    mode = "exhaustive" if _samples(args) is None else "sample"
     seed = _require_seed(args) if mode == "sample" else args.seed
     plan = VerificationPlan(
         group=group,
@@ -302,9 +302,10 @@ def cmd_probe_case5(args: argparse.Namespace) -> int:
         if args.sizes in (None, "all")
         else _parse_sizes(args.sizes, group)
     )
+    count = 100 if _samples(args) is None else args.samples
     seed = _require_seed(args)
     report = case5_nonexistence_probe(
-        shape, sizes, seed=seed, count_per_size=args.samples or 100, budget=args.budget
+        shape, sizes, seed=seed, count_per_size=count, budget=args.budget
     )
     _emit(report.to_dict())
     if report.spectral_hits:
@@ -332,6 +333,13 @@ def _load_set(args: argparse.Namespace) -> tuple[Group, Multiset]:
     else:
         text = sys.stdin.read()
     return parse_set_document(text)
+
+
+def _samples(args: argparse.Namespace) -> Optional[int]:
+    """--samples as given (None when absent); a count below 1 is refused."""
+    if args.samples is not None and args.samples < 1:
+        raise ParseError(f"--samples must be a positive count, got {args.samples}")
+    return args.samples
 
 
 def _require_seed(args: argparse.Namespace) -> int:

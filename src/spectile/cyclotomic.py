@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .errors import GroupMismatch, InvalidArgument, NotTwoDistinctPrimes
-from .groups import Element, Group, Multiset, dot, is_prime
+from .groups import Element, Group, Multiset, dot, index_tables, is_prime
 
 
 @dataclass(frozen=True)
@@ -305,26 +305,27 @@ class CharTable:
         return row
 
     @cached_property
-    def rows(self) -> list[list[int]]:
-        """row(g) for every g, by element index."""
-        return [self.row(g) for g in range(self.group.order)]
+    def class_rows(self) -> list[tuple[list[int], int]]:
+        """(row(rep), generator mask) of every direction class of the group."""
+        return [(self.row(rep), gens) for rep, gens in index_tables(self.group).direction_classes]
 
     def zero_mask(self, cand: tuple[int, ...]) -> int:
         """Bitmask over element indices of the zero set of a set of indices.
 
         Bit g is set for every nonzero g at which the character sum of the
-        set vanishes. Requires mass_ok(len(cand)).
+        set vanishes. The generators of <g> are Galois conjugates of g (the
+        sum at k*g is the image of the sum at g under zeta -> zeta^k), so
+        the sum vanishes at all of them or at none: one evaluation per
+        direction class decides the whole class. Requires mass_ok(len(cand)).
         """
-        rows = self.rows
         target = len(cand) * self.bias_unit
         mask = 0
-        for g in range(1, self.group.order):
-            row = rows[g]
+        for row, gens in self.class_rows:
             acc = 0
             for s in cand:
                 acc += row[s]
             if acc == target:
-                mask |= 1 << g
+                mask |= gens
         return mask
 
     def vanishes_index(self, items: list[tuple[int, int]], g_index: int) -> bool:

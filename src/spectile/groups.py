@@ -386,6 +386,40 @@ class IndexTables:
         """orders[i] = element_order of the element with index i."""
         return [element_order(self.group, x) for x in self.group.elements]
 
+    @cached_property
+    def direction_classes(self) -> list[tuple[int, int]]:
+        """(representative, generator mask) of every direction class.
+
+        A class is the set of generators of one nonzero cyclic subgroup;
+        its representative is its least element index (the index of
+        direction_rep) and its mask has a bit per generator. Class ids are
+        positions in this list, in increasing order of representative.
+        """
+        add = self.add_rows
+        covered = 0
+        out = []
+        for g in range(1, self.n):
+            if covered >> g & 1:
+                continue
+            multiples = [g]  # g, 2g, ... up to the last nonzero multiple
+            while (m := add[multiples[-1]][g]) != 0:
+                multiples.append(m)
+            d = len(multiples) + 1
+            gens = sum(1 << m for k, m in enumerate(multiples, 1) if math.gcd(k, d) == 1)
+            covered |= gens
+            out.append((g, gens))
+        return out
+
+    @cached_property
+    def direction_of(self) -> list[int]:
+        """direction_of[i] = class id of element i's direction; -1 for 0."""
+        out = [-1] * self.n
+        for c, (_, gens) in enumerate(self.direction_classes):
+            for g in range(1, self.n):
+                if gens >> g & 1:
+                    out[g] = c
+        return out
+
     # Exact-cover columns, built on the first cover decision: sweeps that
     # never reach the cover (the case-5 probe) do not pay for them.
     @cached_property

@@ -50,7 +50,7 @@ from .spectra import (
     is_spectral_pair,
     spectrum_search,
 )
-from .structure import PQShape, assumption_a_holds, leaf_constancy, leaf_decomposition
+from .structure import LeafTables, PQShape, aligned_leaves, leaf_tables
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
@@ -178,9 +178,22 @@ def _tile_fast(
 # plans and reports
 
 
+# The most candidates an exhaustive plan may enumerate: about half an hour
+# on one core at the sweep's rate on Z_2^2 x Z_3^2 (about 7 * 10^4 per second).
+# It admits every 0-containing 9-set of that group (C(35, 8) = 2.35 * 10^7);
+# larger plans sample instead.
+MAX_EXHAUSTIVE_CANDIDATES = 10**8
+
+
 @dataclass(frozen=True)
 class VerificationPlan:
-    """What to sweep: group, sizes, enumeration mode, budgets."""
+    """What to sweep: group, sizes, enumeration mode, budgets.
+
+    Sizes must be distinct. An exhaustive plan enumerates every 0-containing
+    set of each size, C(|G| - 1, k - 1) of them (canonicalize filters the
+    same enumeration); more than MAX_EXHAUSTIVE_CANDIDATES in total is
+    refused.
+    """
 
     group: Group
     sizes: tuple[int, ...]
@@ -198,8 +211,18 @@ class VerificationPlan:
             raise InvalidArgument("plan needs at least one size")
         if any(k < 1 or k > self.group.order for k in self.sizes):
             raise InvalidArgument(f"sizes {self.sizes!r} out of range for {self.group!r}")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise InvalidArgument(f"sizes {self.sizes!r} repeat a size")
         if self.mode not in ("exhaustive", "sample"):
             raise InvalidArgument(f"unknown mode {self.mode!r}")
+        if self.mode == "exhaustive":
+            n = self.group.order
+            count = sum(math.comb(n - 1, k - 1) for k in self.sizes)
+            if count > MAX_EXHAUSTIVE_CANDIDATES:
+                raise InvalidArgument(
+                    f"an exhaustive plan on {self.group!r} has {count} candidates, "
+                    f"over the cap of {MAX_EXHAUSTIVE_CANDIDATES}; sample instead (--samples)"
+                )
         if self.mode == "sample":
             if self.seed is None or self.count_per_size is None or self.count_per_size < 1:
                 raise InvalidArgument("sample mode requires a seed and a positive count")
@@ -807,6 +830,8 @@ def case5_nonexistence_probe(
     pq = p * q
     hi = pq * min(p, q)
     sizes = tuple(int(n) for n in sizes)
+    if len(set(sizes)) != len(sizes):
+        raise InvalidArgument(f"sizes {sizes!r} repeat a size")
     for n in sizes:
         if math.gcd(n, G.order) != pq or not (pq < n < hi):
             raise InvalidArgument(
@@ -818,9 +843,8 @@ def case5_nonexistence_probe(
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
     memo = _spectral_memo(G)
-    pg, qg = shape.p_group, shape.q_group
-    p_elems = pg.elements
-    q_elems = qg.elements
+    lt = leaf_tables(shape)
+    add = tables.add_rows
     examined = 0
     refuted = 0
     spectral_hits: list[dict] = []
@@ -833,9 +857,6 @@ def case5_nonexistence_probe(
     aligned_leaf_hits = 0
     direction_gap = {"holds": 0, "fails": 0}
 
-    p_dir_reps = sorted({min(g for g in cyclic_subgroup(pg, u) if g != pg.identity)
-                         for u in p_elems if u != pg.identity})
-
     for size in sizes:
         if size % q:
             raise InvalidArgument(
@@ -844,26 +865,24 @@ def case5_nonexistence_probe(
         leaves_needed = size // q
         rng = random.Random(f"{seed}:{size}")
         for _ in range(count_per_size):
-            anchors = rng.sample(range(len(p_elems)), leaves_needed)
             elems = []
-            for ai in anchors:
-                a = p_elems[ai]
-                fiber = rng.sample(range(len(q_elems)), q)
-                for bi in fiber:
-                    elems.append(shape.join(a, q_elems[bi]))
-            S = Multiset.set_of(G, elems)
-            cand = tuple(sorted(G.index_of(x) for x in elems))
+            for ai in rng.sample(range(len(lt.p_embed)), leaves_needed):
+                row = add[lt.p_embed[ai]]
+                for bi in rng.sample(range(len(lt.q_embed)), q):
+                    elems.append(row[lt.q_embed[bi]])
+            cand = tuple(sorted(elems))
             examined += 1
 
-            verdict = _spectral_decide(memo, tables, zero_mask(cand), len(cand), budget)
+            zmask = zero_mask(cand)
+            verdict = _spectral_decide(memo, tables, zmask, len(cand), budget)
             if verdict is UNDECIDED:
-                undecided.append({"size": size, "set": [list(x) for x in sorted(S.mult)]})
+                undecided.append({"size": size, "set": _coords(G, cand)})
             elif verdict:
-                wit = find_spectrum(S, budget)
+                wit = find_spectrum(Multiset.set_of(G, map(G.coords_of, cand)), budget)
                 spectral_hits.append(
                     {
                         "size": size,
-                        "set": [list(x) for x in sorted(S.mult)],
+                        "set": _coords(G, cand),
                         "spectrum": [list(x) for x in wit.lam.support]
                         if isinstance(wit, SpectrumWitness)
                         else None,
@@ -872,14 +891,15 @@ def case5_nonexistence_probe(
             else:
                 refuted += 1
 
-            obstructions[_classify_obstruction(shape, S)] += 1
-            if any(assumption_a_holds(shape, S, u) for u in p_dir_reps):
+            leaves = lt.leaves(cand)
+            obstructions[_classify_obstruction(lt, leaves, zmask)] += 1
+            if any(aligned_leaves(lines, leaves) for lines in lt.p_lines):
                 aligned_leaf_hits += 1
             # a candidate with no clean p-direction or no clean q-direction
             # determines every direction of that square factor; spectral sets
             # in this size range always keep both gaps, so the tally splits
             # the sample by which refutation route applies
-            if _direction_gap_ok(shape, S):
+            if _direction_gap_ok(tables, lt, cand):
                 direction_gap["holds"] += 1
             else:
                 direction_gap["fails"] += 1
@@ -901,55 +921,31 @@ def case5_nonexistence_probe(
     )
 
 
-def _classify_obstruction(shape: PQShape, S: Multiset) -> str:
-    """Which structural necessary condition for spectrality fails first."""
-    q = shape.q
-    G = shape.group
-    leaves = leaf_decomposition(shape, S).leaves
-    if any(len(K) > q for K in leaves.values()) or leaf_constancy(shape, S) is None:
+def _classify_obstruction(lt: LeafTables, leaves: list[int], zmask: int) -> str:
+    """Which structural necessary condition for spectrality fails first.
+
+    leaves are the set's leaf masks and zmask its zero mask.
+    """
+    q = lt.q
+    sizes = [K.bit_count() for K in leaves]
+    # the Sylow p-projection counts leaf sizes: it is a constant plus q times
+    # a multiset exactly when every size is congruent to the least one mod q
+    c = min(sizes)
+    if max(sizes) > q or any((n - c) % q for n in sizes):
         return "leaf-structure"
-    pg, qg = shape.p_group, shape.q_group
-    for u in pg.elements:
-        if u == pg.identity:
-            continue
-        gu = shape.join(u, qg.identity)
-        u_vanishes = char_sum_vanishes(G, S, gu)
-        for v in qg.elements:
-            if v == qg.identity:
-                continue
-            gv = shape.join(pg.identity, v)
-            if char_sum_vanishes(G, S, G.add(gu, gv)):
-                continue
-            if not (u_vanishes and char_sum_vanishes(G, S, gv)):
+    # wherever the sum does not vanish at a mixed (u, v), it must vanish at
+    # both (u, 0) and (0, v)
+    for gu, mixed in zip(lt.p_embed[1:], lt.mixed):
+        u_vanishes = zmask >> gu & 1
+        for gv, g in zip(lt.q_embed[1:], mixed):
+            if not zmask >> g & 1 and not (u_vanishes and zmask >> gv & 1):
                 return "vanishing-pattern"
     return "leaf-overflow"
 
 
-def _direction_gap_ok(shape: PQShape, S: Multiset) -> bool:
+def _direction_gap_ok(tables: IndexTables, lt: LeafTables, cand: tuple[int, ...]) -> bool:
     """Some pure p-direction and some pure q-direction are both missed by S-S."""
-    G = shape.group
-    pg, qg = shape.p_group, shape.q_group
-    pts = S.support
-    p_hit: set[Element] = set()
-    q_hit: set[Element] = set()
-    for i, a in enumerate(pts):
-        for b in pts[:i]:
-            d = G.sub(a, b)
-            da, db = shape.split(d)
-            if db == qg.identity and da != pg.identity:
-                p_hit.add(da)
-                p_hit.add(pg.neg(da))
-            if da == pg.identity and db != qg.identity:
-                q_hit.add(db)
-                q_hit.add(qg.neg(db))
-    p_gap = any(
-        all(pg.scale(lam, u) not in p_hit for lam in range(1, shape.p))
-        for u in pg.elements
-        if u != pg.identity
-    )
-    q_gap = any(
-        all(qg.scale(mu, v) not in q_hit for mu in range(1, shape.q))
-        for v in qg.elements
-        if v != qg.identity
-    )
-    return p_gap and q_gap
+    sub_rows = tables.sub_rows
+    diffs = {sub_rows[a][b] for a in cand for b in cand}
+    hit = set(map(tables.direction_of.__getitem__, diffs))
+    return not lt.p_classes <= hit and not lt.q_classes <= hit

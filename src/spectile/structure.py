@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional
 
 from .cyclotomic import char_sum_vanishes
 from .errors import (
@@ -30,7 +30,6 @@ from .groups import (
     Group,
     Multiset,
     Subgroup,
-    cyclic_subgroup,
     direction_rep,
     index_tables,
     is_prime,
@@ -213,27 +212,73 @@ def leaf_constancy(shape: PQShape, S: Multiset) -> Optional[LeafConstancy]:
     return LeafConstancy(c=c, d=Multiset(shape.p_group, d_counts))
 
 
+class LeafTables:
+    """Element-index tables of one shape for the leaf-level decisions.
+
+    A leaf is held as a bitmask over the indices of Z_q^2, and a set's
+    leaves as a list of masks indexed by the p-part index in Z_p^2. Build
+    one per shape with :func:`leaf_tables`.
+    """
+
+    def __init__(self, shape: PQShape):
+        G = shape.group
+        pg, qg = shape.p_group, shape.q_group
+        add = index_tables(G).add_rows
+        parts = [shape.split(x) for x in G.elements]
+        self.q = shape.q
+        self.p_part = [pg.index_of(a) for a, _ in parts]
+        self.q_bit = [1 << qg.index_of(b) for _, b in parts]
+        # element indices of (a, 0) for every a in Z_p^2 and of (0, b) for every b in Z_q^2
+        self.p_embed = [G.index_of(shape.join(a, qg.identity)) for a in pg.elements]
+        self.q_embed = [G.index_of(shape.join(pg.identity, b)) for b in qg.elements]
+        # mixed[i][j] = index of (a_i, b_j), both parts nonzero
+        self.mixed = [[add[gu][gv] for gv in self.q_embed[1:]] for gu in self.p_embed[1:]]
+        # direction class ids (index_tables(G).direction_of) of the pure p- and q-directions
+        direction_of = index_tables(G).direction_of
+        self.p_classes = frozenset(direction_of[g] for g in self.p_embed[1:])
+        self.q_classes = frozenset(direction_of[g] for g in self.q_embed[1:])
+        # the lines b + <u> of Z_p^2 for each line <u> through 0, by class id
+        pt = index_tables(pg)
+        self.p_lines: list[list[tuple[int, ...]]] = []
+        for _, gens in pt.direction_classes:
+            line = [0] + [a for a in range(pg.order) if gens >> a & 1]
+            cosets = {tuple(sorted(pt.add_rows[b][t] for t in line)) for b in range(pg.order)}
+            self.p_lines.append(sorted(cosets))
+
+    def leaves(self, cand: Iterable[int]) -> list[int]:
+        """Leaf masks of a set of element indices, in one pass."""
+        out = [0] * len(self.p_embed)
+        p_part, q_bit = self.p_part, self.q_bit
+        for s in cand:
+            out[p_part[s]] |= q_bit[s]
+        return out
+
+
+@lru_cache(maxsize=None)
+def leaf_tables(shape: PQShape) -> LeafTables:
+    return LeafTables(shape)
+
+
+def aligned_leaves(lines: list[tuple[int, ...]], leaves: list[int]) -> bool:
+    """On every line, all nonempty leaf masks are equal."""
+    return all(len({leaves[a] for a in line} - {0}) <= 1 for line in lines)
+
+
 def assumption_a_holds(shape: PQShape, S: Multiset, u: Element) -> bool:
     """Aligned leaves along u: on each line b + <u>, nonempty fibers agree."""
     if S.group != shape.group:
         raise NotPQShape("set lives on a different group")
+    if not S.is_set:
+        raise InvalidArgument("leaf decomposition expects a set")
     pg = shape.p_group
     if not pg.contains(u):
         raise InvalidDirection(f"{u!r} is not an element of the p-square factor")
     if u == pg.identity:
         raise InvalidDirection("direction must be nonzero")
-    leaves = leaf_decomposition(shape, S).leaves
-    line = cyclic_subgroup(pg, u)
-    seen: set[Element] = set()
-    for b in pg.elements:
-        if b in seen:
-            continue
-        coset = [pg.add(b, t) for t in line]
-        seen.update(coset)
-        nonempty = [leaves[a] for a in coset if leaves[a]]
-        if nonempty and any(K != nonempty[0] for K in nonempty[1:]):
-            return False
-    return True
+    lt = leaf_tables(shape)
+    leaves = lt.leaves(map(shape.group.index_of, S.mult))
+    line_class = index_tables(pg).direction_of[pg.index_of(u)]
+    return aligned_leaves(lt.p_lines[line_class], leaves)
 
 
 def prop1_validate(T: Multiset) -> tuple[bool, bool]:

@@ -206,6 +206,36 @@ def test_usage_errors(capsys):
     assert main(["verify", "--group", "2,3", "--sizes", "bogus"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "2,3", "--sizes", "2,3", "--samples", "0", "--seed", "1"],
+        ["probe-case5", "--group", "3,3,5,5", "--samples", "0", "--seed", "1"],
+        ["enumerate-tiles", "--group", "2,3", "--size", "2", "--samples", "0", "--seed", "1"],
+    ],
+    ids=["verify", "probe-case5", "enumerate-tiles"],
+)
+def test_zero_samples_is_a_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--canonicalize"]], ids=["plain", "canonicalize"])
+def test_verify_refuses_an_exhaustive_plan_that_cannot_finish(subprocess_env, extra):
+    # the default --sizes all on Z_2^2 x Z_3^2 means 2^35 candidates; the
+    # timeout turns a sweep that starts anyway into a failure
+    out = subprocess.run(
+        [sys.executable, "-m", "spectile.cli", "verify", "--group", "2,2,3,3", *extra],
+        capture_output=True, text=True, env=subprocess_env, timeout=60,
+    )
+    assert out.returncode == EXIT_USAGE
+    assert out.stdout == ""
+    error = json.loads(out.stderr)["error"]
+    assert "34359738368 candidates" in error and "--samples" in error
+
+
 def test_reports_survive_json_round_trip(capsys):
     from spectile import VerificationPlan, make_group, verify_fuglede, verify_subgroup_tiling
 

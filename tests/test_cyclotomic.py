@@ -24,6 +24,7 @@ from spectile import (
     zero_set,
 )
 from spectile.cyclotomic import char_table
+from spectile.groups import index_tables
 
 
 # --- integer polynomials ----------------------------------------------------
@@ -156,6 +157,31 @@ def test_zero_set_matches_float(moduli):
                 if g != G.identity and abs(_numeric_char_sum(G, A, g)) < 1e-6
             }
             assert zero_set(G, A).elements == expected
+
+
+def test_class_wise_zero_mask_matches_exact_char_sums():
+    # one packed evaluation per direction class sets the bits of the whole
+    # class; the oracle is the polynomial remainder at every g
+    G = make_group([3, 3, 5, 5])
+    table = char_table(G)
+    assert len(table.class_rows) == 34
+    rng = random.Random(41)
+    sets = [rng.sample(range(G.order), k) for k in (1, 2, 5, 15, 30, 45, 100, 224)]
+    tables = index_tables(G)
+    for m in (3, 5, 9, 15, 25, 45, 75):
+        for _, ids in tables.coset_tables(m)[:2]:
+            coset = [i for i in range(G.order) if ids[i] == 0]
+            other = [i for i in range(G.order) if ids[i] == 1]
+            sets += [coset, coset + other]
+    seen_zero = 0
+    for idx in sets:
+        A = Multiset.set_of(G, [G.coords_of(i) for i in idx])
+        mask = table.zero_mask(tuple(sorted(idx)))
+        for g in range(1, G.order):
+            assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero
+        assert not mask & 1
+        seen_zero += mask != 0
+    assert seen_zero > len(sets) // 2
 
 
 def test_packed_table_agrees_with_direct(z36):

@@ -26,6 +26,7 @@ from spectile import (
     subgroups_of_order,
     sylow_projection,
 )
+from spectile.groups import index_tables
 
 
 def test_make_group_basic():
@@ -118,6 +119,27 @@ def test_directions_partition_group(z36):
         assert set(members) == {
             x for x in cyclic_subgroup(z36, d.rep) if element_order(z36, x) == d.order
         }
+
+
+@pytest.mark.parametrize(
+    "moduli, classes", [([2, 2, 3, 3], 19), ([3, 3, 5, 5], 34), ([8], 3), ([4, 6], None)]
+)
+def test_direction_classes_match_direction_rep(moduli, classes):
+    G = make_group(moduli)
+    tables = index_tables(G)
+    if classes is not None:
+        assert len(tables.direction_classes) == classes
+    assert len(tables.direction_classes) == len(all_directions(G))
+    assert tables.direction_of[0] == -1
+    covered = 0
+    for c, (rep, gens) in enumerate(tables.direction_classes):
+        assert covered & gens == 0
+        covered |= gens
+        for g in range(1, G.order):
+            in_class = direction_rep(G, G.coords_of(g)).rep == G.coords_of(rep)
+            assert in_class == bool(gens >> g & 1)
+            assert in_class == (tables.direction_of[g] == c)
+    assert covered == (1 << G.order) - 2
 
 
 def test_annihilator_examples(z6):

@@ -32,9 +32,22 @@ from spectile import (
     verify_subgroup_tiling,
 )
 from spectile.cli import main
+from spectile.cyclotomic import char_sum_vanishes, char_table
 from spectile.errors import DEFAULT_BUDGET
-from spectile.groups import index_tables
-from spectile.harness import _sweep_chunk, _tile_fast
+from spectile.groups import cyclic_subgroup, determined_directions, direction_rep, index_tables
+from spectile.harness import (
+    _classify_obstruction,
+    _direction_gap_ok,
+    _sweep_chunk,
+    _tile_fast,
+)
+from spectile.structure import (
+    aligned_leaves,
+    assumption_a_holds,
+    leaf_constancy,
+    leaf_decomposition,
+    leaf_tables,
+)
 from spectile.tiling import cover_complement
 
 
@@ -83,6 +96,26 @@ def test_verify_fuglede_sample_deterministic(z36):
     d2.pop("elapsed_seconds")
     assert d1 == d2
     assert r1.per_size[6].examined == 500
+
+
+def test_plan_rejects_repeated_sizes(z6):
+    with pytest.raises(InvalidArgument, match="repeat"):
+        VerificationPlan(group=z6, sizes=(2, 2))
+    with pytest.raises(InvalidArgument, match="repeat"):
+        VerificationPlan(group=z6, sizes=(2, 3, 2), mode="sample", seed=1, count_per_size=5)
+
+
+def test_plan_refuses_exhaustive_plans_over_the_cap(z36):
+    # every size of Z_2^2 x Z_3^2: sum_k C(35, k - 1) = 2^35 candidates
+    for canonicalize in (False, True):
+        with pytest.raises(InvalidArgument, match="34359738368 candidates"):
+            VerificationPlan(group=z36, sizes=range(1, 37), canonicalize=canonicalize)
+    # C(35, 9) + C(35, 10) = 254186856
+    with pytest.raises(InvalidArgument, match="254186856 candidates"):
+        VerificationPlan(group=z36, sizes=(10, 11))
+    # C(35, 8) = 23535820 fits, and sampling is not capped
+    VerificationPlan(group=z36, sizes=(9,))
+    VerificationPlan(group=z36, sizes=range(1, 37), mode="sample", seed=1, count_per_size=10)
 
 
 def test_verification_plan_validation(z6):
@@ -437,3 +470,108 @@ def test_case5_probe_deterministic():
     d1.pop("elapsed_seconds")
     d2.pop("elapsed_seconds")
     assert d1 == d2
+
+
+def test_probe_rejects_repeated_sizes():
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    with pytest.raises(InvalidArgument, match="repeat"):
+        case5_nonexistence_probe(shape, (30, 30), seed=3, count_per_size=5)
+
+
+# --- the probe's index-level structure checks against coordinate oracles ------
+
+
+def _obstruction_by_coordinates(shape, S):
+    """Coordinate-level oracle for _classify_obstruction."""
+    q = shape.q
+    G = shape.group
+    leaves = leaf_decomposition(shape, S).leaves
+    if any(len(K) > q for K in leaves.values()) or leaf_constancy(shape, S) is None:
+        return "leaf-structure"
+    pg, qg = shape.p_group, shape.q_group
+    for u in pg.elements:
+        if u == pg.identity:
+            continue
+        gu = shape.join(u, qg.identity)
+        u_vanishes = char_sum_vanishes(G, S, gu)
+        for v in qg.elements:
+            if v == qg.identity:
+                continue
+            gv = shape.join(pg.identity, v)
+            if char_sum_vanishes(G, S, G.add(gu, gv)):
+                continue
+            if not (u_vanishes and char_sum_vanishes(G, S, gv)):
+                return "vanishing-pattern"
+    return "leaf-overflow"
+
+
+def _aligned_by_coordinates(shape, S, u):
+    """Coordinate-level oracle for assumption_a_holds."""
+    pg = shape.p_group
+    leaves = leaf_decomposition(shape, S).leaves
+    line = cyclic_subgroup(pg, u)
+    seen = set()
+    for b in pg.elements:
+        if b in seen:
+            continue
+        coset = [pg.add(b, t) for t in line]
+        seen.update(coset)
+        nonempty = [leaves[a] for a in coset if leaves[a]]
+        if nonempty and any(K != nonempty[0] for K in nonempty[1:]):
+            return False
+    return True
+
+
+def _gap_by_directions(shape, S):
+    """A pure p-direction and a pure q-direction of G both absent from S - S."""
+    G = shape.group
+    pg, qg = shape.p_group, shape.q_group
+    determined = determined_directions(S)
+    pure_p = {direction_rep(G, shape.join(u, qg.identity)) for u in pg.elements[1:]}
+    pure_q = {direction_rep(G, shape.join(pg.identity, v)) for v in qg.elements[1:]}
+    return bool(pure_p - determined) and bool(pure_q - determined)
+
+
+def _structure_inputs(shape, rng):
+    """Seeded random sets, unions of size-q fibers, and the two torsion subgroups."""
+    G = shape.group
+    pg, qg = shape.p_group, shape.q_group
+    q = shape.q
+    out = [rng.sample(G.elements, rng.randint(1, min(40, G.order - 1))) for _ in range(25)]
+    for _ in range(25):
+        leaf = rng.sample(qg.elements, q)
+        same = rng.random() < 0.5  # one leaf repeated, or a new one per anchor
+        elems = []
+        for a in rng.sample(pg.elements, rng.randint(1, pg.order)):
+            elems += [shape.join(a, b) for b in (leaf if same else rng.sample(qg.elements, q))]
+        out.append(elems)
+    out.append([shape.join(a, qg.identity) for a in pg.elements])
+    out.append([shape.join(pg.identity, b) for b in qg.elements])  # one leaf of size q^2
+    return [Multiset.set_of(G, elems) for elems in out]
+
+
+@pytest.mark.parametrize("moduli", [(3, 3, 5, 5), (2, 2, 3, 3), (2, 2, 5, 5), (3, 3, 7, 7)])
+def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
+    G = make_group(moduli)
+    shape = pq_shape(G)
+    tables = index_tables(G)
+    lt = leaf_tables(shape)
+    zero_mask = char_table(G).zero_mask
+    pg = shape.p_group
+    classes, aligned_any, gaps = set(), set(), set()
+    for S in _structure_inputs(shape, random.Random(f"structure:{moduli}")):
+        cand = tuple(sorted(G.index_of(x) for x in S.mult))
+        leaves = lt.leaves(cand)
+        obstruction = _classify_obstruction(lt, leaves, zero_mask(cand))
+        assert obstruction == _obstruction_by_coordinates(shape, S)
+        classes.add(obstruction)
+        aligned = [assumption_a_holds(shape, S, u) for u in pg.elements[1:]]
+        assert aligned == [_aligned_by_coordinates(shape, S, u) for u in pg.elements[1:]]
+        # the probe's test: aligned along some p-direction
+        assert any(aligned_leaves(lines, leaves) for lines in lt.p_lines) == any(aligned)
+        aligned_any.add(any(aligned))
+        gap = _direction_gap_ok(tables, lt, cand)
+        assert gap == _gap_by_directions(shape, S)
+        gaps.add(gap)
+    assert classes == {"leaf-structure", "vanishing-pattern", "leaf-overflow"}
+    assert aligned_any == gaps == {True, False}
