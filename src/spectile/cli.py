@@ -270,6 +270,8 @@ def _parse_sizes(spec: str, group: Group) -> tuple[int, ...]:
 def cmd_verify(args: argparse.Namespace) -> int:
     group = make_group(_parse_moduli(args.group))
     sizes = _parse_sizes(args.sizes, group)
+    if args.exhaustive and args.samples is not None:
+        raise ParseError("--exhaustive and --samples exclude each other")
     mode = "exhaustive" if _samples(args) is None else "sample"
     seed = _require_seed(args) if mode == "sample" else args.seed
     plan = VerificationPlan(
@@ -393,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="comma-separated moduli")
     p.add_argument("--sizes", default="all", help="comma-separated sizes or 'all'")
     p.add_argument("--exhaustive", action="store_true", help="exhaustive enumeration (default)")
-    p.add_argument("--samples", type=int, default=None, help="sampled candidates per size")
+    p.add_argument(
+        "--samples", type=int, default=None,
+        help="sampled candidates per size (not with --exhaustive)",
+    )
     p.add_argument("--canonicalize", action="store_true", help="reduce by automorphisms")
     p.add_argument("--workers", type=int, default=1)
     add_common(p)

@@ -9,6 +9,7 @@ anywhere; floats appear only in tests as a cross-check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
@@ -243,12 +244,14 @@ class CyclotomicInt:
 
 
 # ---------------------------------------------------------------------------
-# packed character tables: the exact fast path shared by zero sets and sweeps
+# packed character tables: the exact fast paths shared by zero sets and sweeps
 #
-# zeta_M^k mod Phi_M has phi(M) integer coefficients; each is stored in a
-# 64-bit limb of one big int, biased by 2^32 so limbs never go negative.
-# Summing the packed values of a multiset then comparing against
-# mass * (packed all-zero) decides vanishing with one big-int comparison.
+# zeta_M^k mod Phi_M has phi(M) integer coefficients. For multisets, row(g)
+# stores each in a 64-bit limb of one big int, biased by 2^32 so limbs never
+# go negative; summing the packed values of a multiset then comparing against
+# mass * (packed all-zero) decides vanishing at g with one big-int
+# comparison. For sets, zero_mask packs every direction class side by side
+# in limbs sized for the group and decides all of them with one sum.
 
 _LIMB = 64
 _BIAS = 1 << 32
@@ -285,29 +288,73 @@ class CharTable:
         """Packed sums stay exact while mass * max|coeff| < bias."""
         return mass * max(self.max_abs, 1) < _BIAS and mass < _BIAS
 
+    def _exponents(self, g_index: int) -> list[int]:
+        """<s, g> for every s, indexed by element index."""
+        G, M = self.group, self.M
+        # <s, g> = sum_i (M / n_i) g_i s_i, and s runs over the product of the
+        # coordinate ranges in index order
+        terms = (
+            [wi * gi * j for j in range(n)]
+            for wi, gi, n in zip(self._weights, G.coords_of(g_index), G.moduli)
+        )
+        return [t % M for t in map(sum, itertools.product(*terms))]
+
     def row(self, g_index: int) -> list[int]:
         """packed[<s, g>] for every s, indexed by element index."""
         cached = self._rows[g_index]
-        if cached is not None:
-            return cached
-        G = self.group
-        g = G.coords_of(g_index)
-        M = self.M
-        w = [wi * gi % M for wi, gi in zip(self._weights, g)]
-        packed = self.packed
-        row = []
-        for x in G.elements:
-            t = 0
-            for wi, xi in zip(w, x):
-                t += wi * xi
-            row.append(packed[t % M])
-        self._rows[g_index] = row
-        return row
+        if cached is None:
+            cached = list(map(self.packed.__getitem__, self._exponents(g_index)))
+            self._rows[g_index] = cached
+        return cached
 
     @cached_property
-    def class_rows(self) -> list[tuple[list[int], int]]:
-        """(row(rep), generator mask) of every direction class of the group."""
-        return [(self.row(rep), gens) for rep, gens in index_tables(self.group).direction_classes]
+    def _kernel(self) -> tuple:
+        """The word-parallel tables of zero_mask, built on its first call.
+
+        Every reduced power zeta^t has phi coefficients, each of absolute
+        value at most max_abs. A limb of w bits holds one coefficient plus
+        bias (limb_layout); cols[s] holds, side by side, the phi
+        limbs of zeta^<s, r> for the representative r of every direction
+        class, class c in limbs c*phi .. c*phi + phi - 1. Returns (cols,
+        unit, low, high, folds, class_bits, gens_at): unit has bias in every
+        limb, low and high have 2^(w-1) - 1 and 2^(w-1) in every limb,
+        folds are the shifts that OR a class's limbs into its lowest one,
+        and gens_at maps the top bit of that limb to the class's
+        generator mask.
+        """
+        phi = self.phi
+        classes = index_tables(self.group).direction_classes
+        bias, w = self.limb_layout()
+        blocks = [
+            sum((c + bias) << (w * i) for i, c in enumerate(row)) for row in self.reduced_powers
+        ]
+        stride = phi * w
+        exponents = [self._exponents(r) for r, _ in classes]
+        cols = [
+            sum(blocks[e[s]] << (stride * c) for c, e in enumerate(exponents))
+            for s in range(self.group.order)
+        ]
+        repunit = sum(1 << (w * j) for j in range(phi * len(classes)))
+        high = repunit << (w - 1)
+        folds, span = [], 1
+        while 2 * span <= phi:
+            folds.append(w * span)
+            span *= 2
+        if span < phi:
+            folds.append(w * (phi - span))
+        class_bits = sum(1 << (stride * c + w - 1) for c in range(len(classes)))
+        gens_at = {stride * c + w - 1: gens for c, (_, gens) in enumerate(classes)}
+        return cols, bias * repunit, high - repunit, high, folds, class_bits, gens_at
+
+    def limb_layout(self) -> tuple[int, int]:
+        """(bias, limb width w) of the zero-mask kernel.
+
+        bias = max_abs makes every biased coefficient c + bias lie in
+        [0, 2 * max_abs]. A set has mass m <= |G|, so a limb of its sum lies
+        in [0, 2 * |G| * max_abs] and stays below 2^(w-1): the top bit of
+        every limb is a guard bit that no sum reaches.
+        """
+        return self.max_abs, (2 * self.group.order * self.max_abs).bit_length() + 1
 
     def zero_mask(self, cand: tuple[int, ...]) -> int:
         """Bitmask over element indices of the zero set of a set of indices.
@@ -316,16 +363,29 @@ class CharTable:
         set vanishes. The generators of <g> are Galois conjugates of g (the
         sum at k*g is the image of the sum at g under zeta -> zeta^k), so
         the sum vanishes at all of them or at none: one evaluation per
-        direction class decides the whole class. Requires mass_ok(len(cand)).
+        direction class decides the whole class.
+
+        All classes are evaluated at once on packed limbs (see _kernel and
+        limb_layout), exactly for any set of element indices. One sum of
+        the set's cols gives, in each limb, m * bias plus one coefficient
+        of one class's character sum, with no carry between limbs since
+        every limb stays below 2^(w-1). XOR with m * unit zeroes exactly the
+        limbs whose coefficient is 0 and leaves every limb below 2^(w-1);
+        adding 2^(w-1) - 1 to each limb then sets its top bit exactly when
+        the limb is nonzero, again without a carry out of the limb. The
+        folds OR the top bits of each class's phi limbs into the top bit
+        of its lowest limb, which stays clear exactly when the sum vanishes.
         """
-        target = len(cand) * self.bias_unit
+        cols, unit, low, high, folds, class_bits, gens_at = self._kernel
+        nonzero = ((sum(map(cols.__getitem__, cand)) ^ len(cand) * unit) + low) & high
+        for shift in folds:
+            nonzero |= nonzero >> shift
+        zero = (nonzero & class_bits) ^ class_bits
         mask = 0
-        for row, gens in self.class_rows:
-            acc = 0
-            for s in cand:
-                acc += row[s]
-            if acc == target:
-                mask |= gens
+        while zero:
+            top = zero.bit_length() - 1
+            mask |= gens_at[top]
+            zero ^= 1 << top
         return mask
 
     def vanishes_index(self, items: list[tuple[int, int]], g_index: int) -> bool:
@@ -397,13 +457,13 @@ def zero_set(G: Group, A: Multiset) -> ZeroSet:
         return ZeroSet(G, frozenset())
     table = char_table(G)
     out = []
-    if not table.mass_ok(A.mass):  # pragma: no cover - only for masses beyond the packed range
+    if A.is_set:
+        mask = table.zero_mask(tuple(G.index_of(x) for x in A.mult))
+        out = [G.coords_of(gi) for gi in range(1, G.order) if mask >> gi & 1]
+    elif not table.mass_ok(A.mass):  # pragma: no cover - only for masses beyond the packed range
         for g in G.elements:
             if g != G.identity and char_sum(G, A, g).is_zero:
                 out.append(g)
-    elif A.is_set:
-        mask = table.zero_mask(tuple(G.index_of(x) for x in A.mult))
-        out = [G.coords_of(gi) for gi in range(1, G.order) if mask >> gi & 1]
     else:
         items = [(G.index_of(x), m) for x, m in A.items()]
         out = [G.coords_of(gi) for gi in range(1, G.order) if table.vanishes_index(items, gi)]

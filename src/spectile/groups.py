@@ -373,12 +373,22 @@ class IndexTables:
     def __init__(self, G: Group):
         self.group = G
         self.n = G.order
-        elements = G.elements
-        index_of = G.index_of
-        add = G.add
-        sub = G.sub
-        self.add_rows = [[index_of(add(x, y)) for y in elements] for x in elements]
-        self.sub_rows = [[index_of(sub(x, y)) for y in elements] for x in elements]
+        # mixed-radix index arithmetic: index(x + y) sums ((x_i + y_i) mod n_i)
+        # * stride_i over the coordinates, and y runs over the product of the
+        # coordinate ranges in index order
+        strides = [math.prod(G.moduli[i + 1 :]) for i in range(len(G.moduli))]
+
+        def rows(sign: int) -> list[list[int]]:
+            return [
+                list(map(sum, itertools.product(*(
+                    [(xi + sign * j) % n * st for j in range(n)]
+                    for xi, n, st in zip(x, G.moduli, strides)
+                ))))
+                for x in G.elements
+            ]
+
+        self.add_rows = rows(1)
+        self.sub_rows = rows(-1)
         self._coset_tables: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}
 
     @cached_property

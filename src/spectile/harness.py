@@ -899,7 +899,7 @@ def case5_nonexistence_probe(
             # determines every direction of that square factor; spectral sets
             # in this size range always keep both gaps, so the tally splits
             # the sample by which refutation route applies
-            if _direction_gap_ok(tables, lt, cand):
+            if _direction_gap_ok(lt, leaves):
                 direction_gap["holds"] += 1
             else:
                 direction_gap["fails"] += 1
@@ -943,9 +943,30 @@ def _classify_obstruction(lt: LeafTables, leaves: list[int], zmask: int) -> str:
     return "leaf-overflow"
 
 
-def _direction_gap_ok(tables: IndexTables, lt: LeafTables, cand: tuple[int, ...]) -> bool:
-    """Some pure p-direction and some pure q-direction are both missed by S-S."""
-    sub_rows = tables.sub_rows
-    diffs = {sub_rows[a][b] for a in cand for b in cand}
-    hit = set(map(tables.direction_of.__getitem__, diffs))
-    return not lt.p_classes <= hit and not lt.q_classes <= hit
+def _direction_gap_ok(lt: LeafTables, leaves: list[int]) -> bool:
+    """Some pure p-direction and some pure q-direction are both missed by S-S.
+
+    leaves are the set's leaf masks. A pure q-difference (0, b - b') joins
+    two points of one leaf; a pure p-difference (a - a', 0) joins the leaves
+    at a and a' at a q-part they share.
+    """
+    full = [(a, K) for a, K in enumerate(leaves) if K]
+    p_hit = set()
+    for i, (a, K) in enumerate(full):
+        p_dir = lt.p_dir[a]
+        for a2, K2 in full[i + 1 :]:
+            if K & K2:
+                p_hit.add(p_dir[a2])
+    if lt.p_dirs <= p_hit:
+        return False
+    q_dir = lt.q_dir
+    q_hit = set()
+    for _, K in full:
+        bits = []
+        while K:
+            low = K & -K
+            bits.append(low.bit_length() - 1)
+            K ^= low
+        for b in bits:
+            q_hit.update(map(q_dir[b].__getitem__, bits))
+    return not lt.q_dirs <= q_hit

@@ -24,7 +24,6 @@ from .errors import (
     BudgetExhausted,
     EmptyInput,
     GroupMismatch,
-    Overflow,
     Undecided,
     InvalidArgument,
 )
@@ -183,11 +182,9 @@ def find_spectrum(
     if not S.is_set:
         raise InvalidArgument("spectrum search expects a set (0/1 multiset)")
     G = S.group
-    table = char_table(G)
-    if not table.mass_ok(S.mass):  # pragma: no cover - far beyond any table size
-        raise Overflow(f"|S| = {S.mass} is beyond the packed character table range")
     cand = tuple(G.index_of(x) for x in S.mult)
-    lam_idx, _nodes = spectrum_search(index_tables(G), table.zero_mask(cand), S.mass, budget)
+    zmask = char_table(G).zero_mask(cand)
+    lam_idx, _nodes = spectrum_search(index_tables(G), zmask, S.mass, budget)
     if lam_idx is None or lam_idx is UNDECIDED:
         return lam_idx
     lam = Multiset.set_of(G, [G.coords_of(i) for i in lam_idx])

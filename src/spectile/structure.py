@@ -233,12 +233,14 @@ class LeafTables:
         self.q_embed = [G.index_of(shape.join(pg.identity, b)) for b in qg.elements]
         # mixed[i][j] = index of (a_i, b_j), both parts nonzero
         self.mixed = [[add[gu][gv] for gv in self.q_embed[1:]] for gu in self.p_embed[1:]]
-        # direction class ids (index_tables(G).direction_of) of the pure p- and q-directions
-        direction_of = index_tables(G).direction_of
-        self.p_classes = frozenset(direction_of[g] for g in self.p_embed[1:])
-        self.q_classes = frozenset(direction_of[g] for g in self.q_embed[1:])
+        # p_dir[a][a'] = direction class id in Z_p^2 of a - a' (-1 when a = a'),
+        # q_dir the same on Z_q^2, and the sets of all class ids of each factor
+        pt, qt = index_tables(pg), index_tables(qg)
+        self.p_dir = [[pt.direction_of[d] for d in row] for row in pt.sub_rows]
+        self.q_dir = [[qt.direction_of[d] for d in row] for row in qt.sub_rows]
+        self.p_dirs = frozenset(range(len(pt.direction_classes)))
+        self.q_dirs = frozenset(range(len(qt.direction_classes)))
         # the lines b + <u> of Z_p^2 for each line <u> through 0, by class id
-        pt = index_tables(pg)
         self.p_lines: list[list[tuple[int, ...]]] = []
         for _, gens in pt.direction_classes:
             line = [0] + [a for a in range(pg.order) if gens >> a & 1]

@@ -222,6 +222,17 @@ def test_zero_samples_is_a_usage_error(capsys, argv):
     assert "--samples" in json.loads(captured.err)["error"]
 
 
+def test_verify_refuses_exhaustive_with_samples(capsys):
+    # the plan is the one that used to run a sampled sweep under --exhaustive
+    argv = ["verify", "--group", "2,3", "--sizes", "2", "--exhaustive", "--samples", "3"]
+    argv += ["--seed", "1"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "--exhaustive" in error and "--samples" in error
+
+
 @pytest.mark.parametrize("extra", [[], ["--canonicalize"]], ids=["plain", "canonicalize"])
 def test_verify_refuses_an_exhaustive_plan_that_cannot_finish(subprocess_env, extra):
     # the default --sizes all on Z_2^2 x Z_3^2 means 2^35 candidates; the

@@ -5,7 +5,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectile import (
@@ -164,7 +164,7 @@ def test_class_wise_zero_mask_matches_exact_char_sums():
     # class; the oracle is the polynomial remainder at every g
     G = make_group([3, 3, 5, 5])
     table = char_table(G)
-    assert len(table.class_rows) == 34
+    assert len(index_tables(G).direction_classes) == 34
     rng = random.Random(41)
     sets = [rng.sample(range(G.order), k) for k in (1, 2, 5, 15, 30, 45, 100, 224)]
     tables = index_tables(G)
@@ -182,6 +182,43 @@ def test_class_wise_zero_mask_matches_exact_char_sums():
         assert not mask & 1
         seen_zero += mask != 0
     assert seen_zero > len(sets) // 2
+
+
+# the reduced powers of Z_105 = Z_3 x Z_5 x Z_7 have coefficients of absolute
+# value 2, the others 1; (bias, limb width) of each zero-mask kernel
+KERNEL_GROUPS = {(2, 2, 3, 3): (1, 8), (3, 3, 5, 5): (1, 10), (105,): (2, 10)}
+
+
+@pytest.mark.parametrize("moduli", list(KERNEL_GROUPS), ids=lambda m: ",".join(map(str, m)))
+def test_zero_mask_limbs_keep_a_guard_bit_at_mass_G(moduli):
+    G = make_group(moduli)
+    table = char_table(G)
+    bias, w = table.limb_layout()
+    assert (bias, w) == KERNEL_GROUPS[moduli]
+    assert table.max_abs == bias
+    # the worst limb of a set of mass |G|: every coefficient at +max_abs
+    assert G.order * (bias + table.max_abs) < 1 << (w - 1)
+    cols, unit, low, high, *_ = table._kernel
+    assert sum(cols) & high == 0
+    assert unit & high == 0 and low & high == 0
+
+
+@pytest.mark.parametrize("moduli", list(KERNEL_GROUPS), ids=lambda m: ",".join(map(str, m)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@example(data=None)  # the whole group: mass |G|
+def test_zero_mask_matches_exact_char_sums_up_to_mass_G(moduli, data):
+    G = make_group(moduli)
+    if data is None:
+        idx = list(range(G.order))
+    else:
+        order = data.draw(st.permutations(range(G.order)))
+        idx = order[: data.draw(st.integers(0, G.order))]
+    A = Multiset.set_of(G, [G.coords_of(i) for i in idx])
+    mask = char_table(G).zero_mask(tuple(idx))
+    assert not mask & 1
+    for g in range(1, G.order):
+        assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero
 
 
 def test_packed_table_agrees_with_direct(z36):

@@ -142,6 +142,15 @@ def test_direction_classes_match_direction_rep(moduli, classes):
     assert covered == (1 << G.order) - 2
 
 
+@pytest.mark.parametrize("moduli", [[8], [4, 6], [2, 2, 3, 3], [3, 3, 5, 5]])
+def test_index_tables_add_and_sub_rows_match_coordinate_arithmetic(moduli):
+    G = make_group(moduli)
+    tables = index_tables(G)
+    elements = G.elements
+    assert tables.add_rows == [[G.index_of(G.add(x, y)) for y in elements] for x in elements]
+    assert tables.sub_rows == [[G.index_of(G.sub(x, y)) for y in elements] for x in elements]
+
+
 def test_annihilator_examples(z6):
     whole = annihilator(z6, Multiset.set_of(z6, [(0, 0)]))
     assert whole.order == 6

@@ -554,7 +554,6 @@ def _structure_inputs(shape, rng):
 def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
     G = make_group(moduli)
     shape = pq_shape(G)
-    tables = index_tables(G)
     lt = leaf_tables(shape)
     zero_mask = char_table(G).zero_mask
     pg = shape.p_group
@@ -570,7 +569,7 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
         # the probe's test: aligned along some p-direction
         assert any(aligned_leaves(lines, leaves) for lines in lt.p_lines) == any(aligned)
         aligned_any.add(any(aligned))
-        gap = _direction_gap_ok(tables, lt, cand)
+        gap = _direction_gap_ok(lt, leaves)
         assert gap == _gap_by_directions(shape, S)
         gaps.add(gap)
     assert classes == {"leaf-structure", "vanishing-pattern", "leaf-overflow"}
