@@ -71,6 +71,7 @@ from .tiling import (
     ComplementWitness,
     enumerate_tiles,
     find_complement,
+    find_tiling_complement,
     is_tiling_pair,
     tiles_by_subgroup,
 )

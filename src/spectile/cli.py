@@ -38,7 +38,7 @@ from .harness import (
 )
 from .spectra import find_spectrum
 from .structure import leaf_decomposition, pq_shape
-from .tiling import enumerate_tiles, find_complement, tiles_by_subgroup
+from .tiling import enumerate_tiles, find_complement, find_tiling_complement
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,25 +133,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             [list(x) for x in wit.lam.support] if wit is not None else None
         )
 
-    H = None
-    if group.order % A.mass == 0:
-        H = tiles_by_subgroup(A)
-    if H is not None:
-        report["tile"] = True
-        report["complement"] = [list(x) for x in H.elements]
-        report["complement_method"] = "subgroup"
+    cwit = find_tiling_complement(A, args.budget)
+    if cwit is UNDECIDED:
+        report["tile"] = None
+        undecided.append("tile")
     else:
-        cwit = find_complement(A, args.budget)
-        if cwit is UNDECIDED:
-            report["tile"] = None
-            undecided.append("tile")
-        else:
-            report["tile"] = cwit is not None
-            report["complement"] = (
-                [list(x) for x in cwit.t.support] if cwit is not None else None
-            )
-            if cwit is not None:
-                report["complement_method"] = cwit.method.value
+        report["tile"] = cwit is not None
+        report["complement"] = (
+            [list(x) for x in cwit.t.support] if cwit is not None else None
+        )
+        if cwit is not None:
+            report["complement_method"] = cwit.method.value
 
     try:
         shape = pq_shape(group)
@@ -232,6 +224,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_enumerate_tiles(args: argparse.Namespace) -> int:
     group = make_group(_parse_moduli(args.group))
+    if args.size < 1:
+        raise ParseError(f"--size must be a positive count, got {args.size}")
     mode = "exhaustive" if _samples(args) is None else "sample"
     seed = _require_seed(args) if mode == "sample" else None
     found = 0
@@ -418,6 +412,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget < 1:
+            raise ParseError(f"--budget must be a positive count, got {args.budget}")
         return args.func(args)
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .errors import GroupMismatch, InvalidArgument, NotTwoDistinctPrimes
-from .groups import Element, Group, Multiset, dot, index_tables, is_prime
+from .groups import Element, Group, Multiset, check_table_order, dot, index_tables, is_prime
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,7 @@ class CharTable:
     """Per-group exact character machinery (internal, cached per group)."""
 
     def __init__(self, G: Group):
+        check_table_order(G)
         self.group = G
         self.M = G.exponent
         self.phi = euler_phi(self.M)

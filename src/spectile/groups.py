@@ -250,6 +250,11 @@ class Subgroup:
         return iter(self.elements)
 
     def as_set(self) -> Multiset:
+        """The subgroup as a set, built on the first call (Multiset is immutable)."""
+        return self._set
+
+    @cached_property
+    def _set(self) -> Multiset:
         return Multiset.set_of(self.group, self.elements)
 
 
@@ -363,6 +368,21 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
     return tuple(table)
 
 
+# The largest group order the per-group tables admit. IndexTables holds
+# 2 |G|^2 element indices and the character table M phi(M) coefficients
+# (M <= |G|); the largest group the tests and the benchmark decide on is
+# Z_3^2 x Z_7^2, of order 441.
+MAX_TABLE_ORDER = 2048
+
+
+def check_table_order(G: Group) -> None:
+    """Raise Overflow, before anything is built, if G is too large for tables."""
+    if G.order > MAX_TABLE_ORDER:
+        raise Overflow(
+            f"|G| = {G.order} exceeds {MAX_TABLE_ORDER}, the largest order tables are built for"
+        )
+
+
 class IndexTables:
     """Element-index tables shared by every index-level decision on one group.
 
@@ -371,6 +391,7 @@ class IndexTables:
     """
 
     def __init__(self, G: Group):
+        check_table_order(G)
         self.group = G
         self.n = G.order
         # mixed-radix index arithmetic: index(x + y) sums ((x_i + y_i) mod n_i)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
-from .cyclotomic import char_table, char_sum_vanishes
+from .cyclotomic import char_table
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -38,11 +38,9 @@ from .groups import (
     Group,
     IndexTables,
     Multiset,
-    Subgroup,
     cyclic_subgroup,
     index_tables,
     is_prime,
-    subgroups_of_order,
 )
 from .spectra import (
     SpectrumWitness,
@@ -55,10 +53,9 @@ from .tiling import (
     ComplementMethod,
     ComplementWitness,
     cover_complement,
-    find_complement,
+    find_tiling_complement,
     is_tiling_pair,
     subgroup_transversal,
-    tiles_by_subgroup,
 )
 
 
@@ -226,6 +223,8 @@ class VerificationPlan:
         if self.mode == "sample":
             if self.seed is None or self.count_per_size is None or self.count_per_size < 1:
                 raise InvalidArgument("sample mode requires a seed and a positive count")
+            if self.canonicalize:
+                raise InvalidArgument("canonicalize filters exhaustive plans only, not samples")
         if self.budget < 1:
             raise InvalidArgument("budget must be positive")
         if self.workers < 1:
@@ -374,13 +373,9 @@ def _mismatch_entry(
         if isinstance(wit, SpectrumWitness):
             spectrum = [list(x) for x in wit.lam.support]
     if tile:
-        H = tiles_by_subgroup(S)
-        if H is not None:
-            complement = [list(x) for x in H.elements]
-        else:
-            wit = find_complement(S, budget)
-            if isinstance(wit, ComplementWitness):
-                complement = [list(x) for x in wit.t.support]
+        wit = find_tiling_complement(S, budget)
+        if isinstance(wit, ComplementWitness):
+            complement = [list(x) for x in wit.t.support]
     return {
         "set": _coords(G, cand),
         "spectral": spectral,
@@ -587,10 +582,6 @@ def _verified_spectrum(S: Multiset, lam_elems: Iterable[Element]) -> Optional[Sp
     return SpectrumWitness(lam=lam, checked_pairs=pairs)
 
 
-def _elements_of_order(G: Group, r: int) -> list[Element]:
-    return [x for x, order in zip(G.elements, index_tables(G).orders) if order == r]
-
-
 def tile_to_spectrum(
     shape: PQShape, S: Multiset, T: Multiset, budget: int = DEFAULT_BUDGET
 ) -> ConstructedSpectrum:
@@ -601,7 +592,8 @@ def tile_to_spectrum(
     Size pq: the order-pq cyclic group generated by a mixed character whose
     prime-order parts survive on the complement. Sizes p^2 q and p q^2: a
     rank-3 subgroup when the mixed-order vanishing holds; otherwise a
-    budgeted generic search.
+    budgeted generic search. Which characters vanish on the complement is
+    read from its zero mask.
     """
     G = shape.group
     if S.group != G or T.group != G:
@@ -610,22 +602,30 @@ def tile_to_spectrum(
         raise NotATilingPair("inputs do not tile the group")
     p, q = shape.p, shape.q
     k = S.mass
+    zmask = char_table(G).zero_mask([G.index_of(x) for x in T.mult])
+    orders = index_tables(G).orders
+
+    def surviving(r: int) -> list[Element]:
+        """The elements of order r at which T's character sum does not vanish."""
+        return [
+            x
+            for i, x in enumerate(G.elements)
+            if orders[i] == r and not zmask >> i & 1
+        ]
 
     if k in (p, q):
-        for g in _elements_of_order(G, k):
-            if not char_sum_vanishes(G, T, g):
-                witness = _verified_spectrum(S, cyclic_subgroup(G, g))
-                if witness is not None:
-                    return ConstructedSpectrum(witness, SpectrumConstruction.PRIME_CYCLE)
+        for g in surviving(k):
+            witness = _verified_spectrum(S, cyclic_subgroup(G, g))
+            if witness is not None:
+                return ConstructedSpectrum(witness, SpectrumConstruction.PRIME_CYCLE)
     elif k in (p * p, q * q):
         torsion = shape.p_torsion if k == p * p else shape.q_torsion
         witness = _verified_spectrum(S, torsion.elements)
         if witness is not None:
             return ConstructedSpectrum(witness, SpectrumConstruction.SYLOW_DUAL)
     elif k == p * q:
-        us = [u for u in _elements_of_order(G, p) if not char_sum_vanishes(G, T, u)]
-        vs = [v for v in _elements_of_order(G, q) if not char_sum_vanishes(G, T, v)]
-        for u in us:
+        vs = surviving(q)
+        for u in surviving(p):
             for v in vs:
                 witness = _verified_spectrum(S, cyclic_subgroup(G, G.add(u, v)))
                 if witness is not None:
@@ -634,9 +634,7 @@ def tile_to_spectrum(
         # k = r^2 s; the complement has size s, the torsion factor is r^2
         r, s = (p, q) if k == p * p * q else (q, p)
         torsion = shape.p_torsion if r == p else shape.q_torsion
-        for g in _elements_of_order(G, s):
-            if char_sum_vanishes(G, T, g):
-                continue
+        for g in surviving(s):
             line = cyclic_subgroup(G, g)
             lam_elems = [G.add(x, t) for x in line for t in torsion.elements]
             witness = _verified_spectrum(S, lam_elems)
@@ -666,11 +664,21 @@ class ConstructedComplement:
     tag: ComplementConstruction
 
 
-def _transversal_complement(S: Multiset, H: Subgroup) -> Optional[ComplementWitness]:
-    t = H.as_set()
-    if is_tiling_pair(S, t):
-        return ComplementWitness(t=t, method=ComplementMethod.SUBGROUP)
-    return None
+def _subgroup_case(shape: PQShape, k: int) -> ComplementConstruction:
+    """The divisibility case of a size-k set with a subgroup complement."""
+    p, q = shape.p, shape.q
+    C = ComplementConstruction
+    return {
+        1: C.WHOLE_GROUP,
+        p: C.SUBGROUP_FIRST,
+        q: C.SUBGROUP_FIRST,
+        p * p: C.SYLOW_SUBGROUP,
+        q * q: C.SYLOW_SUBGROUP,
+        p * q: C.COPRIME_SUBGROUP,
+        p * p * q: C.PRIME_SUBGROUP,
+        p * q * q: C.PRIME_SUBGROUP,
+        shape.group.order: C.WHOLE_GROUP,
+    }[k]
 
 
 def spectral_to_complement(
@@ -678,82 +686,31 @@ def spectral_to_complement(
 ) -> ConstructedComplement:
     """Produce a verified tiling complement for a spectral set.
 
-    Follows the divisibility-case structure: size 1 and full-size sets tile
-    trivially; size r^2 s tiles by an order-s subgroup; size r^2 by the
-    complementary torsion subgroup; size pq by an order-pq subgroup; size r
-    by subgroup-first search. Anything else falls back to general search.
-    A spectral set with no complement at all is a certified theorem
-    violation and raises.
+    The complement is find_tiling_complement's: the first subgroup of order
+    |G|/|S| (in canonical order) that S is a transversal of, else an exact
+    cover. A subgroup complement is tagged with the divisibility case in
+    which the paper finds it (_subgroup_case): size 1 and |G| tile by the
+    whole group and by {0}; size r^2 s by an order-s subgroup; size r^2 by
+    the complementary torsion subgroup, the only subgroup of order
+    |G|/r^2; size pq by an order-pq subgroup; size r by the first subgroup
+    found. An exact-cover complement is tagged SEARCH_FALLBACK. A spectral set with no complement at all is
+    a certified theorem violation and raises.
     """
     G = shape.group
     if S.group != G or lam.group != G:
         raise NotASpectralPair("sets live on a different group")
     if not is_spectral_pair(S, lam):
         raise NotASpectralPair("inputs are not a spectral pair")
-    p, q = shape.p, shape.q
-    k = S.mass
-
-    if k == 1:
-        t = Multiset.set_of(G, G.elements)
-        return ConstructedComplement(
-            ComplementWitness(t=t, method=ComplementMethod.SUBGROUP),
-            ComplementConstruction.WHOLE_GROUP,
-        )
-    if k == G.order:
-        t = Multiset.set_of(G, [G.identity])
-        return ConstructedComplement(
-            ComplementWitness(t=t, method=ComplementMethod.SUBGROUP),
-            ComplementConstruction.WHOLE_GROUP,
-        )
-
-    if G.order % k == 0:
-        n = math.gcd(k, G.order)
-        if k == n:
-            if n in (p * p * q, p * q * q):
-                s = q if n == p * p * q else p
-                for H in subgroups_of_order(G, s):
-                    witness = _transversal_complement(S, H)
-                    if witness is not None:
-                        return ConstructedComplement(
-                            witness, ComplementConstruction.PRIME_SUBGROUP
-                        )
-            elif n in (p * p, q * q):
-                torsion = shape.q_torsion if n == p * p else shape.p_torsion
-                witness = _transversal_complement(S, torsion)
-                if witness is not None:
-                    return ConstructedComplement(
-                        witness, ComplementConstruction.SYLOW_SUBGROUP
-                    )
-            elif n in (p, q):
-                H = tiles_by_subgroup(S)
-                if H is not None:
-                    witness = ComplementWitness(
-                        t=H.as_set(), method=ComplementMethod.SUBGROUP
-                    )
-                    return ConstructedComplement(
-                        witness, ComplementConstruction.SUBGROUP_FIRST
-                    )
-            elif n == p * q:
-                for H in subgroups_of_order(G, p * q):
-                    witness = _transversal_complement(S, H)
-                    if witness is not None:
-                        return ConstructedComplement(
-                            witness, ComplementConstruction.COPRIME_SUBGROUP
-                        )
-
-    if G.order % k == 0:
-        H = tiles_by_subgroup(S)
-        if H is not None:
-            witness = ComplementWitness(t=H.as_set(), method=ComplementMethod.SUBGROUP)
-            return ConstructedComplement(witness, ComplementConstruction.SEARCH_FALLBACK)
-    out = find_complement(S, budget)
-    if out is UNDECIDED:
+    witness = find_tiling_complement(S, budget)
+    if witness is UNDECIDED:
         raise BudgetExhausted(f"fallback complement search exceeded {budget} nodes")
-    if out is None:
+    if witness is None:
         raise TheoremViolation(
             f"spectral set {sorted(S.mult)!r} has no tiling complement"
         )
-    return ConstructedComplement(out, ComplementConstruction.SEARCH_FALLBACK)
+    if witness.method is ComplementMethod.SUBGROUP:
+        return ConstructedComplement(witness, _subgroup_case(shape, S.mass))
+    return ConstructedComplement(witness, ComplementConstruction.SEARCH_FALLBACK)
 
 
 # ---------------------------------------------------------------------------

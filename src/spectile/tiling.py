@@ -8,9 +8,10 @@ options.
 
 subgroup_transversal and cover_complement are the one subgroup-complement
 test and the one exact cover: they work on element indices, and both the
-public operations and the verification sweeps call them. is_tiling_pair
-stays on coordinate sums: it is the independent check every returned
-witness passes.
+public operations and the verification sweeps call them. The tiling policy
+of the public operations, a subgroup complement first and exact cover
+second, is find_tiling_complement. is_tiling_pair stays on coordinate sums:
+it is the independent check every returned witness passes.
 """
 
 from __future__ import annotations
@@ -201,6 +202,26 @@ def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
     return subgroup_transversal(index_tables(G), [G.index_of(x) for x in S.mult])
 
 
+def find_tiling_complement(
+    S: Multiset, budget: int = DEFAULT_BUDGET
+) -> Union[ComplementWitness, None, Undecided]:
+    """A tiling complement of the set S containing 0: a subgroup S is a
+    transversal of when there is one, an exact-cover complement otherwise.
+
+    None means no complement exists; UNDECIDED is returned only when the
+    exact cover runs out of budget.
+    """
+    G = S.group
+    if S.mass and G.order % S.mass == 0:
+        H = tiles_by_subgroup(S)
+        if H is not None:
+            t = H.as_set()
+            if not is_tiling_pair(S, t):  # pragma: no cover - transversals tile
+                raise InvalidArgument("internal error: subgroup witness failed verification")
+            return ComplementWitness(t=t, method=ComplementMethod.SUBGROUP)
+    return find_complement(S, budget)
+
+
 def enumerate_tiles(
     G: Group,
     k: int,
@@ -243,11 +264,7 @@ def enumerate_tiles(
 
     for cand in candidates:
         S = Multiset.set_of(G, cand)
-        H = tiles_by_subgroup(S)
-        if H is not None:
-            yield S, ComplementWitness(t=H.as_set(), method=ComplementMethod.SUBGROUP)
-            continue
-        witness = find_complement(S, budget)
+        witness = find_tiling_complement(S, budget)
         if witness is UNDECIDED:
             raise InvalidArgument(
                 f"tile enumeration budget exhausted on {sorted(S.mult)!r}"

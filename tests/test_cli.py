@@ -233,6 +233,41 @@ def test_verify_refuses_exhaustive_with_samples(capsys):
     assert "--exhaustive" in error and "--samples" in error
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--budget", "0"], "--budget"),
+        (["spectrum", "--budget", "0"], "--budget"),
+        (["complement", "--budget", "-1"], "--budget"),
+        (["decompose", "--budget", "0"], "--budget"),
+        (["enumerate-tiles", "--group", "2,3", "--size", "2", "--budget", "0"], "--budget"),
+        (["enumerate-tiles", "--group", "2,3", "--size", "0"], "--size"),
+        (["enumerate-tiles", "--group", "2,3", "--size", "-2"], "--size"),
+        (["verify", "--group", "2,3", "--sizes", "2", "--budget", "0"], "--budget"),
+        (["probe-case5", "--group", "3,3,5,5", "--seed", "1", "--budget", "0"], "--budget"),
+    ],
+    ids=[
+        "analyze", "spectrum", "complement", "decompose", "enumerate-tiles-budget",
+        "enumerate-tiles-size-0", "enumerate-tiles-size-negative", "verify", "probe-case5",
+    ],
+)
+def test_nonpositive_budget_or_size_is_a_usage_error(capsys, argv, flag):
+    # refused before a set document is read from stdin
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in json.loads(captured.err)["error"]
+
+
+def test_verify_refuses_canonicalize_with_samples(capsys):
+    # the plan is the one whose sampled sweep used to ignore --canonicalize
+    argv = ["verify", "--group", "2,2,3", "--sizes", "3", "--samples", "5", "--seed", "1"]
+    assert main(argv + ["--canonicalize"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "canonicalize" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--canonicalize"]], ids=["plain", "canonicalize"])
 def test_verify_refuses_an_exhaustive_plan_that_cannot_finish(subprocess_env, extra):
     # the default --sizes all on Z_2^2 x Z_3^2 means 2^35 candidates; the

@@ -26,6 +26,8 @@ from spectile import (
     subgroups_of_order,
     sylow_projection,
 )
+from spectile import groups
+from spectile.cyclotomic import CharTable
 from spectile.groups import index_tables
 
 
@@ -45,6 +47,19 @@ def test_make_group_rejects_bad_moduli():
         make_group([])
     with pytest.raises(Overflow):
         make_group([2**32, 2**32])
+
+
+def test_tables_refuse_groups_over_the_order_cap(monkeypatch, z36):
+    # Z_100000 would need about 2 * 10^10 index-table entries
+    with pytest.raises(Overflow, match="100000"):
+        groups.check_table_order(make_group([100000]))
+    groups.check_table_order(make_group([3, 3, 7, 7]))
+    # both table builders check before they allocate; a lowered cap shows it
+    # without building a large table
+    monkeypatch.setattr(groups, "MAX_TABLE_ORDER", z36.order - 1)
+    for build in (groups.IndexTables, CharTable):
+        with pytest.raises(Overflow):
+            build(z36)
 
 
 def test_index_round_trip(z36):

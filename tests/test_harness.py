@@ -26,6 +26,7 @@ from spectile import (
     pq_shape,
     probe_sizes,
     spectral_to_complement,
+    subgroups_of_order,
     tile_to_spectrum,
     tiles_by_subgroup,
     verify_fuglede,
@@ -127,6 +128,11 @@ def test_verification_plan_validation(z6):
         VerificationPlan(group=z6, sizes=(2,), mode="sample")
     with pytest.raises(InvalidArgument):
         VerificationPlan(group=z6, sizes=(2,), mode="nope")
+    # canonicalize filters the exhaustive enumeration; a sample ignored it
+    with pytest.raises(InvalidArgument, match="canonicalize"):
+        VerificationPlan(
+            group=z6, sizes=(2,), mode="sample", seed=1, count_per_size=5, canonicalize=True
+        )
 
 
 def _zero_set_float(moduli, elems):
@@ -427,6 +433,49 @@ def test_spectral_to_complement_cases(z36, shape36):
     assert out12.tag == ComplementConstruction.PRIME_SUBGROUP
     assert out12.witness.t.mass == 3
     assert is_tiling_pair(S12, out12.witness.t)
+
+
+# The divisibility case of every size on Z_2^2 x Z_3^2: all of its tiles
+# have subgroup complements, so the tag depends on the size alone.
+COMPLEMENT_TAGS = {
+    1: ComplementConstruction.WHOLE_GROUP,
+    36: ComplementConstruction.WHOLE_GROUP,
+    2: ComplementConstruction.SUBGROUP_FIRST,
+    3: ComplementConstruction.SUBGROUP_FIRST,
+    4: ComplementConstruction.SYLOW_SUBGROUP,
+    9: ComplementConstruction.SYLOW_SUBGROUP,
+    6: ComplementConstruction.COPRIME_SUBGROUP,
+    12: ComplementConstruction.PRIME_SUBGROUP,
+    18: ComplementConstruction.PRIME_SUBGROUP,
+}
+
+
+def _spectral_sets(G, k):
+    """Every 0-containing spectral k-set for k <= 4; else 40 seeded subgroup
+    transversals (one random element per coset), which are spectral."""
+    if k <= 4:
+        for combo in itertools.combinations(G.elements[1:], k - 1):
+            S = Multiset.set_of(G, (G.identity,) + combo)
+            if find_spectrum(S) is not None:
+                yield S
+        return
+    rng = random.Random(f"complement-tags:{k}")
+    subgroups = subgroups_of_order(G, G.order // k)
+    for _ in range(40):
+        H = rng.choice(subgroups)
+        cosets = {frozenset(G.add(x, h) for h in H) for x in G.elements}
+        yield Multiset.set_of(G, [rng.choice(sorted(c)) for c in cosets])
+
+
+@pytest.mark.parametrize("k", sorted(COMPLEMENT_TAGS))
+def test_spectral_to_complement_tags_by_size(z36, shape36, k):
+    count = 0
+    for S in _spectral_sets(z36, k):
+        out = spectral_to_complement(shape36, S, find_spectrum(S).lam)
+        assert out.tag == COMPLEMENT_TAGS[k], (k, S)
+        assert is_tiling_pair(S, out.witness.t), (k, S)
+        count += 1
+    assert count
 
 
 def test_spectral_to_complement_rejects(z36, shape36):
