@@ -1,4 +1,4 @@
-"""Exception types, the explicit Undecided search outcome and the default search budget."""
+"""Exception types, the Undecided search outcome, the search budget and the candidate cap."""
 
 from __future__ import annotations
 
@@ -100,3 +100,18 @@ UNDECIDED = Undecided()
 
 # search nodes a clique or exact-cover search may spend before it answers UNDECIDED
 DEFAULT_BUDGET = 5_000_000
+
+# The most candidates one sweep, probe or tile enumeration may decide: about
+# half an hour on one core at the sweep's rate on Z_2^2 x Z_3^2 (about 7 * 10^4
+# per second). It admits every 0-containing 9-set of that group (C(35, 8)).
+MAX_CANDIDATES = 10**8
+
+
+def check_candidates(what: str, count: int, sampled: bool) -> None:
+    """Refuse, before any work, a plan of more than MAX_CANDIDATES candidates."""
+    if count > MAX_CANDIDATES:
+        kind, advice = ("a sampled", "fewer") if sampled else ("an exhaustive", "instead")
+        raise InvalidArgument(
+            f"{kind} {what} has {count} candidates, over the cap of {MAX_CANDIDATES}; "
+            f"sample {advice} (--samples)"
+        )

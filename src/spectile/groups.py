@@ -410,7 +410,7 @@ class IndexTables:
 
         self.add_rows = rows(1)
         self.sub_rows = rows(-1)
-        self._coset_tables: dict[int, list[tuple[Subgroup, tuple[int, ...]]]] = {}
+        self._perp_masks: dict[int, list[tuple[Subgroup, int]]] = {}
 
     @cached_property
     def orders(self) -> list[int]:
@@ -463,12 +463,17 @@ class IndexTables:
         """sub_cols[s][c] = index(c - s)."""
         return list(zip(*self.sub_rows))
 
-    def coset_tables(self, m: int) -> list[tuple[Subgroup, tuple[int, ...]]]:
-        """(H, coset_id_table(H)) for every subgroup H of order m, canonically sorted."""
-        cached = self._coset_tables.get(m)
+    def perp_masks(self, m: int) -> list[tuple[Subgroup, int]]:
+        """(H, bitmask over element indices of H^perp minus 0) for every
+        subgroup H of order m, canonically sorted: the zero mask of a
+        transversal of H covers it (the Fourier tiling criterion)."""
+        cached = self._perp_masks.get(m)
         if cached is None:
-            cached = [(H, coset_id_table(H)) for H in subgroups_of_order(self.group, m)]
-            self._coset_tables[m] = cached
+            G = self.group
+            cached = self._perp_masks[m] = [
+                (H, sum(1 << G.index_of(x) for x in annihilator(G, H.as_set())) ^ 1)
+                for H in subgroups_of_order(G, m)
+            ]
         return cached
 
 

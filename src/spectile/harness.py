@@ -1,14 +1,13 @@
 """Theorem-level verification sweeps and constructive witnesses.
 
-verify_fuglede decides spectrality and tiling independently for every
-candidate set and tallies agreement; any disagreement is recorded with full
-witness data. The same pass tallies the subgroup-complement claim: a tile
-found only by exact cover is a violation of it. The sweep makes each
-decision with the same index-level routine as the public per-set
-operations (CharTable.zero_mask, spectra.spectrum_search,
-tiling.subgroup_transversal and tiling.cover_complement), on candidates
-that are already element indices; what it adds is the per-group spectral
-memo.
+verify_fuglede decides spectrality and tiling for every candidate set and
+tallies agreement; any disagreement is recorded with full witness data. The
+same pass tallies the subgroup-complement claim: a tile found only by exact
+cover is a violation of it. The sweep decides on element indices drawn from
+enumerate_tiles' stream (tiling.candidate_sets), with the routines of the
+public per-set operations: one zero mask (CharTable.zero_mask) per candidate
+feeds spectra.spectrum_search, through the per-group spectral memo, and the
+subgroup branch of tiling.tiling_complement, whose exact cover does not read it.
 """
 
 from __future__ import annotations
@@ -32,12 +31,14 @@ from .errors import (
     NotATilingPair,
     TheoremViolation,
     Undecided,
+    check_candidates,
 )
 from .groups import (
     Element,
     Group,
     IndexTables,
     Multiset,
+    Subgroup,
     cyclic_subgroup,
     index_tables,
     is_prime,
@@ -52,10 +53,10 @@ from .structure import LeafTables, PQShape, aligned_leaves, leaf_tables
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
-    cover_complement,
+    candidate_sets,
     find_tiling_complement,
     is_tiling_pair,
-    subgroup_transversal,
+    tiling_complement,
 )
 
 
@@ -157,29 +158,8 @@ def _spectral_decide(
     return verdict if nodes <= budget else UNDECIDED
 
 
-def _tile_fast(
-    tables: IndexTables, cand: tuple[int, ...], budget: int
-) -> tuple[Union[bool, Undecided], Optional[str]]:
-    """Tile decision, subgroup complements first, exact cover as backstop."""
-    if tables.n % len(cand):
-        return False, None
-    if subgroup_transversal(tables, cand) is not None:
-        return True, ComplementMethod.SUBGROUP.value
-    out, _nodes = cover_complement(tables, cand, budget)
-    if out is UNDECIDED:
-        return UNDECIDED, None
-    return out is not None, (ComplementMethod.EXACT_COVER.value if out else None)
-
-
 # ---------------------------------------------------------------------------
 # plans and reports
-
-
-# The most candidates an exhaustive plan may enumerate: about half an hour
-# on one core at the sweep's rate on Z_2^2 x Z_3^2 (about 7 * 10^4 per second).
-# It admits every 0-containing 9-set of that group (C(35, 8) = 2.35 * 10^7);
-# larger plans sample instead.
-MAX_EXHAUSTIVE_CANDIDATES = 10**8
 
 
 @dataclass(frozen=True)
@@ -188,8 +168,8 @@ class VerificationPlan:
 
     Sizes must be distinct. An exhaustive plan enumerates every 0-containing
     set of each size, C(|G| - 1, k - 1) of them (canonicalize filters the
-    same enumeration); more than MAX_EXHAUSTIVE_CANDIDATES in total is
-    refused.
+    same enumeration), and a sampled plan draws count_per_size of each size;
+    more than MAX_CANDIDATES candidates in total is refused.
     """
 
     group: Group
@@ -212,19 +192,16 @@ class VerificationPlan:
             raise InvalidArgument(f"sizes {self.sizes!r} repeat a size")
         if self.mode not in ("exhaustive", "sample"):
             raise InvalidArgument(f"unknown mode {self.mode!r}")
-        if self.mode == "exhaustive":
-            n = self.group.order
-            count = sum(math.comb(n - 1, k - 1) for k in self.sizes)
-            if count > MAX_EXHAUSTIVE_CANDIDATES:
-                raise InvalidArgument(
-                    f"an exhaustive plan on {self.group!r} has {count} candidates, "
-                    f"over the cap of {MAX_EXHAUSTIVE_CANDIDATES}; sample instead (--samples)"
-                )
-        if self.mode == "sample":
+        sampled = self.mode == "sample"
+        if sampled:
             if self.seed is None or self.count_per_size is None or self.count_per_size < 1:
                 raise InvalidArgument("sample mode requires a seed and a positive count")
             if self.canonicalize:
                 raise InvalidArgument("canonicalize filters exhaustive plans only, not samples")
+            count = self.count_per_size * len(self.sizes)
+        else:
+            count = sum(math.comb(self.group.order - 1, k - 1) for k in self.sizes)
+        check_candidates(f"plan on {self.group!r}", count, sampled)
         if self.budget < 1:
             raise InvalidArgument("budget must be positive")
         if self.workers < 1:
@@ -328,33 +305,15 @@ class VerificationReport:
 
 
 def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[tuple[int, ...]]:
-    """Candidate 0-containing k-sets as sorted index tuples."""
-    n = plan.group.order
-    if plan.mode == "exhaustive":
-        base: Iterable[tuple[int, ...]] = (
-            (0,) + combo for combo in itertools.combinations(range(1, n), k - 1)
-        )
-        if plan.canonicalize:
-            perms = automorphism_index_perms(plan.group)
-
-            def canonical_only() -> Iterator[tuple[int, ...]]:
-                for cand in base:
-                    for perm in perms:
-                        if tuple(sorted(map(perm.__getitem__, cand))) < cand:
-                            break
-                    else:
-                        yield cand
-
-            return canonical_only()
-        return iter(base)
-    rng = random.Random(f"{plan.seed}:{k}")
-    population = range(1, n)
-
-    def sampled() -> Iterator[tuple[int, ...]]:
-        for _ in range(plan.count_per_size):
-            yield (0,) + tuple(sorted(rng.sample(population, k - 1)))
-
-    return sampled()
+    """The plan's candidate 0-containing k-sets as sorted index tuples."""
+    base = candidate_sets(plan.group.order, k, plan.mode, plan.seed, plan.count_per_size)
+    if not plan.canonicalize:
+        return base
+    perms = automorphism_index_perms(plan.group)
+    return (
+        cand for cand in base
+        if all(tuple(sorted(map(perm.__getitem__, cand))) >= cand for perm in perms)
+    )
 
 
 def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
@@ -395,13 +354,15 @@ def _sweep_chunk(
     tally = SizeTally(size=k)
     for cand in cands:
         tally.examined += 1
-        sp = _spectral_decide(memo, tables, zero_mask(cand), k, budget)
-        ti, method = _tile_fast(tables, cand, budget)
+        zmask = zero_mask(cand)
+        sp = _spectral_decide(memo, tables, zmask, k, budget)
+        out = tiling_complement(tables, cand, zmask, budget)
+        ti = out if out is UNDECIDED else out is not None
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
         elif ti:
             tally.tiles_any += 1
-            if method == ComplementMethod.EXACT_COVER.value:
+            if not isinstance(out, Subgroup):
                 tally.violations.append({"set": _coords(G, cand)})
         if sp is UNDECIDED or ti is UNDECIDED:
             tally.undecided.append(
@@ -430,8 +391,9 @@ def _sweep_chunk(
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     """Sweep the plan, deciding spectrality and tiling for every candidate.
 
-    Both decisions are made independently (spectrum search never consults
-    the tiling side and vice versa), so agreement genuinely exercises the
+    Neither decision consults the other's verdict. Both read the zero mask,
+    but every non-tile verdict, and every tile with no subgroup complement,
+    comes from the exact cover, which does not; so agreement exercises the
     spectral <=> tile equivalence on the planned group.
     """
     start = time.perf_counter()
@@ -483,22 +445,12 @@ def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:  # pragma: 
     ) as pool:
         for k in plan.sizes:
             tally = SizeTally(size=k)
-            jobs = []
-            chunk: list[tuple[int, ...]] = []
-            for cand in _enumerate_candidates(plan, k):
-                chunk.append(cand)
-                if len(chunk) >= chunk_size:
-                    jobs.append((k, chunk, plan.collect_tiles))
-                    chunk = []
-            if chunk:
-                jobs.append((k, chunk, plan.collect_tiles))
+            cands = _enumerate_candidates(plan, k)
+            chunks = iter(lambda: list(itertools.islice(cands, chunk_size)), [])
+            jobs = [(k, chunk, plan.collect_tiles) for chunk in chunks]
+            # imap returns the chunks in job order, so entries keep draw order
             for out in pool.imap(_worker_chunk, jobs):
                 tally.merge(out)
-            for entries in (
-                tally.mismatches, tally.undecided, tally.violations, tally.tile_undecided
-            ):
-                entries.sort(key=lambda e: e["set"])
-            tally.tile_sets.sort()
             per_size[k] = tally
     return per_size
 
@@ -783,19 +735,18 @@ def case5_nonexistence_probe(
     """
     start = time.perf_counter()
     G = shape.group
-    p, q = shape.p, shape.q
-    pq = p * q
-    hi = pq * min(p, q)
+    q = shape.q
     sizes = tuple(int(n) for n in sizes)
     if len(set(sizes)) != len(sizes):
         raise InvalidArgument(f"sizes {sizes!r} repeat a size")
     for n in sizes:
-        if math.gcd(n, G.order) != pq or not (pq < n < hi):
+        if n not in probe_sizes(shape):
             raise InvalidArgument(
                 f"size {n} is outside the probe range (gcd pq, pq < n < pq min(p,q))"
             )
     if count_per_size < 0:
         raise InvalidArgument("count_per_size must be nonnegative")
+    check_candidates(f"probe on {G!r}", count_per_size * len(sizes), True)
 
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
@@ -815,10 +766,7 @@ def case5_nonexistence_probe(
     direction_gap = {"holds": 0, "fails": 0}
 
     for size in sizes:
-        if size % q:
-            raise InvalidArgument(
-                f"size {size} is not a multiple of q = {q}; no structured candidates"
-            )
+        # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
         rng = random.Random(f"{seed}:{size}")
         for _ in range(count_per_size):

@@ -30,9 +30,11 @@ from .groups import (
     Group,
     Multiset,
     Subgroup,
+    coset_id_table,
     direction_rep,
     index_tables,
     is_prime,
+    subgroups_of_order,
     sylow_projection,
 )
 from .tiling import ComplementMethod, ComplementWitness, is_tiling_pair
@@ -370,7 +372,7 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
     pts = A.support
     witnesses: dict[tuple[Element, Element], tuple[TrichotomyWitnessKind, Direction]] = {}
     index_of = G.index_of
-    coset_tables = index_tables(G).coset_tables(p * q)
+    coset_tables = [(H, coset_id_table(H)) for H in subgroups_of_order(G, p * q)]
     for a in pg.elements:
         if a == pg.identity:
             continue

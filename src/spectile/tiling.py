@@ -1,27 +1,29 @@
 """Tiling-pair verification and tiling-complement search.
 
-Complement search is an exact cover problem: choose translates S + g that
-partition the group. The search always fixes the translate at 0 first
-(complements are translation-invariant, so some complement contains 0 iff
-any exists) and branches on the uncovered cell with the fewest remaining
-options.
+A k-set S is a transversal of a subgroup H of order |G| / k exactly when its
+character sum vanishes on H^perp minus 0 (the Fourier tiling criterion), so
+subgroup_transversal reads it from the zero mask of S: one AND per subgroup.
+Otherwise complement search is an exact cover, which does not read the mask:
+choose translates S + g that partition the group. The search fixes the
+translate at 0 first (complements are translation-invariant, so some
+complement contains 0 iff any exists) and branches on the uncovered cell
+with the fewest remaining options.
 
-subgroup_transversal and cover_complement are the one subgroup-complement
-test and the one exact cover: they work on element indices, and both the
-public operations and the verification sweeps call them. The tiling policy
-of the public operations, a subgroup complement first and exact cover
-second, is find_tiling_complement. is_tiling_pair stays on coordinate sums:
-it is the independent check every returned witness passes.
+tiling_complement, a subgroup first and exact cover second, is the one tiling
+policy of the sweeps, enumerate_tiles (both on the stream candidate_sets) and
+find_tiling_complement. is_tiling_pair, on coordinate sums, checks every witness.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
+from .cyclotomic import char_table
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -30,8 +32,9 @@ from .errors import (
     InvalidArgument,
     NotADivisor,
     Undecided,
+    check_candidates,
 )
-from .groups import Element, Group, IndexTables, Multiset, Subgroup, index_tables
+from .groups import Group, IndexTables, Multiset, Subgroup, index_tables
 
 
 class ComplementMethod(str, enum.Enum):
@@ -149,47 +152,72 @@ def cover_complement(
     return _cover_search(tables.n, option_masks, cell_options, option_masks[0], budget)
 
 
-def subgroup_transversal(tables: IndexTables, cand: Sequence[int]) -> Optional[Subgroup]:
-    """The first subgroup of order |G| / |cand| (in canonical order) whose
-    cosets the set of element indices cand hits once each, or None.
+def subgroup_transversal(tables: IndexTables, zmask: int, k: int) -> Optional[Subgroup]:
+    """The first subgroup of order |G| / k (in canonical order) that a k-set
+    with zero mask zmask is a transversal of, or None.
 
-    Requires |cand| to divide |G|.
+    Requires k to divide |G|.
     """
-    for H, ids in tables.coset_tables(tables.n // len(cand)):
-        seen = 0
-        for s in cand:
-            b = 1 << ids[s]
-            if seen & b:
-                break
-            seen |= b
-        else:
+    for H, perp in tables.perp_masks(tables.n // k):
+        if not perp & ~zmask:
             return H
     return None
+
+
+def tiling_complement(
+    tables: IndexTables, cand: Sequence[int], zmask: int, budget: int
+) -> Union[Subgroup, list[int], None, Undecided]:
+    """The tiling policy on the set of element indices cand, whose zero mask
+    is zmask: a subgroup cand is a transversal of when there is one, else an
+    exact cover's complement (element indices, 0 first).
+
+    None means no complement exists; UNDECIDED is returned only when the
+    exact cover runs out of budget.
+    """
+    if tables.n % len(cand):
+        return None
+    H = subgroup_transversal(tables, zmask, len(cand))
+    return H if H is not None else cover_complement(tables, cand, budget)[0]
+
+
+def _set_indices(S: Multiset) -> list[int]:
+    """The sorted element indices of S, which must be a nonempty set."""
+    if S.mass == 0:
+        raise EmptyInput("cannot search a complement for the empty set")
+    if not S.is_set:
+        raise InvalidArgument("complement search expects a set (0/1 multiset)")
+    return sorted(map(S.group.index_of, S.mult))
+
+
+def _checked(
+    S: Multiset, out: Union[Subgroup, list[int], None, Undecided]
+) -> Union[ComplementWitness, None, Undecided]:
+    """The complement out of S as a ComplementWitness that is_tiling_pair has
+    checked; None and UNDECIDED pass through."""
+    if out is None or out is UNDECIDED:
+        return out
+    if isinstance(out, Subgroup):
+        witness = ComplementWitness(t=out.as_set(), method=ComplementMethod.SUBGROUP)
+    else:
+        t = Multiset.set_of(S.group, map(S.group.coords_of, out))
+        witness = ComplementWitness(t=t, method=ComplementMethod.EXACT_COVER)
+    if not is_tiling_pair(S, witness.t):  # pragma: no cover - transversals and covers tile
+        raise InvalidArgument("internal error: complement witness failed verification")
+    return witness
 
 
 def find_complement(
     S: Multiset, budget: int = DEFAULT_BUDGET
 ) -> Union[ComplementWitness, None, Undecided]:
-    """Search for a tiling complement of S containing 0.
+    """Search for a tiling complement of S containing 0 by exact cover.
 
     None means exhaustive search proved no complement exists; UNDECIDED is
     returned only on budget exhaustion.
     """
-    if S.mass == 0:
-        raise EmptyInput("cannot search a complement for the empty set")
-    if not S.is_set:
-        raise InvalidArgument("complement search expects a set (0/1 multiset)")
-    G = S.group
-    if G.order % S.mass:
+    cand = _set_indices(S)
+    if S.group.order % S.mass:
         return None
-    cand = sorted(G.index_of(x) for x in S.mult)
-    out, _nodes = cover_complement(index_tables(G), cand, budget)
-    if out is None or out is UNDECIDED:
-        return out
-    t = Multiset.set_of(G, [G.coords_of(g) for g in out])
-    if not is_tiling_pair(S, t):  # pragma: no cover - cover search guarantees this
-        raise InvalidArgument("internal error: cover witness failed verification")
-    return ComplementWitness(t=t, method=ComplementMethod.EXACT_COVER)
+    return _checked(S, cover_complement(index_tables(S.group), cand, budget)[0])
 
 
 def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
@@ -199,27 +227,37 @@ def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
     G = S.group
     if S.mass == 0 or G.order % S.mass:
         raise NotADivisor(f"|S| = {S.mass} does not divide |G| = {G.order}")
-    return subgroup_transversal(index_tables(G), [G.index_of(x) for x in S.mult])
+    zmask = char_table(G).zero_mask([G.index_of(x) for x in S.mult])
+    return subgroup_transversal(index_tables(G), zmask, S.mass)
 
 
 def find_tiling_complement(
     S: Multiset, budget: int = DEFAULT_BUDGET
 ) -> Union[ComplementWitness, None, Undecided]:
-    """A tiling complement of the set S containing 0: a subgroup S is a
-    transversal of when there is one, an exact-cover complement otherwise.
+    """A tiling complement of the set S containing 0 (see tiling_complement).
 
     None means no complement exists; UNDECIDED is returned only when the
     exact cover runs out of budget.
     """
     G = S.group
-    if S.mass and G.order % S.mass == 0:
-        H = tiles_by_subgroup(S)
-        if H is not None:
-            t = H.as_set()
-            if not is_tiling_pair(S, t):  # pragma: no cover - transversals tile
-                raise InvalidArgument("internal error: subgroup witness failed verification")
-            return ComplementWitness(t=t, method=ComplementMethod.SUBGROUP)
-    return find_complement(S, budget)
+    cand = _set_indices(S)
+    out = tiling_complement(index_tables(G), cand, char_table(G).zero_mask(cand), budget)
+    return _checked(S, out)
+
+
+def candidate_sets(
+    n: int, k: int, mode: str, seed: Optional[int], count: Optional[int]
+) -> Iterator[tuple[int, ...]]:
+    """The 0-containing k-subsets of range(n) as sorted index tuples.
+
+    Exhaustive mode yields each once, in lexicographic order; sample mode
+    yields `count` draws from random.Random(f"{seed}:{k}"), which may repeat.
+    """
+    population = range(1, n)
+    if mode == "exhaustive":
+        return ((0,) + rest for rest in itertools.combinations(population, k - 1))
+    rng = random.Random(f"{seed}:{k}")
+    return ((0,) + tuple(sorted(rng.sample(population, k - 1))) for _ in range(count))
 
 
 def enumerate_tiles(
@@ -233,41 +271,33 @@ def enumerate_tiles(
     """Yield size-k tiles containing 0, each with a complement witness.
 
     Exhaustive mode scans every 0-containing k-subset; sample mode draws
-    `count` seeded random subsets and yields the tiles among them. A size
-    not dividing |G| yields nothing.
+    `count` seeded random subsets (the draws of a sampled sweep with the
+    same seed) and yields the distinct tiles among them. A size not
+    dividing |G| yields nothing; a plan of more than MAX_CANDIDATES
+    candidates is refused.
     """
     if k < 1 or G.order % k:
         return
-    if mode == "exhaustive":
-        candidates: Iterator[tuple[Element, ...]] = (
-            (G.identity,) + tuple(G.coords_of(i) for i in combo)
-            for combo in itertools.combinations(range(1, G.order), k - 1)
-        )
-    elif mode == "sample":
-        if seed is None or count is None:
-            raise InvalidArgument("sample mode requires seed and count")
-        rng = random.Random(f"{seed}:{k}")
-        population = range(1, G.order)
-
-        def _sampled() -> Iterator[tuple[Element, ...]]:
-            seen = set()
-            for _ in range(count):
-                picks = tuple(sorted(rng.sample(population, k - 1)))
-                if picks in seen:
-                    continue
-                seen.add(picks)
-                yield (G.identity,) + tuple(G.coords_of(i) for i in picks)
-
-        candidates = _sampled()
-    else:
+    if mode not in ("exhaustive", "sample"):
         raise InvalidArgument(f"unknown mode {mode!r}")
-
-    for cand in candidates:
-        S = Multiset.set_of(G, cand)
-        witness = find_tiling_complement(S, budget)
-        if witness is UNDECIDED:
+    sampled = mode == "sample"
+    if sampled and (seed is None or count is None):
+        raise InvalidArgument("sample mode requires seed and count")
+    total = count if sampled else math.comb(G.order - 1, k - 1)
+    check_candidates(f"tile enumeration of size {k} on {G!r}", total, sampled)
+    tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
+    seen: set[tuple[int, ...]] = set()
+    for cand in candidate_sets(G.order, k, mode, seed, count):
+        if sampled:  # draws may repeat
+            if cand in seen:
+                continue
+            seen.add(cand)
+        out = tiling_complement(tables, cand, zero_mask(cand), budget)
+        if out is UNDECIDED:
             raise InvalidArgument(
-                f"tile enumeration budget exhausted on {sorted(S.mult)!r}"
+                f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"
             )
-        if witness is not None:
-            yield S, witness
+        if out is not None:
+            S = Multiset.set_of(G, map(G.coords_of, cand))
+            yield S, _checked(S, out)

@@ -8,6 +8,7 @@ from spectile import InvalidElement, Multiset, ParseError, make_group
 from spectile.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_UNDECIDED,
     EXIT_USAGE,
     main,
     parse_set_document,
@@ -163,11 +164,16 @@ def _verify_json(capsys, argv):
 
 
 def test_verify_workers_give_the_same_report(capsys):
-    argv = ["verify", "--group", "2,2,3", "--sizes", "2,3,4,6", "--exhaustive"]
-    serial = _verify_json(capsys, argv + ["--workers", "1"])
-    parallel = _verify_json(capsys, argv + ["--workers", "2"])
-    assert serial == parallel
-    assert serial[0] == EXIT_OK
+    exhaustive = ["verify", "--group", "2,2,3", "--sizes", "2,3,4,6", "--exhaustive"]
+    # sampled draws keep their order: the undecided entries of sizes 4 and 6
+    # are listed in draw order, serial or parallel
+    sampled = ["verify", "--group", "2,2,3,3", "--sizes", "4,6,9", "--budget", "3",
+               "--samples", "40", "--seed", "5"]
+    for argv, rc in ((exhaustive, EXIT_OK), (sampled, EXIT_UNDECIDED)):
+        serial = _verify_json(capsys, argv + ["--workers", "1"])
+        parallel = _verify_json(capsys, argv + ["--workers", "2"])
+        assert serial == parallel
+        assert serial[0] == rc
 
 
 def test_verify_reports_tiles_without_subgroup_complement(capsys):
@@ -280,6 +286,30 @@ def test_verify_refuses_an_exhaustive_plan_that_cannot_finish(subprocess_env, ex
     assert out.stdout == ""
     error = json.loads(out.stderr)["error"]
     assert "34359738368 candidates" in error and "--samples" in error
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["verify", "--group", "2,2,3,3", "--sizes", "9,12", "--samples", "10000000000"], 20000000000),
+        (["probe-case5", "--group", "3,3,5,5", "--samples", "1000000000000"], 1000000000000),
+        (["enumerate-tiles", "--group", "2,2,3,3", "--size", "18"], 4537567650),
+        (["enumerate-tiles", "--group", "2,2,3,3", "--size", "6", "--samples", "1000000000"], 1000000000),
+    ],
+    ids=["verify-sampled", "probe-case5", "enumerate-tiles", "enumerate-tiles-sampled"],
+)
+def test_plans_over_the_candidate_cap_are_refused(capsys, monkeypatch, argv, count):
+    import spectile.harness
+    import spectile.tiling
+
+    # refused before a single candidate is drawn
+    monkeypatch.setattr(spectile.tiling, "candidate_sets", None)
+    monkeypatch.setattr(spectile.harness, "candidate_sets", None)
+    monkeypatch.setattr(spectile.harness, "leaf_tables", None)
+    assert main(argv + ["--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{count} candidates" in json.loads(captured.err)["error"]
 
 
 def test_reports_survive_json_round_trip(capsys):

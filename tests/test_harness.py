@@ -35,12 +35,17 @@ from spectile import (
 from spectile.cli import main
 from spectile.cyclotomic import char_sum_vanishes, char_table
 from spectile.errors import DEFAULT_BUDGET
-from spectile.groups import cyclic_subgroup, determined_directions, direction_rep, index_tables
+from spectile.groups import (
+    Subgroup,
+    cyclic_subgroup,
+    determined_directions,
+    direction_rep,
+    index_tables,
+)
 from spectile.harness import (
     _classify_obstruction,
     _direction_gap_ok,
     _sweep_chunk,
-    _tile_fast,
 )
 from spectile.structure import (
     aligned_leaves,
@@ -49,7 +54,7 @@ from spectile.structure import (
     leaf_decomposition,
     leaf_tables,
 )
-from spectile.tiling import cover_complement
+from spectile.tiling import cover_complement, tiling_complement
 
 
 def test_verify_fuglede_z6(z6):
@@ -114,9 +119,25 @@ def test_plan_refuses_exhaustive_plans_over_the_cap(z36):
     # C(35, 9) + C(35, 10) = 254186856
     with pytest.raises(InvalidArgument, match="254186856 candidates"):
         VerificationPlan(group=z36, sizes=(10, 11))
-    # C(35, 8) = 23535820 fits, and sampling is not capped
+    # C(35, 8) = 23535820 fits, and so do small samples of every size
     VerificationPlan(group=z36, sizes=(9,))
     VerificationPlan(group=z36, sizes=range(1, 37), mode="sample", seed=1, count_per_size=10)
+
+
+def test_sampled_plans_and_probes_over_the_cap_are_refused(z36, monkeypatch):
+    import spectile.harness as harness
+
+    # refused before a table is built or a candidate drawn
+    monkeypatch.setattr(harness, "index_tables", None)
+    monkeypatch.setattr(harness, "candidate_sets", None)
+    with pytest.raises(InvalidArgument, match="3000000000000 candidates"):
+        VerificationPlan(group=z36, sizes=(9, 12, 18), mode="sample", seed=1, count_per_size=10**12)
+    VerificationPlan(group=z36, sizes=(9, 12, 18), mode="sample", seed=1, count_per_size=10**7)
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    with pytest.raises(InvalidArgument, match="1000000000000 candidates"):
+        case5_nonexistence_probe(shape, (30,), seed=0, count_per_size=10**12)
+    with pytest.raises(InvalidArgument, match="100000001 candidates"):
+        case5_nonexistence_probe(shape, (30,), seed=0, count_per_size=10**8 + 1)
 
 
 def test_verification_plan_validation(z6):
@@ -221,9 +242,10 @@ def _tiles_brute_force(moduli, S):
     "moduli, methods_seen",
     [((8,), {None, "subgroup", "exact-cover"}), ((2, 6), {None, "subgroup"})],
 )
-def test_tile_fast_agrees_with_brute_force(moduli, methods_seen):
+def test_tiling_complement_agrees_with_brute_force(moduli, methods_seen):
     G = make_group(moduli)
     tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
     methods = set()
     for k in range(1, G.order + 1):
         if G.order % k:
@@ -235,9 +257,12 @@ def test_tile_fast_agrees_with_brute_force(moduli, methods_seen):
             cover, _nodes = cover_complement(tables, cand, DEFAULT_BUDGET)
             assert (cover is not None) == expected, cand
             assert (find_complement(Multiset.set_of(G, elems)) is not None) == expected, cand
-            tile, method = _tile_fast(tables, cand, DEFAULT_BUDGET)
-            assert tile == expected, cand
-            methods.add(method)
+            out = tiling_complement(tables, cand, zero_mask(cand), DEFAULT_BUDGET)
+            assert (out is not None) == expected, cand
+            if out is None:
+                methods.add(None)
+            else:
+                methods.add("subgroup" if isinstance(out, Subgroup) else "exact-cover")
     assert methods == methods_seen
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from spectile import (
     UNDECIDED,
     EmptyInput,
     GroupMismatch,
+    InvalidArgument,
     Multiset,
     NotADivisor,
+    VerificationPlan,
     char_sum_vanishes,
     enumerate_tiles,
     find_complement,
@@ -17,7 +20,11 @@ from spectile import (
     make_group,
     subgroups_of_order,
     tiles_by_subgroup,
+    verify_fuglede,
 )
+from spectile.cyclotomic import char_table
+from spectile.groups import index_tables
+from spectile.tiling import subgroup_transversal
 
 
 def test_is_tiling_pair_examples(z6):
@@ -104,6 +111,70 @@ def test_enumerate_tiles_sampling_deterministic(z36):
         for t, _ in enumerate_tiles(z36, 6, mode="sample", seed=5, count=3000)
     ]
     assert a == b and len(a) > 0
+
+
+def test_enumerate_tiles_sample_yields_the_distinct_tiles_of_a_sampled_sweep(z36):
+    # both draw from one candidate stream; the sweep keeps repeats
+    sizes = (4, 6, 9)
+    plan = VerificationPlan(
+        group=z36, sizes=sizes, mode="sample", seed=5, count_per_size=500, collect_tiles=True
+    )
+    report = verify_fuglede(plan)
+    for k in sizes:
+        tally = report.per_size[k]
+        assert not tally.undecided
+        swept = list(dict.fromkeys(tally.tile_sets))
+        tiles = [
+            tuple(sorted(S.mult))
+            for S, _ in enumerate_tiles(z36, k, mode="sample", seed=5, count=500)
+        ]
+        assert tiles == swept and tiles, k
+        assert len(tally.tile_sets) == tally.tiles
+
+
+def test_enumerate_tiles_over_the_candidate_cap_is_refused(z36, monkeypatch):
+    import spectile.tiling
+
+    monkeypatch.setattr(spectile.tiling, "candidate_sets", None)
+    # C(35, 17) 0-containing 18-sets
+    with pytest.raises(InvalidArgument, match="4537567650 candidates"):
+        next(enumerate_tiles(z36, 18))
+    with pytest.raises(InvalidArgument, match="100000001 candidates"):
+        next(enumerate_tiles(z36, 6, mode="sample", seed=1, count=10**8 + 1))
+
+
+def _coset_transversal_oracle(G, cand):
+    """The first subgroup of order |G| / |cand| whose cosets cand hits once
+    each, with cosets keyed by their least element."""
+    for H in subgroups_of_order(G, G.order // len(cand)):
+        keys = {min(G.add(G.coords_of(i), h) for h in H.elements) for i in cand}
+        if len(keys) == len(cand):
+            return H
+    return None
+
+
+@pytest.mark.parametrize(
+    "moduli, draws",
+    [((8,), None), ((2, 6), None), ((2, 2, 3), None), ((4, 6), 1000), ((2, 2, 3, 3), 1000)],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_subgroup_transversal_on_the_zero_mask_matches_coset_collisions(moduli, draws):
+    # every 0-containing set of each size dividing |G|, or seeded draws of it
+    G = make_group(moduli)
+    tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
+    rng = random.Random(7)
+    found = {True: 0, False: 0}
+    for k in (k for k in range(1, G.order + 1) if G.order % k == 0):
+        if draws is None:
+            cands = [(0,) + rest for rest in itertools.combinations(range(1, G.order), k - 1)]
+        else:
+            cands = [(0,) + tuple(sorted(rng.sample(range(1, G.order), k - 1))) for _ in range(draws)]
+        for cand in cands:
+            H = subgroup_transversal(tables, zero_mask(cand), k)
+            assert H == _coset_transversal_oracle(G, cand), cand
+            found[H is not None] += 1
+    assert found[True] and found[False]
 
 
 def test_fourier_complementarity(z36):
