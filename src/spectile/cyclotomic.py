@@ -212,12 +212,6 @@ class CyclotomicInt:
         padded = rem.coeffs + (0,) * (d - len(rem.coeffs))
         return cls(M, padded)
 
-    @classmethod
-    def root_power(cls, M: int, k: int) -> "CyclotomicInt":
-        """zeta_M^k reduced mod Phi_M."""
-        k %= M
-        return cls.from_polynomial(M, IntPolynomial((0,) * k + (1,)))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -12,7 +12,8 @@ class InvalidModulus(SpectileError):
 
 
 class Overflow(SpectileError):
-    """Group order or exponent does not fit in 64-bit arithmetic."""
+    """A group is too large: its order exceeds 64-bit range, or its tables
+    would exceed their cap."""
 
 
 class GroupMismatch(SpectileError):

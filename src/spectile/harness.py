@@ -5,9 +5,11 @@ tallies agreement; any disagreement is recorded with full witness data. The
 same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. The sweep decides on element indices drawn from
 enumerate_tiles' stream (tiling.candidate_sets), with the routines of the
-public per-set operations: one zero mask (CharTable.zero_mask) per candidate
-feeds spectra.spectrum_search, through the per-group spectral memo, and the
-subgroup branch of tiling.tiling_complement, whose exact cover does not read it.
+public per-set operations, once per zero set: both verdicts of a k-set are
+functions of its zero mask (CharTable.zero_mask), so one memo per group and
+size (_memo), keyed by the mask, holds the verdict of spectra.spectrum_search
+and the outcome of tiling.tiling_complement, whose exact cover does not read
+the mask and runs on the first set of each key.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .errors import (
     InvalidArgument,
     NotASpectralPair,
     NotATilingPair,
+    Overflow,
     TheoremViolation,
     Undecided,
     check_candidates,
 )
 from .groups import (
+    MAX_TABLE_ORDER,
     Element,
     Group,
     IndexTables,
@@ -86,22 +90,29 @@ def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
     Supported for groups whose moduli are primes with each prime appearing
     at most twice (the sweep targets); the automorphism group is then the
     product of one GL_1 or GL_2 per prime acting on that prime's
-    coordinates.
+    coordinates. Raises Overflow, before anything is built, when the
+    |Aut(G)| permutations would hold more than MAX_TABLE_ORDER ** 2 entries.
     """
     by_prime: dict[int, list[int]] = {}
     for i, n in enumerate(G.moduli):
         if not is_prime(n):
             raise InvalidArgument(f"modulus {n} is not prime")
         by_prime.setdefault(n, []).append(i)
-    blocks: list[tuple[int, list[int], list[tuple[int, ...]]]] = []
-    for p, positions in sorted(by_prime.items()):
-        if len(positions) == 1:
-            mats = _unit_matrices_rank1(p)
-        elif len(positions) == 2:
-            mats = _unit_matrices_rank2(p)
-        else:
+    aut_order = 1
+    for p, positions in by_prime.items():
+        if len(positions) > 2:
             raise InvalidArgument("automorphisms supported for rank <= 2 per prime")
-        blocks.append((p, positions, mats))
+        # |GL_1(p)| = p - 1 and |GL_2(p)| = (p^2 - 1)(p^2 - p)
+        aut_order *= p - 1 if len(positions) == 1 else (p * p - 1) * (p * p - p)
+    if aut_order * G.order > MAX_TABLE_ORDER**2:
+        raise Overflow(
+            f"|Aut(G)| |G| = {aut_order} * {G.order} exceeds {MAX_TABLE_ORDER**2}, "
+            "the largest automorphism table built"
+        )
+    blocks = [
+        (p, positions, (_unit_matrices_rank1 if len(positions) == 1 else _unit_matrices_rank2)(p))
+        for p, positions in sorted(by_prime.items())
+    ]
 
     perms = []
     for combo in itertools.product(*(mats for _, _, mats in blocks)):
@@ -126,36 +137,59 @@ def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
 # per-candidate decisions of the sweep
 
 
+# The tile outcome in a memo entry's last slot. TILE_UNSET marks an entry
+# whose tiling no sweep has decided yet (the case-5 probe decides none).
+NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
+
+MemoEntry = tuple[bool, int, int]
+
+
 @lru_cache(maxsize=None)
-def _spectral_memo(G: Group) -> dict[tuple[int, int], tuple[bool, int]]:
-    """Spectral verdicts on G by (zero mask, size), each with the clique
-    nodes its search spent."""
+def _memo(G: Group, k: int) -> dict[int, MemoEntry]:
+    """Verdicts on the k-sets of G, keyed by zero mask alone: one flat
+    (spectral verdict, clique nodes, tile outcome) per mask.
+
+    Both properties of a k-set are functions of its zero mask Z(S):
+    spectrality is the clique search on Z(S); S tiles iff some 0-containing
+    |G|/k-set T has Z(S) | Z(T) covering G minus 0 (the Fourier tiling
+    criterion); and S is a transversal of a subgroup H iff Z(S) covers
+    H^perp minus 0, so the kind of tile is a function of Z(S) as well.
+    verify_fuglede states how budgets read the entries.
+    """
     return {}
 
 
-def _spectral_decide(
-    memo: dict[tuple[int, int], tuple[bool, int]],
-    tables: IndexTables,
-    zmask: int,
-    k: int,
-    budget: int,
-) -> Union[bool, Undecided]:
-    """Clique decision: is there a 0-containing k-set with diffs in zmask?
-
-    The search is deterministic, so a budget decides it exactly when the
-    full search needs at most that many nodes. A memo hit that needed more
-    answers UNDECIDED, as a fresh search would: the verdict does not depend
-    on what earlier calls in the process decided.
-    """
-    key = (zmask, k)
-    hit = memo.get(key)
-    if hit is None:
+def _memo_entry(
+    memo: dict[int, MemoEntry], tables: IndexTables, zmask: int, k: int, budget: int
+) -> Optional[MemoEntry]:
+    """memo's entry for zmask. A miss runs the clique search (is there a
+    0-containing k-set with differences in zmask?) and stores its verdict
+    with TILE_UNSET; a search that runs out of budget stores nothing and
+    gives None."""
+    entry = memo.get(zmask)
+    if entry is None:
         lam, nodes = spectrum_search(tables, zmask, k, budget)
         if lam is UNDECIDED:
-            return UNDECIDED
-        hit = memo[key] = (lam is not None, nodes)
-    verdict, nodes = hit
-    return verdict if nodes <= budget else UNDECIDED
+            return None
+        entry = memo[zmask] = (lam is not None, nodes, TILE_UNSET)
+    return entry
+
+
+def _spectral_verdict(entry: Optional[MemoEntry], budget: int) -> Union[bool, Undecided]:
+    """The spectral verdict of a memo entry under budget."""
+    return UNDECIDED if entry is None or entry[1] > budget else entry[0]
+
+
+def _tile_outcome(
+    tables: IndexTables, cand: tuple[int, ...], zmask: int, budget: int
+) -> Union[int, Undecided]:
+    """The tile outcome of tiling_complement on cand, or UNDECIDED."""
+    out = tiling_complement(tables, cand, zmask, budget)
+    if out is UNDECIDED:
+        return UNDECIDED
+    if out is None:
+        return NOT_A_TILE
+    return SUBGROUP_TILE if isinstance(out, Subgroup) else COVER_TILE
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +384,26 @@ def _sweep_chunk(
     """Decide both properties for each candidate and tally the verdicts."""
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
-    memo = _spectral_memo(G)
+    memo = _memo(G, k)
+    keep_tiles = budget >= DEFAULT_BUDGET
     tally = SizeTally(size=k)
     for cand in cands:
         tally.examined += 1
         zmask = zero_mask(cand)
-        sp = _spectral_decide(memo, tables, zmask, k, budget)
-        out = tiling_complement(tables, cand, zmask, budget)
-        ti = out if out is UNDECIDED else out is not None
+        entry = _memo_entry(memo, tables, zmask, k, budget)
+        sp = _spectral_verdict(entry, budget)
+        stored = keep_tiles and entry is not None
+        tile = entry[2] if stored else TILE_UNSET
+        if tile == TILE_UNSET:
+            tile = _tile_outcome(tables, cand, zmask, budget)
+            if stored and tile is not UNDECIDED:
+                memo[zmask] = entry[:2] + (tile,)
+        ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
         elif ti:
             tally.tiles_any += 1
-            if not isinstance(out, Subgroup):
+            if tile == COVER_TILE:
                 tally.violations.append({"set": _coords(G, cand)})
         if sp is UNDECIDED or ti is UNDECIDED:
             tally.undecided.append(
@@ -391,10 +432,23 @@ def _sweep_chunk(
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     """Sweep the plan, deciding spectrality and tiling for every candidate.
 
+    Both decisions go through one memo per group and size, _memo(G, k),
+    keyed by the zero mask: each entry holds the spectral verdict with the
+    clique nodes its search spent, and the tile outcome (not a tile,
+    subgroup tile, exact-cover tile, or not yet decided). The clique search
+    is deterministic, so an entry answers a budget exactly when its nodes
+    fit, else UNDECIDED, as a fresh search would. Cover nodes depend on the
+    set, not on its mask, so the tile outcome is read and stored only at
+    budgets of at least DEFAULT_BUDGET, and never stored UNDECIDED: a
+    report does not depend on what the process swept before. Every
+    candidate is tallied, so a key with an exact-cover tile lists each of
+    its sets as a violation.
+
     Neither decision consults the other's verdict. Both read the zero mask,
     but every non-tile verdict, and every tile with no subgroup complement,
-    comes from the exact cover, which does not; so agreement exercises the
-    spectral <=> tile equivalence on the planned group.
+    comes from an exact cover, run once per key, which does not; so
+    agreement exercises the spectral <=> tile equivalence on the planned
+    group.
     """
     start = time.perf_counter()
     per_size: dict[int, SizeTally] = {}
@@ -750,7 +804,6 @@ def case5_nonexistence_probe(
 
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
-    memo = _spectral_memo(G)
     lt = leaf_tables(shape)
     add = tables.add_rows
     examined = 0
@@ -769,6 +822,7 @@ def case5_nonexistence_probe(
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
         rng = random.Random(f"{seed}:{size}")
+        memo = _memo(G, size)
         for _ in range(count_per_size):
             elems = []
             for ai in rng.sample(range(len(lt.p_embed)), leaves_needed):
@@ -779,7 +833,7 @@ def case5_nonexistence_probe(
             examined += 1
 
             zmask = zero_mask(cand)
-            verdict = _spectral_decide(memo, tables, zmask, len(cand), budget)
+            verdict = _spectral_verdict(_memo_entry(memo, tables, zmask, size, budget), budget)
             if verdict is UNDECIDED:
                 undecided.append({"size": size, "set": _coords(G, cand)})
             elif verdict:

@@ -32,9 +32,10 @@ from spectile import (
     verify_fuglede,
     verify_subgroup_tiling,
 )
-from spectile.cli import main
+from spectile import harness
+from spectile.cli import EXIT_USAGE, main
 from spectile.cyclotomic import char_sum_vanishes, char_table
-from spectile.errors import DEFAULT_BUDGET
+from spectile.errors import DEFAULT_BUDGET, Overflow
 from spectile.groups import (
     Subgroup,
     cyclic_subgroup,
@@ -43,8 +44,10 @@ from spectile.groups import (
     index_tables,
 )
 from spectile.harness import (
+    TILE_UNSET,
     _classify_obstruction,
     _direction_gap_ok,
+    _memo,
     _sweep_chunk,
 )
 from spectile.structure import (
@@ -301,6 +304,36 @@ def test_budget_bound_report_does_not_depend_on_earlier_sweeps(capsys, subproces
     assert rc == fresh.returncode
 
 
+def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subprocess_env):
+    # after a default-budget sweep every key holds its tile outcome; a key
+    # with an exact-cover tile still lists each of its sets as a violation
+    argv = ["verify", "--group", "8", "--sizes", "2,4", "--exhaustive"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "spectile.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env, timeout=120,
+    )
+    z8 = make_group([8])
+    verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4)))
+    assert all(entry[2] != TILE_UNSET for k in (2, 4) for entry in _memo(z8, k).values())
+    zero_mask = char_table(z8).zero_mask
+    assert zero_mask((0, 2)) == zero_mask((0, 6))
+    rc = main(argv)
+    after = json.loads(capsys.readouterr().out)
+    expected = json.loads(fresh.stdout)
+    for doc in (after, expected):
+        doc["fuglede"].pop("elapsed_seconds")
+        doc["subgroup_tiling"].pop("elapsed_seconds")
+    assert after == expected
+    assert rc == fresh.returncode
+    sub = after["subgroup_tiling"]["per_size"]
+    assert [e["set"] for e in sub["2"]["violations"]] == [[[0], [2]], [[0], [4]], [[0], [6]]]
+    assert [e["set"] for e in sub["4"]["violations"]] == [
+        [[0], [1], [4], [5]],
+        [[0], [2], [4], [6]],
+        [[0], [3], [4], [7]],
+    ]
+
+
 def test_canonicalize_reduces_and_agrees(z12):
     full = verify_fuglede(VerificationPlan(group=z12, sizes=(3, 4)))
     canon = verify_fuglede(
@@ -339,6 +372,28 @@ def test_automorphism_perms(z36, z6):
             )
     with pytest.raises(InvalidArgument):
         automorphism_index_perms(make_group([4, 3]))
+
+
+def test_automorphism_tables_over_the_cap_are_refused(monkeypatch, capsys):
+    # |Aut(Z_5^2 x Z_7^2)| |G| = 967 680 * 1 225; the matrix builders are
+    # patched away, so a refusal that came after them would fail, not allocate
+    def unreachable(p):
+        raise AssertionError("automorphism matrices built")
+
+    monkeypatch.setattr(harness, "_unit_matrices_rank1", unreachable)
+    monkeypatch.setattr(harness, "_unit_matrices_rank2", unreachable)
+    with pytest.raises(Overflow, match="967680"):
+        automorphism_index_perms(make_group([5, 5, 7, 7]))
+    argv = ["verify", "--group", "5,5,7,7", "--sizes", "2", "--exhaustive", "--canonicalize"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Overflow" in json.loads(captured.err)["error"]
+    # admitted: 288 * 36 on Z_2^2 x Z_3^2 and 2 880 * 100 on Z_2^2 x Z_5^2
+    monkeypatch.setattr(harness, "_unit_matrices_rank1", lambda p: [])
+    monkeypatch.setattr(harness, "_unit_matrices_rank2", lambda p: [])
+    for moduli in ((2, 2, 3, 3), (2, 2, 5, 5)):
+        assert automorphism_index_perms.__wrapped__(make_group(moduli)) == ()
 
 
 def test_automorphism_invariance_small(z36):

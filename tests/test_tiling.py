@@ -23,8 +23,9 @@ from spectile import (
     verify_fuglede,
 )
 from spectile.cyclotomic import char_table
-from spectile.groups import index_tables
-from spectile.tiling import subgroup_transversal
+from spectile.errors import DEFAULT_BUDGET
+from spectile.groups import Subgroup, coset_id_table, index_tables
+from spectile.tiling import subgroup_transversal, tiling_complement
 
 
 def test_is_tiling_pair_examples(z6):
@@ -175,6 +176,64 @@ def test_subgroup_transversal_on_the_zero_mask_matches_coset_collisions(moduli, 
             assert H == _coset_transversal_oracle(G, cand), cand
             found[H is not None] += 1
     assert found[True] and found[False]
+
+
+def _zero_masks(G, m):
+    """R_m: the zero masks of every 0-containing m-set of G."""
+    zero_mask = char_table(G).zero_mask
+    return {zero_mask((0,) + rest) for rest in itertools.combinations(range(1, G.order), m - 1)}
+
+
+def _seeded_tiling_candidates(G, k, draws, rng):
+    """draws random 0-containing k-sets, then a random 0-containing
+    transversal of each subgroup of order |G|/k."""
+    cands = [(0,) + tuple(sorted(rng.sample(range(1, G.order), k - 1))) for _ in range(draws)]
+    for H in subgroups_of_order(G, G.order // k):
+        cosets = {}
+        for i, c in enumerate(coset_id_table(H)):
+            cosets.setdefault(c, []).append(i)
+        cands.append(tuple(sorted(0 if 0 in ids else rng.choice(ids) for ids in cosets.values())))
+    return cands
+
+
+@pytest.mark.parametrize(
+    "moduli, sizes, draws, kinds",
+    [
+        ((8,), None, None, {None, "subgroup", "exact-cover"}),
+        ((2, 6), None, None, {None, "subgroup"}),
+        ((2, 2, 3, 3), (6,), None, {None, "subgroup"}),
+        ((2, 2, 3, 3), (9, 12, 18), 300, {None, "subgroup"}),
+    ],
+    ids=["8", "2,6", "2,2,3,3-exhaustive-6", "2,2,3,3-seeded-9,12,18"],
+)
+def test_tiling_is_the_fourier_criterion_on_zero_masks(moduli, sizes, draws, kinds):
+    # S tiles G iff some 0-containing |G|/|S|-set T has Z(S) | Z(T)
+    # covering G minus 0; so the verdict of tiling_complement, and whether
+    # its complement is a subgroup, are functions of (Z(S), |S|)
+    G = make_group(moduli)
+    tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
+    nonzero = (1 << G.order) - 2
+    rng = random.Random(8)
+    seen = set()
+    for k in sizes or range(1, G.order + 1):
+        if draws is None:
+            cands = [(0,) + rest for rest in itertools.combinations(range(1, G.order), k - 1)]
+        else:
+            cands = _seeded_tiling_candidates(G, k, draws, rng)
+        kind_by_mask = {}
+        for cand in cands:
+            zmask = zero_mask(cand)
+            out = tiling_complement(tables, cand, zmask, DEFAULT_BUDGET)
+            assert out is not UNDECIDED
+            kind = None if out is None else "subgroup" if isinstance(out, Subgroup) else "exact-cover"
+            assert kind_by_mask.setdefault(zmask, kind) == kind, (k, cand)
+        realisable = _zero_masks(G, G.order // k) if G.order % k == 0 else set()
+        for zmask, kind in kind_by_mask.items():
+            need = nonzero & ~zmask
+            assert (kind is not None) == any(not need & ~z for z in realisable), (k, zmask)
+        seen.update(kind_by_mask.values())
+    assert seen == kinds
 
 
 def test_fourier_complementarity(z36):
