@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     GroupMismatch,
@@ -83,11 +84,13 @@ class Group:
         if not self.contains(x):
             raise GroupMismatch(f"{x!r} is not an element of {self!r}")
 
+    @cached_property
+    def _radix(self) -> tuple[int, ...]:
+        """The index weight of each coordinate: the product of the later moduli."""
+        return tuple(math.prod(self.moduli[i + 1 :]) for i in range(len(self.moduli)))
+
     def index_of(self, x: Element) -> int:
-        idx = 0
-        for c, n in zip(x, self.moduli):
-            idx = idx * n + c
-        return idx
+        return sum(map(operator.mul, x, self._radix))
 
     def coords_of(self, idx: int) -> Element:
         coords = []
@@ -97,13 +100,28 @@ class Group:
         return tuple(reversed(coords))
 
     def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.moduli))
+        return tuple(map(operator.mod, map(operator.add, x, y), self.moduli))
 
     def sub(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % n for a, b, n in zip(x, y, self.moduli))
+        return tuple(map(operator.mod, map(operator.sub, x, y), self.moduli))
 
     def neg(self, x: Element) -> Element:
-        return tuple((-a) % n for a, n in zip(x, self.moduli))
+        return tuple(map(operator.mod, map(operator.neg, x), self.moduli))
+
+    def add_each(self, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[Element]:
+        """x + y for each aligned pair of xs and ys."""
+        return self._each(operator.add, xs, ys)
+
+    def sub_each(self, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[Element]:
+        """x - y for each aligned pair of xs and ys."""
+        return self._each(operator.sub, xs, ys)
+
+    def _each(self, op, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[Element]:
+        # one coordinate column at a time, so every loop runs in C
+        return zip(*[
+            map(operator.mod, map(op, xc, yc), itertools.repeat(n))
+            for xc, yc, n in zip(zip(*xs), zip(*ys), self.moduli)
+        ])
 
     def scale(self, k: int, x: Element) -> Element:
         return tuple((k * a) % n for a, n in zip(x, self.moduli))
@@ -143,9 +161,12 @@ class Multiset:
                 raise InvalidArgument(f"multiplicity of {x!r} must be a positive int, got {m!r}")
             group.check(x)
             items[x] = m
+        self._fill(group, items, sum(items.values()))
+
+    def _fill(self, group: Group, items: dict[Element, int], mass: int) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "mult", items)
-        object.__setattr__(self, "mass", sum(items.values()))
+        object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -165,13 +186,35 @@ class Multiset:
         """A 0/1 multiset; duplicated inputs collapse to multiplicity 1."""
         return cls(group, dict.fromkeys((tuple(x) for x in elems), 1))
 
+    @classmethod
+    def of_indices(cls, group: Group, idx: Iterable[int]) -> "Multiset":
+        """The 0/1 multiset of the elements with these indices; duplicated
+        indices collapse. Only the range 0 <= i < |G| of each index is
+        checked: coords_of yields valid elements, so the per-coordinate
+        checks of the constructor are skipped. For sets built inside the
+        package from element indices; public inputs go through the
+        constructor.
+        """
+        n = group.order
+        coords_of = group.coords_of
+        items: dict[Element, int] = {}
+        for i in idx:
+            if not 0 <= i < n:
+                raise GroupMismatch(f"{i!r} is not an element index of {group!r}")
+            items[coords_of(i)] = 1
+        out = cls.__new__(cls)
+        out._fill(group, items, len(items))
+        return out
+
     @property
     def support(self) -> tuple[Element, ...]:
         return tuple(sorted(self.mult))
 
     @property
     def is_set(self) -> bool:
-        return all(m == 1 for m in self.mult.values())
+        # every multiplicity is at least 1, so the mass counts the support
+        # exactly when each is 1
+        return self.mass == len(self.mult)
 
     def __call__(self, x: Element) -> int:
         return self.mult.get(x, 0)
@@ -244,7 +287,11 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: Element) -> bool:
-        return x in set(self.elements)
+        return x in self._members
+
+    @cached_property
+    def _members(self) -> frozenset[Element]:
+        return frozenset(self.elements)
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
@@ -397,7 +444,7 @@ class IndexTables:
         # mixed-radix index arithmetic: index(x + y) sums ((x_i + y_i) mod n_i)
         # * stride_i over the coordinates, and y runs over the product of the
         # coordinate ranges in index order
-        strides = [math.prod(G.moduli[i + 1 :]) for i in range(len(G.moduli))]
+        strides = G._radix
 
         def rows(sign: int) -> list[list[int]]:
             return [

@@ -43,7 +43,6 @@ from .groups import (
     IndexTables,
     Multiset,
     Subgroup,
-    cyclic_subgroup,
     index_tables,
     is_prime,
 )
@@ -358,7 +357,7 @@ def _mismatch_entry(
     G: Group, cand: tuple[int, ...], spectral: bool, tile: bool, budget: int
 ) -> dict:
     """Full witness data for a disagreement (rare: a theorem violation)."""
-    S = Multiset.set_of(G, [G.coords_of(i) for i in cand])
+    S = Multiset.of_indices(G, cand)
     spectrum = None
     complement = None
     if spectral:
@@ -576,12 +575,8 @@ class ConstructedSpectrum:
     tag: SpectrumConstruction
 
 
-def _verified_spectrum(S: Multiset, lam_elems: Iterable[Element]) -> Optional[SpectrumWitness]:
+def _verified_spectrum(S: Multiset, lam: Multiset) -> Optional[SpectrumWitness]:
     """Build a witness only if the candidate spectrum actually verifies."""
-    G = S.group
-    lam = Multiset.set_of(G, lam_elems)
-    if lam.mass != S.mass:
-        return None
     if not is_spectral_pair(S, lam):
         return None
     pairs = S.mass * (S.mass - 1) // 2
@@ -599,7 +594,8 @@ def tile_to_spectrum(
     prime-order parts survive on the complement. Sizes p^2 q and p q^2: a
     rank-3 subgroup when the mixed-order vanishing holds; otherwise a
     budgeted generic search. Which characters vanish on the complement is
-    read from its zero mask.
+    read from its zero mask; the candidate spectra are built on element
+    indices (IndexTables.add_rows), and each is checked by is_spectral_pair.
     """
     G = shape.group
     if S.group != G or T.group != G:
@@ -609,41 +605,46 @@ def tile_to_spectrum(
     p, q = shape.p, shape.q
     k = S.mass
     zmask = char_table(G).zero_mask([G.index_of(x) for x in T.mult])
-    orders = index_tables(G).orders
+    tables = index_tables(G)
+    add = tables.add_rows
+    orders = tables.orders
 
-    def surviving(r: int) -> list[Element]:
+    def surviving(r: int) -> list[int]:
         """The elements of order r at which T's character sum does not vanish."""
-        return [
-            x
-            for i, x in enumerate(G.elements)
-            if orders[i] == r and not zmask >> i & 1
-        ]
+        return [i for i in range(G.order) if orders[i] == r and not zmask >> i & 1]
+
+    def cyclic(g: int) -> list[int]:
+        """<g> for g != 0, in the order 0, g, 2g, ..."""
+        out = [0, g]
+        while (m := add[out[-1]][g]) != 0:
+            out.append(m)
+        return out
 
     if k in (p, q):
         for g in surviving(k):
-            witness = _verified_spectrum(S, cyclic_subgroup(G, g))
+            witness = _verified_spectrum(S, Multiset.of_indices(G, cyclic(g)))
             if witness is not None:
                 return ConstructedSpectrum(witness, SpectrumConstruction.PRIME_CYCLE)
     elif k in (p * p, q * q):
         torsion = shape.p_torsion if k == p * p else shape.q_torsion
-        witness = _verified_spectrum(S, torsion.elements)
+        witness = _verified_spectrum(S, torsion.as_set())
         if witness is not None:
             return ConstructedSpectrum(witness, SpectrumConstruction.SYLOW_DUAL)
     elif k == p * q:
         vs = surviving(q)
         for u in surviving(p):
             for v in vs:
-                witness = _verified_spectrum(S, cyclic_subgroup(G, G.add(u, v)))
+                witness = _verified_spectrum(S, Multiset.of_indices(G, cyclic(add[u][v])))
                 if witness is not None:
                     return ConstructedSpectrum(witness, SpectrumConstruction.COPRIME_CYCLE)
     elif k in (p * p * q, p * q * q):
         # k = r^2 s; the complement has size s, the torsion factor is r^2
         r, s = (p, q) if k == p * p * q else (q, p)
         torsion = shape.p_torsion if r == p else shape.q_torsion
+        torsion_idx = list(map(G.index_of, torsion.elements))
         for g in surviving(s):
-            line = cyclic_subgroup(G, g)
-            lam_elems = [G.add(x, t) for x in line for t in torsion.elements]
-            witness = _verified_spectrum(S, lam_elems)
+            lam = Multiset.of_indices(G, [add[x][t] for x in cyclic(g) for t in torsion_idx])
+            witness = _verified_spectrum(S, lam)
             if witness is not None:
                 return ConstructedSpectrum(witness, SpectrumConstruction.MIXED_SUBGROUP)
 
@@ -837,7 +838,7 @@ def case5_nonexistence_probe(
             if verdict is UNDECIDED:
                 undecided.append({"size": size, "set": _coords(G, cand)})
             elif verdict:
-                wit = find_spectrum(Multiset.set_of(G, map(G.coords_of, cand)), budget)
+                wit = find_spectrum(Multiset.of_indices(G, cand), budget)
                 spectral_hits.append(
                     {
                         "size": size,

@@ -51,7 +51,11 @@ class ComplementWitness:
 
 
 def is_tiling_pair(S: Multiset, T: Multiset) -> bool:
-    """True iff |S| |T| = |G| and S + T covers every element exactly once."""
+    """True iff |S| |T| = |G| and S + T covers every element exactly once.
+
+    For sets with |S| |T| = |G| that holds exactly when the |G| coordinate
+    sums s + t are distinct.
+    """
     if S.group != T.group:
         raise GroupMismatch("S and T live on different groups")
     G = S.group
@@ -59,16 +63,8 @@ def is_tiling_pair(S: Multiset, T: Multiset) -> bool:
         return False
     if not (S.is_set and T.is_set):
         return False
-    counts = bytearray(G.order)
-    index_of = G.index_of
-    add = G.add
-    for s in S.mult:
-        for t in T.mult:
-            i = index_of(add(s, t))
-            if counts[i]:
-                return False
-            counts[i] = 1
-    return True
+    ss, ts = zip(*itertools.product(S.mult, T.mult))
+    return len(set(G.add_each(ss, ts))) == G.order
 
 
 class _OutOfBudget(Exception):
@@ -199,7 +195,7 @@ def _checked(
     if isinstance(out, Subgroup):
         witness = ComplementWitness(t=out.as_set(), method=ComplementMethod.SUBGROUP)
     else:
-        t = Multiset.set_of(S.group, map(S.group.coords_of, out))
+        t = Multiset.of_indices(S.group, out)
         witness = ComplementWitness(t=t, method=ComplementMethod.EXACT_COVER)
     if not is_tiling_pair(S, witness.t):  # pragma: no cover - transversals and covers tile
         raise InvalidArgument("internal error: complement witness failed verification")
@@ -299,5 +295,5 @@ def enumerate_tiles(
                 f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"
             )
         if out is not None:
-            S = Multiset.set_of(G, map(G.coords_of, cand))
+            S = Multiset.of_indices(G, cand)
             yield S, _checked(S, out)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -63,9 +64,45 @@ def test_tables_refuse_groups_over_the_order_cap(monkeypatch, z36):
 
 
 def test_index_round_trip(z36):
-    for i in range(z36.order):
-        assert z36.index_of(z36.coords_of(i)) == i
-    assert list(z36.elements) == sorted(z36.elements)  # index order is lex order
+    for G in (z36, make_group([3, 3, 5, 5])):
+        for i in range(G.order):
+            assert G.index_of(G.coords_of(i)) == i
+        assert list(G.elements) == sorted(G.elements)  # index order is lex order
+
+
+@st.composite
+def group_with_operands(draw):
+    """A Group of up to four factors, factors of 1 included (the constructor
+    admits them), with aligned lists of elements and an element index."""
+    moduli = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=4)))
+    G = groups.Group(moduli)
+    element = st.tuples(*(st.integers(0, n - 1) for n in moduli))
+    pairs = draw(st.lists(st.tuples(element, element), min_size=1, max_size=6))
+    return G, pairs, draw(st.integers(0, G.order - 1))
+
+
+@given(group_with_operands())
+def test_group_arithmetic_matches_a_per_coordinate_reference(data):
+    G, pairs, i = data
+    moduli = G.moduli
+    sums = [tuple((a + b) % n for a, b, n in zip(x, y, moduli)) for x, y in pairs]
+    diffs = [tuple((a - b) % n for a, b, n in zip(x, y, moduli)) for x, y in pairs]
+    assert [G.add(x, y) for x, y in pairs] == sums
+    assert [G.sub(x, y) for x, y in pairs] == diffs
+    xs, ys = zip(*pairs)
+    assert list(G.add_each(xs, ys)) == sums
+    assert list(G.sub_each(xs, ys)) == diffs
+    assert list(G.add_each((), ())) == []
+    for x in xs:
+        assert G.neg(x) == tuple(-a % n for a, n in zip(x, moduli))
+        # row-major mixed radix, leftmost coordinate most significant (Horner)
+        index = 0
+        for c, n in zip(x, moduli):
+            index = index * n + c
+        assert G.index_of(x) == index
+    # coords_of(i) is the i-th element of the lexicographic product
+    assert G.coords_of(i) == next(itertools.islice(itertools.product(*map(range, moduli)), i, None))
+    assert G.index_of(G.coords_of(i)) == i
 
 
 def test_dot_examples(z6, z36):
@@ -218,6 +255,11 @@ def test_subgroup_lattice_count(z36):
     assert total == 30
 
 
+def test_subgroup_membership(z36):
+    for H in subgroups_of_order(z36, 6):
+        assert [x for x in z36.elements if x in H] == list(H.elements)
+
+
 def test_subgroup_validation(z6):
     with pytest.raises(InvalidArgument):
         Subgroup(z6, ((0, 0), (0, 1)))  # not closed
@@ -289,3 +331,30 @@ def test_multiset_basics(z6):
     B = A.translate((1, 0))
     assert B((1, 0)) == 2 and B.mass == 3
     assert Multiset.set_of(z6, [(0, 0), (0, 0)]).mass == 1
+
+
+def test_of_indices_equals_set_of_the_coordinates(z36):
+    rng = random.Random(3)
+    for G in (z36, make_group([8]), groups.Group((2, 1, 3))):
+        for k in (0, 1, 5, 2 * G.order):
+            # draws with replacement: duplicated indices collapse, as
+            # duplicated elements do in set_of
+            idx = [rng.randrange(G.order) for _ in range(k)]
+            A = Multiset.of_indices(G, idx)
+            B = Multiset.set_of(G, map(G.coords_of, idx))
+            assert A == B and hash(A) == hash(B)
+            assert (A.mass, A.support, A.is_set) == (B.mass, B.support, True)
+
+
+def test_of_indices_rejects_indices_out_of_range(z36):
+    for bad in (-1, z36.order, 10**6):
+        with pytest.raises(GroupMismatch):
+            Multiset.of_indices(z36, [0, bad])
+
+
+def test_is_set_is_false_above_multiplicity_one(z36):
+    x, y = z36.coords_of(1), z36.coords_of(7)
+    assert Multiset(z36, {x: 1, y: 1}).is_set
+    assert not Multiset(z36, {x: 2}).is_set
+    assert not Multiset(z36, {x: 1, y: 3}).is_set
+    assert Multiset(z36, {}).is_set

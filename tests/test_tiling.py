@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -40,6 +41,58 @@ def test_is_tiling_pair_examples(z6):
     assert not is_tiling_pair(S, Multiset.set_of(z6, [(0, 0), (0, 1), (1, 0)]))
     with pytest.raises(GroupMismatch):
         is_tiling_pair(S, Multiset.set_of(make_group([6]), [(0,)]))
+
+
+def _tiles_by_counting(S, T):
+    """Brute force: S + T, counted with multiplicity, hits every element once."""
+    G = S.group
+    sums = collections.Counter()
+    for s, m in S.items():
+        for t, n in T.items():
+            sums[G.add(s, t)] += m * n
+    return sums == collections.Counter(G.elements)
+
+
+def test_is_tiling_pair_matches_a_counter_oracle(z6, z36):
+    zero = (0, 0)
+    half = Multiset.set_of(z6, [zero, (0, 1), (0, 2)])
+    cases = [
+        # |S| |T| = |G| but (0, 1) + (0, 1) = (0, 0) + (0, 2)
+        (Multiset.set_of(z6, [zero, (0, 1)]), half, False),
+        # sizes 2 and 2 on a group of order 6; sums distinct
+        (Multiset.set_of(z6, [zero, (1, 0)]), Multiset.set_of(z6, [zero, (0, 1)]), False),
+        # a multiset of mass 2 with a mass-3 complement of its support
+        (Multiset(z6, {zero: 2}), half, False),
+        (Multiset.set_of(z6, [zero, (1, 0)]), half, True),
+    ]
+    for S, T, tiles in cases:
+        assert _tiles_by_counting(S, T) == tiles
+        assert is_tiling_pair(S, T) == tiles
+    # every pair of subsets of Z_2 x Z_3
+    subsets = [
+        Multiset.set_of(z6, c)
+        for k in range(z6.order + 1)
+        for c in itertools.combinations(z6.elements, k)
+    ]
+    verdicts = collections.Counter()
+    for S in subsets:
+        for T in subsets:
+            verdicts[is_tiling_pair(S, T)] += 1
+            assert is_tiling_pair(S, T) == _tiles_by_counting(S, T), (S, T)
+    assert verdicts[True] and verdicts[False]
+    # seeded pairs on Z_2^2 x Z_3^2 with |S| |T| = |G|: a random transversal
+    # of a subgroup H against H (tiles) and against random sets (mostly not)
+    rng = random.Random(11)
+    for k in (2, 3, 4, 6, 9, 12, 18):
+        for H in subgroups_of_order(z36, z36.order // k):
+            cosets = {}
+            for i, c in enumerate(coset_id_table(H)):
+                cosets.setdefault(c, []).append(i)
+            S = Multiset.of_indices(z36, [rng.choice(ids) for ids in cosets.values()])
+            T = Multiset.set_of(z36, rng.sample(z36.elements, H.order))
+            for other in (H.as_set(), T):
+                assert is_tiling_pair(S, other) == _tiles_by_counting(S, other)
+            assert is_tiling_pair(S, H.as_set())
 
 
 def test_find_complement_examples(z6):
