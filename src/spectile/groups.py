@@ -190,18 +190,17 @@ class Multiset:
     def of_indices(cls, group: Group, idx: Iterable[int]) -> "Multiset":
         """The 0/1 multiset of the elements with these indices; duplicated
         indices collapse. Only the range 0 <= i < |G| of each index is
-        checked: coords_of yields valid elements, so the per-coordinate
-        checks of the constructor are skipped. For sets built inside the
-        package from element indices; public inputs go through the
-        constructor.
+        checked: group.elements holds valid elements in index order, so the
+        per-coordinate checks of the constructor are skipped. For sets built
+        inside the package from element indices; public inputs go through
+        the constructor.
         """
         n = group.order
-        coords_of = group.coords_of
-        items: dict[Element, int] = {}
-        for i in idx:
-            if not 0 <= i < n:
-                raise GroupMismatch(f"{i!r} is not an element index of {group!r}")
-            items[coords_of(i)] = 1
+        idx = list(idx)
+        if idx and not (0 <= min(idx) and max(idx) < n):
+            bad = next(i for i in idx if not 0 <= i < n)
+            raise GroupMismatch(f"{bad!r} is not an element index of {group!r}")
+        items = dict.fromkeys(map(group.elements.__getitem__, idx), 1)
         out = cls.__new__(cls)
         out._fill(group, items, len(items))
         return out
@@ -463,6 +462,14 @@ class IndexTables:
     def orders(self) -> list[int]:
         """orders[i] = element_order of the element with index i."""
         return [element_order(self.group, x) for x in self.group.elements]
+
+    @cached_property
+    def order_masks(self) -> dict[int, int]:
+        """order_masks[r] has a bit per element index of order r."""
+        out: dict[int, int] = {}
+        for i, r in enumerate(self.orders):
+            out[r] = out.get(r, 0) | 1 << i
+        return out
 
     @cached_property
     def direction_classes(self) -> list[tuple[int, int]]:

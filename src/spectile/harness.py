@@ -10,6 +10,10 @@ functions of its zero mask (CharTable.zero_mask), so one memo per group and
 size (_memo), keyed by the mask, holds the verdict of spectra.spectrum_search
 and the outcome of tiling.tiling_complement, whose exact cover does not read
 the mask and runs on the first set of each key.
+
+Sampled sweeps and the case-5 probe draw their candidates with
+tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
+size k, made from generator outputs fetched a block at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,6 +59,7 @@ from .structure import LeafTables, PQShape, aligned_leaves, leaf_tables
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
+    SeededDraws,
     candidate_sets,
     find_tiling_complement,
     is_tiling_pair,
@@ -350,7 +354,7 @@ def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[tuple[int,
 
 
 def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
-    return [list(G.coords_of(i)) for i in cand]
+    return [list(G.elements[i]) for i in cand]
 
 
 def _mismatch_entry(
@@ -418,7 +422,7 @@ def _sweep_chunk(
         if ti:
             tally.tiles += 1
             if collect:
-                tally.tile_sets.append(tuple(G.coords_of(i) for i in cand))
+                tally.tile_sets.append(tuple(map(G.elements.__getitem__, cand)))
         if sp and ti:
             tally.both_yes += 1
         elif not sp and not ti:
@@ -607,11 +611,17 @@ def tile_to_spectrum(
     zmask = char_table(G).zero_mask([G.index_of(x) for x in T.mult])
     tables = index_tables(G)
     add = tables.add_rows
-    orders = tables.orders
 
     def surviving(r: int) -> list[int]:
-        """The elements of order r at which T's character sum does not vanish."""
-        return [i for i in range(G.order) if orders[i] == r and not zmask >> i & 1]
+        """The elements of order r at which T's character sum does not vanish,
+        in index order."""
+        rest = tables.order_masks.get(r, 0) & ~zmask
+        out = []
+        while rest:
+            lb = rest & -rest
+            out.append(lb.bit_length() - 1)
+            rest ^= lb
+        return out
 
     def cyclic(g: int) -> list[int]:
         """<g> for g != 0, in the order 0, g, 2g, ..."""
@@ -822,13 +832,13 @@ def case5_nonexistence_probe(
     for size in sizes:
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
-        rng = random.Random(f"{seed}:{size}")
+        draws = SeededDraws(f"{seed}:{size}")
         memo = _memo(G, size)
         for _ in range(count_per_size):
             elems = []
-            for ai in rng.sample(range(len(lt.p_embed)), leaves_needed):
+            for ai in draws.sample(range(len(lt.p_embed)), leaves_needed):
                 row = add[lt.p_embed[ai]]
-                for bi in rng.sample(range(len(lt.q_embed)), q):
+                for bi in draws.sample(range(len(lt.q_embed)), q):
                     elems.append(row[lt.q_embed[bi]])
             cand = tuple(sorted(elems))
             examined += 1

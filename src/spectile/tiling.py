@@ -12,14 +12,21 @@ with the fewest remaining options.
 tiling_complement, a subgroup first and exact cover second, is the one tiling
 policy of the sweeps, enumerate_tiles (both on the stream candidate_sets) and
 find_tiling_complement. is_tiling_pair, on coordinate sums, checks every witness.
+
+Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
+SeededDraws: the draws of random.Random(seed).sample, made from generator
+outputs fetched a block at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -241,19 +248,151 @@ def find_tiling_complement(
     return _checked(S, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _byte_accept(m: int) -> tuple[Optional[int], ...]:
+    """The draw below m (1 <= m < 256) that each top byte of an output makes:
+    its top m.bit_length() bits, or None when they are m or more."""
+    shift = 8 - m.bit_length()
+    return tuple(r if (r := b >> shift) < m else None for b in range(256))
+
+
+class _WordAccept:
+    """_byte_accept for any bound m < 2**32, read from whole 32-bit outputs."""
+
+    __slots__ = ("m", "shift")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.shift = 32 - m.bit_length()
+
+    def __getitem__(self, word: int) -> Optional[int]:
+        r = word >> self.shift
+        return r if r < self.m else None
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_plan(n: int, k: int) -> tuple[bool, tuple]:
+    """How random.Random.sample draws k of n: (pool branch, its per-draw
+    (accept table, last pool slot) pairs) or (set branch, the accept table
+    of n). Tables read top bytes for n below 256, whole outputs from 256 on."""
+    if n >> 32:
+        raise ValueError("SeededDraws samples populations of fewer than 2**32 elements")
+    accept = _byte_accept if n < 256 else _WordAccept
+    setsize = 21  # the rule of random.Random.sample
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        return True, tuple((accept(m), m - 1) for m in range(n, n - k, -1))
+    return False, accept(n)
+
+
+def _pool_draws(population: Sequence, steps: tuple, buf: Sequence[int], pos: int):
+    pool = list(population)
+    result = []
+    for accept, last in steps:
+        j = accept[buf[pos]]
+        pos += 1
+        while j is None:
+            j = accept[buf[pos]]
+            pos += 1
+        result.append(pool[j])
+        pool[j] = pool[last]  # move a non-selected item into the vacancy
+    return result, pos
+
+
+def _set_draws(population: Sequence, k: int, accept, buf: Sequence[int], pos: int):
+    selected: set[Optional[int]] = {None}  # a rejected draw is drawn again too
+    result = []
+    for _ in range(k):
+        j = accept[buf[pos]]
+        pos += 1
+        while j in selected:
+            j = accept[buf[pos]]
+            pos += 1
+        selected.add(j)
+        result.append(population[j])
+    return result, pos
+
+
+class SeededDraws:
+    """The draws of random.Random(seed).sample, made from buffered outputs.
+
+    sample(population, k) returns what random.Random(seed).sample(population,
+    k) returns, call for call: the same pool and set branches, chosen by the
+    same setsize rule, and each draw below a bound m made from the top
+    m.bit_length() bits of one 32-bit generator output and rejected when it
+    is m or more (Random._randbelow_with_getrandbits). The outputs are
+    fetched BLOCK at a time: getrandbits(32 * BLOCK) holds them in order,
+    least significant first, so its little-endian bytes hold output i at
+    [4i, 4i + 4). The generator is private to the stream, so drawing ahead
+    changes nothing.
+
+    A population below 256 draws from the top bytes of the outputs alone:
+    a draw is one index into a bytes buffer and one into the bound's
+    256-entry accept table, whose values are small cached ints. Larger
+    populations read whole outputs. A sample that runs off the end of the
+    buffer fetches another block and is drawn again from its first output.
+    The population must be a sequence whose items 0 .. len - 1 index.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self._words = array("I")
+        self._top = b""
+        self._pos = 0  # the next unused output
+
+    def _extend(self) -> None:
+        """Drop the used outputs and fetch BLOCK more."""
+        size = self.BLOCK
+        raw = self._rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        words = array("I", raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        self._words = self._words[self._pos :] + words
+        self._top = self._top[self._pos :] + raw[3::4]
+        self._pos = 0
+
+    def sample(self, population: Sequence, k: int) -> list:
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        pooled, steps = _sample_plan(n, k)
+        fetched = 0
+        while True:
+            buf = self._top if n < 256 else self._words
+            try:
+                if pooled:
+                    out, self._pos = _pool_draws(population, steps, buf, self._pos)
+                else:
+                    out, self._pos = _set_draws(population, k, steps, buf, self._pos)
+                return out
+            except IndexError:
+                # every output is accepted with probability at least 1/3
+                # (at least 1/2 below its bound, and the set branch holds
+                # fewer than a third of n), so a sample still short after
+                # 1024 (k + 1) more outputs hit an IndexError of its population
+                if fetched > 1024 * (k + 1):
+                    raise
+                self._extend()
+                fetched += self.BLOCK
+
+
 def candidate_sets(
     n: int, k: int, mode: str, seed: Optional[int], count: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
     """The 0-containing k-subsets of range(n) as sorted index tuples.
 
     Exhaustive mode yields each once, in lexicographic order; sample mode
-    yields `count` draws from random.Random(f"{seed}:{k}"), which may repeat.
+    yields `count` draws of random.Random(f"{seed}:{k}").sample, made by
+    SeededDraws, which may repeat.
     """
     population = range(1, n)
     if mode == "exhaustive":
         return ((0,) + rest for rest in itertools.combinations(population, k - 1))
-    rng = random.Random(f"{seed}:{k}")
-    return ((0,) + tuple(sorted(rng.sample(population, k - 1))) for _ in range(count))
+    draws = SeededDraws(f"{seed}:{k}")
+    return ((0,) + tuple(sorted(draws.sample(population, k - 1))) for _ in range(count))
 
 
 def enumerate_tiles(

@@ -1,4 +1,5 @@
 import collections
+import collections.abc
 import itertools
 import random
 
@@ -26,7 +27,12 @@ from spectile import (
 from spectile.cyclotomic import char_table
 from spectile.errors import DEFAULT_BUDGET
 from spectile.groups import Subgroup, coset_id_table, index_tables
-from spectile.tiling import subgroup_transversal, tiling_complement
+from spectile.tiling import (
+    SeededDraws,
+    candidate_sets,
+    subgroup_transversal,
+    tiling_complement,
+)
 
 
 def test_is_tiling_pair_examples(z6):
@@ -361,3 +367,69 @@ def test_subgroup_transversals_are_spectral(z36):
             A = Multiset.set_of(z36, [rng.choice(pts) for pts in reps.values()])
             assert is_tiling_pair(A, B.as_set())
             assert is_spectral_pair(A, P.as_set())
+
+
+# Both branches of random.Random.sample (the pool below its setsize rule, the
+# set above it, with populations on either side of setsize 21 and, for k = 6,
+# 85), for populations read from top bytes (below 256) and from whole outputs.
+SAMPLE_SHAPES = [
+    (n, k)
+    for n in (1, 9, 21, 22, 25, 35, 85, 86, 224, 255, 256, 1224)
+    for k in (0, 1, 5, 6, n)
+    if k <= n
+]
+SAMPLE_SEEDS = (0, 1, 2, "20260809:9", "7:12")
+
+
+@pytest.mark.parametrize("block", [SeededDraws.BLOCK, 3])
+def test_seeded_draws_are_those_of_random_sample(monkeypatch, block):
+    # a 3-output block runs out inside one sample call
+    monkeypatch.setattr(SeededDraws, "BLOCK", block)
+    for seed in SAMPLE_SEEDS:
+        draws, rng = SeededDraws(seed), random.Random(seed)
+        for n, k in SAMPLE_SHAPES:
+            for population in (range(n), range(1, n + 1), [f"x{i}" for i in range(n)]):
+                assert draws.sample(population, k) == rng.sample(population, k), (seed, n, k)
+
+
+def test_seeded_draws_follow_the_probes_alternating_populations(monkeypatch):
+    # case5_nonexistence_probe draws 6 of 9 leaves, then 5 of 25 points per leaf
+    monkeypatch.setattr(SeededDraws, "BLOCK", 7)
+    for seed in SAMPLE_SEEDS:
+        draws, rng = SeededDraws(seed), random.Random(seed)
+        for _ in range(40):
+            leaves = draws.sample(range(9), 6)
+            assert leaves == rng.sample(range(9), 6)
+            for _ in leaves:
+                assert draws.sample(range(25), 5) == rng.sample(range(25), 5)
+
+
+def test_seeded_draws_refuse_what_random_sample_refuses():
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            SeededDraws(0).sample(range(3), k)
+    with pytest.raises(ValueError, match="fewer than 2"):
+        SeededDraws(0).sample(range(2**32), 1)
+
+
+def test_seeded_draws_raise_the_index_error_of_a_broken_population():
+    class Broken(collections.abc.Sequence):
+        def __len__(self):
+            return 30
+
+        def __getitem__(self, i):
+            raise IndexError(i)
+
+    for k in (5, 30):  # the set branch, then the pool branch
+        with pytest.raises(IndexError):
+            SeededDraws(0).sample(Broken(), k)
+
+
+def test_sampled_candidate_sets_are_sorted_random_sample_draws():
+    for s in (0, 5, 20260809):
+        for k in (2, 6, 9, 12, 18):
+            rng = random.Random(f"{s}:{k}")
+            expected = [
+                (0,) + tuple(sorted(rng.sample(range(1, 36), k - 1))) for _ in range(200)
+            ]
+            assert list(candidate_sets(36, k, "sample", s, 200)) == expected
