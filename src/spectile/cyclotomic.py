@@ -10,12 +10,13 @@ anywhere; floats appear only in tests as a cross-check.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import GroupMismatch, InvalidArgument, NotTwoDistinctPrimes
-from .groups import Element, Group, Multiset, check_table_order, dot, index_tables, is_prime
+from .groups import Element, Group, Multiset, check_table_order, index_tables, is_prime
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,29 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     return poly
 
 
+@lru_cache(maxsize=None)
+def _phi_terms(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(M), the nonzero (power, coefficient) terms of Phi_M below its leading one)."""
+    coeffs = cyclotomic_poly(M).coeffs
+    return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
+
+
+def _reduce(M: int, coeffs: list[int]) -> list[int]:
+    """The remainder of sum_t coeffs[t] x^t modulo Phi_M, as phi(M) coefficients.
+
+    Phi_M is monic, so the division is exact over Z; coeffs is consumed.
+    """
+    d, terms = _phi_terms(M)
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[i]
+        if c:
+            base = i - d
+            for j, t in terms:
+                coeffs[base + j] -= c * t
+    del coeffs[d:]
+    return coeffs + [0] * (d - len(coeffs))
+
+
 @dataclass(frozen=True)
 class CyclotomicInt:
     """An element of Z[zeta_M], stored as the unique remainder mod Phi_M.
@@ -207,10 +231,7 @@ class CyclotomicInt:
 
     @classmethod
     def from_polynomial(cls, M: int, poly: IntPolynomial) -> "CyclotomicInt":
-        _, rem = poly.divmod_monic(cyclotomic_poly(M))
-        d = euler_phi(M)
-        padded = rem.coeffs + (0,) * (d - len(rem.coeffs))
-        return cls(M, padded)
+        return cls(M, tuple(_reduce(M, list(poly.coeffs))))
 
     @property
     def is_zero(self) -> bool:
@@ -238,50 +259,26 @@ class CyclotomicInt:
 
 
 # ---------------------------------------------------------------------------
-# packed character tables: the exact fast paths shared by zero sets and sweeps
+# the zero-mask kernel: every direction class of a set decided by one sum
 #
-# zeta_M^k mod Phi_M has phi(M) integer coefficients. For multisets, row(g)
-# stores each in a 64-bit limb of one big int, biased by 2^32 so limbs never
-# go negative; summing the packed values of a multiset then comparing against
-# mass * (packed all-zero) decides vanishing at g with one big-int
-# comparison. For sets, zero_mask packs every direction class side by side
-# in limbs sized for the group and decides all of them with one sum.
-
-_LIMB = 64
-_BIAS = 1 << 32
+# zeta_M^k mod Phi_M has phi(M) integer coefficients. zero_mask packs them
+# for every direction class side by side in limbs sized for the group and
+# decides all classes of a set with one big-int sum. Nothing else reads
+# these tables: the verifiers and multiset zero sets go through
+# char_sum_coeffs, which shares only the reduction modulo Phi_M.
 
 
 class CharTable:
-    """Per-group exact character machinery (internal, cached per group)."""
+    """Per-group zero-mask kernel (internal, cached per group)."""
 
     def __init__(self, G: Group):
         check_table_order(G)
         self.group = G
         self.M = G.exponent
         self.phi = euler_phi(self.M)
-        phi_M = cyclotomic_poly(self.M)
-        x = IntPolynomial((0, 1))
-        pows: list[tuple[int, ...]] = []
-        cur = IntPolynomial.one()
-        for _ in range(self.M):
-            pows.append(cur.coeffs + (0,) * (self.phi - len(cur.coeffs)))
-            _, cur = (cur * x).divmod_monic(phi_M)
-        self.reduced_powers = pows
-        self.max_abs = max((abs(c) for row in pows for c in row), default=0)
-        self.packed = [self._pack(row) for row in pows]
-        self.bias_unit = self._pack((0,) * self.phi)
-        self._rows: list[Optional[list[int]]] = [None] * G.order
+        self.reduced_powers = [tuple(_reduce(self.M, [0] * t + [1])) for t in range(self.M)]
+        self.max_abs = max((abs(c) for row in self.reduced_powers for c in row), default=0)
         self._weights = tuple(self.M // n for n in G.moduli)
-
-    def _pack(self, coeffs: tuple[int, ...]) -> int:
-        out = 0
-        for i, c in enumerate(coeffs):
-            out |= (c + _BIAS) << (_LIMB * i)
-        return out
-
-    def mass_ok(self, mass: int) -> bool:
-        """Packed sums stay exact while mass * max|coeff| < bias."""
-        return mass * max(self.max_abs, 1) < _BIAS and mass < _BIAS
 
     def _exponents(self, g_index: int) -> list[int]:
         """<s, g> for every s, indexed by element index."""
@@ -293,14 +290,6 @@ class CharTable:
             for wi, gi, n in zip(self._weights, G.coords_of(g_index), G.moduli)
         )
         return [t % M for t in map(sum, itertools.product(*terms))]
-
-    def row(self, g_index: int) -> list[int]:
-        """packed[<s, g>] for every s, indexed by element index."""
-        cached = self._rows[g_index]
-        if cached is None:
-            cached = list(map(self.packed.__getitem__, self._exponents(g_index)))
-            self._rows[g_index] = cached
-        return cached
 
     @cached_property
     def _kernel(self) -> tuple:
@@ -360,7 +349,7 @@ class CharTable:
         the sum vanishes at all of them or at none: one evaluation per
         direction class decides the whole class.
 
-        All classes are evaluated at once on packed limbs (see _kernel and
+        All classes are evaluated at once, side by side in limbs (see _kernel and
         limb_layout), exactly for any set of element indices. One sum of
         the set's cols gives, in each limb, m * bias plus one coefficient
         of one class's character sum, with no carry between limbs since
@@ -383,16 +372,6 @@ class CharTable:
             zero ^= 1 << top
         return mask
 
-    def vanishes_index(self, items: list[tuple[int, int]], g_index: int) -> bool:
-        """Exact vanishing of sum mult * zeta^{<x,g>} over (index, mult) pairs."""
-        row = self.row(g_index)
-        acc = 0
-        mass = 0
-        for idx, m in items:
-            acc += m * row[idx]
-            mass += m
-        return acc == mass * self.bias_unit
-
 
 @lru_cache(maxsize=None)
 def char_table(G: Group) -> CharTable:
@@ -403,27 +382,50 @@ def char_table(G: Group) -> CharTable:
 # public operations
 
 
+def char_sum_coeffs(G: Group, A: Multiset, gs: Iterable[Element]) -> Iterator[list[int]]:
+    """For each g of gs, the phi(M) coefficients of sum_x A(x) zeta_M^{<x, g>}
+    reduced mod Phi_M, exactly; the sum vanishes when all are 0.
+
+    The one exact character sum besides the zero-mask kernel, and it reads
+    no CharTable: the pairing <x, g> = sum_i (M / n_i) x_i g_i mod M is
+    taken one coordinate column of A's support at a time, the exponents are
+    counted (list.count for sets, multiplicities added for multisets), and
+    the count polynomial is reduced mod Phi_M. Inputs are not validated.
+    """
+    M = G.exponent
+    weights = [M // n for n in G.moduli]
+    cols = list(zip(*A.mult))
+    mults = None if A.is_set else list(A.mult.values())
+    for g in gs:
+        terms = [
+            map(operator.mul, col, itertools.repeat(w * gi))
+            for col, w, gi in zip(cols, weights, g)
+            if gi
+        ]
+        if terms:
+            exps = list(map(operator.mod, map(sum, zip(*terms)), itertools.repeat(M)))
+        else:
+            exps = [0] * len(A.mult)
+        if mults is None:
+            counts = list(map(exps.count, range(M)))
+        else:
+            counts = [0] * M
+            for e, m in zip(exps, mults):
+                counts[e] += m
+        yield _reduce(M, counts)
+
+
 def char_sum(G: Group, A: Multiset, g: Element) -> CyclotomicInt:
     """sum_x A(x) zeta_M^{<x, g>}, reduced mod Phi_M, exactly."""
     if A.group != G:
         raise GroupMismatch("multiset lives on a different group")
     G.check(g)
-    M = G.exponent
-    counts = [0] * M
-    for x, m in A.items():
-        counts[dot(G, x, g)] += m
-    return CyclotomicInt.from_polynomial(M, IntPolynomial(tuple(counts)))
+    (coeffs,) = char_sum_coeffs(G, A, (g,))
+    return CyclotomicInt(G.exponent, tuple(coeffs))
 
 
 def char_sum_vanishes(G: Group, A: Multiset, g: Element) -> bool:
     """True iff the character sum of A at g is exactly zero."""
-    if A.group != G:
-        raise GroupMismatch("multiset lives on a different group")
-    G.check(g)
-    table = char_table(G)
-    if table.mass_ok(A.mass):
-        items = [(G.index_of(x), m) for x, m in A.items()]
-        return table.vanishes_index(items, G.index_of(g))
     return char_sum(G, A, g).is_zero
 
 
@@ -445,24 +447,21 @@ class ZeroSet:
 
 
 def zero_set(G: Group, A: Multiset) -> ZeroSet:
-    """All nonzero g with char_sum(A, g) = 0."""
+    """All nonzero g with char_sum(A, g) = 0.
+
+    A set is decided by the zero-mask kernel, a multiset by one
+    char_sum_coeffs evaluation per direction class (the sums at the
+    generators of <g> are Galois conjugates, so they vanish together).
+    """
     if A.group != G:
         raise GroupMismatch("multiset lives on a different group")
-    if not A.mult:
-        return ZeroSet(G, frozenset())
-    table = char_table(G)
-    out = []
     if A.is_set:
-        mask = table.zero_mask(tuple(G.index_of(x) for x in A.mult))
-        out = [G.coords_of(gi) for gi in range(1, G.order) if mask >> gi & 1]
-    elif not table.mass_ok(A.mass):  # pragma: no cover - only for masses beyond the packed range
-        for g in G.elements:
-            if g != G.identity and char_sum(G, A, g).is_zero:
-                out.append(g)
+        mask = char_table(G).zero_mask(tuple(map(G.index_of, A.mult)))
     else:
-        items = [(G.index_of(x), m) for x, m in A.items()]
-        out = [G.coords_of(gi) for gi in range(1, G.order) if table.vanishes_index(items, gi)]
-    return ZeroSet(G, frozenset(out))
+        classes = index_tables(G).direction_classes
+        sums = char_sum_coeffs(G, A, [G.elements[r] for r, _ in classes])
+        mask = sum(gens for (_, gens), coeffs in zip(classes, sums) if not any(coeffs))
+    return ZeroSet(G, frozenset(G.coords_of(g) for g in range(1, G.order) if mask >> g & 1))
 
 
 @dataclass(frozen=True)

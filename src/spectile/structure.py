@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .cyclotomic import char_sum_vanishes
+from .cyclotomic import zero_set
 from .errors import (
     InvalidArgument,
     InvalidDirection,
@@ -316,16 +316,8 @@ def prop1_validate(T: Multiset) -> tuple[bool, bool]:
         return tuple(out)
 
     qq = Group((q, q))
-    hypothesis = True
-    for x in range(1, p):
-        for y in qq.elements:
-            if y == (0, 0):
-                continue
-            if not char_sum_vanishes(G, T, build(x, y)):
-                hypothesis = False
-                break
-        if not hypothesis:
-            break
+    zs = zero_set(G, T)
+    hypothesis = all(build(x, y) in zs for x in range(1, p) for y in qq.elements[1:])
 
     conclusion = True
     base = {z: T(build(0, z)) for z in qq.elements}

@@ -4,7 +4,16 @@ import sys
 
 import pytest
 
-from spectile import InvalidElement, Multiset, ParseError, make_group
+from spectile import (
+    InvalidElement,
+    Multiset,
+    ParseError,
+    find_complement,
+    find_spectrum,
+    find_tiling_complement,
+    is_spectral_pair,
+    make_group,
+)
 from spectile.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -85,6 +94,24 @@ def test_analyze_singleton(tmp_path, capsys):
     assert out["spectral"] is True and out["tile"] is True
     assert out["spectrum"] == [[0, 0]]
     assert len(out["complement"]) == 6
+
+
+def test_spectral_set_that_does_not_tile_is_flagged(tmp_path, capsys):
+    # positive control: {0, e_1, ..., e_5} in Z_3^5 is spectral, and it
+    # cannot tile because 6 does not divide 243
+    G = make_group([3] * 5)
+    elems = [[0] * 5] + [[int(i == j) for i in range(5)] for j in range(5)]
+    S = Multiset.set_of(G, map(tuple, elems))
+    wit = find_spectrum(S)
+    assert wit and is_spectral_pair(S, wit.lam)
+    assert find_complement(S) is None and find_tiling_complement(S) is None
+    f = tmp_path / "set.json"
+    f.write_text(_doc([3] * 5, elems))
+    rc = main(["analyze", "--set", str(f)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_MISMATCH
+    assert out["spectral"] is True and out["tile"] is False
+    assert out["spectrum"] == [list(x) for x in wit.lam.support]
 
 
 def test_spectrum_and_complement_commands(tmp_path, capsys):

@@ -112,6 +112,7 @@ def test_char_sum_examples(z6):
 def test_zero_set_examples(z6):
     single = Multiset.set_of(z6, [(1, 2)])
     assert len(zero_set(z6, single)) == 0
+    assert len(zero_set(z6, Multiset(z6, {}))) == 5  # every sum of nothing is 0
     full = Multiset.set_of(z6, z6.elements)
     assert len(zero_set(z6, full)) == 5
     A = Multiset.set_of(z6, [(0, 0), (1, 0)])
@@ -142,7 +143,7 @@ def test_exact_matches_float(moduli):
 
 @pytest.mark.parametrize("moduli", [[2, 3], [4], [6, 6], [2, 2, 3, 3]])
 def test_zero_set_matches_float(moduli):
-    # sets take the zero-mask path, multisets the per-g vanishing test
+    # sets take the zero-mask path, multisets one char_sum per direction class
     G = make_group(moduli)
     rng = random.Random(29)
     for _ in range(30):
@@ -218,20 +219,6 @@ def test_zero_mask_matches_exact_char_sums_up_to_mass_G(moduli, data):
     assert not mask & 1
     for g in range(1, G.order):
         assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero
-
-
-def test_packed_table_agrees_with_direct(z36):
-    # the packed fast path and the polynomial-remainder path must agree
-    table = char_table(z36)
-    rng = random.Random(3)
-    for _ in range(200):
-        pts = rng.sample(range(36), rng.randint(1, 10))
-        items = [(i, 1) for i in pts]
-        A = Multiset.set_of(z36, [z36.coords_of(i) for i in pts])
-        g = rng.randrange(1, 36)
-        assert table.vanishes_index(items, g) == char_sum(
-            z36, A, z36.coords_of(g)
-        ).is_zero
 
 
 def test_galois_and_negation_closure(z36):
