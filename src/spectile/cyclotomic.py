@@ -84,18 +84,11 @@ class IntPolynomial:
         if divisor.is_zero or divisor.coeffs[-1] != 1:
             raise InvalidArgument("divisor must be monic")
         d = divisor.degree
-        rem = list(self.coeffs)
-        if len(rem) <= d:
+        if len(self.coeffs) <= d:
             return IntPolynomial.zero(), self
-        quot = [0] * (len(rem) - d)
-        dc = divisor.coeffs
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - d] = c
-                for j in range(d + 1):
-                    rem[i - d + j] -= c * dc[j]
-        return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem[:d]))
+        rem = list(self.coeffs)
+        _divide_monic(rem, d, tuple((j, c) for j, c in enumerate(divisor.coeffs[:-1]) if c))
+        return IntPolynomial(tuple(rem[d:])), IntPolynomial(tuple(rem[:d]))
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         q, r = self.divmod_monic(divisor)
@@ -186,18 +179,28 @@ def _phi_terms(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
 
 
-def _reduce(M: int, coeffs: list[int]) -> list[int]:
-    """The remainder of sum_t coeffs[t] x^t modulo Phi_M, as phi(M) coefficients.
+def _divide_monic(coeffs: list[int], d: int, terms: tuple[tuple[int, int], ...]) -> None:
+    """Divide sum_t coeffs[t] x^t by x^d + sum_{(j, c) in terms} c x^j, in place.
 
-    Phi_M is monic, so the division is exact over Z; coeffs is consumed.
+    terms holds the nonzero lower terms (j < d) of the monic divisor, so the
+    division is exact over Z. Afterwards coeffs[:d] is the remainder and
+    coeffs[d:] the quotient: the step at power i only touches powers below i.
     """
-    d, terms = _phi_terms(M)
     for i in range(len(coeffs) - 1, d - 1, -1):
         c = coeffs[i]
         if c:
             base = i - d
             for j, t in terms:
                 coeffs[base + j] -= c * t
+
+
+def _reduce(M: int, coeffs: list[int]) -> list[int]:
+    """The remainder of sum_t coeffs[t] x^t modulo Phi_M, as phi(M) coefficients.
+
+    coeffs is consumed.
+    """
+    d, terms = _phi_terms(M)
+    _divide_monic(coeffs, d, terms)
     del coeffs[d:]
     return coeffs + [0] * (d - len(coeffs))
 
