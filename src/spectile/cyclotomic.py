@@ -222,10 +222,6 @@ class CyclotomicInt:
             raise InvalidArgument(f"need exactly {d} coefficients for modulus {self.modulus}")
 
     @classmethod
-    def zero(cls, M: int) -> "CyclotomicInt":
-        return cls(M, (0,) * euler_phi(M))
-
-    @classmethod
     def from_int(cls, M: int, c: int) -> "CyclotomicInt":
         d = euler_phi(M)
         if d == 0:
@@ -239,19 +235,6 @@ class CyclotomicInt:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        if self.modulus != other.modulus:
-            raise InvalidArgument("mixed cyclotomic moduli")
-        return CyclotomicInt(self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        if self.modulus != other.modulus:
-            raise InvalidArgument("mixed cyclotomic moduli")
-        return CyclotomicInt(self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, k: int) -> "CyclotomicInt":
-        return CyclotomicInt(self.modulus, tuple(k * c for c in self.coeffs))
 
     def evaluate(self) -> complex:
         """Numeric value at zeta_M = exp(2 pi i / M); for diagnostics only."""

@@ -133,10 +133,14 @@ class Group:
 def make_group(moduli: Iterable[int]) -> Group:
     """Build a group from cyclic factor orders, each at least 2.
 
-    Raises InvalidModulus for factors below 2 and Overflow when the order
+    Raises InvalidModulus for factors that are not integers (operator.index
+    refuses floats and strings) or are below 2, and Overflow when the order
     would not fit in 64 bits.
     """
-    mods = tuple(int(n) for n in moduli)
+    try:
+        mods = tuple(map(operator.index, moduli))
+    except TypeError as exc:
+        raise InvalidModulus(f"moduli must be integers: {exc}") from exc
     if not mods:
         raise InvalidModulus("at least one modulus is required")
     for n in mods:
@@ -457,19 +461,6 @@ class IndexTables:
         self.add_rows = rows(1)
         self.sub_rows = rows(-1)
         self._perp_masks: dict[int, list[tuple[Subgroup, int]]] = {}
-
-    @cached_property
-    def orders(self) -> list[int]:
-        """orders[i] = element_order of the element with index i."""
-        return [element_order(self.group, x) for x in self.group.elements]
-
-    @cached_property
-    def order_masks(self) -> dict[int, int]:
-        """order_masks[r] has a bit per element index of order r."""
-        out: dict[int, int] = {}
-        for i, r in enumerate(self.orders):
-            out[r] = out.get(r, 0) | 1 << i
-        return out
 
     @cached_property
     def direction_classes(self) -> list[tuple[int, int]]:

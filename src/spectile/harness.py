@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -63,6 +64,7 @@ from .tiling import (
     candidate_sets,
     find_tiling_complement,
     is_tiling_pair,
+    subgroup_transversal,
     tiling_complement,
 )
 
@@ -476,29 +478,31 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
 
 # Multiprocess sweep: candidates are enumerated in the parent, chunked, and
 # decided in workers; tallies merge associatively so the report does not
-# depend on scheduling.
+# depend on scheduling or on the pool size, which is at most the CPU count.
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(moduli: tuple[int, ...], budget: int) -> None:  # pragma: no cover
+def _worker_init(moduli: tuple[int, ...], budget: int) -> None:
     _WORKER_STATE["group"] = Group(moduli)
     _WORKER_STATE["budget"] = budget
 
 
-def _worker_chunk(args: tuple[int, list[tuple[int, ...]], bool]) -> SizeTally:  # pragma: no cover
+def _worker_chunk(args: tuple[int, list[tuple[int, ...]], bool]) -> SizeTally:
     k, chunk, collect = args
     return _sweep_chunk(_WORKER_STATE["group"], k, chunk, _WORKER_STATE["budget"], collect)
 
 
-def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:  # pragma: no cover - exercised via the CLI
+def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:
     import multiprocessing as mp
 
     chunk_size = 4096
     per_size: dict[int, SizeTally] = {}
     mp_ctx = mp.get_context("fork")
     with mp_ctx.Pool(
-        plan.workers, initializer=_worker_init, initargs=(plan.group.moduli, plan.budget)
+        min(plan.workers, os.cpu_count() or 1),
+        initializer=_worker_init,
+        initargs=(plan.group.moduli, plan.budget),
     ) as pool:
         for k in plan.sizes:
             tally = SizeTally(size=k)
@@ -579,93 +583,6 @@ class ConstructedSpectrum:
     tag: SpectrumConstruction
 
 
-def _verified_spectrum(S: Multiset, lam: Multiset) -> Optional[SpectrumWitness]:
-    """Build a witness only if the candidate spectrum actually verifies."""
-    if not is_spectral_pair(S, lam):
-        return None
-    pairs = S.mass * (S.mass - 1) // 2
-    return SpectrumWitness(lam=lam, checked_pairs=pairs)
-
-
-def tile_to_spectrum(
-    shape: PQShape, S: Multiset, T: Multiset, budget: int = DEFAULT_BUDGET
-) -> ConstructedSpectrum:
-    """Produce a verified spectrum for a tile, constructively where possible.
-
-    Size p or q: the cyclic group of a prime-order character not vanishing
-    on the complement. Size p^2 or q^2: the matching torsion subgroup.
-    Size pq: the order-pq cyclic group generated by a mixed character whose
-    prime-order parts survive on the complement. Sizes p^2 q and p q^2: a
-    rank-3 subgroup when the mixed-order vanishing holds; otherwise a
-    budgeted generic search. Which characters vanish on the complement is
-    read from its zero mask; the candidate spectra are built on element
-    indices (IndexTables.add_rows), and each is checked by is_spectral_pair.
-    """
-    G = shape.group
-    if S.group != G or T.group != G:
-        raise NotATilingPair("sets live on a different group")
-    if not is_tiling_pair(S, T):
-        raise NotATilingPair("inputs do not tile the group")
-    p, q = shape.p, shape.q
-    k = S.mass
-    zmask = char_table(G).zero_mask([G.index_of(x) for x in T.mult])
-    tables = index_tables(G)
-    add = tables.add_rows
-
-    def surviving(r: int) -> list[int]:
-        """The elements of order r at which T's character sum does not vanish,
-        in index order."""
-        rest = tables.order_masks.get(r, 0) & ~zmask
-        out = []
-        while rest:
-            lb = rest & -rest
-            out.append(lb.bit_length() - 1)
-            rest ^= lb
-        return out
-
-    def cyclic(g: int) -> list[int]:
-        """<g> for g != 0, in the order 0, g, 2g, ..."""
-        out = [0, g]
-        while (m := add[out[-1]][g]) != 0:
-            out.append(m)
-        return out
-
-    if k in (p, q):
-        for g in surviving(k):
-            witness = _verified_spectrum(S, Multiset.of_indices(G, cyclic(g)))
-            if witness is not None:
-                return ConstructedSpectrum(witness, SpectrumConstruction.PRIME_CYCLE)
-    elif k in (p * p, q * q):
-        torsion = shape.p_torsion if k == p * p else shape.q_torsion
-        witness = _verified_spectrum(S, torsion.as_set())
-        if witness is not None:
-            return ConstructedSpectrum(witness, SpectrumConstruction.SYLOW_DUAL)
-    elif k == p * q:
-        vs = surviving(q)
-        for u in surviving(p):
-            for v in vs:
-                witness = _verified_spectrum(S, Multiset.of_indices(G, cyclic(add[u][v])))
-                if witness is not None:
-                    return ConstructedSpectrum(witness, SpectrumConstruction.COPRIME_CYCLE)
-    elif k in (p * p * q, p * q * q):
-        # k = r^2 s; the complement has size s, the torsion factor is r^2
-        r, s = (p, q) if k == p * p * q else (q, p)
-        torsion = shape.p_torsion if r == p else shape.q_torsion
-        torsion_idx = list(map(G.index_of, torsion.elements))
-        for g in surviving(s):
-            lam = Multiset.of_indices(G, [add[x][t] for x in cyclic(g) for t in torsion_idx])
-            witness = _verified_spectrum(S, lam)
-            if witness is not None:
-                return ConstructedSpectrum(witness, SpectrumConstruction.MIXED_SUBGROUP)
-
-    out = find_spectrum(S, budget)
-    if out is UNDECIDED:
-        raise BudgetExhausted(f"fallback spectrum search exceeded {budget} nodes")
-    if out is None:
-        raise TheoremViolation(f"tile {sorted(S.mult)!r} has no spectrum")
-    return ConstructedSpectrum(out, SpectrumConstruction.SEARCH_FALLBACK)
-
-
 class ComplementConstruction(str, enum.Enum):
     WHOLE_GROUP = "whole-group"
     PRIME_SUBGROUP = "prime-subgroup"
@@ -681,21 +598,65 @@ class ConstructedComplement:
     tag: ComplementConstruction
 
 
-def _subgroup_case(shape: PQShape, k: int) -> ComplementConstruction:
-    """The divisibility case of a size-k set with a subgroup complement."""
+def _subgroup_case(
+    shape: PQShape, k: int
+) -> tuple[SpectrumConstruction, ComplementConstruction]:
+    """The (spectrum, complement) tags of the divisibility case of a size-k
+    set with a subgroup complement, as the paper finds them. Sizes 1 and |G|
+    tile by the whole group and by {0}; their spectra, {0} and G, are left
+    to the search."""
     p, q = shape.p, shape.q
-    C = ComplementConstruction
+    SC, CC = SpectrumConstruction, ComplementConstruction
     return {
-        1: C.WHOLE_GROUP,
-        p: C.SUBGROUP_FIRST,
-        q: C.SUBGROUP_FIRST,
-        p * p: C.SYLOW_SUBGROUP,
-        q * q: C.SYLOW_SUBGROUP,
-        p * q: C.COPRIME_SUBGROUP,
-        p * p * q: C.PRIME_SUBGROUP,
-        p * q * q: C.PRIME_SUBGROUP,
-        shape.group.order: C.WHOLE_GROUP,
+        1: (SC.SEARCH_FALLBACK, CC.WHOLE_GROUP),
+        p: (SC.PRIME_CYCLE, CC.SUBGROUP_FIRST),
+        q: (SC.PRIME_CYCLE, CC.SUBGROUP_FIRST),
+        p * p: (SC.SYLOW_DUAL, CC.SYLOW_SUBGROUP),
+        q * q: (SC.SYLOW_DUAL, CC.SYLOW_SUBGROUP),
+        p * q: (SC.COPRIME_CYCLE, CC.COPRIME_SUBGROUP),
+        p * p * q: (SC.MIXED_SUBGROUP, CC.PRIME_SUBGROUP),
+        p * q * q: (SC.MIXED_SUBGROUP, CC.PRIME_SUBGROUP),
+        shape.group.order: (SC.SEARCH_FALLBACK, CC.WHOLE_GROUP),
     }[k]
+
+
+def tile_to_spectrum(
+    shape: PQShape, S: Multiset, T: Multiset, budget: int = DEFAULT_BUDGET
+) -> ConstructedSpectrum:
+    """Produce a verified spectrum for the tile S (T is a checked complement).
+
+    S is a transversal of a subgroup H exactly when its character sum
+    vanishes on H^perp minus 0, and then H^perp, of order |S|, is a
+    spectrum of S: the one Fourier test gives both the complement H
+    (spectral_to_complement) and the spectrum H^perp. The spectrum is H^perp
+    for the first subgroup H of order |G|/|S| that S is a transversal of
+    (tiling.subgroup_transversal, on the zero mask of S), tagged by the
+    divisibility case of |S| (_subgroup_case), and checked by
+    is_spectral_pair. Sizes 1 and |G|, and a tile with no subgroup
+    complement, take a budgeted generic search.
+    """
+    G = shape.group
+    if S.group != G or T.group != G:
+        raise NotATilingPair("sets live on a different group")
+    if not is_tiling_pair(S, T):
+        raise NotATilingPair("inputs do not tile the group")
+    tag = _subgroup_case(shape, S.mass)[0]
+    if tag is not SpectrumConstruction.SEARCH_FALLBACK:
+        zmask = char_table(G).zero_mask(list(map(G.index_of, S.mult)))
+        found = subgroup_transversal(index_tables(G), zmask, S.mass)
+        if found is not None:
+            perp = found[1]
+            lam = Multiset.of_indices(G, [0] + [i for i in range(G.order) if perp >> i & 1])
+            if not is_spectral_pair(S, lam):  # pragma: no cover - H^perp is a spectrum
+                raise InvalidArgument("internal error: annihilator spectrum failed verification")
+            return ConstructedSpectrum(SpectrumWitness(lam, S.mass * (S.mass - 1) // 2), tag)
+
+    out = find_spectrum(S, budget)
+    if out is UNDECIDED:
+        raise BudgetExhausted(f"fallback spectrum search exceeded {budget} nodes")
+    if out is None:
+        raise TheoremViolation(f"tile {sorted(S.mult)!r} has no spectrum")
+    return ConstructedSpectrum(out, SpectrumConstruction.SEARCH_FALLBACK)
 
 
 def spectral_to_complement(
@@ -703,14 +664,11 @@ def spectral_to_complement(
 ) -> ConstructedComplement:
     """Produce a verified tiling complement for a spectral set.
 
-    The complement is find_tiling_complement's: the first subgroup of order
-    |G|/|S| (in canonical order) that S is a transversal of, else an exact
-    cover. A subgroup complement is tagged with the divisibility case in
-    which the paper finds it (_subgroup_case): size 1 and |G| tile by the
-    whole group and by {0}; size r^2 s by an order-s subgroup; size r^2 by
-    the complementary torsion subgroup, the only subgroup of order
-    |G|/r^2; size pq by an order-pq subgroup; size r by the first subgroup
-    found. An exact-cover complement is tagged SEARCH_FALLBACK. A spectral set with no complement at all is
+    The complement is find_tiling_complement's: the first subgroup H of
+    order |G|/|S| that S is a transversal of, the subgroup whose annihilator
+    tile_to_spectrum returns, else an exact cover. A subgroup complement is
+    tagged by the divisibility case of |S| (_subgroup_case), an exact-cover
+    complement SEARCH_FALLBACK. A spectral set with no complement at all is
     a certified theorem violation and raises.
     """
     G = shape.group
@@ -726,7 +684,7 @@ def spectral_to_complement(
             f"spectral set {sorted(S.mult)!r} has no tiling complement"
         )
     if witness.method is ComplementMethod.SUBGROUP:
-        return ConstructedComplement(witness, _subgroup_case(shape, S.mass))
+        return ConstructedComplement(witness, _subgroup_case(shape, S.mass)[1])
     return ConstructedComplement(witness, ComplementConstruction.SEARCH_FALLBACK)
 
 

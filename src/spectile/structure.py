@@ -29,7 +29,6 @@ from .groups import (
     Element,
     Group,
     Multiset,
-    Subgroup,
     coset_id_table,
     direction_rep,
     index_tables,
@@ -72,17 +71,6 @@ class PQShape:
         for i, c in zip(self.q_positions, b):
             out[i] = c
         return tuple(out)
-
-    @cached_property
-    def p_torsion(self) -> Subgroup:
-        """The subgroup of elements with zero q-part (order p^2)."""
-        elems = [self.join(a, (0, 0)) for a in self.p_group.elements]
-        return Subgroup(self.group, tuple(elems))
-
-    @cached_property
-    def q_torsion(self) -> Subgroup:
-        elems = [self.join((0, 0), b) for b in self.q_group.elements]
-        return Subgroup(self.group, tuple(elems))
 
 
 def pq_shape(G: Group) -> PQShape:

@@ -155,15 +155,18 @@ def cover_complement(
     return _cover_search(tables.n, option_masks, cell_options, option_masks[0], budget)
 
 
-def subgroup_transversal(tables: IndexTables, zmask: int, k: int) -> Optional[Subgroup]:
-    """The first subgroup of order |G| / k (in canonical order) that a k-set
-    with zero mask zmask is a transversal of, or None.
+def subgroup_transversal(
+    tables: IndexTables, zmask: int, k: int
+) -> Optional[tuple[Subgroup, int]]:
+    """The (H, H^perp mask) entry of IndexTables.perp_masks for the first
+    subgroup H of order |G| / k (in canonical order) that a k-set with zero
+    mask zmask is a transversal of, or None.
 
     Requires k to divide |G|.
     """
-    for H, perp in tables.perp_masks(tables.n // k):
-        if not perp & ~zmask:
-            return H
+    for entry in tables.perp_masks(tables.n // k):
+        if not entry[1] & ~zmask:
+            return entry
     return None
 
 
@@ -179,8 +182,8 @@ def tiling_complement(
     """
     if tables.n % len(cand):
         return None
-    H = subgroup_transversal(tables, zmask, len(cand))
-    return H if H is not None else cover_complement(tables, cand, budget)[0]
+    found = subgroup_transversal(tables, zmask, len(cand))
+    return found[0] if found is not None else cover_complement(tables, cand, budget)[0]
 
 
 def _set_indices(S: Multiset) -> list[int]:
@@ -231,7 +234,8 @@ def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
     if S.mass == 0 or G.order % S.mass:
         raise NotADivisor(f"|S| = {S.mass} does not divide |G| = {G.order}")
     zmask = char_table(G).zero_mask([G.index_of(x) for x in S.mult])
-    return subgroup_transversal(index_tables(G), zmask, S.mass)
+    found = subgroup_transversal(index_tables(G), zmask, S.mass)
+    return None if found is None else found[0]
 
 
 def find_tiling_complement(

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -62,6 +63,16 @@ def test_parse_rejects_bool(capsys):
         parse_set_document(_doc([2, 3], [[0, False]]))
     with pytest.raises(ParseError):
         parse_set_document(_doc([2, 3], [[0, 0]], [True]))
+
+
+@pytest.mark.parametrize("group", [[2.7, 3], ["2", "3"]], ids=["float", "string"])
+def test_non_integral_moduli_are_a_bad_group(monkeypatch, capsys, group):
+    # int() would truncate 2.7 to 2 and answer for Z_2 x Z_3
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_doc(group, [[0, 0], [1, 0]])))
+    assert main(["spectrum"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad group" in json.loads(captured.err)["error"]
 
 
 def test_analyze_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ from spectile import (
     SpectrumConstruction,
     SubgroupTilingReport,
     VerificationPlan,
+    annihilator,
     automorphism_index_perms,
     case5_nonexistence_probe,
     find_complement,
@@ -92,6 +93,42 @@ def test_parallel_sweep_matches_serial(z12):
     ds.pop("elapsed_seconds")
     dp.pop("elapsed_seconds")
     assert ds == dp
+
+
+def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
+    # a recording in-process pool stands in for the fork context, so no
+    # process starts: 10^5 workers on two CPUs ask for a pool of 2
+    import multiprocessing
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        imap = staticmethod(map)
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_WORKER_STATE", {})
+    G = make_group([2, 6])
+    sizes = tuple(range(1, 13))
+    serial = verify_fuglede(VerificationPlan(group=G, sizes=sizes)).to_dict()
+    pooled = verify_fuglede(VerificationPlan(group=G, sizes=sizes, workers=10**5)).to_dict()
+    assert asked == [2]
+    serial.pop("elapsed_seconds")
+    pooled.pop("elapsed_seconds")
+    assert pooled == serial
 
 
 def test_verify_fuglede_sample_deterministic(z36):
@@ -453,10 +490,7 @@ def test_tile_to_spectrum_mixed(z36, shape36):
     H = tiles_by_subgroup(S)
     assert H is not None
     out = tile_to_spectrum(shape36, S, H.as_set())
-    assert out.tag in (
-        SpectrumConstruction.MIXED_SUBGROUP,
-        SpectrumConstruction.SEARCH_FALLBACK,
-    )
+    assert out.tag == SpectrumConstruction.MIXED_SUBGROUP
     assert is_spectral_pair(S, out.witness.lam)
 
 
@@ -470,6 +504,45 @@ def test_tile_to_spectrum_rejects_non_tiles(z36, shape36):
     assert not is_tiling_pair(S, bad_T)
     with pytest.raises(NotATilingPair):
         tile_to_spectrum(shape36, S, bad_T)
+
+
+def _spectrum_tags(p, q):
+    """The spectrum tag of every size of a tile of Z_p^2 x Z_q^2."""
+    SC = SpectrumConstruction
+    return {
+        1: SC.SEARCH_FALLBACK,
+        p: SC.PRIME_CYCLE,
+        q: SC.PRIME_CYCLE,
+        p * p: SC.SYLOW_DUAL,
+        q * q: SC.SYLOW_DUAL,
+        p * q: SC.COPRIME_CYCLE,
+        p * p * q: SC.MIXED_SUBGROUP,
+        p * q * q: SC.MIXED_SUBGROUP,
+        p * p * q * q: SC.SEARCH_FALLBACK,
+    }
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 3, 3), (2, 2, 5, 5), (3, 3, 5, 5)], ids=str)
+def test_constructed_spectrum_is_the_annihilator_of_the_constructed_complement(moduli):
+    # S is a transversal of H exactly when H^perp is a spectrum of S, so the
+    # constructed spectrum of one seeded transversal of each subgroup is a
+    # subgroup, and the complement constructed from it is its annihilator
+    # under the coordinate pairing, which shares nothing with the zero mask
+    G = make_group(moduli)
+    shape = pq_shape(G)
+    rng = random.Random(f"annihilator:{moduli}")
+    for k, tag in _spectrum_tags(shape.p, shape.q).items():
+        for H in subgroups_of_order(G, G.order // k):
+            cosets = {frozenset(G.add(x, h) for h in H.elements) for x in G.elements}
+            S = Multiset.set_of(G, [rng.choice(sorted(c)) for c in cosets])
+            lam = tile_to_spectrum(shape, S, H.as_set())
+            assert lam.tag == tag, (k, H)
+            Lam = lam.witness.lam
+            assert Lam.mass == k
+            Subgroup(G, Lam.support)  # closed under addition
+            assert is_spectral_pair(S, Lam)
+            t = spectral_to_complement(shape, S, Lam).witness.t
+            assert t == annihilator(G, Lam).as_set(), (k, H)
 
 
 def test_spectral_to_complement_cases(z36, shape36):

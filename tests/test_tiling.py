@@ -231,8 +231,12 @@ def test_subgroup_transversal_on_the_zero_mask_matches_coset_collisions(moduli, 
         else:
             cands = [(0,) + tuple(sorted(rng.sample(range(1, G.order), k - 1))) for _ in range(draws)]
         for cand in cands:
-            H = subgroup_transversal(tables, zero_mask(cand), k)
+            entry = subgroup_transversal(tables, zero_mask(cand), k)
+            H = None if entry is None else entry[0]
             assert H == _coset_transversal_oracle(G, cand), cand
+            if H is not None:  # the entry holds H^perp minus 0 as a mask
+                perp = annihilator(G, H.as_set()).elements
+                assert entry[1] == sum(1 << G.index_of(x) for x in perp) ^ 1
             found[H is not None] += 1
     assert found[True] and found[False]
 
