@@ -247,11 +247,13 @@ class CyclotomicInt:
 # ---------------------------------------------------------------------------
 # the zero-mask kernel: every direction class of a set decided by one sum
 #
-# zeta_M^k mod Phi_M has phi(M) integer coefficients. zero_mask packs them
+# zeta_M^k mod Phi_M has phi(M) integer coefficients. The kernel packs them
 # for every direction class side by side in limbs sized for the group and
-# decides all classes of a set with one big-int sum. Nothing else reads
-# these tables: the verifiers and multiset zero sets go through
-# char_sum_coeffs, which shares only the reduction modulo Phi_M.
+# decides all classes of a set with one big-int sum (class_word), which
+# zero_mask expands to element bits; the sweep adds the cols itself to carry
+# sums from one candidate to the next. Nothing else reads these tables: the
+# verifiers and multiset zero sets go through char_sum_coeffs, which shares
+# only the reduction modulo Phi_M.
 
 
 class CharTable:
@@ -279,17 +281,17 @@ class CharTable:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """The word-parallel tables of zero_mask, built on its first call.
+        """The word-parallel tables of class_word and expand, built on first use.
 
         Every reduced power zeta^t has phi coefficients, each of absolute
         value at most max_abs. A limb of w bits holds one coefficient plus
         bias (limb_layout); cols[s] holds, side by side, the phi
         limbs of zeta^<s, r> for the representative r of every direction
         class, class c in limbs c*phi .. c*phi + phi - 1. Returns (cols,
-        unit, low, high, folds, class_bits, gens_at): unit has bias in every
-        limb, low and high have 2^(w-1) - 1 and 2^(w-1) in every limb,
-        folds are the shifts that OR a class's limbs into its lowest one,
-        and gens_at maps the top bit of that limb to the class's
+        unit, low, folds, class_bits, gens_at): unit has bias in every limb,
+        low has 2^(w-1) - 1 in every limb, folds are the shifts that OR a
+        class's limbs into its lowest one, class_bits has the top bit of
+        that limb of every class, and gens_at maps that bit to the class's
         generator mask.
         """
         phi = self.phi
@@ -305,7 +307,6 @@ class CharTable:
             for s in range(self.group.order)
         ]
         repunit = sum(1 << (w * j) for j in range(phi * len(classes)))
-        high = repunit << (w - 1)
         folds, span = [], 1
         while 2 * span <= phi:
             folds.append(w * span)
@@ -314,7 +315,8 @@ class CharTable:
             folds.append(w * (phi - span))
         class_bits = sum(1 << (stride * c + w - 1) for c in range(len(classes)))
         gens_at = {stride * c + w - 1: gens for c, (_, gens) in enumerate(classes)}
-        return cols, bias * repunit, high - repunit, high, folds, class_bits, gens_at
+        low = (repunit << (w - 1)) - repunit
+        return cols, bias * repunit, low, folds, class_bits, gens_at
 
     def limb_layout(self) -> tuple[int, int]:
         """(bias, limb width w) of the zero-mask kernel.
@@ -326,6 +328,46 @@ class CharTable:
         """
         return self.max_abs, (2 * self.group.order * self.max_abs).bit_length() + 1
 
+    @property
+    def cols(self) -> list[int]:
+        """cols[s]: the limbs of element s for every direction class; the
+        kernel sum of a set is the sum of its elements' cols."""
+        return self._kernel[0]
+
+    def class_word(self, total: int, m: int) -> int:
+        """The class word of a kernel sum: total is the sum of the cols of a
+        set of m elements, and the word has one bit per direction class, the
+        top bit of the class's lowest limb, set exactly when the character
+        sum of the set vanishes on that class.
+
+        One sum of cols gives, in each limb, m * bias plus one coefficient
+        of one class's character sum, with no carry between limbs since
+        every limb stays below 2^(w-1) (limb_layout). XOR with m * unit
+        zeroes exactly the limbs whose coefficient is 0 and leaves every
+        limb below 2^(w-1); adding 2^(w-1) - 1 to each limb then sets its
+        top bit exactly when the limb is nonzero, again without a carry out
+        of the limb. The folds, multiples of w, OR the top bits of each
+        class's phi limbs into the top bit of its lowest limb (the bits
+        below the top bits never reach a top bit), which stays clear exactly
+        when the sum vanishes.
+        """
+        _, unit, low, folds, class_bits, _ = self._kernel
+        nonzero = (total ^ m * unit) + low
+        for shift in folds:
+            nonzero |= nonzero >> shift
+        return class_bits & ~nonzero
+
+    def expand(self, word: int) -> int:
+        """The element bits of a class word: the generators of every class
+        whose bit is set."""
+        gens_at = self._kernel[5]
+        mask = 0
+        while word:
+            top = word.bit_length() - 1
+            mask |= gens_at[top]
+            word ^= 1 << top
+        return mask
+
     def zero_mask(self, cand: tuple[int, ...]) -> int:
         """Bitmask over element indices of the zero set of a set of indices.
 
@@ -333,30 +375,12 @@ class CharTable:
         set vanishes. The generators of <g> are Galois conjugates of g (the
         sum at k*g is the image of the sum at g under zeta -> zeta^k), so
         the sum vanishes at all of them or at none: one evaluation per
-        direction class decides the whole class.
-
-        All classes are evaluated at once, side by side in limbs (see _kernel and
-        limb_layout), exactly for any set of element indices. One sum of
-        the set's cols gives, in each limb, m * bias plus one coefficient
-        of one class's character sum, with no carry between limbs since
-        every limb stays below 2^(w-1). XOR with m * unit zeroes exactly the
-        limbs whose coefficient is 0 and leaves every limb below 2^(w-1);
-        adding 2^(w-1) - 1 to each limb then sets its top bit exactly when
-        the limb is nonzero, again without a carry out of the limb. The
-        folds OR the top bits of each class's phi limbs into the top bit
-        of its lowest limb, which stays clear exactly when the sum vanishes.
+        direction class decides the whole class. All classes are evaluated
+        at once, side by side in limbs, exactly for any set of element
+        indices: the class word of the set's kernel sum (class_word),
+        expanded to element bits (expand).
         """
-        cols, unit, low, high, folds, class_bits, gens_at = self._kernel
-        nonzero = ((sum(map(cols.__getitem__, cand)) ^ len(cand) * unit) + low) & high
-        for shift in folds:
-            nonzero |= nonzero >> shift
-        zero = (nonzero & class_bits) ^ class_bits
-        mask = 0
-        while zero:
-            top = zero.bit_length() - 1
-            mask |= gens_at[top]
-            zero ^= 1 << top
-        return mask
+        return self.expand(self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand)))
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+from typing import Iterable
+
 
 class SpectileError(Exception):
     """Base class for all errors raised by this package."""
@@ -116,3 +119,12 @@ def check_candidates(what: str, count: int, sampled: bool) -> None:
             f"{kind} {what} has {count} candidates, over the cap of {MAX_CANDIDATES}; "
             f"sample {advice} (--samples)"
         )
+
+
+def integers(values: Iterable, what: str, error: type[SpectileError]) -> tuple[int, ...]:
+    """values as a tuple of ints, through operator.index, which refuses
+    floats and strings instead of truncating them; raises error otherwise."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise error(f"{what} must be integers: {exc}") from exc

@@ -25,6 +25,7 @@ from .errors import (
     InvalidModulus,
     NotADivisor,
     Overflow,
+    integers,
 )
 
 Element = tuple[int, ...]
@@ -38,13 +39,14 @@ class Group:
 
     Construct through :func:`make_group` for public use; the constructor
     itself also admits modulus 1 so projection codomains (e.g. Z_1 for the
-    zero direction) stay representable.
+    zero direction) stay representable. Moduli that are not integers
+    (operator.index refuses floats and strings) raise InvalidModulus.
     """
 
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(n) for n in self.moduli))
+        object.__setattr__(self, "moduli", integers(self.moduli, "moduli", InvalidModulus))
         if not self.moduli or any(n < 1 for n in self.moduli):
             raise InvalidModulus(f"moduli must be positive, got {self.moduli!r}")
         order = 1
@@ -137,16 +139,11 @@ def make_group(moduli: Iterable[int]) -> Group:
     refuses floats and strings) or are below 2, and Overflow when the order
     would not fit in 64 bits.
     """
-    try:
-        mods = tuple(map(operator.index, moduli))
-    except TypeError as exc:
-        raise InvalidModulus(f"moduli must be integers: {exc}") from exc
-    if not mods:
-        raise InvalidModulus("at least one modulus is required")
-    for n in mods:
+    G = Group(moduli)
+    for n in G.moduli:
         if n < 2:
             raise InvalidModulus(f"modulus {n} < 2")
-    return Group(mods)
+    return G
 
 
 class Multiset:

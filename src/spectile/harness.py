@@ -11,6 +11,14 @@ size (_memo), keyed by the mask, holds the verdict of spectra.spectrum_search
 and the outcome of tiling.tiling_complement, whose exact cover does not read
 the mask and runs on the first set of each key.
 
+The sweep (_sweep_chunk) carries kernel sums from candidate to candidate:
+lexicographic neighbours share every index but the last, so each candidate
+adds one column to its head's sum, and the head is summed again only when
+it changes. The class word of the sum (CharTable.class_word, one bit per
+direction class) stands for the zero mask. A word whose verdicts need no
+per-set entry is tallied as a count per word; every other candidate is
+expanded to its mask and tallied on its own, in enumeration order.
+
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
 size k, made from generator outputs fetched a block at a time.
@@ -39,6 +47,7 @@ from .errors import (
     TheoremViolation,
     Undecided,
     check_candidates,
+    integers,
 )
 from .groups import (
     MAX_TABLE_ORDER,
@@ -222,7 +231,7 @@ class VerificationPlan:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
+        object.__setattr__(self, "sizes", integers(self.sizes, "sizes", InvalidArgument))
         if not self.sizes:
             raise InvalidArgument("plan needs at least one size")
         if any(k < 1 or k > self.group.order for k in self.sizes):
@@ -386,15 +395,41 @@ def _mismatch_entry(
 def _sweep_chunk(
     G: Group, k: int, cands: Iterable[tuple[int, ...]], budget: int, collect: bool
 ) -> SizeTally:
-    """Decide both properties for each candidate and tally the verdicts."""
+    """Decide both properties for each candidate and tally the verdicts.
+
+    The kernel sum of a candidate is carried from the one before: it is the
+    sum of the cols of its head (every index but the last) plus the column
+    of its last index, and the head's sum is redone only when the head
+    changes, once per run of lexicographic neighbours (sampled draws rarely
+    share a head). The class word of the sum (CharTable.class_word) keys the
+    rest. A word is clean once a candidate with it has both verdicts
+    decided and equal, the tile outcome read from the memo, no exact-cover
+    tile, and no tile to collect: each later candidate with that word only
+    adds one to a count of agreeing verdicts, folded into the tally when the
+    chunk ends. Every other candidate expands its word to the zero mask and
+    is tallied on its own, so undecided entries, violations, mismatches and
+    tile_sets list each set in enumeration order.
+    """
+    kernel = char_table(G)
+    cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
     tables = index_tables(G)
-    zero_mask = char_table(G).zero_mask
     memo = _memo(G, k)
     keep_tiles = budget >= DEFAULT_BUDGET
     tally = SizeTally(size=k)
+    clean: dict[int, bool] = {}  # clean word -> its agreed verdict
+    agreed = [0, 0]  # later candidates with a clean word, by verdict
+    head, head_sum = None, 0
     for cand in cands:
+        if cand[:-1] != head:
+            head = cand[:-1]
+            head_sum = sum(map(cols.__getitem__, head))
+        word = class_word(head_sum + cols[cand[-1]], k)
+        verdict = clean.get(word)
+        if verdict is not None:
+            agreed[verdict] += 1
+            continue
         tally.examined += 1
-        zmask = zero_mask(cand)
+        zmask = expand(word)
         entry = _memo_entry(memo, tables, zmask, k, budget)
         sp = _spectral_verdict(entry, budget)
         stored = keep_tiles and entry is not None
@@ -425,12 +460,22 @@ def _sweep_chunk(
             tally.tiles += 1
             if collect:
                 tally.tile_sets.append(tuple(map(G.elements.__getitem__, cand)))
-        if sp and ti:
-            tally.both_yes += 1
-        elif not sp and not ti:
-            tally.both_no += 1
-        else:
+        if sp != ti:
             tally.mismatches.append(_mismatch_entry(G, cand, sp, ti, budget))
+            continue
+        if sp:
+            tally.both_yes += 1
+        else:
+            tally.both_no += 1
+        if stored and tile != COVER_TILE and not (collect and ti):
+            clean[word] = sp
+    no, yes = agreed
+    tally.examined += no + yes
+    tally.both_no += no
+    tally.spectral += yes
+    tally.tiles += yes
+    tally.tiles_any += yes
+    tally.both_yes += yes
     return tally
 
 
@@ -759,7 +804,7 @@ def case5_nonexistence_probe(
     start = time.perf_counter()
     G = shape.group
     q = shape.q
-    sizes = tuple(int(n) for n in sizes)
+    sizes = integers(sizes, "sizes", InvalidArgument)
     if len(set(sizes)) != len(sizes):
         raise InvalidArgument(f"sizes {sizes!r} repeat a size")
     for n in sizes:

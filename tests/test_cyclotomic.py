@@ -198,9 +198,11 @@ def test_zero_mask_limbs_keep_a_guard_bit_at_mass_G(moduli):
     assert table.max_abs == bias
     # the worst limb of a set of mass |G|: every coefficient at +max_abs
     assert G.order * (bias + table.max_abs) < 1 << (w - 1)
-    cols, unit, low, high, *_ = table._kernel
+    cols, unit, low, *_ = table._kernel
+    limbs = table.phi * len(index_tables(G).direction_classes)
+    high = sum(1 << (w * j + w - 1) for j in range(limbs))
     assert sum(cols) & high == 0
-    assert unit & high == 0 and low & high == 0
+    assert unit & high == 0 and low & high == 0 and low + (high >> (w - 1)) == high
 
 
 @pytest.mark.parametrize("moduli", list(KERNEL_GROUPS), ids=lambda m: ",".join(map(str, m)))

@@ -52,6 +52,14 @@ def test_make_group_rejects_bad_moduli():
         make_group([2.0, 3])  # not truncated: only integers are moduli
 
 
+def test_group_refuses_non_integral_moduli():
+    # the constructor admits modulus 1 but truncates nothing: 2.7 is not 2
+    assert groups.Group((1, 3)).order == 3
+    for moduli in ((2.7, 3), ("2", 3), (2, 3.0)):
+        with pytest.raises(InvalidModulus, match="integers"):
+            groups.Group(moduli)
+
+
 def test_tables_refuse_groups_over_the_order_cap(monkeypatch, z36):
     # Z_100000 would need about 2 * 10^10 index-table entries
     with pytest.raises(Overflow, match="100000"):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from spectile import (
     ComplementConstruction,
+    ComplementMethod,
     InvalidArgument,
     Multiset,
     SpectrumConstruction,
@@ -20,6 +22,7 @@ from spectile import (
     case5_nonexistence_probe,
     find_complement,
     find_spectrum,
+    find_tiling_complement,
     is_spectral,
     is_spectral_pair,
     is_tiling_pair,
@@ -36,7 +39,7 @@ from spectile import (
 from spectile import harness
 from spectile.cli import EXIT_USAGE, main
 from spectile.cyclotomic import char_sum_vanishes, char_table
-from spectile.errors import DEFAULT_BUDGET, Overflow
+from spectile.errors import DEFAULT_BUDGET, UNDECIDED, Overflow
 from spectile.groups import (
     Subgroup,
     cyclic_subgroup,
@@ -131,6 +134,98 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     assert pooled == serial
 
 
+def _per_set_tally(G, k, budget, collect):
+    """The tally of the 0-containing k-sets of G, one set at a time through
+    the public per-set API: find_spectrum, and find_tiling_complement with
+    an exact-cover complement counted as a violation."""
+    out = dict(
+        size=k, examined=0, spectral=0, tiles=0, both_yes=0, both_no=0, mismatches=[],
+        undecided=[], tile_sets=[], tiles_any=0, violations=[], tile_undecided=[],
+    )
+    for rest in itertools.combinations(G.elements[1:], k - 1):
+        pts = (G.identity,) + rest
+        S = Multiset.set_of(G, pts)
+        spectrum = find_spectrum(S, budget)
+        complement = find_tiling_complement(S, budget)
+        sp = spectrum if spectrum is UNDECIDED else spectrum is not None
+        ti = complement if complement is UNDECIDED else complement is not None
+        coords = [list(x) for x in pts]
+        out["examined"] += 1
+        if ti is UNDECIDED:
+            out["tile_undecided"].append({"set": coords})
+        elif ti:
+            out["tiles_any"] += 1
+            if complement.method is ComplementMethod.EXACT_COVER:
+                out["violations"].append({"set": coords})
+        if sp is UNDECIDED or ti is UNDECIDED:
+            out["undecided"].append(
+                {
+                    "set": coords,
+                    "spectral": "undecided" if sp is UNDECIDED else sp,
+                    "tile": "undecided" if ti is UNDECIDED else ti,
+                }
+            )
+            continue
+        out["spectral"] += sp
+        out["tiles"] += ti
+        if collect and ti:
+            out["tile_sets"].append(pts)
+        if sp == ti:
+            out["both_yes" if sp else "both_no"] += 1
+        else:
+            out["mismatches"].append(
+                {
+                    "set": coords,
+                    "spectral": sp,
+                    "tile": ti,
+                    "spectrum": [list(x) for x in spectrum.lam.support] if sp else None,
+                    "complement": [list(x) for x in complement.t.support] if ti else None,
+                }
+            )
+    return out
+
+
+# Z_8, Z_2 x Z_4 and Z_12 have exact-cover tiles (violations); the kernels of
+# Z_5 and Z_7 have phi = 4 and 6 limbs per class, so more than one fold. At
+# budget 2 on Z_12 the cover decides some sets of a zero mask and not others,
+# so a budget below DEFAULT_BUDGET must decide each set's tiling on its own.
+@pytest.mark.parametrize(
+    "moduli, budget, collect, listed",
+    [
+        ((8,), DEFAULT_BUDGET, False, "violations"),
+        ((2, 4), DEFAULT_BUDGET, False, "violations"),
+        ((12,), DEFAULT_BUDGET, False, "violations"),
+        ((5,), DEFAULT_BUDGET, False, None),
+        ((7,), DEFAULT_BUDGET, False, None),
+        ((12,), 3, False, "undecided"),
+        ((12,), 2, False, "undecided"),
+        ((2, 4), DEFAULT_BUDGET, True, "tile_sets"),
+    ],
+    ids=str,
+)
+def test_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
+    # every size, from k = 1 (an empty head) to k = |G|; every count and
+    # every listed set, in enumeration order
+    G = make_group(moduli)
+    sizes = tuple(range(1, G.order + 1))
+    report = verify_fuglede(
+        VerificationPlan(group=G, sizes=sizes, budget=budget, collect_tiles=collect)
+    )
+    for k in sizes:
+        assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, budget, collect), k
+    assert listed is None or any(getattr(t, listed) for t in report.per_size.values())
+
+
+def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
+    # 5000 draws of size 2 from 35 sets repeat, and two 4096-draw chunks
+    # split each size; sampled chunks share no head as exhaustive ones do
+    plan = dict(group=z36, sizes=(2, 3, 6), mode="sample", seed=11, count_per_size=5000)
+    serial = verify_fuglede(VerificationPlan(**plan))
+    parallel = verify_fuglede(VerificationPlan(**plan, workers=2))
+    assert serial.per_size[2].examined == 5000
+    assert serial.per_size == parallel.per_size
+
+
 def test_verify_fuglede_sample_deterministic(z36):
     plan = VerificationPlan(
         group=z36, sizes=(6,), mode="sample", seed=123, count_per_size=500
@@ -194,6 +289,14 @@ def test_verification_plan_validation(z6):
         VerificationPlan(
             group=z6, sizes=(2,), mode="sample", seed=1, count_per_size=5, canonicalize=True
         )
+
+
+def test_plan_refuses_non_integral_sizes(z6):
+    # not truncated: 2.9 is not size 2
+    for sizes in ((2.9,), (2, "3")):
+        with pytest.raises(InvalidArgument, match="integers"):
+            VerificationPlan(group=z6, sizes=sizes)
+    assert VerificationPlan(group=z6, sizes=range(1, 3)).sizes == (1, 2)
 
 
 def _zero_set_float(moduli, elems):
@@ -672,6 +775,12 @@ def test_case5_probe_deterministic():
     d1.pop("elapsed_seconds")
     d2.pop("elapsed_seconds")
     assert d1 == d2
+
+
+def test_probe_refuses_non_integral_sizes():
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    with pytest.raises(InvalidArgument, match="integers"):
+        case5_nonexistence_probe(shape, (30.5,), seed=3, count_per_size=1)
 
 
 def test_probe_rejects_repeated_sizes():
