@@ -276,9 +276,10 @@ class Subgroup:
             if G.neg(x) not in member:
                 raise InvalidArgument(f"not closed under negation at {x!r}")
         for x in elems:
-            for y in elems:
-                if G.add(x, y) not in member:
-                    raise InvalidArgument(f"not closed under addition at {x!r}+{y!r}")
+            # x + H, one coordinate column at a time
+            if not member.issuperset(G.add_each([x] * len(elems), elems)):
+                y = next(y for y in elems if G.add(x, y) not in member)
+                raise InvalidArgument(f"not closed under addition at {x!r}+{y!r}")
         if G.order % len(elems):
             raise InvalidArgument("subgroup order must divide the group order")
 
@@ -369,29 +370,57 @@ def annihilator(G: Group, S: Multiset) -> Subgroup:
 
 @lru_cache(maxsize=None)
 def _all_subgroups(G: Group) -> tuple[Subgroup, ...]:
-    """Every subgroup, via closure of cyclic subgroups under pairwise join."""
-    add = G.add
-    cyclic: set[frozenset[Element]] = set()
-    for x in G.elements:
-        cyclic.add(frozenset(cyclic_subgroup(G, x)))
-    subs: set[frozenset[Element]] = set(cyclic)
-    queue = list(cyclic)
+    """Every subgroup, via closure of cyclic subgroups under pairwise join.
+
+    A subgroup is keyed by its bitmask over element indices and carries the
+    list of its element indices (index_tables). The join of H with <g> is
+    built one coset at a time: H + kg for k = 1, ..., d - 1, where dg is the
+    first multiple in H, so it costs |H + <g>| sums, not |H| |<g>|. A later
+    cyclic subgroup with a generator in a coset H + kg, k prime to d, has
+    the same join with H and is skipped. Each distinct mask becomes one
+    Subgroup, which checks its closure again.
+    """
+    add = index_tables(G).add_rows
+    bit = [1 << i for i in range(G.order)]
+    cyclic: dict[int, list[int]] = {}  # mask -> 0, g, 2g, ...
+    for g in range(G.order):
+        elems = [0]
+        x = g
+        while x:
+            elems.append(x)
+            x = add[x][g]
+        cyclic.setdefault(sum(map(bit.__getitem__, elems)), elems)
+    subs = dict(cyclic)
+    queue = list(cyclic.items())
     while queue:
-        H = queue.pop()
-        for C in cyclic:
-            if C <= H:
+        h_mask, h = queue.pop()
+        joined = h_mask  # the cosets that generate a join already formed
+        for c in cyclic.values():
+            if joined & bit[c[-1]]:
                 continue
-            J = frozenset(add(h, c) for h in H for c in C)
-            if J not in subs:
-                subs.add(J)
-                queue.append(J)
-    out = [Subgroup(G, tuple(H)) for H in subs]
-    out.sort(key=lambda s: (s.order, s.elements))
-    return tuple(out)
+            j, cosets = list(h), []
+            for x in c[1:]:
+                if h_mask & bit[x]:
+                    break
+                coset = list(map(add[x].__getitem__, h))
+                j += coset
+                cosets.append(sum(map(bit.__getitem__, coset)))
+            d = len(cosets) + 1
+            joined |= sum(m for k, m in enumerate(cosets, 1) if math.gcd(k, d) == 1)
+            j_mask = h_mask + sum(cosets)
+            if j_mask not in subs:
+                subs[j_mask] = j
+                queue.append((j_mask, j))
+    members = sorted(map(sorted, subs.values()), key=lambda idx: (len(idx), idx))
+    return tuple(Subgroup(G, tuple(map(G.elements.__getitem__, idx))) for idx in members)
 
 
 def subgroups_of_order(G: Group, m: int) -> tuple[Subgroup, ...]:
-    """All subgroups of order m, canonically sorted, no duplicates."""
+    """All subgroups of order m, canonically sorted, no duplicates.
+
+    The subgroup lattice is built on index tables, so a group of order above
+    MAX_TABLE_ORDER raises Overflow, before anything is built.
+    """
     if m < 1 or G.order % m:
         raise NotADivisor(f"{m} does not divide |G| = {G.order}")
     return tuple(H for H in _all_subgroups(G) if H.order == m)

@@ -11,13 +11,15 @@ size (_memo), keyed by the mask, holds the verdict of spectra.spectrum_search
 and the outcome of tiling.tiling_complement, whose exact cover does not read
 the mask and runs on the first set of each key.
 
-The sweep (_sweep_chunk) carries kernel sums from candidate to candidate:
-lexicographic neighbours share every index but the last, so each candidate
-adds one column to its head's sum, and the head is summed again only when
-it changes. The class word of the sum (CharTable.class_word, one bit per
-direction class) stands for the zero mask. A word whose verdicts need no
-per-set entry is tallied as a count per word; every other candidate is
-expanded to its mask and tallied on its own, in enumeration order.
+The sweep (_sweep_chunk) takes each candidate as its nonzero part and
+carries kernel sums from candidate to candidate: lexicographic neighbours
+share every index but the last, so each candidate adds one column to its
+head's sum, and the head is summed again only when it changes. The class
+word of the sum (CharTable.class_word, one bit per direction class) stands
+for the zero mask. A word whose verdicts need no per-set entry is tallied as
+a count per word, and its candidates are never sorted into sets; every other
+candidate becomes its sorted set, is expanded to its mask and is tallied on
+its own, in enumeration order.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -33,7 +35,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import char_table
 from .errors import (
@@ -352,15 +354,21 @@ class VerificationReport:
         }
 
 
-def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[tuple[int, ...]]:
-    """The plan's candidate 0-containing k-sets as sorted index tuples."""
+def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[int]]:
+    """The plan's candidate 0-containing k-sets, each as its nonzero part
+    (tiling.candidate_sets).
+
+    canonicalize keeps a set that no automorphism maps to a lexicographically
+    smaller one. Automorphisms fix 0, so the image of (0,) + rest is (0,)
+    plus the sorted image of rest, and comparing nonzero parts decides it.
+    """
     base = candidate_sets(plan.group.order, k, plan.mode, plan.seed, plan.count_per_size)
     if not plan.canonicalize:
         return base
     perms = automorphism_index_perms(plan.group)
     return (
-        cand for cand in base
-        if all(tuple(sorted(map(perm.__getitem__, cand))) >= cand for perm in perms)
+        rest for rest in base
+        if all(tuple(sorted(map(perm.__getitem__, rest))) >= rest for perm in perms)
     )
 
 
@@ -393,22 +401,26 @@ def _mismatch_entry(
 
 
 def _sweep_chunk(
-    G: Group, k: int, cands: Iterable[tuple[int, ...]], budget: int, collect: bool
+    G: Group, k: int, parts: Iterable[Sequence[int]], budget: int, collect: bool
 ) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts.
 
-    The kernel sum of a candidate is carried from the one before: it is the
-    sum of the cols of its head (every index but the last) plus the column
-    of its last index, and the head's sum is redone only when the head
-    changes, once per run of lexicographic neighbours (sampled draws rarely
-    share a head). The class word of the sum (CharTable.class_word) keys the
-    rest. A word is clean once a candidate with it has both verdicts
-    decided and equal, the tile outcome read from the memo, no exact-cover
-    tile, and no tile to collect: each later candidate with that word only
-    adds one to a count of agreeing verdicts, folded into the tally when the
-    chunk ends. Every other candidate expands its word to the zero mask and
-    is tallied on its own, so undecided entries, violations, mismatches and
-    tile_sets list each set in enumeration order.
+    Each candidate comes as its nonzero part (tiling.candidate_sets): the
+    k - 1 indices other than 0, sorted when enumerated and in draw order
+    when sampled. Its kernel sum is carried from the candidate before: the
+    column of 0 plus the cols of its head (every index of the part but the
+    last) plus the column of its last index, and the head's sum is redone
+    only when the head changes, once per run of lexicographic neighbours
+    (sampled draws rarely share a head). Size 1 has an empty part, and its
+    sum is the head's alone. The class word of the sum
+    (CharTable.class_word) keys the rest. A word is clean once a candidate
+    with it has both verdicts decided and equal, the tile outcome read from
+    the memo, no exact-cover tile, and no tile to collect: each later
+    candidate with that word only adds one to a count of agreeing verdicts,
+    folded into the tally when the chunk ends, and never becomes a set.
+    Every other candidate is sorted into its set, expands its word to the
+    zero mask and is tallied on its own, so undecided entries, violations,
+    mismatches and tile_sets list each set in enumeration order.
     """
     kernel = char_table(G)
     cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
@@ -418,16 +430,18 @@ def _sweep_chunk(
     tally = SizeTally(size=k)
     clean: dict[int, bool] = {}  # clean word -> its agreed verdict
     agreed = [0, 0]  # later candidates with a clean word, by verdict
-    head, head_sum = None, 0
-    for cand in cands:
-        if cand[:-1] != head:
-            head = cand[:-1]
-            head_sum = sum(map(cols.__getitem__, head))
-        word = class_word(head_sum + cols[cand[-1]], k)
+    col0 = cols[0]
+    head, head_sum = None, col0
+    for rest in parts:
+        if rest[:-1] != head:
+            head = rest[:-1]
+            head_sum = sum(map(cols.__getitem__, head), col0)
+        word = class_word(head_sum + cols[rest[-1]] if rest else head_sum, k)
         verdict = clean.get(word)
         if verdict is not None:
             agreed[verdict] += 1
             continue
+        cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
         zmask = expand(word)
         entry = _memo_entry(memo, tables, zmask, k, budget)
@@ -521,9 +535,10 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     )
 
 
-# Multiprocess sweep: candidates are enumerated in the parent, chunked, and
-# decided in workers; tallies merge associatively so the report does not
-# depend on scheduling or on the pool size, which is at most the CPU count.
+# Multiprocess sweep: the candidates' nonzero parts are enumerated or drawn in
+# the parent, chunked, and decided in workers; tallies merge associatively so
+# the report does not depend on scheduling or on the pool size, which is at
+# most the CPU count.
 
 _WORKER_STATE: dict = {}
 
@@ -533,7 +548,7 @@ def _worker_init(moduli: tuple[int, ...], budget: int) -> None:
     _WORKER_STATE["budget"] = budget
 
 
-def _worker_chunk(args: tuple[int, list[tuple[int, ...]], bool]) -> SizeTally:
+def _worker_chunk(args: tuple[int, list[Sequence[int]], bool]) -> SizeTally:
     k, chunk, collect = args
     return _sweep_chunk(_WORKER_STATE["group"], k, chunk, _WORKER_STATE["budget"], collect)
 

@@ -385,18 +385,21 @@ class SeededDraws:
 
 def candidate_sets(
     n: int, k: int, mode: str, seed: Optional[int], count: Optional[int]
-) -> Iterator[tuple[int, ...]]:
-    """The 0-containing k-subsets of range(n) as sorted index tuples.
+) -> Iterator[Sequence[int]]:
+    """The 0-containing k-subsets of range(n), each as its nonzero part: the
+    k - 1 indices other than 0.
 
-    Exhaustive mode yields each once, in lexicographic order; sample mode
-    yields `count` draws of random.Random(f"{seed}:{k}").sample, made by
-    SeededDraws, which may repeat.
+    Exhaustive mode yields each once, as the tuples of
+    itertools.combinations(range(1, n), k - 1), in lexicographic order;
+    sample mode yields `count` draws of random.Random(f"{seed}:{k}").sample(
+    range(1, n), k - 1), made by SeededDraws, as lists in draw order, which
+    may repeat. A consumer that needs the set builds (0,) + tuple(sorted(part)).
     """
     population = range(1, n)
     if mode == "exhaustive":
-        return ((0,) + rest for rest in itertools.combinations(population, k - 1))
+        return itertools.combinations(population, k - 1)
     draws = SeededDraws(f"{seed}:{k}")
-    return ((0,) + tuple(sorted(draws.sample(population, k - 1))) for _ in range(count))
+    return (draws.sample(population, k - 1) for _ in range(count))
 
 
 def enumerate_tiles(
@@ -427,7 +430,8 @@ def enumerate_tiles(
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
     seen: set[tuple[int, ...]] = set()
-    for cand in candidate_sets(G.order, k, mode, seed, count):
+    for rest in candidate_sets(G.order, k, mode, seed, count):
+        cand = (0,) + tuple(sorted(rest))
         if sampled:  # draws may repeat
             if cand in seen:
                 continue

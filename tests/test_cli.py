@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -9,11 +10,13 @@ from spectile import (
     InvalidElement,
     Multiset,
     ParseError,
+    VerificationPlan,
     find_complement,
     find_spectrum,
     find_tiling_complement,
     is_spectral_pair,
     make_group,
+    verify_fuglede,
 )
 from spectile.cli import (
     EXIT_MISMATCH,
@@ -228,6 +231,50 @@ def test_verify_reports_tiles_without_subgroup_complement(capsys):
         [[0], [3], [4], [7]],
     ]
     assert sub["2"]["undecided"] == sub["4"]["undecided"] == []
+
+
+def _rank_mod3(rows):
+    """The rank over F_3 of integer vectors, by plain row elimination."""
+    rows = [[x % 3 for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        # 1 and 2 are their own inverses mod 3
+        rows[rank] = [x * rows[rank][col] % 3 for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % 3 for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_sampled_verify_lists_spectral_sets_that_do_not_tile(capsys):
+    # {0} with five points of rank 5 over F_3 is an automorphic image of
+    # Tao's {0, e_1, ..., e_5} in Z_3^5: spectral, and 6 does not divide 243,
+    # so it cannot tile. Each such draw must be listed as a mismatch, with a
+    # spectrum that verifies, in draw order; on this seed nothing else is.
+    G = make_group([3] * 5)
+    argv = ["verify", "--group", "3,3,3,3,3", "--sizes", "6", "--samples", "300", "--seed", "1"]
+    rc, out = _verify_json(capsys, argv)
+    assert rc == EXIT_MISMATCH
+    plan = VerificationPlan(group=G, sizes=(6,), mode="sample", seed=1, count_per_size=300)
+    mismatches = out["fuglede"]["per_size"]["6"]["mismatches"]
+    assert len(mismatches) == verify_fuglede(plan).mismatch_count
+    for entry in mismatches:
+        assert entry["spectral"] is True and entry["tile"] is False
+        pts = [tuple(x) for x in entry["set"]]
+        assert pts == sorted(pts) and pts[0] == G.identity
+        lam = Multiset.set_of(G, entry["spectrum"])
+        assert is_spectral_pair(Multiset.set_of(G, pts), lam)
+    rng = random.Random("1:6")
+    draws = [[G.coords_of(i) for i in rng.sample(range(1, 243), 5)] for _ in range(300)]
+    full_rank = [[list(x) for x in [G.identity] + sorted(d)] for d in draws if _rank_mod3(d) == 5]
+    assert len(full_rank) > 100
+    assert [e["set"] for e in mismatches] == full_rank
 
 
 def test_probe_command(capsys):

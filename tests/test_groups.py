@@ -249,6 +249,19 @@ def test_subgroups_of_order(z6, z36):
         subgroups_of_order(z6, 4)
 
 
+def test_subgroup_counts_of_z3_to_the_fifth_are_gaussian_binomials():
+    # the subgroups of order 3^j of Z_3^5 are the j-dimensional subspaces of
+    # F_3^5, counted by the Gaussian binomial [5 choose j]_3
+    G = make_group([3] * 5)
+    assert [len(subgroups_of_order(G, 3**j)) for j in range(6)] == [1, 121, 1210, 1210, 121, 1]
+
+
+def test_subgroups_of_a_group_above_the_table_order_are_refused():
+    # the lattice is built on index tables, which refuse before building
+    with pytest.raises(Overflow, match="2048"):
+        subgroups_of_order(make_group([2] * 12), 2)
+
+
 def test_subgroups_no_duplicates(z36):
     for m in (2, 3, 4, 6, 9, 12, 18, 36):
         subs = subgroups_of_order(z36, m)

@@ -134,16 +134,20 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     assert pooled == serial
 
 
-def _per_set_tally(G, k, budget, collect):
+def _per_set_tally(G, k, budget, collect, parts=None):
     """The tally of the 0-containing k-sets of G, one set at a time through
     the public per-set API: find_spectrum, and find_tiling_complement with
-    an exact-cover complement counted as a violation."""
+    an exact-cover complement counted as a violation. parts, when given,
+    are the sets' nonzero element indices in any order (sampled draws);
+    else every 0-containing k-set is tallied, in lexicographic order."""
     out = dict(
         size=k, examined=0, spectral=0, tiles=0, both_yes=0, both_no=0, mismatches=[],
         undecided=[], tile_sets=[], tiles_any=0, violations=[], tile_undecided=[],
     )
-    for rest in itertools.combinations(G.elements[1:], k - 1):
-        pts = (G.identity,) + rest
+    if parts is None:
+        parts = itertools.combinations(range(1, G.order), k - 1)
+    for rest in parts:
+        pts = tuple(map(G.elements.__getitem__, [0] + sorted(rest)))
         S = Multiset.set_of(G, pts)
         spectrum = find_spectrum(S, budget)
         complement = find_tiling_complement(S, budget)
@@ -214,6 +218,30 @@ def test_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
     for k in sizes:
         assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, budget, collect), k
     assert listed is None or any(getattr(t, listed) for t in report.per_size.values())
+
+
+@pytest.mark.parametrize(
+    "moduli, budget, collect, listed",
+    [((12,), 2, False, "undecided"), ((2, 4), DEFAULT_BUDGET, True, "tile_sets")],
+    ids=str,
+)
+def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
+    # the sweep sorts a draw into its set only off the clean-word path; the
+    # per-set tally sorts every draw of random.Random(f"{seed}:{k}").sample,
+    # which arrive unsorted and repeat
+    G = make_group(moduli)
+    sizes = tuple(range(1, G.order + 1))
+    plan = VerificationPlan(
+        group=G, sizes=sizes, mode="sample", seed=3, count_per_size=60,
+        budget=budget, collect_tiles=collect,
+    )
+    report = verify_fuglede(plan)
+    for k in sizes:
+        rng = random.Random(f"3:{k}")
+        draws = [rng.sample(range(1, G.order), k - 1) for _ in range(60)]
+        expected = _per_set_tally(G, k, budget, collect, draws)
+        assert dataclasses.asdict(report.per_size[k]) == expected, k
+    assert any(getattr(t, listed) for t in report.per_size.values())
 
 
 def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
@@ -357,7 +385,7 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
         expected = _spectral_by_networkx(moduli, elems)
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
-        tally = _sweep_chunk(G, len(cand), [cand], DEFAULT_BUDGET, False)
+        tally = _sweep_chunk(G, len(cand), [cand[1:]], DEFAULT_BUDGET, False)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
 

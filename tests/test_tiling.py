@@ -429,11 +429,15 @@ def test_seeded_draws_raise_the_index_error_of_a_broken_population():
             SeededDraws(0).sample(Broken(), k)
 
 
-def test_sampled_candidate_sets_are_sorted_random_sample_draws():
-    for s in (0, 5, 20260809):
-        for k in (2, 6, 9, 12, 18):
+def test_candidate_sets_yield_nonzero_parts_as_drawn_or_combined():
+    # the nonzero part of each candidate, unsorted: a sampled draw in draw
+    # order, an exhaustive one as itertools.combinations makes it
+    for k in (1, 2, 6, 9, 12, 18, 36):
+        for s in (0, 5, 20260809):
             rng = random.Random(f"{s}:{k}")
-            expected = [
-                (0,) + tuple(sorted(rng.sample(range(1, 36), k - 1))) for _ in range(200)
-            ]
+            expected = [rng.sample(range(1, 36), k - 1) for _ in range(200)]
             assert list(candidate_sets(36, k, "sample", s, 200)) == expected
+        if k <= 6:
+            assert list(candidate_sets(36, k, "exhaustive", None, None)) == list(
+                itertools.combinations(range(1, 36), k - 1)
+            )
