@@ -98,7 +98,6 @@ from .harness import (
     ConstructedSpectrum,
     ProbeReport,
     SpectrumConstruction,
-    SubgroupTilingReport,
     VerificationPlan,
     VerificationReport,
     automorphism_index_perms,
@@ -107,7 +106,6 @@ from .harness import (
     spectral_to_complement,
     tile_to_spectrum,
     verify_fuglede,
-    verify_subgroup_tiling,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ from .groups import (
     make_group,
 )
 from .harness import (
-    SubgroupTilingReport,
     VerificationPlan,
     case5_nonexistence_probe,
     probe_sizes,
@@ -226,17 +225,10 @@ def cmd_enumerate_tiles(args: argparse.Namespace) -> int:
     group = make_group(_parse_moduli(args.group))
     if args.size < 1:
         raise ParseError(f"--size must be a positive count, got {args.size}")
-    mode = "exhaustive" if _samples(args) is None else "sample"
-    seed = _require_seed(args) if mode == "sample" else None
+    count = _samples(args)
+    seed = None if count is None else _require_seed(args)
     found = 0
-    for S, wit in enumerate_tiles(
-        group,
-        args.size,
-        mode=mode,
-        seed=seed,
-        count=args.samples,
-        budget=args.budget,
-    ):
+    for S, wit in enumerate_tiles(group, args.size, seed=seed, count=count, budget=args.budget):
         found += 1
         print(
             json.dumps(
@@ -255,10 +247,9 @@ def _parse_sizes(spec: str, group: Group) -> tuple[int, ...]:
     if spec == "all":
         return tuple(range(1, group.order + 1))
     try:
-        sizes = tuple(int(tok) for tok in spec.split(","))
+        return tuple(int(tok) for tok in spec.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sizes {spec!r}") from exc
-    return sizes
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -266,26 +257,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes, group)
     if args.exhaustive and args.samples is not None:
         raise ParseError("--exhaustive and --samples exclude each other")
-    mode = "exhaustive" if _samples(args) is None else "sample"
-    seed = _require_seed(args) if mode == "sample" else args.seed
+    count = _samples(args)
+    seed = args.seed if count is None else _require_seed(args)
     plan = VerificationPlan(
         group=group,
         sizes=sizes,
-        mode=mode,
         seed=seed,
-        count_per_size=args.samples,
+        count_per_size=count,
         budget=args.budget,
         canonicalize=args.canonicalize,
         workers=args.workers,
     )
     report = verify_fuglede(plan)
-    sub_report = SubgroupTilingReport.from_sweep(report)
-    _emit({"fuglede": report.to_dict(), "subgroup_tiling": sub_report.to_dict()})
-    violations = any(t["violations"] for t in sub_report.per_size.values())
-    sub_undecided = any(t["undecided"] for t in sub_report.per_size.values())
-    if report.mismatch_count or violations:
+    _emit({"fuglede": report.to_dict(), "subgroup_tiling": report.subgroup_tiling_dict()})
+    if report.mismatch_count or report.violation_count:
         return EXIT_MISMATCH
-    if report.undecided_count or sub_undecided:
+    if not (report.ok and report.subgroup_tiling_ok):
         return EXIT_UNDECIDED
     return EXIT_OK
 
@@ -323,11 +310,14 @@ def _parse_moduli(text: str) -> list[int]:
 
 
 def _load_set(args: argparse.Namespace) -> tuple[Group, Multiset]:
-    if args.set:
-        with open(args.set, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.set:
+            with open(args.set, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read the set document: {exc}") from exc
     return parse_set_document(text)
 
 
@@ -349,8 +339,16 @@ def _require_seed(args: argparse.Namespace) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit EXIT_USAGE, not argparse's
+    2 (EXIT_MISMATCH). Subparsers are built with the same class."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectile",
         description="Exact spectral-set and tiling decisions on finite abelian groups.",
     )

@@ -103,21 +103,24 @@ def _unit_matrices_rank2(p: int) -> list[tuple[int, ...]]:
 def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
     """All group automorphisms as element-index permutations.
 
-    Supported for groups whose moduli are primes with each prime appearing
-    at most twice (the sweep targets); the automorphism group is then the
+    Built for prime moduli only, each prime at most twice (the sweep
+    targets), else InvalidArgument; a squarefree modulus can be given as
+    its primes (Z_2 x Z_6 as 2,2,3). The automorphism group is then the
     product of one GL_1 or GL_2 per prime acting on that prime's
     coordinates. Raises Overflow, before anything is built, when the
     |Aut(G)| permutations would hold more than MAX_TABLE_ORDER ** 2 entries.
     """
     by_prime: dict[int, list[int]] = {}
     for i, n in enumerate(G.moduli):
-        if not is_prime(n):
-            raise InvalidArgument(f"modulus {n} is not prime")
         by_prime.setdefault(n, []).append(i)
+    if not all(is_prime(p) and len(positions) <= 2 for p, positions in by_prime.items()):
+        raise InvalidArgument(
+            f"moduli {list(G.moduli)}: automorphisms are built for prime moduli only, each "
+            "prime at most twice (a squarefree modulus can be given as its primes: "
+            "Z_2 x Z_6 as 2,2,3)"
+        )
     aut_order = 1
     for p, positions in by_prime.items():
-        if len(positions) > 2:
-            raise InvalidArgument("automorphisms supported for rank <= 2 per prime")
         # |GL_1(p)| = p - 1 and |GL_2(p)| = (p^2 - 1)(p^2 - p)
         aut_order *= p - 1 if len(positions) == 1 else (p * p - 1) * (p * p - p)
     if aut_order * G.order > MAX_TABLE_ORDER**2:
@@ -214,23 +217,27 @@ def _tile_outcome(
 
 @dataclass(frozen=True)
 class VerificationPlan:
-    """What to sweep: group, sizes, enumeration mode, budgets.
+    """What to sweep: group, sizes, candidates, budgets.
 
-    Sizes must be distinct. An exhaustive plan enumerates every 0-containing
-    set of each size, C(|G| - 1, k - 1) of them (canonicalize filters the
-    same enumeration), and a sampled plan draws count_per_size of each size;
-    more than MAX_CANDIDATES candidates in total is refused.
+    Sizes must be distinct. A plan given count_per_size samples: it draws
+    that many seeded sets of each size and needs a seed and a count of at
+    least 1. A plan without enumerates every 0-containing set of each size,
+    C(|G| - 1, k - 1) of them (canonicalize filters the same enumeration).
+    More than MAX_CANDIDATES candidates in total is refused.
     """
 
     group: Group
     sizes: tuple[int, ...]
-    mode: str = "exhaustive"  # or "sample"
     seed: Optional[int] = None
     count_per_size: Optional[int] = None
     budget: int = DEFAULT_BUDGET
     canonicalize: bool = False
     collect_tiles: bool = False
     workers: int = 1
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.count_per_size is None else "sample"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", integers(self.sizes, "sizes", InvalidArgument))
@@ -240,12 +247,10 @@ class VerificationPlan:
             raise InvalidArgument(f"sizes {self.sizes!r} out of range for {self.group!r}")
         if len(set(self.sizes)) != len(self.sizes):
             raise InvalidArgument(f"sizes {self.sizes!r} repeat a size")
-        if self.mode not in ("exhaustive", "sample"):
-            raise InvalidArgument(f"unknown mode {self.mode!r}")
-        sampled = self.mode == "sample"
+        sampled = self.count_per_size is not None
         if sampled:
-            if self.seed is None or self.count_per_size is None or self.count_per_size < 1:
-                raise InvalidArgument("sample mode requires a seed and a positive count")
+            if self.seed is None or self.count_per_size < 1:
+                raise InvalidArgument("a sampled plan needs a seed and a count of at least 1")
             if self.canonicalize:
                 raise InvalidArgument("canonicalize filters exhaustive plans only, not samples")
             count = self.count_per_size * len(self.sizes)
@@ -317,12 +322,10 @@ class SizeTally:
 
 @dataclass
 class VerificationReport:
-    group: tuple[int, ...]
-    mode: str
-    sizes: tuple[int, ...]
-    seed: Optional[int]
-    budget: int
-    canonicalize: bool
+    """The tallies of one sweep of plan, rendered as two blocks: to_dict
+    (spectral <=> tile) and subgroup_tiling_dict (subgroup complements)."""
+
+    plan: VerificationPlan
     per_size: dict[int, SizeTally]
     elapsed: float
 
@@ -333,6 +336,12 @@ class VerificationReport:
         )
 
     @property
+    def subgroup_tiling_ok(self) -> bool:
+        return all(
+            not t.violations and not t.tile_undecided for t in self.per_size.values()
+        )
+
+    @property
     def mismatch_count(self) -> int:
         return sum(len(t.mismatches) for t in self.per_size.values())
 
@@ -340,18 +349,35 @@ class VerificationReport:
     def undecided_count(self) -> int:
         return sum(len(t.undecided) for t in self.per_size.values())
 
+    @property
+    def violation_count(self) -> int:
+        return sum(len(t.violations) for t in self.per_size.values())
+
     def to_dict(self) -> dict:
+        plan = self.plan
         return {
-            "group": list(self.group),
-            "mode": self.mode,
-            "sizes": list(self.sizes),
-            "seed": self.seed,
-            "budget": self.budget,
-            "canonicalize": self.canonicalize,
+            "group": list(plan.group.moduli),
+            "mode": plan.mode,
+            "sizes": list(plan.sizes),
+            "seed": plan.seed,
+            "budget": plan.budget,
+            "canonicalize": plan.canonicalize,
             "per_size": {str(k): t.to_dict() for k, t in sorted(self.per_size.items())},
             "ok": self.ok,
             "elapsed_seconds": round(self.elapsed, 3),
         }
+
+    def subgroup_tiling_dict(self) -> dict:
+        """to_dict less budget and canonicalize, over the subgroup-complement
+        tallies: every tile counted, a tile found only by exact cover listed
+        as a violation."""
+        doc = self.to_dict()
+        del doc["budget"], doc["canonicalize"]
+        doc["per_size"] = {
+            str(k): t.subgroup_tiling_dict() for k, t in sorted(self.per_size.items())
+        }
+        doc["ok"] = self.subgroup_tiling_ok
+        return doc
 
 
 def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[int]]:
@@ -362,7 +388,7 @@ def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[i
     smaller one. Automorphisms fix 0, so the image of (0,) + rest is (0,)
     plus the sorted image of rest, and comparing nonzero parts decides it.
     """
-    base = candidate_sets(plan.group.order, k, plan.mode, plan.seed, plan.count_per_size)
+    base = candidate_sets(plan.group.order, k, plan.seed, plan.count_per_size)
     if not plan.canonicalize:
         return base
     perms = automorphism_index_perms(plan.group)
@@ -523,34 +549,18 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
             per_size[k] = _sweep_chunk(
                 plan.group, k, _enumerate_candidates(plan, k), plan.budget, plan.collect_tiles
             )
-    return VerificationReport(
-        group=plan.group.moduli,
-        mode=plan.mode,
-        sizes=plan.sizes,
-        seed=plan.seed,
-        budget=plan.budget,
-        canonicalize=plan.canonicalize,
-        per_size=per_size,
-        elapsed=time.perf_counter() - start,
-    )
+    return VerificationReport(plan, per_size, time.perf_counter() - start)
 
 
 # Multiprocess sweep: the candidates' nonzero parts are enumerated or drawn in
-# the parent, chunked, and decided in workers; tallies merge associatively so
-# the report does not depend on scheduling or on the pool size, which is at
-# most the CPU count.
-
-_WORKER_STATE: dict = {}
+# the parent, chunked, and decided in workers; each job carries what its chunk
+# needs, and tallies merge associatively, so the report does not depend on
+# scheduling or on the pool size, which is at most the CPU count.
 
 
-def _worker_init(moduli: tuple[int, ...], budget: int) -> None:
-    _WORKER_STATE["group"] = Group(moduli)
-    _WORKER_STATE["budget"] = budget
-
-
-def _worker_chunk(args: tuple[int, list[Sequence[int]], bool]) -> SizeTally:
-    k, chunk, collect = args
-    return _sweep_chunk(_WORKER_STATE["group"], k, chunk, _WORKER_STATE["budget"], collect)
+def _worker_chunk(args: tuple) -> SizeTally:
+    moduli, k, budget, chunk, collect = args
+    return _sweep_chunk(Group(moduli), k, chunk, budget, collect)
 
 
 def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:
@@ -558,71 +568,17 @@ def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:
 
     chunk_size = 4096
     per_size: dict[int, SizeTally] = {}
-    mp_ctx = mp.get_context("fork")
-    with mp_ctx.Pool(
-        min(plan.workers, os.cpu_count() or 1),
-        initializer=_worker_init,
-        initargs=(plan.group.moduli, plan.budget),
-    ) as pool:
+    with mp.get_context("fork").Pool(min(plan.workers, os.cpu_count() or 1)) as pool:
         for k in plan.sizes:
             tally = SizeTally(size=k)
             cands = _enumerate_candidates(plan, k)
             chunks = iter(lambda: list(itertools.islice(cands, chunk_size)), [])
-            jobs = [(k, chunk, plan.collect_tiles) for chunk in chunks]
+            jobs = [(plan.group.moduli, k, plan.budget, c, plan.collect_tiles) for c in chunks]
             # imap returns the chunks in job order, so entries keep draw order
             for out in pool.imap(_worker_chunk, jobs):
                 tally.merge(out)
             per_size[k] = tally
     return per_size
-
-
-@dataclass
-class SubgroupTilingReport:
-    group: tuple[int, ...]
-    mode: str
-    sizes: tuple[int, ...]
-    seed: Optional[int]
-    per_size: dict[int, dict]
-    elapsed: float
-
-    @classmethod
-    def from_sweep(cls, report: VerificationReport) -> SubgroupTilingReport:
-        """The subgroup-complement tallies of a sweep; elapsed is the sweep's."""
-        return cls(
-            group=report.group,
-            mode=report.mode,
-            sizes=report.sizes,
-            seed=report.seed,
-            per_size={k: t.subgroup_tiling_dict() for k, t in report.per_size.items()},
-            elapsed=report.elapsed,
-        )
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            not t["violations"] and not t["undecided"] for t in self.per_size.values()
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "group": list(self.group),
-            "mode": self.mode,
-            "sizes": list(self.sizes),
-            "seed": self.seed,
-            "per_size": {str(k): t for k, t in sorted(self.per_size.items())},
-            "ok": self.ok,
-            "elapsed_seconds": round(self.elapsed, 3),
-        }
-
-
-def verify_subgroup_tiling(plan: VerificationPlan) -> SubgroupTilingReport:
-    """Check that every tile found also admits a subgroup complement.
-
-    A view of verify_fuglede(plan): its sweep decides tiling by subgroup
-    transversals first and exact cover second, so a tile found by exact
-    cover is a violation of the subgroup-complement claim.
-    """
-    return SubgroupTilingReport.from_sweep(verify_fuglede(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -384,19 +384,19 @@ class SeededDraws:
 
 
 def candidate_sets(
-    n: int, k: int, mode: str, seed: Optional[int], count: Optional[int]
+    n: int, k: int, seed: Optional[int], count: Optional[int]
 ) -> Iterator[Sequence[int]]:
     """The 0-containing k-subsets of range(n), each as its nonzero part: the
     k - 1 indices other than 0.
 
-    Exhaustive mode yields each once, as the tuples of
-    itertools.combinations(range(1, n), k - 1), in lexicographic order;
-    sample mode yields `count` draws of random.Random(f"{seed}:{k}").sample(
+    With no count, each is yielded once, as the tuples of
+    itertools.combinations(range(1, n), k - 1), in lexicographic order; with
+    a count, the stream is `count` draws of random.Random(f"{seed}:{k}").sample(
     range(1, n), k - 1), made by SeededDraws, as lists in draw order, which
     may repeat. A consumer that needs the set builds (0,) + tuple(sorted(part)).
     """
     population = range(1, n)
-    if mode == "exhaustive":
+    if count is None:
         return itertools.combinations(population, k - 1)
     draws = SeededDraws(f"{seed}:{k}")
     return (draws.sample(population, k - 1) for _ in range(count))
@@ -405,32 +405,29 @@ def candidate_sets(
 def enumerate_tiles(
     G: Group,
     k: int,
-    mode: str = "exhaustive",
     seed: Optional[int] = None,
     count: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[Multiset, ComplementWitness]]:
     """Yield size-k tiles containing 0, each with a complement witness.
 
-    Exhaustive mode scans every 0-containing k-subset; sample mode draws
-    `count` seeded random subsets (the draws of a sampled sweep with the
-    same seed) and yields the distinct tiles among them. A size not
-    dividing |G| yields nothing; a plan of more than MAX_CANDIDATES
-    candidates is refused.
+    With no count, every 0-containing k-subset is scanned; with a count (at
+    least 1, and a seed), that many seeded random subsets are drawn (the
+    draws of a sampled sweep with the same seed) and the distinct tiles
+    among them are yielded. A size not dividing |G| yields nothing; a plan
+    of more than MAX_CANDIDATES candidates is refused.
     """
+    sampled = count is not None
+    if sampled and (seed is None or count < 1):
+        raise InvalidArgument("a sampled tile enumeration needs a seed and a count of at least 1")
     if k < 1 or G.order % k:
         return
-    if mode not in ("exhaustive", "sample"):
-        raise InvalidArgument(f"unknown mode {mode!r}")
-    sampled = mode == "sample"
-    if sampled and (seed is None or count is None):
-        raise InvalidArgument("sample mode requires seed and count")
     total = count if sampled else math.comb(G.order - 1, k - 1)
     check_candidates(f"tile enumeration of size {k} on {G!r}", total, sampled)
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
     seen: set[tuple[int, ...]] = set()
-    for rest in candidate_sets(G.order, k, mode, seed, count):
+    for rest in candidate_sets(G.order, k, seed, count):
         cand = (0,) + tuple(sorted(rest))
         if sampled:  # draws may repeat
             if cand in seen:

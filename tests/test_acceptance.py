@@ -68,7 +68,7 @@ def shape36(z36):
 @pytest.fixture(scope="module")
 def sweep7_exhaustive(z36):
     plan = VerificationPlan(
-        group=z36, sizes=(2, 3, 4, 6), mode="exhaustive", collect_tiles=True
+        group=z36, sizes=(2, 3, 4, 6), collect_tiles=True
     )
     return verify_fuglede(plan)
 
@@ -78,7 +78,6 @@ def sweep7_sampled(z36):
     plan = VerificationPlan(
         group=z36,
         sizes=(9, 12, 18),
-        mode="sample",
         seed=SEED,
         count_per_size=100_000,
         collect_tiles=True,

@@ -1,8 +1,10 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,7 +263,7 @@ def test_sampled_verify_lists_spectral_sets_that_do_not_tile(capsys):
     argv = ["verify", "--group", "3,3,3,3,3", "--sizes", "6", "--samples", "300", "--seed", "1"]
     rc, out = _verify_json(capsys, argv)
     assert rc == EXIT_MISMATCH
-    plan = VerificationPlan(group=G, sizes=(6,), mode="sample", seed=1, count_per_size=300)
+    plan = VerificationPlan(group=G, sizes=(6,), seed=1, count_per_size=300)
     mismatches = out["fuglede"]["per_size"]["6"]["mismatches"]
     assert len(mismatches) == verify_fuglede(plan).mismatch_count
     for entry in mismatches:
@@ -398,12 +400,9 @@ def test_plans_over_the_candidate_cap_are_refused(capsys, monkeypatch, argv, cou
 
 
 def test_reports_survive_json_round_trip(capsys):
-    from spectile import VerificationPlan, make_group, verify_fuglede, verify_subgroup_tiling
-
     G = make_group([2, 2, 3])
-    plan = VerificationPlan(group=G, sizes=(2, 3, 4))
-    for report in (verify_fuglede(plan), verify_subgroup_tiling(plan)):
-        d = report.to_dict()
+    report = verify_fuglede(VerificationPlan(group=G, sizes=(2, 3, 4)))
+    for d in (report.to_dict(), report.subgroup_tiling_dict()):
         assert json.loads(json.dumps(d)) == d
 
     rc = main(["verify", "--group", "2,3", "--sizes", "2,3"])
@@ -420,3 +419,52 @@ def test_import_loads_no_test_only_dependency(subprocess_env):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["verify", "--group", "2,3", "--samples", "x"],
+        ["verify", "--group", "2,3", "--bogus"],
+        ["bogus"],
+    ],
+    ids=["missing-group", "non-integer-samples", "unknown-flag", "unknown-command"],
+)
+def test_argparse_usage_errors_exit_1_with_a_json_error(capsys, argv):
+    # argparse alone exits 2, the exit code of a theorem mismatch
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert "--group" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf-8"])
+def test_unreadable_set_document_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "set.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["analyze", "--set", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read the set document" in json.loads(captured.err)["error"]
+
+
+def test_readme_library_example_runs(subprocess_env):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=subprocess_env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "((0, 0, 0, 0), (1, 0, 0, 0))"
+    assert lines[-1] == "True 74520"

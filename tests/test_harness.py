@@ -15,7 +15,6 @@ from spectile import (
     InvalidArgument,
     Multiset,
     SpectrumConstruction,
-    SubgroupTilingReport,
     VerificationPlan,
     annihilator,
     automorphism_index_perms,
@@ -34,7 +33,6 @@ from spectile import (
     tile_to_spectrum,
     tiles_by_subgroup,
     verify_fuglede,
-    verify_subgroup_tiling,
 )
 from spectile import harness
 from spectile.cli import EXIT_USAGE, main
@@ -106,9 +104,8 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     asked = []
 
     class RecordingPool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             asked.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -123,7 +120,6 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_WORKER_STATE", {})
     G = make_group([2, 6])
     sizes = tuple(range(1, 13))
     serial = verify_fuglede(VerificationPlan(group=G, sizes=sizes)).to_dict()
@@ -232,7 +228,7 @@ def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, li
     G = make_group(moduli)
     sizes = tuple(range(1, G.order + 1))
     plan = VerificationPlan(
-        group=G, sizes=sizes, mode="sample", seed=3, count_per_size=60,
+        group=G, sizes=sizes, seed=3, count_per_size=60,
         budget=budget, collect_tiles=collect,
     )
     report = verify_fuglede(plan)
@@ -247,7 +243,7 @@ def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, li
 def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
     # 5000 draws of size 2 from 35 sets repeat, and two 4096-draw chunks
     # split each size; sampled chunks share no head as exhaustive ones do
-    plan = dict(group=z36, sizes=(2, 3, 6), mode="sample", seed=11, count_per_size=5000)
+    plan = dict(group=z36, sizes=(2, 3, 6), seed=11, count_per_size=5000)
     serial = verify_fuglede(VerificationPlan(**plan))
     parallel = verify_fuglede(VerificationPlan(**plan, workers=2))
     assert serial.per_size[2].examined == 5000
@@ -256,7 +252,7 @@ def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
 
 def test_verify_fuglede_sample_deterministic(z36):
     plan = VerificationPlan(
-        group=z36, sizes=(6,), mode="sample", seed=123, count_per_size=500
+        group=z36, sizes=(6,), seed=123, count_per_size=500
     )
     r1 = verify_fuglede(plan)
     r2 = verify_fuglede(plan)
@@ -271,7 +267,7 @@ def test_plan_rejects_repeated_sizes(z6):
     with pytest.raises(InvalidArgument, match="repeat"):
         VerificationPlan(group=z6, sizes=(2, 2))
     with pytest.raises(InvalidArgument, match="repeat"):
-        VerificationPlan(group=z6, sizes=(2, 3, 2), mode="sample", seed=1, count_per_size=5)
+        VerificationPlan(group=z6, sizes=(2, 3, 2), seed=1, count_per_size=5)
 
 
 def test_plan_refuses_exhaustive_plans_over_the_cap(z36):
@@ -284,7 +280,7 @@ def test_plan_refuses_exhaustive_plans_over_the_cap(z36):
         VerificationPlan(group=z36, sizes=(10, 11))
     # C(35, 8) = 23535820 fits, and so do small samples of every size
     VerificationPlan(group=z36, sizes=(9,))
-    VerificationPlan(group=z36, sizes=range(1, 37), mode="sample", seed=1, count_per_size=10)
+    VerificationPlan(group=z36, sizes=range(1, 37), seed=1, count_per_size=10)
 
 
 def test_sampled_plans_and_probes_over_the_cap_are_refused(z36, monkeypatch):
@@ -294,8 +290,8 @@ def test_sampled_plans_and_probes_over_the_cap_are_refused(z36, monkeypatch):
     monkeypatch.setattr(harness, "index_tables", None)
     monkeypatch.setattr(harness, "candidate_sets", None)
     with pytest.raises(InvalidArgument, match="3000000000000 candidates"):
-        VerificationPlan(group=z36, sizes=(9, 12, 18), mode="sample", seed=1, count_per_size=10**12)
-    VerificationPlan(group=z36, sizes=(9, 12, 18), mode="sample", seed=1, count_per_size=10**7)
+        VerificationPlan(group=z36, sizes=(9, 12, 18), seed=1, count_per_size=10**12)
+    VerificationPlan(group=z36, sizes=(9, 12, 18), seed=1, count_per_size=10**7)
     shape = pq_shape(make_group([3, 3, 5, 5]))
     with pytest.raises(InvalidArgument, match="1000000000000 candidates"):
         case5_nonexistence_probe(shape, (30,), seed=0, count_per_size=10**12)
@@ -308,14 +304,20 @@ def test_verification_plan_validation(z6):
         VerificationPlan(group=z6, sizes=())
     with pytest.raises(InvalidArgument):
         VerificationPlan(group=z6, sizes=(7,))
-    with pytest.raises(InvalidArgument):
-        VerificationPlan(group=z6, sizes=(2,), mode="sample")
-    with pytest.raises(InvalidArgument):
-        VerificationPlan(group=z6, sizes=(2,), mode="nope")
+    # a count makes a sampled plan, which needs a seed and a count of at least 1
+    with pytest.raises(InvalidArgument, match="seed"):
+        VerificationPlan(group=z6, sizes=(2,), count_per_size=5)
+    for count in (0, -1):
+        with pytest.raises(InvalidArgument, match="at least 1"):
+            VerificationPlan(group=z6, sizes=(2,), seed=1, count_per_size=count)
+    # a seed without a count leaves the plan exhaustive
+    plan = VerificationPlan(group=z6, sizes=(2,), seed=1)
+    assert plan.mode == "exhaustive"
+    assert VerificationPlan(group=z6, sizes=(2,), seed=1, count_per_size=1).mode == "sample"
     # canonicalize filters the exhaustive enumeration; a sample ignored it
     with pytest.raises(InvalidArgument, match="canonicalize"):
         VerificationPlan(
-            group=z6, sizes=(2,), mode="sample", seed=1, count_per_size=5, canonicalize=True
+            group=z6, sizes=(2,), seed=1, count_per_size=5, canonicalize=True
         )
 
 
@@ -442,12 +444,13 @@ def test_subgroup_tiling_counts_tiles_whose_spectral_verdict_is_undecided():
     # clique search undecided on tiles at size 4
     z8 = make_group([8])
     report = verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4), budget=2))
-    view = SubgroupTilingReport.from_sweep(report)
+    view = report.subgroup_tiling_dict()
+    assert view["ok"] is False and not report.subgroup_tiling_ok
     assert {e["tile"] for e in report.per_size[2].undecided} == {"undecided"}
     assert {e["tile"] for e in report.per_size[4].undecided} == {True}
     for k, tally in report.per_size.items():
         undecided = tally.undecided
-        sub = view.per_size[k]
+        sub = view["per_size"][str(k)]
         assert sub["undecided"] == [
             {"set": e["set"]} for e in undecided if e["tile"] == "undecided"
         ]
@@ -516,17 +519,22 @@ def test_canonicalize_reduces_and_agrees(z12):
 
 def test_verify_subgroup_tiling_z12(z12):
     plan = VerificationPlan(group=z12, sizes=tuple(range(1, 13)))
-    report = verify_subgroup_tiling(plan)
-    assert report.ok
-    assert report.per_size[5]["tiles"] == 0  # 5 does not divide 12
-    assert report.per_size[5]["examined"] > 0
-    assert report.per_size[2]["tiles"] > 0
+    report = verify_fuglede(plan)
+    view = report.subgroup_tiling_dict()
+    assert report.subgroup_tiling_ok and view["ok"] is True
+    assert view["per_size"]["5"]["tiles"] == 0  # 5 does not divide 12
+    assert view["per_size"]["5"]["examined"] > 0
+    assert view["per_size"]["2"]["tiles"] > 0
 
 
 def test_automorphism_perms(z36, z6):
     perms = automorphism_index_perms(z36)
     assert len(perms) == 288  # |GL2(F2)| * |GL2(F3)| = 6 * 48
     assert len(automorphism_index_perms(z6)) == 2
+    # prime moduli only, each prime at most twice; the refusal names the fix
+    for moduli in ([2, 6], [4], [2, 2, 2]):
+        with pytest.raises(InvalidArgument, match="Z_2 x Z_6 as 2,2,3"):
+            automorphism_index_perms(make_group(moduli))
     add = z36.add
     idx = z36.index_of
     elems = z36.elements

@@ -164,11 +164,11 @@ def test_enumerate_tiles_examples(z6):
 def test_enumerate_tiles_sampling_deterministic(z36):
     a = [
         sorted(t.mult)
-        for t, _ in enumerate_tiles(z36, 6, mode="sample", seed=5, count=3000)
+        for t, _ in enumerate_tiles(z36, 6, seed=5, count=3000)
     ]
     b = [
         sorted(t.mult)
-        for t, _ in enumerate_tiles(z36, 6, mode="sample", seed=5, count=3000)
+        for t, _ in enumerate_tiles(z36, 6, seed=5, count=3000)
     ]
     assert a == b and len(a) > 0
 
@@ -177,7 +177,7 @@ def test_enumerate_tiles_sample_yields_the_distinct_tiles_of_a_sampled_sweep(z36
     # both draw from one candidate stream; the sweep keeps repeats
     sizes = (4, 6, 9)
     plan = VerificationPlan(
-        group=z36, sizes=sizes, mode="sample", seed=5, count_per_size=500, collect_tiles=True
+        group=z36, sizes=sizes, seed=5, count_per_size=500, collect_tiles=True
     )
     report = verify_fuglede(plan)
     for k in sizes:
@@ -186,7 +186,7 @@ def test_enumerate_tiles_sample_yields_the_distinct_tiles_of_a_sampled_sweep(z36
         swept = list(dict.fromkeys(tally.tile_sets))
         tiles = [
             tuple(sorted(S.mult))
-            for S, _ in enumerate_tiles(z36, k, mode="sample", seed=5, count=500)
+            for S, _ in enumerate_tiles(z36, k, seed=5, count=500)
         ]
         assert tiles == swept and tiles, k
         assert len(tally.tile_sets) == tally.tiles
@@ -200,7 +200,18 @@ def test_enumerate_tiles_over_the_candidate_cap_is_refused(z36, monkeypatch):
     with pytest.raises(InvalidArgument, match="4537567650 candidates"):
         next(enumerate_tiles(z36, 18))
     with pytest.raises(InvalidArgument, match="100000001 candidates"):
-        next(enumerate_tiles(z36, 6, mode="sample", seed=1, count=10**8 + 1))
+        next(enumerate_tiles(z36, 6, seed=1, count=10**8 + 1))
+
+
+def test_enumerate_tiles_refuses_a_seedless_or_nonpositive_count(z6):
+    # a count makes the enumeration sampled; it used to yield nothing at 0
+    with pytest.raises(InvalidArgument, match="seed"):
+        next(enumerate_tiles(z6, 2, count=5))
+    for count in (0, -3):
+        with pytest.raises(InvalidArgument, match="at least 1"):
+            next(enumerate_tiles(z6, 2, seed=1, count=count))
+    # a seed without a count scans every set
+    assert len(list(enumerate_tiles(z6, 2, seed=1))) == 3
 
 
 def _coset_transversal_oracle(G, cand):
@@ -436,8 +447,8 @@ def test_candidate_sets_yield_nonzero_parts_as_drawn_or_combined():
         for s in (0, 5, 20260809):
             rng = random.Random(f"{s}:{k}")
             expected = [rng.sample(range(1, 36), k - 1) for _ in range(200)]
-            assert list(candidate_sets(36, k, "sample", s, 200)) == expected
+            assert list(candidate_sets(36, k, s, 200)) == expected
         if k <= 6:
-            assert list(candidate_sets(36, k, "exhaustive", None, None)) == list(
+            assert list(candidate_sets(36, k, None, None)) == list(
                 itertools.combinations(range(1, 36), k - 1)
             )
