@@ -2,8 +2,9 @@
 
 Set documents are JSON: {"group": [2, 2, 3, 3], "set": [[0,0,0,0], ...]},
 optionally with "multiplicities" aligned to "set". All reports are JSON with
-stable key order. Exit codes: 0 all checks passed, 1 usage or parse error,
-2 a theorem mismatch was found, 3 an undecided (budget-bound) entry exists.
+stable key order. Exit codes: 0 all checks passed, 1 usage or parse error
+(or stdout closed before the report was written), 2 a theorem mismatch was
+found, 3 an undecided (budget-bound) entry exists.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -90,8 +92,20 @@ def serialize_set_document(A: Multiset) -> str:
     return json.dumps(doc, indent=2)
 
 
+class _ReaderGone(Exception):
+    """stdout was closed before the report was written."""
+
+
+def _out(text: str) -> None:
+    """Write one line of the report to stdout."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        raise _ReaderGone from None
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    _out(json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +244,7 @@ def cmd_enumerate_tiles(args: argparse.Namespace) -> int:
     found = 0
     for S, wit in enumerate_tiles(group, args.size, seed=seed, count=count, budget=args.budget):
         found += 1
-        print(
+        _out(
             json.dumps(
                 {
                     "tile": [list(x) for x in sorted(S.mult)],
@@ -239,7 +253,7 @@ def cmd_enumerate_tiles(args: argparse.Namespace) -> int:
                 }
             )
         )
-    print(json.dumps({"count": found, "size": args.size, "seed": seed}))
+    _out(json.dumps({"count": found, "size": args.size, "seed": seed}))
     return EXIT_OK
 
 
@@ -412,7 +426,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.budget < 1:
             raise ParseError(f"--budget must be a positive count, got {args.budget}")
-        return args.func(args)
+        rc = args.func(args)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise _ReaderGone from None
+        return rc
+    except _ReaderGone:
+        # the reader closed stdout early (`spectile verify ... | head`): the
+        # rest of the report goes to devnull, so that the flush at exit
+        # raises no second BrokenPipeError
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

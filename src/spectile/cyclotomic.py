@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GroupMismatch, InvalidArgument, NotTwoDistinctPrimes
 from .groups import Element, Group, Multiset, check_table_order, index_tables, is_prime
@@ -368,7 +368,11 @@ class CharTable:
             word ^= 1 << top
         return mask
 
-    def zero_mask(self, cand: tuple[int, ...]) -> int:
+    def set_word(self, cand: Sequence[int]) -> int:
+        """The class word of the set of element indices cand."""
+        return self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand))
+
+    def zero_mask(self, cand: Sequence[int]) -> int:
         """Bitmask over element indices of the zero set of a set of indices.
 
         Bit g is set for every nonzero g at which the character sum of the
@@ -377,10 +381,10 @@ class CharTable:
         the sum vanishes at all of them or at none: one evaluation per
         direction class decides the whole class. All classes are evaluated
         at once, side by side in limbs, exactly for any set of element
-        indices: the class word of the set's kernel sum (class_word),
+        indices: the class word of the set's kernel sum (set_word),
         expanded to element bits (expand).
         """
-        return self.expand(self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand)))
+        return self.expand(self.set_word(cand))
 
 
 @lru_cache(maxsize=None)

@@ -6,24 +6,30 @@ same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. The sweep decides on element indices drawn from
 enumerate_tiles' stream (tiling.candidate_sets), with the routines of the
 public per-set operations, once per zero set: both verdicts of a k-set are
-functions of its zero mask (CharTable.zero_mask), so one memo per group and
-size (_memo), keyed by the mask, holds the verdict of spectra.spectrum_search
-and the outcome of tiling.tiling_complement, whose exact cover does not read
-the mask and runs on the first set of each key.
+functions of its zero mask (CharTable.zero_mask), and so of the class word
+the mask expands from (CharTable.class_word, one bit per direction class).
+One memo per group and size (_memo), keyed by the word, holds the verdict
+of spectra.spectrum_search and the outcome of tiling.tiling_complement,
+whose exact cover does not read the mask and runs on the first set of each
+key. A settled word, whose verdicts agree and need no per-set entry, is a
+bare bool there; every other word keeps a (verdict, nodes, tile) tuple.
+The mask is expanded from the word only off the settled path.
 
-The sweep (_sweep_chunk) takes each candidate as its nonzero part and
-carries kernel sums from candidate to candidate: lexicographic neighbours
-share every index but the last, so each candidate adds one column to its
-head's sum, and the head is summed again only when it changes. The class
-word of the sum (CharTable.class_word, one bit per direction class) stands
-for the zero mask. A word whose verdicts need no per-set entry is tallied as
-a count per word, and its candidates are never sorted into sets; every other
-candidate becomes its sorted set, is expanded to its mask and is tallied on
-its own, in enumeration order.
+The sweep (_sweep_chunk) takes each candidate as its nonzero part. An
+exhaustive sweep carries kernel sums from candidate to candidate:
+lexicographic neighbours share every index but the last, so each candidate
+adds one column to its head's sum, and the head is summed again only when
+it changes; a sampled sweep sums each draw whole. A candidate
+whose word is settled, in this sweep or any earlier one of the process, is
+tallied with one memo lookup and one identity test as a count per
+verdict, and is never sorted into a set; every other candidate becomes its
+sorted set and is tallied on its own, in enumeration order.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
-size k, made from generator outputs fetched a block at a time.
+size k, made from generator outputs fetched a block at a time. A sweep
+draws all of a size's samples from one stream (SeededDraws.samples), the
+probe from two interleaved ones, leaves and points.
 """
 
 from __future__ import annotations
@@ -160,43 +166,50 @@ def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
 # whose tiling no sweep has decided yet (the case-5 probe decides none).
 NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
 
-MemoEntry = tuple[bool, int, int]
+# A settled entry is a bare bool: both verdicts, decided and equal, from a
+# clique search of at most DEFAULT_BUDGET nodes, and a subgroup tile (True)
+# or no tile (False). Every other entry is a (spectral verdict, clique
+# nodes, tile outcome) tuple.
+MemoEntry = Union[bool, tuple[bool, int, int]]
 
 
 @lru_cache(maxsize=None)
 def _memo(G: Group, k: int) -> dict[int, MemoEntry]:
-    """Verdicts on the k-sets of G, keyed by zero mask alone: one flat
-    (spectral verdict, clique nodes, tile outcome) per mask.
+    """Verdicts on the k-sets of G, keyed by class word alone
+    (CharTable.class_word): a settled bool or one flat (spectral verdict,
+    clique nodes, tile outcome) per word.
 
-    Both properties of a k-set are functions of its zero mask Z(S):
-    spectrality is the clique search on Z(S); S tiles iff some 0-containing
-    |G|/k-set T has Z(S) | Z(T) covering G minus 0 (the Fourier tiling
-    criterion); and S is a transversal of a subgroup H iff Z(S) covers
-    H^perp minus 0, so the kind of tile is a function of Z(S) as well.
-    verify_fuglede states how budgets read the entries.
+    Both properties of a k-set are functions of its zero mask Z(S), which
+    its class word expands to: spectrality is the clique search on Z(S); S
+    tiles iff some 0-containing |G|/k-set T has Z(S) | Z(T) covering G
+    minus 0 (the Fourier tiling criterion); and S is a transversal of a
+    subgroup H iff Z(S) covers H^perp minus 0, so the kind of tile is a
+    function of Z(S) as well. verify_fuglede states how budgets read the
+    entries.
     """
     return {}
 
 
-def _memo_entry(
-    memo: dict[int, MemoEntry], tables: IndexTables, zmask: int, k: int, budget: int
-) -> Optional[MemoEntry]:
-    """memo's entry for zmask. A miss runs the clique search (is there a
+def _spectral_verdict(
+    memo: dict[int, MemoEntry], tables: IndexTables, word: int, zmask: int, k: int, budget: int
+) -> Union[bool, Undecided]:
+    """The spectral verdict under budget of the k-sets whose class word is
+    word and whose zero mask is zmask. A miss runs the clique search (is there a
     0-containing k-set with differences in zmask?) and stores its verdict
-    with TILE_UNSET; a search that runs out of budget stores nothing and
-    gives None."""
-    entry = memo.get(zmask)
-    if entry is None:
+    with TILE_UNSET, unless the search ran out of budget. A settled entry
+    does not say how many nodes its search took, so below DEFAULT_BUDGET
+    the search runs again and its result is not stored."""
+    entry = memo.get(word)
+    if entry.__class__ is bool and budget >= DEFAULT_BUDGET:
+        return entry
+    if entry is None or entry.__class__ is bool:
         lam, nodes = spectrum_search(tables, zmask, k, budget)
         if lam is UNDECIDED:
-            return None
-        entry = memo[zmask] = (lam is not None, nodes, TILE_UNSET)
-    return entry
-
-
-def _spectral_verdict(entry: Optional[MemoEntry], budget: int) -> Union[bool, Undecided]:
-    """The spectral verdict of a memo entry under budget."""
-    return UNDECIDED if entry is None or entry[1] > budget else entry[0]
+            return UNDECIDED
+        if entry is None:
+            memo[word] = (lam is not None, nodes, TILE_UNSET)
+        return lam is not None
+    return UNDECIDED if entry[1] > budget else entry[0]
 
 
 def _tile_outcome(
@@ -359,7 +372,8 @@ class VerificationReport:
             "group": list(plan.group.moduli),
             "mode": plan.mode,
             "sizes": list(plan.sizes),
-            "seed": plan.seed,
+            # no draw reads the seed of an exhaustive plan
+            "seed": None if plan.count_per_size is None else plan.seed,
             "budget": plan.budget,
             "canonicalize": plan.canonicalize,
             "per_size": {str(k): t.to_dict() for k, t in sorted(self.per_size.items())},
@@ -427,57 +441,82 @@ def _mismatch_entry(
 
 
 def _sweep_chunk(
-    G: Group, k: int, parts: Iterable[Sequence[int]], budget: int, collect: bool
+    G: Group,
+    k: int,
+    parts: Iterable[Sequence[int]],
+    budget: int,
+    collect: bool,
+    carry: bool = True,
 ) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts.
 
     Each candidate comes as its nonzero part (tiling.candidate_sets): the
     k - 1 indices other than 0, sorted when enumerated and in draw order
-    when sampled. Its kernel sum is carried from the candidate before: the
-    column of 0 plus the cols of its head (every index of the part but the
-    last) plus the column of its last index, and the head's sum is redone
-    only when the head changes, once per run of lexicographic neighbours
-    (sampled draws rarely share a head). Size 1 has an empty part, and its
-    sum is the head's alone. The class word of the sum
-    (CharTable.class_word) keys the rest. A word is clean once a candidate
-    with it has both verdicts decided and equal, the tile outcome read from
-    the memo, no exact-cover tile, and no tile to collect: each later
-    candidate with that word only adds one to a count of agreeing verdicts,
-    folded into the tally when the chunk ends, and never becomes a set.
-    Every other candidate is sorted into its set, expands its word to the
-    zero mask and is tallied on its own, so undecided entries, violations,
-    mismatches and tile_sets list each set in enumeration order.
+    when sampled. With carry (enumerated parts), its kernel sum is carried
+    from the candidate before: the column of 0 plus the cols of its head
+    (every index of the part but the last) plus the column of its last
+    index, and the head's sum is redone only when the head changes, once
+    per run of lexicographic neighbours. Size 1 has an empty part, and its
+    sum is the head's alone. Sampled draws rarely share a head, so without
+    carry each part is summed whole. The class word of the sum
+    (CharTable.class_word) keys the memo. A candidate whose word is settled
+    (_memo) only adds one to a count of agreeing verdicts, folded into the
+    tally when the chunk ends, and never becomes a set; that takes a budget
+    of at least DEFAULT_BUDGET, and a settled tile is still listed when
+    tiles are collected. Every other candidate is sorted into its set and
+    tallied on its own, so undecided entries, violations, mismatches and
+    tile_sets list each set in enumeration order; unless it is a settled
+    tile, its word is expanded to the zero mask for the decisions.
     """
     kernel = char_table(G)
     cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
     tables = index_tables(G)
     memo = _memo(G, k)
+    get = memo.get
     keep_tiles = budget >= DEFAULT_BUDGET
+    # the settled entries that a candidate is tallied from with one lookup
+    # and one identity test; an unmatched sentinel turns a kind off
+    unmatched = object()
+    settled_no = False if keep_tiles else unmatched
+    settled_yes = True if keep_tiles and not collect else unmatched
     tally = SizeTally(size=k)
-    clean: dict[int, bool] = {}  # clean word -> its agreed verdict
-    agreed = [0, 0]  # later candidates with a clean word, by verdict
+    no = yes = 0  # candidates with a settled word, by verdict
     col0 = cols[0]
     head, head_sum = None, col0
     for rest in parts:
-        if rest[:-1] != head:
-            head = rest[:-1]
-            head_sum = sum(map(cols.__getitem__, head), col0)
-        word = class_word(head_sum + cols[rest[-1]] if rest else head_sum, k)
-        verdict = clean.get(word)
-        if verdict is not None:
-            agreed[verdict] += 1
+        if carry:
+            if rest[:-1] != head:
+                head = rest[:-1]
+                head_sum = sum(map(cols.__getitem__, head), col0)
+            total = head_sum + cols[rest[-1]] if rest else head_sum
+        else:
+            total = sum(map(cols.__getitem__, rest), col0)
+        word = class_word(total, k)
+        entry = get(word)
+        if entry is settled_no:
+            no += 1
+            continue
+        if entry is settled_yes:
+            yes += 1
             continue
         cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
-        zmask = expand(word)
-        entry = _memo_entry(memo, tables, zmask, k, budget)
-        sp = _spectral_verdict(entry, budget)
-        stored = keep_tiles and entry is not None
-        tile = entry[2] if stored else TILE_UNSET
-        if tile == TILE_UNSET:
-            tile = _tile_outcome(tables, cand, zmask, budget)
-            if stored and tile is not UNDECIDED:
-                memo[zmask] = entry[:2] + (tile,)
+        if entry.__class__ is bool and keep_tiles:  # a settled tile to collect
+            sp, tile = entry, SUBGROUP_TILE
+        else:
+            zmask = expand(word)
+            sp = _spectral_verdict(memo, tables, word, zmask, k, budget)
+            entry = get(word) if keep_tiles else None
+            tile = TILE_UNSET if entry is None else entry[2]
+            if tile == TILE_UNSET:
+                tile = _tile_outcome(tables, cand, zmask, budget)
+                if entry is not None and tile is not UNDECIDED:
+                    settled = (
+                        entry[1] <= DEFAULT_BUDGET
+                        and tile != COVER_TILE
+                        and entry[0] is (tile == SUBGROUP_TILE)
+                    )
+                    memo[word] = entry[0] if settled else entry[:2] + (tile,)
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
@@ -507,9 +546,6 @@ def _sweep_chunk(
             tally.both_yes += 1
         else:
             tally.both_no += 1
-        if stored and tile != COVER_TILE and not (collect and ti):
-            clean[word] = sp
-    no, yes = agreed
     tally.examined += no + yes
     tally.both_no += no
     tally.spectral += yes
@@ -523,16 +559,21 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     """Sweep the plan, deciding spectrality and tiling for every candidate.
 
     Both decisions go through one memo per group and size, _memo(G, k),
-    keyed by the zero mask: each entry holds the spectral verdict with the
-    clique nodes its search spent, and the tile outcome (not a tile,
-    subgroup tile, exact-cover tile, or not yet decided). The clique search
-    is deterministic, so an entry answers a budget exactly when its nodes
-    fit, else UNDECIDED, as a fresh search would. Cover nodes depend on the
-    set, not on its mask, so the tile outcome is read and stored only at
-    budgets of at least DEFAULT_BUDGET, and never stored UNDECIDED: a
-    report does not depend on what the process swept before. Every
-    candidate is tallied, so a key with an exact-cover tile lists each of
-    its sets as a violation.
+    keyed by the class word of the zero mask: each entry holds the spectral
+    verdict with the clique nodes its search spent, and the tile outcome
+    (not a tile, subgroup tile, exact-cover tile, or not yet decided). The
+    clique search is deterministic, so an entry answers a budget exactly
+    when its nodes fit, else UNDECIDED, as a fresh search would. Cover
+    nodes depend on the set, not on its mask, so the tile outcome is read
+    and stored only at budgets of at least DEFAULT_BUDGET, and never stored
+    UNDECIDED: a report does not depend on what the process swept before.
+    A settled word (verdicts decided and equal, at most DEFAULT_BUDGET
+    clique nodes, a subgroup tile or no tile) is stored as a bare bool,
+    which answers every budget of at least DEFAULT_BUDGET; below it, the
+    clique search runs again and its result is not stored. Every other
+    candidate is tallied on its own, so a key with an exact-cover tile
+    lists each of its sets as a violation, and collect_tiles lists every
+    tile, settled or not.
 
     Neither decision consults the other's verdict. Both read the zero mask,
     but every non-tile verdict, and every tile with no subgroup complement,
@@ -547,7 +588,12 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     else:
         for k in plan.sizes:
             per_size[k] = _sweep_chunk(
-                plan.group, k, _enumerate_candidates(plan, k), plan.budget, plan.collect_tiles
+                plan.group,
+                k,
+                _enumerate_candidates(plan, k),
+                plan.budget,
+                plan.collect_tiles,
+                plan.count_per_size is None,
             )
     return VerificationReport(plan, per_size, time.perf_counter() - start)
 
@@ -559,8 +605,8 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
 
 
 def _worker_chunk(args: tuple) -> SizeTally:
-    moduli, k, budget, chunk, collect = args
-    return _sweep_chunk(Group(moduli), k, chunk, budget, collect)
+    moduli, k, budget, chunk, collect, carry = args
+    return _sweep_chunk(Group(moduli), k, chunk, budget, collect, carry)
 
 
 def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:
@@ -573,7 +619,10 @@ def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:
             tally = SizeTally(size=k)
             cands = _enumerate_candidates(plan, k)
             chunks = iter(lambda: list(itertools.islice(cands, chunk_size)), [])
-            jobs = [(plan.group.moduli, k, plan.budget, c, plan.collect_tiles) for c in chunks]
+            carry = plan.count_per_size is None
+            jobs = [
+                (plan.group.moduli, k, plan.budget, c, plan.collect_tiles, carry) for c in chunks
+            ]
             # imap returns the chunks in job order, so entries keep draw order
             for out in pool.imap(_worker_chunk, jobs):
                 tally.merge(out)
@@ -771,6 +820,11 @@ def case5_nonexistence_probe(
     Candidates are built with every nonempty q-square fiber of size exactly
     q (the forced structure for a spectral set in this range), so rejections
     exercise the interesting obstructions rather than trivial ones.
+
+    count_per_size 0 is a table warm-up: it checks the sizes and builds the
+    group's index, character and leaf tables, examines nothing and reports
+    ok with examined 0 (the zero-mask kernel is built by the first
+    candidate). The CLI's --samples refuses 0.
     """
     start = time.perf_counter()
     G = shape.group
@@ -788,7 +842,7 @@ def case5_nonexistence_probe(
     check_candidates(f"probe on {G!r}", count_per_size * len(sizes), True)
 
     tables = index_tables(G)
-    zero_mask = char_table(G).zero_mask
+    kernel = char_table(G)
     lt = leaf_tables(shape)
     add = tables.add_rows
     examined = 0
@@ -807,18 +861,22 @@ def case5_nonexistence_probe(
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
         draws = SeededDraws(f"{seed}:{size}")
+        # two interleaved streams: a candidate's leaves, then its points per leaf
+        leaf_draws = draws.samples(range(len(lt.p_embed)), leaves_needed, count_per_size)
+        point_draws = draws.samples(range(len(lt.q_embed)), q, count_per_size * leaves_needed)
         memo = _memo(G, size)
-        for _ in range(count_per_size):
+        for leaf_sample in leaf_draws:
             elems = []
-            for ai in draws.sample(range(len(lt.p_embed)), leaves_needed):
+            for ai in leaf_sample:
                 row = add[lt.p_embed[ai]]
-                for bi in draws.sample(range(len(lt.q_embed)), q):
+                for bi in next(point_draws):
                     elems.append(row[lt.q_embed[bi]])
             cand = tuple(sorted(elems))
             examined += 1
 
-            zmask = zero_mask(cand)
-            verdict = _spectral_verdict(_memo_entry(memo, tables, zmask, size, budget), budget)
+            word = kernel.set_word(cand)
+            zmask = kernel.expand(word)
+            verdict = _spectral_verdict(memo, tables, word, zmask, size, budget)
             if verdict is UNDECIDED:
                 undecided.append({"size": size, "set": _coords(G, cand)})
             elif verdict:

@@ -253,88 +253,44 @@ def find_tiling_complement(
 
 
 @functools.lru_cache(maxsize=None)
-def _byte_accept(m: int) -> tuple[Optional[int], ...]:
-    """The draw below m (1 <= m < 256) that each top byte of an output makes:
-    its top m.bit_length() bits, or None when they are m or more."""
-    shift = 8 - m.bit_length()
-    return tuple(r if (r := b >> shift) < m else None for b in range(256))
-
-
-class _WordAccept:
-    """_byte_accept for any bound m < 2**32, read from whole 32-bit outputs."""
-
-    __slots__ = ("m", "shift")
-
-    def __init__(self, m: int):
-        self.m = m
-        self.shift = 32 - m.bit_length()
-
-    def __getitem__(self, word: int) -> Optional[int]:
-        r = word >> self.shift
-        return r if r < self.m else None
-
-
-@functools.lru_cache(maxsize=None)
 def _sample_plan(n: int, k: int) -> tuple[bool, tuple]:
     """How random.Random.sample draws k of n: (pool branch, its per-draw
-    (accept table, last pool slot) pairs) or (set branch, the accept table
-    of n). Tables read top bytes for n below 256, whole outputs from 256 on."""
+    (shift, last pool slot) pairs) or (set branch, (shift, n - 1)).
+
+    A draw below m is the top m.bit_length() bits of an output: of its top
+    byte for n below 256, of the whole 32-bit output from 256 on. Each draw
+    shifts the byte or output right by its shift and rejects a value past
+    the last slot."""
     if n >> 32:
         raise ValueError("SeededDraws samples populations of fewer than 2**32 elements")
-    accept = _byte_accept if n < 256 else _WordAccept
     setsize = 21  # the rule of random.Random.sample
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    width = 8 if n < 256 else 32
     if n <= setsize:
-        return True, tuple((accept(m), m - 1) for m in range(n, n - k, -1))
-    return False, accept(n)
-
-
-def _pool_draws(population: Sequence, steps: tuple, buf: Sequence[int], pos: int):
-    pool = list(population)
-    result = []
-    for accept, last in steps:
-        j = accept[buf[pos]]
-        pos += 1
-        while j is None:
-            j = accept[buf[pos]]
-            pos += 1
-        result.append(pool[j])
-        pool[j] = pool[last]  # move a non-selected item into the vacancy
-    return result, pos
-
-
-def _set_draws(population: Sequence, k: int, accept, buf: Sequence[int], pos: int):
-    selected: set[Optional[int]] = {None}  # a rejected draw is drawn again too
-    result = []
-    for _ in range(k):
-        j = accept[buf[pos]]
-        pos += 1
-        while j in selected:
-            j = accept[buf[pos]]
-            pos += 1
-        selected.add(j)
-        result.append(population[j])
-    return result, pos
+        return True, tuple((width - m.bit_length(), m - 1) for m in range(n, n - k, -1))
+    return False, (width - n.bit_length(), n - 1)
 
 
 class SeededDraws:
     """The draws of random.Random(seed).sample, made from buffered outputs.
 
-    sample(population, k) returns what random.Random(seed).sample(population,
-    k) returns, call for call: the same pool and set branches, chosen by the
-    same setsize rule, and each draw below a bound m made from the top
-    m.bit_length() bits of one 32-bit generator output and rejected when it
-    is m or more (Random._randbelow_with_getrandbits). The outputs are
+    samples(population, k, count) yields what count calls of
+    random.Random(seed).sample(population, k) return, call for call: the
+    same pool and set branches, chosen by the same setsize rule, and each
+    draw below a bound m made from the top m.bit_length() bits of one 32-bit
+    generator output and rejected when it is m or more
+    (Random._randbelow_with_getrandbits). The outputs are
     fetched BLOCK at a time: getrandbits(32 * BLOCK) holds them in order,
     least significant first, so its little-endian bytes hold output i at
     [4i, 4i + 4). The generator is private to the stream, so drawing ahead
     changes nothing.
 
-    A population below 256 draws from the top bytes of the outputs alone:
-    a draw is one index into a bytes buffer and one into the bound's
-    256-entry accept table, whose values are small cached ints. Larger
-    populations read whole outputs. A sample that runs off the end of the
+    A population below 256 draws from the top bytes of the outputs alone,
+    which index as small cached ints; larger populations read whole
+    outputs. Either is shifted inline. The pool branch copies the population
+    once per sample and swaps each drawn item into the pool's tail, so the
+    sample is that tail reversed. A sample that runs off the end of the
     buffer fetches another block and is drawn again from its first output.
     The population must be a sequence whose items 0 .. len - 1 index.
     """
@@ -358,20 +314,44 @@ class SeededDraws:
         self._top = self._top[self._pos :] + raw[3::4]
         self._pos = 0
 
-    def sample(self, population: Sequence, k: int) -> list:
+    def samples(self, population: Sequence, k: int, count: int) -> Iterator[list]:
+        """count samples of k from population, drawn in one frame. Each
+        sample starts at the next unused output, so streams of one
+        SeededDraws may be interleaved: their samples are those of
+        random.Random(seed).sample calls in the same order."""
         n = len(population)
         if not 0 <= k <= n:
             raise ValueError("Sample larger than population or is negative")
         pooled, steps = _sample_plan(n, k)
+        base = list(population) if pooled else population
         fetched = 0
-        while True:
+        while count:
+            # read at every sample: another stream may have drawn since
             buf = self._top if n < 256 else self._words
+            pos = self._pos
             try:
                 if pooled:
-                    out, self._pos = _pool_draws(population, steps, buf, self._pos)
+                    pool = base.copy()
+                    for shift, last in steps:
+                        j = buf[pos] >> shift
+                        pos += 1
+                        while j > last:
+                            j = buf[pos] >> shift
+                            pos += 1
+                        pool[j], pool[last] = pool[last], pool[j]
+                    out = pool[: -k - 1 : -1]
                 else:
-                    out, self._pos = _set_draws(population, k, steps, buf, self._pos)
-                return out
+                    shift, last = steps
+                    selected: set[int] = set()
+                    out = []
+                    for _ in range(k):
+                        j = buf[pos] >> shift
+                        pos += 1
+                        while j > last or j in selected:
+                            j = buf[pos] >> shift
+                            pos += 1
+                        selected.add(j)
+                        out.append(population[j])
             except IndexError:
                 # every output is accepted with probability at least 1/3
                 # (at least 1/2 below its bound, and the set branch holds
@@ -381,6 +361,11 @@ class SeededDraws:
                     raise
                 self._extend()
                 fetched += self.BLOCK
+                continue
+            self._pos = pos
+            fetched = 0
+            count -= 1
+            yield out
 
 
 def candidate_sets(
@@ -398,8 +383,7 @@ def candidate_sets(
     population = range(1, n)
     if count is None:
         return itertools.combinations(population, k - 1)
-    draws = SeededDraws(f"{seed}:{k}")
-    return (draws.sample(population, k - 1) for _ in range(count))
+    return SeededDraws(f"{seed}:{k}").samples(population, k - 1, count)
 
 
 def enumerate_tiles(

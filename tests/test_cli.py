@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from spectile import cli
 from spectile import (
     InvalidElement,
     Multiset,
@@ -188,6 +189,48 @@ def test_verify_command_sampled_with_seed(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == EXIT_OK
     assert out["fuglede"]["seed"] == 7
+
+
+def test_exhaustive_verify_reports_its_unused_seed_as_null(capsys):
+    # as enumerate-tiles does: no draw of an exhaustive plan reads the seed
+    argv = ["--group", "2,3", "--seed", "4"]
+    assert main(["verify", *argv, "--sizes", "2", "--exhaustive"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["fuglede"]["mode"] == "exhaustive"
+    assert out["fuglede"]["seed"] is None and out["subgroup_tiling"]["seed"] is None
+    assert main(["enumerate-tiles", *argv, "--size", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["seed"] is None
+
+
+def test_a_reader_closing_stdout_early_ends_the_command_without_a_traceback(subprocess_env):
+    # every one of the 2 048 sets is undecided at budget 1 and listed twice,
+    # about 150 kB, more than a pipe holds, so the report is still being
+    # written when the reader goes away
+    argv = ["verify", "--group", "2,2,3", "--sizes", "all", "--exhaustive", "--budget", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spectile.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env,
+    )
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_USAGE
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
+def test_a_broken_pipe_inside_a_command_is_not_taken_for_a_closed_stdout(monkeypatch):
+    # only a write of the report to stdout ends the command quietly; a pipe
+    # the command itself uses reaches the caller
+    def command(args):
+        raise BrokenPipeError("a worker pipe")
+
+    monkeypatch.setattr(cli, "cmd_verify", command)
+    with pytest.raises(BrokenPipeError, match="a worker pipe"):
+        main(["verify", "--group", "2,3", "--sizes", "2"])
 
 
 def test_verify_without_seed_prints_one_document(capsys):

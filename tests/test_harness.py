@@ -1,10 +1,12 @@
 import cmath
 import dataclasses
+import inspect
 import itertools
 import json
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -222,7 +224,7 @@ def test_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
     ids=str,
 )
 def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
-    # the sweep sorts a draw into its set only off the clean-word path; the
+    # the sweep sorts a draw into its set only off the settled-word path; the
     # per-set tally sorts every draw of random.Random(f"{seed}:{k}").sample,
     # which arrive unsorted and repeat
     G = make_group(moduli)
@@ -475,9 +477,109 @@ def test_budget_bound_report_does_not_depend_on_earlier_sweeps(capsys, subproces
     assert rc == fresh.returncode
 
 
+def _plan_doc(report) -> dict:
+    """Both blocks of a report with its collected tiles, less elapsed_seconds."""
+    doc = {"fuglede": report.to_dict(), "subgroup_tiling": report.subgroup_tiling_dict()}
+    for block in doc.values():
+        block.pop("elapsed_seconds")
+    doc["tile_sets"] = {
+        str(k): [[list(x) for x in S] for S in t.tile_sets] for k, t in report.per_size.items()
+    }
+    return doc
+
+
+# a fresh process that prints _plan_doc of the plan given as JSON
+_FRESH_PLAN = f"""
+import json, sys
+from spectile import VerificationPlan, make_group, verify_fuglede
+{inspect.getsource(_plan_doc)}
+kwargs = json.loads(sys.argv[1])
+plan = VerificationPlan(group=make_group(kwargs.pop("moduli")), **kwargs)
+print(json.dumps(_plan_doc(verify_fuglede(plan))))
+"""
+
+
+def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subprocess_env):
+    # one process sweeps a default-budget plan, which settles most class
+    # words (bare bools in _memo), then the same plan at budget 3, where a
+    # settled word holds no node count, then with collect_tiles, where a
+    # settled tile is still listed; each report is that of a fresh process
+    base = {"moduli": [2, 2, 3, 3], "sizes": [2, 4, 6, 9], "seed": 11, "count_per_size": 300}
+    plans = [base, {**base, "budget": 3}, {**base, "collect_tiles": True}, base]
+    docs = []
+    for kwargs in plans:
+        kw = dict(kwargs)
+        plan = VerificationPlan(group=make_group(kw.pop("moduli")), **kw)
+        doc = _plan_doc(verify_fuglede(plan))
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_PLAN, json.dumps(kwargs)],
+            capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
+        )
+        assert doc == json.loads(fresh.stdout), kwargs
+        docs.append(doc)
+        if kwargs is base:
+            memo = _memo(make_group([2, 2, 3, 3]), 4)
+            assert True in memo.values() and False in memo.values()
+    low, collected = docs[1]["fuglede"], docs[2]
+    assert low["per_size"]["6"]["undecided"] and low["per_size"]["2"]["both_yes"]
+    for k, tally in collected["fuglede"]["per_size"].items():
+        assert len(collected["tile_sets"][k]) == tally["tiles"]
+    assert collected["fuglede"]["per_size"]["4"]["tiles"]
+
+
+def test_a_word_whose_verdicts_disagree_is_never_settled(monkeypatch):
+    # a clique search that calls every set non-spectral makes each tile of
+    # Z_8 a mismatch, exact-cover tiles included; a second sweep over the
+    # same memo lists every one of them again
+    monkeypatch.setattr(harness, "spectrum_search", lambda *args: (None, 1))
+    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    plan = VerificationPlan(group=make_group([8]), sizes=(2, 4))
+    first, second = (verify_fuglede(plan) for _ in range(2))
+    for report in (first, second):
+        for tally in report.per_size.values():
+            assert len(tally.mismatches) == tally.tiles > 0
+        assert report.violation_count > 0
+    assert _plan_doc(first) == _plan_doc(second)
+
+
+@pytest.mark.parametrize("moduli, sizes", [([2, 2, 3, 3], (2, 3, 4, 6, 9)), ([8], (2, 4))])
+def test_sampled_tallies_equal_per_set_verdicts_on_the_same_draws(moduli, sizes):
+    # the oracle decides each drawn set on its own with the public per-set
+    # searches, which read no memo; Z_8 has exact-cover tiles (violations)
+    G = make_group(moduli)
+    seed, count = 4, 80
+    report = verify_fuglede(
+        VerificationPlan(group=G, sizes=sizes, seed=seed, count_per_size=count)
+    )
+    for k in sizes:
+        rng = random.Random(f"{seed}:{k}")
+        expected = dict.fromkeys(("spectral", "tiles", "both_yes", "both_no"), 0)
+        violations = []
+        for _ in range(count):
+            S = Multiset.of_indices(G, [0] + rng.sample(range(1, G.order), k - 1))
+            spectral = find_spectrum(S)
+            complement = find_tiling_complement(S)
+            assert spectral is not UNDECIDED and complement is not UNDECIDED
+            sp, ti = spectral is not None, complement is not None
+            expected["spectral"] += sp
+            expected["tiles"] += ti
+            expected["both_yes"] += sp and ti
+            expected["both_no"] += not sp and not ti
+            if ti and complement.method is ComplementMethod.EXACT_COVER:
+                violations.append({"set": [list(x) for x in sorted(S.mult)]})
+        tally = report.per_size[k]
+        assert tally.examined == count and not tally.mismatches and not tally.undecided
+        got = {key: getattr(tally, key) for key in expected}
+        assert got == expected, k
+        assert tally.tiles_any == expected["tiles"]
+        assert tally.violations == violations
+    assert report.violation_count > 0 or moduli != [8]
+
+
 def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subprocess_env):
-    # after a default-budget sweep every key holds its tile outcome; a key
-    # with an exact-cover tile still lists each of its sets as a violation
+    # after a default-budget sweep every key is settled (a bare bool) or
+    # holds its tile outcome; a key with an exact-cover tile still lists
+    # each of its sets as a violation
     argv = ["verify", "--group", "8", "--sizes", "2,4", "--exhaustive"]
     fresh = subprocess.run(
         [sys.executable, "-m", "spectile.cli", *argv],
@@ -485,7 +587,9 @@ def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subproc
     )
     z8 = make_group([8])
     verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4)))
-    assert all(entry[2] != TILE_UNSET for k in (2, 4) for entry in _memo(z8, k).values())
+    entries = [entry for k in (2, 4) for entry in _memo(z8, k).values()]
+    assert all(entry.__class__ is bool or entry[2] != TILE_UNSET for entry in entries)
+    assert {entry.__class__ for entry in entries} == {bool, tuple}
     zero_mask = char_table(z8).zero_mask
     assert zero_mask((0, 2)) == zero_mask((0, 6))
     rc = main(argv)
@@ -801,6 +905,17 @@ def test_case5_probe_small():
         case5_nonexistence_probe(shape, (31,), seed=3, count_per_size=1)
     with pytest.raises(InvalidArgument):
         case5_nonexistence_probe(shape, (45,), seed=3, count_per_size=1)
+
+
+def test_a_zero_count_probe_is_a_table_warm_up_that_examines_nothing():
+    # perfbench's case5_probe builds its tables this way
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    report = case5_nonexistence_probe(shape, (30,), seed=1, count_per_size=0)
+    assert report.ok and report.examined == report.refuted == 0
+    assert set(report.obstructions.values()) == {0}
+    assert report.direction_gap == {"holds": 0, "fails": 0} and report.aligned_leaf_hits == 0
+    with pytest.raises(InvalidArgument, match="outside the probe range"):
+        case5_nonexistence_probe(shape, (31,), seed=1, count_per_size=0)
 
 
 def test_case5_probe_deterministic():

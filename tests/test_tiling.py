@@ -29,6 +29,7 @@ from spectile.errors import DEFAULT_BUDGET
 from spectile.groups import Subgroup, coset_id_table, index_tables
 from spectile.tiling import (
     SeededDraws,
+    _sample_plan,
     candidate_sets,
     subgroup_transversal,
     tiling_complement,
@@ -404,27 +405,49 @@ def test_seeded_draws_are_those_of_random_sample(monkeypatch, block):
         draws, rng = SeededDraws(seed), random.Random(seed)
         for n, k in SAMPLE_SHAPES:
             for population in (range(n), range(1, n + 1), [f"x{i}" for i in range(n)]):
-                assert draws.sample(population, k) == rng.sample(population, k), (seed, n, k)
+                (drawn,) = draws.samples(population, k, 1)
+                assert drawn == rng.sample(population, k), (seed, n, k)
+
+
+@pytest.mark.parametrize("k", [5, 23, 400])
+def test_seeded_draws_from_whole_outputs_are_those_of_random_sample(k):
+    # 1 224 elements read whole 32-bit outputs, shifted inline: 5 and 23 of
+    # them take the set branch, 400 the pool branch; 30 samples of 400 run
+    # past one block of outputs
+    population = range(1, 1225)
+    assert _sample_plan(len(population), k)[0] is (k == 400)
+    for seed in SAMPLE_SEEDS:
+        rng = random.Random(seed)
+        expected = [rng.sample(population, k) for _ in range(30)]
+        assert list(SeededDraws(seed).samples(population, k, 30)) == expected
+        draws = SeededDraws(seed)
+        assert [next(draws.samples(population, k, 1)) for _ in range(30)] == expected
 
 
 def test_seeded_draws_follow_the_probes_alternating_populations(monkeypatch):
-    # case5_nonexistence_probe draws 6 of 9 leaves, then 5 of 25 points per leaf
+    # case5_nonexistence_probe draws 6 of 9 leaves, then 5 of 25 points per
+    # leaf, from two interleaved streams; a 7-output block runs out inside
+    # one stream while the other holds its place
     monkeypatch.setattr(SeededDraws, "BLOCK", 7)
     for seed in SAMPLE_SEEDS:
         draws, rng = SeededDraws(seed), random.Random(seed)
-        for _ in range(40):
-            leaves = draws.sample(range(9), 6)
-            assert leaves == rng.sample(range(9), 6)
+        streams = SeededDraws(seed)
+        leaf_draws = streams.samples(range(9), 6, 40)
+        point_draws = streams.samples(range(25), 5, 40 * 6)
+        for leaf_sample in leaf_draws:
+            leaves = next(draws.samples(range(9), 6, 1))
+            assert leaf_sample == leaves == rng.sample(range(9), 6)
             for _ in leaves:
-                assert draws.sample(range(25), 5) == rng.sample(range(25), 5)
+                points = rng.sample(range(25), 5)
+                assert next(draws.samples(range(25), 5, 1)) == next(point_draws) == points
 
 
 def test_seeded_draws_refuse_what_random_sample_refuses():
     for k in (-1, 4):
         with pytest.raises(ValueError):
-            SeededDraws(0).sample(range(3), k)
+            next(SeededDraws(0).samples(range(3), k, 1))
     with pytest.raises(ValueError, match="fewer than 2"):
-        SeededDraws(0).sample(range(2**32), 1)
+        next(SeededDraws(0).samples(range(2**32), 1, 1))
 
 
 def test_seeded_draws_raise_the_index_error_of_a_broken_population():
@@ -437,7 +460,7 @@ def test_seeded_draws_raise_the_index_error_of_a_broken_population():
 
     for k in (5, 30):  # the set branch, then the pool branch
         with pytest.raises(IndexError):
-            SeededDraws(0).sample(Broken(), k)
+            next(SeededDraws(0).samples(Broken(), k, 1))
 
 
 def test_candidate_sets_yield_nonzero_parts_as_drawn_or_combined():
