@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .cyclotomic import cube_decompose, zero_set
@@ -362,6 +363,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The spectile parser; main runs subcommand NAME as cmd_NAME, dashes
+    read as underscores."""
     parser = _Parser(
         prog="spectile",
         description="Exact spectral-set and tiling decisions on finite abelian groups.",
@@ -376,26 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one set")
     add_common(p, needs_set=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("spectrum", help="find a spectrum for a set")
     add_common(p, needs_set=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("complement", help="find a tiling complement for a set")
     add_common(p, needs_set=True)
-    p.set_defaults(func=cmd_complement)
 
     p = sub.add_parser("decompose", help="row/column decomposition on Z_p x Z_q")
     add_common(p, needs_set=True)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("enumerate-tiles", help="stream tiles of a given size")
     p.add_argument("--group", required=True, help="comma-separated moduli")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--samples", type=int, default=None, help="sample instead of exhaust")
     add_common(p)
-    p.set_defaults(func=cmd_enumerate_tiles)
 
     p = sub.add_parser("verify", help="spectral <=> tile sweep plus subgroup-tiling check")
     p.add_argument("--group", required=True, help="comma-separated moduli")
@@ -408,25 +406,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonicalize", action="store_true", help="reduce by automorphisms")
     p.add_argument("--workers", type=int, default=1)
     add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("probe-case5", help="sampled nonexistence probe in the hard size range")
     p.add_argument("--group", required=True, help="comma-separated moduli (p,p,q,q)")
     p.add_argument("--sizes", default=None, help="comma-separated sizes (default: full range)")
     p.add_argument("--samples", type=int, default=None, help="candidates per size")
     add_common(p)
-    p.set_defaults(func=cmd_probe_case5)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.budget < 1:
             raise ParseError(f"--budget must be a positive count, got {args.budget}")
-        rc = args.func(args)
+        # looked up when called, so a replaced cmd_* function is the one run
+        rc = globals()["cmd_" + args.command.replace("-", "_")](args)
         try:
             sys.stdout.flush()
         except BrokenPipeError:

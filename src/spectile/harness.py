@@ -41,9 +41,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .cyclotomic import char_table
+from .cyclotomic import CharTable, char_table
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -821,6 +821,14 @@ def case5_nonexistence_probe(
     q (the forced structure for a spectral set in this range), so rejections
     exercise the interesting obstructions rather than trivial ones.
 
+    Each candidate is read from its draws: a drawn leaf's mask is the OR of
+    its points' bits, and the kernel sum adds the points' columns in draw
+    order. The class word keys the spectral memo and a dict of this call
+    holding, per word, the zero mask and the zero-mask part of the
+    obstruction class, so a word is expanded and classified once per call.
+    The structure checks read the leaf masks alone, and only a listed
+    candidate (undecided or spectral) is sorted into its set.
+
     count_per_size 0 is a table warm-up: it checks the sizes and builds the
     group's index, character and leaf tables, examines nothing and reports
     ok with examined 0 (the zero-mask kernel is built by the first
@@ -843,8 +851,13 @@ def case5_nonexistence_probe(
 
     tables = index_tables(G)
     kernel = char_table(G)
+    class_word, expand = kernel.class_word, kernel.expand
     lt = leaf_tables(shape)
-    add = tables.add_rows
+    # a warm-up leaves the kernel unbuilt
+    read = _draw_reader(lt, kernel) if count_per_size else None
+    # per class word of this call: its zero mask, and whether the mask fails
+    # the vanishing pattern
+    by_word: dict[int, tuple[int, bool]] = {}
     examined = 0
     refuted = 0
     spectral_hits: list[dict] = []
@@ -866,36 +879,35 @@ def case5_nonexistence_probe(
         point_draws = draws.samples(range(len(lt.q_embed)), q, count_per_size * leaves_needed)
         memo = _memo(G, size)
         for leaf_sample in leaf_draws:
-            elems = []
-            for ai in leaf_sample:
-                row = add[lt.p_embed[ai]]
-                for bi in next(point_draws):
-                    elems.append(row[lt.q_embed[bi]])
-            cand = tuple(sorted(elems))
             examined += 1
-
-            word = kernel.set_word(cand)
-            zmask = kernel.expand(word)
+            leaves, total = read(leaf_sample, point_draws)
+            word = class_word(total, size)
+            known = by_word.get(word)
+            if known is None:
+                zmask = expand(word)
+                known = by_word[word] = (zmask, _vanishing_pattern_fails(lt, zmask))
+            zmask, pattern_fails = known
             verdict = _spectral_verdict(memo, tables, word, zmask, size, budget)
-            if verdict is UNDECIDED:
-                undecided.append({"size": size, "set": _coords(G, cand)})
-            elif verdict:
-                wit = find_spectrum(Multiset.of_indices(G, cand), budget)
-                spectral_hits.append(
-                    {
-                        "size": size,
-                        "set": _coords(G, cand),
-                        "spectrum": [list(x) for x in wit.lam.support]
-                        if isinstance(wit, SpectrumWitness)
-                        else None,
-                    }
-                )
-            else:
+            if verdict is False:
                 refuted += 1
+            else:
+                cand = tuple(sorted(_leaf_elements(lt, leaves)))
+                if verdict is UNDECIDED:
+                    undecided.append({"size": size, "set": _coords(G, cand)})
+                else:
+                    wit = find_spectrum(Multiset.of_indices(G, cand), budget)
+                    spectral_hits.append(
+                        {
+                            "size": size,
+                            "set": _coords(G, cand),
+                            "spectrum": [list(x) for x in wit.lam.support]
+                            if isinstance(wit, SpectrumWitness)
+                            else None,
+                        }
+                    )
 
-            leaves = lt.leaves(cand)
-            obstructions[_classify_obstruction(lt, leaves, zmask)] += 1
-            if any(aligned_leaves(lines, leaves) for lines in lt.p_lines):
+            obstructions[_classify_obstruction(lt, leaves, pattern_fails)] += 1
+            if _aligned_along_some_direction(lt, leaves):
                 aligned_leaf_hits += 1
             # a candidate with no clean p-direction or no clean q-direction
             # determines every direction of that square factor; spectral sets
@@ -923,47 +935,104 @@ def case5_nonexistence_probe(
     )
 
 
-def _classify_obstruction(lt: LeafTables, leaves: list[int], zmask: int) -> str:
+def _draw_reader(
+    lt: LeafTables, kernel: CharTable
+) -> Callable[[Sequence[int], Iterator[list[int]]], tuple[list[int], int]]:
+    """read(leaf_sample, point_draws): the leaf masks and the kernel sum of
+    the candidate whose leaves sit at the p-part indices of leaf_sample, each
+    taking its next draw of q-part indices from point_draws. A leaf's mask
+    is the OR of its points' bits; the sum adds their kernel columns in draw
+    order."""
+    bit = [1 << bi for bi in range(len(lt.q_embed))]
+    col_at = [list(map(kernel.cols.__getitem__, row)) for row in lt.elem]
+    n = len(col_at)
+
+    def read(leaf_sample: Sequence[int], point_draws: Iterator[list[int]]) -> tuple[list[int], int]:
+        leaves = [0] * n
+        total = 0
+        for ai in leaf_sample:
+            pts = next(point_draws)
+            leaves[ai] = sum(map(bit.__getitem__, pts))
+            total = sum(map(col_at[ai].__getitem__, pts), total)
+        return leaves, total
+
+    return read
+
+
+def _leaf_elements(lt: LeafTables, leaves: list[int]) -> Iterator[int]:
+    """The element indices of the set whose leaf masks are leaves."""
+    for row, K in zip(lt.elem, leaves):
+        while K:
+            low = K & -K
+            yield row[low.bit_length() - 1]
+            K ^= low
+
+
+def _vanishing_pattern_fails(lt: LeafTables, zmask: int) -> bool:
+    """Some mixed (u, v) has a nonvanishing sum while the sum at (u, 0) or
+    at (0, v) does not vanish either: the necessary condition that
+    _classify_obstruction tests after leaf sizes is that wherever the sum
+    does not vanish at a mixed (u, v), it vanishes at both.
+
+    A function of the zero mask zmask alone, so of the class word.
+    """
+    for gu, row in zip(lt.p_embed[1:], lt.elem[1:]):
+        u_vanishes = zmask >> gu & 1
+        for gv, g in zip(lt.q_embed[1:], row[1:]):
+            if not zmask >> g & 1 and not (u_vanishes and zmask >> gv & 1):
+                return True
+    return False
+
+
+def _classify_obstruction(lt: LeafTables, leaves: list[int], pattern_fails: bool) -> str:
     """Which structural necessary condition for spectrality fails first.
 
-    leaves are the set's leaf masks and zmask its zero mask.
+    leaves are the set's leaf masks, whose popcounts decide the leaf-size
+    part, and pattern_fails is _vanishing_pattern_fails of its zero mask.
     """
     q = lt.q
-    sizes = [K.bit_count() for K in leaves]
+    sizes = set(map(int.bit_count, leaves))
     # the Sylow p-projection counts leaf sizes: it is a constant plus q times
-    # a multiset exactly when every size is congruent to the least one mod q
-    c = min(sizes)
-    if max(sizes) > q or any((n - c) % q for n in sizes):
+    # a multiset exactly when every size is congruent to the least one mod q,
+    # and sizes of at most q are congruent only when equal or all 0 or q
+    if max(sizes) > q or len(sizes) > 1 and not sizes <= {0, q}:
         return "leaf-structure"
-    # wherever the sum does not vanish at a mixed (u, v), it must vanish at
-    # both (u, 0) and (0, v)
-    for gu, mixed in zip(lt.p_embed[1:], lt.mixed):
-        u_vanishes = zmask >> gu & 1
-        for gv, g in zip(lt.q_embed[1:], mixed):
-            if not zmask >> g & 1 and not (u_vanishes and zmask >> gv & 1):
-                return "vanishing-pattern"
-    return "leaf-overflow"
+    return "vanishing-pattern" if pattern_fails else "leaf-overflow"
+
+
+def _aligned_along_some_direction(lt: LeafTables, leaves: list[int]) -> bool:
+    """Aligned leaves (aligned_leaves) along some p-direction.
+
+    Along a direction, each of its p lines holds at most one distinct
+    nonempty mask, so more than p distinct nonempty masks rule out every
+    direction at once.
+    """
+    distinct = set(leaves)
+    distinct.discard(0)
+    return len(distinct) <= lt.p and any(aligned_leaves(lines, leaves) for lines in lt.p_lines)
 
 
 def _direction_gap_ok(lt: LeafTables, leaves: list[int]) -> bool:
     """Some pure p-direction and some pure q-direction are both missed by S-S.
 
-    leaves are the set's leaf masks. A pure q-difference (0, b - b') joins
-    two points of one leaf; a pure p-difference (a - a', 0) joins the leaves
-    at a and a' at a q-part they share.
+    leaves are the set's leaf masks. A pure p-difference (a - a', 0) joins
+    the leaves at a and a' at a q-part they share, so a p-direction is hit
+    at the first pair of its lines (LeafTables.p_pairs) whose masks
+    intersect; the check ends as soon as every p-direction is hit. A pure
+    q-difference (0, b - b') joins two points of one leaf; the q side ends
+    as soon as every q-direction is hit.
     """
-    full = [(a, K) for a, K in enumerate(leaves) if K]
-    p_hit = set()
-    for i, (a, K) in enumerate(full):
-        p_dir = lt.p_dir[a]
-        for a2, K2 in full[i + 1 :]:
-            if K & K2:
-                p_hit.add(p_dir[a2])
-    if lt.p_dirs <= p_hit:
+    for pairs in lt.p_pairs:
+        for a, a2 in pairs:
+            if leaves[a] & leaves[a2]:
+                break
+        else:
+            break  # no pair hits this p-direction
+    else:
         return False
     q_dir = lt.q_dir
     q_hit = set()
-    for _, K in full:
+    for K in leaves:
         bits = []
         while K:
             low = K & -K
@@ -971,4 +1040,7 @@ def _direction_gap_ok(lt: LeafTables, leaves: list[int]) -> bool:
             K ^= low
         for b in bits:
             q_hit.update(map(q_dir[b].__getitem__, bits))
-    return not lt.q_dirs <= q_hit
+        q_hit.discard(-1)
+        if len(q_hit) == lt.q_dir_count:
+            return False
+    return True

@@ -221,21 +221,25 @@ class LeafTables:
         # element indices of (a, 0) for every a in Z_p^2 and of (0, b) for every b in Z_q^2
         self.p_embed = [G.index_of(shape.join(a, qg.identity)) for a in pg.elements]
         self.q_embed = [G.index_of(shape.join(pg.identity, b)) for b in qg.elements]
-        # mixed[i][j] = index of (a_i, b_j), both parts nonzero
-        self.mixed = [[add[gu][gv] for gv in self.q_embed[1:]] for gu in self.p_embed[1:]]
-        # p_dir[a][a'] = direction class id in Z_p^2 of a - a' (-1 when a = a'),
-        # q_dir the same on Z_q^2, and the sets of all class ids of each factor
+        # elem[i][j] = index of (a_i, b_j); row 0 is q_embed, column 0 p_embed
+        self.elem = [[add[gu][gv] for gv in self.q_embed] for gu in self.p_embed]
+        # q_dir[b][b'] = direction class id in Z_q^2 of b - b' (-1 when b = b'),
+        # one of q_dir_count ids
         pt, qt = index_tables(pg), index_tables(qg)
-        self.p_dir = [[pt.direction_of[d] for d in row] for row in pt.sub_rows]
         self.q_dir = [[qt.direction_of[d] for d in row] for row in qt.sub_rows]
-        self.p_dirs = frozenset(range(len(pt.direction_classes)))
-        self.q_dirs = frozenset(range(len(qt.direction_classes)))
-        # the lines b + <u> of Z_p^2 for each line <u> through 0, by class id
+        self.q_dir_count = len(qt.direction_classes)
+        # the p lines b + <u> of Z_p^2 for each line <u> through 0, by class
+        # id, and the pairs (a, a') of distinct points on one of those lines
+        self.p = shape.p
         self.p_lines: list[list[tuple[int, ...]]] = []
         for _, gens in pt.direction_classes:
             line = [0] + [a for a in range(pg.order) if gens >> a & 1]
             cosets = {tuple(sorted(pt.add_rows[b][t] for t in line)) for b in range(pg.order)}
             self.p_lines.append(sorted(cosets))
+        self.p_pairs = [
+            [(a, a2) for line in lines for i, a in enumerate(line) for a2 in line[i + 1 :]]
+            for lines in self.p_lines
+        ]
 
     def leaves(self, cand: Iterable[int]) -> list[int]:
         """Leaf masks of a set of element indices, in one pass."""

@@ -336,6 +336,33 @@ def test_probe_command(capsys):
     assert out["examined"] == 5 and out["ok"] is True
 
 
+def _without_elapsed(text):
+    return [
+        line for line in text.splitlines() if not line.lstrip().startswith('"elapsed_seconds"')
+    ]
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(capsys, subprocess_env):
+    # main builds its parser once per process: a usage error inside argparse
+    # leaves nothing behind for the commands after it
+    commands = [
+        ["verify", "--sizes", "2"],
+        ["verify", "--group", "2,2,3", "--sizes", "2,3,4", "--samples", "30", "--seed", "4"],
+        ["probe-case5", "--group", "3,3,5,5", "--sizes", "30", "--samples", "20", "--seed", "7"],
+    ]
+    for argv in commands:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spectile.cli", *argv],
+            capture_output=True, text=True, env=subprocess_env,
+        )
+        assert rc == fresh.returncode
+        assert _without_elapsed(captured.out) == _without_elapsed(fresh.stdout)
+        assert captured.err == fresh.stderr
+    assert [main(argv) for argv in commands] == [EXIT_USAGE, EXIT_OK, EXIT_OK]
+
+
 def test_usage_errors(capsys):
     assert main(["verify", "--group", "x,y", "--sizes", "all"]) == EXIT_USAGE
     capsys.readouterr()

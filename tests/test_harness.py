@@ -49,10 +49,14 @@ from spectile.groups import (
 )
 from spectile.harness import (
     TILE_UNSET,
+    _aligned_along_some_direction,
     _classify_obstruction,
     _direction_gap_ok,
+    _draw_reader,
+    _leaf_elements,
     _memo,
     _sweep_chunk,
+    _vanishing_pattern_fails,
 )
 from spectile.structure import (
     aligned_leaves,
@@ -928,6 +932,52 @@ def test_case5_probe_deterministic():
     assert d1 == d2
 
 
+def _drawn_probe_sets(G, shape, seed, size, count):
+    """The sets the probe draws, as sorted coordinates: random.Random(f"{seed}:{size}")
+    samples a candidate's leaves of Z_p^2, then q points of Z_q^2 per leaf."""
+    rng = random.Random(f"{seed}:{size}")
+    pg, qg = shape.p_group, shape.q_group
+    out = []
+    for _ in range(count):
+        leaves = rng.sample(range(pg.order), size // shape.q)
+        elems = [
+            shape.join(pg.elements[ai], qg.elements[bi])
+            for ai in leaves
+            for bi in rng.sample(range(qg.order), shape.q)
+        ]
+        out.append([list(x) for x in sorted(elems, key=G.index_of)])
+    return out
+
+
+@pytest.mark.parametrize("moduli", [(3, 3, 5, 5), (5, 3, 3, 5)])
+def test_probe_lists_an_undecided_candidate_as_its_drawn_set(monkeypatch, moduli):
+    # a clique search that never decides makes every candidate undecided,
+    # and an empty memo makes every one run it
+    monkeypatch.setattr(harness, "_memo", lambda G, k: {})
+    monkeypatch.setattr(harness, "spectrum_search", lambda *args: (UNDECIDED, 0))
+    G = make_group(moduli)
+    shape = pq_shape(G)
+    report = case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=12)
+    assert report.refuted == 0 and not report.spectral_hits and not report.ok
+    assert report.undecided == [
+        {"size": 30, "set": s} for s in _drawn_probe_sets(G, shape, 7, 30, 12)
+    ]
+    assert sum(report.obstructions.values()) == 12
+
+
+def test_probe_tallies_do_not_depend_on_the_order_of_the_moduli():
+    tallies = []
+    for moduli in [(3, 3, 5, 5), (5, 5, 3, 3), (3, 5, 5, 3)]:
+        d = case5_nonexistence_probe(
+            pq_shape(make_group(moduli)), (30,), seed=7, count_per_size=200
+        ).to_dict()
+        for key in ("group", "elapsed_seconds"):
+            d.pop(key)
+        tallies.append(d)
+    assert tallies[0]["examined"] == 200
+    assert tallies[0] == tallies[1] == tallies[2]
+
+
 def test_probe_refuses_non_integral_sizes():
     shape = pq_shape(make_group([3, 3, 5, 5]))
     with pytest.raises(InvalidArgument, match="integers"):
@@ -1017,22 +1067,51 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
     G = make_group(moduli)
     shape = pq_shape(G)
     lt = leaf_tables(shape)
-    zero_mask = char_table(G).zero_mask
-    pg = shape.p_group
-    classes, aligned_any, gaps = set(), set(), set()
-    for S in _structure_inputs(shape, random.Random(f"structure:{moduli}")):
+    kernel = char_table(G)
+    read = _draw_reader(lt, kernel)
+    pg, qg = shape.p_group, shape.q_group
+    direction_of = index_tables(pg).direction_of
+    rng = random.Random(f"structure:{moduli}")
+    classes, aligned_any, gaps, counts = set(), set(), set(), set()
+    for S in _structure_inputs(shape, rng):
         cand = tuple(sorted(G.index_of(x) for x in S.mult))
         leaves = lt.leaves(cand)
-        obstruction = _classify_obstruction(lt, leaves, zero_mask(cand))
+        # the probe reads a candidate from its draws: its leaves and each
+        # leaf's points in draw order, here shuffled
+        fibers = leaf_decomposition(shape, S).leaves
+        drawn = [pg.index_of(a) for a, K in fibers.items() if K]
+        rng.shuffle(drawn)
+        points = [
+            rng.sample([qg.index_of(b) for b in fibers[pg.elements[ai]]], len(fibers[pg.elements[ai]]))
+            for ai in drawn
+        ]
+        drawn_leaves, total = read(drawn, iter(points))
+        assert drawn_leaves == leaves
+        word = kernel.class_word(total, len(cand))
+        assert word == kernel.set_word(cand)
+        assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
+        # the obstruction's zero-mask part, once per word in the probe
+        pattern_fails = _vanishing_pattern_fails(lt, kernel.expand(word))
+        obstruction = _classify_obstruction(lt, leaves, pattern_fails)
         assert obstruction == _obstruction_by_coordinates(shape, S)
         classes.add(obstruction)
         aligned = [assumption_a_holds(shape, S, u) for u in pg.elements[1:]]
         assert aligned == [_aligned_by_coordinates(shape, S, u) for u in pg.elements[1:]]
-        # the probe's test: aligned along some p-direction
-        assert any(aligned_leaves(lines, leaves) for lines in lt.p_lines) == any(aligned)
+        by_direction = [aligned_leaves(lines, leaves) for lines in lt.p_lines]
+        assert aligned == [by_direction[direction_of[pg.index_of(u)]] for u in pg.elements[1:]]
+        # the probe's test, aligned along some p-direction: more than p
+        # distinct nonempty masks rule out every direction
+        distinct = len(set(leaves) - {0})
+        if distinct > shape.p:
+            assert not any(by_direction)
+        assert _aligned_along_some_direction(lt, leaves) == any(aligned)
+        counts.add((distinct > shape.p, len(drawn) > shape.p))
         aligned_any.add(any(aligned))
         gap = _direction_gap_ok(lt, leaves)
         assert gap == _gap_by_directions(shape, S)
         gaps.add(gap)
     assert classes == {"leaf-structure", "vanishing-pattern", "leaf-overflow"}
     assert aligned_any == gaps == {True, False}
+    # ruled out by the count, and reaching aligned_leaves with more than p
+    # nonempty leaves, some repeated, and with at most p
+    assert counts >= {(True, True), (False, True), (False, False)}
