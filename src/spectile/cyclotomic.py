@@ -368,10 +368,6 @@ class CharTable:
             word ^= 1 << top
         return mask
 
-    def set_word(self, cand: Sequence[int]) -> int:
-        """The class word of the set of element indices cand."""
-        return self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand))
-
     def zero_mask(self, cand: Sequence[int]) -> int:
         """Bitmask over element indices of the zero set of a set of indices.
 
@@ -380,16 +376,27 @@ class CharTable:
         sum at k*g is the image of the sum at g under zeta -> zeta^k), so
         the sum vanishes at all of them or at none: one evaluation per
         direction class decides the whole class. All classes are evaluated
-        at once, side by side in limbs, exactly for any set of element
-        indices: the class word of the set's kernel sum (set_word),
-        expanded to element bits (expand).
+        at once, side by side in limbs, exactly for any set of element indices:
+        the class word of the set's kernel sum, expanded to element bits.
         """
-        return self.expand(self.set_word(cand))
+        return self.expand(self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand)))
 
 
 @lru_cache(maxsize=None)
 def char_table(G: Group) -> CharTable:
     return CharTable(G)
+
+
+def set_zero_mask(S: Multiset) -> tuple[tuple[int, ...], int]:
+    """(sorted element indices, zero mask) of the set S (not validated),
+    computed once and kept on S for every per-set operation on it."""
+    got = S._zero
+    if got is None:
+        G = S.group
+        cand = tuple(sorted(map(G.index_of, S.mult)))
+        got = (cand, char_table(G).zero_mask(cand))
+        object.__setattr__(S, "_zero", got)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +470,14 @@ class ZeroSet:
 def zero_set(G: Group, A: Multiset) -> ZeroSet:
     """All nonzero g with char_sum(A, g) = 0.
 
-    A set is decided by the zero-mask kernel, a multiset by one
+    A set reads its zero mask (set_zero_mask), a multiset takes one
     char_sum_coeffs evaluation per direction class (the sums at the
     generators of <g> are Galois conjugates, so they vanish together).
     """
     if A.group != G:
         raise GroupMismatch("multiset lives on a different group")
     if A.is_set:
-        mask = char_table(G).zero_mask(tuple(map(G.index_of, A.mult)))
+        mask = set_zero_mask(A)[1]
     else:
         classes = index_tables(G).direction_classes
         sums = char_sum_coeffs(G, A, [G.elements[r] for r, _ in classes])

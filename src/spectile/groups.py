@@ -153,7 +153,7 @@ class Multiset:
     hash/compare by (group, contents).
     """
 
-    __slots__ = ("group", "mult", "mass", "_hash")
+    __slots__ = ("group", "mult", "mass", "_hash", "_zero")  # _zero: cyclotomic.set_zero_mask
 
     def __init__(self, group: Group, mult: Mapping[Element, int]):
         items: dict[Element, int] = {}
@@ -169,6 +169,7 @@ class Multiset:
         object.__setattr__(self, "mult", items)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_zero", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Multiset is immutable")

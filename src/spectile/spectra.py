@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .cyclotomic import char_sum_coeffs, char_table
+from .cyclotomic import char_sum_coeffs, set_zero_mask
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -190,9 +190,7 @@ def find_spectrum(
     if not S.is_set:
         raise InvalidArgument("spectrum search expects a set (0/1 multiset)")
     G = S.group
-    cand = tuple(G.index_of(x) for x in S.mult)
-    zmask = char_table(G).zero_mask(cand)
-    lam_idx, _nodes = spectrum_search(index_tables(G), zmask, S.mass, budget)
+    lam_idx, _nodes = spectrum_search(index_tables(G), set_zero_mask(S)[1], S.mass, budget)
     if lam_idx is None or lam_idx is UNDECIDED:
         return lam_idx
     lam = Multiset.of_indices(G, lam_idx)

@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .cyclotomic import char_table
+from .cyclotomic import char_table, set_zero_mask
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -186,13 +186,12 @@ def tiling_complement(
     return found[0] if found is not None else cover_complement(tables, cand, budget)[0]
 
 
-def _set_indices(S: Multiset) -> list[int]:
-    """The sorted element indices of S, which must be a nonempty set."""
+def _require_set(S: Multiset) -> None:
+    """Refuse a complement search on anything but a nonempty set."""
     if S.mass == 0:
         raise EmptyInput("cannot search a complement for the empty set")
     if not S.is_set:
         raise InvalidArgument("complement search expects a set (0/1 multiset)")
-    return sorted(map(S.group.index_of, S.mult))
 
 
 def _checked(
@@ -220,9 +219,10 @@ def find_complement(
     None means exhaustive search proved no complement exists; UNDECIDED is
     returned only on budget exhaustion.
     """
-    cand = _set_indices(S)
+    _require_set(S)
     if S.group.order % S.mass:
         return None
+    cand = set_zero_mask(S)[0]
     return _checked(S, cover_complement(index_tables(S.group), cand, budget)[0])
 
 
@@ -233,8 +233,7 @@ def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
     G = S.group
     if S.mass == 0 or G.order % S.mass:
         raise NotADivisor(f"|S| = {S.mass} does not divide |G| = {G.order}")
-    zmask = char_table(G).zero_mask([G.index_of(x) for x in S.mult])
-    found = subgroup_transversal(index_tables(G), zmask, S.mass)
+    found = subgroup_transversal(index_tables(G), set_zero_mask(S)[1], S.mass)
     return None if found is None else found[0]
 
 
@@ -246,10 +245,9 @@ def find_tiling_complement(
     None means no complement exists; UNDECIDED is returned only when the
     exact cover runs out of budget.
     """
-    G = S.group
-    cand = _set_indices(S)
-    out = tiling_complement(index_tables(G), cand, char_table(G).zero_mask(cand), budget)
-    return _checked(S, out)
+    _require_set(S)
+    cand, zmask = set_zero_mask(S)
+    return _checked(S, tiling_complement(index_tables(S.group), cand, zmask, budget))
 
 
 @functools.lru_cache(maxsize=None)
