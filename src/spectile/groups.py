@@ -174,6 +174,10 @@ class Multiset:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Multiset is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return type(self), (self.group, self.mult)
+
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[Element]) -> "Multiset":
         """Count occurrences; repeated inputs become multiplicities."""

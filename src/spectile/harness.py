@@ -34,6 +34,7 @@ probe from two interleaved ones, leaves and points.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import math
@@ -59,7 +60,6 @@ from .errors import (
 )
 from .groups import (
     MAX_TABLE_ORDER,
-    Element,
     Group,
     IndexTables,
     Multiset,
@@ -245,7 +245,6 @@ class VerificationPlan:
     count_per_size: Optional[int] = None
     budget: int = DEFAULT_BUDGET
     canonicalize: bool = False
-    collect_tiles: bool = False
     workers: int = 1
 
     @property
@@ -293,7 +292,6 @@ class SizeTally:
     both_no: int = 0
     mismatches: list[dict] = field(default_factory=list)
     undecided: list[dict] = field(default_factory=list)
-    tile_sets: list[tuple[Element, ...]] = field(default_factory=list)
     tiles_any: int = 0
     violations: list[dict] = field(default_factory=list)
     tile_undecided: list[dict] = field(default_factory=list)
@@ -306,7 +304,6 @@ class SizeTally:
         self.both_no += other.both_no
         self.mismatches.extend(other.mismatches)
         self.undecided.extend(other.undecided)
-        self.tile_sets.extend(other.tile_sets)
         self.tiles_any += other.tiles_any
         self.violations.extend(other.violations)
         self.tile_undecided.extend(other.tile_undecided)
@@ -445,7 +442,6 @@ def _sweep_chunk(
     k: int,
     parts: Iterable[Sequence[int]],
     budget: int,
-    collect: bool,
     carry: bool = True,
 ) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts.
@@ -462,11 +458,10 @@ def _sweep_chunk(
     (CharTable.class_word) keys the memo. A candidate whose word is settled
     (_memo) only adds one to a count of agreeing verdicts, folded into the
     tally when the chunk ends, and never becomes a set; that takes a budget
-    of at least DEFAULT_BUDGET, and a settled tile is still listed when
-    tiles are collected. Every other candidate is sorted into its set and
-    tallied on its own, so undecided entries, violations, mismatches and
-    tile_sets list each set in enumeration order; unless it is a settled
-    tile, its word is expanded to the zero mask for the decisions.
+    of at least DEFAULT_BUDGET. Every other candidate is sorted into its
+    set and tallied on its own, so undecided entries, violations and
+    mismatches list each set in enumeration order, and its word is
+    expanded to the zero mask for the decisions.
     """
     kernel = char_table(G)
     cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
@@ -475,10 +470,9 @@ def _sweep_chunk(
     get = memo.get
     keep_tiles = budget >= DEFAULT_BUDGET
     # the settled entries that a candidate is tallied from with one lookup
-    # and one identity test; an unmatched sentinel turns a kind off
+    # and one identity test; below DEFAULT_BUDGET a sentinel matches none
     unmatched = object()
-    settled_no = False if keep_tiles else unmatched
-    settled_yes = True if keep_tiles and not collect else unmatched
+    settled_no, settled_yes = (False, True) if keep_tiles else (unmatched, unmatched)
     tally = SizeTally(size=k)
     no = yes = 0  # candidates with a settled word, by verdict
     col0 = cols[0]
@@ -501,22 +495,19 @@ def _sweep_chunk(
             continue
         cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
-        if entry.__class__ is bool and keep_tiles:  # a settled tile to collect
-            sp, tile = entry, SUBGROUP_TILE
-        else:
-            zmask = expand(word)
-            sp = _spectral_verdict(memo, tables, word, zmask, k, budget)
-            entry = get(word) if keep_tiles else None
-            tile = TILE_UNSET if entry is None else entry[2]
-            if tile == TILE_UNSET:
-                tile = _tile_outcome(tables, cand, zmask, budget)
-                if entry is not None and tile is not UNDECIDED:
-                    settled = (
-                        entry[1] <= DEFAULT_BUDGET
-                        and tile != COVER_TILE
-                        and entry[0] is (tile == SUBGROUP_TILE)
-                    )
-                    memo[word] = entry[0] if settled else entry[:2] + (tile,)
+        zmask = expand(word)
+        sp = _spectral_verdict(memo, tables, word, zmask, k, budget)
+        entry = get(word) if keep_tiles else None
+        tile = TILE_UNSET if entry is None else entry[2]
+        if tile == TILE_UNSET:
+            tile = _tile_outcome(tables, cand, zmask, budget)
+            if entry is not None and tile is not UNDECIDED:
+                settled = (
+                    entry[1] <= DEFAULT_BUDGET
+                    and tile != COVER_TILE
+                    and entry[0] is (tile == SUBGROUP_TILE)
+                )
+                memo[word] = entry[0] if settled else entry[:2] + (tile,)
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
@@ -537,8 +528,6 @@ def _sweep_chunk(
             tally.spectral += 1
         if ti:
             tally.tiles += 1
-            if collect:
-                tally.tile_sets.append(tuple(map(G.elements.__getitem__, cand)))
         if sp != ti:
             tally.mismatches.append(_mismatch_entry(G, cand, sp, ti, budget))
             continue
@@ -553,6 +542,14 @@ def _sweep_chunk(
     tally.tiles_any += yes
     tally.both_yes += yes
     return tally
+
+
+def _worker_chunk(args: tuple) -> SizeTally:
+    moduli, k, budget, chunk, carry = args
+    return _sweep_chunk(Group(moduli), k, chunk, budget, carry)
+
+
+_CHUNK = 4096  # candidates per job of a pooled sweep
 
 
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
@@ -572,62 +569,42 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     which answers every budget of at least DEFAULT_BUDGET; below it, the
     clique search runs again and its result is not stored. Every other
     candidate is tallied on its own, so a key with an exact-cover tile
-    lists each of its sets as a violation, and collect_tiles lists every
-    tile, settled or not.
+    lists each of its sets as a violation. The sweep only tallies: the
+    tiles themselves are listed by tiling.enumerate_tiles.
 
     Neither decision consults the other's verdict. Both read the zero mask,
     but every non-tile verdict, and every tile with no subgroup complement,
     comes from an exact cover, run once per key, which does not; so
     agreement exercises the spectral <=> tile equivalence on the planned
     group.
+
+    One loop serves one worker or many: each size's candidates go to
+    _worker_chunk as jobs, whose tallies merge associatively in job order.
+    One worker maps the size's whole stream as one job, so a serial sweep
+    streams. More get a fork pool of at most the CPU count, whose imap takes
+    _CHUNK-candidate lists, so no report depends on scheduling or on the
+    pool size.
     """
     start = time.perf_counter()
     per_size: dict[int, SizeTally] = {}
+    carry = plan.count_per_size is None
+    pool = None
     if plan.workers > 1:
-        per_size = _parallel_sweep(plan)
-    else:
+        import multiprocessing as mp
+
+        pool = mp.get_context("fork").Pool(min(plan.workers, os.cpu_count() or 1))
+    with pool or contextlib.nullcontext():
         for k in plan.sizes:
-            per_size[k] = _sweep_chunk(
-                plan.group,
-                k,
-                _enumerate_candidates(plan, k),
-                plan.budget,
-                plan.collect_tiles,
-                plan.count_per_size is None,
-            )
-    return VerificationReport(plan, per_size, time.perf_counter() - start)
-
-
-# Multiprocess sweep: the candidates' nonzero parts are enumerated or drawn in
-# the parent, chunked, and decided in workers; each job carries what its chunk
-# needs, and tallies merge associatively, so the report does not depend on
-# scheduling or on the pool size, which is at most the CPU count.
-
-
-def _worker_chunk(args: tuple) -> SizeTally:
-    moduli, k, budget, chunk, collect, carry = args
-    return _sweep_chunk(Group(moduli), k, chunk, budget, collect, carry)
-
-
-def _parallel_sweep(plan: VerificationPlan) -> dict[int, SizeTally]:
-    import multiprocessing as mp
-
-    chunk_size = 4096
-    per_size: dict[int, SizeTally] = {}
-    with mp.get_context("fork").Pool(min(plan.workers, os.cpu_count() or 1)) as pool:
-        for k in plan.sizes:
-            tally = SizeTally(size=k)
             cands = _enumerate_candidates(plan, k)
-            chunks = iter(lambda: list(itertools.islice(cands, chunk_size)), [])
-            carry = plan.count_per_size is None
-            jobs = [
-                (plan.group.moduli, k, plan.budget, c, plan.collect_tiles, carry) for c in chunks
-            ]
-            # imap returns the chunks in job order, so entries keep draw order
-            for out in pool.imap(_worker_chunk, jobs):
+            if pool is None:
+                chunks = [cands]
+            else:
+                chunks = iter(lambda: list(itertools.islice(cands, _CHUNK)), [])
+            jobs = ((plan.group.moduli, k, plan.budget, c, carry) for c in chunks)
+            tally = per_size[k] = SizeTally(size=k)
+            for out in (map if pool is None else pool.imap)(_worker_chunk, jobs):
                 tally.merge(out)
-            per_size[k] = tally
-    return per_size
+    return VerificationReport(plan, per_size, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,14 @@ def enumerate_tiles(
     draws of a sampled sweep with the same seed) and the distinct tiles
     among them are yielded. A size not dividing |G| yields nothing; a plan
     of more than MAX_CANDIDATES candidates is refused.
+
+    The one tile lister (verify_fuglede only tallies). Whether a set tiles,
+    and its first subgroup complement, are functions of its class word
+    (CharTable.class_word). At budgets of at least DEFAULT_BUDGET a dict of
+    this call keeps each word's outcome, no tile or a subgroup, and does
+    not decide it again; a tile with no subgroup complement gets its own
+    exact cover. Below DEFAULT_BUDGET each set is decided on its own, as in
+    the sweep: cover nodes depend on the set, not on its mask.
     """
     sampled = count is not None
     if sampled and (seed is None or count < 1):
@@ -407,7 +415,9 @@ def enumerate_tiles(
     total = count if sampled else math.comb(G.order - 1, k - 1)
     check_candidates(f"tile enumeration of size {k} on {G!r}", total, sampled)
     tables = index_tables(G)
-    zero_mask = char_table(G).zero_mask
+    kernel = char_table(G)
+    cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
+    by_word: dict[int, Optional[Subgroup]] = {}
     seen: set[tuple[int, ...]] = set()
     for rest in candidate_sets(G.order, k, seed, count):
         cand = (0,) + tuple(sorted(rest))
@@ -415,11 +425,17 @@ def enumerate_tiles(
             if cand in seen:
                 continue
             seen.add(cand)
-        out = tiling_complement(tables, cand, zero_mask(cand), budget)
-        if out is UNDECIDED:
-            raise InvalidArgument(
-                f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"
-            )
+        word = class_word(sum(map(cols.__getitem__, rest), cols[0]), k)
+        if word in by_word:
+            out = by_word[word]
+        else:
+            out = tiling_complement(tables, cand, expand(word), budget)
+            if out is UNDECIDED:
+                raise InvalidArgument(
+                    f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"
+                )
+            if budget >= DEFAULT_BUDGET and (out is None or isinstance(out, Subgroup)):
+                by_word[word] = out
         if out is not None:
             S = Multiset.of_indices(G, cand)
             yield S, _checked(S, out)

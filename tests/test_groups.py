@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from spectile import (
     direction_rep,
     dot,
     element_order,
+    find_spectrum,
     make_group,
     project_along,
     subgroups_of_order,
@@ -381,3 +384,21 @@ def test_is_set_is_false_above_multiplicity_one(z36):
     assert not Multiset(z36, {x: 2}).is_set
     assert not Multiset(z36, {x: 1, y: 3}).is_set
     assert Multiset(z36, {}).is_set
+
+
+def test_multiset_survives_copy_and_pickle():
+    # each copy is rebuilt through the constructor, so its cached hash and
+    # zero mask start empty and refill on use
+    S = Multiset.set_of(make_group([2, 3]), [(0, 0), (1, 0)])
+    A = Multiset(make_group([6]), {(0,): 2, (3,): 1})
+    for original in (S, A):
+        copies = [
+            copy.copy(original),
+            copy.deepcopy(original),
+            pickle.loads(pickle.dumps(original)),
+        ]
+        for twin in copies:
+            assert twin == original and hash(twin) == hash(original)
+            assert twin.mass == original.mass
+    for twin in (copy.copy(S), copy.deepcopy(S), pickle.loads(pickle.dumps(S))):
+        assert find_spectrum(twin) == find_spectrum(S) is not None

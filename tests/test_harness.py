@@ -136,7 +136,7 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     assert pooled == serial
 
 
-def _per_set_tally(G, k, budget, collect, parts=None):
+def _per_set_tally(G, k, budget, parts=None):
     """The tally of the 0-containing k-sets of G, one set at a time through
     the public per-set API: find_spectrum, and find_tiling_complement with
     an exact-cover complement counted as a violation. parts, when given,
@@ -144,7 +144,7 @@ def _per_set_tally(G, k, budget, collect, parts=None):
     else every 0-containing k-set is tallied, in lexicographic order."""
     out = dict(
         size=k, examined=0, spectral=0, tiles=0, both_yes=0, both_no=0, mismatches=[],
-        undecided=[], tile_sets=[], tiles_any=0, violations=[], tile_undecided=[],
+        undecided=[], tiles_any=0, violations=[], tile_undecided=[],
     )
     if parts is None:
         parts = itertools.combinations(range(1, G.order), k - 1)
@@ -174,8 +174,6 @@ def _per_set_tally(G, k, budget, collect, parts=None):
             continue
         out["spectral"] += sp
         out["tiles"] += ti
-        if collect and ti:
-            out["tile_sets"].append(pts)
         if sp == ti:
             out["both_yes" if sp else "both_no"] += 1
         else:
@@ -195,8 +193,10 @@ def _per_set_tally(G, k, budget, collect, parts=None):
 # Z_5 and Z_7 have phi = 4 and 6 limbs per class, so more than one fold. At
 # budget 2 on Z_12 the cover decides some sets of a zero mask and not others,
 # so a budget below DEFAULT_BUDGET must decide each set's tiling on its own.
+# A pooled case sweeps with two workers and 7-candidate jobs, so each size
+# is split into jobs whose tallies merge in job order.
 @pytest.mark.parametrize(
-    "moduli, budget, collect, listed",
+    "moduli, budget, pooled, listed",
     [
         ((8,), DEFAULT_BUDGET, False, "violations"),
         ((2, 4), DEFAULT_BUDGET, False, "violations"),
@@ -205,43 +205,47 @@ def _per_set_tally(G, k, budget, collect, parts=None):
         ((7,), DEFAULT_BUDGET, False, None),
         ((12,), 3, False, "undecided"),
         ((12,), 2, False, "undecided"),
-        ((2, 4), DEFAULT_BUDGET, True, "tile_sets"),
+        ((8,), DEFAULT_BUDGET, True, "violations"),
+        ((12,), 2, True, "undecided"),
     ],
     ids=str,
 )
-def test_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
+def test_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, monkeypatch):
     # every size, from k = 1 (an empty head) to k = |G|; every count and
     # every listed set, in enumeration order
     G = make_group(moduli)
     sizes = tuple(range(1, G.order + 1))
+    monkeypatch.setattr(harness, "_CHUNK", 7)
     report = verify_fuglede(
-        VerificationPlan(group=G, sizes=sizes, budget=budget, collect_tiles=collect)
+        VerificationPlan(group=G, sizes=sizes, budget=budget, workers=2 if pooled else 1)
     )
     for k in sizes:
-        assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, budget, collect), k
+        assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, budget), k
     assert listed is None or any(getattr(t, listed) for t in report.per_size.values())
 
 
 @pytest.mark.parametrize(
-    "moduli, budget, collect, listed",
-    [((12,), 2, False, "undecided"), ((2, 4), DEFAULT_BUDGET, True, "tile_sets")],
+    "moduli, budget, pooled, listed",
+    [((12,), 2, False, "undecided"), ((2, 4), DEFAULT_BUDGET, True, "violations")],
     ids=str,
 )
-def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, collect, listed):
+def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, monkeypatch):
     # the sweep sorts a draw into its set only off the settled-word path; the
     # per-set tally sorts every draw of random.Random(f"{seed}:{k}").sample,
-    # which arrive unsorted and repeat
+    # which arrive unsorted and repeat; a pooled case splits each size's 60
+    # draws into 7-draw jobs
     G = make_group(moduli)
     sizes = tuple(range(1, G.order + 1))
+    monkeypatch.setattr(harness, "_CHUNK", 7)
     plan = VerificationPlan(
         group=G, sizes=sizes, seed=3, count_per_size=60,
-        budget=budget, collect_tiles=collect,
+        budget=budget, workers=2 if pooled else 1,
     )
     report = verify_fuglede(plan)
     for k in sizes:
         rng = random.Random(f"3:{k}")
         draws = [rng.sample(range(1, G.order), k - 1) for _ in range(60)]
-        expected = _per_set_tally(G, k, budget, collect, draws)
+        expected = _per_set_tally(G, k, budget, draws)
         assert dataclasses.asdict(report.per_size[k]) == expected, k
     assert any(getattr(t, listed) for t in report.per_size.values())
 
@@ -393,7 +397,7 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
         expected = _spectral_by_networkx(moduli, elems)
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
-        tally = _sweep_chunk(G, len(cand), [cand[1:]], DEFAULT_BUDGET, False)
+        tally = _sweep_chunk(G, len(cand), [cand[1:]], DEFAULT_BUDGET)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
 
@@ -482,13 +486,10 @@ def test_budget_bound_report_does_not_depend_on_earlier_sweeps(capsys, subproces
 
 
 def _plan_doc(report) -> dict:
-    """Both blocks of a report with its collected tiles, less elapsed_seconds."""
+    """Both blocks of a report, less elapsed_seconds."""
     doc = {"fuglede": report.to_dict(), "subgroup_tiling": report.subgroup_tiling_dict()}
     for block in doc.values():
         block.pop("elapsed_seconds")
-    doc["tile_sets"] = {
-        str(k): [[list(x) for x in S] for S in t.tile_sets] for k, t in report.per_size.items()
-    }
     return doc
 
 
@@ -506,10 +507,10 @@ print(json.dumps(_plan_doc(verify_fuglede(plan))))
 def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subprocess_env):
     # one process sweeps a default-budget plan, which settles most class
     # words (bare bools in _memo), then the same plan at budget 3, where a
-    # settled word holds no node count, then with collect_tiles, where a
-    # settled tile is still listed; each report is that of a fresh process
+    # settled word holds no node count, then the first plan again; each
+    # report is that of a fresh process
     base = {"moduli": [2, 2, 3, 3], "sizes": [2, 4, 6, 9], "seed": 11, "count_per_size": 300}
-    plans = [base, {**base, "budget": 3}, {**base, "collect_tiles": True}, base]
+    plans = [base, {**base, "budget": 3}, base]
     docs = []
     for kwargs in plans:
         kw = dict(kwargs)
@@ -524,11 +525,9 @@ def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subproces
         if kwargs is base:
             memo = _memo(make_group([2, 2, 3, 3]), 4)
             assert True in memo.values() and False in memo.values()
-    low, collected = docs[1]["fuglede"], docs[2]
+    low = docs[1]["fuglede"]
     assert low["per_size"]["6"]["undecided"] and low["per_size"]["2"]["both_yes"]
-    for k, tally in collected["fuglede"]["per_size"].items():
-        assert len(collected["tile_sets"][k]) == tally["tiles"]
-    assert collected["fuglede"]["per_size"]["4"]["tiles"]
+    assert docs[0]["fuglede"]["per_size"]["4"]["tiles"]
 
 
 def test_a_word_whose_verdicts_disagree_is_never_settled(monkeypatch):

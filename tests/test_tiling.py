@@ -2,12 +2,14 @@ import collections
 import collections.abc
 import itertools
 import random
+import re
 
 import pytest
 
 from spectile import (
     annihilator,
     UNDECIDED,
+    ComplementMethod,
     EmptyInput,
     GroupMismatch,
     InvalidArgument,
@@ -17,6 +19,7 @@ from spectile import (
     char_sum_vanishes,
     enumerate_tiles,
     find_complement,
+    find_tiling_complement,
     is_spectral_pair,
     is_tiling_pair,
     make_group,
@@ -175,22 +178,61 @@ def test_enumerate_tiles_sampling_deterministic(z36):
 
 
 def test_enumerate_tiles_sample_yields_the_distinct_tiles_of_a_sampled_sweep(z36):
-    # both draw from one candidate stream; the sweep keeps repeats
+    # both draw from one candidate stream; the sweep keeps repeats, and the
+    # oracle decides each draw on its own
     sizes = (4, 6, 9)
-    plan = VerificationPlan(
-        group=z36, sizes=sizes, seed=5, count_per_size=500, collect_tiles=True
-    )
+    plan = VerificationPlan(group=z36, sizes=sizes, seed=5, count_per_size=500)
     report = verify_fuglede(plan)
     for k in sizes:
         tally = report.per_size[k]
         assert not tally.undecided
-        swept = list(dict.fromkeys(tally.tile_sets))
+        rng = random.Random(f"5:{k}")
+        drawn = [
+            tuple(z36.elements[i] for i in [0] + sorted(rng.sample(range(1, 36), k - 1)))
+            for _ in range(500)
+        ]
+        tiling = [pts for pts in drawn if find_tiling_complement(Multiset.set_of(z36, pts))]
         tiles = [
             tuple(sorted(S.mult))
             for S, _ in enumerate_tiles(z36, k, seed=5, count=500)
         ]
-        assert tiles == swept and tiles, k
-        assert len(tally.tile_sets) == tally.tiles
+        assert tiles == list(dict.fromkeys(tiling)) and tiles, k
+        assert len(tiling) == tally.tiles
+
+
+def test_enumerate_tiles_yields_exactly_the_sets_with_a_tiling_complement():
+    # Z_8, Z_2 x Z_4 and Z_12 have exact-cover tiles; at every size, over
+    # every 0-containing set and over 60 draws at seed 3, the tiles come in
+    # lexicographic or first-draw order with the witness the set gets alone
+    methods = set()
+    for moduli in ([8], [2, 4], [12]):
+        G = make_group(moduli)
+        for k in range(1, G.order + 1):
+            rng = random.Random(f"3:{k}")
+            runs = (
+                (None, None, itertools.combinations(range(1, G.order), k - 1)),
+                (3, 60, [rng.sample(range(1, G.order), k - 1) for _ in range(60)]),
+            )
+            for seed, count, parts in runs:
+                sets = dict.fromkeys(tuple(sorted(rest)) for rest in parts)
+                expected = []
+                for rest in sets:
+                    S = Multiset.set_of(G, [G.elements[i] for i in (0,) + rest])
+                    witness = find_tiling_complement(S)
+                    if witness is not None:
+                        expected.append((S, witness))
+                        methods.add(witness.method)
+                got = list(enumerate_tiles(G, k, seed=seed, count=count))
+                assert got == expected, (moduli, k, seed)
+    assert methods == set(ComplementMethod)
+
+
+def test_enumerate_tiles_below_the_default_budget_decides_each_set():
+    # {0, 1, 3} in Z_12 shares its class word with {0, 1, 6}, and at budget 2
+    # its cover finds no tile while that of {0, 1, 6} runs out; a word's
+    # outcome answers no other set below DEFAULT_BUDGET
+    with pytest.raises(InvalidArgument, match=re.escape("[(0,), (1,), (6,)]")):
+        list(enumerate_tiles(make_group([12]), 3, budget=2))
 
 
 def test_enumerate_tiles_over_the_candidate_cap_is_refused(z36, monkeypatch):
