@@ -21,6 +21,7 @@ from spectile import (
     annihilator,
     automorphism_index_perms,
     case5_nonexistence_probe,
+    enumerate_tiles,
     find_complement,
     find_spectrum,
     find_tiling_complement,
@@ -136,12 +137,13 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     assert pooled == serial
 
 
-def _per_set_tally(G, k, budget, parts=None):
+def _per_set_tally(G, k, budget, parts=None, tile_sets=None):
     """The tally of the 0-containing k-sets of G, one set at a time through
     the public per-set API: find_spectrum, and find_tiling_complement with
     an exact-cover complement counted as a violation. parts, when given,
     are the sets' nonzero element indices in any order (sampled draws);
-    else every 0-containing k-set is tallied, in lexicographic order."""
+    else every 0-containing k-set is tallied, in lexicographic order.
+    tile_sets, when given, gets the points of each tile, in tally order."""
     out = dict(
         size=k, examined=0, spectral=0, tiles=0, both_yes=0, both_no=0, mismatches=[],
         undecided=[], tiles_any=0, violations=[], tile_undecided=[],
@@ -174,6 +176,8 @@ def _per_set_tally(G, k, budget, parts=None):
             continue
         out["spectral"] += sp
         out["tiles"] += ti
+        if ti and tile_sets is not None:
+            tile_sets.append(pts)
         if sp == ti:
             out["both_yes" if sp else "both_no"] += 1
         else:
@@ -194,7 +198,9 @@ def _per_set_tally(G, k, budget, parts=None):
 # budget 2 on Z_12 the cover decides some sets of a zero mask and not others,
 # so a budget below DEFAULT_BUDGET must decide each set's tiling on its own.
 # A pooled case sweeps with two workers and 7-candidate jobs, so each size
-# is split into jobs whose tallies merge in job order.
+# is split into jobs whose tallies merge in job order. listed names a tally
+# list that some size must fill, or "tile_sets": enumerate_tiles, the tile
+# lister, yields the per-set tally's distinct tiles in tally order.
 @pytest.mark.parametrize(
     "moduli, budget, pooled, listed",
     [
@@ -207,6 +213,7 @@ def _per_set_tally(G, k, budget, parts=None):
         ((12,), 2, False, "undecided"),
         ((8,), DEFAULT_BUDGET, True, "violations"),
         ((12,), 2, True, "undecided"),
+        ((2, 4), DEFAULT_BUDGET, True, "tile_sets"),
     ],
     ids=str,
 )
@@ -220,13 +227,33 @@ def test_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, mon
         VerificationPlan(group=G, sizes=sizes, budget=budget, workers=2 if pooled else 1)
     )
     for k in sizes:
-        assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, budget), k
-    assert listed is None or any(getattr(t, listed) for t in report.per_size.values())
+        tile_sets = []
+        expected = _per_set_tally(G, k, budget, tile_sets=tile_sets)
+        assert dataclasses.asdict(report.per_size[k]) == expected, k
+        if listed == "tile_sets":
+            _assert_enumerate_tiles_lists(G, k, tile_sets, budget)
+    _assert_listed(report, listed)
+
+
+def _assert_enumerate_tiles_lists(G, k, tile_sets, budget, seed=None, count=None):
+    got = [tuple(sorted(S.mult)) for S, _ in enumerate_tiles(G, k, seed, count, budget)]
+    assert got == list(dict.fromkeys(tile_sets)), k
+
+
+def _assert_listed(report, listed):
+    if listed == "tile_sets":
+        assert any(t.tiles for t in report.per_size.values())
+    else:
+        assert listed is None or any(getattr(t, listed) for t in report.per_size.values())
 
 
 @pytest.mark.parametrize(
     "moduli, budget, pooled, listed",
-    [((12,), 2, False, "undecided"), ((2, 4), DEFAULT_BUDGET, True, "violations")],
+    [
+        ((12,), 2, False, "undecided"),
+        ((2, 4), DEFAULT_BUDGET, True, "violations"),
+        ((2, 4), DEFAULT_BUDGET, True, "tile_sets"),
+    ],
     ids=str,
 )
 def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, monkeypatch):
@@ -245,9 +272,12 @@ def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, lis
     for k in sizes:
         rng = random.Random(f"3:{k}")
         draws = [rng.sample(range(1, G.order), k - 1) for _ in range(60)]
-        expected = _per_set_tally(G, k, budget, draws)
+        tile_sets = []
+        expected = _per_set_tally(G, k, budget, draws, tile_sets)
         assert dataclasses.asdict(report.per_size[k]) == expected, k
-    assert any(getattr(t, listed) for t in report.per_size.values())
+        if listed == "tile_sets":
+            _assert_enumerate_tiles_lists(G, k, tile_sets, budget, 3, 60)
+    _assert_listed(report, listed)
 
 
 def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
