@@ -250,8 +250,9 @@ class CyclotomicInt:
 # zeta_M^k mod Phi_M has phi(M) integer coefficients. The kernel packs them
 # for every direction class side by side in limbs sized for the group and
 # decides all classes of a set with one big-int sum (class_word), which
-# zero_mask expands to element bits; the sweep adds the cols itself to carry
-# sums from one candidate to the next. Nothing else reads these tables: the
+# zero_mask expands to element bits; an exhaustive sweep adds one column to
+# a head's sum per candidate and reads the word with the constants of
+# word_constants inline. Nothing else reads these tables: the
 # verifiers and multiset zero sets go through char_sum_coeffs, which shares
 # only the reduction modulo Phi_M.
 
@@ -351,11 +352,18 @@ class CharTable:
         below the top bits never reach a top bit), which stays clear exactly
         when the sum vanishes.
         """
-        _, unit, low, folds, class_bits, _ = self._kernel
-        nonzero = (total ^ m * unit) + low
+        bias, low, folds, class_bits = self.word_constants(m)
+        nonzero = (total ^ bias) + low
         for shift in folds:
             nonzero |= nonzero >> shift
         return class_bits & ~nonzero
+
+    def word_constants(self, m: int) -> tuple[int, int, list[int], int]:
+        """(m * unit, low, folds, class_bits): the constants class_word reads
+        for a set of m elements (_kernel), for a loop that computes the word
+        inline."""
+        _, unit, low, folds, class_bits, _ = self._kernel
+        return m * unit, low, folds, class_bits
 
     def expand(self, word: int) -> int:
         """The element bits of a class word: the generators of every class

@@ -3,11 +3,12 @@
 verify_fuglede decides spectrality and tiling for every candidate set and
 tallies agreement; any disagreement is recorded with full witness data. The
 same pass tallies the subgroup-complement claim: a tile found only by exact
-cover is a violation of it. The sweep decides on element indices drawn from
-enumerate_tiles' stream (tiling.candidate_sets), with the routines of the
-public per-set operations, once per zero set: both verdicts of a k-set are
-functions of its zero mask (CharTable.zero_mask), and so of the class word
-the mask expands from (CharTable.class_word, one bit per direction class).
+cover is a violation of it. The sweep decides on element indices, the sets
+of enumerate_tiles' stream (tiling.candidate_sets) in its order, with the
+routines of the public per-set operations, once per zero set: both
+verdicts of a k-set are functions of its zero mask (CharTable.zero_mask),
+and so of the class word the mask expands from (CharTable.class_word, one
+bit per direction class).
 One memo per group and size (_memo), keyed by the word, holds the verdict
 of spectra.spectrum_search and the outcome of tiling.tiling_complement,
 whose exact cover does not read the mask and runs on the first set of each
@@ -15,15 +16,17 @@ key. A settled word, whose verdicts agree and need no per-set entry, is a
 bare bool there; every other word keeps a (verdict, nodes, tile) tuple.
 The mask is expanded from the word only off the settled path.
 
-The sweep (_sweep_chunk) takes each candidate as its nonzero part. An
-exhaustive sweep carries kernel sums from candidate to candidate:
-lexicographic neighbours share every index but the last, so each candidate
-adds one column to its head's sum, and the head is summed again only when
-it changes; a sampled sweep sums each draw whole. A candidate
-whose word is settled, in this sweep or any earlier one of the process, is
-tallied with one memo lookup and one identity test as a count per
-verdict, and is never sorted into a set; every other candidate becomes its
-sorted set and is tallied on its own, in enumeration order.
+An exhaustive sweep walks heads (_walk_heads): a head is every index of a
+nonzero part but the last, summed once with the column of 0, and each
+candidate of the head adds the column of its last index and reads its
+class word inline, from the constants of CharTable.word_constants. Size
+1, sampled draws and canonicalized parts stream through _sweep_chunk,
+which sums each nonzero part whole. In both loops a candidate whose word
+is settled, in this sweep or any earlier one of the process, is tallied
+with one memo lookup and one identity test as a count per verdict, and is
+never sorted into a set; every other candidate goes to the one slow path
+(_sweep_state), which sorts it into its set and tallies it on its own, in
+enumeration order.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -308,6 +311,16 @@ class SizeTally:
         self.violations.extend(other.violations)
         self.tile_undecided.extend(other.tile_undecided)
 
+    def add_settled(self, no: int, yes: int) -> None:
+        """Fold in the candidates tallied from settled entries: no of them
+        with both verdicts no, yes with both verdicts yes (a subgroup tile)."""
+        self.examined += no + yes
+        self.both_no += no
+        self.spectral += yes
+        self.tiles += yes
+        self.tiles_any += yes
+        self.both_yes += yes
+
     def subgroup_tiling_dict(self) -> dict:
         return {
             "size": self.size,
@@ -437,62 +450,28 @@ def _mismatch_entry(
     }
 
 
-def _sweep_chunk(
-    G: Group,
-    k: int,
-    parts: Iterable[Sequence[int]],
-    budget: int,
-    carry: bool = True,
-) -> SizeTally:
-    """Decide both properties for each candidate and tally the verdicts.
+def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tuple, Callable]:
+    """What both sweep loops share for size k: (tally, get, settled, slow).
 
-    Each candidate comes as its nonzero part (tiling.candidate_sets): the
-    k - 1 indices other than 0, sorted when enumerated and in draw order
-    when sampled. With carry (enumerated parts), its kernel sum is carried
-    from the candidate before: the column of 0 plus the cols of its head
-    (every index of the part but the last) plus the column of its last
-    index, and the head's sum is redone only when the head changes, once
-    per run of lexicographic neighbours. Size 1 has an empty part, and its
-    sum is the head's alone. Sampled draws rarely share a head, so without
-    carry each part is summed whole. The class word of the sum
-    (CharTable.class_word) keys the memo. A candidate whose word is settled
-    (_memo) only adds one to a count of agreeing verdicts, folded into the
-    tally when the chunk ends, and never becomes a set; that takes a budget
-    of at least DEFAULT_BUDGET. Every other candidate is sorted into its
-    set and tallied on its own, so undecided entries, violations and
-    mismatches list each set in enumeration order, and its word is
-    expanded to the zero mask for the decisions.
+    get is the memo's lookup by class word. settled is the (no, yes) pair of
+    entries that a candidate is counted from with one identity test each
+    (SizeTally.add_settled folds the counts in when the loop ends); that
+    takes a budget of at least DEFAULT_BUDGET, and below it a sentinel
+    matches none. slow(rest, word) tallies every other candidate on its own:
+    it sorts the nonzero part rest into its set, expands the word to the
+    zero mask for the decisions, and appends any undecided entry, violation
+    or mismatch, so each loop must call it in enumeration order.
     """
-    kernel = char_table(G)
-    cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
+    expand = char_table(G).expand
     tables = index_tables(G)
     memo = _memo(G, k)
     get = memo.get
     keep_tiles = budget >= DEFAULT_BUDGET
-    # the settled entries that a candidate is tallied from with one lookup
-    # and one identity test; below DEFAULT_BUDGET a sentinel matches none
     unmatched = object()
-    settled_no, settled_yes = (False, True) if keep_tiles else (unmatched, unmatched)
+    settled = (False, True) if keep_tiles else (unmatched, unmatched)
     tally = SizeTally(size=k)
-    no = yes = 0  # candidates with a settled word, by verdict
-    col0 = cols[0]
-    head, head_sum = None, col0
-    for rest in parts:
-        if carry:
-            if rest[:-1] != head:
-                head = rest[:-1]
-                head_sum = sum(map(cols.__getitem__, head), col0)
-            total = head_sum + cols[rest[-1]] if rest else head_sum
-        else:
-            total = sum(map(cols.__getitem__, rest), col0)
-        word = class_word(total, k)
-        entry = get(word)
-        if entry is settled_no:
-            no += 1
-            continue
-        if entry is settled_yes:
-            yes += 1
-            continue
+
+    def slow(rest: Sequence[int], word: int) -> None:
         cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
         zmask = expand(word)
@@ -502,12 +481,12 @@ def _sweep_chunk(
         if tile == TILE_UNSET:
             tile = _tile_outcome(tables, cand, zmask, budget)
             if entry is not None and tile is not UNDECIDED:
-                settled = (
+                settles = (
                     entry[1] <= DEFAULT_BUDGET
                     and tile != COVER_TILE
                     and entry[0] is (tile == SUBGROUP_TILE)
                 )
-                memo[word] = entry[0] if settled else entry[:2] + (tile,)
+                memo[word] = entry[0] if settles else entry[:2] + (tile,)
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
@@ -523,33 +502,97 @@ def _sweep_chunk(
                     "tile": "undecided" if ti is UNDECIDED else ti,
                 }
             )
-            continue
+            return
         if sp:
             tally.spectral += 1
         if ti:
             tally.tiles += 1
         if sp != ti:
             tally.mismatches.append(_mismatch_entry(G, cand, sp, ti, budget))
-            continue
-        if sp:
+        elif sp:
             tally.both_yes += 1
         else:
             tally.both_no += 1
-    tally.examined += no + yes
-    tally.both_no += no
-    tally.spectral += yes
-    tally.tiles += yes
-    tally.tiles_any += yes
-    tally.both_yes += yes
+
+    return tally, get, settled, slow
+
+
+def _sweep_chunk(G: Group, k: int, parts: Iterable[Sequence[int]], budget: int) -> SizeTally:
+    """Decide both properties for each candidate and tally the verdicts.
+
+    Each candidate comes as its nonzero part (tiling.candidate_sets): the
+    k - 1 indices other than 0, in draw order when sampled. Its kernel sum,
+    the column of 0 plus the cols of the part, is summed whole, and its
+    class word (CharTable.class_word) keys the memo. A candidate whose word
+    is settled (_memo) only adds one to a count; every other one goes to
+    the slow path (_sweep_state). Sampled plans, canonicalized parts and
+    size 1 take this loop; every other exhaustive size walks heads
+    (_walk_heads).
+    """
+    kernel = char_table(G)
+    cols, class_word = kernel.cols, kernel.class_word
+    tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
+    no = yes = 0  # candidates with a settled word, by verdict
+    col0 = cols[0]
+    for rest in parts:
+        word = class_word(sum(map(cols.__getitem__, rest), col0), k)
+        entry = get(word)
+        if entry is settled_no:
+            no += 1
+        elif entry is settled_yes:
+            yes += 1
+        else:
+            slow(rest, word)
+    tally.add_settled(no, yes)
+    return tally
+
+
+def _walk_heads(G: Group, k: int, heads: Iterable[tuple[int, ...]], budget: int) -> SizeTally:
+    """_sweep_chunk on every candidate of each head, for k of at least 2.
+
+    A head is the first k - 2 indices of a nonzero part, a (k - 2)-subset
+    of range(1, |G| - 1) that leaves room for a last index: size 2 has the
+    one empty head, size |G| the one head 1 .. |G| - 2. Its candidates are
+    the head plus one last index above the head's largest, so walking the
+    heads in lexicographic order, and each head's last indices in ascending
+    order, enumerates the parts as itertools.combinations does. A head's
+    kernel sum, the column of 0 plus the head's cols, is summed once; each
+    candidate adds one column and reads its class word inline.
+    """
+    kernel = char_table(G)
+    cols = kernel.cols
+    unit_m, low, folds, class_bits = kernel.word_constants(k)
+    tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
+    no = yes = 0  # candidates with a settled word, by verdict
+    n = G.order
+    col0 = cols[0]
+    for head in heads:
+        head_sum = sum(map(cols.__getitem__, head), col0)
+        for last in range(head[-1] + 1 if head else 1, n):
+            # CharTable.class_word of the candidate's sum, inline: calling
+            # it per candidate makes a warm sweep of sizes 2, 3, 4 and 6 on
+            # Z_2^2 x Z_3^2 about 1.5 times as slow
+            nonzero = ((head_sum + cols[last]) ^ unit_m) + low
+            for shift in folds:
+                nonzero |= nonzero >> shift
+            word = class_bits & ~nonzero
+            entry = get(word)
+            if entry is settled_no:
+                no += 1
+            elif entry is settled_yes:
+                yes += 1
+            else:
+                slow(head + (last,), word)
+    tally.add_settled(no, yes)
     return tally
 
 
 def _worker_chunk(args: tuple) -> SizeTally:
-    moduli, k, budget, chunk, carry = args
-    return _sweep_chunk(Group(moduli), k, chunk, budget, carry)
+    sweep, moduli, k, budget, chunk = args
+    return sweep(Group(moduli), k, chunk, budget)
 
 
-_CHUNK = 4096  # candidates per job of a pooled sweep
+_CHUNK = 4096  # heads, or candidates, per job of a pooled sweep
 
 
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
@@ -578,16 +621,20 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     agreement exercises the spectral <=> tile equivalence on the planned
     group.
 
-    One loop serves one worker or many: each size's candidates go to
-    _worker_chunk as jobs, whose tallies merge associatively in job order.
-    One worker maps the size's whole stream as one job, so a serial sweep
-    streams. More get a fork pool of at most the CPU count, whose imap takes
-    _CHUNK-candidate lists, so no report depends on scheduling or on the
-    pool size.
+    An exhaustive size of at least 2 without canonicalize is swept by
+    _walk_heads over its heads; every other size streams its candidates
+    (_enumerate_candidates; size 1 has the one empty part) through
+    _sweep_chunk. One loop
+    serves one worker or many: the heads or candidates go to _worker_chunk
+    as jobs, whose tallies merge associatively in job order. One worker
+    takes the size's whole stream as one job, so a serial sweep streams.
+    More get a fork pool of at most the CPU count, whose imap takes lists
+    of _CHUNK heads or candidates, so workers enumerate a head's candidates
+    themselves, and no report depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
+    G = plan.group
     per_size: dict[int, SizeTally] = {}
-    carry = plan.count_per_size is None
     pool = None
     if plan.workers > 1:
         import multiprocessing as mp
@@ -595,12 +642,17 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
         pool = mp.get_context("fork").Pool(min(plan.workers, os.cpu_count() or 1))
     with pool or contextlib.nullcontext():
         for k in plan.sizes:
-            cands = _enumerate_candidates(plan, k)
-            if pool is None:
-                chunks = [cands]
+            if plan.count_per_size is not None or plan.canonicalize:
+                sweep, items = _sweep_chunk, _enumerate_candidates(plan, k)
+            elif k == 1:
+                sweep, items = _sweep_chunk, iter([()])
             else:
-                chunks = iter(lambda: list(itertools.islice(cands, _CHUNK)), [])
-            jobs = ((plan.group.moduli, k, plan.budget, c, carry) for c in chunks)
+                sweep, items = _walk_heads, itertools.combinations(range(1, G.order - 1), k - 2)
+            if pool is None:
+                chunks = [items]
+            else:
+                chunks = iter(lambda: list(itertools.islice(items, _CHUNK)), [])
+            jobs = ((sweep, G.moduli, k, plan.budget, c) for c in chunks)
             tally = per_size[k] = SizeTally(size=k)
             for out in (map if pool is None else pool.imap)(_worker_chunk, jobs):
                 tally.merge(out)

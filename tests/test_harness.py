@@ -235,6 +235,34 @@ def test_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, mon
     _assert_listed(report, listed)
 
 
+def test_exhaustive_sweeps_walk_heads_without_streaming_candidates(monkeypatch):
+    # an exhaustive plan without canonicalize walks heads and never streams
+    # its candidates, serial or pooled; with 3-head jobs every size from 4
+    # to 10 of Z_12 splits into several jobs. Sampled and canonicalized
+    # plans still stream theirs.
+    G = make_group((12,))
+    sizes = tuple(range(1, G.order + 1))
+    enumerate_candidates = harness._enumerate_candidates
+    streamed = []
+
+    def guarded(plan, k):
+        if plan.count_per_size is None and not plan.canonicalize:
+            raise AssertionError(f"size {k} of an exhaustive plan streamed its candidates")
+        streamed.append((plan.mode, plan.canonicalize, k))
+        return enumerate_candidates(plan, k)
+
+    monkeypatch.setattr(harness, "_enumerate_candidates", guarded)
+    monkeypatch.setattr(harness, "_CHUNK", 3)
+    for workers in (1, 2):
+        report = verify_fuglede(VerificationPlan(group=G, sizes=sizes, workers=workers))
+        for k in sizes:
+            assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, DEFAULT_BUDGET), k
+    assert streamed == []
+    verify_fuglede(VerificationPlan(group=make_group((2, 2, 3)), sizes=(3,), canonicalize=True))
+    verify_fuglede(VerificationPlan(group=G, sizes=(3,), seed=1, count_per_size=5))
+    assert streamed == [("exhaustive", True, 3), ("sample", False, 3)]
+
+
 def _assert_enumerate_tiles_lists(G, k, tile_sets, budget, seed=None, count=None):
     got = [tuple(sorted(S.mult)) for S, _ in enumerate_tiles(G, k, seed, count, budget)]
     assert got == list(dict.fromkeys(tile_sets)), k
