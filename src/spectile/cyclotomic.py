@@ -335,6 +335,13 @@ class CharTable:
         kernel sum of a set is the sum of its elements' cols."""
         return self._kernel[0]
 
+    @cached_property
+    def col_index(self) -> dict[int, int]:
+        """The element index of each kernel column. Columns are distinct:
+        characters separate points, so if <s - s', r> = 0 at the
+        representative r of every direction class then s = s'."""
+        return {col: s for s, col in enumerate(self.cols)}
+
     def class_word(self, total: int, m: int) -> int:
         """The class word of a kernel sum: total is the sum of the cols of a
         set of m elements, and the word has one bit per direction class, the

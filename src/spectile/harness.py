@@ -20,13 +20,17 @@ An exhaustive sweep walks heads (_walk_heads): a head is every index of a
 nonzero part but the last, summed once with the column of 0, and each
 candidate of the head adds the column of its last index and reads its
 class word inline, from the constants of CharTable.word_constants. Size
-1, sampled draws and canonicalized parts stream through _sweep_chunk,
-which sums each nonzero part whole. In both loops a candidate whose word
-is settled, in this sweep or any earlier one of the process, is tallied
-with one memo lookup and one identity test as a count per verdict, and is
-never sorted into a set; every other candidate goes to the one slow path
-(_sweep_state), which sorts it into its set and tallies it on its own, in
-enumeration order.
+1, sampled draws and canonicalized parts stream through _sweep_chunk as
+the kernel columns of their nonzero parts: candidate_sets draws from
+CharTable.cols as it draws from range(|G|), since which items it picks
+depends only on how many there are, so a candidate costs one C-level sum
+of its part onto the column of 0 and the same inline word. In both loops
+a candidate whose word is settled, in this sweep or any earlier one of
+the process, is tallied with one memo lookup and one identity test as a
+count per verdict, and is never sorted into a set; every other candidate
+goes to the one slow path (_sweep_state), which sorts it into its set
+and tallies it on its own, in enumeration order. _sweep_chunk maps a
+part's columns back to indices for it (CharTable.col_index).
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -172,15 +176,16 @@ NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
 # A settled entry is a bare bool: both verdicts, decided and equal, from a
 # clique search of at most DEFAULT_BUDGET nodes, and a subgroup tile (True)
 # or no tile (False). Every other entry is a (spectral verdict, clique
-# nodes, tile outcome) tuple.
-MemoEntry = Union[bool, tuple[bool, int, int]]
+# nodes, tile outcome, spectrum) tuple, the spectrum being the clique the
+# search found (element indices), or None when it found none.
+MemoEntry = Union[bool, tuple[bool, int, int, Optional[list[int]]]]
 
 
 @lru_cache(maxsize=None)
 def _memo(G: Group, k: int) -> dict[int, MemoEntry]:
     """Verdicts on the k-sets of G, keyed by class word alone
     (CharTable.class_word): a settled bool or one flat (spectral verdict,
-    clique nodes, tile outcome) per word.
+    clique nodes, tile outcome, spectrum) per word.
 
     Both properties of a k-set are functions of its zero mask Z(S), which
     its class word expands to: spectrality is the clique search on Z(S); S
@@ -195,24 +200,26 @@ def _memo(G: Group, k: int) -> dict[int, MemoEntry]:
 
 def _spectral_verdict(
     memo: dict[int, MemoEntry], tables: IndexTables, word: int, zmask: int, k: int, budget: int
-) -> Union[bool, Undecided]:
+) -> tuple[Union[bool, Undecided], Optional[list[int]]]:
     """The spectral verdict under budget of the k-sets whose class word is
-    word and whose zero mask is zmask. A miss runs the clique search (is there a
-    0-containing k-set with differences in zmask?) and stores its verdict
-    with TILE_UNSET, unless the search ran out of budget. A settled entry
-    does not say how many nodes its search took, so below DEFAULT_BUDGET
-    the search runs again and its result is not stored."""
+    word and whose zero mask is zmask, with the spectrum it came from (the
+    clique of spectra.spectrum_search, element indices) when it is True and
+    the entry is not settled; else None. A miss runs the clique search (is
+    there a 0-containing k-set with differences in zmask?) and stores its
+    verdict and clique with TILE_UNSET, unless the search ran out of budget.
+    A settled entry does not say how many nodes its search took, so below
+    DEFAULT_BUDGET the search runs again and its result is not stored."""
     entry = memo.get(word)
     if entry.__class__ is bool and budget >= DEFAULT_BUDGET:
-        return entry
+        return entry, None
     if entry is None or entry.__class__ is bool:
         lam, nodes = spectrum_search(tables, zmask, k, budget)
         if lam is UNDECIDED:
-            return UNDECIDED
+            return UNDECIDED, None
         if entry is None:
-            memo[word] = (lam is not None, nodes, TILE_UNSET)
-        return lam is not None
-    return UNDECIDED if entry[1] > budget else entry[0]
+            memo[word] = (lam is not None, nodes, TILE_UNSET, lam)
+        return lam is not None, lam
+    return (UNDECIDED, None) if entry[1] > budget else (entry[0], entry[3])
 
 
 def _tile_outcome(
@@ -406,18 +413,23 @@ class VerificationReport:
 
 def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[int]]:
     """The plan's candidate 0-containing k-sets, each as its nonzero part
-    (tiling.candidate_sets).
+    (tiling.candidate_sets): as kernel columns (CharTable.cols), the parts
+    _sweep_chunk takes, for one worker; as element indices for more, whose
+    workers map them to columns (_worker_chunk).
 
     canonicalize keeps a set that no automorphism maps to a lexicographically
     smaller one. Automorphisms fix 0, so the image of (0,) + rest is (0,)
-    plus the sorted image of rest, and comparing nonzero parts decides it.
+    plus the sorted image of rest, and comparing nonzero parts of indices
+    decides it; a kept part is then mapped to its items.
     """
-    base = candidate_sets(plan.group.order, k, plan.seed, plan.count_per_size)
+    G = plan.group
+    items = range(G.order) if plan.workers > 1 else char_table(G).cols
     if not plan.canonicalize:
-        return base
-    perms = automorphism_index_perms(plan.group)
+        return candidate_sets(items, k, plan.seed, plan.count_per_size)
+    perms = automorphism_index_perms(G)
     return (
-        rest for rest in base
+        list(map(items.__getitem__, rest))
+        for rest in candidate_sets(range(G.order), k, None, None)
         if all(tuple(sorted(map(perm.__getitem__, rest))) >= rest for perm in perms)
     )
 
@@ -427,23 +439,29 @@ def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
 
 
 def _mismatch_entry(
-    G: Group, cand: tuple[int, ...], spectral: bool, tile: bool, budget: int
+    G: Group, cand: tuple[int, ...], lam: Optional[list[int]], tile: bool, budget: int
 ) -> dict:
-    """Full witness data for a disagreement (rare: a theorem violation)."""
+    """Full witness data for a disagreement (rare: a theorem violation).
+
+    lam is the spectrum (element indices) of the search that decided cand
+    spectral, or None when cand is not spectral; it is checked with
+    is_spectral_pair before it is listed. The search is deterministic on
+    the zero mask and size, so lam is the spectrum find_spectrum gives."""
     S = Multiset.of_indices(G, cand)
     spectrum = None
     complement = None
-    if spectral:
-        wit = find_spectrum(S, budget)
-        if isinstance(wit, SpectrumWitness):
-            spectrum = [list(x) for x in wit.lam.support]
+    if lam is not None:
+        L = Multiset.of_indices(G, lam)
+        if not is_spectral_pair(S, L):  # pragma: no cover - the search guarantees this
+            raise InvalidArgument("internal error: clique witness failed verification")
+        spectrum = [list(x) for x in L.support]
     if tile:
         wit = find_tiling_complement(S, budget)
         if isinstance(wit, ComplementWitness):
             complement = [list(x) for x in wit.t.support]
     return {
         "set": _coords(G, cand),
-        "spectral": spectral,
+        "spectral": lam is not None,
         "tile": tile,
         "spectrum": spectrum,
         "complement": complement,
@@ -475,7 +493,7 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
         cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
         zmask = expand(word)
-        sp = _spectral_verdict(memo, tables, word, zmask, k, budget)
+        sp, lam = _spectral_verdict(memo, tables, word, zmask, k, budget)
         entry = get(word) if keep_tiles else None
         tile = TILE_UNSET if entry is None else entry[2]
         if tile == TILE_UNSET:
@@ -486,7 +504,7 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
                     and tile != COVER_TILE
                     and entry[0] is (tile == SUBGROUP_TILE)
                 )
-                memo[word] = entry[0] if settles else entry[:2] + (tile,)
+                memo[word] = entry[0] if settles else (entry[0], entry[1], tile, entry[3])
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
@@ -508,7 +526,7 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
         if ti:
             tally.tiles += 1
         if sp != ti:
-            tally.mismatches.append(_mismatch_entry(G, cand, sp, ti, budget))
+            tally.mismatches.append(_mismatch_entry(G, cand, lam, ti, budget))
         elif sp:
             tally.both_yes += 1
         else:
@@ -520,29 +538,35 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
 def _sweep_chunk(G: Group, k: int, parts: Iterable[Sequence[int]], budget: int) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts.
 
-    Each candidate comes as its nonzero part (tiling.candidate_sets): the
-    k - 1 indices other than 0, in draw order when sampled. Its kernel sum,
-    the column of 0 plus the cols of the part, is summed whole, and its
-    class word (CharTable.class_word) keys the memo. A candidate whose word
-    is settled (_memo) only adds one to a count; every other one goes to
-    the slow path (_sweep_state). Sampled plans, canonicalized parts and
-    size 1 take this loop; every other exhaustive size walks heads
-    (_walk_heads).
+    Each candidate comes as the kernel columns (CharTable.cols) of its
+    nonzero part (tiling.candidate_sets over the cols): the k - 1 elements
+    other than 0, in draw order when sampled. Its kernel sum is one sum of
+    the part onto the column of 0, and its class word, read inline as
+    _walk_heads reads it, keys the memo. A candidate whose word is settled
+    (_memo) only adds one to a count; every other one has its columns mapped
+    back to indices (CharTable.col_index) for the slow path (_sweep_state).
+    Sampled plans, canonicalized parts and size 1 take this loop; every
+    other exhaustive size walks heads (_walk_heads).
     """
     kernel = char_table(G)
-    cols, class_word = kernel.cols, kernel.class_word
+    col0, col_index = kernel.cols[0], kernel.col_index
+    unit_m, low, folds, class_bits = kernel.word_constants(k)
     tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
     no = yes = 0  # candidates with a settled word, by verdict
-    col0 = cols[0]
-    for rest in parts:
-        word = class_word(sum(map(cols.__getitem__, rest), col0), k)
+    for part in parts:
+        # CharTable.class_word of the candidate's sum, inline, as in
+        # _walk_heads
+        nonzero = (sum(part, col0) ^ unit_m) + low
+        for shift in folds:
+            nonzero |= nonzero >> shift
+        word = class_bits & ~nonzero
         entry = get(word)
         if entry is settled_no:
             no += 1
         elif entry is settled_yes:
             yes += 1
         else:
-            slow(rest, word)
+            slow(list(map(col_index.__getitem__, part)), word)
     tally.add_settled(no, yes)
     return tally
 
@@ -588,8 +612,18 @@ def _walk_heads(G: Group, k: int, heads: Iterable[tuple[int, ...]], budget: int)
 
 
 def _worker_chunk(args: tuple) -> SizeTally:
+    """One job of a pooled sweep. The parts of a _sweep_chunk job come as
+    element indices (_enumerate_candidates) and are mapped to kernel
+    columns here: pickle writes every int in full, so 4 096 draws of size
+    12 on Z_2^2 x Z_3^2 pickle to 1.8 MB as columns against 0.1 MB as
+    indices, and jobs of columns made a two-worker sampled sweep slower
+    than a serial one."""
     sweep, moduli, k, budget, chunk = args
-    return sweep(Group(moduli), k, chunk, budget)
+    G = Group(moduli)
+    if sweep is _sweep_chunk:
+        cols = char_table(G).cols
+        chunk = [list(map(cols.__getitem__, part)) for part in chunk]
+    return sweep(G, k, chunk, budget)
 
 
 _CHUNK = 4096  # heads, or candidates, per job of a pooled sweep
@@ -624,13 +658,12 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     An exhaustive size of at least 2 without canonicalize is swept by
     _walk_heads over its heads; every other size streams its candidates
     (_enumerate_candidates; size 1 has the one empty part) through
-    _sweep_chunk. One loop
-    serves one worker or many: the heads or candidates go to _worker_chunk
-    as jobs, whose tallies merge associatively in job order. One worker
-    takes the size's whole stream as one job, so a serial sweep streams.
-    More get a fork pool of at most the CPU count, whose imap takes lists
-    of _CHUNK heads or candidates, so workers enumerate a head's candidates
-    themselves, and no report depends on scheduling or on the pool size.
+    _sweep_chunk. One worker sweeps the size's whole stream in this
+    process, so a serial sweep streams. More get a fork pool of at most
+    the CPU count, whose imap takes jobs of _CHUNK heads or candidates
+    (_worker_chunk), so workers enumerate a head's candidates themselves;
+    the job tallies merge associatively in job order, and no report
+    depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
     G = plan.group
@@ -649,12 +682,12 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
             else:
                 sweep, items = _walk_heads, itertools.combinations(range(1, G.order - 1), k - 2)
             if pool is None:
-                chunks = [items]
-            else:
-                chunks = iter(lambda: list(itertools.islice(items, _CHUNK)), [])
+                per_size[k] = sweep(G, k, items, plan.budget)
+                continue
+            chunks = iter(lambda: list(itertools.islice(items, _CHUNK)), [])
             jobs = ((sweep, G.moduli, k, plan.budget, c) for c in chunks)
             tally = per_size[k] = SizeTally(size=k)
-            for out in (map if pool is None else pool.imap)(_worker_chunk, jobs):
+            for out in pool.imap(_worker_chunk, jobs):
                 tally.merge(out)
     return VerificationReport(plan, per_size, time.perf_counter() - start)
 
@@ -909,7 +942,7 @@ def case5_nonexistence_probe(
                 zmask = expand(word)
                 known = by_word[word] = (zmask, _vanishing_pattern_fails(lt, zmask))
             zmask, pattern_fails = known
-            verdict = _spectral_verdict(memo, tables, word, zmask, size, budget)
+            verdict = _spectral_verdict(memo, tables, word, zmask, size, budget)[0]
             if verdict is False:
                 refuted += 1
             else:

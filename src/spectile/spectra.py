@@ -17,6 +17,7 @@ L - L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Union
 
 from .cyclotomic import char_sum_coeffs, set_zero_mask
@@ -154,22 +155,14 @@ def spectrum_search(
         m ^= lb
     if len(verts) < k - 1:
         return None, 0
+    # the neighbours of v are the w with v - w in the zero set; bit 0 of a
+    # zero mask is never set, so v is not its own neighbour
+    in_z = set(verts).__contains__
     sub_rows = tables.sub_rows
-    deg = []
-    for v in verts:
-        row = sub_rows[v]
-        deg.append(sum(1 for w in verts if w != v and (zmask >> row[w]) & 1))
-    order = sorted(range(len(verts)), key=lambda i: (-deg[i], verts[i]))
-    ordered = [verts[i] for i in order]
-    pos = {v: i for i, v in enumerate(ordered)}
-    adj = [0] * len(ordered)
-    for v in ordered:
-        row = sub_rows[v]
-        mask = 0
-        for w in ordered:
-            if w != v and (zmask >> row[w]) & 1:
-                mask |= 1 << pos[w]
-        adj[pos[v]] = mask
+    nbrs = {v: list(compress(verts, map(in_z, map(sub_rows[v].__getitem__, verts)))) for v in verts}
+    ordered = sorted(verts, key=lambda v: (-len(nbrs[v]), v))
+    bit_of = {v: 1 << i for i, v in enumerate(ordered)}
+    adj = [sum(map(bit_of.__getitem__, nbrs[v])) for v in ordered]
     search = CliqueSearch(adj, budget)
     clique = search.find(k - 1)
     if clique is None or clique is UNDECIDED:

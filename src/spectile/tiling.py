@@ -286,7 +286,8 @@ class SeededDraws:
 
     A population below 256 draws from the top bytes of the outputs alone,
     which index as small cached ints; larger populations read whole
-    outputs. Either is shifted inline. The pool branch copies the population
+    outputs, converted from the fetched bytes only when such a population
+    reads them. Either is shifted inline. The pool branch copies the population
     once per sample and swaps each drawn item into the pool's tail, so the
     sample is that tail reversed. A sample that runs off the end of the
     buffer fetches another block and is drawn again from its first output.
@@ -297,20 +298,28 @@ class SeededDraws:
 
     def __init__(self, seed):
         self._rng = random.Random(seed)
-        self._words = array("I")
-        self._top = b""
+        self._raw = b""  # the unused outputs, 4 little-endian bytes each
+        self._top = b""  # their top bytes
+        self._words: Optional[array] = None  # the outputs as ints, once read
         self._pos = 0  # the next unused output
 
     def _extend(self) -> None:
         """Drop the used outputs and fetch BLOCK more."""
         size = self.BLOCK
         raw = self._rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-        words = array("I", raw)
-        if sys.byteorder == "big":
-            words.byteswap()
-        self._words = self._words[self._pos :] + words
+        self._raw = self._raw[4 * self._pos :] + raw
         self._top = self._top[self._pos :] + raw[3::4]
+        self._words = None
         self._pos = 0
+
+    def _whole_outputs(self) -> array:
+        """The buffered outputs as 32-bit ints, built on the first read after
+        a fetch: only a population of 256 or more reads them."""
+        if self._words is None:
+            self._words = array("I", self._raw)
+            if sys.byteorder == "big":
+                self._words.byteswap()
+        return self._words
 
     def samples(self, population: Sequence, k: int, count: int) -> Iterator[list]:
         """count samples of k from population, drawn in one frame. Each
@@ -325,7 +334,7 @@ class SeededDraws:
         fetched = 0
         while count:
             # read at every sample: another stream may have drawn since
-            buf = self._top if n < 256 else self._words
+            buf = self._top if n < 256 else self._whole_outputs()
             pos = self._pos
             try:
                 if pooled:
@@ -367,18 +376,23 @@ class SeededDraws:
 
 
 def candidate_sets(
-    n: int, k: int, seed: Optional[int], count: Optional[int]
-) -> Iterator[Sequence[int]]:
-    """The 0-containing k-subsets of range(n), each as its nonzero part: the
-    k - 1 indices other than 0.
+    items: Sequence, k: int, seed: Optional[int], count: Optional[int]
+) -> Iterator[Sequence]:
+    """The 0-containing k-subsets of a group, each as its nonzero part: the
+    k - 1 of its elements other than 0, as items, where items[i] stands for
+    element index i and items[0] for the identity (range(|G|) yields
+    indices, CharTable.cols kernel columns).
 
     With no count, each is yielded once, as the tuples of
-    itertools.combinations(range(1, n), k - 1), in lexicographic order; with
-    a count, the stream is `count` draws of random.Random(f"{seed}:{k}").sample(
-    range(1, n), k - 1), made by SeededDraws, as lists in draw order, which
-    may repeat. A consumer that needs the set builds (0,) + tuple(sorted(part)).
+    itertools.combinations(items[1:], k - 1), in lexicographic order of
+    index; with a count, the stream is `count` draws of
+    random.Random(f"{seed}:{k}").sample(items[1:], k - 1), made by
+    SeededDraws, as lists in draw order, which may repeat. Which elements
+    are drawn depends on len(items) alone, so every items of one group give
+    the same stream. A consumer of indices that needs the set builds
+    (0,) + tuple(sorted(part)).
     """
-    population = range(1, n)
+    population = items[1:]
     if count is None:
         return itertools.combinations(population, k - 1)
     return SeededDraws(f"{seed}:{k}").samples(population, k - 1, count)
@@ -419,7 +433,7 @@ def enumerate_tiles(
     cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
     by_word: dict[int, Optional[Subgroup]] = {}
     seen: set[tuple[int, ...]] = set()
-    for rest in candidate_sets(G.order, k, seed, count):
+    for rest in candidate_sets(range(G.order), k, seed, count):
         cand = (0,) + tuple(sorted(rest))
         if sampled:  # draws may repeat
             if cand in seen:

@@ -223,6 +223,19 @@ def test_zero_mask_matches_exact_char_sums_up_to_mass_G(moduli, data):
         assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero
 
 
+@pytest.mark.parametrize(
+    "moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (16,), (3, 3, 3, 3, 3)], ids=lambda m: ",".join(map(str, m))
+)
+def test_kernel_columns_are_distinct_and_col_index_inverts_them(moduli):
+    # characters separate points, so no two elements share a column; the
+    # sweep maps a part of columns back to element indices by col_index
+    table = char_table(make_group(moduli))
+    cols = table.cols
+    assert len(set(cols)) == len(cols)
+    assert [table.col_index[col] for col in cols] == list(range(len(cols)))
+    assert len(table.col_index) == len(cols)
+
+
 def test_galois_and_negation_closure(z36):
     rng = random.Random(23)
     coprime = [k for k in range(1, 36) if math.gcd(k, 36) == 1]

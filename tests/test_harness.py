@@ -455,7 +455,8 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
         expected = _spectral_by_networkx(moduli, elems)
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
-        tally = _sweep_chunk(G, len(cand), [cand[1:]], DEFAULT_BUDGET)
+        part = list(map(char_table(G).cols.__getitem__, cand[1:]))
+        tally = _sweep_chunk(G, len(cand), [part], DEFAULT_BUDGET)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
 
@@ -601,6 +602,24 @@ def test_a_word_whose_verdicts_disagree_is_never_settled(monkeypatch):
             assert len(tally.mismatches) == tally.tiles > 0
         assert report.violation_count > 0
     assert _plan_doc(first) == _plan_doc(second)
+
+
+def test_mismatch_spectra_are_those_find_spectrum_gives(monkeypatch):
+    # Z_3^5 has spectral sets of size 6 that do not tile: each mismatch
+    # lists the spectrum of the search that decided its word, from a fresh
+    # memo or a warm one, at the default budget and below it, and that is
+    # the spectrum find_spectrum finds for the set
+    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    G = make_group([3, 3, 3, 3, 3])
+    for budget in (DEFAULT_BUDGET, DEFAULT_BUDGET, 1000):
+        plan = VerificationPlan(group=G, sizes=(6,), seed=1, count_per_size=100, budget=budget)
+        mismatches = verify_fuglede(plan).per_size[6].mismatches
+        assert mismatches
+        for entry in mismatches:
+            assert entry["spectral"] and not entry["tile"] and entry["complement"] is None
+            S = Multiset.set_of(G, list(map(tuple, entry["set"])))
+            lam = find_spectrum(S, budget).lam
+            assert entry["spectrum"] == [list(x) for x in lam.support]
 
 
 @pytest.mark.parametrize("moduli, sizes", [([2, 2, 3, 3], (2, 3, 4, 6, 9)), ([8], (2, 4))])

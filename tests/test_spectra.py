@@ -24,6 +24,10 @@ from spectile import (
     subgroups_of_order,
     zero_set,
 )
+from spectile.cyclotomic import char_table
+from spectile.errors import DEFAULT_BUDGET
+from spectile.groups import index_tables
+from spectile.spectra import CliqueSearch, spectrum_search
 
 
 def test_is_spectral_pair_examples(z6):
@@ -202,3 +206,53 @@ def test_zero_set_found_spectra_consistent(z6):
         for b in pts:
             if a != b:
                 assert z6.sub(a, b) in zs
+
+
+def _quadratic_spectrum_search(tables, zmask, k, budget):
+    """spectrum_search with its graph built pair by pair, as it once was:
+    the reference for the neighbour lists it builds now."""
+    if k == 1:
+        return [0], 0
+    verts = [g for g in range(tables.n) if zmask >> g & 1]
+    if len(verts) < k - 1:
+        return None, 0
+    sub_rows = tables.sub_rows
+    deg = [sum(1 for w in verts if w != v and zmask >> sub_rows[v][w] & 1) for v in verts]
+    order = sorted(range(len(verts)), key=lambda i: (-deg[i], verts[i]))
+    ordered = [verts[i] for i in order]
+    pos = {v: i for i, v in enumerate(ordered)}
+    adj = [0] * len(ordered)
+    for v in ordered:
+        for w in ordered:
+            if w != v and zmask >> sub_rows[v][w] & 1:
+                adj[pos[v]] |= 1 << pos[w]
+    search = CliqueSearch(adj, budget)
+    clique = search.find(k - 1)
+    if clique is None or clique is UNDECIDED:
+        return clique, search.nodes
+    return [0] + [ordered[i] for i in clique], search.nodes
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 3, 3), (3, 3, 3, 3, 3)], ids=["Z2^2xZ3^2", "Z3^5"])
+def test_spectrum_search_matches_the_quadratic_graph_construction(moduli):
+    # the same clique and node count on the zero masks of 200 random sets,
+    # and on 200 random unions of direction classes, whose graphs are
+    # larger; spectral or not, at budgets that some searches exhaust
+    G = make_group(moduli)
+    tables, kernel = index_tables(G), char_table(G)
+    class_bits = kernel.word_constants(1)[3]
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(200):
+        k = rng.choice([2, 3, 4, 6, 9, 12])
+        cand = (0,) + tuple(sorted(rng.sample(range(1, G.order), k - 1)))
+        word = kernel.class_word(sum(map(kernel.cols.__getitem__, cand)), k)
+        for zmask, budget in (
+            (kernel.expand(word), DEFAULT_BUDGET),
+            (kernel.expand(word), 20),
+            (kernel.expand(class_bits & rng.getrandbits(class_bits.bit_length())), 50),
+        ):
+            got = spectrum_search(tables, zmask, k, budget)
+            assert got == _quadratic_spectrum_search(tables, zmask, k, budget), (cand, zmask)
+            outcomes.add("undecided" if got[0] is UNDECIDED else got[0] is not None)
+    assert outcomes == {"undecided", True, False}

@@ -512,8 +512,33 @@ def test_candidate_sets_yield_nonzero_parts_as_drawn_or_combined():
         for s in (0, 5, 20260809):
             rng = random.Random(f"{s}:{k}")
             expected = [rng.sample(range(1, 36), k - 1) for _ in range(200)]
-            assert list(candidate_sets(36, k, s, 200)) == expected
+            assert list(candidate_sets(range(36), k, s, 200)) == expected
         if k <= 6:
-            assert list(candidate_sets(36, k, None, None)) == list(
+            assert list(candidate_sets(range(36), k, None, None)) == list(
                 itertools.combinations(range(1, 36), k - 1)
             )
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        char_table(make_group([2, 2, 3, 3])).cols,
+        char_table(make_group([3, 3, 3, 3, 3])).cols,
+        # 300 items: draws read whole 32-bit outputs, not their top bytes
+        [f"item {i}" for i in range(300)],
+    ],
+    ids=["Z2^2xZ3^2-cols", "Z3^5-cols", "300-items"],
+)
+def test_candidate_sets_of_any_items_pick_the_elements_of_the_index_stream(items):
+    # which elements a stream picks depends on len(items) alone, so the
+    # sweep's stream of kernel columns is the index stream, item for item
+    n = len(items)
+    for k in range(1, 19):
+        for s in (0, 7, 20260809):
+            by_index = candidate_sets(range(n), k, s, 40)
+            got = list(candidate_sets(items, k, s, 40))
+            assert got == [[items[i] for i in part] for part in by_index], (k, s)
+        if k <= 3:
+            got = list(candidate_sets(items, k, None, None))
+            by_index = candidate_sets(range(n), k, None, None)
+            assert got == [tuple(items[i] for i in part) for part in by_index], k
