@@ -10,13 +10,23 @@ anywhere; floats appear only in tests as a cross-check.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GroupMismatch, InvalidArgument, NotTwoDistinctPrimes
-from .groups import Element, Group, Multiset, check_table_order, index_tables, is_prime
+from .groups import (
+    MAX_BATCH_TABLE_BYTES,
+    Element,
+    Group,
+    Multiset,
+    check_table_order,
+    index_tables,
+    is_prime,
+)
 
 
 @dataclass(frozen=True)
@@ -250,9 +260,9 @@ class CyclotomicInt:
 # zeta_M^k mod Phi_M has phi(M) integer coefficients. The kernel packs them
 # for every direction class side by side in limbs sized for the group and
 # decides all classes of a set with one big-int sum (class_word), which
-# zero_mask expands to element bits; an exhaustive sweep adds one column to
-# a head's sum per candidate and reads the word with the constants of
-# word_constants inline. Nothing else reads these tables: the
+# zero_mask expands to element bits; an exhaustive sweep decides a whole
+# batch of candidates with a few more, each candidate in its own L-byte
+# slot (stem_batches). Nothing else reads these tables: the
 # verifiers and multiset zero sets go through char_sum_coeffs, which shares
 # only the reduction modulo Phi_M.
 
@@ -268,6 +278,7 @@ class CharTable:
         self.reduced_powers = [tuple(_reduce(self.M, [0] * t + [1])) for t in range(self.M)]
         self.max_abs = max((abs(c) for row in self.reduced_powers for c in row), default=0)
         self._weights = tuple(self.M // n for n in G.moduli)
+        self._batches: dict[int, list[tuple]] = {}  # by depth (_batch_tables)
 
     def _exponents(self, g_index: int) -> list[int]:
         """<s, g> for every s, indexed by element index."""
@@ -363,7 +374,7 @@ class CharTable:
         nonzero = (total ^ bias) + low
         for shift in folds:
             nonzero |= nonzero >> shift
-        return class_bits & ~nonzero
+        return class_bits ^ (class_bits & nonzero)
 
     def word_constants(self, m: int) -> tuple[int, int, list[int], int]:
         """(m * unit, low, folds, class_bits): the constants class_word reads
@@ -371,6 +382,110 @@ class CharTable:
         inline."""
         _, unit, low, folds, class_bits, _ = self._kernel
         return m * unit, low, folds, class_bits
+
+    @cached_property
+    def key_bytes(self) -> int:
+        """L, the bytes of a class word's memo key (little-endian) and of one
+        slot of a packed batch: ceil(classes * phi * w / 8), so a slot holds
+        every limb of a kernel sum, guard bits included."""
+        classes = len(index_tables(self.group).direction_classes)
+        return -(-classes * self.phi * self.limb_layout()[1] // 8)
+
+    def batch_depth(self, k: int) -> int:
+        """How many trailing indices a stem walk of size k batches: 2, else
+        as many as k - 1 allows, less while the tables of the depth would
+        hold more than MAX_BATCH_TABLE_BYTES (4 L C(|G|, depth + 1)). Depth 0
+        walks one candidate per stem and always fits."""
+        depth = min(2, k - 1)
+        n = self.group.order
+        while depth and 4 * self.key_bytes * math.comb(n, depth + 1) > MAX_BATCH_TABLE_BYTES:
+            depth -= 1
+        return depth
+
+    def _batch_tables(self, depth: int) -> list[tuple]:
+        """Per start index a, the batch of every depth-combination of
+        range(a + 1, |G|) in itertools.combinations order, combination j in
+        slot j (bits 8 L j and up): (count, count * L, the packed sums of the
+        cols of each combination, then |G| * unit, low and class_bits in
+        every slot, and the struct unpack that splits count * L bytes into
+        L-byte keys). Built on first use and kept for the group.
+
+        The combinations above a are a + 1 on top of each combination of one
+        index fewer above a + 1, then the combinations above a + 1; so each
+        depth is built from the one below with one replication, two adds and
+        one shift per start index.
+        """
+        got = self._batches.get(depth)
+        if got is not None:
+            return got
+        n, L = self.group.order, self.key_bytes
+        cols, unit, low, _, class_bits, _ = self._kernel
+
+        def rep(value: int, count: int) -> int:
+            return int.from_bytes(value.to_bytes(L, "little") * count, "little")
+
+        counts, sums = [1] * n, [0] * n  # depth 0: the empty combination
+        for _ in range(depth):
+            below_counts, below_sums = counts, sums
+            counts, sums = [0] * n, [0] * n
+            for a in range(n - 2, -1, -1):
+                led = below_counts[a + 1]  # the combinations led by a + 1
+                counts[a] = led + counts[a + 1]
+                sums[a] = rep(cols[a + 1], led) + below_sums[a + 1] + (sums[a + 1] << 8 * L * led)
+        counts = counts[: n - depth]
+        shared = {  # depth 0 has one count
+            count: (
+                rep(n * unit, count),
+                rep(low, count),
+                rep(class_bits, count),
+                struct.Struct(f"{L}s" * count).unpack,
+            )
+            for count in set(counts)
+        }
+        got = self._batches[depth] = [
+            (count, count * L, packed, *shared[count]) for count, packed in zip(counts, sums)
+        ]
+        return got
+
+    def stem_batches(
+        self, k: int, stems: Iterable[tuple[int, ...]]
+    ) -> Iterator[tuple[tuple[int, ...], tuple[bytes, ...]]]:
+        """(stem, keys) for each stem of a size-k walk: a stem is the first
+        k - 1 - depth indices of a nonzero part (batch_depth), its batch every
+        depth-combination of the indices above its largest (of range(1, |G|)
+        for the empty stem), in itertools.combinations order, and keys[j] the
+        class word of stem + the j-th combination, as class_word gives it for
+        the whole k-set (with 0), in L little-endian bytes.
+
+        The whole batch takes one replication and a few big-int operations on
+        its packed table (_batch_tables). The stem's sum, the column of 0 plus
+        its cols plus (|G| - k) * unit, is copied into every slot and added to
+        the packed sums; so every limb holds |G| * bias plus the coefficient
+        of the candidate's character sum, at least (|G| - k) * bias >= 0 and
+        at most 2 |G| * bias, below 2^(w-1) (limb_layout), and no slot carries
+        into the next. XOR with |G| * unit zeroes exactly the zero
+        coefficients and leaves every limb below 2^(w-1), so adding
+        2^(w-1) - 1 sets the top bit of exactly the nonzero limbs and cannot
+        carry out of a limb. The folds, together a shift of (phi - 1) w, OR
+        a class's phi limbs into the top bit of its lowest limb; a class's
+        limbs lie inside its slot, and a bit of the next slot shifts at most
+        to bit 8 L - (phi - 1) w >= classes * phi * w - (phi - 1) w of this
+        one, above every class bit, so adjacent slots never mix. class_bits
+        keeps exactly the top bits that stayed clear, as class_word does.
+        """
+        tables = self._batch_tables(self.batch_depth(k))
+        cols, unit, _, folds, _, _ = self._kernel
+        base = cols[0] + (self.group.order - k) * unit
+        L = self.key_bytes
+        for stem in stems:
+            count, size, packed, flip, low, class_bits, split = tables[stem[-1] if stem else 0]
+            total = sum(map(cols.__getitem__, stem), base)
+            nonzero = (
+                (int.from_bytes(total.to_bytes(L, "little") * count, "little") + packed) ^ flip
+            ) + low
+            for shift in folds:
+                nonzero |= nonzero >> shift
+            yield stem, split((class_bits ^ (class_bits & nonzero)).to_bytes(size, "little"))
 
     def expand(self, word: int) -> int:
         """The element bits of a class word: the generators of every class

@@ -455,6 +455,14 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
 # Z_3^2 x Z_7^2, of order 441.
 MAX_TABLE_ORDER = 2048
 
+# The most bytes the packed batch tables of one stem-walk depth may hold
+# (CharTable.batch_depth): four L-byte ints per slot, one slot per
+# combination of the depth's trailing indices, 4 L C(|G|, depth + 1) bytes
+# in all. Z_2^2 x Z_3^2 batches pairs in 1.1 MB; a group whose pair tables
+# pass the cap walks single-column batches, and past that one candidate at
+# a time.
+MAX_BATCH_TABLE_BYTES = 1 << 23
+
 
 def check_table_order(G: Group) -> None:
     """Raise Overflow, before anything is built, if G is too large for tables."""

@@ -9,28 +9,31 @@ routines of the public per-set operations, once per zero set: both
 verdicts of a k-set are functions of its zero mask (CharTable.zero_mask),
 and so of the class word the mask expands from (CharTable.class_word, one
 bit per direction class).
-One memo per group and size (_memo), keyed by the word, holds the verdict
-of spectra.spectrum_search and the outcome of tiling.tiling_complement,
-whose exact cover does not read the mask and runs on the first set of each
-key. A settled word, whose verdicts agree and need no per-set entry, is a
-bare bool there; every other word keeps a (verdict, nodes, tile) tuple.
-The mask is expanded from the word only off the settled path.
+One memo per group and size (_memo), keyed by the word as L little-endian
+bytes (CharTable.key_bytes), holds the verdict of spectra.spectrum_search
+and the outcome of tiling.tiling_complement, whose exact cover does not
+read the mask and runs on the first set of each key. A settled word,
+whose verdicts agree and need no per-set entry, is a bare bool there;
+every other word keeps a (verdict, nodes, tile) tuple. The mask is
+expanded from the word only off the settled path.
 
-An exhaustive sweep walks heads (_walk_heads): a head is every index of a
-nonzero part but the last, summed once with the column of 0, and each
-candidate of the head adds the column of its last index and reads its
-class word inline, from the constants of CharTable.word_constants. Size
-1, sampled draws and canonicalized parts stream through _sweep_chunk as
-the kernel columns of their nonzero parts: candidate_sets draws from
-CharTable.cols as it draws from range(|G|), since which items it picks
-depends only on how many there are, so a candidate costs one C-level sum
-of its part onto the column of 0 and the same inline word. In both loops
-a candidate whose word is settled, in this sweep or any earlier one of
-the process, is tallied with one memo lookup and one identity test as a
-count per verdict, and is never sorted into a set; every other candidate
-goes to the one slow path (_sweep_state), which sorts it into its set
-and tallies it on its own, in enumeration order. _sweep_chunk maps a
-part's columns back to indices for it (CharTable.col_index).
+An exhaustive sweep walks stems (_walk_stems): a stem is the first k - 3
+indices of a nonzero part, and its batch every (d, last) pair above the
+stem's largest index, in combinations order (single columns at size 2,
+one candidate at size 1; CharTable.batch_depth). CharTable.stem_batches
+gives a whole batch's keys from a few big-int operations on packed
+tables, one L-byte slot per candidate, and one map of the memo's lookup
+reads them. Sampled draws and canonicalized parts stream through
+_sweep_chunk as the kernel columns of their nonzero parts: candidate_sets
+draws from CharTable.cols as it draws from range(|G|), since which items
+it picks depends only on how many there are, so a candidate costs one
+C-level sum of its part onto the column of 0, its class word inline and
+one to_bytes. A candidate whose word is settled, in this sweep or any
+earlier one of the process, is tallied as a count per verdict (a batch
+of them with list.count) and is never sorted into a set; every other
+candidate goes to the one slow path (_sweep_state), which sorts it into
+its set and tallies it on its own, in enumeration order. _sweep_chunk maps
+a part's columns back to indices for it (CharTable.col_index).
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -182,10 +185,14 @@ MemoEntry = Union[bool, tuple[bool, int, int, Optional[list[int]]]]
 
 
 @lru_cache(maxsize=None)
-def _memo(G: Group, k: int) -> dict[int, MemoEntry]:
+def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     """Verdicts on the k-sets of G, keyed by class word alone
-    (CharTable.class_word): a settled bool or one flat (spectral verdict,
-    clique nodes, tile outcome, spectrum) per word.
+    (CharTable.class_word), as the L little-endian bytes that
+    CharTable.stem_batches gives a packed batch (CharTable.key_bytes): a
+    settled bool or one flat (spectral verdict, clique nodes, tile outcome,
+    spectrum) per word. A byte-string key is hashed and compared without
+    turning a batch's keys back into ints; the word itself is read back
+    (int.from_bytes) only to expand a mask off the settled path.
 
     Both properties of a k-set are functions of its zero mask Z(S), which
     its class word expands to: spectrality is the clique search on Z(S); S
@@ -199,17 +206,17 @@ def _memo(G: Group, k: int) -> dict[int, MemoEntry]:
 
 
 def _spectral_verdict(
-    memo: dict[int, MemoEntry], tables: IndexTables, word: int, zmask: int, k: int, budget: int
+    memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
 ) -> tuple[Union[bool, Undecided], Optional[list[int]]]:
-    """The spectral verdict under budget of the k-sets whose class word is
-    word and whose zero mask is zmask, with the spectrum it came from (the
-    clique of spectra.spectrum_search, element indices) when it is True and
-    the entry is not settled; else None. A miss runs the clique search (is
+    """The spectral verdict under budget of the k-sets whose class word has
+    the memo key key (_memo) and whose zero mask is zmask, with the spectrum
+    it came from (the clique of spectra.spectrum_search, element indices)
+    when it is True and the entry is not settled; else None. A miss runs the clique search (is
     there a 0-containing k-set with differences in zmask?) and stores its
     verdict and clique with TILE_UNSET, unless the search ran out of budget.
     A settled entry does not say how many nodes its search took, so below
     DEFAULT_BUDGET the search runs again and its result is not stored."""
-    entry = memo.get(word)
+    entry = memo.get(key)
     if entry.__class__ is bool and budget >= DEFAULT_BUDGET:
         return entry, None
     if entry is None or entry.__class__ is bool:
@@ -217,7 +224,7 @@ def _spectral_verdict(
         if lam is UNDECIDED:
             return UNDECIDED, None
         if entry is None:
-            memo[word] = (lam is not None, nodes, TILE_UNSET, lam)
+            memo[key] = (lam is not None, nodes, TILE_UNSET, lam)
         return lam is not None, lam
     return (UNDECIDED, None) if entry[1] > budget else (entry[0], entry[3])
 
@@ -471,14 +478,15 @@ def _mismatch_entry(
 def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tuple, Callable]:
     """What both sweep loops share for size k: (tally, get, settled, slow).
 
-    get is the memo's lookup by class word. settled is the (no, yes) pair of
-    entries that a candidate is counted from with one identity test each
-    (SizeTally.add_settled folds the counts in when the loop ends); that
+    get is the memo's lookup by key (_memo). settled is the (no, yes) pair of
+    entries that a candidate is counted from, by an identity test or a
+    batch's list.count (SizeTally.add_settled folds the counts in when the
+    loop ends); that
     takes a budget of at least DEFAULT_BUDGET, and below it a sentinel
-    matches none. slow(rest, word) tallies every other candidate on its own:
-    it sorts the nonzero part rest into its set, expands the word to the
-    zero mask for the decisions, and appends any undecided entry, violation
-    or mismatch, so each loop must call it in enumeration order.
+    matches none. slow(rest, key) tallies every other candidate on its own:
+    it sorts the nonzero part rest into its set, expands the word of key to
+    the zero mask for the decisions, and appends any undecided entry,
+    violation or mismatch, so each loop must call it in enumeration order.
     """
     expand = char_table(G).expand
     tables = index_tables(G)
@@ -489,12 +497,12 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
     settled = (False, True) if keep_tiles else (unmatched, unmatched)
     tally = SizeTally(size=k)
 
-    def slow(rest: Sequence[int], word: int) -> None:
+    def slow(rest: Sequence[int], key: bytes) -> None:
         cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
-        zmask = expand(word)
-        sp, lam = _spectral_verdict(memo, tables, word, zmask, k, budget)
-        entry = get(word) if keep_tiles else None
+        zmask = expand(int.from_bytes(key, "little"))
+        sp, lam = _spectral_verdict(memo, tables, key, zmask, k, budget)
+        entry = get(key) if keep_tiles else None
         tile = TILE_UNSET if entry is None else entry[2]
         if tile == TILE_UNSET:
             tile = _tile_outcome(tables, cand, zmask, budget)
@@ -504,7 +512,7 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
                     and tile != COVER_TILE
                     and entry[0] is (tile == SUBGROUP_TILE)
                 )
-                memo[word] = entry[0] if settles else (entry[0], entry[1], tile, entry[3])
+                memo[key] = entry[0] if settles else (entry[0], entry[1], tile, entry[3])
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
@@ -542,71 +550,76 @@ def _sweep_chunk(G: Group, k: int, parts: Iterable[Sequence[int]], budget: int) 
     nonzero part (tiling.candidate_sets over the cols): the k - 1 elements
     other than 0, in draw order when sampled. Its kernel sum is one sum of
     the part onto the column of 0, and its class word, read inline as
-    _walk_heads reads it, keys the memo. A candidate whose word is settled
-    (_memo) only adds one to a count; every other one has its columns mapped
-    back to indices (CharTable.col_index) for the slow path (_sweep_state).
-    Sampled plans, canonicalized parts and size 1 take this loop; every
-    other exhaustive size walks heads (_walk_heads).
+    CharTable.class_word reads it and written as the L bytes of its memo key
+    (_memo), one to_bytes per candidate. A candidate whose word is settled
+    only adds one to a count; every other one has its columns mapped back
+    to indices (CharTable.col_index) for the slow path (_sweep_state).
+    Sampled plans and canonicalized parts take this loop; every exhaustive
+    plan without canonicalize walks stems (_walk_stems).
     """
     kernel = char_table(G)
-    col0, col_index = kernel.cols[0], kernel.col_index
+    col0, col_index, size = kernel.cols[0], kernel.col_index, kernel.key_bytes
     unit_m, low, folds, class_bits = kernel.word_constants(k)
     tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
     no = yes = 0  # candidates with a settled word, by verdict
     for part in parts:
-        # CharTable.class_word of the candidate's sum, inline, as in
-        # _walk_heads
+        # CharTable.class_word of the candidate's sum, inline
         nonzero = (sum(part, col0) ^ unit_m) + low
         for shift in folds:
             nonzero |= nonzero >> shift
-        word = class_bits & ~nonzero
-        entry = get(word)
+        key = (class_bits ^ (class_bits & nonzero)).to_bytes(size, "little")
+        entry = get(key)
         if entry is settled_no:
             no += 1
         elif entry is settled_yes:
             yes += 1
         else:
-            slow(list(map(col_index.__getitem__, part)), word)
+            slow(list(map(col_index.__getitem__, part)), key)
     tally.add_settled(no, yes)
     return tally
 
 
-def _walk_heads(G: Group, k: int, heads: Iterable[tuple[int, ...]], budget: int) -> SizeTally:
-    """_sweep_chunk on every candidate of each head, for k of at least 2.
+def _walk_stems(G: Group, k: int, stems: Iterable[tuple[int, ...]], budget: int) -> SizeTally:
+    """_sweep_chunk on every candidate of each stem, a batch at a time.
 
-    A head is the first k - 2 indices of a nonzero part, a (k - 2)-subset
-    of range(1, |G| - 1) that leaves room for a last index: size 2 has the
-    one empty head, size |G| the one head 1 .. |G| - 2. Its candidates are
-    the head plus one last index above the head's largest, so walking the
-    heads in lexicographic order, and each head's last indices in ascending
-    order, enumerates the parts as itertools.combinations does. A head's
-    kernel sum, the column of 0 plus the head's cols, is summed once; each
-    candidate adds one column and reads its class word inline.
+    A stem is the first k - 1 - depth indices of a nonzero part, where depth
+    is CharTable.batch_depth(k): 2, so a stem is a (k - 3)-subset of
+    range(1, |G| - 2) and its batch every (d, last) pair above its largest
+    index; 1 at size 2 (the empty stem, whose batch is every single column)
+    or for a group whose pair tables pass the cap; 0 at size 1, or when the
+    single-column tables pass it too, one candidate per stem. Stems in
+    lexicographic order, and each batch in combinations order, enumerate
+    the parts as itertools.combinations does.
+
+    CharTable.stem_batches gives a batch's keys from a few big-int
+    operations on packed tables. One map of the memo's lookup reads them
+    all; a batch whose entries are all settled is counted with list.count,
+    and any other batch is walked candidate by candidate, in order, each
+    with a fresh lookup, since the slow path (_sweep_state) may settle a
+    word that a later candidate of the batch shares.
     """
     kernel = char_table(G)
-    cols = kernel.cols
-    unit_m, low, folds, class_bits = kernel.word_constants(k)
+    depth = kernel.batch_depth(k)
+    n = G.order
     tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
     no = yes = 0  # candidates with a settled word, by verdict
-    n = G.order
-    col0 = cols[0]
-    for head in heads:
-        head_sum = sum(map(cols.__getitem__, head), col0)
-        for last in range(head[-1] + 1 if head else 1, n):
-            # CharTable.class_word of the candidate's sum, inline: calling
-            # it per candidate makes a warm sweep of sizes 2, 3, 4 and 6 on
-            # Z_2^2 x Z_3^2 about 1.5 times as slow
-            nonzero = ((head_sum + cols[last]) ^ unit_m) + low
-            for shift in folds:
-                nonzero |= nonzero >> shift
-            word = class_bits & ~nonzero
-            entry = get(word)
+    for stem, keys in kernel.stem_batches(k, stems):
+        entries = list(map(get, keys))
+        batch_no = entries.count(settled_no)
+        batch_yes = entries.count(settled_yes)
+        if batch_no + batch_yes == len(entries):
+            no += batch_no
+            yes += batch_yes
+            continue
+        tails = itertools.combinations(range(stem[-1] + 1 if stem else 1, n), depth)
+        for key, tail in zip(keys, tails):
+            entry = get(key)
             if entry is settled_no:
                 no += 1
             elif entry is settled_yes:
                 yes += 1
             else:
-                slow(head + (last,), word)
+                slow(stem + tail, key)
     tally.add_settled(no, yes)
     return tally
 
@@ -626,7 +639,12 @@ def _worker_chunk(args: tuple) -> SizeTally:
     return sweep(G, k, chunk, budget)
 
 
-_CHUNK = 4096  # heads, or candidates, per job of a pooled sweep
+# Candidates per job of a pooled sweep, on average for jobs of stems. A
+# batched candidate costs a worker well under a microsecond, so job overhead
+# needs large jobs: two workers swept Z_2^2 x Z_3^2 size 8 in 2.1-2.3 s with
+# jobs of 4 096 candidates against 1.5-1.8 s with 32 768 (2-vCPU VM), and
+# sampled plans took as long with 32 768 draws per job as with 4 096.
+_CHUNK = 1 << 15
 
 
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
@@ -655,18 +673,19 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     agreement exercises the spectral <=> tile equivalence on the planned
     group.
 
-    An exhaustive size of at least 2 without canonicalize is swept by
-    _walk_heads over its heads; every other size streams its candidates
-    (_enumerate_candidates; size 1 has the one empty part) through
-    _sweep_chunk. One worker sweeps the size's whole stream in this
-    process, so a serial sweep streams. More get a fork pool of at most
-    the CPU count, whose imap takes jobs of _CHUNK heads or candidates
-    (_worker_chunk), so workers enumerate a head's candidates themselves;
-    the job tallies merge associatively in job order, and no report
-    depends on scheduling or on the pool size.
+    An exhaustive size without canonicalize is swept by _walk_stems over
+    its stems; sampled and canonicalized sizes stream their candidates
+    (_enumerate_candidates) through _sweep_chunk. One worker sweeps the
+    size's whole stream in this process, so a serial sweep streams. More
+    get a fork pool of at most the CPU count, whose imap takes jobs of
+    _CHUNK candidates, or of as many stems as hold _CHUNK candidates on
+    average (_worker_chunk), so workers batch a stem's candidates
+    themselves; the job tallies merge associatively in job order, and no
+    report depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
     G = plan.group
+    n = G.order
     per_size: dict[int, SizeTally] = {}
     pool = None
     if plan.workers > 1:
@@ -677,14 +696,17 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
         for k in plan.sizes:
             if plan.count_per_size is not None or plan.canonicalize:
                 sweep, items = _sweep_chunk, _enumerate_candidates(plan, k)
-            elif k == 1:
-                sweep, items = _sweep_chunk, iter([()])
+                per_job = _CHUNK
             else:
-                sweep, items = _walk_heads, itertools.combinations(range(1, G.order - 1), k - 2)
+                depth = char_table(G).batch_depth(k)
+                sweep = _walk_stems
+                items = itertools.combinations(range(1, n - depth), k - 1 - depth)
+                stems = math.comb(n - 1 - depth, k - 1 - depth)
+                per_job = max(1, _CHUNK * stems // math.comb(n - 1, k - 1))
             if pool is None:
                 per_size[k] = sweep(G, k, items, plan.budget)
                 continue
-            chunks = iter(lambda: list(itertools.islice(items, _CHUNK)), [])
+            chunks = iter(lambda: list(itertools.islice(items, per_job)), [])
             jobs = ((sweep, G.moduli, k, plan.budget, c) for c in chunks)
             tally = per_size[k] = SizeTally(size=k)
             for out in pool.imap(_worker_chunk, jobs):
@@ -878,9 +900,10 @@ def case5_nonexistence_probe(
 
     Each candidate is read from its draws: a drawn leaf's mask is the OR of
     its points' bits, and the kernel sum adds the points' columns in draw
-    order. The class word keys the spectral memo and a dict of this call
-    holding, per word, the zero mask and the zero-mask part of the
-    obstruction class, so a word is expanded and classified once per call.
+    order. The class word keys the spectral memo, as its L bytes (_memo),
+    and a dict of this call holding, per word, the zero mask and the
+    zero-mask part of the obstruction class, so a word is expanded and
+    classified once per call.
     The structure checks read the leaf masks alone, and only a listed
     candidate (undecided or spectral) is sorted into its set.
 
@@ -906,7 +929,7 @@ def case5_nonexistence_probe(
 
     tables = index_tables(G)
     kernel = char_table(G)
-    class_word, expand = kernel.class_word, kernel.expand
+    class_word, expand, key_bytes = kernel.class_word, kernel.expand, kernel.key_bytes
     lt = leaf_tables(shape)
     # a warm-up leaves the kernel unbuilt
     read = _draw_reader(lt, kernel) if count_per_size else None
@@ -942,7 +965,8 @@ def case5_nonexistence_probe(
                 zmask = expand(word)
                 known = by_word[word] = (zmask, _vanishing_pattern_fails(lt, zmask))
             zmask, pattern_fails = known
-            verdict = _spectral_verdict(memo, tables, word, zmask, size, budget)[0]
+            key = word.to_bytes(key_bytes, "little")
+            verdict = _spectral_verdict(memo, tables, key, zmask, size, budget)[0]
             if verdict is False:
                 refuted += 1
             else:

@@ -223,6 +223,36 @@ def test_zero_mask_matches_exact_char_sums_up_to_mass_G(moduli, data):
         assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero
 
 
+# phi(24) = 8 takes three folds; Z_2^2 x Z_3^2 is the acceptance group
+@pytest.mark.parametrize(
+    "moduli", [(24,), (5, 5), (2, 6), (2, 2, 3, 3)], ids=lambda m: ",".join(map(str, m))
+)
+def test_packed_batch_keys_are_the_class_words_of_their_candidates(moduli):
+    # every candidate of sizes 2 to 5, a stem and one combination of its
+    # batch, in combinations order; its key is the L-byte form of the class
+    # word of its own kernel sum, and L is the least byte count that holds
+    # every limb
+    G = make_group(moduli)
+    table = char_table(G)
+    n, L, cols = G.order, table.key_bytes, table.cols
+    limb_bits = len(index_tables(G).direction_classes) * table.phi * table.limb_layout()[1]
+    assert 8 * (L - 1) < limb_bits <= 8 * L
+    for k in range(2, 6):
+        depth = table.batch_depth(k)
+        assert depth == min(2, k - 1)
+        stems = itertools.combinations(range(1, n - depth), k - 1 - depth)
+        cands = []
+        for stem, keys in table.stem_batches(k, stems):
+            tails = itertools.combinations(range(stem[-1] + 1 if stem else 1, n), depth)
+            for tail, key in zip(tails, keys, strict=True):
+                cand = (0,) + stem + tail
+                cands.append(cand)
+                word = table.class_word(sum(map(cols.__getitem__, cand)), k)
+                assert key == word.to_bytes(L, "little"), cand
+        assert cands == [(0,) + rest for rest in itertools.combinations(range(1, n), k - 1)]
+    assert len(char_table(make_group((24,)))._kernel[3]) == 3
+
+
 @pytest.mark.parametrize(
     "moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (16,), (3, 3, 3, 3, 3)], ids=lambda m: ",".join(map(str, m))
 )

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -37,7 +38,7 @@ from spectile import (
     tiles_by_subgroup,
     verify_fuglede,
 )
-from spectile import harness
+from spectile import cyclotomic, harness
 from spectile.cli import EXIT_USAGE, main
 from spectile.cyclotomic import char_sum_vanishes, char_table
 from spectile.errors import DEFAULT_BUDGET, UNDECIDED, Overflow
@@ -218,7 +219,7 @@ def _per_set_tally(G, k, budget, parts=None, tile_sets=None):
     ids=str,
 )
 def test_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, monkeypatch):
-    # every size, from k = 1 (an empty head) to k = |G|; every count and
+    # every size, from k = 1 (an empty stem) to k = |G|; every count and
     # every listed set, in enumeration order
     G = make_group(moduli)
     sizes = tuple(range(1, G.order + 1))
@@ -235,11 +236,33 @@ def test_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, mon
     _assert_listed(report, listed)
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("cap", ["zero", "single columns"])
+def test_stem_walks_under_the_table_cap_match_a_per_set_tally(cap, pooled, monkeypatch):
+    # a cap of 0 walks every size one candidate per stem; a cap that holds
+    # the single-column tables but not the pair tables walks single-column
+    # batches; either way every tally is the per-set one, serial and with
+    # two workers and 7-candidate jobs
+    G = make_group((12,))
+    table = char_table(G)
+    n = G.order
+    singles = 4 * table.key_bytes * math.comb(n, 2)
+    monkeypatch.setattr(cyclotomic, "MAX_BATCH_TABLE_BYTES", 0 if cap == "zero" else singles)
+    monkeypatch.setattr(harness, "_CHUNK", 7)
+    sizes = tuple(range(1, n + 1))
+    deepest = 0 if cap == "zero" else 1
+    assert [table.batch_depth(k) for k in sizes] == [min(deepest, k - 1) for k in sizes]
+    report = verify_fuglede(VerificationPlan(group=G, sizes=sizes, workers=2 if pooled else 1))
+    for k in sizes:
+        assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, DEFAULT_BUDGET), k
+    assert report.violation_count > 0
+
+
 def test_exhaustive_sweeps_walk_heads_without_streaming_candidates(monkeypatch):
-    # an exhaustive plan without canonicalize walks heads and never streams
-    # its candidates, serial or pooled; with 3-head jobs every size from 4
-    # to 10 of Z_12 splits into several jobs. Sampled and canonicalized
-    # plans still stream theirs.
+    # an exhaustive plan without canonicalize walks stems and never streams
+    # its candidates, serial or pooled; with jobs of 3 candidates on
+    # average every size from 4 to 10 of Z_12 splits into several jobs.
+    # Sampled and canonicalized plans still stream theirs.
     G = make_group((12,))
     sizes = tuple(range(1, G.order + 1))
     enumerate_candidates = harness._enumerate_candidates
