@@ -384,6 +384,11 @@ class CharTable:
         return m * unit, low, folds, class_bits
 
     @cached_property
+    def word_bits(self) -> list[int]:
+        """The bit of each direction class in a class word, by class id."""
+        return [1 << top for top in self._kernel[5]]
+
+    @cached_property
     def key_bytes(self) -> int:
         """L, the bytes of a class word's memo key (little-endian) and of one
         slot of a packed batch: ceil(classes * phi * w / 8), so a slot holds

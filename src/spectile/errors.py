@@ -106,9 +106,10 @@ UNDECIDED = Undecided()
 DEFAULT_BUDGET = 5_000_000
 
 # The most candidates one sweep, probe or tile enumeration may decide: on one
-# core at the perfbench reference speed, about 40 s exhaustive (2.6 * 10^6 per
-# second) or 4.5 minutes sampled (3.8 * 10^5 per second) on Z_2^2 x Z_3^2.
-# It admits every 0-containing 9-set of that group (C(35, 8)).
+# core, about 40 s exhaustive (2.5 * 10^6 per second, the size-9 walk's rate;
+# the perfbench acceptance sweep reaches 4.5 * 10^6, since its cold sizes
+# settle whole orbits of words) or 4.5 minutes sampled (3.8 * 10^5 per second)
+# on Z_2^2 x Z_3^2. It admits every 0-containing 9-set of that group (C(35, 8)).
 MAX_CANDIDATES = 10**8
 
 

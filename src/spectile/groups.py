@@ -560,10 +560,95 @@ class IndexTables:
             ]
         return cached
 
+    @cached_property
+    def class_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct non-identity permutations of class ids that the
+        automorphisms of automorphism_generators induce. An automorphism
+        maps the generators of a cyclic subgroup onto those of its image, so
+        class c goes to the class of the image of its representative; only
+        the representatives are mapped, and no |G|-sized table is built per
+        automorphism."""
+        G = self.group
+        direction_of = self.direction_of
+        reps = [G.coords_of(r) for r, _ in self.direction_classes]
+        perms = dict.fromkeys(
+            tuple(direction_of[G.index_of(automorphism_image(G, A, x))] for x in reps)
+            for A in automorphism_generators(G)
+        )
+        perms.pop(tuple(range(len(reps))), None)
+        return tuple(perms)
+
 
 @lru_cache(maxsize=None)
 def index_tables(G: Group) -> IndexTables:
     return IndexTables(G)
+
+
+def _largest_order_unit(n: int) -> int:
+    """The least unit mod n of the largest multiplicative order: a
+    primitive root when n is prime."""
+    best, best_order = 1, 1
+    for u in range(2, n):
+        if math.gcd(u, n) == 1:
+            order, x = 1, u
+            while x != 1:
+                x = x * u % n
+                order += 1
+            if order > best_order:
+                best, best_order = u, order
+    return best
+
+
+def automorphism_generators(G: Group) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Automorphisms of G, as integer matrices A sending x to
+    (sum_j A[i][j] x_j mod n_i)_i; the identity is left out.
+
+    A run is the coordinates of one modulus n, in order. Each run gives the
+    scaling of its first coordinate by the least unit of largest order mod
+    n (a primitive root when n is prime); a run of r >= 2 coordinates also
+    gives the r-cycle of its coordinates and the transvection adding its
+    second coordinate to its first, which with the scaling generate
+    GL_r(Z_n) for prime n. Each ordered pair of runs, with first
+    coordinates i and j, gives the transvection x_i += (n_i / gcd(n_i, n_j))
+    x_j unless the gcd is 1, which makes it the identity. Each map is a
+    homomorphism, since n_i divides A[i][j] n_j, and invertible: a
+    permutation, a unit scaling, or a transvection, which subtracting
+    undoes. They need not generate all of Aut(G): whatever reads them is
+    sound for any set of automorphisms, and fewer only generate a smaller
+    group.
+    """
+    d = len(G.moduli)
+    runs: dict[int, list[int]] = {}
+    for i, n in enumerate(G.moduli):
+        runs.setdefault(n, []).append(i)
+
+    def matrix(entries: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+        """The identity matrix with entries replaced."""
+        return tuple(
+            tuple(entries.get((i, j), int(i == j)) for j in range(d)) for i in range(d)
+        )
+
+    out = []
+    for n, run in runs.items():
+        u = _largest_order_unit(n)
+        if u != 1:
+            out.append(matrix({(run[0], run[0]): u}))
+        if len(run) > 1:
+            cycle = {(i, i): 0 for i in run}
+            cycle.update({(i, run[t - 1]): 1 for t, i in enumerate(run)})
+            out.append(matrix(cycle))
+            out.append(matrix({(run[0], run[1]): 1}))
+    for (n, run), (m, other) in itertools.permutations(runs.items(), 2):
+        g = math.gcd(n, m)
+        if g > 1:
+            out.append(matrix({(run[0], other[0]): n // g}))
+    return tuple(out)
+
+
+def automorphism_image(G: Group, A: Sequence[Sequence[int]], x: Element) -> Element:
+    """The image of x under the automorphism with matrix A
+    (automorphism_generators)."""
+    return tuple(sum(map(operator.mul, row, x)) % n for row, n in zip(A, G.moduli))
 
 
 def sylow_projection(G: Group, A: Multiset, r: int) -> Multiset:

@@ -12,10 +12,14 @@ bit per direction class).
 One memo per group and size (_memo), keyed by the word as L little-endian
 bytes (CharTable.key_bytes), holds the verdict of spectra.spectrum_search
 and the outcome of tiling.tiling_complement, whose exact cover does not
-read the mask and runs on the first set of each key. A settled word,
+read the mask and runs on the first set of each key (of each orbit, in
+an exhaustive walk). A settled word,
 whose verdicts agree and need no per-set entry, is a bare bool there;
 every other word keeps a (verdict, nodes, tile) tuple. The mask is
-expanded from the word only off the settled path.
+expanded from the word only off the settled path. Both verdicts are
+invariant under the automorphisms of G, which permute the direction
+classes, so an exhaustive walk that settles a word settles the word's
+whole orbit with it (_sweep_state).
 
 An exhaustive sweep walks stems (_walk_stems): a stem is the first k - 3
 indices of a nonzero part, and its batch every (d, last) pair above the
@@ -201,6 +205,15 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     subgroup H iff Z(S) covers H^perp minus 0, so the kind of tile is a
     function of Z(S) as well. verify_fuglede states how budgets read the
     entries.
+
+    Every verdict is also invariant under the automorphisms of G, which
+    permute the direction classes and so the words. An automorphism psi is
+    an isomorphism from Cay(G, Z) onto Cay(G, psi(Z)), so it keeps the
+    clique verdict; psi(Z(S)) is the zero set of psi'(S) for the
+    automorphism psi' adjoint to psi^-1 under the pairing, so the words
+    realised at each size, the partners of the tiling criterion and the
+    annihilators H^perp are each mapped onto themselves. A stem walk
+    therefore settles a word's whole orbit at once (_sweep_state).
     """
     return {}
 
@@ -227,6 +240,15 @@ def _spectral_verdict(
             memo[key] = (lam is not None, nodes, TILE_UNSET, lam)
         return lam is not None, lam
     return (UNDECIDED, None) if entry[1] > budget else (entry[0], entry[3])
+
+
+def _clique_nodes_bounded(zeros: int, k: int) -> bool:
+    """Whether every clique search for a k-set on a zero mask of zeros
+    elements stays within DEFAULT_BUDGET nodes. Each node of
+    spectra.spectrum_search is a distinct clique of 1 to k - 1 vertices of
+    the mask, increasing in its vertex order, so a search spends at most
+    sum_{i=1}^{k-1} C(zeros, i) nodes, whatever the order."""
+    return sum(map(math.comb, itertools.repeat(zeros, k - 1), range(1, k))) <= DEFAULT_BUDGET
 
 
 def _tile_outcome(
@@ -475,7 +497,9 @@ def _mismatch_entry(
     }
 
 
-def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tuple, Callable]:
+def _sweep_state(
+    G: Group, k: int, budget: int, orbits: bool = False
+) -> tuple[SizeTally, Callable, tuple, Callable]:
     """What both sweep loops share for size k: (tally, get, settled, slow).
 
     get is the memo's lookup by key (_memo). settled is the (no, yes) pair of
@@ -487,8 +511,23 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
     it sorts the nonzero part rest into its set, expands the word of key to
     the zero mask for the decisions, and appends any undecided entry,
     violation or mismatch, so each loop must call it in enumeration order.
+
+    With orbits (a stem walk of size k >= 2), a word that slow settles has
+    its orbit under the class generators (IndexTables.class_generators,
+    built at the first such word) searched breadth first, one word at a
+    time and never closing the permutation group, and every image key not
+    yet in the memo gets the same bool; tuple entries are left alone. Both
+    verdicts are orbit invariants (_memo), and each image is the word of a
+    0-containing k-set, which the walk meets, so the memo ends as settling
+    each word alone leaves it. Two conditions make it so. The clique search
+    of every image must fit DEFAULT_BUDGET, so the orbit settles only when
+    _clique_nodes_bounded holds for the mask's size, which an orbit shares.
+    And a sampled or canonicalized sweep meets few of the images, so only a
+    walk settles orbits; elsewhere they would fill the memo with words no
+    candidate reads. The tile side reads as for one word: a cover that
+    finishes for the first set met decides its word, and now the orbit.
     """
-    expand = char_table(G).expand
+    kernel = char_table(G)
     tables = index_tables(G)
     memo = _memo(G, k)
     get = memo.get
@@ -496,11 +535,28 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
     unmatched = object()
     settled = (False, True) if keep_tiles else (unmatched, unmatched)
     tally = SizeTally(size=k)
+    orbits = orbits and k >= 2
+
+    def settle_orbit(word: int, value: bool) -> None:
+        """Store value for every key of word's orbit not yet in the memo."""
+        word_bits = kernel.word_bits
+        # per class generator, the word bit of the image of each class
+        gens = [(perm, list(map(word_bits.__getitem__, perm))) for perm in tables.class_generators]
+        seen = {word}
+        todo = [[c for c, bit in enumerate(word_bits) if word & bit]]
+        for classes in todo:  # breadth first, one word at a time
+            for perm, bits in gens:
+                image = sum(map(bits.__getitem__, classes))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(list(map(perm.__getitem__, classes)))
+                    memo.setdefault(image.to_bytes(kernel.key_bytes, "little"), value)
 
     def slow(rest: Sequence[int], key: bytes) -> None:
         cand = (0,) + tuple(sorted(rest))
         tally.examined += 1
-        zmask = expand(int.from_bytes(key, "little"))
+        word = int.from_bytes(key, "little")
+        zmask = kernel.expand(word)
         sp, lam = _spectral_verdict(memo, tables, key, zmask, k, budget)
         entry = get(key) if keep_tiles else None
         tile = TILE_UNSET if entry is None else entry[2]
@@ -513,6 +569,8 @@ def _sweep_state(G: Group, k: int, budget: int) -> tuple[SizeTally, Callable, tu
                     and entry[0] is (tile == SUBGROUP_TILE)
                 )
                 memo[key] = entry[0] if settles else (entry[0], entry[1], tile, entry[3])
+                if settles and orbits and _clique_nodes_bounded(zmask.bit_count(), k):
+                    settle_orbit(word, entry[0])
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand)})
@@ -596,12 +654,16 @@ def _walk_stems(G: Group, k: int, stems: Iterable[tuple[int, ...]], budget: int)
     all; a batch whose entries are all settled is counted with list.count,
     and any other batch is walked candidate by candidate, in order, each
     with a fresh lookup, since the slow path (_sweep_state) may settle a
-    word that a later candidate of the batch shares.
+    word, and with it the word's Aut(G) orbit, that a later candidate of
+    the batch shares. A walk meets every word of each orbit, so on
+    Z_2^2 x Z_3^2 the slow path decides 3, 7, 15 and 63 words at sizes 2,
+    3, 4 and 6, one per orbit, of the 16, 41, 139 and 1 778 that the sizes
+    realise.
     """
     kernel = char_table(G)
     depth = kernel.batch_depth(k)
     n = G.order
-    tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
+    tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget, orbits=True)
     no = yes = 0  # candidates with a settled word, by verdict
     for stem, keys in kernel.stem_batches(k, stems):
         entries = list(map(get, keys))
@@ -667,11 +729,17 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     lists each of its sets as a violation. The sweep only tallies: the
     tiles themselves are listed by tiling.enumerate_tiles.
 
+    A stem walk settles a word's whole orbit under the automorphisms of G
+    with it (_sweep_state): both verdicts are invariant, and the orbit
+    settles only when every clique search on it fits DEFAULT_BUDGET nodes,
+    sum_{i=1}^{k-1} C(|Z|, i) at most. Sampled and canonicalized sweeps
+    settle words one at a time.
+
     Neither decision consults the other's verdict. Both read the zero mask,
     but every non-tile verdict, and every tile with no subgroup complement,
-    comes from an exact cover, run once per key, which does not; so
-    agreement exercises the spectral <=> tile equivalence on the planned
-    group.
+    comes from an exact cover, run once per orbit in a walk and once per
+    key elsewhere, which does not; so agreement exercises the spectral <=>
+    tile equivalence on the planned group.
 
     An exhaustive size without canonicalize is swept by _walk_stems over
     its stems; sampled and canonicalized sizes stream their candidates

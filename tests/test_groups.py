@@ -19,6 +19,7 @@ from spectile import (
     Subgroup,
     all_directions,
     annihilator,
+    automorphism_index_perms,
     cyclic_subgroup,
     determined_directions,
     direction_rep,
@@ -32,7 +33,7 @@ from spectile import (
 )
 from spectile import groups
 from spectile.cyclotomic import CharTable
-from spectile.groups import index_tables
+from spectile.groups import automorphism_generators, automorphism_image, index_tables
 
 
 def test_make_group_basic():
@@ -402,3 +403,64 @@ def test_multiset_survives_copy_and_pickle():
             assert twin.mass == original.mass
     for twin in (copy.copy(S), copy.deepcopy(S), pickle.loads(pickle.dumps(S))):
         assert find_spectrum(twin) == find_spectrum(S) is not None
+
+
+def _class_closure(gens, count):
+    """Every composite of the class permutations gens, on count classes."""
+    identity = tuple(range(count))
+    seen, todo = {identity}, [identity]
+    for perm in todo:
+        for gen in gens:
+            image = tuple(map(gen.__getitem__, perm))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (2, 2, 2, 2, 2), (2, 6), (4, 2)], ids=str
+)
+def test_automorphism_generators_are_automorphisms(moduli):
+    # each matrix, applied to every element, is a bijection that carries
+    # the addition table (add_rows) onto itself
+    G = make_group(moduli)
+    add = index_tables(G).add_rows
+    gens = automorphism_generators(G)
+    d = len(moduli)
+    assert gens and tuple(tuple(int(i == j) for j in range(d)) for i in range(d)) not in gens
+    for A in gens:
+        perm = [G.index_of(automorphism_image(G, A, x)) for x in G.elements]
+        assert sorted(perm) == list(range(G.order)), A
+        for x in range(G.order):
+            assert [perm[y] for y in add[x]] == [add[perm[x]][perm[y]] for y in range(G.order)], A
+
+
+@pytest.mark.parametrize("moduli, count", [((2, 2, 3, 3), 144), ((2, 2, 3), 6), ((5, 5), 120)], ids=str)
+def test_class_generators_generate_the_class_action_of_every_automorphism(moduli, count):
+    # the closure of the generators' class permutations is the set of class
+    # permutations that all automorphisms (automorphism_index_perms) induce;
+    # scalars fix every class, so Z_2^2 x Z_3^2 has 288 automorphisms and 144
+    # class permutations
+    G = make_group(moduli)
+    tables = index_tables(G)
+    classes = tables.direction_classes
+    induced = {
+        tuple(tables.direction_of[perm[r]] for r, _ in classes)
+        for perm in automorphism_index_perms(G)
+    }
+    assert len(induced) == count
+    assert _class_closure(tables.class_generators, len(classes)) == induced
+
+
+def test_class_generators_of_z3_squared_times_z5_squared_close_to_s4_times_s5():
+    # GL_2(3) x GL_2(5) has 23 040 elements and its 8 scalars fix every class
+    tables = index_tables(make_group([3, 3, 5, 5]))
+    assert len(_class_closure(tables.class_generators, len(tables.direction_classes))) == 2880
+
+
+@pytest.mark.parametrize("moduli", [(24,), (12,), (7,), (2, 3), (4, 3, 5)], ids=str)
+def test_cyclic_groups_have_no_class_generators(moduli):
+    # every automorphism of a cyclic group is a unit scalar, which maps each
+    # element to a generator of the same cyclic subgroup
+    assert index_tables(make_group(moduli)).class_generators == ()

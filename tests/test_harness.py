@@ -38,7 +38,7 @@ from spectile import (
     tiles_by_subgroup,
     verify_fuglede,
 )
-from spectile import cyclotomic, harness
+from spectile import cyclotomic, groups, harness
 from spectile.cli import EXIT_USAGE, main
 from spectile.cyclotomic import char_sum_vanishes, char_table
 from spectile.errors import DEFAULT_BUDGET, UNDECIDED, Overflow
@@ -710,6 +710,156 @@ def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subproc
         [[0], [2], [4], [6]],
         [[0], [3], [4], [7]],
     ]
+
+
+# --- orbit settling -----------------------------------------------------------
+
+
+def _settle_words_alone(monkeypatch):
+    """Give every group no class generators, so each word settles alone."""
+    monkeypatch.setattr(groups.IndexTables, "class_generators", property(lambda self: ()))
+
+
+def _count_tile_decisions(monkeypatch) -> list:
+    """Record each slow-path tile decision (_tile_outcome) of this process."""
+    calls = []
+    tile_outcome = harness._tile_outcome
+
+    def counted(*args):
+        calls.append(args)
+        return tile_outcome(*args)
+
+    monkeypatch.setattr(harness, "_tile_outcome", counted)
+    return calls
+
+
+# A settled word's orbit under the class generators is settled with it; a
+# sweep whose groups have no generators settles each word alone. Reports
+# must not tell the two apart, serial or with two workers and jobs of 7
+# candidates on average; the budget-3 plan settles nothing either way.
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "moduli, sizes, budget",
+    [
+        ((2, 2, 3, 3), (2, 3, 4, 6), DEFAULT_BUDGET),
+        ((2, 2, 2, 2), None, DEFAULT_BUDGET),
+        ((3, 3), None, DEFAULT_BUDGET),
+        ((2, 2, 3, 3), (1, 2, 3, 4), 3),
+    ],
+    ids=str,
+)
+def test_orbit_settling_leaves_every_report_as_it_was(moduli, sizes, budget, workers, monkeypatch):
+    G = make_group(moduli)
+    sizes = sizes or tuple(range(1, G.order + 1))
+    plan = VerificationPlan(group=G, sizes=sizes, budget=budget, workers=workers)
+    monkeypatch.setattr(harness, "_CHUNK", 7 if G.order <= 16 else harness._CHUNK)
+    docs = []
+    for alone in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+            if alone:
+                _settle_words_alone(m)
+            docs.append(_plan_doc(verify_fuglede(plan)))
+    assert docs[0] == docs[1]
+    assert docs[0]["fuglede"]["ok"] is (budget == DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize(
+    "moduli, sizes",
+    [((2, 2, 3, 3), (2, 3, 4, 6)), ((2, 2, 2, 2), None), ((3, 3, 3), (2, 3, 4, 5, 6))],
+    ids=str,
+)
+def test_a_walk_leaves_the_memo_that_settling_words_alone_leaves(moduli, sizes, monkeypatch):
+    # every image of a realised word is realised (an automorphism maps a
+    # 0-containing k-set to one), so the walk meets every key it settled
+    # ahead, and would have settled each to the same bool; it decides fewer
+    # words itself
+    G = make_group(moduli)
+    sizes = sizes or tuple(range(1, G.order + 1))
+    memos, decided = [], []
+    for alone in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+            if alone:
+                _settle_words_alone(m)
+            calls = _count_tile_decisions(m)
+            verify_fuglede(VerificationPlan(group=G, sizes=sizes))
+            memos.append({k: dict(harness._memo(G, k)) for k in sizes})
+            decided.append(len(calls))
+    assert memos[0] == memos[1]
+    assert decided[0] < decided[1] == sum(map(len, memos[1].values()))
+
+
+def test_orbit_settling_walks_match_a_per_set_tally(z12, monkeypatch):
+    # Z_2^2 x Z_3 at every size, one set at a time through the public
+    # per-set searches, which read no memo; the walk decides fewer words
+    # than it stores
+    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    calls = _count_tile_decisions(monkeypatch)
+    sizes = tuple(range(1, z12.order + 1))
+    report = verify_fuglede(VerificationPlan(group=z12, sizes=sizes))
+    for k in sizes:
+        assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(z12, k, DEFAULT_BUDGET), k
+    assert len(calls) < sum(len(harness._memo(z12, k)) for k in sizes)
+
+
+def test_sampled_and_canonicalized_plans_settle_no_orbit(monkeypatch):
+    # a sampled plan meets few images of its words, so it settles words
+    # alone; so does a canonicalized plan, and a walk of size 1 never builds
+    # the generators either. A walk of a larger size builds them at its
+    # first settled word.
+    def unbuilt(self):
+        raise AssertionError("class generators built")
+
+    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    monkeypatch.setattr(groups.IndexTables, "class_generators", property(unbuilt))
+    z36 = make_group([2, 2, 3, 3])
+    sampled = verify_fuglede(
+        VerificationPlan(group=z36, sizes=(2, 3, 4, 6, 9), seed=3, count_per_size=300)
+    )
+    assert sampled.ok
+    assert True in harness._memo(z36, 4).values()
+    z12 = make_group([2, 2, 3])
+    assert verify_fuglede(VerificationPlan(group=z12, sizes=(2, 3, 4), canonicalize=True)).ok
+    assert verify_fuglede(VerificationPlan(group=make_group([3, 3]), sizes=(1,))).ok
+    with pytest.raises(AssertionError, match="class generators built"):
+        verify_fuglede(VerificationPlan(group=make_group([3, 3]), sizes=(3,)))
+
+
+def test_orbits_settle_only_under_the_clique_node_bound(monkeypatch):
+    # Z_3^3 at size 6 has an orbit of 234 words with 12 zeros whose clique
+    # searches take 0 nodes on some words and 8 on others. With the default
+    # budget patched below 8, settling a 0-node word's orbit would count
+    # the 8-node words as settled, where a fresh search leaves them
+    # undecided; the node bound, sum_{i=1}^{5} C(12, i) = 1 585, keeps that
+    # orbit from settling unless the budget is at least 1 585
+    bound = sum(math.comb(12, i) for i in range(1, 6))
+    assert bound == 1585
+    G = make_group([3, 3, 3])
+    decided = {}
+    for budget in (7, bound - 1, bound):
+        monkeypatch.setattr(harness, "DEFAULT_BUDGET", budget)
+        assert harness._clique_nodes_bounded(12, 6) is (budget == bound)
+        assert not harness._clique_nodes_bounded(13, 6)
+        plan = VerificationPlan(group=G, sizes=(6,), budget=budget)
+        docs = []
+        for alone in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+                if alone:
+                    _settle_words_alone(m)
+                calls = _count_tile_decisions(m)
+                docs.append(_plan_doc(verify_fuglede(plan)))
+                decided[budget, alone] = len(calls)
+        assert docs[0] == docs[1], budget
+        assert bool(docs[0]["fuglede"]["per_size"]["6"]["undecided"]) is (budget == 7)
+    # the orbit settles at the bound and not one node below it
+    assert decided[bound, False] < decided[bound - 1, False] < decided[bound - 1, True]
+    monkeypatch.setattr(harness, "DEFAULT_BUDGET", 7)
+    monkeypatch.setattr(harness, "_clique_nodes_bounded", lambda zeros, k: True)
+    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    unguarded = verify_fuglede(VerificationPlan(group=G, sizes=(6,), budget=7))
+    assert not unguarded.per_size[6].undecided
 
 
 def test_canonicalize_reduces_and_agrees(z12):
