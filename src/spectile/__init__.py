@@ -37,6 +37,7 @@ from .groups import (
     Subgroup,
     all_directions,
     annihilator,
+    automorphism_index_perms,
     cyclic_subgroup,
     determined_directions,
     direction_rep,
@@ -100,7 +101,6 @@ from .harness import (
     SpectrumConstruction,
     VerificationPlan,
     VerificationReport,
-    automorphism_index_perms,
     case5_nonexistence_probe,
     probe_sizes,
     spectral_to_complement,

@@ -550,14 +550,24 @@ class IndexTables:
     def perp_masks(self, m: int) -> list[tuple[Subgroup, int]]:
         """(H, bitmask over element indices of H^perp minus 0) for every
         subgroup H of order m, canonically sorted: the zero mask of a
-        transversal of H covers it (the Fourier tiling criterion)."""
+        transversal of H covers it (the Fourier tiling criterion). H^perp is
+        annihilator's, with the pairing's weights M/n_i taken once and no
+        element checked."""
         cached = self._perp_masks.get(m)
         if cached is None:
             G = self.group
-            cached = self._perp_masks[m] = [
-                (H, sum(1 << G.index_of(x) for x in annihilator(G, H.as_set())) ^ 1)
-                for H in subgroups_of_order(G, m)
-            ]
+            M = G.exponent
+            weights = [M // n for n in G.moduli]
+
+            def perp_mask(H: Subgroup) -> int:
+                rows = [list(map(operator.mul, weights, h)) for h in H.elements[1:]]
+                return sum(
+                    1 << i
+                    for i, g in enumerate(G.elements)
+                    if not any(sum(map(operator.mul, row, g)) % M for row in rows)
+                ) ^ 1
+
+            cached = self._perp_masks[m] = [(H, perp_mask(H)) for H in subgroups_of_order(G, m)]
         return cached
 
     @cached_property
@@ -613,9 +623,10 @@ def automorphism_generators(G: Group) -> tuple[tuple[tuple[int, ...], ...], ...]
     x_j unless the gcd is 1, which makes it the identity. Each map is a
     homomorphism, since n_i divides A[i][j] n_j, and invertible: a
     permutation, a unit scaling, or a transvection, which subtracting
-    undoes. They need not generate all of Aut(G): whatever reads them is
-    sound for any set of automorphisms, and fewer only generate a smaller
-    group.
+    undoes. They need not generate all of Aut(G): class_generators is sound
+    for any set of automorphisms, and fewer only generate a smaller group.
+    They do generate it for prime moduli, each at most twice, the groups
+    automorphism_index_perms closes them on.
     """
     d = len(G.moduli)
     runs: dict[int, list[int]] = {}
@@ -649,6 +660,52 @@ def automorphism_image(G: Group, A: Sequence[Sequence[int]], x: Element) -> Elem
     """The image of x under the automorphism with matrix A
     (automorphism_generators)."""
     return tuple(sum(map(operator.mul, row, x)) % n for row, n in zip(A, G.moduli))
+
+
+@lru_cache(maxsize=None)
+def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
+    """All automorphisms of G as element-index permutations, sorted, so the
+    identity comes first.
+
+    Built for prime moduli only, each prime at most twice, else
+    InvalidArgument; a squarefree modulus can be given as its primes (Z_2 x
+    Z_6 as 2,2,3). Aut(G) is then one GL_1 or GL_2 per prime, which
+    automorphism_generators generates: each generator is mapped onto every
+    element once, and the set is closed breadth first by composing index
+    tuples. Raises Overflow, before any generator is mapped, when the
+    |Aut(G)| permutations would hold more than MAX_TABLE_ORDER ** 2 entries.
+    """
+    by_prime: dict[int, int] = {}
+    for n in G.moduli:
+        by_prime[n] = by_prime.get(n, 0) + 1
+    if not all(is_prime(p) and rank <= 2 for p, rank in by_prime.items()):
+        raise InvalidArgument(
+            f"moduli {list(G.moduli)}: automorphisms are built for prime moduli only, each "
+            "prime at most twice (a squarefree modulus can be given as its primes: "
+            "Z_2 x Z_6 as 2,2,3)"
+        )
+    aut_order = 1
+    for p, rank in by_prime.items():
+        # |GL_1(p)| = p - 1 and |GL_2(p)| = (p^2 - 1)(p^2 - p)
+        aut_order *= p - 1 if rank == 1 else (p * p - 1) * (p * p - p)
+    if aut_order * G.order > MAX_TABLE_ORDER**2:
+        raise Overflow(
+            f"|Aut(G)| |G| = {aut_order} * {G.order} exceeds {MAX_TABLE_ORDER**2}, "
+            "the largest automorphism table built"
+        )
+    gens = [
+        tuple(G.index_of(automorphism_image(G, A, x)) for x in G.elements)
+        for A in automorphism_generators(G)
+    ]
+    perms = [tuple(range(G.order))]
+    seen = set(perms)
+    for perm in perms:
+        for gen in gens:
+            image = tuple(map(perm.__getitem__, gen))
+            if image not in seen:
+                seen.add(image)
+                perms.append(image)
+    return tuple(sorted(perms))
 
 
 def sylow_projection(G: Group, A: Multiset, r: int) -> Multiset:

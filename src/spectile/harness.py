@@ -66,20 +66,18 @@ from .errors import (
     InvalidArgument,
     NotASpectralPair,
     NotATilingPair,
-    Overflow,
     TheoremViolation,
     Undecided,
     check_candidates,
     integers,
 )
 from .groups import (
-    MAX_TABLE_ORDER,
     Group,
     IndexTables,
     Multiset,
     Subgroup,
+    automorphism_index_perms,
     index_tables,
-    is_prime,
 )
 from .spectra import (
     SpectrumWitness,
@@ -98,78 +96,6 @@ from .tiling import (
     subgroup_transversal,
     tiling_complement,
 )
-
-
-# ---------------------------------------------------------------------------
-# automorphisms (coordinate-wise linear maps over prime factors)
-
-
-def _unit_matrices_rank1(p: int) -> list[tuple[int, ...]]:
-    return [(u,) for u in range(1, p)]
-
-
-def _unit_matrices_rank2(p: int) -> list[tuple[int, ...]]:
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        out.append((a, b, c, d))
-    return out
-
-
-@lru_cache(maxsize=None)
-def automorphism_index_perms(G: Group) -> tuple[tuple[int, ...], ...]:
-    """All group automorphisms as element-index permutations.
-
-    Built for prime moduli only, each prime at most twice (the sweep
-    targets), else InvalidArgument; a squarefree modulus can be given as
-    its primes (Z_2 x Z_6 as 2,2,3). The automorphism group is then the
-    product of one GL_1 or GL_2 per prime acting on that prime's
-    coordinates. Raises Overflow, before anything is built, when the
-    |Aut(G)| permutations would hold more than MAX_TABLE_ORDER ** 2 entries.
-    """
-    by_prime: dict[int, list[int]] = {}
-    for i, n in enumerate(G.moduli):
-        by_prime.setdefault(n, []).append(i)
-    if not all(is_prime(p) and len(positions) <= 2 for p, positions in by_prime.items()):
-        raise InvalidArgument(
-            f"moduli {list(G.moduli)}: automorphisms are built for prime moduli only, each "
-            "prime at most twice (a squarefree modulus can be given as its primes: "
-            "Z_2 x Z_6 as 2,2,3)"
-        )
-    aut_order = 1
-    for p, positions in by_prime.items():
-        # |GL_1(p)| = p - 1 and |GL_2(p)| = (p^2 - 1)(p^2 - p)
-        aut_order *= p - 1 if len(positions) == 1 else (p * p - 1) * (p * p - p)
-    if aut_order * G.order > MAX_TABLE_ORDER**2:
-        raise Overflow(
-            f"|Aut(G)| |G| = {aut_order} * {G.order} exceeds {MAX_TABLE_ORDER**2}, "
-            "the largest automorphism table built"
-        )
-    blocks = [
-        (p, positions, (_unit_matrices_rank1 if len(positions) == 1 else _unit_matrices_rank2)(p))
-        for p, positions in sorted(by_prime.items())
-    ]
-
-    perms = []
-    for combo in itertools.product(*(mats for _, _, mats in blocks)):
-        perm = []
-        for x in G.elements:
-            y = list(x)
-            for (p, positions, _), mat in zip(blocks, combo):
-                if len(positions) == 1:
-                    (i,) = positions
-                    y[i] = mat[0] * x[i] % p
-                else:
-                    i, j = positions
-                    a, b, c, d = mat
-                    y[i] = (a * x[i] + b * x[j]) % p
-                    y[j] = (c * x[i] + d * x[j]) % p
-            perm.append(G.index_of(tuple(y)))
-        perms.append(tuple(perm))
-    return tuple(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +373,11 @@ def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[i
     workers map them to columns (_worker_chunk).
 
     canonicalize keeps a set that no automorphism maps to a lexicographically
-    smaller one. Automorphisms fix 0, so the image of (0,) + rest is (0,)
-    plus the sorted image of rest, and comparing nonzero parts of indices
-    decides it; a kept part is then mapped to its items.
+    smaller one, over every element permutation of Aut(G)
+    (groups.automorphism_index_perms, the closure of the generators).
+    Automorphisms fix 0, so the image of (0,) + rest is (0,) plus the sorted
+    image of rest, and comparing nonzero parts of indices decides it; a kept
+    part is then mapped to its items.
     """
     G = plan.group
     items = range(G.order) if plan.workers > 1 else char_table(G).cols

@@ -436,10 +436,48 @@ def test_automorphism_generators_are_automorphisms(moduli):
             assert [perm[y] for y in add[x]] == [add[perm[x]][perm[y]] for y in range(G.order)], A
 
 
+def _automorphisms_by_brute_force(G):
+    """Every automorphism of G as an element-index permutation, found
+    without automorphism_generators: a homomorphism is fixed by the images
+    y_i of the basis vectors e_i, each an element whose order divides n_i,
+    and sends x to sum_i x_i y_i; the bijective ones are kept."""
+    moduli = G.moduli
+    images = [
+        [y for y in G.elements if all(n * c % m == 0 for c, m in zip(y, moduli))]
+        for n in moduli
+    ]
+    out = set()
+    for ys in itertools.product(*images):
+        perm = tuple(
+            G.index_of(tuple(
+                sum(xi * y[j] for xi, y in zip(x, ys)) % m for j, m in enumerate(moduli)
+            ))
+            for x in G.elements
+        )
+        if len(set(perm)) == G.order:
+            out.add(perm)
+    return out
+
+
+@pytest.mark.parametrize(
+    "moduli, count",
+    [((2, 2, 3, 3), 288), ((2, 2, 3), 12), ((5, 5), 480), ((3, 3), 48), ((2, 3), 2)],
+    ids=str,
+)
+def test_automorphism_index_perms_are_every_automorphism(moduli, count):
+    # the closure of automorphism_generators is all of Aut(G), in sorted
+    # order with the identity first
+    G = make_group(moduli)
+    perms = automorphism_index_perms(G)
+    assert len(perms) == count
+    assert set(perms) == _automorphisms_by_brute_force(G)
+    assert list(perms) == sorted(perms) and perms[0] == tuple(range(G.order))
+
+
 @pytest.mark.parametrize("moduli, count", [((2, 2, 3, 3), 144), ((2, 2, 3), 6), ((5, 5), 120)], ids=str)
 def test_class_generators_generate_the_class_action_of_every_automorphism(moduli, count):
     # the closure of the generators' class permutations is the set of class
-    # permutations that all automorphisms (automorphism_index_perms) induce;
+    # permutations that all automorphisms (found by brute force) induce;
     # scalars fix every class, so Z_2^2 x Z_3^2 has 288 automorphisms and 144
     # class permutations
     G = make_group(moduli)
@@ -447,10 +485,23 @@ def test_class_generators_generate_the_class_action_of_every_automorphism(moduli
     classes = tables.direction_classes
     induced = {
         tuple(tables.direction_of[perm[r]] for r, _ in classes)
-        for perm in automorphism_index_perms(G)
+        for perm in _automorphisms_by_brute_force(G)
     }
     assert len(induced) == count
     assert _class_closure(tables.class_generators, len(classes)) == induced
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (24,), (4, 2)], ids=str)
+def test_perp_masks_are_the_annihilators(moduli):
+    # each H^perp mask, paired in place, is annihilator's H^perp minus 0
+    G = make_group(moduli)
+    tables = groups.IndexTables(G)
+    for m in (d for d in range(1, G.order + 1) if G.order % d == 0):
+        entries = tables.perp_masks(m)
+        assert [H for H, _ in entries] == list(subgroups_of_order(G, m))
+        for H, mask in entries:
+            perp = annihilator(G, H.as_set())
+            assert mask == sum(1 << G.index_of(x) for x in perp) ^ 1, (m, H)
 
 
 def test_class_generators_of_z3_squared_times_z5_squared_close_to_s4_times_s5():

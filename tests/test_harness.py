@@ -908,13 +908,12 @@ def test_automorphism_perms(z36, z6):
 
 
 def test_automorphism_tables_over_the_cap_are_refused(monkeypatch, capsys):
-    # |Aut(Z_5^2 x Z_7^2)| |G| = 967 680 * 1 225; the matrix builders are
-    # patched away, so a refusal that came after them would fail, not allocate
-    def unreachable(p):
-        raise AssertionError("automorphism matrices built")
+    # |Aut(Z_5^2 x Z_7^2)| |G| = 967 680 * 1 225; mapping a generator is
+    # patched to fail, so a refusal that came after it would fail, not allocate
+    def unreachable(G, A, x):
+        raise AssertionError("automorphism generator mapped")
 
-    monkeypatch.setattr(harness, "_unit_matrices_rank1", unreachable)
-    monkeypatch.setattr(harness, "_unit_matrices_rank2", unreachable)
+    monkeypatch.setattr(groups, "automorphism_image", unreachable)
     with pytest.raises(Overflow, match="967680"):
         automorphism_index_perms(make_group([5, 5, 7, 7]))
     argv = ["verify", "--group", "5,5,7,7", "--sizes", "2", "--exhaustive", "--canonicalize"]
@@ -922,11 +921,12 @@ def test_automorphism_tables_over_the_cap_are_refused(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Overflow" in json.loads(captured.err)["error"]
-    # admitted: 288 * 36 on Z_2^2 x Z_3^2 and 2 880 * 100 on Z_2^2 x Z_5^2
-    monkeypatch.setattr(harness, "_unit_matrices_rank1", lambda p: [])
-    monkeypatch.setattr(harness, "_unit_matrices_rank2", lambda p: [])
+    # admitted: 288 * 36 on Z_2^2 x Z_3^2 and 2 880 * 100 on Z_2^2 x Z_5^2;
+    # with no generators the closure is the identity alone
+    monkeypatch.setattr(groups, "automorphism_generators", lambda G: ())
     for moduli in ((2, 2, 3, 3), (2, 2, 5, 5)):
-        assert automorphism_index_perms.__wrapped__(make_group(moduli)) == ()
+        G = make_group(moduli)
+        assert automorphism_index_perms.__wrapped__(G) == (tuple(range(G.order)),)
 
 
 def test_automorphism_invariance_small(z36):
