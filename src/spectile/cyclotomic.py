@@ -260,9 +260,9 @@ class CyclotomicInt:
 # zeta_M^k mod Phi_M has phi(M) integer coefficients. The kernel packs them
 # for every direction class side by side in limbs sized for the group and
 # decides all classes of a set with one big-int sum (class_word), which
-# zero_mask expands to element bits; an exhaustive sweep decides a whole
-# batch of candidates with a few more, each candidate in its own L-byte
-# slot (stem_batches). Nothing else reads these tables: the
+# zero_mask expands to element bits; a sweep decides a whole block of
+# candidates with a few more, each candidate in its own L-byte slot
+# (decode, which stem_batches feeds). Nothing else reads these tables: the
 # verifiers and multiset zero sets go through char_sum_coeffs, which shares
 # only the reduction modulo Phi_M.
 
@@ -278,7 +278,8 @@ class CharTable:
         self.reduced_powers = [tuple(_reduce(self.M, [0] * t + [1])) for t in range(self.M)]
         self.max_abs = max((abs(c) for row in self.reduced_powers for c in row), default=0)
         self._weights = tuple(self.M // n for n in G.moduli)
-        self._batches: dict[int, list[tuple]] = {}  # by depth (_batch_tables)
+        self._batches: dict[int, list[tuple[int, int]]] = {}  # by depth (_batch_tables)
+        self._slots: dict[int, tuple] = {}  # by slot count (decode)
 
     def _exponents(self, g_index: int) -> list[int]:
         """<s, g> for every s, indexed by element index."""
@@ -370,18 +371,11 @@ class CharTable:
         below the top bits never reach a top bit), which stays clear exactly
         when the sum vanishes.
         """
-        bias, low, folds, class_bits = self.word_constants(m)
-        nonzero = (total ^ bias) + low
+        _, unit, low, folds, class_bits, _ = self._kernel
+        nonzero = (total ^ m * unit) + low
         for shift in folds:
             nonzero |= nonzero >> shift
         return class_bits ^ (class_bits & nonzero)
-
-    def word_constants(self, m: int) -> tuple[int, int, list[int], int]:
-        """(m * unit, low, folds, class_bits): the constants class_word reads
-        for a set of m elements (_kernel), for a loop that computes the word
-        inline."""
-        _, unit, low, folds, class_bits, _ = self._kernel
-        return m * unit, low, folds, class_bits
 
     @cached_property
     def word_bits(self) -> list[int]:
@@ -407,13 +401,51 @@ class CharTable:
             depth -= 1
         return depth
 
-    def _batch_tables(self, depth: int) -> list[tuple]:
+    def sum_base(self, k: int) -> int:
+        """cols[0] + (|G| - k) * unit: what decode adds the cols of a
+        0-containing k-set's nonzero part to."""
+        cols, unit = self._kernel[:2]
+        return cols[0] + (self.group.order - k) * unit
+
+    def decode(self, packed: int, count: int) -> tuple[bytes, ...]:
+        """The memo keys of count packed kernel sums: slot j (bits 8 L j and
+        up) holds (|G| - m) * unit plus the cols of a set of m elements, as
+        sum_base(k) plus the cols of a nonzero part does for a 0-containing
+        k-set, and keys[j] is the set's class word (class_word) in L
+        little-endian bytes.
+
+        Each slot is read as class_word reads the sum of |G| elements: its
+        limbs lie in [(|G| - m) * bias, 2 |G| * bias], below 2^(w-1), so no
+        slot carries into the next, and the folds, together a shift of
+        (phi - 1) w, move a bit of the next slot at most to bit
+        8 L - (phi - 1) w >= classes * phi * w - (phi - 1) w of this one,
+        above every class bit. The slot-replicated constants and the struct
+        unpack that splits the keys are built once per count and kept.
+        """
+        got = self._slots.get(count)
+        if got is None:
+            L = self.key_bytes
+            _, unit, low, folds, class_bits, _ = self._kernel
+            got = self._slots[count] = (
+                *(
+                    int.from_bytes(value.to_bytes(L, "little") * count, "little")
+                    for value in (self.group.order * unit, low, class_bits)
+                ),
+                folds,
+                count * L,
+                struct.Struct(f"{L}s" * count).unpack,
+            )
+        flip, low, class_bits, folds, size, split = got
+        nonzero = (packed ^ flip) + low
+        for shift in folds:
+            nonzero |= nonzero >> shift
+        return split((class_bits ^ (class_bits & nonzero)).to_bytes(size, "little"))
+
+    def _batch_tables(self, depth: int) -> list[tuple[int, int]]:
         """Per start index a, the batch of every depth-combination of
         range(a + 1, |G|) in itertools.combinations order, combination j in
-        slot j (bits 8 L j and up): (count, count * L, the packed sums of the
-        cols of each combination, then |G| * unit, low and class_bits in
-        every slot, and the struct unpack that splits count * L bytes into
-        L-byte keys). Built on first use and kept for the group.
+        slot j (bits 8 L j and up): (count, the packed sums of the cols of
+        each combination). Built on first use and kept for the group.
 
         The combinations above a are a + 1 on top of each combination of one
         index fewer above a + 1, then the combinations above a + 1; so each
@@ -424,7 +456,7 @@ class CharTable:
         if got is not None:
             return got
         n, L = self.group.order, self.key_bytes
-        cols, unit, low, _, class_bits, _ = self._kernel
+        cols = self.cols
 
         def rep(value: int, count: int) -> int:
             return int.from_bytes(value.to_bytes(L, "little") * count, "little")
@@ -437,19 +469,7 @@ class CharTable:
                 led = below_counts[a + 1]  # the combinations led by a + 1
                 counts[a] = led + counts[a + 1]
                 sums[a] = rep(cols[a + 1], led) + below_sums[a + 1] + (sums[a + 1] << 8 * L * led)
-        counts = counts[: n - depth]
-        shared = {  # depth 0 has one count
-            count: (
-                rep(n * unit, count),
-                rep(low, count),
-                rep(class_bits, count),
-                struct.Struct(f"{L}s" * count).unpack,
-            )
-            for count in set(counts)
-        }
-        got = self._batches[depth] = [
-            (count, count * L, packed, *shared[count]) for count, packed in zip(counts, sums)
-        ]
+        got = self._batches[depth] = list(zip(counts[: n - depth], sums))
         return got
 
     def stem_batches(
@@ -462,35 +482,16 @@ class CharTable:
         class word of stem + the j-th combination, as class_word gives it for
         the whole k-set (with 0), in L little-endian bytes.
 
-        The whole batch takes one replication and a few big-int operations on
-        its packed table (_batch_tables). The stem's sum, the column of 0 plus
-        its cols plus (|G| - k) * unit, is copied into every slot and added to
-        the packed sums; so every limb holds |G| * bias plus the coefficient
-        of the candidate's character sum, at least (|G| - k) * bias >= 0 and
-        at most 2 |G| * bias, below 2^(w-1) (limb_layout), and no slot carries
-        into the next. XOR with |G| * unit zeroes exactly the zero
-        coefficients and leaves every limb below 2^(w-1), so adding
-        2^(w-1) - 1 sets the top bit of exactly the nonzero limbs and cannot
-        carry out of a limb. The folds, together a shift of (phi - 1) w, OR
-        a class's phi limbs into the top bit of its lowest limb; a class's
-        limbs lie inside its slot, and a bit of the next slot shifts at most
-        to bit 8 L - (phi - 1) w >= classes * phi * w - (phi - 1) w of this
-        one, above every class bit, so adjacent slots never mix. class_bits
-        keeps exactly the top bits that stayed clear, as class_word does.
+        The stem's sum, sum_base(k) plus its cols, is copied into every slot
+        of its packed table (_batch_tables) with one replication and added,
+        and one decode gives the whole batch's keys.
         """
         tables = self._batch_tables(self.batch_depth(k))
-        cols, unit, _, folds, _, _ = self._kernel
-        base = cols[0] + (self.group.order - k) * unit
-        L = self.key_bytes
+        cols, base, L, decode = self.cols, self.sum_base(k), self.key_bytes, self.decode
         for stem in stems:
-            count, size, packed, flip, low, class_bits, split = tables[stem[-1] if stem else 0]
-            total = sum(map(cols.__getitem__, stem), base)
-            nonzero = (
-                (int.from_bytes(total.to_bytes(L, "little") * count, "little") + packed) ^ flip
-            ) + low
-            for shift in folds:
-                nonzero |= nonzero >> shift
-            yield stem, split((class_bits ^ (class_bits & nonzero)).to_bytes(size, "little"))
+            count, packed = tables[stem[-1] if stem else 0]
+            total = sum(map(cols.__getitem__, stem), base).to_bytes(L, "little")
+            yield stem, decode(int.from_bytes(total * count, "little") + packed, count)
 
     def expand(self, word: int) -> int:
         """The element bits of a class word: the generators of every class

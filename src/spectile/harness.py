@@ -26,24 +26,26 @@ indices of a nonzero part, and its batch every (d, last) pair above the
 stem's largest index, in combinations order (single columns at size 2,
 one candidate at size 1; CharTable.batch_depth). CharTable.stem_batches
 gives a whole batch's keys from a few big-int operations on packed
-tables, one L-byte slot per candidate, and one map of the memo's lookup
-reads them. Sampled draws and canonicalized parts stream through
-_sweep_chunk as the kernel columns of their nonzero parts: candidate_sets
-draws from CharTable.cols as it draws from range(|G|), since which items
-it picks depends only on how many there are, so a candidate costs one
-C-level sum of its part onto the column of 0, its class word inline and
-one to_bytes. A candidate whose word is settled, in this sweep or any
-earlier one of the process, is tallied as a count per verdict (a batch
-of them with list.count) and is never sorted into a set; every other
-candidate goes to the one slow path (_sweep_state), which sorts it into
-its set and tallies it on its own, in enumeration order. _sweep_chunk maps
-a part's columns back to indices for it (CharTable.col_index).
+tables, one L-byte slot per candidate (CharTable.decode), and one map of
+the memo's lookup reads them. Sampled draws and canonicalized parts go
+through _sweep_chunk in blocks of kernel sums that the same decode reads: a
+serial sampled sweep draws the sums themselves from CharTable.cols, which
+draws as range(|G|) does, since which items a draw picks depends only on
+how many there are, and parts are summed from their kernel columns. A
+candidate whose word is settled, in this sweep or any earlier one of the
+process, is tallied as a count per verdict (a batch of them with
+list.count) and is never sorted into a set; every other candidate goes to
+the one slow path (_sweep_state), which sorts it into its set and tallies
+it on its own, in enumeration order. _sweep_chunk builds its nonzero part
+for it alone: a draw is drawn again, and columns are mapped back to
+indices (CharTable.col_index).
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
-size k, made from generator outputs fetched a block at a time. A sweep
-draws all of a size's samples from one stream (SeededDraws.samples), the
-probe from two interleaved ones, leaves and points.
+size k, made from generator outputs fetched a block at a time. A serial
+sweep draws all of a size's samples from one stream as their kernel sums
+(SeededDraws.sums); pooled jobs carry samples (SeededDraws.samples), and
+the probe draws from two interleaved streams of them, leaves and points.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import contextlib
 import enum
 import itertools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -90,6 +93,7 @@ from .tiling import (
     ComplementMethod,
     ComplementWitness,
     SeededDraws,
+    candidate_draws,
     candidate_sets,
     find_tiling_complement,
     is_tiling_pair,
@@ -366,11 +370,12 @@ class VerificationReport:
         return doc
 
 
-def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[int]]:
-    """The plan's candidate 0-containing k-sets, each as its nonzero part
-    (tiling.candidate_sets): as kernel columns (CharTable.cols), the parts
-    _sweep_chunk takes, for one worker; as element indices for more, whose
-    workers map them to columns (_worker_chunk).
+def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterable:
+    """The plan's candidate 0-containing k-sets (tiling.candidate_sets): for
+    one worker, the blocks of _sweep_chunk, seeded draws as sums over the
+    kernel columns (SeededDraws.sums) and canonicalized parts as columns
+    (_part_blocks); for more, each nonzero part as element indices, which
+    the workers map to columns (_worker_chunk).
 
     canonicalize keeps a set that no automorphism maps to a lexicographically
     smaller one, over every element permutation of Aut(G)
@@ -380,15 +385,21 @@ def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterator[Sequence[i
     part is then mapped to its items.
     """
     G = plan.group
-    items = range(G.order) if plan.workers > 1 else char_table(G).cols
+    serial = plan.workers == 1
+    items = char_table(G).cols if serial else range(G.order)
     if not plan.canonicalize:
-        return candidate_sets(items, k, plan.seed, plan.count_per_size)
+        if not serial:
+            return candidate_sets(items, k, plan.seed, plan.count_per_size)
+        draws = candidate_draws(plan.seed, k)
+        base = char_table(G).sum_base(k)
+        return draws.sums(items[1:], k - 1, plan.count_per_size, base, _DECODE_BLOCK)
     perms = automorphism_index_perms(G)
-    return (
+    parts = (
         list(map(items.__getitem__, rest))
         for rest in candidate_sets(range(G.order), k, None, None)
         if all(tuple(sorted(map(perm.__getitem__, rest))) >= rest for perm in perms)
     )
+    return _part_blocks(G, k, parts) if serial else parts
 
 
 def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
@@ -529,40 +540,64 @@ def _sweep_state(
     return tally, get, settled, slow
 
 
-def _sweep_chunk(G: Group, k: int, parts: Iterable[Sequence[int]], budget: int) -> SizeTally:
+# Candidates per block of _sweep_chunk, so that a sampled sweep holds one
+# block's sums and draws at a time, not a whole size's.
+_DECODE_BLOCK = 4096
+
+
+def _sweep_chunk(
+    G: Group, k: int, blocks: Iterable[tuple[list[int], Callable]], budget: int
+) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts.
 
-    Each candidate comes as the kernel columns (CharTable.cols) of its
-    nonzero part (tiling.candidate_sets over the cols): the k - 1 elements
-    other than 0, in draw order when sampled. Its kernel sum is one sum of
-    the part onto the column of 0, and its class word, read inline as
-    CharTable.class_word reads it and written as the L bytes of its memo key
-    (_memo), one to_bytes per candidate. A candidate whose word is settled
-    only adds one to a count; every other one has its columns mapped back
-    to indices (CharTable.col_index) for the slow path (_sweep_state).
-    Sampled plans and canonicalized parts take this loop; every exhaustive
-    plan without canonicalize walks stems (_walk_stems).
+    Candidates come in blocks (sums, part): sums[i] is CharTable.sum_base(k)
+    plus the kernel columns of candidate i's nonzero part, and part(i) that
+    part as columns, drawn again for a draw (SeededDraws.sums). As in
+    _walk_stems, one packed decode (CharTable.decode) gives a block's memo
+    keys (_memo), one map of the memo's lookup reads them, and list.count
+    counts the settled entries. A settled entry stays settled, so only the
+    others are looked up again, in order, since the slow path (_sweep_state)
+    may settle a word that a later candidate shares; only a candidate off
+    the settled path has its part mapped back to indices
+    (CharTable.col_index). Sampled plans and canonicalized parts take this
+    loop.
     """
     kernel = char_table(G)
-    col0, col_index, size = kernel.cols[0], kernel.col_index, kernel.key_bytes
-    unit_m, low, folds, class_bits = kernel.word_constants(k)
-    tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget)
+    col_index, decode = kernel.col_index, kernel.decode
+    widths, order = itertools.repeat(kernel.key_bytes), itertools.repeat("little")
+    tally, get, settled, slow = _sweep_state(G, k, budget)
+    settled_no, settled_yes = settled
     no = yes = 0  # candidates with a settled word, by verdict
-    for part in parts:
-        # CharTable.class_word of the candidate's sum, inline
-        nonzero = (sum(part, col0) ^ unit_m) + low
-        for shift in folds:
-            nonzero |= nonzero >> shift
-        key = (class_bits ^ (class_bits & nonzero)).to_bytes(size, "little")
-        entry = get(key)
-        if entry is settled_no:
-            no += 1
-        elif entry is settled_yes:
-            yes += 1
-        else:
-            slow(list(map(col_index.__getitem__, part)), key)
+    for sums, part in blocks:
+        packed = int.from_bytes(b"".join(map(int.to_bytes, sums, widths, order)), "little")
+        keys = decode(packed, len(sums))
+        entries = list(map(get, keys))
+        batch_no = entries.count(settled_no)
+        batch_yes = entries.count(settled_yes)
+        no += batch_no
+        yes += batch_yes
+        if batch_no + batch_yes == len(entries):
+            continue
+        unsettled = map(operator.not_, map(settled.__contains__, entries))
+        for i in itertools.compress(itertools.count(), unsettled):
+            entry = get(keys[i])
+            if entry is settled_no:
+                no += 1
+            elif entry is settled_yes:
+                yes += 1
+            else:
+                slow(list(map(col_index.__getitem__, part(i))), keys[i])
     tally.add_settled(no, yes)
     return tally
+
+
+def _part_blocks(G: Group, k: int, parts: Iterable[list[int]]) -> Iterator[tuple]:
+    """Nonzero parts of kernel columns as the blocks of _sweep_chunk, each
+    sum one C-level sum of a part onto CharTable.sum_base(k)."""
+    base = char_table(G).sum_base(k)
+    parts = iter(parts)
+    for block in iter(lambda: list(itertools.islice(parts, _DECODE_BLOCK)), []):
+        yield [sum(part, base) for part in block], block.__getitem__
 
 
 def _walk_stems(G: Group, k: int, stems: Iterable[tuple[int, ...]], budget: int) -> SizeTally:
@@ -625,7 +660,7 @@ def _worker_chunk(args: tuple) -> SizeTally:
     G = Group(moduli)
     if sweep is _sweep_chunk:
         cols = char_table(G).cols
-        chunk = [list(map(cols.__getitem__, part)) for part in chunk]
+        chunk = _part_blocks(G, k, [list(map(cols.__getitem__, part)) for part in chunk])
     return sweep(G, k, chunk, budget)
 
 

@@ -15,7 +15,7 @@ find_tiling_complement. is_tiling_pair, on coordinate sums, checks every witness
 
 Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
 SeededDraws: the draws of random.Random(seed).sample, made from generator
-outputs fetched a block at a time.
+outputs fetched a block at a time, as samples or as their sums.
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ class SeededDraws:
     """The draws of random.Random(seed).sample, made from buffered outputs.
 
     samples(population, k, count) yields what count calls of
-    random.Random(seed).sample(population, k) return, call for call: the
+    random.Random(seed).sample(population, k) return, call for call, and
+    sums yields the same samples as their sums, a block at a time: the
     same pool and set branches, chosen by the same setsize rule, and each
     draw below a bound m made from the top m.bit_length() bits of one 32-bit
     generator output and rejected when it is m or more
@@ -303,9 +304,8 @@ class SeededDraws:
         self._words: Optional[array] = None  # the outputs as ints, once read
         self._pos = 0  # the next unused output
 
-    def _extend(self) -> None:
-        """Drop the used outputs and fetch BLOCK more."""
-        size = self.BLOCK
+    def _extend(self, size: int) -> None:
+        """Drop the used outputs and fetch size more (none only drops)."""
         raw = self._rng.getrandbits(32 * size).to_bytes(4 * size, "little")
         self._raw = self._raw[4 * self._pos :] + raw
         self._top = self._top[self._pos :] + raw[3::4]
@@ -366,13 +366,79 @@ class SeededDraws:
                 # 1024 (k + 1) more outputs hit an IndexError of its population
                 if fetched > 1024 * (k + 1):
                     raise
-                self._extend()
+                self._extend(self.BLOCK)
                 fetched += self.BLOCK
                 continue
             self._pos = pos
             fetched = 0
             count -= 1
             yield out
+
+    def sums(self, items: Sequence, k: int, count: int, total, cap: int) -> Iterator[tuple]:
+        """samples(items, k, count) as (sums, sample) per block of at most cap
+        samples: sums[i] is total plus the items of sample i of the block,
+        and sample(i) that sample, drawn again from its first output while
+        the block is held. The loop of samples, with no sample built: a pool
+        draw adds pool[j] and moves the pool's last item into slot j, as
+        random.Random.sample does. A block starts at output 0 of the buffer
+        and keeps its outputs until the next block is drawn.
+        """
+        n = len(items)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        pooled, steps = _sample_plan(n, k)
+        items = list(items)  # so that only the buffer raises IndexError
+        while count:
+            self._extend(0)
+            size = min(cap, count)
+            sums: list = []
+            firsts: list[int] = []
+            add, mark = sums.append, firsts.append
+            pos = 0
+            buf = self._top if n < 256 else self._whole_outputs()
+            for _ in range(size):
+                while True:
+                    first, t = pos, total
+                    try:
+                        if pooled:
+                            pool = items.copy()
+                            for shift, last in steps:
+                                j = buf[pos] >> shift
+                                pos += 1
+                                while j > last:
+                                    j = buf[pos] >> shift
+                                    pos += 1
+                                t += pool[j]
+                                pool[j] = pool[last]
+                        else:
+                            shift, last = steps
+                            selected: set[int] = set()
+                            for _ in range(k):
+                                j = buf[pos] >> shift
+                                pos += 1
+                                while j > last or j in selected:
+                                    j = buf[pos] >> shift
+                                    pos += 1
+                                selected.add(j)
+                                t += items[j]
+                        break
+                    except IndexError:
+                        self._extend(self.BLOCK)
+                        buf = self._top if n < 256 else self._whole_outputs()
+                        pos = first
+                add(t)
+                mark(first)
+            yield sums, lambda i, firsts=firsts: self._again(items, k, firsts[i])
+            self._pos = pos
+            count -= size
+
+    def _again(self, items: Sequence, k: int, first: int) -> list:
+        """The sample of k items that began at buffered output first."""
+        pos, self._pos = self._pos, first
+        try:
+            return next(self.samples(items, k, 1))
+        finally:
+            self._pos = pos
 
 
 def candidate_sets(
@@ -387,15 +453,21 @@ def candidate_sets(
     itertools.combinations(items[1:], k - 1), in lexicographic order of
     index; with a count, the stream is `count` draws of
     random.Random(f"{seed}:{k}").sample(items[1:], k - 1), made by
-    SeededDraws, as lists in draw order, which may repeat. Which elements
-    are drawn depends on len(items) alone, so every items of one group give
-    the same stream. A consumer of indices that needs the set builds
-    (0,) + tuple(sorted(part)).
+    SeededDraws (candidate_draws; a serial sampled sweep draws its kernel
+    sums, SeededDraws.sums), as lists in draw order, which may repeat. Which
+    elements are drawn depends on len(items) alone, so every items of one
+    group give the same stream. A consumer of indices that needs the set
+    builds (0,) + tuple(sorted(part)).
     """
     population = items[1:]
     if count is None:
         return itertools.combinations(population, k - 1)
-    return SeededDraws(f"{seed}:{k}").samples(population, k - 1, count)
+    return candidate_draws(seed, k).samples(population, k - 1, count)
+
+
+def candidate_draws(seed: Optional[int], k: int) -> SeededDraws:
+    """The SeededDraws of the sampled k-sets of candidate_sets."""
+    return SeededDraws(f"{seed}:{k}")
 
 
 def enumerate_tiles(

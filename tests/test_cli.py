@@ -462,6 +462,7 @@ def test_plans_over_the_candidate_cap_are_refused(capsys, monkeypatch, argv, cou
     # refused before a single candidate is drawn
     monkeypatch.setattr(spectile.tiling, "candidate_sets", None)
     monkeypatch.setattr(spectile.harness, "candidate_sets", None)
+    monkeypatch.setattr(spectile.harness, "candidate_draws", None)
     monkeypatch.setattr(spectile.harness, "leaf_tables", None)
     assert main(argv + ["--seed", "1"]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -254,6 +254,27 @@ def test_packed_batch_keys_are_the_class_words_of_their_candidates(moduli):
 
 
 @pytest.mark.parametrize(
+    "moduli", [(2, 2, 3, 3), (24,), (3, 3, 5, 5)], ids=lambda m: ",".join(map(str, m))
+)
+def test_packed_decode_gives_the_class_word_of_every_slot(moduli):
+    # one decode of two random sets of every size m from 1 to |G|, with 0
+    # or without it, each slot holding (|G| - m) * unit (sum_base(m) less
+    # the column of 0) plus the sum of the set's m columns; on Z_24 every
+    # class folds phi = 8 limbs
+    G = make_group(moduli)
+    table = char_table(G)
+    n, L, cols = G.order, table.key_bytes, table.cols
+    rng = random.Random(5)
+    sets = [rng.sample(range(n), m) for m in range(1, n + 1) for _ in range(2)]
+    sums = [table.sum_base(len(s)) - cols[0] + sum(map(cols.__getitem__, s)) for s in sets]
+    packed = sum(total << 8 * L * j for j, total in enumerate(sums))
+    assert table.decode(packed, len(sets)) == tuple(
+        table.class_word(sum(map(cols.__getitem__, s)), len(s)).to_bytes(L, "little") for s in sets
+    )
+    assert {0 in s for s in sets} == {True, False}
+
+
+@pytest.mark.parametrize(
     "moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (16,), (3, 3, 3, 3, 3)], ids=lambda m: ",".join(map(str, m))
 )
 def test_kernel_columns_are_distinct_and_col_index_inverts_them(moduli):

@@ -57,6 +57,7 @@ from spectile.harness import (
     _draw_reader,
     _leaf_elements,
     _memo,
+    _part_blocks,
     _sweep_chunk,
     _vanishing_pattern_fails,
 )
@@ -67,7 +68,7 @@ from spectile.structure import (
     leaf_decomposition,
     leaf_tables,
 )
-from spectile.tiling import cover_complement, tiling_complement
+from spectile.tiling import SeededDraws, cover_complement, tiling_complement
 
 
 def test_verify_fuglede_z6(z6):
@@ -298,12 +299,22 @@ def _assert_listed(report, listed):
         assert listed is None or any(getattr(t, listed) for t in report.per_size.values())
 
 
+# The sizes of a sampled per-set case, every size unless listed: Z_2^2 x Z_3^2
+# draws sizes 2 to 6 by random.sample's set branch, Z_3^5 has spectral
+# non-tiles at size 6, and Z_2^2 x Z_3 x Z_5^2, of 300 elements, draws from
+# whole 32-bit outputs.
+_SAMPLED_SIZES = {(2, 2, 3, 3): range(2, 7), (3,) * 5: (6,), (2, 2, 3, 5, 5): range(2, 5)}
+
+
 @pytest.mark.parametrize(
     "moduli, budget, pooled, listed",
     [
         ((12,), 2, False, "undecided"),
         ((2, 4), DEFAULT_BUDGET, True, "violations"),
         ((2, 4), DEFAULT_BUDGET, True, "tile_sets"),
+        ((2, 2, 3, 3), DEFAULT_BUDGET, False, None),
+        ((3,) * 5, DEFAULT_BUDGET, False, "mismatches"),
+        ((2, 2, 3, 5, 5), DEFAULT_BUDGET, False, None),
     ],
     ids=str,
 )
@@ -311,24 +322,33 @@ def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, lis
     # the sweep sorts a draw into its set only off the settled-word path; the
     # per-set tally sorts every draw of random.Random(f"{seed}:{k}").sample,
     # which arrive unsorted and repeat; a pooled case splits each size's 60
-    # draws into 7-draw jobs
+    # draws into 7-draw jobs. Each plan runs twice, with fetches of 3 and of
+    # 7 outputs, and a serial sweep decodes its draws 7 at a time, so a fetch
+    # lands inside a sample and a block spans fetches; the second run starts
+    # from the memo the first left
     G = make_group(moduli)
-    sizes = tuple(range(1, G.order + 1))
+    sizes = tuple(_SAMPLED_SIZES.get(moduli, range(1, G.order + 1)))
     monkeypatch.setattr(harness, "_CHUNK", 7)
+    monkeypatch.setattr(harness, "_DECODE_BLOCK", 7)
     plan = VerificationPlan(
         group=G, sizes=sizes, seed=3, count_per_size=60,
         budget=budget, workers=2 if pooled else 1,
     )
-    report = verify_fuglede(plan)
+    reports = []
+    for block in (3, 7):
+        monkeypatch.setattr(SeededDraws, "BLOCK", block)
+        reports.append(verify_fuglede(plan))
     for k in sizes:
         rng = random.Random(f"3:{k}")
         draws = [rng.sample(range(1, G.order), k - 1) for _ in range(60)]
         tile_sets = []
         expected = _per_set_tally(G, k, budget, draws, tile_sets)
-        assert dataclasses.asdict(report.per_size[k]) == expected, k
+        for report in reports:
+            assert dataclasses.asdict(report.per_size[k]) == expected, k
         if listed == "tile_sets":
             _assert_enumerate_tiles_lists(G, k, tile_sets, budget, 3, 60)
-    _assert_listed(report, listed)
+    for report in reports:
+        _assert_listed(report, listed)
 
 
 def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
@@ -479,7 +499,7 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
         part = list(map(char_table(G).cols.__getitem__, cand[1:]))
-        tally = _sweep_chunk(G, len(cand), [part], DEFAULT_BUDGET)
+        tally = _sweep_chunk(G, len(cand), _part_blocks(G, len(cand), [part]), DEFAULT_BUDGET)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
 

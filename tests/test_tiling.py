@@ -441,7 +441,9 @@ SAMPLE_SEEDS = (0, 1, 2, "20260809:9", "7:12")
 
 @pytest.mark.parametrize("block", [SeededDraws.BLOCK, 3])
 def test_seeded_draws_are_those_of_random_sample(monkeypatch, block):
-    # a 3-output block runs out inside one sample call
+    # a 3-output block runs out inside one sample call; sums draws three
+    # samples of the same stream in blocks of 2, each as its sum onto -1 of
+    # distinct powers of 2, and draws each again while its block is held
     monkeypatch.setattr(SeededDraws, "BLOCK", block)
     for seed in SAMPLE_SEEDS:
         draws, rng = SeededDraws(seed), random.Random(seed)
@@ -449,6 +451,15 @@ def test_seeded_draws_are_those_of_random_sample(monkeypatch, block):
             for population in (range(n), range(1, n + 1), [f"x{i}" for i in range(n)]):
                 (drawn,) = draws.samples(population, k, 1)
                 assert drawn == rng.sample(population, k), (seed, n, k)
+            bits = [1 << i for i in range(n)]
+            sizes = []
+            for sums, again in draws.sums(bits, k, 3, -1, 2):
+                sizes.append(len(sums))
+                for i, total in enumerate(sums):
+                    expected = rng.sample(bits, k)
+                    assert again(i) == expected, (seed, n, k)
+                    assert total == sum(expected, -1), (seed, n, k)
+            assert sizes == [2, 1]
 
 
 @pytest.mark.parametrize("k", [5, 23, 400])
