@@ -55,6 +55,10 @@ class Group:
             if order > _INT64:
                 raise Overflow("group order exceeds 64-bit range")
 
+    def __reduce__(self):
+        # pickled as its moduli: the cached properties are rebuilt on use
+        return Group, (self.moduli,)
+
     @cached_property
     def order(self) -> int:
         return math.prod(self.moduli)

@@ -29,9 +29,9 @@ gives a whole batch's keys from a few big-int operations on packed
 tables, one L-byte slot per candidate (CharTable.decode), and one map of
 the memo's lookup reads them. Sampled draws and canonicalized parts go
 through _sweep_chunk in blocks of kernel sums that the same decode reads: a
-serial sampled sweep draws the sums themselves from CharTable.cols, which
-draws as range(|G|) does, since which items a draw picks depends only on
-how many there are, and parts are summed from their kernel columns. A
+sampled sweep draws the sums themselves from CharTable.cols, which draws
+as range(|G|) does, since which items a draw picks depends only on how
+many there are, and parts are summed from their kernel columns. A
 candidate whose word is settled, in this sweep or any earlier one of the
 process, is tallied as a count per verdict (a batch of them with
 list.count) and is never sorted into a set; every other candidate goes to
@@ -42,10 +42,11 @@ indices (CharTable.col_index).
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
-size k, made from generator outputs fetched a block at a time. A serial
-sweep draws all of a size's samples from one stream as their kernel sums
-(SeededDraws.sums); pooled jobs carry samples (SeededDraws.samples), and
-the probe draws from two interleaved streams of them, leaves and points.
+size k, made from generator outputs fetched a block at a time. A sweep
+draws all of a size's samples from one stream as their kernel sums
+(SeededDraws.sums), in the one process that sweeps the size, pooled or
+not; the probe draws samples from two interleaved streams, leaves and
+points.
 """
 
 from __future__ import annotations
@@ -371,35 +372,30 @@ class VerificationReport:
 
 
 def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterable:
-    """The plan's candidate 0-containing k-sets (tiling.candidate_sets): for
-    one worker, the blocks of _sweep_chunk, seeded draws as sums over the
-    kernel columns (SeededDraws.sums) and canonicalized parts as columns
-    (_part_blocks); for more, each nonzero part as element indices, which
-    the workers map to columns (_worker_chunk).
+    """The plan's candidate 0-containing k-sets (tiling.candidate_sets) as
+    the blocks of _sweep_chunk: seeded draws as sums over the kernel columns
+    (SeededDraws.sums), canonicalized parts as columns (_part_blocks).
 
     canonicalize keeps a set that no automorphism maps to a lexicographically
     smaller one, over every element permutation of Aut(G)
     (groups.automorphism_index_perms, the closure of the generators).
     Automorphisms fix 0, so the image of (0,) + rest is (0,) plus the sorted
     image of rest, and comparing nonzero parts of indices decides it; a kept
-    part is then mapped to its items.
+    part is then mapped to its columns.
     """
     G = plan.group
-    serial = plan.workers == 1
-    items = char_table(G).cols if serial else range(G.order)
+    cols = char_table(G).cols
     if not plan.canonicalize:
-        if not serial:
-            return candidate_sets(items, k, plan.seed, plan.count_per_size)
         draws = candidate_draws(plan.seed, k)
         base = char_table(G).sum_base(k)
-        return draws.sums(items[1:], k - 1, plan.count_per_size, base, _DECODE_BLOCK)
+        return draws.sums(cols[1:], k - 1, plan.count_per_size, base, _DECODE_BLOCK)
     perms = automorphism_index_perms(G)
     parts = (
-        list(map(items.__getitem__, rest))
+        list(map(cols.__getitem__, rest))
         for rest in candidate_sets(range(G.order), k, None, None)
         if all(tuple(sorted(map(perm.__getitem__, rest))) >= rest for perm in perms)
     )
-    return _part_blocks(G, k, parts) if serial else parts
+    return _part_blocks(G, k, parts)
 
 
 def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
@@ -600,8 +596,9 @@ def _part_blocks(G: Group, k: int, parts: Iterable[list[int]]) -> Iterator[tuple
         yield [sum(part, base) for part in block], block.__getitem__
 
 
-def _walk_stems(G: Group, k: int, stems: Iterable[tuple[int, ...]], budget: int) -> SizeTally:
-    """_sweep_chunk on every candidate of each stem, a batch at a time.
+def _walk_stems(G: Group, k: int, stems: Optional[Iterable], budget: int) -> SizeTally:
+    """_sweep_chunk on every candidate of each stem, a batch at a time;
+    stems None walks every stem of size k.
 
     A stem is the first k - 1 - depth indices of a nonzero part, where depth
     is CharTable.batch_depth(k): 2, so a stem is a (k - 3)-subset of
@@ -626,6 +623,8 @@ def _walk_stems(G: Group, k: int, stems: Iterable[tuple[int, ...]], budget: int)
     kernel = char_table(G)
     depth = kernel.batch_depth(k)
     n = G.order
+    if stems is None:
+        stems = itertools.combinations(range(1, n - depth), k - 1 - depth)
     tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget, orbits=True)
     no = yes = 0  # candidates with a settled word, by verdict
     for stem, keys in kernel.stem_batches(k, stems):
@@ -649,27 +648,38 @@ def _walk_stems(G: Group, k: int, stems: Iterable[tuple[int, ...]], budget: int)
     return tally
 
 
-def _worker_chunk(args: tuple) -> SizeTally:
-    """One job of a pooled sweep. The parts of a _sweep_chunk job come as
-    element indices (_enumerate_candidates) and are mapped to kernel
-    columns here: pickle writes every int in full, so 4 096 draws of size
-    12 on Z_2^2 x Z_3^2 pickle to 1.8 MB as columns against 0.1 MB as
-    indices, and jobs of columns made a two-worker sampled sweep slower
-    than a serial one."""
-    sweep, moduli, k, budget, chunk = args
-    G = Group(moduli)
-    if sweep is _sweep_chunk:
-        cols = char_table(G).cols
-        chunk = _part_blocks(G, k, [list(map(cols.__getitem__, part)) for part in chunk])
-    return sweep(G, k, chunk, budget)
+def _sweep_job(job: tuple) -> SizeTally:
+    """One job (plan, k, stems) of verify_fuglede, run in this process or in
+    a pool's worker. A streamed size (sampled or canonicalized) is always a
+    whole job: its candidates are drawn or filtered here
+    (_enumerate_candidates) and go through _sweep_chunk. An exhaustive size
+    walks stems, every one of size k (stems None) or the given run of them."""
+    plan, k, stems = job
+    if plan.count_per_size is None and not plan.canonicalize:
+        return _walk_stems(plan.group, k, stems, plan.budget)
+    return _sweep_chunk(plan.group, k, _enumerate_candidates(plan, k), plan.budget)
 
 
-# Candidates per job of a pooled sweep, on average for jobs of stems. A
-# batched candidate costs a worker well under a microsecond, so job overhead
-# needs large jobs: two workers swept Z_2^2 x Z_3^2 size 8 in 2.1-2.3 s with
-# jobs of 4 096 candidates against 1.5-1.8 s with 32 768 (2-vCPU VM), and
-# sampled plans took as long with 32 768 draws per job as with 4 096.
+# Candidates per pooled job of stems, on average. A batched candidate costs
+# a worker well under a microsecond, so job overhead needs large jobs: two
+# workers swept Z_2^2 x Z_3^2 size 8 in 2.1-2.3 s with jobs of 4 096
+# candidates against 1.5-1.8 s with 32 768 (2-vCPU VM).
 _CHUNK = 1 << 15
+
+
+def _stem_jobs(plan: VerificationPlan) -> Iterator[tuple]:
+    """The pooled jobs of an exhaustive plan: per size, runs of as many
+    stems as hold _CHUNK candidates on average, which the workers batch
+    themselves (_walk_stems)."""
+    G = plan.group
+    n = G.order
+    for k in plan.sizes:
+        depth = char_table(G).batch_depth(k)
+        stems = itertools.combinations(range(1, n - depth), k - 1 - depth)
+        total_stems = math.comb(n - 1 - depth, k - 1 - depth)
+        per_job = max(1, _CHUNK * total_stems // math.comb(n - 1, k - 1))
+        for run in iter(lambda: list(itertools.islice(stems, per_job)), []):
+            yield plan, k, run
 
 
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
@@ -704,44 +714,31 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     key elsewhere, which does not; so agreement exercises the spectral <=>
     tile equivalence on the planned group.
 
-    An exhaustive size without canonicalize is swept by _walk_stems over
-    its stems; sampled and canonicalized sizes stream their candidates
-    (_enumerate_candidates) through _sweep_chunk. One worker sweeps the
-    size's whole stream in this process, so a serial sweep streams. More
-    get a fork pool of at most the CPU count, whose imap takes jobs of
-    _CHUNK candidates, or of as many stems as hold _CHUNK candidates on
-    average (_worker_chunk), so workers batch a stem's candidates
-    themselves; the job tallies merge associatively in job order, and no
-    report depends on scheduling or on the pool size.
+    Without a pool, each size is one job (_sweep_job) in this process; no
+    pool starts when it would hold one worker. A pool has at most the CPU
+    count, and for a streamed plan (sampled or canonicalized) at most one
+    worker per size: a streamed size stays one job, so its draws, its
+    filter and its memo stay in one worker. A pooled exhaustive size is
+    split into runs of stems (_stem_jobs). imap returns the tallies in job order and they merge
+    associatively, so no report depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
-    G = plan.group
-    n = G.order
-    per_size: dict[int, SizeTally] = {}
-    pool = None
-    if plan.workers > 1:
+    streamed = plan.count_per_size is not None or plan.canonicalize
+    most = len(plan.sizes) if streamed else plan.workers
+    processes = min(plan.workers, os.cpu_count() or 1, most)
+    jobs: Iterable[tuple] = ((plan, k, None) for k in plan.sizes)
+    run, pool = map, None
+    if processes > 1:
         import multiprocessing as mp
 
-        pool = mp.get_context("fork").Pool(min(plan.workers, os.cpu_count() or 1))
+        pool = mp.get_context("fork").Pool(processes)
+        run = pool.imap
+        if not streamed:
+            jobs = _stem_jobs(plan)
+    per_size: dict[int, SizeTally] = {}
     with pool or contextlib.nullcontext():
-        for k in plan.sizes:
-            if plan.count_per_size is not None or plan.canonicalize:
-                sweep, items = _sweep_chunk, _enumerate_candidates(plan, k)
-                per_job = _CHUNK
-            else:
-                depth = char_table(G).batch_depth(k)
-                sweep = _walk_stems
-                items = itertools.combinations(range(1, n - depth), k - 1 - depth)
-                stems = math.comb(n - 1 - depth, k - 1 - depth)
-                per_job = max(1, _CHUNK * stems // math.comb(n - 1, k - 1))
-            if pool is None:
-                per_size[k] = sweep(G, k, items, plan.budget)
-                continue
-            chunks = iter(lambda: list(itertools.islice(items, per_job)), [])
-            jobs = ((sweep, G.moduli, k, plan.budget, c) for c in chunks)
-            tally = per_size[k] = SizeTally(size=k)
-            for out in pool.imap(_worker_chunk, jobs):
-                tally.merge(out)
+        for tally in run(_sweep_job, jobs):
+            per_size.setdefault(tally.size, SizeTally(size=tally.size)).merge(tally)
     return VerificationReport(plan, per_size, time.perf_counter() - start)
 
 

@@ -453,10 +453,10 @@ def candidate_sets(
     itertools.combinations(items[1:], k - 1), in lexicographic order of
     index; with a count, the stream is `count` draws of
     random.Random(f"{seed}:{k}").sample(items[1:], k - 1), made by
-    SeededDraws (candidate_draws; a serial sampled sweep draws its kernel
-    sums, SeededDraws.sums), as lists in draw order, which may repeat. Which
-    elements are drawn depends on len(items) alone, so every items of one
-    group give the same stream. A consumer of indices that needs the set
+    SeededDraws (candidate_draws; a sampled sweep draws the same stream as
+    kernel sums, SeededDraws.sums, in the process that sweeps the size), as
+    lists in draw order, which may repeat. Which elements are drawn depends
+    on len(items) alone, so every items of one group give the same stream. A consumer of indices that needs the set
     builds (0,) + tuple(sorted(part)).
     """
     population = items[1:]

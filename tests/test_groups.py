@@ -405,6 +405,16 @@ def test_multiset_survives_copy_and_pickle():
         assert find_spectrum(twin) == find_spectrum(S) is not None
 
 
+def test_a_group_pickles_as_its_moduli():
+    # a pooled sweep pickles its plan, and so its group, into every job: the
+    # cached elements are not part of the pickle and are rebuilt on use
+    G = make_group([3] * 5)
+    assert len(G.elements) == 243
+    twin = pickle.loads(pickle.dumps(G))
+    assert twin == G and hash(twin) == hash(G) and vars(twin) == {"moduli": G.moduli}
+    assert twin.elements == G.elements
+
+
 def _class_closure(gens, count):
     """Every composite of the class permutations gens, on count classes."""
     identity = tuple(range(count))

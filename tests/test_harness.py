@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -107,7 +108,9 @@ def test_parallel_sweep_matches_serial(z12):
 
 def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     # a recording in-process pool stands in for the fork context, so no
-    # process starts: 10^5 workers on two CPUs ask for a pool of 2
+    # process starts: 10^5 workers on two CPUs ask for a pool of 2; on four
+    # CPUs a sampled plan asks for one worker per size, as a size is one
+    # job, so a 3-size plan asks for 3 and a 1-size plan for none
     import multiprocessing
 
     asked = []
@@ -134,6 +137,39 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
     serial = verify_fuglede(VerificationPlan(group=G, sizes=sizes)).to_dict()
     pooled = verify_fuglede(VerificationPlan(group=G, sizes=sizes, workers=10**5)).to_dict()
     assert asked == [2]
+    serial.pop("elapsed_seconds")
+    pooled.pop("elapsed_seconds")
+    assert pooled == serial
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    for sizes, expected in (((2, 3, 4), [3]), ((6,), [])):
+        asked.clear()
+        plan = dict(group=G, sizes=sizes, seed=2, count_per_size=50)
+        serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
+        pooled = verify_fuglede(VerificationPlan(**plan, workers=10**5)).to_dict()
+        assert asked == expected, sizes
+        serial.pop("elapsed_seconds")
+        pooled.pop("elapsed_seconds")
+        assert pooled == serial
+
+
+def test_a_pooled_sampled_sweep_draws_nothing_in_the_parent(z36, monkeypatch):
+    # each size is one job, which a forked worker draws and sweeps itself:
+    # the parent process calls neither draw loop, and the report is the
+    # serial one
+    plan = dict(group=z36, sizes=(2, 6, 9), seed=11, count_per_size=300)
+    serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
+    parent = os.getpid()
+    for name in ("sums", "samples"):
+        draw = getattr(SeededDraws, name)
+
+        def guarded(self, *args, draw=draw, name=name):
+            if os.getpid() == parent:
+                raise AssertionError(f"SeededDraws.{name} ran in the parent process")
+            return draw(self, *args)
+
+        monkeypatch.setattr(SeededDraws, name, guarded)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a real pool of two
+    pooled = verify_fuglede(VerificationPlan(**plan, workers=2)).to_dict()
     serial.pop("elapsed_seconds")
     pooled.pop("elapsed_seconds")
     assert pooled == serial
@@ -199,10 +235,11 @@ def _per_set_tally(G, k, budget, parts=None, tile_sets=None):
 # Z_5 and Z_7 have phi = 4 and 6 limbs per class, so more than one fold. At
 # budget 2 on Z_12 the cover decides some sets of a zero mask and not others,
 # so a budget below DEFAULT_BUDGET must decide each set's tiling on its own.
-# A pooled case sweeps with two workers and 7-candidate jobs, so each size
-# is split into jobs whose tallies merge in job order. listed names a tally
-# list that some size must fill, or "tile_sets": enumerate_tiles, the tile
-# lister, yields the per-set tally's distinct tiles in tally order.
+# A pooled case sweeps with two workers and jobs of stems that hold 7
+# candidates on average, so each size is split into jobs whose tallies merge
+# in job order. listed names a tally list that some size must fill, or
+# "tile_sets": enumerate_tiles, the tile lister, yields the per-set tally's
+# distinct tiles in tally order.
 @pytest.mark.parametrize(
     "moduli, budget, pooled, listed",
     [
@@ -321,14 +358,13 @@ _SAMPLED_SIZES = {(2, 2, 3, 3): range(2, 7), (3,) * 5: (6,), (2, 2, 3, 5, 5): ra
 def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, listed, monkeypatch):
     # the sweep sorts a draw into its set only off the settled-word path; the
     # per-set tally sorts every draw of random.Random(f"{seed}:{k}").sample,
-    # which arrive unsorted and repeat; a pooled case splits each size's 60
-    # draws into 7-draw jobs. Each plan runs twice, with fetches of 3 and of
-    # 7 outputs, and a serial sweep decodes its draws 7 at a time, so a fetch
-    # lands inside a sample and a block spans fetches; the second run starts
-    # from the memo the first left
+    # which arrive unsorted and repeat; a pooled case sweeps each size's 60
+    # draws as one job in a forked worker. Each plan runs twice, with
+    # fetches of 3 and of 7 outputs, and every sweep decodes its draws 7 at
+    # a time, so a fetch lands inside a sample and a block spans fetches;
+    # the second run starts from the memo the first left
     G = make_group(moduli)
     sizes = tuple(_SAMPLED_SIZES.get(moduli, range(1, G.order + 1)))
-    monkeypatch.setattr(harness, "_CHUNK", 7)
     monkeypatch.setattr(harness, "_DECODE_BLOCK", 7)
     plan = VerificationPlan(
         group=G, sizes=sizes, seed=3, count_per_size=60,
@@ -352,8 +388,8 @@ def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, lis
 
 
 def test_sampled_sweep_with_repeated_draws_is_the_same_in_two_workers(z36):
-    # 5000 draws of size 2 from 35 sets repeat, and two 4096-draw chunks
-    # split each size; sampled chunks share no head as exhaustive ones do
+    # 5000 draws of size 2 from 35 sets repeat; each size is one job, so one
+    # worker draws all 5000, in two 4096-draw decode blocks, on one memo
     plan = dict(group=z36, sizes=(2, 3, 6), seed=11, count_per_size=5000)
     serial = verify_fuglede(VerificationPlan(**plan))
     parallel = verify_fuglede(VerificationPlan(**plan, workers=2))
