@@ -45,8 +45,8 @@ tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
 size k, made from generator outputs fetched a block at a time. A sweep
 draws all of a size's samples from one stream as their kernel sums
 (SeededDraws.sums), in the one process that sweeps the size, pooled or
-not; the probe draws samples from two interleaved streams, leaves and
-points.
+not; the probe draws each candidate's leaves and then their points in one
+loop, as leaf masks and a kernel sum (SeededDraws.fibers).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .cyclotomic import CharTable, char_table, set_zero_mask
+from .cyclotomic import char_table, set_zero_mask
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -719,8 +719,11 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     count, and for a streamed plan (sampled or canonicalized) at most one
     worker per size: a streamed size stays one job, so its draws, its
     filter and its memo stay in one worker. A pooled exhaustive size is
-    split into runs of stems (_stem_jobs). imap returns the tallies in job order and they merge
-    associatively, so no report depends on scheduling or on the pool size.
+    split into runs of stems (_stem_jobs). A pool takes the streamed sizes
+    largest first, by samples' size k or by the C(|G| - 1, k - 1) parts a
+    canonicalized size filters, so that the longest job does not start last.
+    imap returns the tallies in job order and they merge associatively, per
+    size, so no report depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
     streamed = plan.count_per_size is not None or plan.canonicalize
@@ -735,6 +738,10 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
         run = pool.imap
         if not streamed:
             jobs = _stem_jobs(plan)
+        else:
+            n = plan.group.order
+            cost = None if plan.count_per_size is not None else lambda k: math.comb(n - 1, k - 1)
+            jobs = ((plan, k, None) for k in sorted(plan.sizes, key=cost, reverse=True))
     per_size: dict[int, SizeTally] = {}
     with pool or contextlib.nullcontext():
         for tally in run(_sweep_job, jobs):
@@ -926,12 +933,14 @@ def case5_nonexistence_probe(
     --sizes 30 --samples 400 --seed 7 tallies all 400 as vanishing-pattern,
     with direction_gap fails 400 and aligned_leaf_hits 0.
 
-    Each candidate is read from its draws: a drawn leaf's mask is the OR of
-    its points' bits, and the kernel sum adds the points' columns in draw
-    order. The class word keys the spectral memo, as its L bytes (_memo),
-    and a dict of this call holding, per word, the zero mask and the
-    zero-mask part of the obstruction class, so a word is expanded and
-    classified once per call.
+    Each candidate is the draws of random.Random(f"{seed}:{size}"): one
+    sample of size // q leaves of Z_p^2, then one sample of q points of Z_q^2
+    per leaf, in leaf draw order. SeededDraws.fibers reads it from them in
+    one loop: a drawn leaf's mask is the OR of its points' bits, and the
+    kernel sum adds the points' columns. The class word keys the spectral
+    memo, as its L bytes (_memo), and a dict of this call holding, per word,
+    the zero mask and the zero-mask part of the obstruction class, so a
+    word is expanded and classified once per call.
     The structure checks read the leaf masks alone, and only a listed
     candidate (undecided or spectral) is sorted into its set.
 
@@ -959,8 +968,9 @@ def case5_nonexistence_probe(
     kernel = char_table(G)
     class_word, expand, key_bytes = kernel.class_word, kernel.expand, kernel.key_bytes
     lt = leaf_tables(shape)
-    # a warm-up leaves the kernel unbuilt
-    read = _draw_reader(lt, kernel) if count_per_size else None
+    # the kernel columns of the elements of each leaf, by p-part index; a
+    # warm-up draws nothing and leaves the kernel unbuilt
+    col_at = [list(map(kernel.cols.__getitem__, row)) for row in lt.elem] if count_per_size else None
     # per class word of this call: its zero mask, and whether the mask fails
     # the vanishing pattern
     by_word: dict[int, tuple[int, bool]] = {}
@@ -976,17 +986,13 @@ def case5_nonexistence_probe(
     aligned_leaf_hits = 0
     direction_gap = {"holds": 0, "fails": 0}
 
-    for size in sizes:
+    for size in sizes if col_at else ():
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
-        draws = SeededDraws(f"{seed}:{size}")
-        # two interleaved streams: a candidate's leaves, then its points per leaf
-        leaf_draws = draws.samples(range(len(lt.p_embed)), leaves_needed, count_per_size)
-        point_draws = draws.samples(range(len(lt.q_embed)), q, count_per_size * leaves_needed)
         memo = _memo(G, size)
-        for leaf_sample in leaf_draws:
+        draws = SeededDraws(f"{seed}:{size}").fibers(col_at, leaves_needed, q, count_per_size)
+        for leaves, total in draws:
             examined += 1
-            leaves, total = read(leaf_sample, point_draws)
             word = class_word(total, size)
             known = by_word.get(word)
             if known is None:
@@ -1040,30 +1046,6 @@ def case5_nonexistence_probe(
         direction_gap=direction_gap,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _draw_reader(
-    lt: LeafTables, kernel: CharTable
-) -> Callable[[Sequence[int], Iterator[list[int]]], tuple[list[int], int]]:
-    """read(leaf_sample, point_draws): the leaf masks and the kernel sum of
-    the candidate whose leaves sit at the p-part indices of leaf_sample, each
-    taking its next draw of q-part indices from point_draws. A leaf's mask
-    is the OR of its points' bits; the sum adds their kernel columns in draw
-    order."""
-    bit = [1 << bi for bi in range(len(lt.q_embed))]
-    col_at = [list(map(kernel.cols.__getitem__, row)) for row in lt.elem]
-    n = len(col_at)
-
-    def read(leaf_sample: Sequence[int], point_draws: Iterator[list[int]]) -> tuple[list[int], int]:
-        leaves = [0] * n
-        total = 0
-        for ai in leaf_sample:
-            pts = next(point_draws)
-            leaves[ai] = sum(map(bit.__getitem__, pts))
-            total = sum(map(col_at[ai].__getitem__, pts), total)
-        return leaves, total
-
-    return read
 
 
 def _leaf_elements(lt: LeafTables, leaves: list[int]) -> Iterator[int]:

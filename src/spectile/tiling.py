@@ -15,7 +15,8 @@ find_tiling_complement. is_tiling_pair, on coordinate sums, checks every witness
 
 Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
 SeededDraws: the draws of random.Random(seed).sample, made from generator
-outputs fetched a block at a time, as samples or as their sums.
+outputs fetched a block at a time, as samples, as their sums, or as sets of
+fibers.
 """
 
 from __future__ import annotations
@@ -274,12 +275,14 @@ class SeededDraws:
     """The draws of random.Random(seed).sample, made from buffered outputs.
 
     samples(population, k, count) yields what count calls of
-    random.Random(seed).sample(population, k) return, call for call, and
-    sums yields the same samples as their sums, a block at a time: the
-    same pool and set branches, chosen by the same setsize rule, and each
-    draw below a bound m made from the top m.bit_length() bits of one 32-bit
-    generator output and rejected when it is m or more
-    (Random._randbelow_with_getrandbits). The outputs are
+    random.Random(seed).sample(population, k) return, call for call; sums
+    yields the same samples as their sums, a block at a time; and fibers
+    yields sets of fibers (the case-5 probe's candidates) as the masks and
+    the sum of their points, each set read from its sample calls in one
+    loop over the buffer. All three take the same pool and set branches,
+    chosen by the same setsize rule, and make each draw below a bound m from
+    the top m.bit_length() bits of one 32-bit generator output, rejected
+    when it is m or more (Random._randbelow_with_getrandbits). The outputs are
     fetched BLOCK at a time: getrandbits(32 * BLOCK) holds them in order,
     least significant first, so its little-endian bytes hold output i at
     [4i, 4i + 4). The generator is private to the stream, so drawing ahead
@@ -431,6 +434,93 @@ class SeededDraws:
             yield sums, lambda i, firsts=firsts: self._again(items, k, firsts[i])
             self._pos = pos
             count -= size
+
+    def fibers(self, rows: Sequence[Sequence], k: int, q: int, count: int) -> Iterator[tuple]:
+        """count sets of k fibers of q points each, as (masks, total) per set:
+        the draws of random.Random(seed).sample(range(len(rows)), k) and then,
+        for each drawn row a in draw order, sample(range(len(rows[a])), q).
+        masks[a] has bit b set for each point b drawn in row a (0 for a row
+        not drawn), and total sums rows[a][b] over the drawn points, onto 0.
+        One loop over the buffered outputs per set, with no sample built: a
+        point draw ORs its bit into its row's mask and adds its entry to the
+        total, and the set branch rejects a repeated point by its bit. Each
+        set starts at the next unused output, and one that runs off the
+        buffer fetches another block and is drawn again from its first
+        output. The rows must be of one length.
+        """
+        rows = [list(r) for r in rows]  # so that only the buffer raises IndexError
+        na, nb = len(rows), len(rows[0]) if rows else 0
+        if any(len(r) != nb for r in rows):
+            raise ValueError("rows must be of one length")
+        if not (0 <= k <= na and 0 <= q <= nb):
+            raise ValueError("Sample larger than population or is negative")
+        a_pooled, a_steps = _sample_plan(na, k)
+        b_pooled, b_steps = _sample_plan(nb, q)
+        a_base, b_base = list(range(na)), list(range(nb))
+        bit = [1 << b for b in range(nb)]
+        b_shift, b_last = (0, 0) if b_pooled else b_steps
+        b_draws = range(q)
+        while count:
+            # read at every set: another stream may have drawn since
+            abuf = self._top if na < 256 else self._whole_outputs()
+            bbuf = self._top if nb < 256 else self._whole_outputs()
+            pos = self._pos
+            try:
+                drawn = []
+                if a_pooled:
+                    pool = a_base.copy()
+                    for shift, last in a_steps:
+                        j = abuf[pos] >> shift
+                        pos += 1
+                        while j > last:
+                            j = abuf[pos] >> shift
+                            pos += 1
+                        drawn.append(pool[j])
+                        pool[j] = pool[last]
+                else:
+                    shift, last = a_steps
+                    seen = 0
+                    for _ in range(k):
+                        j = abuf[pos] >> shift
+                        pos += 1
+                        while j > last or seen >> j & 1:
+                            j = abuf[pos] >> shift
+                            pos += 1
+                        seen |= 1 << j
+                        drawn.append(j)
+                masks = [0] * na
+                total = 0
+                for a in drawn:
+                    row = rows[a]
+                    mask = 0
+                    if b_pooled:
+                        pool = b_base.copy()
+                        for shift, last in b_steps:
+                            j = bbuf[pos] >> shift
+                            pos += 1
+                            while j > last:
+                                j = bbuf[pos] >> shift
+                                pos += 1
+                            b = pool[j]
+                            pool[j] = pool[last]
+                            mask |= bit[b]
+                            total += row[b]
+                    else:
+                        for _ in b_draws:
+                            j = bbuf[pos] >> b_shift
+                            pos += 1
+                            while j > b_last or mask >> j & 1:
+                                j = bbuf[pos] >> b_shift
+                                pos += 1
+                            mask |= bit[j]
+                            total += row[j]
+                    masks[a] = mask
+            except IndexError:
+                self._extend(self.BLOCK)
+                continue
+            self._pos = pos
+            count -= 1
+            yield masks, total
 
     def _again(self, items: Sequence, k: int, first: int) -> list:
         """The sample of k items that began at buffered output first."""

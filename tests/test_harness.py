@@ -55,7 +55,6 @@ from spectile.harness import (
     _aligned_along_some_direction,
     _classify_obstruction,
     _direction_gap_ok,
-    _draw_reader,
     _leaf_elements,
     _memo,
     _part_blocks,
@@ -147,6 +146,49 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
         serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
         pooled = verify_fuglede(VerificationPlan(**plan, workers=10**5)).to_dict()
         assert asked == expected, sizes
+        serial.pop("elapsed_seconds")
+        pooled.pop("elapsed_seconds")
+        assert pooled == serial
+
+
+def test_a_streamed_pool_takes_its_largest_size_first(monkeypatch):
+    # a recording in-process pool stands in for the fork context: a sampled
+    # plan submits its sizes by k, largest first, and a canonicalized plan
+    # by the C(11, k - 1) parts of each size of Z_2^2 x Z_3 (11, 462 and 11 for
+    # 2, 6 and 11, ties in plan order); the reports are the serial ones
+    import multiprocessing
+
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, jobs):
+            jobs = list(jobs)
+            submitted.append([k for _, k, _ in jobs])
+            return map(func, jobs)
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    G = make_group([2, 2, 3])
+    for plan, order in (
+        (dict(sizes=(2, 6, 3), seed=2, count_per_size=50), [6, 3, 2]),
+        (dict(sizes=(11, 2, 6), canonicalize=True), [6, 11, 2]),
+    ):
+        submitted.clear()
+        serial = verify_fuglede(VerificationPlan(group=G, **plan)).to_dict()
+        pooled = verify_fuglede(VerificationPlan(group=G, **plan, workers=2)).to_dict()
+        assert submitted == [order], plan
         serial.pop("elapsed_seconds")
         pooled.pop("elapsed_seconds")
         assert pooled == serial
@@ -1373,28 +1415,36 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
     shape = pq_shape(G)
     lt = leaf_tables(shape)
     kernel = char_table(G)
-    read = _draw_reader(lt, kernel)
-    pg, qg = shape.p_group, shape.q_group
+    pg = shape.p_group
     direction_of = index_tables(pg).direction_of
+    # the probe reads each candidate from its draws (SeededDraws.fibers): k
+    # leaves, then q points of each leaf in leaf draw order, as leaf masks
+    # and a kernel sum; the same sample calls give the set itself
+    col_at = [[kernel.cols[g] for g in row] for row in lt.elem]
+    leaf_count, point_count = len(lt.p_embed), len(lt.q_embed)
+    for k in range(1, leaf_count + 1):
+        seed = f"fibers:{moduli}:{k}"
+        rng = random.Random(seed)
+        for leaves, total in SeededDraws(seed).fibers(col_at, k, shape.q, 5):
+            cand = tuple(
+                sorted(
+                    lt.elem[a][b]
+                    for a in rng.sample(range(leaf_count), k)
+                    for b in rng.sample(range(point_count), shape.q)
+                )
+            )
+            assert leaves == lt.leaves(cand)
+            word = kernel.class_word(total, len(cand))
+            assert kernel.expand(word) == kernel.zero_mask(cand)
+            assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
     rng = random.Random(f"structure:{moduli}")
     classes, aligned_any, gaps, counts = set(), set(), set(), set()
     for S in _structure_inputs(shape, rng):
         cand = tuple(sorted(G.index_of(x) for x in S.mult))
         leaves = lt.leaves(cand)
-        # the probe reads a candidate from its draws: its leaves and each
-        # leaf's points in draw order, here shuffled
-        fibers = leaf_decomposition(shape, S).leaves
-        drawn = [pg.index_of(a) for a, K in fibers.items() if K]
-        rng.shuffle(drawn)
-        points = [
-            rng.sample([qg.index_of(b) for b in fibers[pg.elements[ai]]], len(fibers[pg.elements[ai]]))
-            for ai in drawn
-        ]
-        drawn_leaves, total = read(drawn, iter(points))
-        assert drawn_leaves == leaves
-        word = kernel.class_word(total, len(cand))
-        assert kernel.expand(word) == kernel.zero_mask(cand)
         assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
+        word = kernel.class_word(sum(kernel.cols[g] for g in cand), len(cand))
+        assert kernel.expand(word) == kernel.zero_mask(cand)
         # the obstruction's zero-mask part, once per word in the probe
         pattern_fails = _vanishing_pattern_fails(lt, kernel.expand(word))
         obstruction = _classify_obstruction(lt, leaves, pattern_fails)
@@ -1410,7 +1460,7 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
         if distinct > shape.p:
             assert not any(by_direction)
         assert _aligned_along_some_direction(lt, leaves) == any(aligned)
-        counts.add((distinct > shape.p, len(drawn) > shape.p))
+        counts.add((distinct > shape.p, len(leaves) - leaves.count(0) > shape.p))
         aligned_any.add(any(aligned))
         gap = _direction_gap_ok(lt, leaves)
         assert gap == _gap_by_directions(shape, S)

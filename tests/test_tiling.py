@@ -478,21 +478,70 @@ def test_seeded_draws_from_whole_outputs_are_those_of_random_sample(k):
 
 
 def test_seeded_draws_follow_the_probes_alternating_populations(monkeypatch):
-    # case5_nonexistence_probe draws 6 of 9 leaves, then 5 of 25 points per
-    # leaf, from two interleaved streams; a 7-output block runs out inside
-    # one stream while the other holds its place
-    monkeypatch.setattr(SeededDraws, "BLOCK", 7)
+    # case5_nonexistence_probe draws 6 of 9 leaves, then 5 of 25 points (the
+    # set branch) or 7 of 49 (the pool branch) per leaf, as one set of
+    # fibers each; interleaved streams of samples draw the same. A 7-output
+    # block runs out inside one stream while the other holds its place, and
+    # inside a set of fibers
+    for block in (SeededDraws.BLOCK, 7):
+        monkeypatch.setattr(SeededDraws, "BLOCK", block)
+        for seed in SAMPLE_SEEDS:
+            draws, rng = SeededDraws(seed), random.Random(seed)
+            streams = SeededDraws(seed)
+            leaf_draws = streams.samples(range(9), 6, 40)
+            point_draws = streams.samples(range(25), 5, 40 * 6)
+            for leaf_sample in leaf_draws:
+                leaves = next(draws.samples(range(9), 6, 1))
+                assert leaf_sample == leaves == rng.sample(range(9), 6)
+                for _ in leaves:
+                    points = rng.sample(range(25), 5)
+                    assert next(draws.samples(range(25), 5, 1)) == next(point_draws) == points
+        for q, n in ((5, 25), (7, 49)):
+            assert _sample_plan(n, q)[0] is (n == 49)
+            # the entries are distinct powers of 2, so a total names its points
+            rows = [[1 << (n * a + b) for b in range(n)] for a in range(9)]
+            for seed in SAMPLE_SEEDS:
+                rng = random.Random(seed)
+                drawn = list(SeededDraws(seed).fibers(rows, 6, q, 40))
+                expected = [_fibers_of_random_sample(rng, rows, 6, q) for _ in range(40)]
+                assert drawn == expected, (block, seed, n)
+
+
+def _fibers_of_random_sample(rng, rows, k, q):
+    """(masks, total) of one set of fibers, from rng's sample calls."""
+    masks, total = [0] * len(rows), 0
+    for a in rng.sample(range(len(rows)), k):
+        for b in rng.sample(range(len(rows[a])), q):
+            masks[a] |= 1 << b
+            total += rows[a][b]
+    return masks, total
+
+
+@pytest.mark.parametrize(
+    "rows_n, k, points_n, q",
+    [
+        (25, 5, 9, 3),  # rows by the set branch
+        (300, 2, 3, 3),  # rows from whole outputs
+        (2, 1, 300, 6),  # points from whole outputs, set branch
+        (3, 2, 256, 100),  # points from whole outputs, pool branch
+        (4, 0, 5, 2),
+        (4, 2, 5, 0),
+    ],
+)
+def test_seeded_fibers_take_every_branch_of_random_sample(monkeypatch, rows_n, k, points_n, q):
+    # a 3-output block runs out inside most sets
+    monkeypatch.setattr(SeededDraws, "BLOCK", 3)
+    rows = [[(a + 1) * 1000 + b for b in range(points_n)] for a in range(rows_n)]
     for seed in SAMPLE_SEEDS:
-        draws, rng = SeededDraws(seed), random.Random(seed)
-        streams = SeededDraws(seed)
-        leaf_draws = streams.samples(range(9), 6, 40)
-        point_draws = streams.samples(range(25), 5, 40 * 6)
-        for leaf_sample in leaf_draws:
-            leaves = next(draws.samples(range(9), 6, 1))
-            assert leaf_sample == leaves == rng.sample(range(9), 6)
-            for _ in leaves:
-                points = rng.sample(range(25), 5)
-                assert next(draws.samples(range(25), 5, 1)) == next(point_draws) == points
+        rng = random.Random(seed)
+        drawn = list(SeededDraws(seed).fibers(rows, k, q, 12))
+        assert drawn == [_fibers_of_random_sample(rng, rows, k, q) for _ in range(12)]
+
+
+def test_seeded_fibers_refuse_ragged_rows_and_oversized_samples():
+    for rows, k, q in (([[1, 2], [3]], 1, 1), ([[1, 2]], 2, 1), ([[1, 2]], 1, 3)):
+        with pytest.raises(ValueError):
+            next(SeededDraws(0).fibers(rows, k, q, 1))
 
 
 def test_seeded_draws_refuse_what_random_sample_refuses():
