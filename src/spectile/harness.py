@@ -4,7 +4,8 @@ verify_fuglede decides spectrality and tiling for every candidate set and
 tallies agreement; any disagreement is recorded with full witness data. The
 same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. The sweep decides on element indices, the sets
-of enumerate_tiles' stream (tiling.candidate_sets) in its order, with the
+of enumerate_tiles in its order (the seeded draws of tiling.candidate_draws,
+or itertools.combinations of the nonzero elements), with the
 routines of the public per-set operations, once per zero set: both
 verdicts of a k-set are functions of its zero mask (CharTable.zero_mask),
 and so of the class word the mask expands from (CharTable.class_word, one
@@ -42,11 +43,12 @@ indices (CharTable.col_index).
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
-size k, made from generator outputs fetched a block at a time. A sweep
-draws all of a size's samples from one stream as their kernel sums
-(SeededDraws.sums), in the one process that sweeps the size, pooled or
-not; the probe draws each candidate's leaves and then their points in one
-loop, as leaf masks and a kernel sum (SeededDraws.fibers).
+size k (tiling.candidate_draws), made from generator outputs fetched a
+block at a time. A sweep draws all of a size's samples from one stream as
+their kernel sums (SeededDraws.sums), in the one process that sweeps the
+size, pooled or not, and draws a sample off the settled path again from
+its first output; the probe draws each candidate's leaves and then their
+points in one loop, as leaf masks and a kernel sum (SeededDraws.fibers).
 """
 
 from __future__ import annotations
@@ -93,9 +95,7 @@ from .structure import CaseKind, LeafTables, PQShape, aligned_leaves, classify_c
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
-    SeededDraws,
     candidate_draws,
-    candidate_sets,
     find_tiling_complement,
     is_tiling_pair,
     subgroup_transversal,
@@ -372,9 +372,11 @@ class VerificationReport:
 
 
 def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterable:
-    """The plan's candidate 0-containing k-sets (tiling.candidate_sets) as
-    the blocks of _sweep_chunk: seeded draws as sums over the kernel columns
-    (SeededDraws.sums), canonicalized parts as columns (_part_blocks).
+    """The plan's candidate 0-containing k-sets as the blocks of
+    _sweep_chunk: seeded draws (tiling.candidate_draws) as sums over the
+    kernel columns (SeededDraws.sums), and the parts of
+    itertools.combinations(range(1, |G|), k - 1) that canonicalize keeps as
+    columns (_part_blocks).
 
     canonicalize keeps a set that no automorphism maps to a lexicographically
     smaller one, over every element permutation of Aut(G)
@@ -392,7 +394,7 @@ def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterable:
     perms = automorphism_index_perms(G)
     parts = (
         list(map(cols.__getitem__, rest))
-        for rest in candidate_sets(range(G.order), k, None, None)
+        for rest in itertools.combinations(range(1, G.order), k - 1)
         if all(tuple(sorted(map(perm.__getitem__, rest))) >= rest for perm in perms)
     )
     return _part_blocks(G, k, parts)
@@ -933,11 +935,12 @@ def case5_nonexistence_probe(
     --sizes 30 --samples 400 --seed 7 tallies all 400 as vanishing-pattern,
     with direction_gap fails 400 and aligned_leaf_hits 0.
 
-    Each candidate is the draws of random.Random(f"{seed}:{size}"): one
-    sample of size // q leaves of Z_p^2, then one sample of q points of Z_q^2
-    per leaf, in leaf draw order. SeededDraws.fibers reads it from them in
-    one loop: a drawn leaf's mask is the OR of its points' bits, and the
-    kernel sum adds the points' columns. The class word keys the spectral
+    Each candidate is the draws of random.Random(f"{seed}:{size}")
+    (tiling.candidate_draws): one sample of size // q leaves of Z_p^2, then
+    one sample of q points of Z_q^2 per leaf, in leaf draw order.
+    SeededDraws.fibers reads it from them in one loop: a drawn leaf's mask
+    is the OR of its points' bits, and the kernel sum adds the points'
+    columns. The class word keys the spectral
     memo, as its L bytes (_memo), and a dict of this call holding, per word,
     the zero mask and the zero-mask part of the obstruction class, so a
     word is expanded and classified once per call.
@@ -990,7 +993,7 @@ def case5_nonexistence_probe(
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
         memo = _memo(G, size)
-        draws = SeededDraws(f"{seed}:{size}").fibers(col_at, leaves_needed, q, count_per_size)
+        draws = candidate_draws(seed, size).fibers(col_at, leaves_needed, q, count_per_size)
         for leaves, total in draws:
             examined += 1
             word = class_word(total, size)

@@ -10,13 +10,15 @@ complement contains 0 iff any exists) and branches on the uncovered cell
 with the fewest remaining options.
 
 tiling_complement, a subgroup first and exact cover second, is the one tiling
-policy of the sweeps, enumerate_tiles (both on the stream candidate_sets) and
+policy of the sweeps, enumerate_tiles (both on the same candidates: seeded
+draws, or itertools.combinations of the nonzero elements) and
 find_tiling_complement. is_tiling_pair, on coordinate sums, checks every witness.
 
 Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
-SeededDraws: the draws of random.Random(seed).sample, made from generator
-outputs fetched a block at a time, as samples, as their sums, or as sets of
-fibers.
+SeededDraws, on the stream candidate_draws names: the draws of
+random.Random(seed).sample, made from generator outputs fetched a block at
+a time, as their sums (the samples themselves, summed onto () from
+1-tuples) or as sets of fibers.
 """
 
 from __future__ import annotations
@@ -274,12 +276,11 @@ def _sample_plan(n: int, k: int) -> tuple[bool, tuple]:
 class SeededDraws:
     """The draws of random.Random(seed).sample, made from buffered outputs.
 
-    samples(population, k, count) yields what count calls of
-    random.Random(seed).sample(population, k) return, call for call; sums
-    yields the same samples as their sums, a block at a time; and fibers
-    yields sets of fibers (the case-5 probe's candidates) as the masks and
-    the sum of their points, each set read from its sample calls in one
-    loop over the buffer. All three take the same pool and set branches,
+    sums yields the samples of count calls of
+    random.Random(seed).sample(items, k) as their sums, a block at a time;
+    and fibers yields sets of fibers (the case-5 probe's candidates) as the
+    masks and the sum of their points, each set read from its sample calls
+    in one loop over the buffer. Both take the same pool and set branches,
     chosen by the same setsize rule, and make each draw below a bound m from
     the top m.bit_length() bits of one 32-bit generator output, rejected
     when it is m or more (Random._randbelow_with_getrandbits). The outputs are
@@ -291,11 +292,11 @@ class SeededDraws:
     A population below 256 draws from the top bytes of the outputs alone,
     which index as small cached ints; larger populations read whole
     outputs, converted from the fetched bytes only when such a population
-    reads them. Either is shifted inline. The pool branch copies the population
-    once per sample and swaps each drawn item into the pool's tail, so the
-    sample is that tail reversed. A sample that runs off the end of the
-    buffer fetches another block and is drawn again from its first output.
-    The population must be a sequence whose items 0 .. len - 1 index.
+    reads them. Either is shifted inline. The pool branch copies the
+    population once per sample and moves the pool's last item into each
+    drawn slot, as random.Random.sample does. A sample that runs off the end
+    of the buffer fetches another block and is drawn again from its first
+    output. Each call of sums or fibers starts at the next unused output.
     """
 
     BLOCK = 4096
@@ -324,116 +325,75 @@ class SeededDraws:
                 self._words.byteswap()
         return self._words
 
-    def samples(self, population: Sequence, k: int, count: int) -> Iterator[list]:
-        """count samples of k from population, drawn in one frame. Each
-        sample starts at the next unused output, so streams of one
-        SeededDraws may be interleaved: their samples are those of
-        random.Random(seed).sample calls in the same order."""
-        n = len(population)
-        if not 0 <= k <= n:
-            raise ValueError("Sample larger than population or is negative")
-        pooled, steps = _sample_plan(n, k)
-        base = list(population) if pooled else population
-        fetched = 0
-        while count:
-            # read at every sample: another stream may have drawn since
-            buf = self._top if n < 256 else self._whole_outputs()
-            pos = self._pos
-            try:
-                if pooled:
-                    pool = base.copy()
-                    for shift, last in steps:
-                        j = buf[pos] >> shift
-                        pos += 1
-                        while j > last:
-                            j = buf[pos] >> shift
-                            pos += 1
-                        pool[j], pool[last] = pool[last], pool[j]
-                    out = pool[: -k - 1 : -1]
-                else:
-                    shift, last = steps
-                    selected: set[int] = set()
-                    out = []
-                    for _ in range(k):
-                        j = buf[pos] >> shift
-                        pos += 1
-                        while j > last or j in selected:
-                            j = buf[pos] >> shift
-                            pos += 1
-                        selected.add(j)
-                        out.append(population[j])
-            except IndexError:
-                # every output is accepted with probability at least 1/3
-                # (at least 1/2 below its bound, and the set branch holds
-                # fewer than a third of n), so a sample still short after
-                # 1024 (k + 1) more outputs hit an IndexError of its population
-                if fetched > 1024 * (k + 1):
-                    raise
-                self._extend(self.BLOCK)
-                fetched += self.BLOCK
-                continue
-            self._pos = pos
-            fetched = 0
-            count -= 1
-            yield out
-
     def sums(self, items: Sequence, k: int, count: int, total, cap: int) -> Iterator[tuple]:
-        """samples(items, k, count) as (sums, sample) per block of at most cap
-        samples: sums[i] is total plus the items of sample i of the block,
-        and sample(i) that sample, drawn again from its first output while
-        the block is held. The loop of samples, with no sample built: a pool
-        draw adds pool[j] and moves the pool's last item into slot j, as
-        random.Random.sample does. A block starts at output 0 of the buffer
-        and keeps its outputs until the next block is drawn.
+        """The draws of count calls of random.Random(seed).sample(items, k) as
+        (sums, sample) per block of at most cap samples: sums[i] is total plus
+        the items of sample i of the block, added in draw order, and sample(i)
+        that sample as a tuple, drawn again while the block is held. Summed
+        onto () from 1-tuples, items add up to the sample itself, so that is
+        how a sample is drawn again (_block from its first output) and how
+        enumerate_tiles draws its parts. A block starts at the next unused
+        output and keeps its outputs until the next block is drawn.
         """
-        n = len(items)
-        if not 0 <= k <= n:
-            raise ValueError("Sample larger than population or is negative")
-        pooled, steps = _sample_plan(n, k)
         items = list(items)  # so that only the buffer raises IndexError
+        if not 0 <= k <= len(items):
+            raise ValueError("Sample larger than population or is negative")
+        singles = [(item,) for item in items]
         while count:
             self._extend(0)
             size = min(cap, count)
-            sums: list = []
-            firsts: list[int] = []
-            add, mark = sums.append, firsts.append
-            pos = 0
-            buf = self._top if n < 256 else self._whole_outputs()
-            for _ in range(size):
-                while True:
-                    first, t = pos, total
-                    try:
-                        if pooled:
-                            pool = items.copy()
-                            for shift, last in steps:
-                                j = buf[pos] >> shift
-                                pos += 1
-                                while j > last:
-                                    j = buf[pos] >> shift
-                                    pos += 1
-                                t += pool[j]
-                                pool[j] = pool[last]
-                        else:
-                            shift, last = steps
-                            selected: set[int] = set()
-                            for _ in range(k):
-                                j = buf[pos] >> shift
-                                pos += 1
-                                while j > last or j in selected:
-                                    j = buf[pos] >> shift
-                                    pos += 1
-                                selected.add(j)
-                                t += items[j]
-                        break
-                    except IndexError:
-                        self._extend(self.BLOCK)
-                        buf = self._top if n < 256 else self._whole_outputs()
-                        pos = first
-                add(t)
-                mark(first)
-            yield sums, lambda i, firsts=firsts: self._again(items, k, firsts[i])
+            sums, firsts, pos = self._block(items, k, total, size, 0)
+            yield sums, lambda i, firsts=firsts: self._block(singles, k, (), 1, firsts[i])[0][0]
             self._pos = pos
             count -= size
+
+    def _block(self, items: list, k: int, total, size: int, pos: int) -> tuple[list, list, int]:
+        """size samples of k items from buffered output pos on, as (their sums
+        onto total, the output each began at, the next unused output): the
+        loop of random.Random.sample with no sample built, where a pool draw
+        adds pool[j] and moves the pool's last item into slot j. A sample that
+        runs off the buffer fetches another block and is drawn again from its
+        first output. The fetch drops no output, since sums starts each block
+        at output 0, so every position stays valid while the block is held."""
+        n = len(items)
+        pooled, steps = _sample_plan(n, k)
+        sums: list = []
+        firsts: list[int] = []
+        add, mark = sums.append, firsts.append
+        buf = self._top if n < 256 else self._whole_outputs()
+        for _ in range(size):
+            while True:
+                first, t = pos, total
+                try:
+                    if pooled:
+                        pool = items.copy()
+                        for shift, last in steps:
+                            j = buf[pos] >> shift
+                            pos += 1
+                            while j > last:
+                                j = buf[pos] >> shift
+                                pos += 1
+                            t += pool[j]
+                            pool[j] = pool[last]
+                    else:
+                        shift, last = steps
+                        selected: set[int] = set()
+                        for _ in range(k):
+                            j = buf[pos] >> shift
+                            pos += 1
+                            while j > last or j in selected:
+                                j = buf[pos] >> shift
+                                pos += 1
+                            selected.add(j)
+                            t += items[j]
+                    break
+                except IndexError:
+                    self._extend(self.BLOCK)
+                    buf = self._top if n < 256 else self._whole_outputs()
+                    pos = first
+            add(t)
+            mark(first)
+        return sums, firsts, pos
 
     def fibers(self, rows: Sequence[Sequence], k: int, q: int, count: int) -> Iterator[tuple]:
         """count sets of k fibers of q points each, as (masks, total) per set:
@@ -461,7 +421,7 @@ class SeededDraws:
         b_shift, b_last = (0, 0) if b_pooled else b_steps
         b_draws = range(q)
         while count:
-            # read at every set: another stream may have drawn since
+            # read at every set: a fetch replaces the buffer
             abuf = self._top if na < 256 else self._whole_outputs()
             bbuf = self._top if nb < 256 else self._whole_outputs()
             pos = self._pos
@@ -522,41 +482,18 @@ class SeededDraws:
             count -= 1
             yield masks, total
 
-    def _again(self, items: Sequence, k: int, first: int) -> list:
-        """The sample of k items that began at buffered output first."""
-        pos, self._pos = self._pos, first
-        try:
-            return next(self.samples(items, k, 1))
-        finally:
-            self._pos = pos
-
-
-def candidate_sets(
-    items: Sequence, k: int, seed: Optional[int], count: Optional[int]
-) -> Iterator[Sequence]:
-    """The 0-containing k-subsets of a group, each as its nonzero part: the
-    k - 1 of its elements other than 0, as items, where items[i] stands for
-    element index i and items[0] for the identity (range(|G|) yields
-    indices, CharTable.cols kernel columns).
-
-    With no count, each is yielded once, as the tuples of
-    itertools.combinations(items[1:], k - 1), in lexicographic order of
-    index; with a count, the stream is `count` draws of
-    random.Random(f"{seed}:{k}").sample(items[1:], k - 1), made by
-    SeededDraws (candidate_draws; a sampled sweep draws the same stream as
-    kernel sums, SeededDraws.sums, in the process that sweeps the size), as
-    lists in draw order, which may repeat. Which elements are drawn depends
-    on len(items) alone, so every items of one group give the same stream. A consumer of indices that needs the set
-    builds (0,) + tuple(sorted(part)).
-    """
-    population = items[1:]
-    if count is None:
-        return itertools.combinations(population, k - 1)
-    return candidate_draws(seed, k).samples(population, k - 1, count)
-
 
 def candidate_draws(seed: Optional[int], k: int) -> SeededDraws:
-    """The SeededDraws of the sampled k-sets of candidate_sets."""
+    """The draws of the sampled candidates of size k: those of
+    random.Random(f"{seed}:{k}"), the one rule that names a size's stream.
+
+    Sampled sweeps and enumerate_tiles draw the nonzero parts of
+    0-containing k-sets from it, in draw order (they may repeat), as
+    sample(range(1, |G|), k - 1) calls; the case-5 probe draws its size-k
+    candidates as fibers (SeededDraws.fibers). Which elements a sample picks
+    depends on the population's length alone, so a sweep draws the kernel
+    columns CharTable.cols[1:] as the same stream, as their sums.
+    """
     return SeededDraws(f"{seed}:{k}")
 
 
@@ -595,7 +532,14 @@ def enumerate_tiles(
     cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
     by_word: dict[int, Optional[Subgroup]] = {}
     seen: set[tuple[int, ...]] = set()
-    for rest in candidate_sets(range(G.order), k, seed, count):
+    if sampled:
+        # each part summed onto () from 1-tuples: the sample, in draw order
+        singles = [(i,) for i in range(1, G.order)]
+        blocks = candidate_draws(seed, k).sums(singles, k - 1, count, (), SeededDraws.BLOCK)
+        parts = itertools.chain.from_iterable(sums for sums, _ in blocks)
+    else:
+        parts = itertools.combinations(range(1, G.order), k - 1)
+    for rest in parts:
         cand = (0,) + tuple(sorted(rest))
         if sampled:  # draws may repeat
             if cand in seen:

@@ -460,9 +460,11 @@ def test_plans_over_the_candidate_cap_are_refused(capsys, monkeypatch, argv, cou
     import spectile.tiling
 
     # refused before a single candidate is drawn
-    monkeypatch.setattr(spectile.tiling, "candidate_sets", None)
-    monkeypatch.setattr(spectile.harness, "candidate_sets", None)
+    monkeypatch.setattr(spectile.tiling, "index_tables", None)
+    monkeypatch.setattr(spectile.tiling, "candidate_draws", None)
     monkeypatch.setattr(spectile.harness, "candidate_draws", None)
+    monkeypatch.setattr(spectile.tiling.SeededDraws, "sums", None)
+    monkeypatch.setattr(spectile.tiling.SeededDraws, "fibers", None)
     monkeypatch.setattr(spectile.harness, "leaf_tables", None)
     assert main(argv + ["--seed", "1"]) == EXIT_USAGE
     captured = capsys.readouterr()

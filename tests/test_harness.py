@@ -201,7 +201,7 @@ def test_a_pooled_sampled_sweep_draws_nothing_in_the_parent(z36, monkeypatch):
     plan = dict(group=z36, sizes=(2, 6, 9), seed=11, count_per_size=300)
     serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
     parent = os.getpid()
-    for name in ("sums", "samples"):
+    for name in ("sums", "fibers"):
         draw = getattr(SeededDraws, name)
 
         def guarded(self, *args, draw=draw, name=name):
@@ -477,7 +477,9 @@ def test_sampled_plans_and_probes_over_the_cap_are_refused(z36, monkeypatch):
 
     # refused before a table is built or a candidate drawn
     monkeypatch.setattr(harness, "index_tables", None)
-    monkeypatch.setattr(harness, "candidate_sets", None)
+    monkeypatch.setattr(harness, "candidate_draws", None)
+    monkeypatch.setattr(SeededDraws, "sums", None)
+    monkeypatch.setattr(SeededDraws, "fibers", None)
     with pytest.raises(InvalidArgument, match="3000000000000 candidates"):
         VerificationPlan(group=z36, sizes=(9, 12, 18), seed=1, count_per_size=10**12)
     VerificationPlan(group=z36, sizes=(9, 12, 18), seed=1, count_per_size=10**7)

@@ -33,7 +33,7 @@ from spectile.groups import Subgroup, coset_id_table, index_tables
 from spectile.tiling import (
     SeededDraws,
     _sample_plan,
-    candidate_sets,
+    candidate_draws,
     subgroup_transversal,
     tiling_complement,
 )
@@ -238,7 +238,10 @@ def test_enumerate_tiles_below_the_default_budget_decides_each_set():
 def test_enumerate_tiles_over_the_candidate_cap_is_refused(z36, monkeypatch):
     import spectile.tiling
 
-    monkeypatch.setattr(spectile.tiling, "candidate_sets", None)
+    # refused before a table is built or a candidate drawn
+    monkeypatch.setattr(spectile.tiling, "index_tables", None)
+    monkeypatch.setattr(spectile.tiling, "candidate_draws", None)
+    monkeypatch.setattr(SeededDraws, "sums", None)
     # C(35, 17) 0-containing 18-sets
     with pytest.raises(InvalidArgument, match="4537567650 candidates"):
         next(enumerate_tiles(z36, 18))
@@ -439,26 +442,38 @@ SAMPLE_SHAPES = [
 SAMPLE_SEEDS = (0, 1, 2, "20260809:9", "7:12")
 
 
+def _drawn(draws, items, k, count, total, cap):
+    """The sums of draws.sums(items, k, count, total, cap), block after block."""
+    return [t for sums, _ in draws.sums(items, k, count, total, cap) for t in sums]
+
+
+def _samples(draws, population, k, count, cap):
+    """count samples of k from population as lists in draw order: summed onto
+    () from 1-tuples, the items of a sample add up to the sample itself."""
+    singles = [(item,) for item in population]
+    return list(map(list, _drawn(draws, singles, k, count, (), cap)))
+
+
 @pytest.mark.parametrize("block", [SeededDraws.BLOCK, 3])
 def test_seeded_draws_are_those_of_random_sample(monkeypatch, block):
-    # a 3-output block runs out inside one sample call; sums draws three
-    # samples of the same stream in blocks of 2, each as its sum onto -1 of
-    # distinct powers of 2, and draws each again while its block is held
+    # a 3-output block runs out inside one sample; sums draws three samples
+    # of the same stream in blocks of 2, each as its sum onto -1 of distinct
+    # powers of 2, and draws each again, out of order, while its block is held
     monkeypatch.setattr(SeededDraws, "BLOCK", block)
     for seed in SAMPLE_SEEDS:
         draws, rng = SeededDraws(seed), random.Random(seed)
         for n, k in SAMPLE_SHAPES:
             for population in (range(n), range(1, n + 1), [f"x{i}" for i in range(n)]):
-                (drawn,) = draws.samples(population, k, 1)
-                assert drawn == rng.sample(population, k), (seed, n, k)
+                drawn = _samples(draws, population, k, 1, 1)
+                assert drawn == [rng.sample(population, k)], (seed, n, k)
             bits = [1 << i for i in range(n)]
             sizes = []
             for sums, again in draws.sums(bits, k, 3, -1, 2):
                 sizes.append(len(sums))
-                for i, total in enumerate(sums):
-                    expected = rng.sample(bits, k)
-                    assert again(i) == expected, (seed, n, k)
-                    assert total == sum(expected, -1), (seed, n, k)
+                expected = [rng.sample(bits, k) for _ in sums]
+                assert sums == [sum(sample, -1) for sample in expected], (seed, n, k)
+                for i in [*reversed(range(len(sums))), 0]:
+                    assert again(i) == tuple(expected[i]), (seed, n, k, i)
             assert sizes == [2, 1]
 
 
@@ -466,36 +481,29 @@ def test_seeded_draws_are_those_of_random_sample(monkeypatch, block):
 def test_seeded_draws_from_whole_outputs_are_those_of_random_sample(k):
     # 1 224 elements read whole 32-bit outputs, shifted inline: 5 and 23 of
     # them take the set branch, 400 the pool branch; 30 samples of 400 run
-    # past one block of outputs
+    # past one block of outputs, in one block of samples or in many, and
+    # samples drawn again out of order may lie past a fetch
     population = range(1, 1225)
     assert _sample_plan(len(population), k)[0] is (k == 400)
     for seed in SAMPLE_SEEDS:
         rng = random.Random(seed)
         expected = [rng.sample(population, k) for _ in range(30)]
-        assert list(SeededDraws(seed).samples(population, k, 30)) == expected
-        draws = SeededDraws(seed)
-        assert [next(draws.samples(population, k, 1)) for _ in range(30)] == expected
+        assert _samples(SeededDraws(seed), population, k, 30, 30) == expected
+        assert _samples(SeededDraws(seed), population, k, 30, 1) == expected
+        blocks = SeededDraws(seed).sums(population, k, 30, 0, 7)
+        for b, (sums, again) in enumerate(blocks):
+            held = expected[7 * b : 7 * b + 7]
+            assert sums == list(map(sum, held)), (seed, b)
+            for i in (len(held) - 1, 0, len(held) // 2):
+                assert again(i) == tuple(held[i]), (seed, b, i)
 
 
 def test_seeded_draws_follow_the_probes_alternating_populations(monkeypatch):
     # case5_nonexistence_probe draws 6 of 9 leaves, then 5 of 25 points (the
     # set branch) or 7 of 49 (the pool branch) per leaf, as one set of
-    # fibers each; interleaved streams of samples draw the same. A 7-output
-    # block runs out inside one stream while the other holds its place, and
-    # inside a set of fibers
+    # fibers each; a 7-output block runs out inside a set of fibers
     for block in (SeededDraws.BLOCK, 7):
         monkeypatch.setattr(SeededDraws, "BLOCK", block)
-        for seed in SAMPLE_SEEDS:
-            draws, rng = SeededDraws(seed), random.Random(seed)
-            streams = SeededDraws(seed)
-            leaf_draws = streams.samples(range(9), 6, 40)
-            point_draws = streams.samples(range(25), 5, 40 * 6)
-            for leaf_sample in leaf_draws:
-                leaves = next(draws.samples(range(9), 6, 1))
-                assert leaf_sample == leaves == rng.sample(range(9), 6)
-                for _ in leaves:
-                    points = rng.sample(range(25), 5)
-                    assert next(draws.samples(range(25), 5, 1)) == next(point_draws) == points
         for q, n in ((5, 25), (7, 49)):
             assert _sample_plan(n, q)[0] is (n == 49)
             # the entries are distinct powers of 2, so a total names its points
@@ -547,12 +555,16 @@ def test_seeded_fibers_refuse_ragged_rows_and_oversized_samples():
 def test_seeded_draws_refuse_what_random_sample_refuses():
     for k in (-1, 4):
         with pytest.raises(ValueError):
-            next(SeededDraws(0).samples(range(3), k, 1))
+            next(SeededDraws(0).sums(range(3), k, 1, 0, 1))
+    # the bound of every draw plan, checked here without a list of 2**32 items
     with pytest.raises(ValueError, match="fewer than 2"):
-        next(SeededDraws(0).samples(range(2**32), 1, 1))
+        _sample_plan(2**32, 1)
 
 
-def test_seeded_draws_raise_the_index_error_of_a_broken_population():
+def test_seeded_draws_refuse_a_population_shorter_than_its_len():
+    # Broken's len is 30, but iterating it yields nothing: sums samples the
+    # items it iterates, so a sample of 5 (the set branch of 30) or of 30
+    # (the pool branch) is refused as oversized, not drawn forever
     class Broken(collections.abc.Sequence):
         def __len__(self):
             return 30
@@ -560,23 +572,23 @@ def test_seeded_draws_raise_the_index_error_of_a_broken_population():
         def __getitem__(self, i):
             raise IndexError(i)
 
-    for k in (5, 30):  # the set branch, then the pool branch
-        with pytest.raises(IndexError):
-            next(SeededDraws(0).samples(Broken(), k, 1))
+    for k in (5, 30):
+        assert _sample_plan(30, k)[0] is (k == 30)
+        with pytest.raises(ValueError, match="Sample larger than population"):
+            next(SeededDraws(0).sums(Broken(), k, 1, 0, 1))
 
 
-def test_candidate_sets_yield_nonzero_parts_as_drawn_or_combined():
-    # the nonzero part of each candidate, unsorted: a sampled draw in draw
-    # order, an exhaustive one as itertools.combinations makes it
+def test_candidate_draws_yield_nonzero_parts_in_draw_order():
+    # the nonzero part of each sampled candidate, unsorted, as enumerate_tiles
+    # draws it: sums of 1-tuples of range(1, |G|) onto (), in one block of
+    # samples or in several
+    singles = [(i,) for i in range(1, 36)]
     for k in (1, 2, 6, 9, 12, 18, 36):
         for s in (0, 5, 20260809):
             rng = random.Random(f"{s}:{k}")
-            expected = [rng.sample(range(1, 36), k - 1) for _ in range(200)]
-            assert list(candidate_sets(range(36), k, s, 200)) == expected
-        if k <= 6:
-            assert list(candidate_sets(range(36), k, None, None)) == list(
-                itertools.combinations(range(1, 36), k - 1)
-            )
+            expected = [tuple(rng.sample(range(1, 36), k - 1)) for _ in range(200)]
+            for cap in (200, 64):
+                assert _drawn(candidate_draws(s, k), singles, k - 1, 200, (), cap) == expected
 
 
 @pytest.mark.parametrize(
@@ -591,14 +603,17 @@ def test_candidate_sets_yield_nonzero_parts_as_drawn_or_combined():
 )
 def test_candidate_sets_of_any_items_pick_the_elements_of_the_index_stream(items):
     # which elements a stream picks depends on len(items) alone, so the
-    # sweep's stream of kernel columns is the index stream, item for item
+    # sweep's stream of kernel columns is the index stream, item for item:
+    # as their sums, and as the parts drawn again from them
     n = len(items)
+    by_index_singles = [(i,) for i in range(1, n)]
+    singles = [(item,) for item in items[1:]]
     for k in range(1, 19):
         for s in (0, 7, 20260809):
-            by_index = candidate_sets(range(n), k, s, 40)
-            got = list(candidate_sets(items, k, s, 40))
-            assert got == [[items[i] for i in part] for part in by_index], (k, s)
-        if k <= 3:
-            got = list(candidate_sets(items, k, None, None))
-            by_index = candidate_sets(range(n), k, None, None)
-            assert got == [tuple(items[i] for i in part) for part in by_index], k
+            by_index = _drawn(candidate_draws(s, k), by_index_singles, k - 1, 40, (), 40)
+            parts = [tuple(items[i] for i in part) for part in by_index]
+            assert _drawn(candidate_draws(s, k), singles, k - 1, 40, (), 40) == parts, (k, s)
+            if isinstance(items[0], int):
+                sums, again = next(candidate_draws(s, k).sums(items[1:], k - 1, 40, 7, 40))
+                assert sums == [sum(part, 7) for part in parts], (k, s)
+                assert [again(i) for i in reversed(range(40))] == parts[::-1], (k, s)
