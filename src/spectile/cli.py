@@ -75,8 +75,7 @@ def parse_set_document(text: str) -> tuple[Group, Multiset]:
         if not isinstance(e, list) or len(e) != len(group.moduli):
             raise InvalidElement(f"element {e!r} has wrong arity for {list(group.moduli)}")
         x = tuple(e)
-        # JSON true/false load as bool, a subclass of int
-        if any(isinstance(c, bool) for c in x) or not group.contains(x):
+        if not group.contains(x):  # refuses JSON true/false too
             raise InvalidElement(f"element {e!r} out of range for {list(group.moduli)}")
         m = 1 if mults is None else mults[i]
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:

@@ -5,14 +5,21 @@ character sum lives in Z[zeta_M] = Z[x]/(Phi_M). Vanishing is decided
 exactly: build the mask polynomial sum_x A(x) x^{<x,g>} and test
 divisibility by the M-th cyclotomic polynomial Phi_M. No floating point
 anywhere; floats appear only in tests as a cross-check.
+
+Two paths compute such sums. The zero-mask kernel (CharTable) decides every
+direction class of a set at once and serves the searches and sweeps.
+char_sum_coeffs, the one exact evaluator of the verifiers and of char_sum,
+reads the exponents <x, g> from per-group exponent rows built from
+coordinates (exponent_rows), never from a CharTable; the two share only the
+reduction modulo Phi_M.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -263,8 +270,8 @@ class CyclotomicInt:
 # zero_mask expands to element bits; a sweep decides a whole block of
 # candidates with a few more, each candidate in its own L-byte slot
 # (decode, which stem_batches feeds). Nothing else reads these tables: the
-# verifiers and multiset zero sets go through char_sum_coeffs, which shares
-# only the reduction modulo Phi_M.
+# verifiers and multiset zero sets go through char_sum_coeffs and its
+# exponent rows, which share only the reduction modulo Phi_M.
 
 
 class CharTable:
@@ -539,30 +546,49 @@ def set_zero_mask(S: Multiset) -> tuple[tuple[int, ...], int]:
 # public operations
 
 
+class _ExponentRows(dict):
+    """The exponent rows of one group, by element g, each built on first use:
+    <x, g> mod M for every element index x, as bytes, or as an array of
+    unsigned ints when M > 255. A row is built from the coordinates by the
+    pairing <x, g> = sum_i (M / n_i) x_i g_i, never from a CharTable."""
+
+    def __init__(self, G: Group):
+        super().__init__()
+        check_table_order(G)
+        self.group = G
+
+    def __missing__(self, g: Element) -> Sequence[int]:
+        G = self.group
+        M = G.exponent
+        # x runs over the product of the coordinate ranges in index order
+        terms = ([M // n * gi * j for j in range(n)] for gi, n in zip(g, G.moduli))
+        exps = [t % M for t in map(sum, itertools.product(*terms))]
+        row = self[g] = bytes(exps) if M <= 255 else array("L", exps)
+        return row
+
+
+@lru_cache(maxsize=None)
+def exponent_rows(G: Group) -> _ExponentRows:
+    """G's exponent rows; a group over MAX_TABLE_ORDER raises Overflow."""
+    return _ExponentRows(G)
+
+
 def char_sum_coeffs(G: Group, A: Multiset, gs: Iterable[Element]) -> Iterator[list[int]]:
     """For each g of gs, the phi(M) coefficients of sum_x A(x) zeta_M^{<x, g>}
     reduced mod Phi_M, exactly; the sum vanishes when all are 0.
 
     The one exact character sum besides the zero-mask kernel, and it reads
-    no CharTable: the pairing <x, g> = sum_i (M / n_i) x_i g_i mod M is
-    taken one coordinate column of A's support at a time, the exponents are
-    counted (list.count for sets, multiplicities added for multisets), and
-    the count polynomial is reduced mod Phi_M. Inputs are not validated.
+    no CharTable: the exponents <x, g> of A's support are read from g's
+    exponent row (exponent_rows) at A's element indices, counted (list.count
+    for sets, multiplicities added for multisets), and the count polynomial
+    is reduced mod Phi_M. Inputs are not validated.
     """
     M = G.exponent
-    weights = [M // n for n in G.moduli]
-    cols = list(zip(*A.mult))
+    rows = exponent_rows(G)
+    idx = list(map(G.index_of, A.mult))
     mults = None if A.is_set else list(A.mult.values())
     for g in gs:
-        terms = [
-            map(operator.mul, col, itertools.repeat(w * gi))
-            for col, w, gi in zip(cols, weights, g)
-            if gi
-        ]
-        if terms:
-            exps = list(map(operator.mod, map(sum, zip(*terms)), itertools.repeat(M)))
-        else:
-            exps = [0] * len(A.mult)
+        exps = list(map(rows[g].__getitem__, idx))
         if mults is None:
             counts = list(map(exps.count, range(M)))
         else:
@@ -573,7 +599,8 @@ def char_sum_coeffs(G: Group, A: Multiset, gs: Iterable[Element]) -> Iterator[li
 
 
 def char_sum(G: Group, A: Multiset, g: Element) -> CyclotomicInt:
-    """sum_x A(x) zeta_M^{<x, g>}, reduced mod Phi_M, exactly."""
+    """sum_x A(x) zeta_M^{<x, g>}, reduced mod Phi_M, exactly. Read from g's
+    exponent row, so a group of order above MAX_TABLE_ORDER raises Overflow."""
     if A.group != G:
         raise GroupMismatch("multiset lives on a different group")
     G.check(g)

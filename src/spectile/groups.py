@@ -80,10 +80,17 @@ class Group:
         return iter(self.elements)
 
     def contains(self, x: Element) -> bool:
+        """True iff x is a tuple of plain ints, one in range(n_i) per factor.
+
+        A bool coordinate is refused: bool is an int subclass (and JSON
+        true/false load as bool), so (True, 0) would pass for (1, 0). check,
+        the Multiset constructor and the set-document parser all refuse
+        through this one test.
+        """
         return (
             isinstance(x, tuple)
             and len(x) == len(self.moduli)
-            and all(isinstance(c, int) and 0 <= c < n for c, n in zip(x, self.moduli))
+            and all(type(c) is int and 0 <= c < n for c, n in zip(x, self.moduli))
         )
 
     def check(self, x: Element) -> None:
@@ -157,14 +164,19 @@ class Multiset:
     hash/compare by (group, contents).
     """
 
-    __slots__ = ("group", "mult", "mass", "_hash", "_zero")  # _zero: cyclotomic.set_zero_mask
+    # _zero: cyclotomic.set_zero_mask; _classes: spectra.is_spectral_pair. Both
+    # hold pure functions of the object, so equality, hashing, copy and
+    # pickle ignore them
+    __slots__ = ("group", "mult", "mass", "_hash", "_zero", "_classes")
 
     def __init__(self, group: Group, mult: Mapping[Element, int]):
         items: dict[Element, int] = {}
+        contains = group.contains
         for x, m in mult.items():
             if not isinstance(m, int) or m < 1:
                 raise InvalidArgument(f"multiplicity of {x!r} must be a positive int, got {m!r}")
-            group.check(x)
+            if not contains(x):
+                raise GroupMismatch(f"{x!r} is not an element of {group!r}")
             items[x] = m
         self._fill(group, items, sum(items.values()))
 
@@ -174,6 +186,7 @@ class Multiset:
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_zero", None)
+        object.__setattr__(self, "_classes", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Multiset is immutable")

@@ -784,21 +784,33 @@ class ConstructedComplement:
     tag: ComplementConstruction
 
 
+# the (spectrum, complement) tags of a set with a subgroup complement, by the
+# divisibility case of its size (structure.classify_case), as the paper finds them
+_CASE_TAGS = {
+    CaseKind.TRIVIAL: (SpectrumConstruction.SEARCH_FALLBACK, ComplementConstruction.WHOLE_GROUP),
+    CaseKind.PRIME: (SpectrumConstruction.PRIME_CYCLE, ComplementConstruction.SUBGROUP_FIRST),
+    CaseKind.PRIME_SQUARE: (
+        SpectrumConstruction.SYLOW_DUAL,
+        ComplementConstruction.SYLOW_SUBGROUP,
+    ),
+    CaseKind.COPRIME_PRODUCT: (
+        SpectrumConstruction.COPRIME_CYCLE,
+        ComplementConstruction.COPRIME_SUBGROUP,
+    ),
+    CaseKind.SQUARE_TIMES_PRIME: (
+        SpectrumConstruction.MIXED_SUBGROUP,
+        ComplementConstruction.PRIME_SUBGROUP,
+    ),
+}
+
+
 def _case_tags(shape: PQShape, S: Multiset) -> tuple[SpectrumConstruction, ComplementConstruction]:
-    """The (spectrum, complement) tags of a set S with a subgroup complement,
-    by the divisibility case of |S| (structure.classify_case), as the paper
-    finds them. Sizes 1 and |G| tile by the whole group and by {0}; their
+    """The (spectrum, complement) tags of a set S with a subgroup complement
+    (_CASE_TAGS). Sizes 1 and |G| tile by the whole group and by {0}; their
     spectra, {0} and G, are left to the search."""
-    SC, CC = SpectrumConstruction, ComplementConstruction
     if S.mass == shape.group.order:  # classify_case refuses gcd |G|
-        return SC.SEARCH_FALLBACK, CC.WHOLE_GROUP
-    return {
-        CaseKind.TRIVIAL: (SC.SEARCH_FALLBACK, CC.WHOLE_GROUP),
-        CaseKind.PRIME: (SC.PRIME_CYCLE, CC.SUBGROUP_FIRST),
-        CaseKind.PRIME_SQUARE: (SC.SYLOW_DUAL, CC.SYLOW_SUBGROUP),
-        CaseKind.COPRIME_PRODUCT: (SC.COPRIME_CYCLE, CC.COPRIME_SUBGROUP),
-        CaseKind.SQUARE_TIMES_PRIME: (SC.MIXED_SUBGROUP, CC.PRIME_SUBGROUP),
-    }[classify_case(shape, S).kind]
+        return SpectrumConstruction.SEARCH_FALLBACK, ComplementConstruction.WHOLE_GROUP
+    return _CASE_TAGS[classify_case(shape, S).kind]
 
 
 def tile_to_spectrum(

@@ -9,9 +9,12 @@ node budget, so a missing spectrum is only ever reported after exhaustion.
 spectrum_search is the one spectrum search: it works on element indices and
 a zero mask, and both find_spectrum and the verification sweeps call it.
 is_spectral_pair is the independent check every returned witness passes: it
-never reads the zero mask or its character table, but evaluates the exact
-character sum of S (cyclotomic.char_sum_coeffs) once per direction class of
-L - L.
+never reads the zero mask (set_zero_mask, Multiset._zero) or a CharTable.
+It finds the direction classes of L - L on the IndexTables subtraction rows
+and evaluates the exact character sum of S once per class
+(cyclotomic.char_sum_coeffs, from exponent rows built from coordinates).
+Both are computed once per object: a Multiset keeps its class verdicts as S
+and its difference classes as L (_classes).
 """
 
 from __future__ import annotations
@@ -41,8 +44,31 @@ class SpectrumWitness:
     checked_pairs: int
 
 
+def _classes(A: Multiset) -> list:
+    """A's per-object cache of is_spectral_pair, built on first use:
+    [verdicts, differences]. verdicts maps each direction class evaluated so
+    far on A as the first argument to whether A's character sum vanishes
+    there; differences is the frozenset of direction classes of A - A once A
+    has been the second argument, else None. Both are functions of A alone,
+    so an equal Multiset computes its own and copies and pickles start
+    empty."""
+    got = A._classes
+    if got is None:
+        got = [{}, None]
+        object.__setattr__(A, "_classes", got)
+    return got
+
+
 def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
-    """True iff |S| = |L|, L is a set and every nonzero difference of L kills S-hat."""
+    """True iff |S| = |L|, L is a set and every nonzero difference of L kills S-hat.
+
+    The sums at the generators of <d> are Galois conjugates of the sum at d,
+    so L is a spectrum of S exactly when S's character sum vanishes on every
+    direction class of L - L. Each class of a set's differences is found once
+    per L, and each class's verdict is evaluated once per S
+    (char_sum_coeffs at the class representative), so checking one witness
+    again, or one S against several L, costs only what is new.
+    """
     if S.group != L.group:
         raise GroupMismatch("S and L live on different groups")
     if S.mass != L.mass or not L.is_set:
@@ -51,16 +77,26 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
         return True  # no nonzero difference
     G = S.group
     tables = index_tables(G)
-    sub_rows, direction_of = tables.sub_rows, tables.direction_of
-    idx = list(map(G.index_of, L.mult))
-    # the sums at the generators of <d> are Galois conjugates of the sum at
-    # d, so one evaluation per direction class of L - L decides every
-    # difference; -d shares d's class, so half the differences suffice
-    classes = set()
-    for i, a in enumerate(idx, 1):
-        classes.update(map(direction_of.__getitem__, map(sub_rows[a].__getitem__, idx[i:])))
-    reps = [G.elements[tables.direction_classes[c][0]] for c in classes]
-    return not any(map(any, char_sum_coeffs(G, S, reps)))
+    cached = _classes(L)
+    classes = cached[1]
+    if classes is None:
+        sub_rows, direction_of = tables.sub_rows, tables.direction_of
+        idx = list(map(G.index_of, L.mult))
+        # -d shares d's class, so half the differences suffice
+        found = set()
+        for i, a in enumerate(idx, 1):
+            found.update(map(direction_of.__getitem__, map(sub_rows[a].__getitem__, idx[i:])))
+        classes = cached[1] = frozenset(found)
+    verdicts = _classes(S)[0]
+    if False in map(verdicts.get, classes):
+        return False
+    todo = [c for c in classes if c not in verdicts]
+    reps = [G.elements[tables.direction_classes[c][0]] for c in todo]
+    for c, coeffs in zip(todo, char_sum_coeffs(G, S, reps)):
+        verdicts[c] = vanishes = not any(coeffs)
+        if not vanishes:
+            return False
+    return True
 
 
 class _Found(Exception):

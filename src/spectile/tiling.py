@@ -12,7 +12,9 @@ with the fewest remaining options.
 tiling_complement, a subgroup first and exact cover second, is the one tiling
 policy of the sweeps, enumerate_tiles (both on the same candidates: seeded
 draws, or itertools.combinations of the nonzero elements) and
-find_tiling_complement. is_tiling_pair, on coordinate sums, checks every witness.
+find_tiling_complement. is_tiling_pair checks every witness: it reads the sums
+s + t as element indices from the IndexTables addition rows, never from a
+zero mask or a CharTable.
 
 Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
 SeededDraws, on the stream candidate_draws names: the draws of
@@ -63,8 +65,10 @@ class ComplementWitness:
 def is_tiling_pair(S: Multiset, T: Multiset) -> bool:
     """True iff |S| |T| = |G| and S + T covers every element exactly once.
 
-    For sets with |S| |T| = |G| that holds exactly when the |G| coordinate
-    sums s + t are distinct.
+    For sets with |S| |T| = |G| that holds exactly when the |G| sums s + t
+    are distinct. They are read as element indices from the addition rows of
+    the group's IndexTables, one row per element of S, and never from a zero
+    mask or a CharTable.
     """
     if S.group != T.group:
         raise GroupMismatch("S and T live on different groups")
@@ -73,8 +77,12 @@ def is_tiling_pair(S: Multiset, T: Multiset) -> bool:
         return False
     if not (S.is_set and T.is_set):
         return False
-    ss, ts = zip(*itertools.product(S.mult, T.mult))
-    return len(set(G.add_each(ss, ts))) == G.order
+    add_rows = index_tables(G).add_rows
+    t_idx = list(map(G.index_of, T.mult))
+    sums: set[int] = set()
+    for s in map(G.index_of, S.mult):
+        sums.update(map(add_rows[s].__getitem__, t_idx))
+    return len(sums) == G.order
 
 
 class _OutOfBudget(Exception):

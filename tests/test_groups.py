@@ -360,6 +360,20 @@ def test_multiset_basics(z6):
     assert Multiset.set_of(z6, [(0, 0), (0, 0)]).mass == 1
 
 
+def test_bool_coordinates_are_not_elements(z6):
+    # bool is an int subclass: (True, 0) == (1, 0), so a bool coordinate
+    # would pass the range test and name another element
+    for x in [(True, 0), (0, False), (False, True)]:
+        assert not z6.contains(x)
+        with pytest.raises(GroupMismatch):
+            z6.check(x)
+        with pytest.raises(GroupMismatch):
+            Multiset.set_of(z6, [(1, 1), x])
+        with pytest.raises(GroupMismatch):
+            Multiset(z6, {x: 1})
+    assert z6.contains((1, 0)) and Multiset.set_of(z6, [(0, 0), (1, 0)]).mass == 2
+
+
 def test_of_indices_equals_set_of_the_coordinates(z36):
     rng = random.Random(3)
     for G in (z36, make_group([8]), groups.Group((2, 1, 3))):

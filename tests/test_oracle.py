@@ -5,9 +5,12 @@ counts the exponents of each character sum, and reduces the count vectors
 modulo Phi_M by the remainders of x^t by sympy's cyclotomic polynomial. It
 shares no code with spectile's character sums and evaluates every g (not
 one per direction class). It works in Python ints, so it stays exact at any
-mass, multiplicities of 2^32 and more included.
+mass, multiplicities of 2^32 and more included. The tiling oracle counts the
+coordinate sums s + t by plain modular arithmetic.
 """
 
+import copy
+import pickle
 import random
 from functools import lru_cache
 
@@ -22,9 +25,12 @@ from spectile import (
     char_sum_vanishes,
     find_spectrum,
     is_spectral_pair,
+    is_tiling_pair,
     make_group,
     zero_set,
 )
+from spectile import cyclotomic, spectra, tiling
+from spectile.cyclotomic import CharTable
 
 GROUPS = [(2, 2, 3, 3), (3, 3, 5, 5), (25,), (3, 3, 3, 3, 3)]
 BIG = 1 << 32
@@ -105,6 +111,43 @@ def _random_subgroups(G, rng):
     return out
 
 
+def _transversal(G, H, rng):
+    """A random transversal of the subgroup H: 0 and one element of every
+    other coset."""
+    coset_of = {}
+    for i in rng.sample(range(1, G.order), G.order - 1):
+        coset = frozenset(_add(G, G.elements[i], h) for h in H)
+        if G.identity not in coset:
+            coset_of.setdefault(coset, G.elements[i])
+    return Multiset.set_of(G, [G.identity, *coset_of.values()])
+
+
+def _perp(G, H):
+    """H^perp: the g with <h, g> = 0 for every h of H, by a plain coordinate sum."""
+    M = G.exponent
+    weights = [M // n for n in G.moduli]
+    return [
+        g
+        for g in G.elements
+        if all(sum(w * a * b for w, a, b in zip(weights, h, g)) % M == 0 for h in H)
+    ]
+
+
+def _oracle_tiling_pair(G, S, T):
+    """S + T covers every element exactly once: the coordinate sums s + t,
+    counted with multiplicity S(s) T(t), hit each element of G once."""
+    counts = {}
+    for s, a in S.mult.items():
+        for t, b in T.mult.items():
+            x = _add(G, s, t)
+            counts[x] = counts.get(x, 0) + a * b
+    return len(counts) == G.order and set(counts.values()) == {1}
+
+
+def _pickled(A):
+    return pickle.loads(pickle.dumps(A))
+
+
 def _coset_sums(G, rng):
     """Multisets with large zero sets: weighted sums of subgroup cosets,
     weights from 1 up to past 2^32."""
@@ -147,15 +190,7 @@ def test_is_spectral_pair_matches_the_oracle(moduli):
     rng = random.Random(sum(moduli))
     n = G.order
     subgroups = _random_subgroups(G, rng)
-    # a random transversal of each subgroup: 0 and one element of every other coset
-    transversals = []
-    for H in subgroups:
-        coset_of = {}
-        for i in rng.sample(range(1, n), n - 1):
-            coset = frozenset(_add(G, G.elements[i], h) for h in H)
-            if G.identity not in coset:
-                coset_of.setdefault(coset, G.elements[i])
-        transversals.append(Multiset.set_of(G, [G.identity, *coset_of.values()]))
+    transversals = [_transversal(G, H, rng) for H in subgroups]
     basis = [tuple(int(i == j) for i in range(len(moduli))) for j in range(len(moduli))]
     cands = [Multiset.set_of(G, H) for H in subgroups] + transversals
     cands.append(Multiset.set_of(G, [G.identity] + basis))
@@ -189,6 +224,119 @@ def test_is_spectral_pair_matches_the_oracle(moduli):
     zs = _oracle_zero_set(G, _oracle_sums(G, S2))
     for cand in (L, Multiset.of_indices(G, rng.sample(range(n), S2.mass))):
         assert is_spectral_pair(S2, cand) == _oracle_spectral_pair(G, S2, zs, cand)
+
+
+@pytest.mark.parametrize("moduli", GROUPS, ids=lambda m: ",".join(map(str, m)))
+def test_is_tiling_pair_matches_the_oracle(moduli):
+    G = make_group(moduli)
+    rng = random.Random(sum(moduli) + 1)
+    pairs, kinds = [], []
+    for H in _random_subgroups(G, rng):
+        S, T = _transversal(G, H, rng), Multiset.set_of(G, H)
+        outside_T = [x for x in G.elements if x not in T.mult]
+        outside_S = [x for x in G.elements if x not in S.mult]
+        # a transversal with its subgroup
+        pairs.append((S, T))
+        kinds.append("tile")
+        # one element of T swapped for an outsider: |S| |T| = |G| still
+        for _ in range(3):
+            drop, add = rng.choice(T.support[1:]), rng.choice(outside_T)
+            pairs.append((S, Multiset.set_of(G, [x for x in T.support if x != drop] + [add])))
+            kinds.append("swapped")
+        # masses whose product is not |G|, and a multiset whose mass is |T|:
+        # 0 twice, T's last element dropped
+        pairs.append((S, Multiset.set_of(G, T.support[:-1])))
+        pairs.append((Multiset.set_of(G, [*S.support, rng.choice(outside_S)]), T))
+        pairs.append((S, Multiset(G, {**dict.fromkeys(T.support[:-1], 1), G.identity: 2})))
+        kinds += ["mass"] * 3
+    verdicts = {}
+    for (S, T), kind in zip(pairs, kinds):
+        for A, B in ((S, T), (T, S)):
+            expected = _oracle_tiling_pair(G, A, B)
+            assert is_tiling_pair(A, B) == expected, (A, B)
+            verdicts.setdefault(kind, set()).add(expected)
+    assert verdicts["tile"] == {True} and verdicts["mass"] == {False}
+    assert False in verdicts["swapped"]
+
+
+@pytest.mark.parametrize("moduli", GROUPS, ids=lambda m: ",".join(map(str, m)))
+def test_checks_read_no_zero_mask_and_cache_per_object(moduli, monkeypatch):
+    """Both checks decide fresh multisets as the oracles do with every
+    CharTable access, set_zero_mask and the zero-mask slot made to raise;
+    the per-object cache of is_spectral_pair never answers for another set,
+    and copies and pickles compare and hash equal."""
+    G = make_group(moduli)
+    rng = random.Random(sum(moduli) + 2)
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a check read the zero mask or its character table")
+
+    monkeypatch.setattr(CharTable, "__getattribute__", refused)
+    monkeypatch.setattr(cyclotomic, "char_table", refused)
+    for module in (cyclotomic, spectra, tiling):
+        monkeypatch.setattr(module, "set_zero_mask", refused)
+    # the slot may be cleared (every constructor does) but not read
+    monkeypatch.setattr(
+        Multiset, "_zero", property(refused, lambda _self, value: value is None or refused())
+    )
+
+    def fresh(A):
+        return Multiset(G, dict(A.mult))
+
+    other_served, filled = [], {}
+    for H in _random_subgroups(G, rng):
+        S, lam = _transversal(G, H, rng), Multiset.set_of(G, _perp(G, H))
+        zs = _oracle_zero_set(G, _oracle_sums(G, S))
+        assert _oracle_spectral_pair(G, S, zs, lam)
+        # lam with one element swapped, until the oracle refuses it
+        outside = [x for x in G.elements if x not in lam.mult]
+        for _ in range(50):
+            drop, add = rng.choice(lam.support[1:]), rng.choice(outside)
+            bad = Multiset.set_of(G, [x for x in lam.support if x != drop] + [add])
+            if not _oracle_spectral_pair(G, S, zs, bad):
+                break
+        else:
+            pytest.fail("no swapped non-spectrum found")
+        # another set of the same size, which lam may or may not serve
+        other = Multiset.of_indices(G, [0, *rng.sample(range(1, G.order), S.mass - 1)])
+        other_zs = _oracle_zero_set(G, _oracle_sums(G, other))
+        expected = {
+            (S, lam): True,
+            (S, bad): False,
+            (other, lam): _oracle_spectral_pair(G, other, other_zs, lam),
+        }
+        other_served.append(expected[other, lam])
+        # one S against a non-spectrum, then a spectrum, and the reverse; one
+        # L against two sets, in both orders; each order on fresh objects
+        for order in (
+            [(S, bad), (S, lam)],
+            [(S, lam), (S, bad)],
+            [(S, lam), (other, lam)],
+            [(other, lam), (S, lam)],
+        ):
+            copies = {A: fresh(A) for pair in order for A in pair}
+            for A, L in order:
+                assert is_spectral_pair(copies[A], copies[L]) == expected[A, L], (A, L)
+                assert is_spectral_pair(copies[A], copies[L]) == expected[A, L], (A, L)
+            filled.update(copies)
+        T, H_set = fresh(S), Multiset.set_of(G, H)
+        assert is_tiling_pair(T, H_set) and is_tiling_pair(H_set, T)
+        assert is_tiling_pair(T, lam) == _oracle_tiling_pair(G, S, lam)
+    monkeypatch.undo()
+    assert False in other_served
+
+    # copies and pickles of objects whose caches are filled: equal, with
+    # empty caches, and giving the same answers
+    assert filled[S]._classes[0] and filled[lam]._classes[1]
+    twins = {}
+    for A in (S, lam, bad, other):
+        assert filled[A]._classes is not None
+        twins[A] = [f(filled[A]) for f in (copy.copy, copy.deepcopy, _pickled)]
+        for twin in twins[A]:
+            assert twin == A and hash(twin) == hash(A) and twin._classes is None
+    for (A, L), verdict in expected.items():
+        for twin_A, twin_L in zip(twins[A], twins[L]):
+            assert is_spectral_pair(twin_A, twin_L) == verdict
 
 
 @pytest.mark.parametrize("M", [6, 15, 25, 3])
