@@ -173,7 +173,7 @@ class Multiset:
         items: dict[Element, int] = {}
         contains = group.contains
         for x, m in mult.items():
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise InvalidArgument(f"multiplicity of {x!r} must be a positive int, got {m!r}")
             if not contains(x):
                 raise GroupMismatch(f"{x!r} is not an element of {group!r}")
@@ -199,15 +199,15 @@ class Multiset:
     def from_elements(cls, group: Group, elems: Iterable[Element]) -> "Multiset":
         """Count occurrences; repeated inputs become multiplicities."""
         counts: dict[Element, int] = {}
-        for x in elems:
-            x = tuple(x)
+        for x in _checked_elements(group, elems):
             counts[x] = counts.get(x, 0) + 1
-        return cls(group, counts)
+        return cls._of(group, counts, sum(counts.values()))
 
     @classmethod
     def set_of(cls, group: Group, elems: Iterable[Element]) -> "Multiset":
         """A 0/1 multiset; duplicated inputs collapse to multiplicity 1."""
-        return cls(group, dict.fromkeys((tuple(x) for x in elems), 1))
+        items = dict.fromkeys(_checked_elements(group, elems), 1)
+        return cls._of(group, items, len(items))
 
     @classmethod
     def of_indices(cls, group: Group, idx: Iterable[int]) -> "Multiset":
@@ -224,8 +224,14 @@ class Multiset:
             bad = next(i for i in idx if not 0 <= i < n)
             raise GroupMismatch(f"{bad!r} is not an element index of {group!r}")
         items = dict.fromkeys(map(group.elements.__getitem__, idx), 1)
+        return cls._of(group, items, len(items))
+
+    @classmethod
+    def _of(cls, group: Group, items: dict[Element, int], mass: int) -> "Multiset":
+        """The multiset of items, whose elements and multiplicities are
+        already checked, without the constructor's checks."""
         out = cls.__new__(cls)
-        out._fill(group, items, len(items))
+        out._fill(group, items, mass)
         return out
 
     @property
@@ -266,6 +272,18 @@ class Multiset:
         if self.is_set:
             return f"Multiset.set_of({self.group!r}, {sorted(self.mult)!r})"
         return f"Multiset({self.group!r}, {dict(sorted(self.mult.items()))!r})"
+
+
+def _checked_elements(group: Group, elems: Iterable[Element]) -> Iterator[Element]:
+    """tuple(x) for each x of elems, each checked with Group.contains before
+    equal keys merge: (0, False) == (0, 0), so a dict would merge a bool
+    coordinate into a valid element before the constructor saw it."""
+    contains = group.contains
+    for x in elems:
+        x = tuple(x)
+        if not contains(x):
+            raise GroupMismatch(f"{x!r} is not an element of {group!r}")
+        yield x
 
 
 @dataclass(frozen=True, order=True)

@@ -3,13 +3,9 @@
 verify_fuglede decides spectrality and tiling for every candidate set and
 tallies agreement; any disagreement is recorded with full witness data. The
 same pass tallies the subgroup-complement claim: a tile found only by exact
-cover is a violation of it. The sweep decides on element indices, the sets
-of enumerate_tiles in its order (the seeded draws of tiling.candidate_draws,
-or itertools.combinations of the nonzero elements), with the
-routines of the public per-set operations, once per zero set: both
-verdicts of a k-set are functions of its zero mask (CharTable.zero_mask),
-and so of the class word the mask expands from (CharTable.class_word, one
-bit per direction class).
+cover is a violation of it. Both verdicts of a k-set are functions of its
+zero mask (CharTable.zero_mask), and so of the class word the mask expands
+from (CharTable.class_word, one bit per direction class).
 One memo per group and size (_memo), keyed by the word as L little-endian
 bytes (CharTable.key_bytes), holds the verdict of spectra.spectrum_search
 and the outcome of tiling.tiling_complement, whose exact cover does not
@@ -20,26 +16,20 @@ every other word keeps a (verdict, nodes, tile) tuple. The mask is
 expanded from the word only off the settled path. Both verdicts are
 invariant under the automorphisms of G, which permute the direction
 classes, so an exhaustive walk that settles a word settles the word's
-whole orbit with it (_sweep_state).
+whole orbit with it (_sweep_chunk).
 
-An exhaustive sweep walks stems (_walk_stems): a stem is the first k - 3
-indices of a nonzero part, and its batch every (d, last) pair above the
-stem's largest index, in combinations order (single columns at size 2,
-one candidate at size 1; CharTable.batch_depth). CharTable.stem_batches
-gives a whole batch's keys from a few big-int operations on packed
-tables, one L-byte slot per candidate (CharTable.decode), and one map of
-the memo's lookup reads them. Sampled draws and canonicalized parts go
-through _sweep_chunk in blocks of kernel sums that the same decode reads: a
-sampled sweep draws the sums themselves from CharTable.cols, which draws
-as range(|G|) does, since which items a draw picks depends only on how
-many there are, and parts are summed from their kernel columns. A
-candidate whose word is settled, in this sweep or any earlier one of the
-process, is tallied as a count per verdict (a batch of them with
-list.count) and is never sorted into a set; every other candidate goes to
-the one slow path (_sweep_state), which sorts it into its set and tallies
-it on its own, in enumeration order. _sweep_chunk builds its nonzero part
-for it alone: a draw is drawn again, and columns are mapped back to
-indices (CharTable.col_index).
+Every size's candidates travel in one form, the (keys, part) blocks of
+tiling, in the order enumerate_tiles lists them: keys[i] is candidate i's
+memo key, and part(i) its nonzero part as element indices, built only when
+asked. There is one producer per source: an exhaustive size walks stems
+(tiling._stem_blocks, one CharTable.stem_batches batch per stem), a sampled
+size draws kernel sums (tiling._draw_blocks), and a canonicalized size keeps
+the parts that no automorphism lowers (tiling._part_blocks). One loop,
+_sweep_chunk, tallies them all. A candidate whose word is settled, in this
+sweep or any earlier one of the process, is tallied as a count per verdict
+(a block of them with list.count) and never has its part built; every
+other candidate goes to the one slow path, which sorts its part into its
+set and tallies it on its own, in enumeration order.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -62,7 +52,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import char_table, set_zero_mask
 from .errors import (
@@ -95,6 +85,9 @@ from .structure import CaseKind, LeafTables, PQShape, aligned_leaves, classify_c
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
+    _draw_blocks,
+    _part_blocks,
+    _stem_blocks,
     candidate_draws,
     find_tiling_complement,
     is_tiling_pair,
@@ -144,7 +137,7 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     automorphism psi' adjoint to psi^-1 under the pairing, so the words
     realised at each size, the partners of the tiling criterion and the
     annihilators H^perp are each mapped onto themselves. A stem walk
-    therefore settles a word's whole orbit at once (_sweep_state).
+    therefore settles a word's whole orbit at once (_sweep_chunk).
     """
     return {}
 
@@ -371,35 +364,6 @@ class VerificationReport:
         return doc
 
 
-def _enumerate_candidates(plan: VerificationPlan, k: int) -> Iterable:
-    """The plan's candidate 0-containing k-sets as the blocks of
-    _sweep_chunk: seeded draws (tiling.candidate_draws) as sums over the
-    kernel columns (SeededDraws.sums), and the parts of
-    itertools.combinations(range(1, |G|), k - 1) that canonicalize keeps as
-    columns (_part_blocks).
-
-    canonicalize keeps a set that no automorphism maps to a lexicographically
-    smaller one, over every element permutation of Aut(G)
-    (groups.automorphism_index_perms, the closure of the generators).
-    Automorphisms fix 0, so the image of (0,) + rest is (0,) plus the sorted
-    image of rest, and comparing nonzero parts of indices decides it; a kept
-    part is then mapped to its columns.
-    """
-    G = plan.group
-    cols = char_table(G).cols
-    if not plan.canonicalize:
-        draws = candidate_draws(plan.seed, k)
-        base = char_table(G).sum_base(k)
-        return draws.sums(cols[1:], k - 1, plan.count_per_size, base, _DECODE_BLOCK)
-    perms = automorphism_index_perms(G)
-    parts = (
-        list(map(cols.__getitem__, rest))
-        for rest in itertools.combinations(range(1, G.order), k - 1)
-        if all(tuple(sorted(map(perm.__getitem__, rest))) >= rest for perm in perms)
-    )
-    return _part_blocks(G, k, parts)
-
-
 def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
     return [list(G.elements[i]) for i in cand]
 
@@ -434,35 +398,43 @@ def _mismatch_entry(
     }
 
 
-def _sweep_state(
-    G: Group, k: int, budget: int, orbits: bool = False
-) -> tuple[SizeTally, Callable, tuple, Callable]:
-    """What both sweep loops share for size k: (tally, get, settled, slow).
+def _sweep_chunk(
+    G: Group, k: int, blocks: Iterable[tuple], budget: int, orbits: bool = False
+) -> SizeTally:
+    """Decide both properties for each candidate and tally the verdicts: the
+    one tally loop of the sweeps.
 
-    get is the memo's lookup by key (_memo). settled is the (no, yes) pair of
-    entries that a candidate is counted from, by an identity test or a
-    batch's list.count (SizeTally.add_settled folds the counts in when the
-    loop ends); that
-    takes a budget of at least DEFAULT_BUDGET, and below it a sentinel
-    matches none. slow(rest, key) tallies every other candidate on its own:
-    it sorts the nonzero part rest into its set, expands the word of key to
-    the zero mask for the decisions, and appends any undecided entry,
-    violation or mismatch, so each loop must call it in enumeration order.
+    Candidates come in the (keys, part) blocks of tiling (_stem_blocks,
+    _draw_blocks, _part_blocks): keys[i] is candidate i's memo key (_memo),
+    and part(i) its nonzero part as element indices, built only when asked.
+    One map of the memo's lookup reads a block's keys, and list.count
+    counts the candidates whose entry is settled, False or True, which
+    SizeTally.add_settled folds in when the loop ends. That takes a budget
+    of at least DEFAULT_BUDGET, and below it a sentinel matches none. A settled entry stays settled, so only the others are
+    looked up again, in order, since the slow path may settle a word that a
+    later candidate shares. The slow path tallies a candidate on its own:
+    it sorts the candidate's part into its set, expands the word of its key
+    to the zero mask for the decisions, and appends any undecided entry,
+    violation or mismatch, in enumeration order.
 
-    With orbits (a stem walk of size k >= 2), a word that slow settles has
-    its orbit under the class generators (IndexTables.class_generators,
-    built at the first such word) searched breadth first, one word at a
-    time and never closing the permutation group, and every image key not
-    yet in the memo gets the same bool; tuple entries are left alone. Both
-    verdicts are orbit invariants (_memo), and each image is the word of a
-    0-containing k-set, which the walk meets, so the memo ends as settling
-    each word alone leaves it. Two conditions make it so. The clique search
-    of every image must fit DEFAULT_BUDGET, so the orbit settles only when
-    _clique_nodes_bounded holds for the mask's size, which an orbit shares.
-    And a sampled or canonicalized sweep meets few of the images, so only a
-    walk settles orbits; elsewhere they would fill the memo with words no
-    candidate reads. The tile side reads as for one word: a cover that
-    finishes for the first set met decides its word, and now the orbit.
+    With orbits (a stem walk of size k >= 2), a word that the slow path
+    settles has its orbit under the class generators
+    (IndexTables.class_generators, built at the first such word) searched
+    breadth first, one word at a time and never closing the permutation
+    group, and every image key not yet in the memo gets the same bool;
+    tuple entries are left alone. Both verdicts are orbit invariants
+    (_memo), and each image is the word of a 0-containing k-set, which the
+    walk meets, so the memo ends as settling each word alone leaves it. Two
+    conditions make it so. The clique search of every image must fit
+    DEFAULT_BUDGET, so the orbit settles only when _clique_nodes_bounded
+    holds for the mask's size, which an orbit shares. And a sampled or
+    canonicalized sweep meets few of the images, so only a walk settles
+    orbits; elsewhere they would fill the memo with words no candidate
+    reads. The tile side reads as for one word: a cover that finishes for
+    the first set met decides its word, and now the orbit. A walk meets
+    every word of each orbit, so on Z_2^2 x Z_3^2 the slow path decides 3,
+    7, 15 and 63 words at sizes 2, 3, 4 and 6, one per orbit, of the 16,
+    41, 139 and 1 778 that the sizes realise.
     """
     kernel = char_table(G)
     tables = index_tables(G)
@@ -471,6 +443,7 @@ def _sweep_state(
     keep_tiles = budget >= DEFAULT_BUDGET
     unmatched = object()
     settled = (False, True) if keep_tiles else (unmatched, unmatched)
+    settled_no, settled_yes = settled
     tally = SizeTally(size=k)
     orbits = orbits and k >= 2
 
@@ -535,40 +508,8 @@ def _sweep_state(
         else:
             tally.both_no += 1
 
-    return tally, get, settled, slow
-
-
-# Candidates per block of _sweep_chunk, so that a sampled sweep holds one
-# block's sums and draws at a time, not a whole size's.
-_DECODE_BLOCK = 4096
-
-
-def _sweep_chunk(
-    G: Group, k: int, blocks: Iterable[tuple[list[int], Callable]], budget: int
-) -> SizeTally:
-    """Decide both properties for each candidate and tally the verdicts.
-
-    Candidates come in blocks (sums, part): sums[i] is CharTable.sum_base(k)
-    plus the kernel columns of candidate i's nonzero part, and part(i) that
-    part as columns, drawn again for a draw (SeededDraws.sums). As in
-    _walk_stems, one packed decode (CharTable.decode) gives a block's memo
-    keys (_memo), one map of the memo's lookup reads them, and list.count
-    counts the settled entries. A settled entry stays settled, so only the
-    others are looked up again, in order, since the slow path (_sweep_state)
-    may settle a word that a later candidate shares; only a candidate off
-    the settled path has its part mapped back to indices
-    (CharTable.col_index). Sampled plans and canonicalized parts take this
-    loop.
-    """
-    kernel = char_table(G)
-    col_index, decode = kernel.col_index, kernel.decode
-    widths, order = itertools.repeat(kernel.key_bytes), itertools.repeat("little")
-    tally, get, settled, slow = _sweep_state(G, k, budget)
-    settled_no, settled_yes = settled
     no = yes = 0  # candidates with a settled word, by verdict
-    for sums, part in blocks:
-        packed = int.from_bytes(b"".join(map(int.to_bytes, sums, widths, order)), "little")
-        keys = decode(packed, len(sums))
+    for keys, part in blocks:
         entries = list(map(get, keys))
         batch_no = entries.count(settled_no)
         batch_yes = entries.count(settled_yes)
@@ -584,82 +525,39 @@ def _sweep_chunk(
             elif entry is settled_yes:
                 yes += 1
             else:
-                slow(list(map(col_index.__getitem__, part(i))), keys[i])
-    tally.add_settled(no, yes)
-    return tally
-
-
-def _part_blocks(G: Group, k: int, parts: Iterable[list[int]]) -> Iterator[tuple]:
-    """Nonzero parts of kernel columns as the blocks of _sweep_chunk, each
-    sum one C-level sum of a part onto CharTable.sum_base(k)."""
-    base = char_table(G).sum_base(k)
-    parts = iter(parts)
-    for block in iter(lambda: list(itertools.islice(parts, _DECODE_BLOCK)), []):
-        yield [sum(part, base) for part in block], block.__getitem__
-
-
-def _walk_stems(G: Group, k: int, stems: Optional[Iterable], budget: int) -> SizeTally:
-    """_sweep_chunk on every candidate of each stem, a batch at a time;
-    stems None walks every stem of size k.
-
-    A stem is the first k - 1 - depth indices of a nonzero part, where depth
-    is CharTable.batch_depth(k): 2, so a stem is a (k - 3)-subset of
-    range(1, |G| - 2) and its batch every (d, last) pair above its largest
-    index; 1 at size 2 (the empty stem, whose batch is every single column)
-    or for a group whose pair tables pass the cap; 0 at size 1, or when the
-    single-column tables pass it too, one candidate per stem. Stems in
-    lexicographic order, and each batch in combinations order, enumerate
-    the parts as itertools.combinations does.
-
-    CharTable.stem_batches gives a batch's keys from a few big-int
-    operations on packed tables. One map of the memo's lookup reads them
-    all; a batch whose entries are all settled is counted with list.count,
-    and any other batch is walked candidate by candidate, in order, each
-    with a fresh lookup, since the slow path (_sweep_state) may settle a
-    word, and with it the word's Aut(G) orbit, that a later candidate of
-    the batch shares. A walk meets every word of each orbit, so on
-    Z_2^2 x Z_3^2 the slow path decides 3, 7, 15 and 63 words at sizes 2,
-    3, 4 and 6, one per orbit, of the 16, 41, 139 and 1 778 that the sizes
-    realise.
-    """
-    kernel = char_table(G)
-    depth = kernel.batch_depth(k)
-    n = G.order
-    if stems is None:
-        stems = itertools.combinations(range(1, n - depth), k - 1 - depth)
-    tally, get, (settled_no, settled_yes), slow = _sweep_state(G, k, budget, orbits=True)
-    no = yes = 0  # candidates with a settled word, by verdict
-    for stem, keys in kernel.stem_batches(k, stems):
-        entries = list(map(get, keys))
-        batch_no = entries.count(settled_no)
-        batch_yes = entries.count(settled_yes)
-        if batch_no + batch_yes == len(entries):
-            no += batch_no
-            yes += batch_yes
-            continue
-        tails = itertools.combinations(range(stem[-1] + 1 if stem else 1, n), depth)
-        for key, tail in zip(keys, tails):
-            entry = get(key)
-            if entry is settled_no:
-                no += 1
-            elif entry is settled_yes:
-                yes += 1
-            else:
-                slow(stem + tail, key)
+                slow(part(i), keys[i])
     tally.add_settled(no, yes)
     return tally
 
 
 def _sweep_job(job: tuple) -> SizeTally:
     """One job (plan, k, stems) of verify_fuglede, run in this process or in
-    a pool's worker. A streamed size (sampled or canonicalized) is always a
-    whole job: its candidates are drawn or filtered here
-    (_enumerate_candidates) and go through _sweep_chunk. An exhaustive size
-    walks stems, every one of size k (stems None) or the given run of them."""
+    a pool's worker: the size-k candidates as tiling's (keys, part) blocks,
+    through the tally loop (_sweep_chunk). A sampled size draws its seeded
+    candidates (_draw_blocks) and a canonicalized size filters the nonzero
+    parts (_part_blocks), each always a whole job. An exhaustive size walks
+    stems (_stem_blocks), every one of size k (stems None) or the given run
+    of them, and settles whole orbits.
+
+    canonicalize keeps a set that no automorphism maps to a lexicographically
+    smaller one, over every element permutation of Aut(G)
+    (groups.automorphism_index_perms, the closure of the generators).
+    Automorphisms fix 0, so the image of (0,) + rest is (0,) plus the sorted
+    image of rest, and comparing nonzero parts of indices decides it.
+    """
     plan, k, stems = job
-    if plan.count_per_size is None and not plan.canonicalize:
-        return _walk_stems(plan.group, k, stems, plan.budget)
-    return _sweep_chunk(plan.group, k, _enumerate_candidates(plan, k), plan.budget)
+    G = plan.group
+    walk = plan.count_per_size is None and not plan.canonicalize
+    if walk:
+        blocks = _stem_blocks(G, k, stems)
+    elif plan.canonicalize:
+        perms = automorphism_index_perms(G)
+        parts = itertools.combinations(range(1, G.order), k - 1)
+        least = (p for p in parts if all(tuple(sorted(map(a.__getitem__, p))) >= p for a in perms))
+        blocks = _part_blocks(G, k, least)
+    else:
+        blocks = _draw_blocks(G, k, plan.seed, plan.count_per_size)
+    return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk)
 
 
 # Candidates per pooled job of stems, on average. A batched candidate costs
@@ -672,7 +570,7 @@ _CHUNK = 1 << 15
 def _stem_jobs(plan: VerificationPlan) -> Iterator[tuple]:
     """The pooled jobs of an exhaustive plan: per size, runs of as many
     stems as hold _CHUNK candidates on average, which the workers batch
-    themselves (_walk_stems)."""
+    themselves (tiling._stem_blocks)."""
     G = plan.group
     n = G.order
     for k in plan.sizes:
@@ -705,7 +603,7 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     tiles themselves are listed by tiling.enumerate_tiles.
 
     A stem walk settles a word's whole orbit under the automorphisms of G
-    with it (_sweep_state): both verdicts are invariant, and the orbit
+    with it (_sweep_chunk): both verdicts are invariant, and the orbit
     settles only when every clique search on it fits DEFAULT_BUDGET nodes,
     sum_{i=1}^{k-1} C(|Z|, i) at most. Sampled and canonicalized sweeps
     settle words one at a time.

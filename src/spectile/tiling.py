@@ -10,17 +10,24 @@ complement contains 0 iff any exists) and branches on the uncovered cell
 with the fewest remaining options.
 
 tiling_complement, a subgroup first and exact cover second, is the one tiling
-policy of the sweeps, enumerate_tiles (both on the same candidates: seeded
-draws, or itertools.combinations of the nonzero elements) and
-find_tiling_complement. is_tiling_pair checks every witness: it reads the sums
-s + t as element indices from the IndexTables addition rows, never from a
-zero mask or a CharTable.
+policy of the sweeps, enumerate_tiles and find_tiling_complement.
+is_tiling_pair checks every witness: it reads the sums s + t as element
+indices from the IndexTables addition rows, never from a zero mask or a
+CharTable.
+
+The sweeps and enumerate_tiles read the same candidates in one form,
+(keys, part) blocks: keys[i] is candidate i's memo key (its class word in
+CharTable.key_bytes little-endian bytes), and part(i) its nonzero part as
+element indices, built only when asked. There is one producer per source:
+_stem_blocks walks every 0-containing k-set in lexicographic order, one
+CharTable.stem_batches batch per stem; _draw_blocks draws a size's seeded
+candidates as kernel sums; and _part_blocks keys given parts, those that
+--canonicalize keeps.
 
 Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
 SeededDraws, on the stream candidate_draws names: the draws of
 random.Random(seed).sample, made from generator outputs fetched a block at
-a time, as their sums (the samples themselves, summed onto () from
-1-tuples) or as sets of fibers.
+a time, as their sums or as sets of fibers.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .cyclotomic import char_table, set_zero_mask
+from .cyclotomic import CharTable, char_table, set_zero_mask
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -339,9 +346,9 @@ class SeededDraws:
         the items of sample i of the block, added in draw order, and sample(i)
         that sample as a tuple, drawn again while the block is held. Summed
         onto () from 1-tuples, items add up to the sample itself, so that is
-        how a sample is drawn again (_block from its first output) and how
-        enumerate_tiles draws its parts. A block starts at the next unused
-        output and keeps its outputs until the next block is drawn.
+        how a sample is drawn again (_block from its first output). A block
+        starts at the next unused output and keeps its outputs until the
+        next block is drawn.
         """
         items = list(items)  # so that only the buffer raises IndexError
         if not 0 <= k <= len(items):
@@ -497,12 +504,84 @@ def candidate_draws(seed: Optional[int], k: int) -> SeededDraws:
 
     Sampled sweeps and enumerate_tiles draw the nonzero parts of
     0-containing k-sets from it, in draw order (they may repeat), as
-    sample(range(1, |G|), k - 1) calls; the case-5 probe draws its size-k
-    candidates as fibers (SeededDraws.fibers). Which elements a sample picks
-    depends on the population's length alone, so a sweep draws the kernel
-    columns CharTable.cols[1:] as the same stream, as their sums.
+    sample(range(1, |G|), k - 1) calls (_draw_blocks); the case-5 probe
+    draws its size-k candidates as fibers (SeededDraws.fibers).
     """
     return SeededDraws(f"{seed}:{k}")
+
+
+# Candidates per block of _draw_blocks and _part_blocks, so that a streamed
+# size holds one block's sums and draws at a time, not a whole size's.
+_DECODE_BLOCK = 4096
+
+
+def _stem_blocks(G: Group, k: int, stems: Optional[Iterable] = None) -> Iterator[tuple]:
+    """Every 0-containing k-set, or those of the given stems, as (keys, part)
+    blocks, one per stem (CharTable.stem_batches); stems None walks every
+    stem of size k.
+
+    A stem is the first k - 1 - depth indices of a nonzero part, where depth
+    is CharTable.batch_depth(k): 2, so a stem is a (k - 3)-subset of
+    range(1, |G| - 2) and its batch every (d, last) pair above its largest
+    index; 1 at size 2 (the empty stem, whose batch is every single column)
+    or for a group whose pair tables pass the cap; 0 at size 1, or when the
+    single-column tables pass it too, one candidate per stem. Stems in
+    lexicographic order, and each batch in combinations order, enumerate
+    the parts as itertools.combinations does. part(i) is the stem plus the
+    batch's i-th tail; the tails are listed on the first call of a block,
+    and part is valid while its block is held.
+    """
+    n = G.order
+    kernel = char_table(G)
+    depth = kernel.batch_depth(k)
+    if stems is None:
+        stems = itertools.combinations(range(1, n - depth), k - 1 - depth)
+    stem = tails = None
+
+    def part(i: int) -> tuple[int, ...]:
+        nonlocal tails
+        if tails is None:
+            tails = list(itertools.combinations(range(stem[-1] + 1 if stem else 1, n), depth))
+        return stem + tails[i]
+
+    for stem, keys in kernel.stem_batches(k, stems):
+        tails = None
+        yield keys, part
+
+
+def _keys(kernel: CharTable, sums: list[int]) -> tuple[bytes, ...]:
+    """The memo keys of a block of sums, each CharTable.sum_base(k) plus the
+    kernel columns of a nonzero part: one to_bytes per sum packs the block
+    into L-byte slots, and one CharTable.decode keys it."""
+    slots = map(int.to_bytes, sums, itertools.repeat(kernel.key_bytes), itertools.repeat("little"))
+    return kernel.decode(int.from_bytes(b"".join(slots), "little"), len(sums))
+
+
+def _draw_blocks(G: Group, k: int, seed: int, count: int) -> Iterator[tuple]:
+    """The count seeded draws of size k (candidate_draws) as (keys, part)
+    blocks of at most _DECODE_BLOCK. Which items a draw picks depends only
+    on how many there are, so the draws of range(1, |G|) are drawn as sums
+    of the kernel columns CharTable.cols[1:] (SeededDraws.sums); part(i)
+    draws sample i again and maps its columns back to element indices
+    (CharTable.col_index), in draw order, while its block is held."""
+    kernel = char_table(G)
+    col_index = kernel.col_index.__getitem__
+    draws = candidate_draws(seed, k)
+    for sums, again in draws.sums(kernel.cols[1:], k - 1, count, kernel.sum_base(k), _DECODE_BLOCK):
+        # a list, since tuple() of a map would fill the tuple free list
+        # (cover_complement)
+        yield _keys(kernel, sums), lambda i, again=again: list(map(col_index, again(i)))
+
+
+def _part_blocks(G: Group, k: int, parts: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
+    """Nonzero parts of element indices as (keys, part) blocks of at most
+    _DECODE_BLOCK, each summed onto CharTable.sum_base(k) with one C-level
+    sum; part(i) is the i-th part of the block as it came."""
+    kernel = char_table(G)
+    cols, base = kernel.cols.__getitem__, kernel.sum_base(k)
+    parts = iter(parts)
+    for block in iter(lambda: list(itertools.islice(parts, _DECODE_BLOCK)), []):
+        yield _keys(kernel, [sum(map(cols, p), base) for p in block]), block.__getitem__
 
 
 def enumerate_tiles(
@@ -514,19 +593,22 @@ def enumerate_tiles(
 ) -> Iterator[tuple[Multiset, ComplementWitness]]:
     """Yield size-k tiles containing 0, each with a complement witness.
 
-    With no count, every 0-containing k-subset is scanned; with a count (at
-    least 1, and a seed), that many seeded random subsets are drawn (the
-    draws of a sampled sweep with the same seed) and the distinct tiles
-    among them are yielded. A size not dividing |G| yields nothing; a plan
-    of more than MAX_CANDIDATES candidates is refused.
+    With no count, every 0-containing k-subset is scanned (_stem_blocks, in
+    lexicographic order); with a count (at least 1, and a seed), that many
+    seeded random subsets are drawn (_draw_blocks, the draws of a sampled
+    sweep with the same seed) and the distinct tiles among them are yielded.
+    A size not dividing |G| yields nothing; a plan of more than
+    MAX_CANDIDATES candidates is refused.
 
     The one tile lister (verify_fuglede only tallies). Whether a set tiles,
-    and its first subgroup complement, are functions of its class word
-    (CharTable.class_word). At budgets of at least DEFAULT_BUDGET a dict of
-    this call keeps each word's outcome, no tile or a subgroup, and does
-    not decide it again; a tile with no subgroup complement gets its own
-    exact cover. Below DEFAULT_BUDGET each set is decided on its own, as in
-    the sweep: cover nodes depend on the set, not on its mask.
+    and its first subgroup complement, are functions of its class word, so
+    of the memo key a block gives it. At budgets of at least DEFAULT_BUDGET
+    a dict of this call keeps each key's outcome, no tile or a subgroup, and
+    does not decide it again: a candidate of a known non-tile key is
+    skipped without building its set, and only the others are sorted,
+    deduplicated and listed. A tile with no subgroup complement gets its
+    own exact cover. Below DEFAULT_BUDGET each set is decided on its own,
+    as in the sweep: cover nodes depend on the set, not on its mask.
     """
     sampled = count is not None
     if sampled and (seed is None or count < 1):
@@ -536,34 +618,28 @@ def enumerate_tiles(
     total = count if sampled else math.comb(G.order - 1, k - 1)
     check_candidates(f"tile enumeration of size {k} on {G!r}", total, sampled)
     tables = index_tables(G)
-    kernel = char_table(G)
-    cols, class_word, expand = kernel.cols, kernel.class_word, kernel.expand
-    by_word: dict[int, Optional[Subgroup]] = {}
+    expand = char_table(G).expand
+    # per key: None for no tile, or the first subgroup complement
+    known: dict[bytes, Optional[Subgroup]] = {}
     seen: set[tuple[int, ...]] = set()
-    if sampled:
-        # each part summed onto () from 1-tuples: the sample, in draw order
-        singles = [(i,) for i in range(1, G.order)]
-        blocks = candidate_draws(seed, k).sums(singles, k - 1, count, (), SeededDraws.BLOCK)
-        parts = itertools.chain.from_iterable(sums for sums, _ in blocks)
-    else:
-        parts = itertools.combinations(range(1, G.order), k - 1)
-    for rest in parts:
-        cand = (0,) + tuple(sorted(rest))
-        if sampled:  # draws may repeat
-            if cand in seen:
+    for keys, part in _draw_blocks(G, k, seed, count) if sampled else _stem_blocks(G, k):
+        for i, key in enumerate(keys):
+            out = known.get(key, False)  # False: not decided in this call
+            if out is None:
                 continue
-            seen.add(cand)
-        word = class_word(sum(map(cols.__getitem__, rest), cols[0]), k)
-        if word in by_word:
-            out = by_word[word]
-        else:
-            out = tiling_complement(tables, cand, expand(word), budget)
-            if out is UNDECIDED:
-                raise InvalidArgument(
-                    f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"
-                )
-            if budget >= DEFAULT_BUDGET and (out is None or isinstance(out, Subgroup)):
-                by_word[word] = out
-        if out is not None:
-            S = Multiset.of_indices(G, cand)
-            yield S, _checked(S, out)
+            cand = (0,) + tuple(sorted(part(i)))
+            if sampled:  # draws may repeat
+                if cand in seen:
+                    continue
+                seen.add(cand)
+            if out is False:
+                out = tiling_complement(tables, cand, expand(int.from_bytes(key, "little")), budget)
+                if out is UNDECIDED:
+                    raise InvalidArgument(
+                        f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"
+                    )
+                if budget >= DEFAULT_BUDGET and (out is None or isinstance(out, Subgroup)):
+                    known[key] = out
+            if out is not None:
+                S = Multiset.of_indices(G, cand)
+                yield S, _checked(S, out)

@@ -374,6 +374,22 @@ def test_bool_coordinates_are_not_elements(z6):
     assert z6.contains((1, 0)) and Multiset.set_of(z6, [(0, 0), (1, 0)]).mass == 2
 
 
+def test_bools_are_refused_before_equal_keys_merge(z6):
+    # True == 1 and (0, False) == (0, 0): a bool multiplicity is refused,
+    # and a bool element is refused whichever order it comes in, before a
+    # dict can merge it into the valid element it equals
+    for mult in ({(0, 0): 1, (1, 0): True}, {(1, 0): True, (0, 0): 1}):
+        with pytest.raises(InvalidArgument, match="positive int"):
+            Multiset(z6, mult)
+    for elems in ([(0, 0), (0, False)], [(0, False), (0, 0)]):
+        with pytest.raises(GroupMismatch):
+            Multiset.from_elements(z6, elems)
+        with pytest.raises(GroupMismatch):
+            Multiset.set_of(z6, elems)
+    assert Multiset.from_elements(z6, [(0, 0), (0, 0), (1, 2)]).mult == {(0, 0): 2, (1, 2): 1}
+    assert Multiset(z6, {(0, 0): 2, (1, 0): 1}).mass == 3
+
+
 def test_of_indices_equals_set_of_the_coordinates(z36):
     rng = random.Random(3)
     for G in (z36, make_group([8]), groups.Group((2, 1, 3))):

@@ -39,7 +39,7 @@ from spectile import (
     tiles_by_subgroup,
     verify_fuglede,
 )
-from spectile import cyclotomic, groups, harness
+from spectile import cyclotomic, groups, harness, tiling
 from spectile.cli import EXIT_USAGE, main
 from spectile.cyclotomic import char_sum_vanishes, char_table
 from spectile.errors import DEFAULT_BUDGET, UNDECIDED, Overflow
@@ -57,7 +57,6 @@ from spectile.harness import (
     _direction_gap_ok,
     _leaf_elements,
     _memo,
-    _part_blocks,
     _sweep_chunk,
     _vanishing_pattern_fails,
 )
@@ -68,7 +67,7 @@ from spectile.structure import (
     leaf_decomposition,
     leaf_tables,
 )
-from spectile.tiling import SeededDraws, cover_complement, tiling_complement
+from spectile.tiling import SeededDraws, _part_blocks, cover_complement, tiling_complement
 
 
 def test_verify_fuglede_z6(z6):
@@ -338,6 +337,33 @@ def test_stem_walks_under_the_table_cap_match_a_per_set_tally(cap, pooled, monke
     assert report.violation_count > 0
 
 
+@pytest.mark.parametrize("cap", ["zero", "single columns"])
+def test_enumerate_tiles_under_the_table_cap_lists_the_sets_that_tile(cap, monkeypatch):
+    # enumerate_tiles walks the sweep's stems: one candidate per stem under
+    # a cap of 0, single-column batches under a cap that holds only those
+    # tables; at every size it lists exactly the sets that
+    # find_tiling_complement tiles, in lexicographic order
+    G = make_group((12,))
+    table = char_table(G)
+    n = G.order
+    singles = 4 * table.key_bytes * math.comb(n, 2)
+    monkeypatch.setattr(cyclotomic, "MAX_BATCH_TABLE_BYTES", 0 if cap == "zero" else singles)
+    sizes = tuple(range(1, n + 1))
+    deepest = 0 if cap == "zero" else 1
+    assert [table.batch_depth(k) for k in sizes] == [min(deepest, k - 1) for k in sizes]
+    listed = 0
+    for k in sizes:
+        tiles = []
+        for rest in itertools.combinations(range(1, n), k - 1):
+            S = Multiset.of_indices(G, (0,) + rest)
+            if find_tiling_complement(S) is not None:
+                tiles.append(S.support)
+        got = [S.support for S, _ in enumerate_tiles(G, k)]
+        assert got == tiles == sorted(tiles), k
+        listed += len(got)
+    assert listed > 0
+
+
 def test_exhaustive_sweeps_walk_heads_without_streaming_candidates(monkeypatch):
     # an exhaustive plan without canonicalize walks stems and never streams
     # its candidates, serial or pooled; with jobs of 3 candidates on
@@ -345,25 +371,27 @@ def test_exhaustive_sweeps_walk_heads_without_streaming_candidates(monkeypatch):
     # Sampled and canonicalized plans still stream theirs.
     G = make_group((12,))
     sizes = tuple(range(1, G.order + 1))
-    enumerate_candidates = harness._enumerate_candidates
     streamed = []
+    exhaustive = [True]  # cleared once the exhaustive plans have run
+    for name in ("_draw_blocks", "_part_blocks"):
+        produce = getattr(harness, name)
 
-    def guarded(plan, k):
-        if plan.count_per_size is None and not plan.canonicalize:
-            raise AssertionError(f"size {k} of an exhaustive plan streamed its candidates")
-        streamed.append((plan.mode, plan.canonicalize, k))
-        return enumerate_candidates(plan, k)
+        def guarded(G, k, *args, produce=produce, name=name):
+            if exhaustive:
+                raise AssertionError(f"size {k} of an exhaustive plan streamed its candidates")
+            streamed.append((name, k))
+            return produce(G, k, *args)
 
-    monkeypatch.setattr(harness, "_enumerate_candidates", guarded)
+        monkeypatch.setattr(harness, name, guarded)
     monkeypatch.setattr(harness, "_CHUNK", 3)
     for workers in (1, 2):
         report = verify_fuglede(VerificationPlan(group=G, sizes=sizes, workers=workers))
         for k in sizes:
             assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, DEFAULT_BUDGET), k
-    assert streamed == []
+    exhaustive.clear()
     verify_fuglede(VerificationPlan(group=make_group((2, 2, 3)), sizes=(3,), canonicalize=True))
     verify_fuglede(VerificationPlan(group=G, sizes=(3,), seed=1, count_per_size=5))
-    assert streamed == [("exhaustive", True, 3), ("sample", False, 3)]
+    assert streamed == [("_part_blocks", 3), ("_draw_blocks", 3)]
 
 
 def _assert_enumerate_tiles_lists(G, k, tile_sets, budget, seed=None, count=None):
@@ -407,7 +435,7 @@ def test_sampled_sweep_tally_matches_a_per_set_tally(moduli, budget, pooled, lis
     # the second run starts from the memo the first left
     G = make_group(moduli)
     sizes = tuple(_SAMPLED_SIZES.get(moduli, range(1, G.order + 1)))
-    monkeypatch.setattr(harness, "_DECODE_BLOCK", 7)
+    monkeypatch.setattr(tiling, "_DECODE_BLOCK", 7)
     plan = VerificationPlan(
         group=G, sizes=sizes, seed=3, count_per_size=60,
         budget=budget, workers=2 if pooled else 1,
@@ -578,8 +606,7 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
         expected = _spectral_by_networkx(moduli, elems)
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
-        part = list(map(char_table(G).cols.__getitem__, cand[1:]))
-        tally = _sweep_chunk(G, len(cand), _part_blocks(G, len(cand), [part]), DEFAULT_BUDGET)
+        tally = _sweep_chunk(G, len(cand), _part_blocks(G, len(cand), [cand[1:]]), DEFAULT_BUDGET)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
 
