@@ -530,14 +530,13 @@ def char_table(G: Group) -> CharTable:
     return CharTable(G)
 
 
-def set_zero_mask(S: Multiset) -> tuple[tuple[int, ...], int]:
-    """(sorted element indices, zero mask) of the set S (not validated),
-    computed once and kept on S for every per-set operation on it."""
+def set_zero_mask(S: Multiset) -> int:
+    """The zero mask of the set S (not validated), and only the mask: an int
+    computed once from S's element indices (Multiset.indices) and kept on S
+    for every per-set operation on it."""
     got = S._zero
     if got is None:
-        G = S.group
-        cand = tuple(sorted(map(G.index_of, S.mult)))
-        got = (cand, char_table(G).zero_mask(cand))
+        got = char_table(S.group).zero_mask(S.indices)
         object.__setattr__(S, "_zero", got)
     return got
 
@@ -579,16 +578,16 @@ def char_sum_coeffs(G: Group, A: Multiset, gs: Iterable[Element]) -> Iterator[li
 
     The one exact character sum besides the zero-mask kernel, and it reads
     no CharTable: the exponents <x, g> of A's support are read from g's
-    exponent row (exponent_rows) at A's element indices, counted (list.count
-    for sets, multiplicities added for multisets), and the count polynomial
-    is reduced mod Phi_M. Inputs are not validated.
+    exponent row (exponent_rows) at A's element indices (Multiset.indices),
+    counted (list.count for sets; for multisets, multiplicities in the same
+    sorted order added), and the count polynomial is reduced mod Phi_M.
+    Inputs are not validated.
     """
     M = G.exponent
     rows = exponent_rows(G)
-    idx = list(map(G.index_of, A.mult))
-    mults = None if A.is_set else list(A.mult.values())
+    mults = None if A.is_set else list(map(A.mult.__getitem__, A.support))
     for g in gs:
-        exps = list(map(rows[g].__getitem__, idx))
+        exps = list(map(rows[g].__getitem__, A.indices))
         if mults is None:
             counts = list(map(exps.count, range(M)))
         else:
@@ -640,7 +639,7 @@ def zero_set(G: Group, A: Multiset) -> ZeroSet:
     if A.group != G:
         raise GroupMismatch("multiset lives on a different group")
     if A.is_set:
-        mask = set_zero_mask(A)[1]
+        mask = set_zero_mask(A)
     else:
         classes = index_tables(G).direction_classes
         sums = char_sum_coeffs(G, A, [G.elements[r] for r, _ in classes])

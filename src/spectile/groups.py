@@ -164,10 +164,13 @@ class Multiset:
     hash/compare by (group, contents).
     """
 
-    # _zero: cyclotomic.set_zero_mask; _classes: spectra.is_spectral_pair. Both
-    # hold pure functions of the object, so equality, hashing, copy and
+    # indices: the sorted element indices of the support, the one index form
+    # of a set that every per-set check reads; every constructor fills it
+    # with plain index arithmetic (Group.index_of). _zero: the zero mask
+    # (cyclotomic.set_zero_mask); _classes: spectra.is_spectral_pair. All
+    # three are pure functions of the object, so equality, hashing, copy and
     # pickle ignore them
-    __slots__ = ("group", "mult", "mass", "_hash", "_zero", "_classes")
+    __slots__ = ("group", "mult", "mass", "indices", "_hash", "_zero", "_classes")
 
     def __init__(self, group: Group, mult: Mapping[Element, int]):
         items: dict[Element, int] = {}
@@ -180,10 +183,12 @@ class Multiset:
             items[x] = m
         self._fill(group, items, sum(items.values()))
 
-    def _fill(self, group: Group, items: dict[Element, int], mass: int) -> None:
+    def _fill(self, group: Group, items: dict[Element, int], mass: int, indices=()) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "mult", items)
         object.__setattr__(self, "mass", mass)
+        # indices given by of_indices, else mapped from items (the empty set's are ())
+        object.__setattr__(self, "indices", indices or tuple(sorted(map(group.index_of, items))))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_zero", None)
         object.__setattr__(self, "_classes", None)
@@ -214,9 +219,10 @@ class Multiset:
         """The 0/1 multiset of the elements with these indices; duplicated
         indices collapse. Only the range 0 <= i < |G| of each index is
         checked: group.elements holds valid elements in index order, so the
-        per-coordinate checks of the constructor are skipped. For sets built
-        inside the package from element indices; public inputs go through
-        the constructor.
+        per-coordinate checks of the constructor are skipped, and the given
+        indices, deduplicated and sorted, are the set's indices. For sets
+        built inside the package from element indices; public inputs go
+        through the constructor.
         """
         n = group.order
         idx = list(idx)
@@ -224,14 +230,15 @@ class Multiset:
             bad = next(i for i in idx if not 0 <= i < n)
             raise GroupMismatch(f"{bad!r} is not an element index of {group!r}")
         items = dict.fromkeys(map(group.elements.__getitem__, idx), 1)
-        return cls._of(group, items, len(items))
+        return cls._of(group, items, len(items), tuple(sorted(set(idx))))
 
     @classmethod
-    def _of(cls, group: Group, items: dict[Element, int], mass: int) -> "Multiset":
+    def _of(cls, group: Group, items: dict[Element, int], mass: int, indices=()) -> "Multiset":
         """The multiset of items, whose elements and multiplicities are
-        already checked, without the constructor's checks."""
+        already checked, without the constructor's checks; indices, when
+        given, are its sorted element indices."""
         out = cls.__new__(cls)
-        out._fill(group, items, mass)
+        out._fill(group, items, mass, indices)
         return out
 
     @property
@@ -471,15 +478,18 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
     """Coset id of every group element (by element index), ids 0..|G:H|-1.
 
     Ids are assigned in increasing order of the least element of each coset,
-    so the table is canonical.
+    so the table is canonical. The cosets are read from the addition rows of
+    index_tables(G), so a group of order above MAX_TABLE_ORDER raises
+    Overflow.
     """
     G = H.group
+    add = index_tables(G).add_rows
     table = [-1] * G.order
     next_id = 0
-    for i, x in enumerate(G.elements):
+    for i in range(G.order):
         if table[i] == -1:
-            for h in H.elements:
-                table[G.index_of(G.add(x, h))] = next_id
+            for j in map(add[i].__getitem__, H.as_set().indices):
+                table[j] = next_id
             next_id += 1
     return tuple(table)
 

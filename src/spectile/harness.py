@@ -733,7 +733,7 @@ def tile_to_spectrum(
         raise NotATilingPair("inputs do not tile the group")
     tag = _case_tags(shape, S)[0]
     if tag is not SpectrumConstruction.SEARCH_FALLBACK:
-        found = subgroup_transversal(index_tables(G), set_zero_mask(S)[1], S.mass)
+        found = subgroup_transversal(index_tables(G), set_zero_mask(S), S.mass)
         if found is not None:
             lam = Multiset.of_indices(G, [0] + [i for i in range(G.order) if found[1] >> i & 1])
             if not is_spectral_pair(S, lam):  # pragma: no cover - H^perp is a spectrum

@@ -11,10 +11,12 @@ a zero mask, and both find_spectrum and the verification sweeps call it.
 is_spectral_pair is the independent check every returned witness passes: it
 never reads the zero mask (set_zero_mask, Multiset._zero) or a CharTable.
 It finds the direction classes of L - L on the IndexTables subtraction rows
-and evaluates the exact character sum of S once per class
-(cyclotomic.char_sum_coeffs, from exponent rows built from coordinates).
-Both are computed once per object: a Multiset keeps its class verdicts as S
-and its difference classes as L (_classes).
+at L's element indices (Multiset.indices, the one index form of a set) and
+evaluates the exact character sum of S once per class
+(cyclotomic.char_sum_coeffs, from exponent rows built from coordinates, at
+S's indices). Both are computed once per object: a Multiset keeps its class
+verdicts as S and its difference classes as L (_classes). The searches read
+a set's zero mask from set_zero_mask, which returns only the mask.
 """
 
 from __future__ import annotations
@@ -81,11 +83,10 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
     classes = cached[1]
     if classes is None:
         sub_rows, direction_of = tables.sub_rows, tables.direction_of
-        idx = list(map(G.index_of, L.mult))
         # -d shares d's class, so half the differences suffice
         found = set()
-        for i, a in enumerate(idx, 1):
-            found.update(map(direction_of.__getitem__, map(sub_rows[a].__getitem__, idx[i:])))
+        for i, a in enumerate(L.indices, 1):
+            found.update(map(direction_of.__getitem__, map(sub_rows[a].__getitem__, L.indices[i:])))
         classes = cached[1] = frozenset(found)
     verdicts = _classes(S)[0]
     if False in map(verdicts.get, classes):
@@ -219,7 +220,7 @@ def find_spectrum(
     if not S.is_set:
         raise InvalidArgument("spectrum search expects a set (0/1 multiset)")
     G = S.group
-    lam_idx, _nodes = spectrum_search(index_tables(G), set_zero_mask(S)[1], S.mass, budget)
+    lam_idx, _nodes = spectrum_search(index_tables(G), set_zero_mask(S), S.mass, budget)
     if lam_idx is None or lam_idx is UNDECIDED:
         return lam_idx
     lam = Multiset.of_indices(G, lam_idx)
@@ -244,6 +245,6 @@ def equidistributed(A: Multiset, H: Subgroup) -> bool:
         raise GroupMismatch("subgroup lives on a different group")
     ids = coset_id_table(H)
     sums = [0] * (G.order // H.order)
-    for x, m in A.items():
-        sums[ids[G.index_of(x)]] += m
+    for i, x in zip(A.indices, A.support):
+        sums[ids[i]] += A.mult[x]
     return len(set(sums)) <= 1

@@ -272,7 +272,7 @@ def assumption_a_holds(shape: PQShape, S: Multiset, u: Element) -> bool:
     if u == pg.identity:
         raise InvalidDirection("direction must be nonzero")
     lt = leaf_tables(shape)
-    leaves = lt.leaves(map(shape.group.index_of, S.mult))
+    leaves = lt.leaves(S.indices)
     line_class = index_tables(pg).direction_of[pg.index_of(u)]
     return aligned_leaves(lt.p_lines[line_class], leaves)
 
@@ -355,7 +355,6 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
     pg, qg = shape.p_group, shape.q_group
     pts = A.support
     witnesses: dict[tuple[Element, Element], tuple[TrichotomyWitnessKind, Direction]] = {}
-    index_of = G.index_of
     coset_tables = [(H, coset_id_table(H)) for H in subgroups_of_order(G, p * q)]
     for a in pg.elements:
         if a == pg.identity:
@@ -366,12 +365,12 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
             g = shape.join(a, b)
             # g has order pq, so <g> is the one subgroup of order pq that
             # puts g in the coset of 0 (coset id 0)
-            gi = index_of(g)
+            gi = G.index_of(g)
             H, ids = next((H, ids) for H, ids in coset_tables if ids[gi] == 0)
             seen: dict[int, Element] = {}
             collision: Optional[tuple[Element, Element]] = None
-            for x in pts:
-                cid = ids[index_of(x)]
+            for i, x in zip(A.indices, pts):
+                cid = ids[i]
                 if cid in seen:
                     collision = (x, seen[cid])
                     break

@@ -12,8 +12,10 @@ with the fewest remaining options.
 tiling_complement, a subgroup first and exact cover second, is the one tiling
 policy of the sweeps, enumerate_tiles and find_tiling_complement.
 is_tiling_pair checks every witness: it reads the sums s + t as element
-indices from the IndexTables addition rows, never from a zero mask or a
-CharTable.
+indices from the IndexTables addition rows, at both sets' element indices
+(Multiset.indices, the one index form of a set), never from a zero mask or
+a CharTable. The searches read a set's indices from Multiset.indices and its
+zero mask from set_zero_mask, which returns only the mask.
 
 The sweeps and enumerate_tiles read the same candidates in one form,
 (keys, part) blocks: keys[i] is candidate i's memo key (its class word in
@@ -85,10 +87,9 @@ def is_tiling_pair(S: Multiset, T: Multiset) -> bool:
     if not (S.is_set and T.is_set):
         return False
     add_rows = index_tables(G).add_rows
-    t_idx = list(map(G.index_of, T.mult))
     sums: set[int] = set()
-    for s in map(G.index_of, S.mult):
-        sums.update(map(add_rows[s].__getitem__, t_idx))
+    for s in S.indices:
+        sums.update(map(add_rows[s].__getitem__, T.indices))
     return len(sums) == G.order
 
 
@@ -240,8 +241,7 @@ def find_complement(
     _require_set(S)
     if S.group.order % S.mass:
         return None
-    cand = set_zero_mask(S)[0]
-    return _checked(S, cover_complement(index_tables(S.group), cand, budget)[0])
+    return _checked(S, cover_complement(index_tables(S.group), S.indices, budget)[0])
 
 
 def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
@@ -251,7 +251,7 @@ def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
     G = S.group
     if S.mass == 0 or G.order % S.mass:
         raise NotADivisor(f"|S| = {S.mass} does not divide |G| = {G.order}")
-    found = subgroup_transversal(index_tables(G), set_zero_mask(S)[1], S.mass)
+    found = subgroup_transversal(index_tables(G), set_zero_mask(S), S.mass)
     return None if found is None else found[0]
 
 
@@ -264,8 +264,8 @@ def find_tiling_complement(
     exact cover runs out of budget.
     """
     _require_set(S)
-    cand, zmask = set_zero_mask(S)
-    return _checked(S, tiling_complement(index_tables(S.group), cand, zmask, budget))
+    tables = index_tables(S.group)
+    return _checked(S, tiling_complement(tables, S.indices, set_zero_mask(S), budget))
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,8 +310,10 @@ class SeededDraws:
     reads them. Either is shifted inline. The pool branch copies the
     population once per sample and moves the pool's last item into each
     drawn slot, as random.Random.sample does. A sample that runs off the end
-    of the buffer fetches another block and is drawn again from its first
-    output. Each call of sums or fibers starts at the next unused output.
+    of the buffer fetches a block, or as many outputs as it has used if that
+    is more, and is drawn again from its first output: the fetches grow with
+    the sample, so a long sample costs time linear in its length. Each call
+    of sums or fibers starts at the next unused output.
     """
 
     BLOCK = 4096
@@ -367,7 +369,7 @@ class SeededDraws:
         onto total, the output each began at, the next unused output): the
         loop of random.Random.sample with no sample built, where a pool draw
         adds pool[j] and moves the pool's last item into slot j. A sample that
-        runs off the buffer fetches another block and is drawn again from its
+        runs off the buffer fetches more outputs and is drawn again from its
         first output. The fetch drops no output, since sums starts each block
         at output 0, so every position stays valid while the block is held."""
         n = len(items)
@@ -403,7 +405,7 @@ class SeededDraws:
                             t += items[j]
                     break
                 except IndexError:
-                    self._extend(self.BLOCK)
+                    self._extend(max(self.BLOCK, pos - first))
                     buf = self._top if n < 256 else self._whole_outputs()
                     pos = first
             add(t)
@@ -420,7 +422,7 @@ class SeededDraws:
         point draw ORs its bit into its row's mask and adds its entry to the
         total, and the set branch rejects a repeated point by its bit. Each
         set starts at the next unused output, and one that runs off the
-        buffer fetches another block and is drawn again from its first
+        buffer fetches more outputs and is drawn again from its first
         output. The rows must be of one length.
         """
         rows = [list(r) for r in rows]  # so that only the buffer raises IndexError
@@ -491,7 +493,7 @@ class SeededDraws:
                             total += row[j]
                     masks[a] = mask
             except IndexError:
-                self._extend(self.BLOCK)
+                self._extend(max(self.BLOCK, pos - self._pos))
                 continue
             self._pos = pos
             count -= 1

@@ -435,6 +435,43 @@ def test_multiset_survives_copy_and_pickle():
         assert find_spectrum(twin) == find_spectrum(S) is not None
 
 
+def test_every_constructor_fills_the_sorted_element_indices(z36):
+    # Multiset.indices is the one index form the per-set checks read: every
+    # way a set is made fills it, copies and pickles rebuild it, and a group
+    # above the table cap makes sets with plain index arithmetic, no table
+    rng = random.Random(5)
+    pts = [z36.coords_of(rng.randrange(z36.order)) for _ in range(9)]
+    S = Multiset.set_of(z36, pts)
+    made = [
+        Multiset(z36, {x: rng.randint(1, 3) for x in pts}),
+        Multiset(z36, {}),
+        S,
+        Multiset.from_elements(z36, pts + pts[:4]),
+        Multiset.of_indices(z36, [30, 7, 3, 7, 0, 30, 11]),
+        Multiset.of_indices(z36, []),
+        S.translate((1, 0, 2, 1)),
+        subgroups_of_order(z36, 6)[2].as_set(),
+        sylow_projection(z36, S, 2),
+        sylow_projection(z36, S, 3),
+        project_along(z36, S, (1, 1, 1, 2)),
+    ]
+    for A in made:
+        G = A.group
+        assert A.indices == tuple(sorted(map(G.index_of, A.mult))), A
+        for twin in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+            assert twin.indices == A.indices, A
+    assert made[4].indices == (0, 3, 7, 11, 30)
+    big = make_group([2] * 12)
+    assert big.order == 4096 > groups.MAX_TABLE_ORDER
+    cached = index_tables.cache_info().currsize
+    for A in (
+        Multiset.from_elements(big, [(1,) * 12, (0,) * 11 + (1,), (1,) * 12]),
+        Multiset.of_indices(big, [4095, 1, 4095]),
+    ):
+        assert A.indices == (1, 4095), A
+    assert index_tables.cache_info().currsize == cached
+
+
 def test_a_group_pickles_as_its_moduli():
     # a pooled sweep pickles its plan, and so its group, into every job: the
     # cached elements are not part of the pickle and are rebuilt on use
