@@ -22,14 +22,15 @@ Every size's candidates travel in one form, the (keys, part) blocks of
 tiling, in the order enumerate_tiles lists them: keys[i] is candidate i's
 memo key, and part(i) its nonzero part as element indices, built only when
 asked. There is one producer per source: an exhaustive size walks stems
-(tiling._stem_blocks, one CharTable.stem_batches batch per stem), a sampled
-size draws kernel sums (tiling._draw_blocks), and a canonicalized size keeps
-the parts that no automorphism lowers (tiling._part_blocks). One loop,
-_sweep_chunk, tallies them all. A candidate whose word is settled, in this
-sweep or any earlier one of the process, is tallied as a count per verdict
-(a block of them with list.count) and never has its part built; every
-other candidate goes to the one slow path, which sorts its part into its
-set and tallies it on its own, in enumeration order.
+(tiling._stem_blocks, one CharTable.stem_batches batch per stem), and a
+sampled size draws kernel sums (tiling._draw_blocks). A canonicalized size
+is a walk whose blocks keep only the sets that no automorphism lowers
+(_least_blocks). One loop, _sweep_chunk, tallies them all. A candidate
+whose word is settled, in this sweep or any earlier one of the process, is
+tallied as a count per verdict (a block of them with list.count) and never
+has its part built; every other candidate goes to the one slow path, which
+sorts its part into its set and tallies it on its own, in enumeration
+order.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -86,7 +87,6 @@ from .tiling import (
     ComplementMethod,
     ComplementWitness,
     _draw_blocks,
-    _part_blocks,
     _stem_blocks,
     candidate_draws,
     find_tiling_complement,
@@ -198,7 +198,7 @@ class VerificationPlan:
     Sizes must be distinct. A plan given count_per_size samples: it draws
     that many seeded sets of each size and needs a seed and a count of at
     least 1. A plan without enumerates every 0-containing set of each size,
-    C(|G| - 1, k - 1) of them (canonicalize filters the same enumeration).
+    C(|G| - 1, k - 1) of them (canonicalize filters the same stem walk).
     More than MAX_CANDIDATES candidates in total is refused.
     """
 
@@ -404,21 +404,23 @@ def _sweep_chunk(
     """Decide both properties for each candidate and tally the verdicts: the
     one tally loop of the sweeps.
 
-    Candidates come in the (keys, part) blocks of tiling (_stem_blocks,
-    _draw_blocks, _part_blocks): keys[i] is candidate i's memo key (_memo),
-    and part(i) its nonzero part as element indices, built only when asked.
-    One map of the memo's lookup reads a block's keys, and list.count
-    counts the candidates whose entry is settled, False or True, which
+    Candidates come in the (keys, part) blocks of tiling: a stem walk's
+    (_stem_blocks, through _least_blocks when canonicalized) or a sample's
+    (_draw_blocks). keys[i] is candidate i's memo key (_memo), and part(i)
+    its nonzero part as element indices, built only when asked. One map of
+    the memo's lookup reads a block's keys, and list.count counts the
+    candidates whose entry is settled, False or True, which
     SizeTally.add_settled folds in when the loop ends. That takes a budget
-    of at least DEFAULT_BUDGET, and below it a sentinel matches none. A settled entry stays settled, so only the others are
-    looked up again, in order, since the slow path may settle a word that a
-    later candidate shares. The slow path tallies a candidate on its own:
-    it sorts the candidate's part into its set, expands the word of its key
-    to the zero mask for the decisions, and appends any undecided entry,
-    violation or mismatch, in enumeration order.
+    of at least DEFAULT_BUDGET, and below it a sentinel matches none. A
+    settled entry stays settled, so only the others are looked up again, in
+    order, since the slow path may settle a word that a later candidate
+    shares. The slow path tallies a candidate on its own: it sorts the
+    candidate's part into its set, expands the word of its key to the zero
+    mask for the decisions, and appends any undecided entry, violation or
+    mismatch, in enumeration order.
 
-    With orbits (a stem walk of size k >= 2), a word that the slow path
-    settles has its orbit under the class generators
+    With orbits (an unfiltered stem walk of size k >= 2), a word that the
+    slow path settles has its orbit under the class generators
     (IndexTables.class_generators, built at the first such word) searched
     breadth first, one word at a time and never closing the permutation
     group, and every image key not yet in the memo gets the same bool;
@@ -428,8 +430,8 @@ def _sweep_chunk(
     conditions make it so. The clique search of every image must fit
     DEFAULT_BUDGET, so the orbit settles only when _clique_nodes_bounded
     holds for the mask's size, which an orbit shares. And a sampled or
-    canonicalized sweep meets few of the images, so only a walk settles
-    orbits; elsewhere they would fill the memo with words no candidate
+    canonicalized sweep meets few of the images, so only an unfiltered walk
+    settles orbits; elsewhere they would fill the memo with words no candidate
     reads. The tile side reads as for one word: a cover that finishes for
     the first set met decides its word, and now the orbit. A walk meets
     every word of each orbit, so on Z_2^2 x Z_3^2 the slow path decides 3,
@@ -530,33 +532,39 @@ def _sweep_chunk(
     return tally
 
 
+def _least_blocks(perms: Sequence[Sequence[int]], blocks: Iterable[tuple]) -> Iterator[tuple]:
+    """Of each (keys, part) block of a stem walk, the candidates that no
+    element permutation in perms maps to a lexicographically smaller set, as
+    a block of their keys and parts. Automorphisms fix 0, so the image of
+    (0,) + rest is (0,) plus the sorted image of rest, and comparing nonzero
+    parts decides it. A block's parts are listed before it is yielded: a
+    part of _stem_blocks is valid only while its block is held."""
+    for keys, part in blocks:
+        parts = list(map(part, range(len(keys))))
+        least = [all(tuple(sorted(map(a.__getitem__, p))) >= p for a in perms) for p in parts]
+        yield list(itertools.compress(keys, least)), list(itertools.compress(parts, least)).__getitem__
+
+
 def _sweep_job(job: tuple) -> SizeTally:
     """One job (plan, k, stems) of verify_fuglede, run in this process or in
     a pool's worker: the size-k candidates as tiling's (keys, part) blocks,
     through the tally loop (_sweep_chunk). A sampled size draws its seeded
-    candidates (_draw_blocks) and a canonicalized size filters the nonzero
-    parts (_part_blocks), each always a whole job. An exhaustive size walks
+    candidates (_draw_blocks), always as a whole job. Every other size walks
     stems (_stem_blocks), every one of size k (stems None) or the given run
-    of them, and settles whole orbits.
-
-    canonicalize keeps a set that no automorphism maps to a lexicographically
-    smaller one, over every element permutation of Aut(G)
-    (groups.automorphism_index_perms, the closure of the generators).
-    Automorphisms fix 0, so the image of (0,) + rest is (0,) plus the sorted
-    image of rest, and comparing nonzero parts of indices decides it.
+    of them, and settles whole orbits. canonicalize filters the walk's
+    blocks (_least_blocks) over every element permutation of Aut(G)
+    (groups.automorphism_index_perms, the closure of the generators), and
+    such a walk settles words one at a time.
     """
     plan, k, stems = job
     G = plan.group
-    walk = plan.count_per_size is None and not plan.canonicalize
-    if walk:
-        blocks = _stem_blocks(G, k, stems)
-    elif plan.canonicalize:
-        perms = automorphism_index_perms(G)
-        parts = itertools.combinations(range(1, G.order), k - 1)
-        least = (p for p in parts if all(tuple(sorted(map(a.__getitem__, p))) >= p for a in perms))
-        blocks = _part_blocks(G, k, least)
-    else:
+    if plan.count_per_size is not None:
         blocks = _draw_blocks(G, k, plan.seed, plan.count_per_size)
+    else:
+        blocks = _stem_blocks(G, k, stems)
+        if plan.canonicalize:
+            blocks = _least_blocks(automorphism_index_perms(G), blocks)
+    walk = plan.count_per_size is None and not plan.canonicalize
     return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk)
 
 
@@ -616,18 +624,17 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
 
     Without a pool, each size is one job (_sweep_job) in this process; no
     pool starts when it would hold one worker. A pool has at most the CPU
-    count, and for a streamed plan (sampled or canonicalized) at most one
-    worker per size: a streamed size stays one job, so its draws, its
-    filter and its memo stay in one worker. A pooled exhaustive size is
-    split into runs of stems (_stem_jobs). A pool takes the streamed sizes
-    largest first, by samples' size k or by the C(|G| - 1, k - 1) parts a
-    canonicalized size filters, so that the longest job does not start last.
+    count, and for a sampled plan at most one worker per size: a sampled
+    size stays one job, so its draws and its memo stay in one worker, and
+    the pool takes those sizes largest first, by k, so that the longest job
+    does not start last. A pooled exhaustive size, canonicalized or not, is
+    split into runs of stems (_stem_jobs).
     imap returns the tallies in job order and they merge associatively, per
     size, so no report depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
-    streamed = plan.count_per_size is not None or plan.canonicalize
-    most = len(plan.sizes) if streamed else plan.workers
+    sampled = plan.count_per_size is not None
+    most = len(plan.sizes) if sampled else plan.workers
     processes = min(plan.workers, os.cpu_count() or 1, most)
     jobs: Iterable[tuple] = ((plan, k, None) for k in plan.sizes)
     run, pool = map, None
@@ -636,12 +643,10 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
 
         pool = mp.get_context("fork").Pool(processes)
         run = pool.imap
-        if not streamed:
-            jobs = _stem_jobs(plan)
+        if sampled:
+            jobs = ((plan, k, None) for k in sorted(plan.sizes, reverse=True))
         else:
-            n = plan.group.order
-            cost = None if plan.count_per_size is not None else lambda k: math.comb(n - 1, k - 1)
-            jobs = ((plan, k, None) for k in sorted(plan.sizes, key=cost, reverse=True))
+            jobs = _stem_jobs(plan)
     per_size: dict[int, SizeTally] = {}
     with pool or contextlib.nullcontext():
         for tally in run(_sweep_job, jobs):
@@ -857,6 +862,9 @@ def case5_nonexistence_probe(
     The structure checks read the leaf masks alone, and only a listed
     candidate (undecided or spectral) is sorted into its set.
 
+    An empty size list is refused, as it is by VerificationPlan: for p = 2
+    the probe range is empty, and a probe of no size would report ok.
+
     count_per_size 0 is a table warm-up: it checks the sizes and builds the
     group's index, character and leaf tables, examines nothing and reports
     ok with examined 0 (the zero-mask kernel is built by the first
@@ -866,6 +874,11 @@ def case5_nonexistence_probe(
     G = shape.group
     q = shape.q
     sizes = integers(sizes, "sizes", InvalidArgument)
+    if not sizes:
+        raise InvalidArgument(
+            f"probe needs at least one size; the probe range of {G!r}"
+            f" (gcd pq, pq < n < pq min(p,q)) is {list(probe_sizes(shape))}"
+        )
     if len(set(sizes)) != len(sizes):
         raise InvalidArgument(f"sizes {sizes!r} repeat a size")
     for n in sizes:

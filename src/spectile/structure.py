@@ -29,11 +29,12 @@ from .groups import (
     Element,
     Group,
     Multiset,
+    Subgroup,
     coset_id_table,
+    cyclic_subgroup,
     direction_rep,
     index_tables,
     is_prime,
-    subgroups_of_order,
     sylow_projection,
 )
 from .tiling import ComplementMethod, ComplementWitness, is_tiling_pair
@@ -355,18 +356,15 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
     pg, qg = shape.p_group, shape.q_group
     pts = A.support
     witnesses: dict[tuple[Element, Element], tuple[TrichotomyWitnessKind, Direction]] = {}
-    coset_tables = [(H, coset_id_table(H)) for H in subgroups_of_order(G, p * q)]
     for a in pg.elements:
         if a == pg.identity:
             continue
         for b in qg.elements:
             if b == qg.identity:
                 continue
-            g = shape.join(a, b)
-            # g has order pq, so <g> is the one subgroup of order pq that
-            # puts g in the coset of 0 (coset id 0)
-            gi = G.index_of(g)
-            H, ids = next((H, ids) for H, ids in coset_tables if ids[gi] == 0)
+            # (a, b) has order pq, so <(a, b)> is the subgroup of index pq
+            H = Subgroup(G, cyclic_subgroup(G, shape.join(a, b)))
+            ids = coset_id_table(H)
             seen: dict[int, Element] = {}
             collision: Optional[tuple[Element, Element]] = None
             for i, x in zip(A.indices, pts):

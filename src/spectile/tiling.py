@@ -22,9 +22,8 @@ The sweeps and enumerate_tiles read the same candidates in one form,
 CharTable.key_bytes little-endian bytes), and part(i) its nonzero part as
 element indices, built only when asked. There is one producer per source:
 _stem_blocks walks every 0-containing k-set in lexicographic order, one
-CharTable.stem_batches batch per stem; _draw_blocks draws a size's seeded
-candidates as kernel sums; and _part_blocks keys given parts, those that
---canonicalize keeps.
+CharTable.stem_batches batch per stem (--canonicalize filters its blocks),
+and _draw_blocks draws a size's seeded candidates as kernel sums.
 
 Seeded draws (sampled sweeps, enumerate_tiles, the case-5 probe) go through
 SeededDraws, on the stream candidate_draws names: the draws of
@@ -512,8 +511,8 @@ def candidate_draws(seed: Optional[int], k: int) -> SeededDraws:
     return SeededDraws(f"{seed}:{k}")
 
 
-# Candidates per block of _draw_blocks and _part_blocks, so that a streamed
-# size holds one block's sums and draws at a time, not a whole size's.
+# Candidates per block of _draw_blocks, so that a sampled size holds one
+# block's sums and draws at a time, not a whole size's.
 _DECODE_BLOCK = 4096
 
 
@@ -573,17 +572,6 @@ def _draw_blocks(G: Group, k: int, seed: int, count: int) -> Iterator[tuple]:
         # a list, since tuple() of a map would fill the tuple free list
         # (cover_complement)
         yield _keys(kernel, sums), lambda i, again=again: list(map(col_index, again(i)))
-
-
-def _part_blocks(G: Group, k: int, parts: Iterable[tuple[int, ...]]) -> Iterator[tuple]:
-    """Nonzero parts of element indices as (keys, part) blocks of at most
-    _DECODE_BLOCK, each summed onto CharTable.sum_base(k) with one C-level
-    sum; part(i) is the i-th part of the block as it came."""
-    kernel = char_table(G)
-    cols, base = kernel.cols.__getitem__, kernel.sum_base(k)
-    parts = iter(parts)
-    for block in iter(lambda: list(itertools.islice(parts, _DECODE_BLOCK)), []):
-        yield _keys(kernel, [sum(map(cols, p), base) for p in block]), block.__getitem__
 
 
 def enumerate_tiles(

@@ -336,6 +336,14 @@ def test_probe_command(capsys):
     assert out["examined"] == 5 and out["ok"] is True
 
 
+def test_probe_command_refuses_an_empty_range(capsys):
+    # Z_2^2 x Z_3^2 has no size in the case-5 range: exit 1, not an ok report
+    rc = main(["probe-case5", "--group", "2,2,3,3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE and captured.out == ""
+    assert "probe range of Group(2, 2, 3, 3)" in json.loads(captured.err)["error"]
+
+
 def _without_elapsed(text):
     return [
         line for line in text.splitlines() if not line.lstrip().startswith('"elapsed_seconds"')

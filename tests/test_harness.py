@@ -67,7 +67,7 @@ from spectile.structure import (
     leaf_decomposition,
     leaf_tables,
 )
-from spectile.tiling import SeededDraws, _part_blocks, cover_complement, tiling_complement
+from spectile.tiling import SeededDraws, cover_complement, tiling_complement
 
 
 def test_verify_fuglede_z6(z6):
@@ -152,9 +152,7 @@ def test_parallel_sweep_starts_at_most_one_process_per_cpu(monkeypatch):
 
 def test_a_streamed_pool_takes_its_largest_size_first(monkeypatch):
     # a recording in-process pool stands in for the fork context: a sampled
-    # plan submits its sizes by k, largest first, and a canonicalized plan
-    # by the C(11, k - 1) parts of each size of Z_2^2 x Z_3 (11, 462 and 11 for
-    # 2, 6 and 11, ties in plan order); the reports are the serial ones
+    # plan submits its sizes by k, largest first; the report is the serial one
     import multiprocessing
 
     submitted = []
@@ -180,17 +178,13 @@ def test_a_streamed_pool_takes_its_largest_size_first(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     G = make_group([2, 2, 3])
-    for plan, order in (
-        (dict(sizes=(2, 6, 3), seed=2, count_per_size=50), [6, 3, 2]),
-        (dict(sizes=(11, 2, 6), canonicalize=True), [6, 11, 2]),
-    ):
-        submitted.clear()
-        serial = verify_fuglede(VerificationPlan(group=G, **plan)).to_dict()
-        pooled = verify_fuglede(VerificationPlan(group=G, **plan, workers=2)).to_dict()
-        assert submitted == [order], plan
-        serial.pop("elapsed_seconds")
-        pooled.pop("elapsed_seconds")
-        assert pooled == serial
+    plan = dict(group=G, sizes=(2, 6, 3), seed=2, count_per_size=50)
+    serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
+    pooled = verify_fuglede(VerificationPlan(**plan, workers=2)).to_dict()
+    assert submitted == [[6, 3, 2]]
+    serial.pop("elapsed_seconds")
+    pooled.pop("elapsed_seconds")
+    assert pooled == serial
 
 
 def test_a_pooled_sampled_sweep_draws_nothing_in_the_parent(z36, monkeypatch):
@@ -365,33 +359,33 @@ def test_enumerate_tiles_under_the_table_cap_lists_the_sets_that_tile(cap, monke
 
 
 def test_exhaustive_sweeps_walk_heads_without_streaming_candidates(monkeypatch):
-    # an exhaustive plan without canonicalize walks stems and never streams
-    # its candidates, serial or pooled; with jobs of 3 candidates on
-    # average every size from 4 to 10 of Z_12 splits into several jobs.
-    # Sampled and canonicalized plans still stream theirs.
+    # an exhaustive plan walks stems and never streams its candidates,
+    # canonicalized or not, serial or pooled; with jobs of 3 candidates on
+    # average every size from 4 to 10 of Z_12 splits into several jobs. A
+    # sampled plan still streams its draws.
     G = make_group((12,))
     sizes = tuple(range(1, G.order + 1))
     streamed = []
     exhaustive = [True]  # cleared once the exhaustive plans have run
-    for name in ("_draw_blocks", "_part_blocks"):
-        produce = getattr(harness, name)
+    produce = harness._draw_blocks
 
-        def guarded(G, k, *args, produce=produce, name=name):
-            if exhaustive:
-                raise AssertionError(f"size {k} of an exhaustive plan streamed its candidates")
-            streamed.append((name, k))
-            return produce(G, k, *args)
+    def guarded(G, k, *args):
+        if exhaustive:
+            raise AssertionError(f"size {k} of an exhaustive plan streamed its candidates")
+        streamed.append(k)
+        return produce(G, k, *args)
 
-        monkeypatch.setattr(harness, name, guarded)
+    monkeypatch.setattr(harness, "_draw_blocks", guarded)
     monkeypatch.setattr(harness, "_CHUNK", 3)
     for workers in (1, 2):
         report = verify_fuglede(VerificationPlan(group=G, sizes=sizes, workers=workers))
         for k in sizes:
             assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(G, k, DEFAULT_BUDGET), k
+        canonical = dict(group=make_group((2, 2, 3)), sizes=(3, 4), canonicalize=True)
+        assert verify_fuglede(VerificationPlan(**canonical, workers=workers)).ok
     exhaustive.clear()
-    verify_fuglede(VerificationPlan(group=make_group((2, 2, 3)), sizes=(3,), canonicalize=True))
     verify_fuglede(VerificationPlan(group=G, sizes=(3,), seed=1, count_per_size=5))
-    assert streamed == [("_part_blocks", 3), ("_draw_blocks", 3)]
+    assert streamed == [3]
 
 
 def _assert_enumerate_tiles_lists(G, k, tile_sets, budget, seed=None, count=None):
@@ -600,13 +594,17 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
             tuple(sorted([0] + rng.sample(range(1, n), rng.choice([2, 3, 4, 5, 6, 9, 12, 18]) - 1)))
             for _ in range(samples)
         ]
+    kernel = char_table(G)
     verdicts = set()
     for cand in cands:
         elems = [G.coords_of(i) for i in cand]
         expected = _spectral_by_networkx(moduli, elems)
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
-        tally = _sweep_chunk(G, len(cand), _part_blocks(G, len(cand), [cand[1:]]), DEFAULT_BUDGET)
+        # cand as a block of one candidate: its memo key and nonzero part
+        word = kernel.class_word(sum(map(kernel.cols.__getitem__, cand)), len(cand))
+        block = ([word.to_bytes(kernel.key_bytes, "little")], [cand[1:]].__getitem__)
+        tally = _sweep_chunk(G, len(cand), [block], DEFAULT_BUDGET)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
 
@@ -1001,6 +999,36 @@ def test_canonicalize_reduces_and_agrees(z12):
         assert (canon.per_size[k].spectral > 0) == (full.per_size[k].spectral > 0)
 
 
+def test_canonicalize_keeps_one_set_per_orbit(z12, z36, monkeypatch):
+    # the acceptance tallies on Z_2^2 x Z_3^2; on Z_2^2 x Z_3 every size
+    # tallies as the per-set API does on the least image of each 0-containing
+    # set under Aut(G), in lexicographic order; and two workers with jobs of
+    # 3 candidates on average give the serial report, listed entries included
+    canon = verify_fuglede(VerificationPlan(group=z36, sizes=(2, 3, 4), canonicalize=True))
+    got = [(t.examined, t.spectral, t.tiles) for t in canon.per_size.values()]
+    assert got == [(3, 2, 2), (14, 8, 8), (65, 11, 11)]
+    perms = automorphism_index_perms(z12)
+    sizes = tuple(range(1, z12.order + 1))
+    report = verify_fuglede(VerificationPlan(group=z12, sizes=sizes, canonicalize=True))
+    for k in sizes:
+        least = {
+            min(tuple(sorted(map(a.__getitem__, rest))) for a in perms)
+            for rest in itertools.combinations(range(1, z12.order), k - 1)
+        }
+        expected = _per_set_tally(z12, k, DEFAULT_BUDGET, parts=sorted(least))
+        assert dataclasses.asdict(report.per_size[k]) == expected, k
+    monkeypatch.setattr(harness, "_CHUNK", 3)
+    for budget in (DEFAULT_BUDGET, 3):
+        plan = dict(group=z12, sizes=sizes, canonicalize=True, budget=budget)
+        serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
+        pooled = verify_fuglede(VerificationPlan(**plan, workers=2)).to_dict()
+        serial.pop("elapsed_seconds")
+        pooled.pop("elapsed_seconds")
+        assert pooled == serial, budget
+        listed = sum(len(t["undecided"]) for t in serial["per_size"].values())
+        assert listed == (0 if budget == DEFAULT_BUDGET else 11), budget
+
+
 def test_verify_subgroup_tiling_z12(z12):
     plan = VerificationPlan(group=z12, sizes=tuple(range(1, 13)))
     report = verify_fuglede(plan)
@@ -1285,6 +1313,16 @@ def test_case5_probe_small():
         case5_nonexistence_probe(shape, (31,), seed=3, count_per_size=1)
     with pytest.raises(InvalidArgument):
         case5_nonexistence_probe(shape, (45,), seed=3, count_per_size=1)
+
+
+def test_a_probe_of_no_size_is_refused():
+    # for p = 2 no size has gcd pq in (pq, pq min(p, q)), so a probe of the
+    # whole range would check nothing and report ok
+    shape = pq_shape(make_group([2, 2, 3, 3]))
+    with pytest.raises(InvalidArgument, match=r"probe range of .* is \[\]"):
+        case5_nonexistence_probe(shape, probe_sizes(shape), seed=1, count_per_size=5)
+    with pytest.raises(InvalidArgument, match="at least one size"):
+        case5_nonexistence_probe(pq_shape(make_group([3, 3, 5, 5])), (), seed=1, count_per_size=5)
 
 
 def test_a_zero_count_probe_is_a_table_warm_up_that_examines_nothing():

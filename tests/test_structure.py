@@ -23,6 +23,7 @@ from spectile import (
     prop1_validate,
     sylow_projection,
 )
+from spectile import groups
 
 
 def test_pq_shape(z36):
@@ -232,6 +233,22 @@ def test_direction_trichotomy_witnesses(shape36, z36):
             TrichotomyWitnessKind.MIXED,
         )
         assert direction.order > 1
+
+
+def test_direction_trichotomy_builds_no_subgroup_lattice(shape36, z36, monkeypatch):
+    # (a, b) has order pq, so its subgroup of index pq is <(a, b)>: neither
+    # a tile nor a non-tile needs the whole subgroup lattice
+    def unreachable(G):
+        raise AssertionError("subgroup lattice built")
+
+    monkeypatch.setattr(groups, "_all_subgroups", unreachable)
+    tile = Multiset.set_of(z36, [shape36.join((a, 0), (b, 0)) for a in range(2) for b in range(3)])
+    out = direction_trichotomy(shape36, tile)
+    assert out.witnesses is None and is_tiling_pair(tile, out.tile.t)
+    # a q-square and one more point: 10 points, not a tile
+    square = [(0, 0, b1, b2) for b1 in range(3) for b2 in range(3)]
+    out = direction_trichotomy(shape36, Multiset.set_of(z36, square + [(1, 0, 0, 0)]))
+    assert out.tile is None and len(out.witnesses) == 3 * 8
 
 
 def test_vanishing_in_every_p_direction_forces_leaf_constancy(shape36, z36):
