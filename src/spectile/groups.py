@@ -545,6 +545,7 @@ class IndexTables:
         self.add_rows = rows(1)
         self.sub_rows = rows(-1)
         self._perp_masks: dict[int, list[tuple[Subgroup, int]]] = {}
+        self._forced: dict[int, int] = {}
 
     @cached_property
     def direction_classes(self) -> list[tuple[int, int]]:
@@ -569,6 +570,43 @@ class IndexTables:
             covered |= gens
             out.append((g, gens))
         return out
+
+    @cached_property
+    def class_primes(self) -> list[int]:
+        """class_primes[c] = p when direction class c has prime-power order
+        p^a, else 0. The order is counted along the addition row of the
+        representative, once per group."""
+        add = self.add_rows
+        out = []
+        for rep, _ in self.direction_classes:
+            d, x = 1, rep
+            while x:
+                x = add[x][rep]
+                d += 1
+            p = next(p for p in range(2, d + 1) if d % p == 0)
+            while d % p == 0:
+                d //= p
+            out.append(p if d == 1 else 0)
+        return out
+
+    def forced_mask(self, t: int) -> int:
+        """The union of the generator masks of the direction classes of
+        prime-power order p^a with p not dividing t.
+
+        If S + T = G with |T| = t, then at every g != 0 one of the character
+        sums of S and T vanishes; at g of order p^a the sum over T is a sum
+        of t p^a-th roots of unity, which vanishes only when p divides t
+        (Lam and Leung, On vanishing sums of roots of unity, 2000). So the
+        zero mask of a set with a complement of t elements covers this mask,
+        and a set whose mask misses a bit of it is no tile. Kept per t: the
+        tiling searches ask only for t = |G| / |S|, a divisor of |G|.
+        """
+        mask = self._forced.get(t)
+        if mask is None:
+            mask = self._forced[t] = sum(
+                gens for (_, gens), p in zip(self.direction_classes, self.class_primes) if p and t % p
+            )
+        return mask
 
     @cached_property
     def direction_of(self) -> list[int]:

@@ -8,9 +8,10 @@ zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
 One memo per group and size (_memo), keyed by the word as L little-endian
 bytes (CharTable.key_bytes), holds the verdict of spectra.spectrum_search
-and the outcome of tiling.tiling_complement, whose exact cover does not
+and the outcome of tiling.tiling_complement, which reads the mask for its
+prime-power certificate and its subgroup step; its exact cover does not
 read the mask and runs on the first set of each key (of each orbit, in
-an exhaustive walk). A settled word,
+an exhaustive walk) that neither decides. A settled word,
 whose verdicts agree and need no per-set entry, is a bare bool there;
 every other word keeps a (verdict, nodes, tile) tuple. The mask is
 expanded from the word only off the settled path. Both verdicts are
@@ -29,8 +30,8 @@ is a walk whose blocks keep only the sets that no automorphism lowers
 whose word is settled, in this sweep or any earlier one of the process, is
 tallied as a count per verdict (a block of them with list.count) and never
 has its part built; every other candidate goes to the one slow path, which
-sorts its part into its set and tallies it on its own, in enumeration
-order.
+tallies it on its own, in enumeration order, and sorts its part into its
+set only when an exact cover or a listed entry needs the set.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -53,7 +54,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import char_table, set_zero_mask
 from .errors import (
@@ -89,6 +90,7 @@ from .tiling import (
     _draw_blocks,
     _stem_blocks,
     candidate_draws,
+    certified_non_tile,
     find_tiling_complement,
     is_tiling_pair,
     subgroup_transversal,
@@ -176,10 +178,18 @@ def _clique_nodes_bounded(zeros: int, k: int) -> bool:
 
 
 def _tile_outcome(
-    tables: IndexTables, cand: tuple[int, ...], zmask: int, budget: int
+    tables: IndexTables, k: int, zmask: int, budget: int, cand: Callable[[], tuple[int, ...]]
 ) -> Union[int, Undecided]:
-    """The tile outcome of tiling_complement on cand, or UNDECIDED."""
-    out = tiling_complement(tables, cand, zmask, budget)
+    """The tile outcome of tiling_complement on the k-set cand(), whose zero
+    mask is zmask, or UNDECIDED: NOT_A_TILE when the certificate
+    (tiling.certified_non_tile) or an exhausted exact cover proves it,
+    SUBGROUP_TILE or COVER_TILE by the complement found. The certificate
+    reads the mask alone, so the set is built only when it does not decide;
+    it spends no nodes, so only a cover that runs out of budget is
+    UNDECIDED."""
+    if certified_non_tile(tables, k, zmask):
+        return NOT_A_TILE
+    out = tiling_complement(tables, cand(), zmask, budget)
     if out is UNDECIDED:
         return UNDECIDED
     if out is None:
@@ -414,10 +424,12 @@ def _sweep_chunk(
     of at least DEFAULT_BUDGET, and below it a sentinel matches none. A
     settled entry stays settled, so only the others are looked up again, in
     order, since the slow path may settle a word that a later candidate
-    shares. The slow path tallies a candidate on its own: it sorts the
-    candidate's part into its set, expands the word of its key to the zero
-    mask for the decisions, and appends any undecided entry, violation or
-    mismatch, in enumeration order.
+    shares. The slow path tallies a candidate on its own: it expands the
+    word of its key to the zero mask for the decisions, and appends any
+    undecided entry, violation or mismatch, in enumeration order. The
+    spectral verdict and the certificate read the mask alone, so the
+    candidate's part is built, and sorted into its set, only for an exact
+    cover or a listed entry (cand below).
 
     With orbits (an unfiltered stem walk of size k >= 2), a word that the
     slow path settles has its orbit under the class generators
@@ -464,8 +476,10 @@ def _sweep_chunk(
                     todo.append(list(map(perm.__getitem__, classes)))
                     memo.setdefault(image.to_bytes(kernel.key_bytes, "little"), value)
 
-    def slow(rest: Sequence[int], key: bytes) -> None:
-        cand = (0,) + tuple(sorted(rest))
+    def slow(part: Callable[[int], Sequence[int]], i: int, key: bytes) -> None:
+        def cand() -> tuple[int, ...]:
+            return (0,) + tuple(sorted(part(i)))
+
         tally.examined += 1
         word = int.from_bytes(key, "little")
         zmask = kernel.expand(word)
@@ -473,7 +487,7 @@ def _sweep_chunk(
         entry = get(key) if keep_tiles else None
         tile = TILE_UNSET if entry is None else entry[2]
         if tile == TILE_UNSET:
-            tile = _tile_outcome(tables, cand, zmask, budget)
+            tile = _tile_outcome(tables, k, zmask, budget, cand)
             if entry is not None and tile is not UNDECIDED:
                 settles = (
                     entry[1] <= DEFAULT_BUDGET
@@ -485,15 +499,15 @@ def _sweep_chunk(
                     settle_orbit(word, entry[0])
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
-            tally.tile_undecided.append({"set": _coords(G, cand)})
+            tally.tile_undecided.append({"set": _coords(G, cand())})
         elif ti:
             tally.tiles_any += 1
             if tile == COVER_TILE:
-                tally.violations.append({"set": _coords(G, cand)})
+                tally.violations.append({"set": _coords(G, cand())})
         if sp is UNDECIDED or ti is UNDECIDED:
             tally.undecided.append(
                 {
-                    "set": _coords(G, cand),
+                    "set": _coords(G, cand()),
                     "spectral": "undecided" if sp is UNDECIDED else sp,
                     "tile": "undecided" if ti is UNDECIDED else ti,
                 }
@@ -504,7 +518,7 @@ def _sweep_chunk(
         if ti:
             tally.tiles += 1
         if sp != ti:
-            tally.mismatches.append(_mismatch_entry(G, cand, lam, ti, budget))
+            tally.mismatches.append(_mismatch_entry(G, cand(), lam, ti, budget))
         elif sp:
             tally.both_yes += 1
         else:
@@ -527,7 +541,7 @@ def _sweep_chunk(
             elif entry is settled_yes:
                 yes += 1
             else:
-                slow(part(i), keys[i])
+                slow(part, i, keys[i])
     tally.add_settled(no, yes)
     return tally
 
@@ -617,10 +631,15 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     settle words one at a time.
 
     Neither decision consults the other's verdict. Both read the zero mask,
-    but every non-tile verdict, and every tile with no subgroup complement,
-    comes from an exact cover, run once per orbit in a walk and once per
-    key elsewhere, which does not; so agreement exercises the spectral <=>
-    tile equivalence on the planned group.
+    but by different arguments: a non-tile verdict comes from the
+    prime-power certificate (IndexTables.forced_mask: a class of order p^a,
+    p not dividing |G|/k, missing from the mask) or from an exact cover, and
+    every tile with no subgroup complement from an exact cover, run once per
+    orbit in a walk and once per key elsewhere, which does not read the
+    mask; so agreement exercises the spectral <=> tile equivalence on the
+    planned group. The certificate spends no nodes and decides at every
+    budget, so a budget-bound sweep lists only the sets whose cover or
+    clique search runs out.
 
     Without a pool, each size is one job (_sweep_job) in this process; no
     pool starts when it would hold one worker. A pool has at most the CPU

@@ -3,14 +3,18 @@
 A k-set S is a transversal of a subgroup H of order |G| / k exactly when its
 character sum vanishes on H^perp minus 0 (the Fourier tiling criterion), so
 subgroup_transversal reads it from the zero mask of S: one AND per subgroup.
-Otherwise complement search is an exact cover, which does not read the mask:
-choose translates S + g that partition the group. The search fixes the
-translate at 0 first (complements are translation-invariant, so some
-complement contains 0 iff any exists) and branches on the uncovered cell
-with the fewest remaining options.
+A k-set whose mask misses a class that every tile of size k must hold
+(IndexTables.forced_mask, the prime-power certificate of Lam and Leung) has
+no complement at all, which is read from the mask the same way. Otherwise
+complement search is an exact cover, which does not read the mask: choose
+translates S + g that partition the group. The search fixes the translate
+at 0 first (complements are translation-invariant, so some complement
+contains 0 iff any exists) and branches on the uncovered cell with the
+fewest remaining options.
 
-tiling_complement, a subgroup first and exact cover second, is the one tiling
-policy of the sweeps, enumerate_tiles and find_tiling_complement.
+tiling_complement, the certificate first, a subgroup second and exact cover
+last, is the one tiling policy of the sweeps, enumerate_tiles and
+find_tiling_complement; find_complement skips the subgroup step.
 is_tiling_pair checks every witness: it reads the sums s + t as element
 indices from the IndexTables addition rows, at both sets' element indices
 (Multiset.indices, the one index form of a set), never from a zero mask or
@@ -188,17 +192,29 @@ def subgroup_transversal(
     return None
 
 
+def certified_non_tile(tables: IndexTables, k: int, zmask: int) -> bool:
+    """Whether a certificate that spends no search nodes proves that no k-set
+    with zero mask zmask tiles: k does not divide |G|, or zmask misses a bit
+    of IndexTables.forced_mask(|G| / k) (the prime-power certificate). It
+    reads the mask alone, so it needs no set."""
+    n = tables.n
+    return bool(n % k or tables.forced_mask(n // k) & ~zmask)
+
+
 def tiling_complement(
     tables: IndexTables, cand: Sequence[int], zmask: int, budget: int
 ) -> Union[Subgroup, list[int], None, Undecided]:
     """The tiling policy on the set of element indices cand, whose zero mask
-    is zmask: a subgroup cand is a transversal of when there is one, else an
-    exact cover's complement (element indices, 0 first).
+    is zmask: None when certified_non_tile says so, else a subgroup cand is
+    a transversal of when there is one, else an exact cover's complement
+    (element indices, 0 first).
 
-    None means no complement exists; UNDECIDED is returned only when the
-    exact cover runs out of budget.
+    None means no complement exists, proved by the certificate or by an
+    exhausted exact cover; the certificate spends no nodes, so it decides at
+    every budget. UNDECIDED is returned only when the exact cover runs out
+    of budget.
     """
-    if tables.n % len(cand):
+    if certified_non_tile(tables, len(cand), zmask):
         return None
     found = subgroup_transversal(tables, zmask, len(cand))
     return found[0] if found is not None else cover_complement(tables, cand, budget)[0]
@@ -232,15 +248,20 @@ def _checked(
 def find_complement(
     S: Multiset, budget: int = DEFAULT_BUDGET
 ) -> Union[ComplementWitness, None, Undecided]:
-    """Search for a tiling complement of S containing 0 by exact cover.
+    """Search for a tiling complement of S containing 0 by exact cover, with
+    no subgroup step.
 
-    None means exhaustive search proved no complement exists; UNDECIDED is
-    returned only on budget exhaustion.
+    None means no complement exists: the certificate (certified_non_tile,
+    on the zero mask of S, at no search nodes) or an exhausted exact cover
+    proved it. UNDECIDED is returned only on budget exhaustion.
     """
     _require_set(S)
-    if S.group.order % S.mass:
+    if S.group.order % S.mass:  # certified_non_tile, before any table is built
         return None
-    return _checked(S, cover_complement(index_tables(S.group), S.indices, budget)[0])
+    tables = index_tables(S.group)
+    if certified_non_tile(tables, S.mass, set_zero_mask(S)):
+        return None
+    return _checked(S, cover_complement(tables, S.indices, budget)[0])
 
 
 def tiles_by_subgroup(S: Multiset) -> Optional[Subgroup]:
@@ -259,8 +280,9 @@ def find_tiling_complement(
 ) -> Union[ComplementWitness, None, Undecided]:
     """A tiling complement of the set S containing 0 (see tiling_complement).
 
-    None means no complement exists; UNDECIDED is returned only when the
-    exact cover runs out of budget.
+    None means no complement exists, proved by the certificate on the zero
+    mask of S or by an exhausted exact cover; UNDECIDED is returned only
+    when the exact cover runs out of budget.
     """
     _require_set(S)
     tables = index_tables(S.group)

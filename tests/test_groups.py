@@ -208,6 +208,21 @@ def test_direction_classes_match_direction_rep(moduli, classes):
     assert covered == (1 << G.order) - 2
 
 
+@pytest.mark.parametrize("moduli", [[8], [12], [4, 6], [2, 2, 3, 3], [3, 3, 5, 5], [30]])
+def test_forced_mask_holds_the_elements_of_prime_power_order_prime_to_t(moduli):
+    # by coordinates: element_order, and the prime factors of each order
+    G = make_group(moduli)
+    tables = index_tables(G)
+    for t in (t for t in range(1, G.order + 1) if G.order % t == 0):
+        expected = 0
+        for g in range(1, G.order):
+            d = element_order(G, G.coords_of(g))
+            primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+            if len(primes) == 1 and t % primes[0]:
+                expected |= 1 << g
+        assert tables.forced_mask(t) == expected, t
+
+
 @pytest.mark.parametrize("moduli", [[8], [4, 6], [2, 2, 3, 3], [3, 3, 5, 5]])
 def test_index_tables_add_and_sub_rows_match_coordinate_arithmetic(moduli):
     G = make_group(moduli)

@@ -861,7 +861,8 @@ def _count_tile_decisions(monkeypatch) -> list:
 # A settled word's orbit under the class generators is settled with it; a
 # sweep whose groups have no generators settles each word alone. Reports
 # must not tell the two apart, serial or with two workers and jobs of 7
-# candidates on average; the budget-3 plan settles nothing either way.
+# candidates on average; the budget-2 plan settles nothing either way, and
+# lists sets whose cover (size 3) or clique search (size 4) runs out.
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "moduli, sizes, budget",
@@ -869,7 +870,7 @@ def _count_tile_decisions(monkeypatch) -> list:
         ((2, 2, 3, 3), (2, 3, 4, 6), DEFAULT_BUDGET),
         ((2, 2, 2, 2), None, DEFAULT_BUDGET),
         ((3, 3), None, DEFAULT_BUDGET),
-        ((2, 2, 3, 3), (1, 2, 3, 4), 3),
+        ((2, 2, 3, 3), (1, 2, 3, 4), 2),
     ],
     ids=str,
 )
@@ -913,6 +914,26 @@ def test_a_walk_leaves_the_memo_that_settling_words_alone_leaves(moduli, sizes, 
             decided.append(len(calls))
     assert memos[0] == memos[1]
     assert decided[0] < decided[1] == sum(map(len, memos[1].values()))
+
+
+def test_no_exact_cover_runs_on_a_set_the_certificate_refutes(monkeypatch):
+    # the cold seed-5 plan of 1 000 draws at sizes 9, 12 and 18 on
+    # Z_2^2 x Z_3^2: 562 of its new words reached the exact cover before
+    # the prime-power certificate (IndexTables.forced_mask) came first
+    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    covered = []
+
+    def recorded(tables, cand, budget):
+        covered.append(tuple(cand))
+        return cover_complement(tables, cand, budget)
+
+    monkeypatch.setattr(tiling, "cover_complement", recorded)
+    G = make_group([2, 2, 3, 3])
+    report = verify_fuglede(VerificationPlan(group=G, sizes=(9, 12, 18), seed=5, count_per_size=1000))
+    assert report.ok
+    tables, zero_mask = index_tables(G), char_table(G).zero_mask
+    assert not [cand for cand in covered if tables.forced_mask(36 // len(cand)) & ~zero_mask(cand)]
+    assert len(covered) == 30
 
 
 def test_orbit_settling_walks_match_a_per_set_tally(z12, monkeypatch):

@@ -27,13 +27,14 @@ from spectile import (
     tiles_by_subgroup,
     verify_fuglede,
 )
-from spectile.cyclotomic import char_table
+from spectile.cyclotomic import _reduce, char_table, set_zero_mask
 from spectile.errors import DEFAULT_BUDGET
 from spectile.groups import Subgroup, coset_id_table, index_tables
 from spectile.tiling import (
     SeededDraws,
     _sample_plan,
     candidate_draws,
+    cover_complement,
     subgroup_transversal,
     tiling_complement,
 )
@@ -135,6 +136,75 @@ def test_find_complement_budget(z36):
     assert wit is not None and wit is not UNDECIDED
 
 
+# --- the prime-power certificate ---------------------------------------------
+
+
+@pytest.mark.parametrize("N, p", [(2, 2), (3, 3), (4, 2), (5, 5), (8, 2), (9, 3)])
+def test_roots_of_unity_of_prime_power_order_vanish_only_in_multiples_of_p(N, p):
+    # the step behind IndexTables.forced_mask, by brute force: some multiset
+    # of t N-th roots of unity, N = p^a, sums to zero iff p divides t. The
+    # sum of zeta^j over the multiset is zero iff its polynomial in zeta
+    # reduces to 0 modulo Phi_N
+    for t in range(1, 9):
+        vanishes = any(
+            not any(_reduce(N, [exps.count(j) for j in range(N)]))
+            for exps in itertools.combinations_with_replacement(range(N), t)
+        )
+        assert vanishes == (t % p == 0), (N, t)
+
+
+def _certified_sets_have_no_complement(G, k, cands) -> int:
+    """Run an unbudgeted exact cover on each candidate k-set that the
+    certificate refutes (its zero mask misses a bit of forced_mask(|G| / k)),
+    assert that it finds no complement, and return how many there were."""
+    tables = index_tables(G)
+    zero_mask = char_table(G).zero_mask
+    forced = tables.forced_mask(G.order // k)
+    certified = [cand for cand in cands if forced & ~zero_mask(cand)]
+    for cand in certified:
+        assert cover_complement(tables, cand, 10**18)[0] is None, (G, cand)
+    return len(certified)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(8,), (9,), (12,), (16,), (18,), (2, 6), (2, 8), (2, 2, 3), (3, 3), (4, 4), (2, 2, 2, 2)],
+    ids=str,
+)
+def test_the_prime_power_certificate_refutes_no_tile(moduli):
+    # every 0-containing set at every size dividing |G|. In a p-group every
+    # size leaves |G| / k a power of p, so nothing is forced below k = |G|,
+    # where the set is G and its mask is full: the certificate fires only
+    # when two primes divide |G|
+    G = make_group(moduli)
+    certified = sum(
+        _certified_sets_have_no_complement(
+            G, k, [(0,) + rest for rest in itertools.combinations(range(1, G.order), k - 1)]
+        )
+        for k in range(1, G.order + 1)
+        if G.order % k == 0
+    )
+    primes = {p for p in range(2, G.order + 1) if G.order % p == 0 and all(p % q for q in range(2, p))}
+    assert (certified > 0) == (len(primes) > 1), certified
+
+
+def test_the_prime_power_certificate_refutes_no_tile_of_z2_squared_z3_squared(z36):
+    # every 0-containing set of sizes 2 to 6 (5 does not divide 36), and
+    # 2 000 seeded draws at each of sizes 9, 12 and 18
+    certified = {
+        k: _certified_sets_have_no_complement(
+            z36, k, [(0,) + rest for rest in itertools.combinations(range(1, 36), k - 1)]
+        )
+        for k in (2, 3, 4, 6)
+    }
+    rng = random.Random(33)
+    for k in (9, 12, 18):
+        draws = [(0,) + tuple(sorted(rng.sample(range(1, 36), k - 1))) for _ in range(2000)]
+        certified[k] = _certified_sets_have_no_complement(z36, k, draws)
+    # at sizes 2, 3 and 6 both primes divide |G| / k, so nothing is forced
+    assert [k for k, n in certified.items() if n] == [4, 9, 12, 18], certified
+
+
 def test_tiles_by_subgroup_examples(z6):
     G6 = Multiset.set_of(z6, z6.elements)
     assert tiles_by_subgroup(G6).elements == ((0, 0),)
@@ -228,11 +298,22 @@ def test_enumerate_tiles_yields_exactly_the_sets_with_a_tiling_complement():
 
 
 def test_enumerate_tiles_below_the_default_budget_decides_each_set():
-    # {0, 1, 3} in Z_12 shares its class word with {0, 1, 6}, and at budget 2
-    # its cover finds no tile while that of {0, 1, 6} runs out; a word's
-    # outcome answers no other set below DEFAULT_BUDGET
-    with pytest.raises(InvalidArgument, match=re.escape("[(0,), (1,), (6,)]")):
-        list(enumerate_tiles(make_group([12]), 3, budget=2))
+    # at size 4 of Z_2^3 x Z_3 no class is forced (IndexTables.forced_mask(6)
+    # is 0), and {0, e_4, e_3, e_2} shares its class word with
+    # {0, e_4, e_3, e_2 + 2 e_4}, which it precedes; at budget 1 its cover
+    # finds no tile while that of the other runs out, so a word's outcome
+    # answers no other set below DEFAULT_BUDGET
+    G = make_group([2, 2, 2, 3])
+    first, later = (
+        Multiset.set_of(G, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, last)])
+        for last in (0, 2)
+    )
+    assert index_tables(G).forced_mask(6) == 0
+    assert set_zero_mask(first) == set_zero_mask(later)
+    assert find_complement(first, budget=1) is None
+    assert find_complement(later, budget=1) is UNDECIDED
+    with pytest.raises(InvalidArgument, match=re.escape(repr(list(later.support)))):
+        list(enumerate_tiles(G, 4, budget=1))
 
 
 def test_enumerate_tiles_over_the_candidate_cap_is_refused(z36, monkeypatch):
