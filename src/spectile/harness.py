@@ -874,12 +874,18 @@ def case5_nonexistence_probe(
     one sample of q points of Z_q^2 per leaf, in leaf draw order.
     SeededDraws.fibers reads it from them in one loop: a drawn leaf's mask
     is the OR of its points' bits, and the kernel sum adds the points'
-    columns. The class word keys the spectral
-    memo, as its L bytes (_memo), and a dict of this call holding, per word,
-    the zero mask and the zero-mask part of the obstruction class, so a
-    word is expanded and classified once per call.
-    The structure checks read the leaf masks alone, and only a listed
-    candidate (undecided or spectral) is sorted into its set.
+    columns. Every decision that is a function of the class word is made
+    once per word and size in a call: a dict per size, keyed by the word,
+    holds its spectral verdict (_spectral_verdict on its zero mask, under
+    its L-byte memo key, _memo) and its obstruction kind. A verdict that
+    _spectral_verdict searches again without storing (below DEFAULT_BUDGET)
+    is thus searched once per word and size of a call; the search is
+    deterministic, so every candidate of the word gets the verdict its own
+    search would.
+    A candidate then costs its draw, its class word, one lookup and the two
+    leaf tallies (aligned leaves and the direction gap), which read its
+    leaf masks alone. Only a listed candidate (undecided or spectral) is
+    sorted into its set, and a spectral one gets its own spectrum.
 
     An empty size list is refused, as it is by VerificationPlan: for p = 2
     the probe range is empty, and a probe of no size would report ok.
@@ -916,11 +922,7 @@ def case5_nonexistence_probe(
     # the kernel columns of the elements of each leaf, by p-part index; a
     # warm-up draws nothing and leaves the kernel unbuilt
     col_at = [list(map(kernel.cols.__getitem__, row)) for row in lt.elem] if count_per_size else None
-    # per class word of this call: its zero mask, and whether the mask fails
-    # the vanishing pattern
-    by_word: dict[int, tuple[int, bool]] = {}
     examined = 0
-    refuted = 0
     spectral_hits: list[dict] = []
     undecided: list[dict] = []
     obstructions: dict[str, int] = {
@@ -929,12 +931,19 @@ def case5_nonexistence_probe(
         "leaf-overflow": 0,
     }
     aligned_leaf_hits = 0
-    direction_gap = {"holds": 0, "fails": 0}
+    gap_holds = 0
 
     for size in sizes if col_at else ():
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
         memo = _memo(G, size)
+        # per class word at this size: its spectral verdict and its
+        # obstruction kind. A verdict depends on the size, so the dict does
+        # too. The kind is taken from the first candidate of the word, which
+        # is exact: fibers draws exactly q distinct points in each drawn leaf
+        # and none elsewhere, so every candidate of a size has the same leaf
+        # popcounts, and the rest of the kind is a function of the zero mask
+        by_word: dict[int, tuple[Union[bool, Undecided], str]] = {}
         draws = candidate_draws(seed, size).fibers(col_at, leaves_needed, q, count_per_size)
         for leaves, total in draws:
             examined += 1
@@ -942,13 +951,13 @@ def case5_nonexistence_probe(
             known = by_word.get(word)
             if known is None:
                 zmask = expand(word)
-                known = by_word[word] = (zmask, _vanishing_pattern_fails(lt, zmask))
-            zmask, pattern_fails = known
-            key = word.to_bytes(key_bytes, "little")
-            verdict = _spectral_verdict(memo, tables, key, zmask, size, budget)[0]
-            if verdict is False:
-                refuted += 1
-            else:
+                key = word.to_bytes(key_bytes, "little")
+                known = by_word[word] = (
+                    _spectral_verdict(memo, tables, key, zmask, size, budget)[0],
+                    _classify_obstruction(lt, leaves, _vanishing_pattern_fails(lt, zmask)),
+                )
+            verdict, kind = known
+            if verdict is not False:
                 cand = tuple(sorted(_leaf_elements(lt, leaves)))
                 if verdict is UNDECIDED:
                     undecided.append({"size": size, "set": _coords(G, cand)})
@@ -964,7 +973,7 @@ def case5_nonexistence_probe(
                         }
                     )
 
-            obstructions[_classify_obstruction(lt, leaves, pattern_fails)] += 1
+            obstructions[kind] += 1
             if _aligned_along_some_direction(lt, leaves):
                 aligned_leaf_hits += 1
             # a candidate with no clean p-direction or no clean q-direction
@@ -972,9 +981,7 @@ def case5_nonexistence_probe(
             # in this size range always keep both gaps, so the tally splits
             # the sample by which refutation route applies
             if _direction_gap_ok(lt, leaves):
-                direction_gap["holds"] += 1
-            else:
-                direction_gap["fails"] += 1
+                gap_holds += 1
 
     return ProbeReport(
         group=G.moduli,
@@ -983,12 +990,12 @@ def case5_nonexistence_probe(
         count_per_size=count_per_size,
         budget=budget,
         examined=examined,
-        refuted=refuted,
+        refuted=examined - len(spectral_hits) - len(undecided),
         spectral_hits=spectral_hits,
         undecided=undecided,
         obstructions=obstructions,
         aligned_leaf_hits=aligned_leaf_hits,
-        direction_gap=direction_gap,
+        direction_gap={"holds": gap_holds, "fails": examined - gap_holds},
         elapsed=time.perf_counter() - start,
     )
 

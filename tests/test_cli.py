@@ -336,6 +336,18 @@ def test_probe_command(capsys):
     assert out["examined"] == 5 and out["ok"] is True
 
 
+def test_probe_command_gives_the_documented_tallies(capsys):
+    # the example of the README and of case5_nonexistence_probe's docstring
+    argv = ["probe-case5", "--group", "3,3,5,5", "--sizes", "30", "--samples", "400", "--seed", "7"]
+    rc = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert out["examined"] == out["refuted"] == 400
+    assert out["obstructions"] == {"leaf-overflow": 0, "leaf-structure": 0, "vanishing-pattern": 400}
+    assert out["direction_gap"] == {"fails": 400, "holds": 0}
+    assert out["aligned_leaf_hits"] == 0
+
+
 def test_probe_command_refuses_an_empty_range(capsys):
     # Z_2^2 x Z_3^2 has no size in the case-5 range: exit 1, not an ok report
     rc = main(["probe-case5", "--group", "2,2,3,3", "--seed", "1"])

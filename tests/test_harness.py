@@ -1384,12 +1384,36 @@ def _drawn_probe_sets(G, shape, seed, size, count):
     return out
 
 
+def _drawn_zero_masks(G, shape, seed, size, count):
+    """The zero masks of the drawn sets (_drawn_probe_sets), in draw order."""
+    zero_mask = char_table(G).zero_mask
+    return [
+        zero_mask([G.index_of(tuple(x)) for x in s])
+        for s in _drawn_probe_sets(G, shape, seed, size, count)
+    ]
+
+
+def _counting(monkeypatch, module, name, arg=1):
+    """Replace module.name by a wrapper that records its argument arg."""
+    seen = []
+    f = getattr(module, name)
+
+    def wrapper(*args):
+        seen.append(args[arg])
+        return f(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
 @pytest.mark.parametrize("moduli", [(3, 3, 5, 5), (5, 3, 3, 5)])
 def test_probe_lists_an_undecided_candidate_as_its_drawn_set(monkeypatch, moduli):
-    # a clique search that never decides makes every candidate undecided,
-    # and an empty memo makes every one run it
+    # a clique search that never decides makes every candidate undecided;
+    # an empty memo stores none of its verdicts, yet the probe searches each
+    # class word once, as the search is deterministic
     monkeypatch.setattr(harness, "_memo", lambda G, k: {})
     monkeypatch.setattr(harness, "spectrum_search", lambda *args: (UNDECIDED, 0))
+    searched = _counting(monkeypatch, harness, "spectrum_search")
     G = make_group(moduli)
     shape = pq_shape(G)
     report = case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=12)
@@ -1398,6 +1422,110 @@ def test_probe_lists_an_undecided_candidate_as_its_drawn_set(monkeypatch, moduli
         {"size": 30, "set": s} for s in _drawn_probe_sets(G, shape, 7, 30, 12)
     ]
     assert sum(report.obstructions.values()) == 12
+    masks = set(_drawn_zero_masks(G, shape, 7, 30, 12))
+    assert sorted(searched) == sorted(masks) and len(masks) < 12
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_the_probe_decides_each_class_word_once(monkeypatch, seed):
+    # with a cold memo, the clique search, the vanishing-pattern test and
+    # the obstruction kind each run once per distinct zero mask (so class
+    # word) among the drawn sets, not once per candidate
+    monkeypatch.setattr(harness, "_memo", lambda G, k: {})
+    searched = _counting(monkeypatch, harness, "spectrum_search")
+    patterned = _counting(monkeypatch, harness, "_vanishing_pattern_fails")
+    classified = _counting(monkeypatch, harness, "_classify_obstruction")
+    G = make_group((3, 3, 5, 5))
+    shape = pq_shape(G)
+    report = case5_nonexistence_probe(shape, (30,), seed=seed, count_per_size=60)
+    assert report.examined == 60
+    masks = set(_drawn_zero_masks(G, shape, seed, 30, 60))
+    assert len(masks) < 60
+    assert sorted(searched) == sorted(patterned) == sorted(masks)
+    assert len(classified) == len(masks)
+
+
+def _probe_by_helpers(shape, sizes, seed, count, budget):
+    """The tallies of case5_nonexistence_probe, each candidate decided on its
+    own by the helpers: the clique search on its zero mask, its obstruction
+    kind and its two leaf tallies."""
+    G = shape.group
+    tables, kernel, lt = index_tables(G), char_table(G), leaf_tables(shape)
+    doc = {
+        "examined": 0,
+        "refuted": 0,
+        "spectral_hits": [],
+        "undecided": [],
+        "obstructions": {"leaf-overflow": 0, "leaf-structure": 0, "vanishing-pattern": 0},
+        "aligned_leaf_hits": 0,
+        "direction_gap": {"fails": 0, "holds": 0},
+    }
+    for size in sizes:
+        for s in _drawn_probe_sets(G, shape, seed, size, count):
+            cand = [G.index_of(tuple(x)) for x in s]
+            zmask, leaves = kernel.zero_mask(cand), lt.leaves(cand)
+            lam = harness.spectrum_search(tables, zmask, size, budget)[0]
+            doc["examined"] += 1
+            if lam is None:
+                doc["refuted"] += 1
+            elif lam is UNDECIDED:
+                doc["undecided"].append({"size": size, "set": s})
+            else:
+                wit = find_spectrum(Multiset.set_of(G, map(tuple, s)), budget)
+                spectrum = [list(x) for x in wit.lam.support] if wit is not UNDECIDED else None
+                doc["spectral_hits"].append({"size": size, "set": s, "spectrum": spectrum})
+            pattern_fails = _vanishing_pattern_fails(lt, zmask)
+            doc["obstructions"][_classify_obstruction(lt, leaves, pattern_fails)] += 1
+            doc["aligned_leaf_hits"] += _aligned_along_some_direction(lt, leaves)
+            doc["direction_gap"]["holds" if _direction_gap_ok(lt, leaves) else "fails"] += 1
+    return doc
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 1])
+@pytest.mark.parametrize("moduli", [(3, 3, 5, 5), (3, 3, 7, 7)])
+def test_probe_reports_what_deciding_each_candidate_gives(moduli, budget):
+    shape = pq_shape(make_group(moduli))
+    size = probe_sizes(shape)[0]
+    for seed in (2, 5):
+        d = case5_nonexistence_probe(shape, (size,), seed=seed, count_per_size=40, budget=budget).to_dict()
+        reference = _probe_by_helpers(shape, (size,), seed, 40, budget)
+        assert {key: d[key] for key in reference} == reference
+
+
+@pytest.fixture(scope="module")
+def shape57():
+    return pq_shape(make_group((5, 5, 7, 7)))
+
+
+def test_the_probe_decides_a_word_once_per_size(monkeypatch, shape57):
+    # a verdict depends on the size: a word met at two sizes is decided at each
+    assert probe_sizes(shape57)[:2] == (70, 105)
+    monkeypatch.setattr(harness, "_memo", lambda G, k: {})
+    # every candidate gets the class word of {0}, whose zero mask is empty
+    kernel = char_table(shape57.group)
+    word = kernel.class_word(kernel.cols[0], 1)
+    monkeypatch.setattr(type(kernel), "class_word", lambda self, total, m: word)
+    sizes = _counting(monkeypatch, harness, "spectrum_search", arg=2)
+    report = case5_nonexistence_probe(shape57, (70, 105), seed=3, count_per_size=3)
+    assert report.examined == report.refuted == 6
+    assert sizes == [70, 105]
+
+
+def test_a_two_size_probe_merges_its_one_size_probes(shape57):
+    def tallies(sizes):
+        d = case5_nonexistence_probe(shape57, sizes, seed=4, count_per_size=3).to_dict()
+        for key in ("sizes", "count_per_size", "elapsed_seconds"):
+            d.pop(key)
+        return d
+
+    both, alone = tallies((70, 105)), [tallies((n,)) for n in (70, 105)]
+    assert both["examined"] == 6
+    for key in ("examined", "refuted", "aligned_leaf_hits"):
+        assert both[key] == sum(d[key] for d in alone), key
+    for key in ("spectral_hits", "undecided"):
+        assert both[key] == alone[0][key] + alone[1][key], key
+    for key in ("obstructions", "direction_gap"):
+        assert both[key] == {k: sum(d[key][k] for d in alone) for k in both[key]}, key
 
 
 def test_probe_tallies_do_not_depend_on_the_order_of_the_moduli():
