@@ -370,23 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_set: bool = False) -> None:
-        if needs_set:
-            p.add_argument("--set", help="path to a JSON set document (default: stdin)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized modes")
+    def budget(text: str) -> int:  # refused as it is parsed, before stdin is read
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be a positive count, got {text}")
+        return int(text)
 
-    p = sub.add_parser("analyze", help="full report for one set")
-    add_common(p, needs_set=True)
+    def add_common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+        p.add_argument("--budget", type=budget, default=DEFAULT_BUDGET, help="search node budget")
+        if seeded:  # the commands that draw
+            p.add_argument("--seed", type=int, default=None, help="seed for randomized modes")
 
-    p = sub.add_parser("spectrum", help="find a spectrum for a set")
-    add_common(p, needs_set=True)
-
-    p = sub.add_parser("complement", help="find a tiling complement for a set")
-    add_common(p, needs_set=True)
-
-    p = sub.add_parser("decompose", help="row/column decomposition on Z_p x Z_q")
-    add_common(p, needs_set=True)
+    for name, about in (
+        ("analyze", "full report for one set"),
+        ("spectrum", "find a spectrum for a set"),
+        ("complement", "find a tiling complement for a set"),
+        ("decompose", "row/column decomposition on Z_p x Z_q"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--set", help="path to a JSON set document (default: stdin)")
+        if name != "decompose":  # cube_decompose runs no search
+            add_common(p, seeded=False)
 
     p = sub.add_parser("enumerate-tiles", help="stream tiles of a given size")
     p.add_argument("--group", required=True, help="comma-separated moduli")
@@ -424,8 +427,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.budget < 1:
-            raise ParseError(f"--budget must be a positive count, got {args.budget}")
         # looked up when called, so a replaced cmd_* function is the one run
         rc = globals()["cmd_" + args.command.replace("-", "_")](args)
         try:

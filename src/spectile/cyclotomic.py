@@ -268,10 +268,11 @@ class CyclotomicInt:
 # for every direction class side by side in limbs sized for the group and
 # decides all classes of a set with one big-int sum (class_word), which
 # zero_mask expands to element bits; a sweep decides a whole block of
-# candidates with a few more, each candidate in its own L-byte slot
-# (decode, which stem_batches feeds). Nothing else reads these tables: the
-# verifiers and multiset zero sets go through char_sum_coeffs and its
-# exponent rows, which share only the reduction modulo Phi_M.
+# candidates with a few more, each in its own L-byte slot (decode). A word
+# leaves the kernel only as such a memo key (key, keys, stem_batches), which
+# expand and orbit read back. Nothing else reads these tables: the verifiers
+# and multiset zero sets go through char_sum_coeffs and its exponent rows,
+# which share only the reduction modulo Phi_M.
 
 
 class CharTable:
@@ -384,6 +385,11 @@ class CharTable:
             nonzero |= nonzero >> shift
         return class_bits ^ (class_bits & nonzero)
 
+    def key(self, total: int, m: int) -> bytes:
+        """The memo key of a kernel sum of m elements: its class word
+        (class_word) as key_bytes little-endian bytes."""
+        return self.class_word(total, m).to_bytes(self.key_bytes, "little")
+
     @cached_property
     def word_bits(self) -> list[int]:
         """The bit of each direction class in a class word, by class id."""
@@ -391,9 +397,9 @@ class CharTable:
 
     @cached_property
     def key_bytes(self) -> int:
-        """L, the bytes of a class word's memo key (little-endian) and of one
-        slot of a packed batch: ceil(classes * phi * w / 8), so a slot holds
-        every limb of a kernel sum, guard bits included."""
+        """L, the bytes of a memo key (key) and of one slot of a packed
+        batch: ceil(classes * phi * w / 8), so a slot holds every limb of a
+        kernel sum, guard bits included."""
         classes = len(index_tables(self.group).direction_classes)
         return -(-classes * self.phi * self.limb_layout()[1] // 8)
 
@@ -448,6 +454,12 @@ class CharTable:
             nonzero |= nonzero >> shift
         return split((class_bits ^ (class_bits & nonzero)).to_bytes(size, "little"))
 
+    def keys(self, sums: list[int]) -> tuple[bytes, ...]:
+        """The memo keys of a block of sums, each sum_base(k) plus the cols of
+        a nonzero part, packed into L-byte slots and keyed by one decode."""
+        slots = map(int.to_bytes, sums, itertools.repeat(self.key_bytes), itertools.repeat("little"))
+        return self.decode(int.from_bytes(b"".join(slots), "little"), len(sums))
+
     def _batch_tables(self, depth: int) -> list[tuple[int, int]]:
         """Per start index a, the batch of every depth-combination of
         range(a + 1, |G|) in itertools.combinations order, combination j in
@@ -500,16 +512,36 @@ class CharTable:
             total = sum(map(cols.__getitem__, stem), base).to_bytes(L, "little")
             yield stem, decode(int.from_bytes(total * count, "little") + packed, count)
 
-    def expand(self, word: int) -> int:
-        """The element bits of a class word: the generators of every class
-        whose bit is set."""
+    def expand(self, key: bytes) -> int:
+        """The element bits of the class word of a memo key: the generators
+        of every class whose bit is set."""
         gens_at = self._kernel[5]
+        word = int.from_bytes(key, "little")
         mask = 0
         while word:
             top = word.bit_length() - 1
             mask |= gens_at[top]
             word ^= 1 << top
         return mask
+
+    def orbit(self, key: bytes) -> Iterator[bytes]:
+        """The memo keys of the other images of key's word under Aut(G), each
+        once, breadth first under IndexTables.class_generators (read at every
+        call, not kept), one word at a time, never closing the group."""
+        word_bits, L = self.word_bits, self.key_bytes
+        perms = index_tables(self.group).class_generators
+        # per class generator, the word bit of the image of each class
+        gens = [(perm, list(map(word_bits.__getitem__, perm))) for perm in perms]
+        word = int.from_bytes(key, "little")
+        seen = {word}
+        todo = [[c for c, bit in enumerate(word_bits) if word & bit]]
+        for classes in todo:
+            for perm, bits in gens:
+                image = sum(map(bits.__getitem__, classes))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(list(map(perm.__getitem__, classes)))
+                    yield image.to_bytes(L, "little")
 
     def zero_mask(self, cand: Sequence[int]) -> int:
         """Bitmask over element indices of the zero set of a set of indices.
@@ -522,7 +554,7 @@ class CharTable:
         at once, side by side in limbs, exactly for any set of element indices:
         the class word of the set's kernel sum, expanded to element bits.
         """
-        return self.expand(self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand)))
+        return self.expand(self.key(sum(map(self.cols.__getitem__, cand)), len(cand)))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. Both verdicts of a k-set are functions of its
 zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
-One memo per group and size (_memo), keyed by the word as L little-endian
-bytes (CharTable.key_bytes), holds the verdict of spectra.spectrum_search
+One memo per group and size (_memo), keyed by the word's memo key
+(CharTable.key), holds the verdict of spectra.spectrum_search
 and the outcome of tiling.tiling_complement, which reads the mask for its
 prime-power certificate and its subgroup step; its exact cover does not
 read the mask and runs on the first set of each key (of each orbit, in
@@ -17,7 +17,7 @@ every other word keeps a (verdict, nodes, tile) tuple. The mask is
 expanded from the word only off the settled path. Both verdicts are
 invariant under the automorphisms of G, which permute the direction
 classes, so an exhaustive walk that settles a word settles the word's
-whole orbit with it (_sweep_chunk).
+whole orbit with it (CharTable.orbit).
 
 Every size's candidates travel in one form, the (keys, part) blocks of
 tiling, in the order enumerate_tiles lists them: keys[i] is candidate i's
@@ -116,13 +116,12 @@ MemoEntry = Union[bool, tuple[bool, int, int, Optional[list[int]]]]
 
 @lru_cache(maxsize=None)
 def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
-    """Verdicts on the k-sets of G, keyed by class word alone
-    (CharTable.class_word), as the L little-endian bytes that
-    CharTable.stem_batches gives a packed batch (CharTable.key_bytes): a
-    settled bool or one flat (spectral verdict, clique nodes, tile outcome,
-    spectrum) per word. A byte-string key is hashed and compared without
-    turning a batch's keys back into ints; the word itself is read back
-    (int.from_bytes) only to expand a mask off the settled path.
+    """Verdicts on the k-sets of G, keyed by class word alone, in the
+    memo-key form of CharTable.key, which a packed batch gives every
+    candidate: a settled bool or one flat (spectral verdict, clique nodes,
+    tile outcome, spectrum) per word. A byte-string key is hashed and
+    compared as it is; only CharTable.expand, off the settled path, and
+    CharTable.orbit read the word back.
 
     Both properties of a k-set are functions of its zero mask Z(S), which
     its class word expands to: spectrality is the clique search on Z(S); S
@@ -139,7 +138,7 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     automorphism psi' adjoint to psi^-1 under the pairing, so the words
     realised at each size, the partners of the tiling criterion and the
     annihilators H^perp are each mapped onto themselves. A stem walk
-    therefore settles a word's whole orbit at once (_sweep_chunk).
+    therefore settles a word's whole orbit at once (CharTable.orbit).
     """
     return {}
 
@@ -431,24 +430,21 @@ def _sweep_chunk(
     candidate's part is built, and sorted into its set, only for an exact
     cover or a listed entry (cand below).
 
-    With orbits (an unfiltered stem walk of size k >= 2), a word that the
-    slow path settles has its orbit under the class generators
-    (IndexTables.class_generators, built at the first such word) searched
-    breadth first, one word at a time and never closing the permutation
-    group, and every image key not yet in the memo gets the same bool;
-    tuple entries are left alone. Both verdicts are orbit invariants
-    (_memo), and each image is the word of a 0-containing k-set, which the
-    walk meets, so the memo ends as settling each word alone leaves it. Two
-    conditions make it so. The clique search of every image must fit
-    DEFAULT_BUDGET, so the orbit settles only when _clique_nodes_bounded
-    holds for the mask's size, which an orbit shares. And a sampled or
-    canonicalized sweep meets few of the images, so only an unfiltered walk
-    settles orbits; elsewhere they would fill the memo with words no candidate
-    reads. The tile side reads as for one word: a cover that finishes for
-    the first set met decides its word, and now the orbit. A walk meets
-    every word of each orbit, so on Z_2^2 x Z_3^2 the slow path decides 3,
-    7, 15 and 63 words at sizes 2, 3, 4 and 6, one per orbit, of the 16,
-    41, 139 and 1 778 that the sizes realise.
+    With orbits (an unfiltered stem walk of size k >= 2), every key of the
+    orbit of a word that the slow path settles (CharTable.orbit) that is not
+    yet in the memo gets the same bool; tuple entries are left alone. Both
+    verdicts are orbit invariants (_memo), and each image is the word of a
+    0-containing k-set, which the walk meets, so the memo ends as settling
+    each word alone leaves it. Two conditions make it so. The clique search
+    of every image must fit DEFAULT_BUDGET, so the orbit settles only when
+    _clique_nodes_bounded holds for the mask's size, which an orbit shares.
+    And a sampled or canonicalized sweep meets few of the images, so only
+    an unfiltered walk settles orbits; elsewhere they would fill the memo
+    with words no candidate reads. The tile side reads as for one word: a
+    cover that finishes for the first set met decides its word, and now the
+    orbit. A walk meets every word of each orbit, so on Z_2^2 x Z_3^2 the
+    slow path decides 3, 7, 15 and 63 words at sizes 2, 3, 4 and 6, one per
+    orbit, of the 16, 41, 139 and 1 778 that the sizes realise.
     """
     kernel = char_table(G)
     tables = index_tables(G)
@@ -461,28 +457,12 @@ def _sweep_chunk(
     tally = SizeTally(size=k)
     orbits = orbits and k >= 2
 
-    def settle_orbit(word: int, value: bool) -> None:
-        """Store value for every key of word's orbit not yet in the memo."""
-        word_bits = kernel.word_bits
-        # per class generator, the word bit of the image of each class
-        gens = [(perm, list(map(word_bits.__getitem__, perm))) for perm in tables.class_generators]
-        seen = {word}
-        todo = [[c for c, bit in enumerate(word_bits) if word & bit]]
-        for classes in todo:  # breadth first, one word at a time
-            for perm, bits in gens:
-                image = sum(map(bits.__getitem__, classes))
-                if image not in seen:
-                    seen.add(image)
-                    todo.append(list(map(perm.__getitem__, classes)))
-                    memo.setdefault(image.to_bytes(kernel.key_bytes, "little"), value)
-
     def slow(part: Callable[[int], Sequence[int]], i: int, key: bytes) -> None:
         def cand() -> tuple[int, ...]:
             return (0,) + tuple(sorted(part(i)))
 
         tally.examined += 1
-        word = int.from_bytes(key, "little")
-        zmask = kernel.expand(word)
+        zmask = kernel.expand(key)
         sp, lam = _spectral_verdict(memo, tables, key, zmask, k, budget)
         entry = get(key) if keep_tiles else None
         tile = TILE_UNSET if entry is None else entry[2]
@@ -496,7 +476,8 @@ def _sweep_chunk(
                 )
                 memo[key] = entry[0] if settles else (entry[0], entry[1], tile, entry[3])
                 if settles and orbits and _clique_nodes_bounded(zmask.bit_count(), k):
-                    settle_orbit(word, entry[0])
+                    for image in kernel.orbit(key):
+                        memo.setdefault(image, entry[0])
         ti = tile if tile is UNDECIDED else tile != NOT_A_TILE
         if ti is UNDECIDED:
             tally.tile_undecided.append({"set": _coords(G, cand())})
@@ -560,15 +541,14 @@ def _least_blocks(perms: Sequence[Sequence[int]], blocks: Iterable[tuple]) -> It
 
 
 def _sweep_job(job: tuple) -> SizeTally:
-    """One job (plan, k, stems) of verify_fuglede, run in this process or in
-    a pool's worker: the size-k candidates as tiling's (keys, part) blocks,
-    through the tally loop (_sweep_chunk). A sampled size draws its seeded
-    candidates (_draw_blocks), always as a whole job. Every other size walks
-    stems (_stem_blocks), every one of size k (stems None) or the given run
-    of them, and settles whole orbits. canonicalize filters the walk's
-    blocks (_least_blocks) over every element permutation of Aut(G)
-    (groups.automorphism_index_perms, the closure of the generators), and
-    such a walk settles words one at a time.
+    """One job (plan, k, stems) of verify_fuglede (_jobs), run in this
+    process or in a pool's worker: the size-k candidates as tiling's (keys,
+    part) blocks, through the tally loop (_sweep_chunk). A sampled size
+    draws its seeded candidates (_draw_blocks), always as a whole job.
+    Every other size walks the given run of stems (_stem_blocks) and
+    settles whole orbits. canonicalize filters the walk's blocks
+    (_least_blocks) over all of Aut(G) (groups.automorphism_index_perms),
+    and such a walk settles words one at a time.
     """
     plan, k, stems = job
     G = plan.group
@@ -582,17 +562,23 @@ def _sweep_job(job: tuple) -> SizeTally:
     return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk)
 
 
-# Candidates per pooled job of stems, on average. A batched candidate costs
-# a worker well under a microsecond, so job overhead needs large jobs: two
-# workers swept Z_2^2 x Z_3^2 size 8 in 2.1-2.3 s with jobs of 4 096
-# candidates against 1.5-1.8 s with 32 768 (2-vCPU VM).
+# Candidates per job of stems, on average. A batched candidate costs well
+# under a microsecond, so job overhead needs large jobs: two workers swept
+# Z_2^2 x Z_3^2 size 8 in 2.1-2.3 s with jobs of 4 096 candidates against
+# 1.5-1.8 s with 32 768 (2-vCPU VM).
 _CHUNK = 1 << 15
 
 
-def _stem_jobs(plan: VerificationPlan) -> Iterator[tuple]:
-    """The pooled jobs of an exhaustive plan: per size, runs of as many
-    stems as hold _CHUNK candidates on average, which the workers batch
-    themselves (tiling._stem_blocks)."""
+def _jobs(plan: VerificationPlan) -> Iterator[tuple]:
+    """The jobs of a plan, serial or pooled. A sampled size is one job, so
+    that its draws and its memo stay in one process, and the sizes run
+    largest first, by k, so that a pool does not start the longest job last.
+    An exhaustive size, canonicalized or not, is runs of as many stems as
+    hold _CHUNK candidates on average, which each job batches itself
+    (tiling._stem_blocks)."""
+    if plan.count_per_size is not None:
+        yield from ((plan, k, None) for k in sorted(plan.sizes, reverse=True))
+        return
     G = plan.group
     n = G.order
     for k in plan.sizes:
@@ -624,11 +610,8 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     lists each of its sets as a violation. The sweep only tallies: the
     tiles themselves are listed by tiling.enumerate_tiles.
 
-    A stem walk settles a word's whole orbit under the automorphisms of G
-    with it (_sweep_chunk): both verdicts are invariant, and the orbit
-    settles only when every clique search on it fits DEFAULT_BUDGET nodes,
-    sum_{i=1}^{k-1} C(|Z|, i) at most. Sampled and canonicalized sweeps
-    settle words one at a time.
+    A stem walk settles a settled word's whole orbit under Aut(G) with it
+    (_sweep_chunk); sampled and canonicalized sweeps settle words alone.
 
     Neither decision consults the other's verdict. Both read the zero mask,
     but by different arguments: a non-tile verdict comes from the
@@ -641,35 +624,25 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     budget, so a budget-bound sweep lists only the sets whose cover or
     clique search runs out.
 
-    Without a pool, each size is one job (_sweep_job) in this process; no
-    pool starts when it would hold one worker. A pool has at most the CPU
-    count, and for a sampled plan at most one worker per size: a sampled
-    size stays one job, so its draws and its memo stay in one worker, and
-    the pool takes those sizes largest first, by k, so that the longest job
-    does not start last. A pooled exhaustive size, canonicalized or not, is
-    split into runs of stems (_stem_jobs).
-    imap returns the tallies in job order and they merge associatively, per
-    size, so no report depends on scheduling or on the pool size.
+    Serial or pooled, a plan runs the same jobs (_jobs, each a _sweep_job):
+    one per sampled size, and runs of stems of each exhaustive size. No pool
+    starts when it would hold one worker; a pool has at most the CPU count,
+    and for a sampled plan one worker per size. map and imap return the
+    tallies in job order, merged associatively into per_size, built in plan
+    order, so no report depends on scheduling or on the pool size.
     """
     start = time.perf_counter()
-    sampled = plan.count_per_size is not None
-    most = len(plan.sizes) if sampled else plan.workers
+    most = len(plan.sizes) if plan.count_per_size is not None else plan.workers
     processes = min(plan.workers, os.cpu_count() or 1, most)
-    jobs: Iterable[tuple] = ((plan, k, None) for k in plan.sizes)
-    run, pool = map, None
+    per_size = {k: SizeTally(size=k) for k in plan.sizes}
+    pool = None
     if processes > 1:
         import multiprocessing as mp
 
         pool = mp.get_context("fork").Pool(processes)
-        run = pool.imap
-        if sampled:
-            jobs = ((plan, k, None) for k in sorted(plan.sizes, reverse=True))
-        else:
-            jobs = _stem_jobs(plan)
-    per_size: dict[int, SizeTally] = {}
     with pool or contextlib.nullcontext():
-        for tally in run(_sweep_job, jobs):
-            per_size.setdefault(tally.size, SizeTally(size=tally.size)).merge(tally)
+        for tally in (pool.imap if pool else map)(_sweep_job, _jobs(plan)):
+            per_size[tally.size].merge(tally)
     return VerificationReport(plan, per_size, time.perf_counter() - start)
 
 
@@ -877,11 +850,11 @@ def case5_nonexistence_probe(
     columns. Every decision that is a function of the class word is made
     once per word and size in a call: a dict per size, keyed by the word,
     holds its spectral verdict (_spectral_verdict on its zero mask, under
-    its L-byte memo key, _memo) and its obstruction kind. A verdict that
-    _spectral_verdict searches again without storing (below DEFAULT_BUDGET)
-    is thus searched once per word and size of a call; the search is
-    deterministic, so every candidate of the word gets the verdict its own
-    search would.
+    its memo key, CharTable.key, made at the word's first candidate) and its
+    obstruction kind. A verdict that _spectral_verdict searches again
+    without storing (below DEFAULT_BUDGET) is thus searched once per word
+    and size of a call; the search is deterministic, so every candidate of
+    the word gets the verdict its own search would.
     A candidate then costs its draw, its class word, one lookup and the two
     leaf tallies (aligned leaves and the direction gap), which read its
     leaf masks alone. Only a listed candidate (undecided or spectral) is
@@ -917,7 +890,7 @@ def case5_nonexistence_probe(
 
     tables = index_tables(G)
     kernel = char_table(G)
-    class_word, expand, key_bytes = kernel.class_word, kernel.expand, kernel.key_bytes
+    class_word = kernel.class_word
     lt = leaf_tables(shape)
     # the kernel columns of the elements of each leaf, by p-part index; a
     # warm-up draws nothing and leaves the kernel unbuilt
@@ -950,8 +923,8 @@ def case5_nonexistence_probe(
             word = class_word(total, size)
             known = by_word.get(word)
             if known is None:
-                zmask = expand(word)
-                key = word.to_bytes(key_bytes, "little")
+                key = kernel.key(total, size)
+                zmask = kernel.expand(key)
                 known = by_word[word] = (
                     _spectral_verdict(memo, tables, key, zmask, size, budget)[0],
                     _classify_obstruction(lt, leaves, _vanishing_pattern_fails(lt, zmask)),

@@ -22,8 +22,8 @@ a CharTable. The searches read a set's indices from Multiset.indices and its
 zero mask from set_zero_mask, which returns only the mask.
 
 The sweeps and enumerate_tiles read the same candidates in one form,
-(keys, part) blocks: keys[i] is candidate i's memo key (its class word in
-CharTable.key_bytes little-endian bytes), and part(i) its nonzero part as
+(keys, part) blocks: keys[i] is candidate i's memo key (its class word as
+CharTable.key gives it), and part(i) its nonzero part as
 element indices, built only when asked. There is one producer per source:
 _stem_blocks walks every 0-containing k-set in lexicographic order, one
 CharTable.stem_batches batch per stem (--canonicalize filters its blocks),
@@ -47,7 +47,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .cyclotomic import CharTable, char_table, set_zero_mask
+from .cyclotomic import char_table, set_zero_mask
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -572,14 +572,6 @@ def _stem_blocks(G: Group, k: int, stems: Optional[Iterable] = None) -> Iterator
         yield keys, part
 
 
-def _keys(kernel: CharTable, sums: list[int]) -> tuple[bytes, ...]:
-    """The memo keys of a block of sums, each CharTable.sum_base(k) plus the
-    kernel columns of a nonzero part: one to_bytes per sum packs the block
-    into L-byte slots, and one CharTable.decode keys it."""
-    slots = map(int.to_bytes, sums, itertools.repeat(kernel.key_bytes), itertools.repeat("little"))
-    return kernel.decode(int.from_bytes(b"".join(slots), "little"), len(sums))
-
-
 def _draw_blocks(G: Group, k: int, seed: int, count: int) -> Iterator[tuple]:
     """The count seeded draws of size k (candidate_draws) as (keys, part)
     blocks of at most _DECODE_BLOCK. Which items a draw picks depends only
@@ -593,7 +585,7 @@ def _draw_blocks(G: Group, k: int, seed: int, count: int) -> Iterator[tuple]:
     for sums, again in draws.sums(kernel.cols[1:], k - 1, count, kernel.sum_base(k), _DECODE_BLOCK):
         # a list, since tuple() of a map would fill the tuple free list
         # (cover_complement)
-        yield _keys(kernel, sums), lambda i, again=again: list(map(col_index, again(i)))
+        yield kernel.keys(sums), lambda i, again=again: list(map(col_index, again(i)))
 
 
 def enumerate_tiles(
@@ -645,7 +637,7 @@ def enumerate_tiles(
                     continue
                 seen.add(cand)
             if out is False:
-                out = tiling_complement(tables, cand, expand(int.from_bytes(key, "little")), budget)
+                out = tiling_complement(tables, cand, expand(key), budget)
                 if out is UNDECIDED:
                     raise InvalidArgument(
                         f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"

@@ -442,6 +442,27 @@ def test_nonpositive_budget_or_size_is_a_usage_error(capsys, argv, flag):
     assert flag in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("analyze", "--seed"),
+        ("spectrum", "--seed"),
+        ("complement", "--seed"),
+        ("decompose", "--seed"),
+        ("decompose", "--budget"),
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
+    # no draw or search reads these, so they are not options of the command,
+    # even with a valid set document
+    f = tmp_path / "set.json"
+    f.write_text(_doc([2, 3], [[0, 0], [1, 0]]))
+    assert main([command, "--set", str(f), option, "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in json.loads(captured.err)["error"]
+
+
 def test_verify_refuses_canonicalize_with_samples(capsys):
     # the plan is the one whose sampled sweep used to ignore --canonicalize
     argv = ["verify", "--group", "2,2,3", "--sizes", "3", "--samples", "5", "--seed", "1"]

@@ -24,7 +24,13 @@ from spectile import (
     zero_set,
 )
 from spectile.cyclotomic import char_table
-from spectile.groups import coset_id_table, index_tables, subgroups_of_order
+from spectile import groups
+from spectile.groups import (
+    automorphism_index_perms,
+    coset_id_table,
+    index_tables,
+    subgroups_of_order,
+)
 
 
 # --- integer polynomials ----------------------------------------------------
@@ -272,6 +278,36 @@ def test_packed_decode_gives_the_class_word_of_every_slot(moduli):
         table.class_word(sum(map(cols.__getitem__, s)), len(s)).to_bytes(L, "little") for s in sets
     )
     assert {0 in s for s in sets} == {True, False}
+
+
+@pytest.mark.parametrize("moduli, sizes", [((2, 2, 3), None), ((2, 2, 3, 3), (2, 3, 4))], ids=str)
+def test_orbit_yields_the_keys_of_the_automorphic_images_of_a_set(moduli, sizes, monkeypatch):
+    # one 0-containing set S per key realised at each size: the key and its
+    # orbit (a breadth-first walk under the class generators) are exactly
+    # the keys of the images of S under every element automorphism (the
+    # closure of the generators), and the orbit repeats no key and never
+    # yields the key itself
+    G = make_group(moduli)
+    table = char_table(G)
+    perms = automorphism_index_perms(G)
+
+    def key(s):
+        return table.key(sum(map(table.cols.__getitem__, s)), len(s))
+
+    realised = []
+    for k in sizes or range(1, G.order + 1):
+        by_key = {}
+        for rest in itertools.combinations(range(1, G.order), k - 1):
+            by_key.setdefault(key((0,) + rest), (0,) + rest)
+        for word, S in by_key.items():
+            orbit = list(table.orbit(word))
+            assert len(set(orbit)) == len(orbit) and word not in orbit, S
+            assert {word, *orbit} == {key([a[s] for s in S]) for a in perms}, S
+        realised += by_key
+    assert max(len(list(table.orbit(word))) for word in realised) > 1
+    # the generators are read at each call: with none, every orbit is empty
+    monkeypatch.setattr(groups.IndexTables, "class_generators", property(lambda self: ()))
+    assert not any(list(table.orbit(word)) for word in realised)
 
 
 @pytest.mark.parametrize(

@@ -602,8 +602,8 @@ def test_spectral_decisions_agree_with_networkx_cliques(moduli, samples):
         verdicts.add(expected)
         assert (find_spectrum(Multiset.set_of(G, elems)) is not None) == expected, cand
         # cand as a block of one candidate: its memo key and nonzero part
-        word = kernel.class_word(sum(map(kernel.cols.__getitem__, cand)), len(cand))
-        block = ([word.to_bytes(kernel.key_bytes, "little")], [cand[1:]].__getitem__)
+        key = kernel.key(sum(map(kernel.cols.__getitem__, cand)), len(cand))
+        block = ([key], [cand[1:]].__getitem__)
         tally = _sweep_chunk(G, len(cand), [block], DEFAULT_BUDGET)
         assert tally.spectral == expected, cand
     assert verdicts == {True, False}
@@ -1650,8 +1650,8 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
                 )
             )
             assert leaves == lt.leaves(cand)
-            word = kernel.class_word(total, len(cand))
-            assert kernel.expand(word) == kernel.zero_mask(cand)
+            key = kernel.key(total, len(cand))
+            assert kernel.expand(key) == kernel.zero_mask(cand)
             assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
     rng = random.Random(f"structure:{moduli}")
     classes, aligned_any, gaps, counts = set(), set(), set(), set()
@@ -1659,10 +1659,10 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
         cand = tuple(sorted(G.index_of(x) for x in S.mult))
         leaves = lt.leaves(cand)
         assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
-        word = kernel.class_word(sum(kernel.cols[g] for g in cand), len(cand))
-        assert kernel.expand(word) == kernel.zero_mask(cand)
+        key = kernel.key(sum(kernel.cols[g] for g in cand), len(cand))
+        assert kernel.expand(key) == kernel.zero_mask(cand)
         # the obstruction's zero-mask part, once per word in the probe
-        pattern_fails = _vanishing_pattern_fails(lt, kernel.expand(word))
+        pattern_fails = _vanishing_pattern_fails(lt, kernel.expand(key))
         obstruction = _classify_obstruction(lt, leaves, pattern_fails)
         assert obstruction == _obstruction_by_coordinates(shape, S)
         classes.add(obstruction)

@@ -246,11 +246,12 @@ def test_spectrum_search_matches_the_quadratic_graph_construction(moduli):
     for _ in range(200):
         k = rng.choice([2, 3, 4, 6, 9, 12])
         cand = (0,) + tuple(sorted(rng.sample(range(1, G.order), k - 1)))
-        word = kernel.class_word(sum(map(kernel.cols.__getitem__, cand)), k)
+        key = kernel.key(sum(map(kernel.cols.__getitem__, cand)), k)
+        union = class_bits & rng.getrandbits(class_bits.bit_length())
         for zmask, budget in (
-            (kernel.expand(word), DEFAULT_BUDGET),
-            (kernel.expand(word), 20),
-            (kernel.expand(class_bits & rng.getrandbits(class_bits.bit_length())), 50),
+            (kernel.expand(key), DEFAULT_BUDGET),
+            (kernel.expand(key), 20),
+            (kernel.expand(union.to_bytes(kernel.key_bytes, "little")), 50),
         ):
             got = spectrum_search(tables, zmask, k, budget)
             assert got == _quadratic_spectrum_search(tables, zmask, k, budget), (cand, zmask)
