@@ -35,7 +35,6 @@ from .groups import (
     Group,
     Multiset,
     Subgroup,
-    all_directions,
     annihilator,
     automorphism_index_perms,
     cyclic_subgroup,
@@ -44,17 +43,14 @@ from .groups import (
     dot,
     element_order,
     make_group,
-    project_along,
     subgroups_of_order,
     sylow_projection,
 )
 from .cyclotomic import (
     CubeDecomposition,
     CyclotomicInt,
-    IntPolynomial,
     ZeroSet,
     char_sum,
-    char_sum_vanishes,
     cube_decompose,
     cyclotomic_poly,
     euler_phi,
@@ -64,7 +60,6 @@ from .spectra import (
     SpectrumWitness,
     equidistributed,
     find_spectrum,
-    is_spectral,
     is_spectral_pair,
 )
 from .tiling import (

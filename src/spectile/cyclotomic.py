@@ -36,90 +36,6 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending, no trailing zeros."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = self.coeffs
-        end = len(c)
-        while end and c[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", tuple(c[:end]))
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def x_pow_minus_one(cls, n: int) -> "IntPolynomial":
-        """x^n - 1."""
-        return cls((-1,) + (0,) * (n - 1) + (1,))
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(tuple(out))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Quotient and remainder by a monic divisor, exactly over Z."""
-        if divisor.is_zero or divisor.coeffs[-1] != 1:
-            raise InvalidArgument("divisor must be monic")
-        d = divisor.degree
-        if len(self.coeffs) <= d:
-            return IntPolynomial.zero(), self
-        rem = list(self.coeffs)
-        _divide_monic(rem, d, tuple((j, c) for j, c in enumerate(divisor.coeffs[:-1]) if c))
-        return IntPolynomial(tuple(rem[d:])), IntPolynomial(tuple(rem[:d]))
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        q, r = self.divmod_monic(divisor)
-        if not r.is_zero:
-            raise InvalidArgument("division was not exact")
-        return q
-
-    def evaluate(self, x: complex) -> complex:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -138,61 +54,31 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    sign = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    if n > 1:
-        sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial Phi_n, degree phi(n).
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial Phi_n, coefficients ascending, degree phi(n).
 
-    Computed by the Mobius product Phi_n = prod_{d|n} (x^d - 1)^{mu(n/d)};
-    the numerator/denominator quotient is exact over Z.
+    x^n - 1 is the product of Phi_d over the divisors d of n, so Phi_n is
+    x^n - 1 divided by Phi_d for each proper divisor d; every division is
+    exact over Z.
     """
     if n < 1:
         raise InvalidArgument("cyclotomic_poly requires n >= 1")
-    num = IntPolynomial.one()
-    den = IntPolynomial.one()
-    for d in _divisors(n):
-        mu = _mobius(n // d)
-        if mu == 1:
-            num = num * IntPolynomial.x_pow_minus_one(d)
-        elif mu == -1:
-            den = den * IntPolynomial.x_pow_minus_one(d)
-    poly = num.exact_div(den)
-    assert poly.degree == euler_phi(n)
-    return poly
+    coeffs = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            deg, terms = _phi_terms(d)
+            _divide_monic(coeffs, deg, terms)
+            assert not any(coeffs[:deg])
+            del coeffs[:deg]
+    assert len(coeffs) == euler_phi(n) + 1
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
 def _phi_terms(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(phi(M), the nonzero (power, coefficient) terms of Phi_M below its leading one)."""
-    coeffs = cyclotomic_poly(M).coeffs
+    coeffs = cyclotomic_poly(M)
     return len(coeffs) - 1, tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
 
 
@@ -240,14 +126,7 @@ class CyclotomicInt:
 
     @classmethod
     def from_int(cls, M: int, c: int) -> "CyclotomicInt":
-        d = euler_phi(M)
-        if d == 0:
-            raise InvalidArgument("modulus must be >= 1")
-        return cls(M, (c,) + (0,) * (d - 1))
-
-    @classmethod
-    def from_polynomial(cls, M: int, poly: IntPolynomial) -> "CyclotomicInt":
-        return cls(M, tuple(_reduce(M, list(poly.coeffs))))
+        return cls(M, (c,) + (0,) * (euler_phi(M) - 1))
 
     @property
     def is_zero(self) -> bool:
@@ -258,7 +137,7 @@ class CyclotomicInt:
         import cmath
 
         z = cmath.exp(2j * cmath.pi / self.modulus)
-        return IntPolynomial(self.coeffs).evaluate(z)
+        return sum(c * z**j for j, c in enumerate(self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +516,6 @@ def char_sum(G: Group, A: Multiset, g: Element) -> CyclotomicInt:
     G.check(g)
     (coeffs,) = char_sum_coeffs(G, A, (g,))
     return CyclotomicInt(G.exponent, tuple(coeffs))
-
-
-def char_sum_vanishes(G: Group, A: Multiset, g: Element) -> bool:
-    """True iff the character sum of A at g is exactly zero."""
-    return char_sum(G, A, g).is_zero
 
 
 @dataclass(frozen=True)

@@ -818,25 +818,6 @@ def sylow_projection(G: Group, A: Multiset, r: int) -> Multiset:
     return Multiset(target, counts)
 
 
-def project_along(G: Group, A: Multiset, alpha: Element) -> Multiset:
-    """Push a multiset forward along the character alpha onto Z_d.
-
-    d is the order of alpha; x lands at <x, alpha> * d / M mod d. Mass is
-    preserved. alpha = 0 sends everything to index 0 of the trivial group.
-    """
-    if A.group != G:
-        raise GroupMismatch("multiset lives on a different group")
-    G.check(alpha)
-    d = element_order(G, alpha)
-    step = G.exponent // d
-    target = Group((d,))
-    counts: dict[Element, int] = {}
-    for x, m in A.items():
-        k = (dot(G, x, alpha) // step) % d
-        counts[(k,)] = counts.get((k,), 0) + m
-    return Multiset(target, counts)
-
-
 def determined_directions(S: Multiset) -> frozenset[Direction]:
     """Directions of the nonzero differences of the support of S."""
     G = S.group
@@ -851,11 +832,3 @@ def determined_directions(S: Multiset) -> frozenset[Direction]:
                     out.add(direction_rep(G, d))
     return frozenset(out)
 
-
-def all_directions(G: Group) -> frozenset[Direction]:
-    """Every nonzero direction of the group."""
-    out = set()
-    for x in G.elements:
-        if x != G.identity:
-            out.add(direction_rep(G, x))
-    return frozenset(out)

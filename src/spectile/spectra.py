@@ -29,7 +29,6 @@ from .cyclotomic import char_sum_coeffs, set_zero_mask
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
-    BudgetExhausted,
     EmptyInput,
     GroupMismatch,
     Undecided,
@@ -228,14 +227,6 @@ def find_spectrum(
     if not is_spectral_pair(S, lam):  # pragma: no cover - search guarantees this
         raise InvalidArgument("internal error: clique witness failed verification")
     return SpectrumWitness(lam=lam, checked_pairs=S.mass * (S.mass - 1) // 2)
-
-
-def is_spectral(S: Multiset, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decide spectrality; budget exhaustion raises instead of guessing."""
-    out = find_spectrum(S, budget)
-    if out is UNDECIDED:
-        raise BudgetExhausted(f"spectrum search for {S!r} exceeded {budget} nodes")
-    return out is not None
 
 
 def equidistributed(A: Multiset, H: Subgroup) -> bool:

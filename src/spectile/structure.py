@@ -28,9 +28,9 @@ from .groups import (
     Direction,
     Element,
     Group,
+    IndexTables,
     Multiset,
     Subgroup,
-    coset_id_table,
     cyclic_subgroup,
     direction_rep,
     index_tables,
@@ -218,7 +218,8 @@ class LeafTables:
         parts = [shape.split(x) for x in G.elements]
         self.q = shape.q
         self.p_part = [pg.index_of(a) for a, _ in parts]
-        self.q_bit = [1 << qg.index_of(b) for _, b in parts]
+        self.q_part = [qg.index_of(b) for _, b in parts]
+        self.q_bit = [1 << b for b in self.q_part]
         # element indices of (a, 0) for every a in Z_p^2 and of (0, b) for every b in Z_q^2
         self.p_embed = [G.index_of(shape.join(a, qg.identity)) for a in pg.elements]
         self.q_embed = [G.index_of(shape.join(pg.identity, b)) for b in qg.elements]
@@ -232,14 +233,25 @@ class LeafTables:
         # the p lines b + <u> of Z_p^2 for each line <u> through 0, by class
         # id, and the pairs (a, a') of distinct points on one of those lines
         self.p = shape.p
-        self.p_lines: list[list[tuple[int, ...]]] = []
-        for _, gens in pt.direction_classes:
-            line = [0] + [a for a in range(pg.order) if gens >> a & 1]
-            cosets = {tuple(sorted(pt.add_rows[b][t] for t in line)) for b in range(pg.order)}
-            self.p_lines.append(sorted(cosets))
+        self.p_lines = _line_cosets(pt)
         self.p_pairs = [
             [(a, a2) for line in lines for i, a in enumerate(line) for a2 in line[i + 1 :]]
             for lines in self.p_lines
+        ]
+
+    @cached_property
+    def pair_cosets(self) -> list[list[list[int]]]:
+        """pair_cosets[c][c'][s]: the coset of <(u, v)> = <u> x <v> holding
+        element s, for u on line class c of Z_p^2 and v on line class c' of
+        Z_q^2: the pair of the cosets of s's p-part and q-part, one id < pq."""
+        q_lines = _line_cosets(index_tables(Group((self.q, self.q))))
+        p_ids, q_ids = (
+            [{t: j for j, coset in enumerate(lines) for t in coset} for lines in by_class]
+            for by_class in (self.p_lines, q_lines)
+        )
+        return [
+            [[pid[a] * self.q + qid[b] for a, b in zip(self.p_part, self.q_part)] for qid in q_ids]
+            for pid in p_ids
         ]
 
     def leaves(self, cand: Iterable[int]) -> list[int]:
@@ -249,6 +261,15 @@ class LeafTables:
         for s in cand:
             out[p_part[s]] |= q_bit[s]
         return out
+
+
+def _line_cosets(tables: IndexTables) -> list[list[tuple[int, ...]]]:
+    """By direction class id, the sorted cosets b + <u> of the line <u>, as sorted indices."""
+    out = []
+    for _, gens in tables.direction_classes:
+        line = [0] + [a for a in range(tables.n) if gens >> a & 1]
+        out.append(sorted({tuple(sorted(row[t] for t in line)) for row in tables.add_rows}))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -354,34 +375,28 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
         raise TooSmall(f"|A| = {A.mass} < pq = {p * q}")
     G = shape.group
     pg, qg = shape.p_group, shape.q_group
+    pt, qt = index_tables(pg), index_tables(qg)
+    cosets = leaf_tables(shape).pair_cosets
     pts = A.support
     witnesses: dict[tuple[Element, Element], tuple[TrichotomyWitnessKind, Direction]] = {}
-    for a in pg.elements:
-        if a == pg.identity:
-            continue
-        for b in qg.elements:
-            if b == qg.identity:
-                continue
-            # (a, b) has order pq, so <(a, b)> is the subgroup of index pq
-            H = Subgroup(G, cyclic_subgroup(G, shape.join(a, b)))
-            ids = coset_id_table(H)
+    for ai, a in enumerate(pg.elements[1:], 1):
+        for bi, b in enumerate(qg.elements[1:], 1):
+            # (a, b) has order pq, so <(a, b)> = <a> x <b> is the subgroup of index pq
+            ids = cosets[pt.direction_of[ai]][qt.direction_of[bi]]
             seen: dict[int, Element] = {}
-            collision: Optional[tuple[Element, Element]] = None
             for i, x in zip(A.indices, pts):
-                cid = ids[i]
-                if cid in seen:
-                    collision = (x, seen[cid])
+                y = seen.setdefault(ids[i], x)
+                if y != x:
                     break
-                seen[cid] = x
-            if collision is None:
+            else:
                 # every coset holds at most one point, so |A| = pq and
                 # <(a, b)> is a tiling complement
-                t = H.as_set()
+                t = Subgroup(G, cyclic_subgroup(G, shape.join(a, b))).as_set()
                 witness = ComplementWitness(t=t, method=ComplementMethod.SUBGROUP)
                 if not is_tiling_pair(A, t):  # pragma: no cover
                     raise InvalidArgument("internal error: transversal failed verification")
                 return TrichotomyResult(tile=witness, witnesses=None)
-            d = G.sub(collision[0], collision[1])
+            d = G.sub(x, y)
             da, db = shape.split(d)
             if db == qg.identity:
                 kind = TrichotomyWitnessKind.P_ONLY

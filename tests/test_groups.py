@@ -17,7 +17,6 @@ from spectile import (
     NotADivisor,
     Overflow,
     Subgroup,
-    all_directions,
     annihilator,
     automorphism_index_perms,
     cyclic_subgroup,
@@ -27,7 +26,6 @@ from spectile import (
     element_order,
     find_spectrum,
     make_group,
-    project_along,
     subgroups_of_order,
     sylow_projection,
 )
@@ -195,7 +193,7 @@ def test_direction_classes_match_direction_rep(moduli, classes):
     tables = index_tables(G)
     if classes is not None:
         assert len(tables.direction_classes) == classes
-    assert len(tables.direction_classes) == len(all_directions(G))
+    assert len(tables.direction_classes) == len({direction_rep(G, x) for x in G.elements[1:]})
     assert tables.direction_of[0] == -1
     covered = 0
     for c, (rep, gens) in enumerate(tables.direction_classes):
@@ -330,17 +328,6 @@ def test_sylow_projection_crt_moduli():
     assert dict(S5.items()) == {(3, 2): 1, (4, 0): 1}
 
 
-def test_project_along_examples(z6):
-    A = Multiset.set_of(z6, [(0, 0), (1, 0), (0, 1)])
-    everything = project_along(z6, A, (0, 0))
-    assert dict(everything.items()) == {(0,): 3}
-    p2 = project_along(z6, A, (1, 0))
-    assert dict(p2.items()) == {(0,): 2, (1,): 1}
-    B = Multiset.set_of(z6, [(0, 0), (1, 0)])
-    p6 = project_along(z6, B, (1, 1))
-    assert dict(p6.items()) == {(0,): 1, (3,): 1}
-
-
 def test_projection_preserves_mass(z36):
     rng = random.Random(9)
     for _ in range(20):
@@ -348,8 +335,6 @@ def test_projection_preserves_mass(z36):
         A = Multiset.from_elements(
             z36, [z36.coords_of(i) for i in pts for _ in range(rng.randint(1, 3))]
         )
-        alpha = z36.coords_of(rng.randrange(36))
-        assert project_along(z36, A, alpha).mass == A.mass
         assert sylow_projection(z36, A, 2).mass == A.mass
         assert sylow_projection(z36, A, 3).mass == A.mass
 
@@ -360,7 +345,7 @@ def test_determined_directions_examples(z6):
     pair = Multiset.set_of(z6, [(0, 0), (0, 1)])
     assert determined_directions(pair) == frozenset({Direction((0, 1), 3)})
     full = Multiset.set_of(z6, z6.elements)
-    assert determined_directions(full) == all_directions(z6)
+    assert determined_directions(full) == {direction_rep(z6, x) for x in z6.elements[1:]}
 
 
 def test_multiset_basics(z6):
@@ -468,7 +453,6 @@ def test_every_constructor_fills_the_sorted_element_indices(z36):
         subgroups_of_order(z36, 6)[2].as_set(),
         sylow_projection(z36, S, 2),
         sylow_projection(z36, S, 3),
-        project_along(z36, S, (1, 1, 1, 2)),
     ]
     for A in made:
         G = A.group
