@@ -7,6 +7,8 @@ verification sweeps of the spectral <=> tile equivalence on groups of shape
 Z_p^2 x Z_q^2.
 """
 
+import types as _types
+
 from .errors import (
     UNDECIDED,
     BudgetExhausted,
@@ -105,4 +107,5 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, less the submodules that the imports above bind
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _types.ModuleType)]

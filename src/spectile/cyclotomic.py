@@ -535,21 +535,25 @@ class ZeroSet:
         return len(self.elements)
 
 
-def zero_set(G: Group, A: Multiset) -> ZeroSet:
-    """All nonzero g with char_sum(A, g) = 0.
-
-    A set reads its zero mask (set_zero_mask), a multiset takes one
+def multiset_zero_mask(A: Multiset) -> int:
+    """The zero mask of A: a bit per nonzero element index with vanishing
+    character sum. A set reads set_zero_mask, a multiset takes one
     char_sum_coeffs evaluation per direction class (the sums at the
     generators of <g> are Galois conjugates, so they vanish together).
     """
+    if A.is_set:
+        return set_zero_mask(A)
+    G = A.group
+    classes = index_tables(G).direction_classes
+    sums = char_sum_coeffs(G, A, [G.elements[r] for r, _ in classes])
+    return sum(gens for (_, gens), coeffs in zip(classes, sums) if not any(coeffs))
+
+
+def zero_set(G: Group, A: Multiset) -> ZeroSet:
+    """All nonzero g with char_sum(A, g) = 0, read from multiset_zero_mask."""
     if A.group != G:
         raise GroupMismatch("multiset lives on a different group")
-    if A.is_set:
-        mask = set_zero_mask(A)
-    else:
-        classes = index_tables(G).direction_classes
-        sums = char_sum_coeffs(G, A, [G.elements[r] for r, _ in classes])
-        mask = sum(gens for (_, gens), coeffs in zip(classes, sums) if not any(coeffs))
+    mask = multiset_zero_mask(A)
     return ZeroSet(G, frozenset(G.coords_of(g) for g in range(1, G.order) if mask >> g & 1))
 
 

@@ -495,9 +495,10 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
 
 
 # The largest group order the per-group tables admit. IndexTables holds
-# 2 |G|^2 element indices and the character table M phi(M) coefficients
-# (M <= |G|); the largest group the tests and the benchmark decide on is
-# Z_3^2 x Z_7^2, of order 441.
+# |G|^2 + |G| element indices (add_rows and neg; add_bit_cols adds |G|^2
+# ints on the first exact cover) and the character table M phi(M)
+# coefficients (M <= |G|); the largest group the tests and the benchmark
+# decide on is Z_3^2 x Z_7^2, of order 441.
 MAX_TABLE_ORDER = 2048
 
 # The most bytes the packed batch tables of one stem-walk depth may hold
@@ -533,17 +534,16 @@ class IndexTables:
         # coordinate ranges in index order
         strides = G._radix
 
-        def rows(sign: int) -> list[list[int]]:
-            return [
-                list(map(sum, itertools.product(*(
-                    [(xi + sign * j) % n * st for j in range(n)]
-                    for xi, n, st in zip(x, G.moduli, strides)
-                ))))
-                for x in G.elements
-            ]
-
-        self.add_rows = rows(1)
-        self.sub_rows = rows(-1)
+        self.add_rows = [
+            list(map(sum, itertools.product(*(
+                [(xi + j) % n * st for j in range(n)]
+                for xi, n, st in zip(x, G.moduli, strides)
+            ))))
+            for x in G.elements
+        ]
+        # neg[x] = index(-x): the one table besides the addition rows, so a
+        # difference x - y is read as add_rows[x][neg[y]]
+        self.neg = [sum(-xi % n * st for xi, n, st in zip(x, G.moduli, strides)) for x in G.elements]
         self._perp_masks: dict[int, list[tuple[Subgroup, int]]] = {}
         self._forced: dict[int, int] = {}
 
@@ -618,17 +618,12 @@ class IndexTables:
                     out[g] = c
         return out
 
-    # Exact-cover columns, built on the first cover decision: sweeps that
-    # never reach the cover (the case-5 probe) do not pay for them.
+    # Exact-cover option bits, built on the first cover decision: sweeps
+    # that never reach the cover (the case-5 probe) do not pay for them.
     @cached_property
     def add_bit_cols(self) -> list[list[int]]:
         """add_bit_cols[s][g] = 1 << index(g + s)."""
         return [[1 << i for i in row] for row in self.add_rows]  # add is symmetric
-
-    @cached_property
-    def sub_cols(self) -> list[tuple[int, ...]]:
-        """sub_cols[s][c] = index(c - s)."""
-        return list(zip(*self.sub_rows))
 
     def perp_masks(self, m: int) -> list[tuple[Subgroup, int]]:
         """(H, bitmask over element indices of H^perp minus 0) for every

@@ -64,6 +64,7 @@ from .errors import (
     InvalidArgument,
     NotASpectralPair,
     NotATilingPair,
+    NotPQShape,
     TheoremViolation,
     Undecided,
     check_candidates,
@@ -83,7 +84,9 @@ from .spectra import (
     is_spectral_pair,
     spectrum_search,
 )
-from .structure import CaseKind, LeafTables, PQShape, aligned_leaves, classify_case, leaf_tables
+from .structure import (
+    CaseKind, LeafTables, PQShape, aligned_leaves, classify_case, leaf_tables, pq_shape
+)
 from .tiling import (
     ComplementMethod,
     ComplementWitness,
@@ -360,16 +363,29 @@ class VerificationReport:
             "elapsed_seconds": round(self.elapsed, 3),
         }
 
+    @property
+    def subgroup_claim(self) -> Optional[str]:
+        """The claim the subgroup-complement tallies check: the paper's, made
+        for its family Z_p^2 x Z_q^2 (structure.pq_shape) alone. It is false
+        in general ({0, 2} tiles Z_16, whose one subgroup of order 8 holds
+        2), so elsewhere it is None and a violation is an observation."""
+        try:
+            shape = pq_shape(self.plan.group)
+        except NotPQShape:
+            return None
+        return f"every tile of Z_{shape.p}^2 x Z_{shape.q}^2 has a subgroup complement"
+
     def subgroup_tiling_dict(self) -> dict:
         """to_dict less budget and canonicalize, over the subgroup-complement
         tallies: every tile counted, a tile found only by exact cover listed
-        as a violation."""
+        as a violation, and the claim they check (subgroup_claim)."""
         doc = self.to_dict()
         del doc["budget"], doc["canonicalize"]
         doc["per_size"] = {
             str(k): t.subgroup_tiling_dict() for k, t in sorted(self.per_size.items())
         }
-        doc["ok"] = self.subgroup_tiling_ok
+        elapsed = doc.pop("elapsed_seconds")
+        doc.update(ok=self.subgroup_tiling_ok, claim=self.subgroup_claim, elapsed_seconds=elapsed)
         return doc
 
 
@@ -899,6 +915,8 @@ def case5_nonexistence_probe(
     spectral_hits: list[dict] = []
     undecided: list[dict] = []
     obstructions: dict[str, int] = {
+        # kept at 0: every drawn candidate passes the leaf-size part
+        # (_classify_obstruction), so no candidate is refuted by it
         "leaf-structure": 0,
         "vanishing-pattern": 0,
         "leaf-overflow": 0,
@@ -911,11 +929,8 @@ def case5_nonexistence_probe(
         leaves_needed = size // q
         memo = _memo(G, size)
         # per class word at this size: its spectral verdict and its
-        # obstruction kind. A verdict depends on the size, so the dict does
-        # too. The kind is taken from the first candidate of the word, which
-        # is exact: fibers draws exactly q distinct points in each drawn leaf
-        # and none elsewhere, so every candidate of a size has the same leaf
-        # popcounts, and the rest of the kind is a function of the zero mask
+        # obstruction kind, a function of the zero mask. A verdict depends
+        # on the size, so the dict does too
         by_word: dict[int, tuple[Union[bool, Undecided], str]] = {}
         draws = candidate_draws(seed, size).fibers(col_at, leaves_needed, q, count_per_size)
         for leaves, total in draws:
@@ -927,7 +942,7 @@ def case5_nonexistence_probe(
                 zmask = kernel.expand(key)
                 known = by_word[word] = (
                     _spectral_verdict(memo, tables, key, zmask, size, budget)[0],
-                    _classify_obstruction(lt, leaves, _vanishing_pattern_fails(lt, zmask)),
+                    _classify_obstruction(lt, zmask),
                 )
             verdict, kind = known
             if verdict is not False:
@@ -982,36 +997,21 @@ def _leaf_elements(lt: LeafTables, leaves: list[int]) -> Iterator[int]:
             K ^= low
 
 
-def _vanishing_pattern_fails(lt: LeafTables, zmask: int) -> bool:
-    """Some mixed (u, v) has a nonvanishing sum while the sum at (u, 0) or
-    at (0, v) does not vanish either: the necessary condition that
-    _classify_obstruction tests after leaf sizes is that wherever the sum
-    does not vanish at a mixed (u, v), it vanishes at both.
+def _classify_obstruction(lt: LeafTables, zmask: int) -> str:
+    """Which structural necessary condition for spectrality fails, from the
+    zero mask zmask alone: "vanishing-pattern" when the sum does not vanish
+    at some mixed (u, v) nor at both (u, 0) and (0, v), else "leaf-overflow".
 
-    A function of the zero mask zmask alone, so of the class word.
+    The leaf-size part (leaf sizes of at most q, with a leaf constancy) is
+    not tested: SeededDraws.fibers draws exactly q points in each drawn
+    leaf and none elsewhere, so every probe candidate passes it.
     """
     for gu, row in zip(lt.p_embed[1:], lt.elem[1:]):
         u_vanishes = zmask >> gu & 1
         for gv, g in zip(lt.q_embed[1:], row[1:]):
             if not zmask >> g & 1 and not (u_vanishes and zmask >> gv & 1):
-                return True
-    return False
-
-
-def _classify_obstruction(lt: LeafTables, leaves: list[int], pattern_fails: bool) -> str:
-    """Which structural necessary condition for spectrality fails first.
-
-    leaves are the set's leaf masks, whose popcounts decide the leaf-size
-    part, and pattern_fails is _vanishing_pattern_fails of its zero mask.
-    """
-    q = lt.q
-    sizes = set(map(int.bit_count, leaves))
-    # the Sylow p-projection counts leaf sizes: it is a constant plus q times
-    # a multiset exactly when every size is congruent to the least one mod q,
-    # and sizes of at most q are congruent only when equal or all 0 or q
-    if max(sizes) > q or len(sizes) > 1 and not sizes <= {0, q}:
-        return "leaf-structure"
-    return "vanishing-pattern" if pattern_fails else "leaf-overflow"
+                return "vanishing-pattern"
+    return "leaf-overflow"
 
 
 def _aligned_along_some_direction(lt: LeafTables, leaves: list[int]) -> bool:

@@ -10,13 +10,15 @@ spectrum_search is the one spectrum search: it works on element indices and
 a zero mask, and both find_spectrum and the verification sweeps call it.
 is_spectral_pair is the independent check every returned witness passes: it
 never reads the zero mask (set_zero_mask, Multiset._zero) or a CharTable.
-It finds the direction classes of L - L on the IndexTables subtraction rows
-at L's element indices (Multiset.indices, the one index form of a set) and
-evaluates the exact character sum of S once per class
-(cyclotomic.char_sum_coeffs, from exponent rows built from coordinates, at
-S's indices). Both are computed once per object: a Multiset keeps its class
-verdicts as S and its difference classes as L (_classes). The searches read
-a set's zero mask from set_zero_mask, which returns only the mask.
+It finds the direction classes of L - L on the IndexTables addition rows,
+each difference a - b read as a + (-b) from L's element indices
+(Multiset.indices, the one index form of a set) and their negatives
+(IndexTables.neg), and evaluates the exact character sum of S once per
+class (cyclotomic.char_sum_coeffs, from exponent rows built from
+coordinates, at S's indices). Both are computed once per object: a
+Multiset keeps its class verdicts as S and its difference classes as L
+(_classes). The searches read a set's zero mask from set_zero_mask, which
+returns only the mask.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
     The sums at the generators of <d> are Galois conjugates of the sum at d,
     so L is a spectrum of S exactly when S's character sum vanishes on every
     direction class of L - L. Each class of a set's differences is found once
-    per L, and each class's verdict is evaluated once per S
+    per L, as a + (-b) on the addition rows with L's indices negated once,
+    and each class's verdict is evaluated once per S
     (char_sum_coeffs at the class representative), so checking one witness
     again, or one S against several L, costs only what is new.
     """
@@ -81,11 +84,12 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
     cached = _classes(L)
     classes = cached[1]
     if classes is None:
-        sub_rows, direction_of = tables.sub_rows, tables.direction_of
-        # -d shares d's class, so half the differences suffice
+        add, direction_of = tables.add_rows, tables.direction_of
+        # a - b = a + (-b); -d shares d's class, so half the differences suffice
+        negs = list(map(tables.neg.__getitem__, L.indices))
         found = set()
         for i, a in enumerate(L.indices, 1):
-            found.update(map(direction_of.__getitem__, map(sub_rows[a].__getitem__, L.indices[i:])))
+            found.update(map(direction_of.__getitem__, map(add[a].__getitem__, negs[i:])))
         classes = cached[1] = frozenset(found)
     verdicts = _classes(S)[0]
     if False in map(verdicts.get, classes):
@@ -191,11 +195,12 @@ def spectrum_search(
         m ^= lb
     if len(verts) < k - 1:
         return None, 0
-    # the neighbours of v are the w with v - w in the zero set; bit 0 of a
-    # zero mask is never set, so v is not its own neighbour
+    # the neighbours of v are the w with v - w = v + (-w) in the zero set;
+    # bit 0 of a zero mask is never set, so v is not its own neighbour
     in_z = set(verts).__contains__
-    sub_rows = tables.sub_rows
-    nbrs = {v: list(compress(verts, map(in_z, map(sub_rows[v].__getitem__, verts)))) for v in verts}
+    add = tables.add_rows
+    negs = list(map(tables.neg.__getitem__, verts))
+    nbrs = {v: list(compress(verts, map(in_z, map(add[v].__getitem__, negs)))) for v in verts}
     ordered = sorted(verts, key=lambda v: (-len(nbrs[v]), v))
     bit_of = {v: 1 << i for i, v in enumerate(ordered)}
     adj = [sum(map(bit_of.__getitem__, nbrs[v])) for v in ordered]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .cyclotomic import zero_set
+from .cyclotomic import multiset_zero_mask
 from .errors import (
     InvalidArgument,
     InvalidDirection,
@@ -225,10 +225,10 @@ class LeafTables:
         self.q_embed = [G.index_of(shape.join(pg.identity, b)) for b in qg.elements]
         # elem[i][j] = index of (a_i, b_j); row 0 is q_embed, column 0 p_embed
         self.elem = [[add[gu][gv] for gv in self.q_embed] for gu in self.p_embed]
-        # q_dir[b][b'] = direction class id in Z_q^2 of b - b' (-1 when b = b'),
-        # one of q_dir_count ids
+        # q_dir[b][b'] = direction class id in Z_q^2 of b - b' = b + (-b')
+        # (-1 when b = b'), one of q_dir_count ids
         pt, qt = index_tables(pg), index_tables(qg)
-        self.q_dir = [[qt.direction_of[d] for d in row] for row in qt.sub_rows]
+        self.q_dir = [[qt.direction_of[row[nb]] for nb in qt.neg] for row in qt.add_rows]
         self.q_dir_count = len(qt.direction_classes)
         # the p lines b + <u> of Z_p^2 for each line <u> through 0, by class
         # id, and the pairs (a, a') of distinct points on one of those lines
@@ -305,41 +305,29 @@ def prop1_validate(T: Multiset) -> tuple[bool, bool]:
     hypothesis: the character sum of T vanishes at every (x, y) with both
     the Z_p part x and the Z_q^2 part y nonzero. conclusion: the fiber
     functions g_i(z) = T(i + z) differ by constants. Both truth values are
-    returned so vacuous cases stay visible.
+    returned so vacuous cases stay visible. Both are read by element index:
+    the hypothesis from T's zero mask, the conclusion from T's counts.
     """
     G = T.group
     if len(G.moduli) != 3:
         raise WrongShape(f"need three cyclic factors, got {G.moduli!r}")
-    counts: dict[int, int] = {}
-    for n in G.moduli:
-        counts[n] = counts.get(n, 0) + 1
-    singles = [n for n, c in counts.items() if c == 1]
-    doubles = [n for n, c in counts.items() if c == 2]
-    if len(singles) != 1 or len(doubles) != 1:
+    p, q = (next((n for n in G.moduli if G.moduli.count(n) == c), None) for c in (1, 2))
+    if p is None or q is None:
         raise WrongShape(f"moduli {G.moduli!r} are not of shape (p, q, q)")
-    p, q = singles[0], doubles[0]
-    if p == q or not (is_prime(p) and is_prime(q)):
+    if not (is_prime(p) and is_prime(q)):
         raise WrongShape(f"moduli {G.moduli!r} are not distinct primes (p, q, q)")
     p_pos = G.moduli.index(p)
-    q_pos = [i for i in range(3) if i != p_pos]
+    sp, s0, s1 = (G._radix[k] for k in (p_pos, *(k for k in range(3) if k != p_pos)))
+    # fibers[i][z] = the element index of (i, z), z in Z_q^2 by index (0 first)
+    fibers = [[i * sp + a * s0 + b * s1 for a in range(q) for b in range(q)] for i in range(p)]
+    mixed = sum(1 << g for row in fibers[1:] for g in row[1:])
+    hypothesis = not mixed & ~multiset_zero_mask(T)
 
-    def build(i: int, z: Element) -> Element:
-        out = [0, 0, 0]
-        out[p_pos] = i
-        out[q_pos[0]], out[q_pos[1]] = z
-        return tuple(out)
-
-    qq = Group((q, q))
-    zs = zero_set(G, T)
-    hypothesis = all(build(x, y) in zs for x in range(1, p) for y in qq.elements[1:])
-
-    conclusion = True
-    base = {z: T(build(0, z)) for z in qq.elements}
-    for i in range(1, p):
-        deltas = {T(build(i, z)) - base[z] for z in qq.elements}
-        if len(deltas) > 1:
-            conclusion = False
-            break
+    mult = [0] * G.order
+    for g, x in zip(T.indices, T.support):
+        mult[g] = T.mult[x]
+    base = [mult[g] for g in fibers[0]]
+    conclusion = all(len({mult[g] - b for g, b in zip(row, base)}) == 1 for row in fibers[1:])
     return hypothesis, conclusion
 
 

@@ -163,17 +163,17 @@ def cover_complement(
 
     Option g (the translate cand + g) covers the bits add_bit_cols[s][g];
     they are distinct, so their sum is their union. Cell c is covered by
-    the translates c - s, listed in the order of cand: the order only steers
-    the branching of the exhaustive search, not its verdict.
+    the translates c - s = c + (-s), read from the addition row of -s and
+    listed in the order of cand: the order only steers the branching of the
+    exhaustive search, not its verdict.
     """
     # unpack a list, not a map: CPython builds the argument tuple of
     # zip(*map(...)) by resizing, which bypasses the tuple free list on
     # allocation but not on release, so the free list would fill up to
     # 2 000 retained tuples of every candidate size
-    add_bit_cols = tables.add_bit_cols
-    sub_cols = tables.sub_cols
+    add_bit_cols, add, neg = tables.add_bit_cols, tables.add_rows, tables.neg
     option_masks = list(map(sum, zip(*[add_bit_cols[s] for s in cand])))
-    cell_options = list(zip(*[sub_cols[s] for s in cand]))
+    cell_options = list(zip(*[add[neg[s]] for s in cand]))
     return _cover_search(tables.n, option_masks, cell_options, option_masks[0], budget)
 
 

@@ -264,10 +264,12 @@ def test_verify_workers_give_the_same_report(capsys):
 
 def test_verify_reports_tiles_without_subgroup_complement(capsys):
     # on Z_8 these tile, but hit some coset of the only subgroup of
-    # order 8/k twice
+    # order 8/k twice; Z_8 is outside the paper's family, where the claim is
+    # made, so they are listed and the run passes
     rc, out = _verify_json(capsys, ["verify", "--group", "8", "--sizes", "2,4", "--exhaustive"])
-    assert rc == EXIT_MISMATCH
+    assert rc == EXIT_OK
     assert out["fuglede"]["ok"] is True
+    assert out["subgroup_tiling"]["ok"] is False and out["subgroup_tiling"]["claim"] is None
     sub = out["subgroup_tiling"]["per_size"]
     assert [e["set"] for e in sub["2"]["violations"]] == [[[0], [2]], [[0], [4]], [[0], [6]]]
     assert [e["set"] for e in sub["4"]["violations"]] == [
@@ -276,6 +278,23 @@ def test_verify_reports_tiles_without_subgroup_complement(capsys):
         [[0], [3], [4], [7]],
     ]
     assert sub["2"]["undecided"] == sub["4"]["undecided"] == []
+
+
+def test_verify_fails_on_a_violation_in_the_papers_family(monkeypatch, capsys):
+    # every tile of Z_2^2 x Z_3^2 has a subgroup complement (the acceptance
+    # sweeps), so a violation is planted in a real report
+    def planted(plan):
+        report = verify_fuglede(plan)
+        report.per_size[2].violations.append({"set": [[0, 0, 0, 0], [1, 0, 0, 0]]})
+        return report
+
+    monkeypatch.setattr(cli, "verify_fuglede", planted)
+    rc, out = _verify_json(capsys, ["verify", "--group", "3,2,3,2", "--sizes", "2", "--exhaustive"])
+    assert rc == EXIT_MISMATCH
+    assert out["fuglede"]["ok"] is True
+    sub = out["subgroup_tiling"]
+    assert sub["ok"] is False
+    assert sub["claim"] == "every tile of Z_2^2 x Z_3^2 has a subgroup complement"
 
 
 def _rank_mod3(rows):

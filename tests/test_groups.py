@@ -227,7 +227,12 @@ def test_index_tables_add_and_sub_rows_match_coordinate_arithmetic(moduli):
     tables = index_tables(G)
     elements = G.elements
     assert tables.add_rows == [[G.index_of(G.add(x, y)) for y in elements] for x in elements]
-    assert tables.sub_rows == [[G.index_of(G.sub(x, y)) for y in elements] for x in elements]
+    assert tables.neg == [G.index_of(G.neg(x)) for x in elements]
+    # the one table of differences: x - y is read as add_rows[x][neg[y]]
+    add, neg = tables.add_rows, tables.neg
+    assert [[add[i][neg[j]] for j in range(G.order)] for i in range(G.order)] == [
+        [G.index_of(G.sub(x, y)) for y in elements] for x in elements
+    ]
 
 
 def test_annihilator_examples(z6):

@@ -57,7 +57,6 @@ from spectile.harness import (
     _leaf_elements,
     _memo,
     _sweep_chunk,
-    _vanishing_pattern_fails,
 )
 from spectile.structure import (
     aligned_leaves,
@@ -1429,12 +1428,11 @@ def test_probe_lists_an_undecided_candidate_as_its_drawn_set(monkeypatch, moduli
 
 @pytest.mark.parametrize("seed", [1, 7, 11])
 def test_the_probe_decides_each_class_word_once(monkeypatch, seed):
-    # with a cold memo, the clique search, the vanishing-pattern test and
-    # the obstruction kind each run once per distinct zero mask (so class
-    # word) among the drawn sets, not once per candidate
+    # with a cold memo, the clique search and the obstruction kind each run
+    # once per distinct zero mask (so class word) among the drawn sets, not
+    # once per candidate
     monkeypatch.setattr(harness, "_memo", lambda G, k: {})
     searched = _counting(monkeypatch, harness, "spectrum_search")
-    patterned = _counting(monkeypatch, harness, "_vanishing_pattern_fails")
     classified = _counting(monkeypatch, harness, "_classify_obstruction")
     G = make_group((3, 3, 5, 5))
     shape = pq_shape(G)
@@ -1442,8 +1440,7 @@ def test_the_probe_decides_each_class_word_once(monkeypatch, seed):
     assert report.examined == 60
     masks = set(_drawn_zero_masks(G, shape, seed, 30, 60))
     assert len(masks) < 60
-    assert sorted(searched) == sorted(patterned) == sorted(masks)
-    assert len(classified) == len(masks)
+    assert sorted(searched) == sorted(classified) == sorted(masks)
 
 
 def _probe_by_helpers(shape, sizes, seed, count, budget):
@@ -1475,8 +1472,7 @@ def _probe_by_helpers(shape, sizes, seed, count, budget):
                 wit = find_spectrum(Multiset.set_of(G, map(tuple, s)), budget)
                 spectrum = [list(x) for x in wit.lam.support] if wit is not UNDECIDED else None
                 doc["spectral_hits"].append({"size": size, "set": s, "spectrum": spectrum})
-            pattern_fails = _vanishing_pattern_fails(lt, zmask)
-            doc["obstructions"][_classify_obstruction(lt, leaves, pattern_fails)] += 1
+            doc["obstructions"][_classify_obstruction(lt, zmask)] += 1
             doc["aligned_leaf_hits"] += _aligned_along_some_direction(lt, leaves)
             doc["direction_gap"]["holds" if _direction_gap_ok(lt, leaves) else "fails"] += 1
     return doc
@@ -1557,12 +1553,18 @@ def test_probe_rejects_repeated_sizes():
 # --- the probe's index-level structure checks against coordinate oracles ------
 
 
-def _obstruction_by_coordinates(shape, S):
-    """Coordinate-level oracle for _classify_obstruction."""
-    q = shape.q
-    G = shape.group
+def _leaf_sizes_pass(shape, S):
+    """The leaf-size part of the structure: every leaf of S has at most q
+    points, and S has a leaf constancy."""
     leaves = leaf_decomposition(shape, S).leaves
-    if any(len(K) > q for K in leaves.values()) or leaf_constancy(shape, S) is None:
+    return all(len(K) <= shape.q for K in leaves.values()) and leaf_constancy(shape, S) is not None
+
+
+def _obstruction_by_coordinates(shape, S):
+    """Coordinate-level oracle for _classify_obstruction, with the leaf-size
+    part (_leaf_sizes_pass) first."""
+    G = shape.group
+    if not _leaf_sizes_pass(shape, S):
         return "leaf-structure"
     pg, qg = shape.p_group, shape.q_group
     for u in pg.elements:
@@ -1654,19 +1656,24 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
             key = kernel.key(total, len(cand))
             assert kernel.expand(key) == kernel.zero_mask(cand)
             assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
+            # so every probe candidate passes the leaf-size part, which
+            # _classify_obstruction leaves out
+            assert _leaf_sizes_pass(shape, Multiset.of_indices(G, cand))
     rng = random.Random(f"structure:{moduli}")
-    classes, aligned_any, gaps, counts = set(), set(), set(), set()
+    classes, compared, aligned_any, gaps, counts = set(), set(), set(), set(), set()
     for S in _structure_inputs(shape, rng):
         cand = tuple(sorted(G.index_of(x) for x in S.mult))
         leaves = lt.leaves(cand)
         assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
         key = kernel.key(sum(kernel.cols[g] for g in cand), len(cand))
         assert kernel.expand(key) == kernel.zero_mask(cand)
-        # the obstruction's zero-mask part, once per word in the probe
-        pattern_fails = _vanishing_pattern_fails(lt, kernel.expand(key))
-        obstruction = _classify_obstruction(lt, leaves, pattern_fails)
-        assert obstruction == _obstruction_by_coordinates(shape, S)
-        classes.add(obstruction)
+        # the obstruction kind, once per word in the probe, is the oracle's
+        # wherever the oracle's leaf-size part passes
+        expected = _obstruction_by_coordinates(shape, S)
+        classes.add(expected)
+        if expected != "leaf-structure":
+            assert _classify_obstruction(lt, kernel.expand(key)) == expected
+            compared.add(expected)
         aligned = [assumption_a_holds(shape, S, u) for u in pg.elements[1:]]
         assert aligned == [_aligned_by_coordinates(shape, S, u) for u in pg.elements[1:]]
         by_direction = [aligned_leaves(lines, leaves) for lines in lt.p_lines]
@@ -1683,6 +1690,7 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
         assert gap == _gap_by_directions(shape, S)
         gaps.add(gap)
     assert classes == {"leaf-structure", "vanishing-pattern", "leaf-overflow"}
+    assert compared == {"vanishing-pattern", "leaf-overflow"}
     assert aligned_any == gaps == {True, False}
     # ruled out by the count, and reaching aligned_leaves with more than p
     # nonempty leaves, some repeated, and with at most p

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -204,6 +205,12 @@ def test_zero_set_found_spectra_consistent(z6):
                 assert z6.sub(a, b) in zs
 
 
+@lru_cache(maxsize=None)
+def _differences(G):
+    """diff[x][y] = index(x - y), from coordinates."""
+    return [[G.index_of(G.sub(x, y)) for y in G.elements] for x in G.elements]
+
+
 def _quadratic_spectrum_search(tables, zmask, k, budget):
     """spectrum_search with its graph built pair by pair, as it once was:
     the reference for the neighbour lists it builds now."""
@@ -212,15 +219,15 @@ def _quadratic_spectrum_search(tables, zmask, k, budget):
     verts = [g for g in range(tables.n) if zmask >> g & 1]
     if len(verts) < k - 1:
         return None, 0
-    sub_rows = tables.sub_rows
-    deg = [sum(1 for w in verts if w != v and zmask >> sub_rows[v][w] & 1) for v in verts]
+    diff = _differences(tables.group)
+    deg = [sum(1 for w in verts if w != v and zmask >> diff[v][w] & 1) for v in verts]
     order = sorted(range(len(verts)), key=lambda i: (-deg[i], verts[i]))
     ordered = [verts[i] for i in order]
     pos = {v: i for i, v in enumerate(ordered)}
     adj = [0] * len(ordered)
     for v in ordered:
         for w in ordered:
-            if w != v and zmask >> sub_rows[v][w] & 1:
+            if w != v and zmask >> diff[v][w] & 1:
                 adj[pos[v]] |= 1 << pos[w]
     search = CliqueSearch(adj, budget)
     clique = search.find(k - 1)
