@@ -86,7 +86,7 @@ def parse_set_document(text: str) -> tuple[Group, Multiset]:
 
 
 def serialize_set_document(A: Multiset) -> str:
-    support = sorted(A.mult)
+    support = A.support
     doc = {"group": list(A.group.moduli), "set": [list(x) for x in support]}
     if not A.is_set:
         doc["multiplicities"] = [A.mult[x] for x in support]
@@ -119,7 +119,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ParseError("analyze expects a set (all multiplicities 1)")
     report: dict = {
         "group": list(group.moduli),
-        "set": [list(x) for x in sorted(A.mult)],
+        "set": [list(x) for x in A.support],
         "size": A.mass,
         "gcd_class": math.gcd(A.mass, group.order),
     }
@@ -248,7 +248,7 @@ def cmd_enumerate_tiles(args: argparse.Namespace) -> int:
         _out(
             json.dumps(
                 {
-                    "tile": [list(x) for x in sorted(S.mult)],
+                    "tile": [list(x) for x in S.support],
                     "complement": [list(x) for x in wit.t.support],
                     "method": wit.method.value,
                 }

@@ -146,10 +146,10 @@ class CyclotomicInt:
 # zeta_M^k mod Phi_M has phi(M) integer coefficients. The kernel packs them
 # for every direction class side by side in limbs sized for the group and
 # decides all classes of a set with one big-int sum (class_word), which
-# zero_mask expands to element bits; a sweep decides a whole block of
-# candidates with a few more, each in its own L-byte slot (decode). A word
-# leaves the kernel only as such a memo key (key, keys, stem_batches), which
-# expand and orbit read back. Nothing else reads these tables: the verifiers
+# zero_mask expands to element bits (expand_word); a sweep decides a whole
+# block of candidates with a few more, each in its own L-byte slot (decode).
+# A word leaves the kernel only as such a memo key (key, keys,
+# stem_batches), which expand and orbit read back. Nothing else reads these tables: the verifiers
 # and multiset zero sets go through char_sum_coeffs and its exponent rows,
 # which share only the reduction modulo Phi_M.
 
@@ -392,10 +392,13 @@ class CharTable:
             yield stem, decode(int.from_bytes(total * count, "little") + packed, count)
 
     def expand(self, key: bytes) -> int:
-        """The element bits of the class word of a memo key: the generators
-        of every class whose bit is set."""
+        """The element bits of the class word of a memo key (expand_word)."""
+        return self.expand_word(int.from_bytes(key, "little"))
+
+    def expand_word(self, word: int) -> int:
+        """The element bits of a class word: the generators of every class
+        whose bit is set."""
         gens_at = self._kernel[5]
-        word = int.from_bytes(key, "little")
         mask = 0
         while word:
             top = word.bit_length() - 1
@@ -433,7 +436,7 @@ class CharTable:
         at once, side by side in limbs, exactly for any set of element indices:
         the class word of the set's kernel sum, expanded to element bits.
         """
-        return self.expand(self.key(sum(map(self.cols.__getitem__, cand)), len(cand)))
+        return self.expand_word(self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand)))
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     GroupMismatch,
@@ -41,6 +41,14 @@ class Group:
     itself also admits modulus 1 so projection codomains (e.g. Z_1 for the
     zero direction) stay representable. Moduli that are not integers
     (operator.index refuses floats and strings) raise InvalidModulus.
+
+    Groups with equal moduli are equal, as the dataclass defines it, but
+    __eq__ tests identity first and __hash__ hashes the moduli tuple itself:
+    every per-set check compares its sets' groups, and every per-group cache
+    is keyed by the group. The hash is not cached, since it would land in
+    __dict__, which a pickled group starts without. Up to MAX_TABLE_ORDER a
+    group also keeps, once built, the index of every element
+    (_element_index), through which Multiset validates its inputs.
     """
 
     moduli: tuple[int, ...]
@@ -58,6 +66,16 @@ class Group:
     def __reduce__(self):
         # pickled as its moduli: the cached properties are rebuilt on use
         return Group, (self.moduli,)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.moduli == other.moduli
+
+    def __hash__(self) -> int:
+        return hash(self.moduli)
 
     @cached_property
     def order(self) -> int:
@@ -78,6 +96,22 @@ class Group:
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
+
+    @cached_property
+    def _element_index(self) -> Optional[dict[Element, int]]:
+        """The index of every element, by element, built on first use for
+        orders up to MAX_TABLE_ORDER; None above, where Multiset validates
+        coordinate by coordinate (Group.contains)."""
+        if self.order > MAX_TABLE_ORDER:
+            return None
+        return dict(zip(self.elements, range(self.order)))
+
+    def _elements_at(self, indices: Iterable[int]) -> list[Element]:
+        """The element of each index: read from elements up to
+        MAX_TABLE_ORDER, computed (coords_of) above, where elements would
+        hold the whole group."""
+        at = self.elements.__getitem__ if self.order <= MAX_TABLE_ORDER else self.coords_of
+        return list(map(at, indices))
 
     def contains(self, x: Element) -> bool:
         """True iff x is a tuple of plain ints, one in range(n_i) per factor.
@@ -164,31 +198,40 @@ class Multiset:
     hash/compare by (group, contents).
     """
 
-    # indices: the sorted element indices of the support, the one index form
-    # of a set that every per-set check reads; every constructor fills it
-    # with plain index arithmetic (Group.index_of). _zero: the zero mask
-    # (cyclotomic.set_zero_mask); _classes: spectra.is_spectral_pair. All
-    # three are pure functions of the object, so equality, hashing, copy and
-    # pickle ignore them
-    __slots__ = ("group", "mult", "mass", "indices", "_hash", "_zero", "_classes")
+    # indices: the sorted element indices of the support, the primary form of
+    # a set: every constructor fills it, and the per-set checks, support,
+    # is_set, equality and hashing read it. _mult: the element ->
+    # multiplicity dict that mult returns; the constructor and from_elements
+    # with repeats keep the counts they were given, and for any other set it
+    # is None until mult is first read. _zero: the zero mask
+    # (cyclotomic.set_zero_mask); _classes: spectra.is_spectral_pair. _hash,
+    # _zero and _classes are pure functions of the object, so equality,
+    # hashing, copy and pickle ignore them
+    __slots__ = ("group", "indices", "mass", "_mult", "_hash", "_zero", "_classes")
 
     def __init__(self, group: Group, mult: Mapping[Element, int]):
-        items: dict[Element, int] = {}
-        contains = group.contains
-        for x, m in mult.items():
-            if type(m) is not int or m < 1:
-                raise InvalidArgument(f"multiplicity of {x!r} must be a positive int, got {m!r}")
-            if not contains(x):
-                raise GroupMismatch(f"{x!r} is not an element of {group!r}")
-            items[x] = m
-        self._fill(group, items, sum(items.values()))
+        items = dict(mult.items())
+        values = items.values()
+        idx = None
+        if {*map(type, values)} <= _INT and min(values, default=1) >= 1:
+            idx = _fast_indices(group, items)
+        if idx is None:
+            # the per-entry loop: it names the first bad entry, and it is the
+            # whole check above MAX_TABLE_ORDER
+            contains = group.contains
+            for x, m in items.items():
+                if type(m) is not int or m < 1:
+                    raise InvalidArgument(f"multiplicity of {x!r} must be a positive int, got {m!r}")
+                if not contains(x):
+                    raise GroupMismatch(f"{x!r} is not an element of {group!r}")
+            idx = list(map(group.index_of, items))
+        self._fill(group, tuple(sorted(idx)), sum(values), items)
 
-    def _fill(self, group: Group, items: dict[Element, int], mass: int, indices=()) -> None:
+    def _fill(self, group: Group, indices: tuple[int, ...], mass: int, mult=None) -> None:
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "mult", items)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "mass", mass)
-        # indices given by of_indices, else mapped from items (the empty set's are ())
-        object.__setattr__(self, "indices", indices or tuple(sorted(map(group.index_of, items))))
+        object.__setattr__(self, "_mult", mult)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_zero", None)
         object.__setattr__(self, "_classes", None)
@@ -203,53 +246,67 @@ class Multiset:
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[Element]) -> "Multiset":
         """Count occurrences; repeated inputs become multiplicities."""
+        xs, idx = _element_indices(group, elems)
+        indices = tuple(sorted({*idx}))
+        if len(indices) == len(idx):
+            return cls._of(group, indices, len(idx))
         counts: dict[Element, int] = {}
-        for x in _checked_elements(group, elems):
+        for x in xs:
             counts[x] = counts.get(x, 0) + 1
-        return cls._of(group, counts, sum(counts.values()))
+        return cls._of(group, indices, len(idx), counts)
 
     @classmethod
     def set_of(cls, group: Group, elems: Iterable[Element]) -> "Multiset":
         """A 0/1 multiset; duplicated inputs collapse to multiplicity 1."""
-        items = dict.fromkeys(_checked_elements(group, elems), 1)
-        return cls._of(group, items, len(items))
+        indices = tuple(sorted({*_element_indices(group, elems)[1]}))
+        return cls._of(group, indices, len(indices))
 
     @classmethod
     def of_indices(cls, group: Group, idx: Iterable[int]) -> "Multiset":
         """The 0/1 multiset of the elements with these indices; duplicated
         indices collapse. Only the range 0 <= i < |G| of each index is
-        checked: group.elements holds valid elements in index order, so the
-        per-coordinate checks of the constructor are skipped, and the given
-        indices, deduplicated and sorted, are the set's indices. For sets
-        built inside the package from element indices; public inputs go
-        through the constructor.
+        checked, and the given indices, deduplicated and sorted, are the
+        set's indices: no element is built until mult or support is read.
+        For sets built inside the package from element indices; public
+        inputs go through the constructor.
         """
         n = group.order
         idx = list(idx)
         if idx and not (0 <= min(idx) and max(idx) < n):
             bad = next(i for i in idx if not 0 <= i < n)
             raise GroupMismatch(f"{bad!r} is not an element index of {group!r}")
-        items = dict.fromkeys(map(group.elements.__getitem__, idx), 1)
-        return cls._of(group, items, len(items), tuple(sorted(set(idx))))
+        indices = tuple(sorted({*idx}))
+        return cls._of(group, indices, len(indices))
 
     @classmethod
-    def _of(cls, group: Group, items: dict[Element, int], mass: int, indices=()) -> "Multiset":
-        """The multiset of items, whose elements and multiplicities are
-        already checked, without the constructor's checks; indices, when
-        given, are its sorted element indices."""
+    def _of(cls, group: Group, indices: tuple[int, ...], mass: int, mult=None) -> "Multiset":
+        """The multiset with these sorted element indices and this mass,
+        already checked, without the constructor's checks; mult, the
+        element counts, is required unless the mass counts the indices."""
         out = cls.__new__(cls)
-        out._fill(group, items, mass, indices)
+        out._fill(group, indices, mass, mult)
         return out
 
     @property
+    def mult(self) -> dict[Element, int]:
+        """The multiplicity of every element of the support; for a set
+        without one, built from indices on the first read and kept."""
+        got = self._mult
+        if got is None:
+            got = dict.fromkeys(self.group._elements_at(self.indices), 1)
+            object.__setattr__(self, "_mult", got)
+        return got
+
+    @property
     def support(self) -> tuple[Element, ...]:
-        return tuple(sorted(self.mult))
+        # index order is lexicographic order, so this is sorted
+        return tuple(self.group._elements_at(self.indices))
 
     @property
     def is_set(self) -> bool:
         # every multiplicity is at least 1, so the mass counts the support
         # exactly when each is 1
-        return self.mass == len(self.mult)
+        return self.mass == len(self.indices)
 
     def __call__(self, x: Element) -> int:
         return self.mult.get(x, 0)
@@ -265,32 +322,65 @@ class Multiset:
         return (
             isinstance(other, Multiset)
             and self.group == other.group
-            and self.mult == other.mult
+            and self.indices == other.indices
+            and self.mass == other.mass
+            and (self.mass == len(self.indices) or self.mult == other.mult)
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.group.moduli, frozenset(self.mult.items())))
+            h = hash((self.group.moduli, self.indices, self.mass))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
         if self.is_set:
-            return f"Multiset.set_of({self.group!r}, {sorted(self.mult)!r})"
+            return f"Multiset.set_of({self.group!r}, {list(self.support)!r})"
         return f"Multiset({self.group!r}, {dict(sorted(self.mult.items()))!r})"
 
 
-def _checked_elements(group: Group, elems: Iterable[Element]) -> Iterator[Element]:
-    """tuple(x) for each x of elems, each checked with Group.contains before
-    equal keys merge: (0, False) == (0, 0), so a dict would merge a bool
-    coordinate into a valid element before the constructor saw it."""
-    contains = group.contains
+_INT, _TUPLE = {int}, {tuple}
+
+
+def _fast_indices(group: Group, xs: Iterable[Element]) -> Optional[list[int]]:
+    """The element index of each of xs, by one type pass over all their
+    coordinates (only exact ints pass, so a bool or a float, equal and
+    hash-equal to an int, is refused) and one lookup per element in the
+    group's element map. None when the map is not built (above
+    MAX_TABLE_ORDER) or any x fails; the per-element loop then decides, and
+    names the first bad element."""
+    index = group._element_index
+    if index is None:
+        return None
+    try:
+        if {*map(type, itertools.chain.from_iterable(xs))} <= _INT:
+            return list(map(index.__getitem__, xs))
+    except (TypeError, KeyError):  # a non-iterable, or not an element
+        pass
+    return None
+
+
+def _element_indices(group: Group, elems: Iterable[Element]) -> tuple[list[Element], list[int]]:
+    """(the elements of elems as tuples, the element index of each): the
+    validation of set_of and from_elements. elems is read once. When every
+    x is a tuple, _fast_indices checks them all; otherwise, or when it
+    fails, the per-element loop converts and checks each, so a bad element
+    raises what that loop alone raises, at the same element."""
+    elems = list(elems)
+    if {*map(type, elems)} <= _TUPLE:
+        idx = _fast_indices(group, elems)
+        if idx is not None:
+            return elems, idx
+    # each element checked before from_elements counts it: (0, False) ==
+    # (0, 0), so a dict would merge a bool coordinate into a valid element
+    contains, xs = group.contains, []
     for x in elems:
         x = tuple(x)
         if not contains(x):
             raise GroupMismatch(f"{x!r} is not an element of {group!r}")
-        yield x
+        xs.append(x)
+    return xs, list(map(group.index_of, xs))
 
 
 @dataclass(frozen=True, order=True)

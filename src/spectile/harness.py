@@ -748,7 +748,13 @@ def tile_to_spectrum(
     if tag is not SpectrumConstruction.SEARCH_FALLBACK:
         found = subgroup_transversal(index_tables(G), set_zero_mask(S), S.mass)
         if found is not None:
-            lam = Multiset.of_indices(G, [0] + [i for i in range(G.order) if found[1] >> i & 1])
+            # H^perp: 0 and the set bits of the annihilator mask
+            perp, rest = [0], found[1]
+            while rest:
+                low = rest & -rest
+                perp.append(low.bit_length() - 1)
+                rest ^= low
+            lam = Multiset.of_indices(G, perp)
             if not is_spectral_pair(S, lam):  # pragma: no cover - H^perp is a spectrum
                 raise InvalidArgument("internal error: annihilator spectrum failed verification")
             return ConstructedSpectrum(SpectrumWitness(lam, S.mass * (S.mass - 1) // 2), tag)
@@ -757,7 +763,7 @@ def tile_to_spectrum(
     if out is UNDECIDED:
         raise BudgetExhausted(f"fallback spectrum search exceeded {budget} nodes")
     if out is None:
-        raise TheoremViolation(f"tile {sorted(S.mult)!r} has no spectrum")
+        raise TheoremViolation(f"tile {list(S.support)!r} has no spectrum")
     return ConstructedSpectrum(out, SpectrumConstruction.SEARCH_FALLBACK)
 
 
@@ -782,7 +788,7 @@ def spectral_to_complement(
     if witness is UNDECIDED:
         raise BudgetExhausted(f"fallback complement search exceeded {budget} nodes")
     if witness is None:
-        raise TheoremViolation(f"spectral set {sorted(S.mult)!r} has no tiling complement")
+        raise TheoremViolation(f"spectral set {list(S.support)!r} has no tiling complement")
     if witness.method is ComplementMethod.SUBGROUP:
         return ConstructedComplement(witness, _case_tags(shape, S)[1])
     return ConstructedComplement(witness, ComplementConstruction.SEARCH_FALLBACK)

@@ -486,6 +486,199 @@ def test_a_group_pickles_as_its_moduli():
     assert twin.elements == G.elements
 
 
+def _every_construction(G, elems):
+    """The set, and the multiset counting repeats, of the elements elems,
+    built through every constructor and from a one-shot iterator of each
+    input: (sets, multisets)."""
+    counts: dict = {}
+    for x in elems:
+        counts[x] = counts.get(x, 0) + 1
+    idx = [G.index_of(x) for x in elems]
+    sets = [
+        Multiset.set_of(G, elems),
+        Multiset.set_of(G, iter(elems)),
+        Multiset.set_of(G, (list(x) for x in elems)),
+        Multiset(G, dict.fromkeys(elems, 1)),
+        Multiset(G, dict.fromkeys(reversed(elems), 1)),
+        Multiset.of_indices(G, idx),
+        Multiset.of_indices(G, iter(idx)),
+        Multiset.from_elements(G, list(dict.fromkeys(elems))),
+        Multiset.from_elements(G, iter(dict.fromkeys(elems))),
+    ]
+    multisets = [
+        Multiset.from_elements(G, elems),
+        Multiset.from_elements(G, iter(elems)),
+        Multiset.from_elements(G, map(list, reversed(elems))),
+        Multiset(G, counts),
+        Multiset(G, dict(reversed(counts.items()))),
+    ]
+    return sets, multisets
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 3, 3), (8,), (2, 1, 3), (2,) * 12], ids=str)
+def test_every_constructor_builds_the_same_multiset(moduli):
+    # the constructor, set_of, from_elements and of_indices, on lists and on
+    # one-shot iterators, in any order: equal sets and multisets, with equal
+    # hashes, mult, support, indices and is_set, through copy and pickle too;
+    # Z_2^12 is above MAX_TABLE_ORDER, where inputs are checked coordinate
+    # by coordinate
+    G = groups.Group(moduli)
+    rng = random.Random(11)
+    for k in (0, 1, 4, 9):
+        elems = [G.coords_of(rng.randrange(G.order)) for _ in range(k)]
+        elems += elems[: k // 2]  # repeats, where a set collapses them
+        counts = {x: elems.count(x) for x in elems}
+        for built, mult in zip(_every_construction(G, elems), (dict.fromkeys(counts, 1), counts)):
+            first = built[0]
+            assert first.mult == mult and first.mass == sum(mult.values())
+            assert first.indices == tuple(sorted(map(G.index_of, mult)))
+            assert first.support == tuple(sorted(mult))
+            assert first.is_set == (set(mult.values()) <= {1})
+            for A in built:
+                for twin in (A, copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+                    assert twin == first and hash(twin) == hash(first), (twin, first)
+                    got = (twin.mult, twin.support, twin.indices, twin.is_set, twin.mass)
+                    assert got == (first.mult, first.support, first.indices, first.is_set, first.mass)
+    A, B = Multiset(G, {G.identity: 2}), Multiset(G, {G.identity: 1})
+    assert A != B and A != Multiset(G, {G.identity: 3}) and B == Multiset.of_indices(G, [0])
+
+
+def test_of_indices_builds_coordinates_only_when_mult_is_read(z36):
+    # indices are a set's primary form: reading them, is_set, support,
+    # equality or the hash builds no element -> multiplicity dict, and mult
+    # builds it once, with the elements in index order
+    A = Multiset.of_indices(z36, [30, 7, 3, 7, 0])
+    B = Multiset.of_indices(z36, [0, 3, 7, 30])
+    assert A.indices == (0, 3, 7, 30) and A.is_set and A.mass == 4
+    assert A.support == tuple(map(z36.coords_of, (0, 3, 7, 30)))
+    assert A == B and hash(A) == hash(B)
+    assert A._mult is None and B._mult is None
+    assert A.mult == dict.fromkeys(A.support, 1) and list(A.mult) == list(A.support)
+    assert A._mult is A.mult
+    assert B._mult is None
+
+
+def test_a_group_above_the_table_cap_builds_no_element_map():
+    # above MAX_TABLE_ORDER a group holds neither its elements nor its
+    # element map: sets are checked coordinate by coordinate and their
+    # elements computed from their indices
+    big = make_group([2] * 12)
+    assert big.order > groups.MAX_TABLE_ORDER
+    x, y = (1,) * 12, (0,) * 11 + (1,)
+    made = [
+        Multiset.set_of(big, [x, y, x]),
+        Multiset.from_elements(big, [x, y, x]),
+        Multiset(big, {x: 2, y: 1}),
+        Multiset.of_indices(big, [4095, 1]),
+    ]
+    for A in made:
+        assert A.indices == (1, 4095) and A.support == (y, x), A
+        assert set(A.mult) == {x, y}
+    with pytest.raises(GroupMismatch):
+        Multiset.set_of(big, [x, (2,) * 12])
+    assert big._element_index is None
+    assert "elements" not in vars(big)
+    small = make_group([2, 2, 3, 3])
+    Multiset.set_of(small, [(0, 0, 0, 0)])
+    assert small._element_index == {x: i for i, x in enumerate(small.elements)}
+
+
+def _reference_elements(group, elems):
+    """The per-element check of set_of and from_elements, kept here as the
+    reference for their fast path: tuple(x) for each x, which must be a
+    tuple of plain ints, one in range(n_i) per factor, else GroupMismatch
+    names it."""
+    for x in elems:
+        x = tuple(x)
+        if not (
+            len(x) == len(group.moduli)
+            and all(type(c) is int and 0 <= c < n for c, n in zip(x, group.moduli))
+        ):
+            raise GroupMismatch(f"{x!r} is not an element of {group!r}")
+        yield x
+
+
+def _reference_mult(group, mult):
+    """The constructor's per-entry check, as above, with each multiplicity
+    checked before its element."""
+    for x, m in mult.items():
+        if type(m) is not int or m < 1:
+            raise InvalidArgument(f"multiplicity of {x!r} must be a positive int, got {m!r}")
+        if not (
+            isinstance(x, tuple)
+            and len(x) == len(group.moduli)
+            and all(type(c) is int and 0 <= c < n for c, n in zip(x, group.moduli))
+        ):
+            raise GroupMismatch(f"{x!r} is not an element of {group!r}")
+    return Multiset(group, mult)
+
+
+def _outcome(build, *args):
+    """The set build makes, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared as it is
+        return type(exc), str(exc)
+
+
+# each fault replaces one element of a valid input
+_FAULTS = {
+    "bool": lambda x: (True,) + x[1:],
+    "float": lambda x: (float(x[0]),) + x[1:],
+    "range": lambda x: x[:-1] + (3,),
+    "negative": lambda x: (-1,) + x[1:],
+    "short": lambda x: x[:-1],
+    "long": lambda x: x + (0,),
+    "non-iterable": lambda x: 7,
+    "none": lambda x: None,
+}
+
+
+def test_bad_inputs_raise_what_the_per_element_check_raises(z36):
+    # set_of, from_elements and the constructor take a fast path through the
+    # element map; every bad input must still raise what the per-element
+    # loop raises, with its message, at the same element: one fault at each
+    # position, and two faults of every pair of kinds at two positions
+    rng = random.Random(17)
+    base = [z36.coords_of(i) for i in rng.sample(range(1, z36.order), 5)]
+    # (True, 1, 2, 2) == (1, 1, 2, 2): a bool element equal to a valid one,
+    # before it and after it
+    base[2] = (1, 1, 2, 2)
+    inputs = [base + [_FAULTS["bool"](base[2])], [_FAULTS["bool"](base[2])] + base]
+    for kind, fault in _FAULTS.items():
+        for i in range(len(base)):
+            elems = list(base)
+            elems[i] = fault(base[i])
+            inputs.append(elems)
+    for (k1, f1), (k2, f2) in itertools.product(_FAULTS.items(), repeat=2):
+        i, j = sorted(rng.sample(range(len(base)), 2))
+        elems = list(base)
+        elems[i], elems[j] = f1(base[i]), f2(base[j])
+        inputs.append(elems)
+    inputs.append([list(x) for x in base])  # lists are valid elements
+    for elems in inputs:
+        want = _outcome(lambda: list(_reference_elements(z36, elems)))
+        if isinstance(want, list):
+            want = Multiset(z36, {x: want.count(x) for x in want})
+        for build in (Multiset.from_elements, Multiset.set_of):
+            got = _outcome(build, z36, elems)
+            if isinstance(want, Multiset) and build is Multiset.set_of:
+                assert got == Multiset(z36, dict.fromkeys(want.mult, 1)), elems
+            else:
+                assert got == want, (build, elems)
+            assert _outcome(build, z36, iter(elems)) == got, (build, elems)
+        if all(x is None or isinstance(x, (int, tuple)) for x in elems):
+            mult = dict.fromkeys(elems, 1)
+            assert _outcome(Multiset, z36, mult) == _outcome(_reference_mult, z36, mult), elems
+    # multiplicity faults, alone and before or after an element fault
+    x, y, z = base[:3]
+    for m in (0, -1, True, 1.0, "1", None):
+        for mult in ({x: 1, y: m}, {x: m, (2, 0, 0, 0): 1}, {(2, 0, 0, 0): 1, x: m}, {z: 2, (0, True, 0, 0): m}):
+            assert _outcome(Multiset, z36, mult) == _outcome(_reference_mult, z36, mult), mult
+    with pytest.raises(TypeError):
+        Multiset.set_of(z36, 5)
+
+
 def _class_closure(gens, count):
     """Every composite of the class permutations gens, on count classes."""
     identity = tuple(range(count))
