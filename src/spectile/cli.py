@@ -54,7 +54,13 @@ EXIT_UNDECIDED = 3
 
 
 def parse_set_document(text: str) -> tuple[Group, Multiset]:
-    """Parse a JSON set document into (group, multiset)."""
+    """Parse a JSON set document into (group, multiset).
+
+    Each element and multiplicity is checked once, in document order, here:
+    the first fault raises InvalidElement (arity, then range) or ParseError
+    (multiplicity). The checked counts then become the multiset without the
+    constructor's second check (Multiset._of).
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -82,7 +88,8 @@ def parse_set_document(text: str) -> tuple[Group, Multiset]:
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ParseError(f"multiplicity {m!r} must be a positive integer")
         counts[x] = counts.get(x, 0) + m
-    return group, Multiset(group, counts)
+    indices = tuple(sorted(map(group.index_of, counts)))
+    return group, Multiset._of(group, indices, sum(counts.values()), counts)
 
 
 def serialize_set_document(A: Multiset) -> str:

@@ -149,7 +149,8 @@ class CyclotomicInt:
 # zero_mask expands to element bits (expand_word); a sweep decides a whole
 # block of candidates with a few more, each in its own L-byte slot (decode).
 # A word leaves the kernel only as such a memo key (key, keys,
-# stem_batches), which expand and orbit read back. Nothing else reads these tables: the verifiers
+# stem_batches, and zero_mask beside its mask), which expand and orbit read
+# back. Nothing else reads these tables: the verifiers
 # and multiset zero sets go through char_sum_coeffs and its exponent rows,
 # which share only the reduction modulo Phi_M.
 
@@ -425,18 +426,22 @@ class CharTable:
                     todo.append(list(map(perm.__getitem__, classes)))
                     yield image.to_bytes(L, "little")
 
-    def zero_mask(self, cand: Sequence[int]) -> int:
-        """Bitmask over element indices of the zero set of a set of indices.
+    def zero_mask(self, cand: Sequence[int]) -> tuple[bytes, int]:
+        """(memo key, zero mask) of a set of element indices, from one kernel
+        sum: the key of its class word (key) and the bitmask over element
+        indices of its zero set.
 
-        Bit g is set for every nonzero g at which the character sum of the
-        set vanishes. The generators of <g> are Galois conjugates of g (the
-        sum at k*g is the image of the sum at g under zeta -> zeta^k), so
-        the sum vanishes at all of them or at none: one evaluation per
-        direction class decides the whole class. All classes are evaluated
-        at once, side by side in limbs, exactly for any set of element indices:
-        the class word of the set's kernel sum, expanded to element bits.
+        Bit g of the mask is set for every nonzero g at which the character
+        sum of the set vanishes. The generators of <g> are Galois conjugates
+        of g (the sum at k*g is the image of the sum at g under
+        zeta -> zeta^k), so the sum vanishes at all of them or at none: one
+        evaluation per direction class decides the whole class. All classes
+        are evaluated at once, side by side in limbs, exactly for any set of
+        element indices: the class word of the set's kernel sum, expanded to
+        element bits.
         """
-        return self.expand_word(self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand)))
+        word = self.class_word(sum(map(self.cols.__getitem__, cand)), len(cand))
+        return word.to_bytes(self.key_bytes, "little"), self.expand_word(word)
 
 
 @lru_cache(maxsize=None)
@@ -444,15 +449,21 @@ def char_table(G: Group) -> CharTable:
     return CharTable(G)
 
 
-def set_zero_mask(S: Multiset) -> int:
-    """The zero mask of the set S (not validated), and only the mask: an int
-    computed once from S's element indices (Multiset.indices) and kept on S
-    for every per-set operation on it."""
+def set_zero(S: Multiset) -> tuple[bytes, int]:
+    """(memo key, zero mask) of the set S (not validated): one
+    CharTable.zero_mask of S's element indices (Multiset.indices), computed
+    once and kept on S for every per-set operation on it. The key is the
+    class word in the form the spectral memo reads (spectra._memo)."""
     got = S._zero
     if got is None:
         got = char_table(S.group).zero_mask(S.indices)
         object.__setattr__(S, "_zero", got)
     return got
+
+
+def set_zero_mask(S: Multiset) -> int:
+    """The zero mask of the set S (not validated), and only the mask (set_zero)."""
+    return set_zero(S)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,11 @@ class Multiset:
     # is_set, equality and hashing read it. _mult: the element ->
     # multiplicity dict that mult returns; the constructor and from_elements
     # with repeats keep the counts they were given, and for any other set it
-    # is None until mult is first read. _zero: the zero mask
-    # (cyclotomic.set_zero_mask); _classes: spectra.is_spectral_pair. _hash,
-    # _zero and _classes are pure functions of the object, so equality,
-    # hashing, copy and pickle ignore them
+    # is None until mult is first read. _zero: the memo key and the zero mask
+    # of one kernel sum (cyclotomic.set_zero); _classes:
+    # spectra.is_spectral_pair. _hash, _zero and _classes are pure functions
+    # of the object, so equality, hashing, copy and pickle ignore them. _fill
+    # writes every slot of a new object
     __slots__ = ("group", "indices", "mass", "_mult", "_hash", "_zero", "_classes")
 
     def __init__(self, group: Group, mult: Mapping[Element, int]):
@@ -225,16 +226,7 @@ class Multiset:
                 if not contains(x):
                     raise GroupMismatch(f"{x!r} is not an element of {group!r}")
             idx = list(map(group.index_of, items))
-        self._fill(group, tuple(sorted(idx)), sum(values), items)
-
-    def _fill(self, group: Group, indices: tuple[int, ...], mass: int, mult=None) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "_mult", mult)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_zero", None)
-        object.__setattr__(self, "_classes", None)
+        _fill(self, group, tuple(sorted(idx)), sum(values), items)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Multiset is immutable")
@@ -265,18 +257,20 @@ class Multiset:
     def of_indices(cls, group: Group, idx: Iterable[int]) -> "Multiset":
         """The 0/1 multiset of the elements with these indices; duplicated
         indices collapse. Only the range 0 <= i < |G| of each index is
-        checked, and the given indices, deduplicated and sorted, are the
+        checked (GroupMismatch names the least index, if negative, else the
+        greatest), and the given indices, deduplicated and sorted, are the
         set's indices: no element is built until mult or support is read.
         For sets built inside the package from element indices; public
         inputs go through the constructor.
         """
-        n = group.order
-        idx = list(idx)
-        if idx and not (0 <= min(idx) and max(idx) < n):
-            bad = next(i for i in idx if not 0 <= i < n)
-            raise GroupMismatch(f"{bad!r} is not an element index of {group!r}")
         indices = tuple(sorted({*idx}))
-        return cls._of(group, indices, len(indices))
+        # sorted, so only the ends can be out of range
+        if indices and (indices[0] < 0 or indices[-1] >= group.order):
+            bad = indices[0] if indices[0] < 0 else indices[-1]
+            raise GroupMismatch(f"{bad!r} is not an element index of {group!r}")
+        out = cls.__new__(cls)
+        _fill(out, group, indices, len(indices))
+        return out
 
     @classmethod
     def _of(cls, group: Group, indices: tuple[int, ...], mass: int, mult=None) -> "Multiset":
@@ -284,7 +278,7 @@ class Multiset:
         already checked, without the constructor's checks; mult, the
         element counts, is required unless the mass counts the indices."""
         out = cls.__new__(cls)
-        out._fill(group, indices, mass, mult)
+        _fill(out, group, indices, mass, mult)
         return out
 
     @property
@@ -338,6 +332,24 @@ class Multiset:
         if self.is_set:
             return f"Multiset.set_of({self.group!r}, {list(self.support)!r})"
         return f"Multiset({self.group!r}, {dict(sorted(self.mult.items()))!r})"
+
+
+# the setter of each slot, bound once: a Multiset is immutable, so _fill
+# writes its slots through these rather than through __setattr__
+_set_group, _set_indices, _set_mass, _set_mult, _set_hash, _set_zero, _set_classes = (
+    Multiset.__dict__[name].__set__ for name in Multiset.__slots__
+)
+
+
+def _fill(A: Multiset, group: Group, indices: tuple[int, ...], mass: int, mult=None) -> None:
+    """Fill the slots of a new Multiset; the per-object caches start empty."""
+    _set_group(A, group)
+    _set_indices(A, indices)
+    _set_mass(A, mass)
+    _set_mult(A, mult)
+    _set_hash(A, None)
+    _set_zero(A, None)
+    _set_classes(A, None)
 
 
 _INT, _TUPLE = {int}, {tuple}

@@ -6,8 +6,9 @@ same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. Both verdicts of a k-set are functions of its
 zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
-One memo per group and size (_memo), keyed by the word's memo key
-(CharTable.key), holds the verdict of spectra.spectrum_search
+One memo per group and size (spectra._memo), keyed by the word's memo key
+(CharTable.key), holds the verdict of spectra.spectrum_search, which
+find_spectrum reads and fills as well (spectra._spectral_verdict),
 and the outcome of tiling.tiling_complement, which reads the mask for its
 prime-power certificate and its subgroup step; its exact cover does not
 read the mask and runs on the first set of each key (of each orbit, in
@@ -53,7 +54,6 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import char_table, set_zero_mask
@@ -79,10 +79,15 @@ from .groups import (
     index_tables,
 )
 from .spectra import (
+    COVER_TILE,
+    NOT_A_TILE,
+    SUBGROUP_TILE,
+    TILE_UNSET,
     SpectrumWitness,
+    _memo,
+    _spectral_verdict,
     find_spectrum,
     is_spectral_pair,
-    spectrum_search,
 )
 from .structure import (
     CaseKind, LeafTables, PQShape, aligned_leaves, classify_case, leaf_tables, pq_shape
@@ -103,71 +108,6 @@ from .tiling import (
 
 # ---------------------------------------------------------------------------
 # per-candidate decisions of the sweep
-
-
-# The tile outcome in a memo entry's last slot. TILE_UNSET marks an entry
-# whose tiling no sweep has decided yet (the case-5 probe decides none).
-NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
-
-# A settled entry is a bare bool: both verdicts, decided and equal, from a
-# clique search of at most DEFAULT_BUDGET nodes, and a subgroup tile (True)
-# or no tile (False). Every other entry is a (spectral verdict, clique
-# nodes, tile outcome, spectrum) tuple, the spectrum being the clique the
-# search found (element indices), or None when it found none.
-MemoEntry = Union[bool, tuple[bool, int, int, Optional[list[int]]]]
-
-
-@lru_cache(maxsize=None)
-def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
-    """Verdicts on the k-sets of G, keyed by class word alone, in the
-    memo-key form of CharTable.key, which a packed batch gives every
-    candidate: a settled bool or one flat (spectral verdict, clique nodes,
-    tile outcome, spectrum) per word. A byte-string key is hashed and
-    compared as it is; only CharTable.expand, off the settled path, and
-    CharTable.orbit read the word back.
-
-    Both properties of a k-set are functions of its zero mask Z(S), which
-    its class word expands to: spectrality is the clique search on Z(S); S
-    tiles iff some 0-containing |G|/k-set T has Z(S) | Z(T) covering G
-    minus 0 (the Fourier tiling criterion); and S is a transversal of a
-    subgroup H iff Z(S) covers H^perp minus 0, so the kind of tile is a
-    function of Z(S) as well. verify_fuglede states how budgets read the
-    entries.
-
-    Every verdict is also invariant under the automorphisms of G, which
-    permute the direction classes and so the words. An automorphism psi is
-    an isomorphism from Cay(G, Z) onto Cay(G, psi(Z)), so it keeps the
-    clique verdict; psi(Z(S)) is the zero set of psi'(S) for the
-    automorphism psi' adjoint to psi^-1 under the pairing, so the words
-    realised at each size, the partners of the tiling criterion and the
-    annihilators H^perp are each mapped onto themselves. A stem walk
-    therefore settles a word's whole orbit at once (CharTable.orbit).
-    """
-    return {}
-
-
-def _spectral_verdict(
-    memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
-) -> tuple[Union[bool, Undecided], Optional[list[int]]]:
-    """The spectral verdict under budget of the k-sets whose class word has
-    the memo key key (_memo) and whose zero mask is zmask, with the spectrum
-    it came from (the clique of spectra.spectrum_search, element indices)
-    when it is True and the entry is not settled; else None. A miss runs the clique search (is
-    there a 0-containing k-set with differences in zmask?) and stores its
-    verdict and clique with TILE_UNSET, unless the search ran out of budget.
-    A settled entry does not say how many nodes its search took, so below
-    DEFAULT_BUDGET the search runs again and its result is not stored."""
-    entry = memo.get(key)
-    if entry.__class__ is bool and budget >= DEFAULT_BUDGET:
-        return entry, None
-    if entry is None or entry.__class__ is bool:
-        lam, nodes = spectrum_search(tables, zmask, k, budget)
-        if lam is UNDECIDED:
-            return UNDECIDED, None
-        if entry is None:
-            memo[key] = (lam is not None, nodes, TILE_UNSET, lam)
-        return lam is not None, lam
-    return (UNDECIDED, None) if entry[1] > budget else (entry[0], entry[3])
 
 
 def _clique_nodes_bounded(zeros: int, k: int) -> bool:
@@ -880,7 +820,9 @@ def case5_nonexistence_probe(
     A candidate then costs its draw, its class word, one lookup and the two
     leaf tallies (aligned leaves and the direction gap), which read its
     leaf masks alone. Only a listed candidate (undecided or spectral) is
-    sorted into its set, and a spectral one gets its own spectrum.
+    sorted into its set, and a spectral one gets its spectrum from
+    find_spectrum, which reads the clique the word's verdict stored (unless
+    the word was settled) and checks it against the set.
 
     An empty size list is refused, as it is by VerificationPlan: for p = 2
     the probe range is empty, and a probe of no size would report ok.

@@ -6,10 +6,14 @@ problem on the Cayley graph of the zero set; the search here is a
 deterministic branch-and-bound with a greedy-coloring bound and an explicit
 node budget, so a missing spectrum is only ever reported after exhaustion.
 
-spectrum_search is the one spectrum search: it works on element indices and
-a zero mask, and both find_spectrum and the verification sweeps call it.
-is_spectral_pair is the independent check every returned witness passes: it
-never reads the zero mask (set_zero_mask, Multiset._zero) or a CharTable.
+One memo, one search: spectrum_search is the one spectrum search, on
+element indices and a zero mask, and _spectral_verdict the one spectral
+decision, which reads and fills the memo of its group and size (_memo),
+keyed by class word. find_spectrum, the verification sweeps and the case-5
+probe all decide through it, so a class word is searched once per size and
+process. is_spectral_pair is the independent check every returned witness
+passes, whichever set's search found it: it never reads the zero mask
+(set_zero_mask, Multiset._zero) or a CharTable.
 It finds the direction classes of L - L on the IndexTables addition rows,
 each difference a - b read as a + (-b) from L's element indices
 (Multiset.indices, the one index form of a set) and their negatives
@@ -17,17 +21,18 @@ each difference a - b read as a + (-b) from L's element indices
 class (cyclotomic.char_sum_coeffs, from exponent rows built from
 coordinates, at S's indices). Both are computed once per object: a
 Multiset keeps its class verdicts as S and its difference classes as L
-(_classes). The searches read a set's zero mask from set_zero_mask, which
-returns only the mask.
+(_classes). find_spectrum reads a set's memo key and zero mask from
+set_zero, one kernel sum kept on the set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
-from typing import Union
+from typing import Optional, Union
 
-from .cyclotomic import char_sum_coeffs, set_zero_mask
+from .cyclotomic import char_sum_coeffs, set_zero
 from .errors import (
     DEFAULT_BUDGET,
     UNDECIDED,
@@ -36,7 +41,7 @@ from .errors import (
     Undecided,
     InvalidArgument,
 )
-from .groups import IndexTables, Multiset, Subgroup, coset_id_table, index_tables
+from .groups import Group, IndexTables, Multiset, Subgroup, coset_id_table, index_tables
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,79 @@ def spectrum_search(
     return [0] + [ordered[i] for i in clique], search.nodes
 
 
+# The tile outcome in a memo entry's last slot. TILE_UNSET marks an entry
+# whose tiling no sweep has decided yet (find_spectrum and the case-5 probe
+# decide none).
+NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
+
+# A settled entry is a bare bool: both verdicts, decided and equal, from a
+# clique search of at most DEFAULT_BUDGET nodes, and a subgroup tile (True)
+# or no tile (False). Every other entry is a (spectral verdict, clique
+# nodes, tile outcome, spectrum) tuple, the spectrum being the clique the
+# search found (element indices), or None when it found none.
+MemoEntry = Union[bool, tuple[bool, int, int, Optional[list[int]]]]
+
+
+@lru_cache(maxsize=None)
+def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
+    """Verdicts on the k-sets of G, keyed by class word alone, in the
+    memo-key form of CharTable.key, which a packed batch gives every
+    candidate and set_zero every set: a settled bool or one flat (spectral
+    verdict, clique nodes, tile outcome, spectrum) per word. A byte-string
+    key is hashed and compared as it is; only CharTable.expand, off the
+    settled path, and CharTable.orbit read the word back.
+
+    The sweeps (harness.verify_fuglede) and the case-5 probe fill it, and
+    so does every per-set find_spectrum: at most one entry per class word
+    and size that the process realises, searched once and kept.
+
+    Both properties of a k-set are functions of its zero mask Z(S), which
+    its class word expands to: spectrality is the clique search on Z(S); S
+    tiles iff some 0-containing |G|/k-set T has Z(S) | Z(T) covering G
+    minus 0 (the Fourier tiling criterion); and S is a transversal of a
+    subgroup H iff Z(S) covers H^perp minus 0, so the kind of tile is a
+    function of Z(S) as well. harness.verify_fuglede states how budgets
+    read the entries.
+
+    Every verdict is also invariant under the automorphisms of G, which
+    permute the direction classes and so the words. An automorphism psi is
+    an isomorphism from Cay(G, Z) onto Cay(G, psi(Z)), so it keeps the
+    clique verdict; psi(Z(S)) is the zero set of psi'(S) for the
+    automorphism psi' adjoint to psi^-1 under the pairing, so the words
+    realised at each size, the partners of the tiling criterion and the
+    annihilators H^perp are each mapped onto themselves. A stem walk
+    therefore settles a word's whole orbit at once (CharTable.orbit).
+    """
+    return {}
+
+
+def _spectral_verdict(
+    memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
+) -> tuple[Union[bool, Undecided], Optional[list[int]]]:
+    """The spectral verdict under budget of the k-sets whose class word has
+    the memo key key (_memo) and whose zero mask is zmask, with the spectrum
+    it came from (the clique of spectrum_search, element indices) when it
+    is True and the entry is not settled; else None. A miss runs the clique
+    search (is there a 0-containing k-set with differences in zmask?) and
+    stores its verdict and clique with TILE_UNSET, unless the search ran out
+    of budget. A stored entry answers a budget exactly: the search is
+    deterministic, so it is UNDECIDED when its nodes exceed the budget, as a
+    fresh search would be. A settled entry does not say how many nodes its
+    search took, so below DEFAULT_BUDGET the search runs again and its
+    result is not stored."""
+    entry = memo.get(key)
+    if entry.__class__ is bool and budget >= DEFAULT_BUDGET:
+        return entry, None
+    if entry is None or entry.__class__ is bool:
+        lam, nodes = spectrum_search(tables, zmask, k, budget)
+        if lam is UNDECIDED:
+            return UNDECIDED, None
+        if entry is None:
+            memo[key] = (lam is not None, nodes, TILE_UNSET, lam)
+        return lam is not None, lam
+    return (UNDECIDED, None) if entry[1] > budget else (entry[0], entry[3])
+
+
 def find_spectrum(
     S: Multiset, budget: int = DEFAULT_BUDGET
 ) -> Union[SpectrumWitness, None, Undecided]:
@@ -218,20 +296,35 @@ def find_spectrum(
 
     Returns a verified witness, or None when exhaustive search proves no
     spectrum exists, or UNDECIDED when the node budget ran out first.
+
+    The spectrum is a function of S's class word and size, so the decision
+    is _spectral_verdict on the memo of S's group and size, under S's memo
+    key (set_zero), and it fills that memo: a miss searches and stores the
+    verdict with its clique, a stored clique is used without a search, and
+    a settled word, which keeps no clique, is searched again without
+    storing. The result is what spectrum_search on S's own zero mask gives
+    at this budget. Every returned witness is checked against S by
+    is_spectral_pair, whichever set's search found it.
     """
     if S.mass == 0:
         raise EmptyInput("cannot search a spectrum for the empty set")
     if not S.is_set:
         raise InvalidArgument("spectrum search expects a set (0/1 multiset)")
-    G = S.group
-    lam_idx, _nodes = spectrum_search(index_tables(G), set_zero_mask(S), S.mass, budget)
-    if lam_idx is None or lam_idx is UNDECIDED:
-        return lam_idx
+    G, k = S.group, S.mass
+    tables = index_tables(G)
+    key, zmask = set_zero(S)
+    verdict, lam_idx = _spectral_verdict(_memo(G, k), tables, key, zmask, k, budget)
+    if verdict is UNDECIDED:
+        return UNDECIDED
+    if not verdict:
+        return None
+    if lam_idx is None:  # a settled word: its search fits any budget here
+        lam_idx = spectrum_search(tables, zmask, k, budget)[0]
     lam = Multiset.of_indices(G, lam_idx)
-    # re-verify the certificate instead of trusting the search
-    if not is_spectral_pair(S, lam):  # pragma: no cover - search guarantees this
+    # re-verify the certificate instead of trusting the search or the memo
+    if not is_spectral_pair(S, lam):
         raise InvalidArgument("internal error: clique witness failed verification")
-    return SpectrumWitness(lam=lam, checked_pairs=S.mass * (S.mass - 1) // 2)
+    return SpectrumWitness(lam=lam, checked_pairs=k * (k - 1) // 2)
 
 
 def equidistributed(A: Multiset, H: Subgroup) -> bool:

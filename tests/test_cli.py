@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spectile import cli
+from spectile import cli, groups
 from spectile import (
     InvalidElement,
     Multiset,
@@ -69,6 +70,131 @@ def test_parse_rejects_bool(capsys):
         parse_set_document(_doc([2, 3], [[0, False]]))
     with pytest.raises(ParseError):
         parse_set_document(_doc([2, 3], [[0, 0]], [True]))
+
+
+def _parse_set_document_checked_twice(text):
+    """parse_set_document as it was when each element was checked twice:
+    its own loop, then the Multiset constructor. Only the documents of the
+    fault matrix below, whose top level is well formed, are read."""
+    doc = json.loads(text)
+    group = make_group(doc["group"])
+    elems = doc["set"]
+    mults = doc.get("multiplicities")
+    if mults is not None and (not isinstance(mults, list) or len(mults) != len(elems)):
+        raise ParseError('"multiplicities" must align with "set"')
+    counts = {}
+    for i, e in enumerate(elems):
+        if not isinstance(e, list) or len(e) != len(group.moduli):
+            raise InvalidElement(f"element {e!r} has wrong arity for {list(group.moduli)}")
+        x = tuple(e)
+        if not group.contains(x):
+            raise InvalidElement(f"element {e!r} out of range for {list(group.moduli)}")
+        m = 1 if mults is None else mults[i]
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ParseError(f"multiplicity {m!r} must be a positive integer")
+        counts[x] = counts.get(x, 0) + m
+    return group, Multiset(group, counts)
+
+
+# per kind, an element fault of Z_2 x Z_3 (JSON has no tuples: every element
+# is a list or not one)
+_BAD_ELEMENTS = {
+    "int": 1,
+    "string": "01",
+    "null": None,
+    "object": {"0": 0},
+    "nested": [[0, 0]],
+    "short": [0],
+    "long": [0, 0, 0],
+    "out of range": [0, 3],
+    "negative": [-1, 0],
+    "huge": [10**30, 0],
+    "bool": [True, 0],
+    "false": [0, False],
+    "float": [1.0, 0],
+    "fraction": [0, 1.5],
+    "string coordinate": ["1", 0],
+    "null coordinate": [0, None],
+}
+_BAD_MULTIPLICITIES = {"zero": 0, "negative": -1, "bool": True, "float": 1.0, "string": "1", "null": None}
+
+
+def _fault_matrix():
+    """(name, document) pairs: one fault at each position of a valid set,
+    every pair of fault kinds at two positions, multiplicity faults, and
+    valid documents with repeats and multiplicities."""
+    base = [[0, 0], [1, 2], [0, 1]]
+    docs = {"valid": _doc([2, 3], base), "repeat": _doc([2, 3], base + [[1, 2]])}
+    docs["multiplicities"] = _doc([2, 3], base + [[0, 0]], [2, 1, 3, 1])
+    for kind, bad in _BAD_ELEMENTS.items():
+        for i in range(len(base) + 1):
+            docs[f"{kind} at {i}"] = _doc([2, 3], base[:i] + [bad] + base[i:])
+    kinds = list(_BAD_ELEMENTS.items())
+    for (first, a), (second, b) in itertools.product(kinds, repeat=2):
+        docs[f"{first} then {second}"] = _doc([2, 3], [base[0], a, base[1], b])
+    for kind, m in _BAD_MULTIPLICITIES.items():
+        for i in range(len(base)):
+            mults = [1] * len(base)
+            mults[i] = m
+            docs[f"multiplicity {kind} at {i}"] = _doc([2, 3], base, mults)
+        # an element fault before and after a multiplicity fault
+        docs[f"bool element then multiplicity {kind}"] = _doc([2, 3], [[0, 0], [True, 0], [1, 1]], [1, 1, m])
+        docs[f"multiplicity {kind} then bool element"] = _doc([2, 3], [[0, 0], [1, 1], [True, 0]], [1, m, 1])
+    # a bool element equal to a valid one, before and after it
+    docs["bool twin after"] = _doc([2, 3], [[1, 0], [True, 0]])
+    docs["bool twin before"] = _doc([2, 3], [[True, 0], [1, 0]])
+    return docs
+
+
+def _outcome(parse, text):
+    try:
+        group, A = parse(text)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return group, A, A.mult, A.mass, A.indices, A.is_set
+
+
+def test_each_set_document_element_is_checked_once(monkeypatch, tmp_path, capsys):
+    # every document of the fault matrix gives what checking each element
+    # twice gave: the same exception type and message, at the same fault,
+    # or an equal multiset; and through the CLI the same exit code and
+    # error line
+    group = make_group([2, 3])
+    checks = []
+    contains, fast_indices = type(group).contains, groups._fast_indices
+
+    def counted(self, x):
+        checks.append(x)
+        return contains(self, x)
+
+    def fast(group, xs):
+        checks.append(xs)
+        return fast_indices(group, xs)
+
+    path = tmp_path / "doc.json"
+    for name, text in _fault_matrix().items():
+        before = _outcome(_parse_set_document_checked_twice, text)
+        with monkeypatch.context() as m:
+            m.setattr(type(group), "contains", counted)
+            m.setattr(groups, "_fast_indices", fast)
+            after = _outcome(parse_set_document, text)
+        assert after == before, name
+        if isinstance(before[0], type):
+            assert before[0] in (InvalidElement, ParseError), name
+        else:
+            # the valid ones: each element is checked once (Group.contains),
+            # and the constructor's check (_fast_indices) does not run
+            assert len(checks) == len(json.loads(text)["set"]), name
+        checks.clear()
+        path.write_text(text)
+        runs = []
+        for parse in (_parse_set_document_checked_twice, parse_set_document):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_set_document", parse)
+                rc = main(["analyze", "--set", str(path)])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1], name
+        assert runs[0][0] == EXIT_USAGE or not isinstance(before[0], type), name
 
 
 @pytest.mark.parametrize("group", [[2.7, 3], ["2", "3"]], ids=["float", "string"])

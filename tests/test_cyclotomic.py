@@ -147,7 +147,7 @@ def test_class_wise_zero_mask_matches_exact_char_sums():
     seen_zero = 0
     for idx in sets:
         A = Multiset.set_of(G, [G.coords_of(i) for i in idx])
-        mask = table.zero_mask(tuple(sorted(idx)))
+        mask = table.zero_mask(tuple(sorted(idx)))[1]
         for g in range(1, G.order):
             assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero
         assert not mask & 1
@@ -188,7 +188,7 @@ def test_zero_mask_matches_exact_char_sums_up_to_mass_G(moduli, data):
         order = data.draw(st.permutations(range(G.order)))
         idx = order[: data.draw(st.integers(0, G.order))]
     A = Multiset.set_of(G, [G.coords_of(i) for i in idx])
-    mask = char_table(G).zero_mask(tuple(idx))
+    mask = char_table(G).zero_mask(tuple(idx))[1]
     assert not mask & 1
     for g in range(1, G.order):
         assert bool(mask >> g & 1) == char_sum(G, A, G.coords_of(g)).is_zero

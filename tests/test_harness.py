@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import dataclasses
 import inspect
 import itertools
@@ -38,9 +39,9 @@ from spectile import (
     tiles_by_subgroup,
     verify_fuglede,
 )
-from spectile import cyclotomic, groups, harness, tiling
+from spectile import cyclotomic, groups, harness, spectra, tiling
 from spectile.cli import EXIT_USAGE, main
-from spectile.cyclotomic import char_sum, char_table
+from spectile.cyclotomic import char_sum, char_table, set_zero_mask
 from spectile.errors import DEFAULT_BUDGET, UNDECIDED, Overflow
 from spectile.groups import (
     Subgroup,
@@ -50,14 +51,13 @@ from spectile.groups import (
     index_tables,
 )
 from spectile.harness import (
-    TILE_UNSET,
     _aligned_along_some_direction,
     _classify_obstruction,
     _direction_gap_ok,
     _leaf_elements,
-    _memo,
     _sweep_chunk,
 )
+from spectile.spectra import TILE_UNSET, _memo, spectrum_search
 from spectile.structure import (
     aligned_leaves,
     assumption_a_holds,
@@ -66,6 +66,25 @@ from spectile.structure import (
     leaf_tables,
 )
 from spectile.tiling import SeededDraws, cover_complement, tiling_complement
+
+
+def _fresh_memo(m, memo=None):
+    """Put one fresh memo function (memo, else a cached empty dict per group
+    and size) in place of _memo wherever the spectral decision reads it: in
+    harness, for the sweeps and the probe, and in spectra, for find_spectrum."""
+    memo = memo or lru_cache(maxsize=None)(lambda G, k: {})
+    m.setattr(harness, "_memo", memo)
+    m.setattr(spectra, "_memo", memo)
+    return memo
+
+
+@contextlib.contextmanager
+def _own_memo():
+    """find_spectrum on a fresh memo of its own, so a per-set oracle reads
+    nothing that a sweep or an earlier test stored."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectra, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+        yield
 
 
 def test_verify_fuglede_z6(z6):
@@ -210,10 +229,11 @@ def test_a_pooled_sampled_sweep_draws_nothing_in_the_parent(z36, monkeypatch):
 
 def _per_set_tally(G, k, budget, parts=None, tile_sets=None):
     """The tally of the 0-containing k-sets of G, one set at a time through
-    the public per-set API: find_spectrum, and find_tiling_complement with
-    an exact-cover complement counted as a violation. parts, when given,
-    are the sets' nonzero element indices in any order (sampled draws);
-    else every 0-containing k-set is tallied, in lexicographic order.
+    the public per-set API: find_spectrum, on a memo of its own (_own_memo),
+    and find_tiling_complement with an exact-cover complement counted as a
+    violation. parts, when given, are the sets' nonzero element indices in
+    any order (sampled draws); else every 0-containing k-set is tallied, in
+    lexicographic order.
     tile_sets, when given, gets the points of each tile, in tally order."""
     out = dict(
         size=k, examined=0, spectral=0, tiles=0, both_yes=0, both_no=0, mismatches=[],
@@ -224,7 +244,8 @@ def _per_set_tally(G, k, budget, parts=None, tile_sets=None):
     for rest in parts:
         pts = tuple(map(G.elements.__getitem__, [0] + sorted(rest)))
         S = Multiset.set_of(G, pts)
-        spectrum = find_spectrum(S, budget)
+        with _own_memo():
+            spectrum = find_spectrum(S, budget)
         complement = find_tiling_complement(S, budget)
         sp = spectrum if spectrum is UNDECIDED else spectrum is not None
         ti = complement if complement is UNDECIDED else complement is not None
@@ -645,7 +666,7 @@ def test_tiling_complement_agrees_with_brute_force(moduli, methods_seen):
             cover, _nodes = cover_complement(tables, cand, DEFAULT_BUDGET)
             assert (cover is not None) == expected, cand
             assert (find_complement(Multiset.set_of(G, elems)) is not None) == expected, cand
-            out = tiling_complement(tables, cand, zero_mask(cand), DEFAULT_BUDGET)
+            out = tiling_complement(tables, cand, zero_mask(cand)[1], DEFAULT_BUDGET)
             assert (out is not None) == expected, cand
             if out is None:
                 methods.add(None)
@@ -735,12 +756,43 @@ def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subproces
     assert docs[0]["fuglede"]["per_size"]["4"]["tiles"]
 
 
+def test_reports_after_per_set_calls_are_those_of_a_fresh_process(subprocess_env, monkeypatch):
+    # per-set find_spectrum calls on a fresh memo, on the sets the sampled
+    # plan draws and on every 0-containing set of Z_2^2 x Z_3, at budget 3
+    # and then at the default budget, store unsettled entries with node
+    # counts and no tile outcome; each sweep over that memo reports what a
+    # fresh process reports
+    memo = _fresh_memo(monkeypatch)
+    sampled = {"moduli": [2, 2, 3, 3], "sizes": [2, 4, 6, 9], "seed": 11, "count_per_size": 300}
+    walked = {"moduli": [2, 2, 3], "sizes": list(range(1, 13))}
+    for budget in (3, DEFAULT_BUDGET):
+        G = make_group(sampled["moduli"])
+        for k in sampled["sizes"]:
+            rng = random.Random(f"11:{k}")
+            for _ in range(sampled["count_per_size"]):
+                find_spectrum(Multiset.of_indices(G, [0] + rng.sample(range(1, G.order), k - 1)), budget)
+        G = make_group(walked["moduli"])
+        for k in walked["sizes"]:
+            for rest in itertools.combinations(range(1, G.order), k - 1):
+                find_spectrum(Multiset.of_indices(G, (0,) + rest), budget)
+    entries = [entry for k in sampled["sizes"] for entry in memo(make_group([2, 2, 3, 3]), k).values()]
+    assert entries and all(entry[2] == TILE_UNSET for entry in entries)
+    for kwargs in (sampled, {**sampled, "budget": 3}, walked, {**walked, "budget": 3}, sampled):
+        kw = dict(kwargs)
+        plan = VerificationPlan(group=make_group(kw.pop("moduli")), **kw)
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_PLAN, json.dumps(kwargs)],
+            capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
+        )
+        assert _plan_doc(verify_fuglede(plan)) == json.loads(fresh.stdout), kwargs
+
+
 def test_a_word_whose_verdicts_disagree_is_never_settled(monkeypatch):
     # a clique search that calls every set non-spectral makes each tile of
     # Z_8 a mismatch, exact-cover tiles included; a second sweep over the
     # same memo lists every one of them again
-    monkeypatch.setattr(harness, "spectrum_search", lambda *args: (None, 1))
-    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    monkeypatch.setattr(spectra, "spectrum_search", lambda *args: (None, 1))
+    _fresh_memo(monkeypatch)
     plan = VerificationPlan(group=make_group([8]), sizes=(2, 4))
     first, second = (verify_fuglede(plan) for _ in range(2))
     for report in (first, second):
@@ -754,8 +806,9 @@ def test_mismatch_spectra_are_those_find_spectrum_gives(monkeypatch):
     # Z_3^5 has spectral sets of size 6 that do not tile: each mismatch
     # lists the spectrum of the search that decided its word, from a fresh
     # memo or a warm one, at the default budget and below it, and that is
-    # the spectrum find_spectrum finds for the set
-    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    # the spectrum find_spectrum finds for the set, which is the spectrum a
+    # search on the set's own zero mask finds
+    _fresh_memo(monkeypatch)
     G = make_group([3, 3, 3, 3, 3])
     for budget in (DEFAULT_BUDGET, DEFAULT_BUDGET, 1000):
         plan = VerificationPlan(group=G, sizes=(6,), seed=1, count_per_size=100, budget=budget)
@@ -766,12 +819,15 @@ def test_mismatch_spectra_are_those_find_spectrum_gives(monkeypatch):
             S = Multiset.set_of(G, list(map(tuple, entry["set"])))
             lam = find_spectrum(S, budget).lam
             assert entry["spectrum"] == [list(x) for x in lam.support]
+            own = spectrum_search(index_tables(G), set_zero_mask(S), 6, budget)[0]
+            assert lam.indices == tuple(sorted(own))
 
 
 @pytest.mark.parametrize("moduli, sizes", [([2, 2, 3, 3], (2, 3, 4, 6, 9)), ([8], (2, 4))])
 def test_sampled_tallies_equal_per_set_verdicts_on_the_same_draws(moduli, sizes):
     # the oracle decides each drawn set on its own with the public per-set
-    # searches, which read no memo; Z_8 has exact-cover tiles (violations)
+    # searches, find_spectrum on a memo of its own; Z_8 has exact-cover
+    # tiles (violations)
     G = make_group(moduli)
     seed, count = 4, 80
     report = verify_fuglede(
@@ -783,7 +839,8 @@ def test_sampled_tallies_equal_per_set_verdicts_on_the_same_draws(moduli, sizes)
         violations = []
         for _ in range(count):
             S = Multiset.of_indices(G, [0] + rng.sample(range(1, G.order), k - 1))
-            spectral = find_spectrum(S)
+            with _own_memo():
+                spectral = find_spectrum(S)
             complement = find_tiling_complement(S)
             assert spectral is not UNDECIDED and complement is not UNDECIDED
             sp, ti = spectral is not None, complement is not None
@@ -880,7 +937,7 @@ def test_orbit_settling_leaves_every_report_as_it_was(moduli, sizes, budget, wor
     docs = []
     for alone in (False, True):
         with monkeypatch.context() as m:
-            m.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+            _fresh_memo(m)
             if alone:
                 _settle_words_alone(m)
             docs.append(_plan_doc(verify_fuglede(plan)))
@@ -903,7 +960,7 @@ def test_a_walk_leaves_the_memo_that_settling_words_alone_leaves(moduli, sizes, 
     memos, decided = [], []
     for alone in (False, True):
         with monkeypatch.context() as m:
-            m.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+            _fresh_memo(m)
             if alone:
                 _settle_words_alone(m)
             calls = _count_tile_decisions(m)
@@ -918,7 +975,7 @@ def test_no_exact_cover_runs_on_a_set_the_certificate_refutes(monkeypatch):
     # the cold seed-5 plan of 1 000 draws at sizes 9, 12 and 18 on
     # Z_2^2 x Z_3^2: 562 of its new words reached the exact cover before
     # the prime-power certificate (IndexTables.forced_mask) came first
-    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    _fresh_memo(monkeypatch)
     covered = []
 
     def recorded(tables, cand, budget):
@@ -930,15 +987,15 @@ def test_no_exact_cover_runs_on_a_set_the_certificate_refutes(monkeypatch):
     report = verify_fuglede(VerificationPlan(group=G, sizes=(9, 12, 18), seed=5, count_per_size=1000))
     assert report.ok
     tables, zero_mask = index_tables(G), char_table(G).zero_mask
-    assert not [cand for cand in covered if tables.forced_mask(36 // len(cand)) & ~zero_mask(cand)]
+    assert not [cand for cand in covered if tables.forced_mask(36 // len(cand)) & ~zero_mask(cand)[1]]
     assert len(covered) == 30
 
 
 def test_orbit_settling_walks_match_a_per_set_tally(z12, monkeypatch):
     # Z_2^2 x Z_3 at every size, one set at a time through the public
-    # per-set searches, which read no memo; the walk decides fewer words
-    # than it stores
-    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    # per-set searches, find_spectrum on a memo of its own; the walk decides
+    # fewer words than it stores
+    _fresh_memo(monkeypatch)
     calls = _count_tile_decisions(monkeypatch)
     sizes = tuple(range(1, z12.order + 1))
     report = verify_fuglede(VerificationPlan(group=z12, sizes=sizes))
@@ -955,7 +1012,7 @@ def test_sampled_and_canonicalized_plans_settle_no_orbit(monkeypatch):
     def unbuilt(self):
         raise AssertionError("class generators built")
 
-    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    _fresh_memo(monkeypatch)
     monkeypatch.setattr(groups.IndexTables, "class_generators", property(unbuilt))
     z36 = make_group([2, 2, 3, 3])
     sampled = verify_fuglede(
@@ -982,14 +1039,15 @@ def test_orbits_settle_only_under_the_clique_node_bound(monkeypatch):
     G = make_group([3, 3, 3])
     decided = {}
     for budget in (7, bound - 1, bound):
-        monkeypatch.setattr(harness, "DEFAULT_BUDGET", budget)
+        for module in (harness, spectra):
+            monkeypatch.setattr(module, "DEFAULT_BUDGET", budget)
         assert harness._clique_nodes_bounded(12, 6) is (budget == bound)
         assert not harness._clique_nodes_bounded(13, 6)
         plan = VerificationPlan(group=G, sizes=(6,), budget=budget)
         docs = []
         for alone in (False, True):
             with monkeypatch.context() as m:
-                m.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+                _fresh_memo(m)
                 if alone:
                     _settle_words_alone(m)
                 calls = _count_tile_decisions(m)
@@ -999,9 +1057,10 @@ def test_orbits_settle_only_under_the_clique_node_bound(monkeypatch):
         assert bool(docs[0]["fuglede"]["per_size"]["6"]["undecided"]) is (budget == 7)
     # the orbit settles at the bound and not one node below it
     assert decided[bound, False] < decided[bound - 1, False] < decided[bound - 1, True]
-    monkeypatch.setattr(harness, "DEFAULT_BUDGET", 7)
+    for module in (harness, spectra):
+        monkeypatch.setattr(module, "DEFAULT_BUDGET", 7)
     monkeypatch.setattr(harness, "_clique_nodes_bounded", lambda zeros, k: True)
-    monkeypatch.setattr(harness, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+    _fresh_memo(monkeypatch)
     unguarded = verify_fuglede(VerificationPlan(group=G, sizes=(6,), budget=7))
     assert not unguarded.per_size[6].undecided
 
@@ -1388,7 +1447,7 @@ def _drawn_zero_masks(G, shape, seed, size, count):
     """The zero masks of the drawn sets (_drawn_probe_sets), in draw order."""
     zero_mask = char_table(G).zero_mask
     return [
-        zero_mask([G.index_of(tuple(x)) for x in s])
+        zero_mask([G.index_of(tuple(x)) for x in s])[1]
         for s in _drawn_probe_sets(G, shape, seed, size, count)
     ]
 
@@ -1411,9 +1470,9 @@ def test_probe_lists_an_undecided_candidate_as_its_drawn_set(monkeypatch, moduli
     # a clique search that never decides makes every candidate undecided;
     # an empty memo stores none of its verdicts, yet the probe searches each
     # class word once, as the search is deterministic
-    monkeypatch.setattr(harness, "_memo", lambda G, k: {})
-    monkeypatch.setattr(harness, "spectrum_search", lambda *args: (UNDECIDED, 0))
-    searched = _counting(monkeypatch, harness, "spectrum_search")
+    _fresh_memo(monkeypatch, lambda G, k: {})
+    monkeypatch.setattr(spectra, "spectrum_search", lambda *args: (UNDECIDED, 0))
+    searched = _counting(monkeypatch, spectra, "spectrum_search")
     G = make_group(moduli)
     shape = pq_shape(G)
     report = case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=12)
@@ -1431,8 +1490,8 @@ def test_the_probe_decides_each_class_word_once(monkeypatch, seed):
     # with a cold memo, the clique search and the obstruction kind each run
     # once per distinct zero mask (so class word) among the drawn sets, not
     # once per candidate
-    monkeypatch.setattr(harness, "_memo", lambda G, k: {})
-    searched = _counting(monkeypatch, harness, "spectrum_search")
+    _fresh_memo(monkeypatch, lambda G, k: {})
+    searched = _counting(monkeypatch, spectra, "spectrum_search")
     classified = _counting(monkeypatch, harness, "_classify_obstruction")
     G = make_group((3, 3, 5, 5))
     shape = pq_shape(G)
@@ -1461,15 +1520,16 @@ def _probe_by_helpers(shape, sizes, seed, count, budget):
     for size in sizes:
         for s in _drawn_probe_sets(G, shape, seed, size, count):
             cand = [G.index_of(tuple(x)) for x in s]
-            zmask, leaves = kernel.zero_mask(cand), lt.leaves(cand)
-            lam = harness.spectrum_search(tables, zmask, size, budget)[0]
+            zmask, leaves = kernel.zero_mask(cand)[1], lt.leaves(cand)
+            lam = spectrum_search(tables, zmask, size, budget)[0]
             doc["examined"] += 1
             if lam is None:
                 doc["refuted"] += 1
             elif lam is UNDECIDED:
                 doc["undecided"].append({"size": size, "set": s})
             else:
-                wit = find_spectrum(Multiset.set_of(G, map(tuple, s)), budget)
+                with _own_memo():
+                    wit = find_spectrum(Multiset.set_of(G, map(tuple, s)), budget)
                 spectrum = [list(x) for x in wit.lam.support] if wit is not UNDECIDED else None
                 doc["spectral_hits"].append({"size": size, "set": s, "spectrum": spectrum})
             doc["obstructions"][_classify_obstruction(lt, zmask)] += 1
@@ -1497,12 +1557,12 @@ def shape57():
 def test_the_probe_decides_a_word_once_per_size(monkeypatch, shape57):
     # a verdict depends on the size: a word met at two sizes is decided at each
     assert probe_sizes(shape57)[:2] == (70, 105)
-    monkeypatch.setattr(harness, "_memo", lambda G, k: {})
+    _fresh_memo(monkeypatch, lambda G, k: {})
     # every candidate gets the class word of {0}, whose zero mask is empty
     kernel = char_table(shape57.group)
     word = kernel.class_word(kernel.cols[0], 1)
     monkeypatch.setattr(type(kernel), "class_word", lambda self, total, m: word)
-    sizes = _counting(monkeypatch, harness, "spectrum_search", arg=2)
+    sizes = _counting(monkeypatch, spectra, "spectrum_search", arg=2)
     report = case5_nonexistence_probe(shape57, (70, 105), seed=3, count_per_size=3)
     assert report.examined == report.refuted == 6
     assert sizes == [70, 105]
@@ -1654,7 +1714,7 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
             )
             assert leaves == lt.leaves(cand)
             key = kernel.key(total, len(cand))
-            assert kernel.expand(key) == kernel.zero_mask(cand)
+            assert (key, kernel.expand(key)) == kernel.zero_mask(cand)
             assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
             # so every probe candidate passes the leaf-size part, which
             # _classify_obstruction leaves out
@@ -1666,7 +1726,7 @@ def test_probe_structure_checks_agree_with_coordinate_oracles(moduli):
         leaves = lt.leaves(cand)
         assert tuple(sorted(_leaf_elements(lt, leaves))) == cand
         key = kernel.key(sum(kernel.cols[g] for g in cand), len(cand))
-        assert kernel.expand(key) == kernel.zero_mask(cand)
+        assert (key, kernel.expand(key)) == kernel.zero_mask(cand)
         # the obstruction kind, once per word in the probe, is the oracle's
         # wherever the oracle's leaf-size part passes
         expected = _obstruction_by_coordinates(shape, S)

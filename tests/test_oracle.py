@@ -259,7 +259,7 @@ def test_is_tiling_pair_matches_the_oracle(moduli):
 @pytest.mark.parametrize("moduli", GROUPS, ids=lambda m: ",".join(map(str, m)))
 def test_checks_read_no_zero_mask_and_cache_per_object(moduli, monkeypatch):
     """Both checks decide fresh multisets as the oracles do with every
-    CharTable access, set_zero_mask and the zero-mask slot made to raise;
+    CharTable access, set_zero, set_zero_mask and the zero-mask slot made to raise;
     the per-object cache of is_spectral_pair never answers for another set,
     and copies and pickles compare and hash equal."""
     G = make_group(moduli)
@@ -270,8 +270,13 @@ def test_checks_read_no_zero_mask_and_cache_per_object(moduli, monkeypatch):
 
     monkeypatch.setattr(CharTable, "__getattribute__", refused)
     monkeypatch.setattr(cyclotomic, "char_table", refused)
-    for module in (cyclotomic, spectra, tiling):
-        monkeypatch.setattr(module, "set_zero_mask", refused)
+    for module, name in (
+        (cyclotomic, "set_zero"),
+        (cyclotomic, "set_zero_mask"),
+        (spectra, "set_zero"),
+        (tiling, "set_zero_mask"),
+    ):
+        monkeypatch.setattr(module, name, refused)
     # the slot may be cleared (every constructor does) but not read
     monkeypatch.setattr(
         Multiset, "_zero", property(refused, lambda _self, value: value is None or refused())

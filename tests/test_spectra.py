@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import lru_cache
 
@@ -7,9 +8,11 @@ from spectile import (
     UNDECIDED,
     EmptyInput,
     GroupMismatch,
+    InvalidArgument,
     Multiset,
     NotASpectralPair,
     SpectrumWitness,
+    VerificationPlan,
     annihilator,
     char_sum,
     cyclic_subgroup,
@@ -22,9 +25,11 @@ from spectile import (
     make_group,
     spectral_to_complement,
     subgroups_of_order,
+    verify_fuglede,
     zero_set,
 )
-from spectile.cyclotomic import char_table
+from spectile import harness, spectra
+from spectile.cyclotomic import char_table, set_zero, set_zero_mask
 from spectile.errors import DEFAULT_BUDGET
 from spectile.groups import index_tables
 from spectile.spectra import CliqueSearch, spectrum_search
@@ -260,3 +265,98 @@ def test_spectrum_search_matches_the_quadratic_graph_construction(moduli):
             assert got == _quadratic_spectrum_search(tables, zmask, k, budget), (cand, zmask)
             outcomes.add("undecided" if got[0] is UNDECIDED else got[0] is not None)
     assert outcomes == {"undecided", True, False}
+
+
+# --- the shared spectral memo ------------------------------------------------
+#
+# find_spectrum decides through the memo the sweeps and the probe fill
+# (spectra._memo), keyed by class word and size. Whatever the memo holds, it
+# must give what a search on the set's own zero mask gives at the same budget.
+
+# (moduli, sizes or None for every size, short: whether budget 3 leaves a set
+# undecided)
+MEMO_ORACLE_CASES = [((8,), None, True), ((2, 2, 3), None, True), ((2, 2, 3, 3), (2, 3, 4), False)]
+
+
+def _zero_containing_sets(G, sizes):
+    for k in sizes:
+        for rest in itertools.combinations(range(1, G.order), k - 1):
+            yield Multiset.of_indices(G, (0,) + rest)
+
+
+def _memo_left_by(G, sizes, state, short, monkeypatch):
+    """Point the spectral decision at a fresh memo, left as state says:
+    cold; after an exhaustive sweep, whose settled words are bare bools
+    with no clique; after a budget-3 sweep, whose entries hold node counts
+    and no tile outcome; or after per-set calls at the default budget,
+    whose entries hold node counts above 3 exactly when some search needs
+    more than 3 nodes (short)."""
+    memo = lru_cache(maxsize=None)(lambda G, k: {})
+    monkeypatch.setattr(spectra, "_memo", memo)
+    monkeypatch.setattr(harness, "_memo", memo)
+    if state == "per-set calls":
+        for S in _zero_containing_sets(G, sizes):
+            find_spectrum(S)
+        assert any(entry[1] > 3 for k in sizes for entry in memo(G, k).values()) is short
+    elif state != "cold":
+        budget = DEFAULT_BUDGET if state == "exhaustive sweep" else 3
+        verify_fuglede(VerificationPlan(group=G, sizes=sizes, budget=budget))
+        entries = [entry for k in sizes for entry in memo(G, k).values()]
+        if state == "exhaustive sweep":
+            assert True in entries
+        else:
+            assert all(entry[2] == spectra.TILE_UNSET for entry in entries)
+    return memo
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 3])
+@pytest.mark.parametrize("state", ["cold", "exhaustive sweep", "budget-3 sweep", "per-set calls"])
+@pytest.mark.parametrize("moduli, sizes, short", MEMO_ORACLE_CASES, ids=str)
+def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
+    moduli, sizes, short, state, budget, monkeypatch
+):
+    G = make_group(moduli)
+    sizes = sizes or tuple(range(1, G.order + 1))
+    memo = _memo_left_by(G, sizes, state, short, monkeypatch)
+    tables = index_tables(G)
+    seen = dict.fromkeys(("witness", "none", "undecided"), 0)
+    words = {k: set() for k in sizes}
+    for S in _zero_containing_sets(G, sizes):
+        got = find_spectrum(S, budget)
+        own = spectrum_search(tables, set_zero_mask(S), S.mass, budget)[0]
+        words[S.mass].add(set_zero(S)[0])
+        if own is UNDECIDED or own is None:
+            assert got is own, S
+            seen["undecided" if own is UNDECIDED else "none"] += 1
+        else:
+            assert got.lam.indices == tuple(sorted(own)), S
+            assert is_spectral_pair(S, got.lam)
+            seen["witness"] += 1
+    assert seen["witness"] and seen["none"]
+    assert bool(seen["undecided"]) is (short and budget == 3)
+    if state == "cold":
+        # per-set calls add at most one entry per realised word and size,
+        # and never an undecided one
+        for k in sizes:
+            assert set(memo(G, k)) <= words[k]
+            assert all(entry[1] <= budget for entry in memo(G, k).values())
+        if budget == DEFAULT_BUDGET:
+            assert all(set(memo(G, k)) == words[k] for k in sizes)
+
+
+def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
+    memo = lru_cache(maxsize=None)(lambda G, k: {})
+    monkeypatch.setattr(spectra, "_memo", memo)
+    # a subgroup tile of size 6, spectral, and its annihilator
+    S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
+    right = find_spectrum(S)
+    key = set_zero(S)[0]
+    verdict, nodes, tile, clique = memo(z36, 6)[key]
+    assert verdict and tile == spectra.TILE_UNSET and right.lam.indices == tuple(sorted(clique))
+    # another 0-containing 6-set that is not a spectrum of S
+    wrong = [0, 1, 2, 3, 4, 5]
+    assert not is_spectral_pair(S, Multiset.of_indices(z36, wrong))
+    memo(z36, 6)[key] = (True, nodes, tile, wrong)
+    twin = Multiset.set_of(z36, S.support)
+    with pytest.raises(InvalidArgument, match="failed verification"):
+        find_spectrum(twin)

@@ -160,7 +160,7 @@ def _certified_sets_have_no_complement(G, k, cands) -> int:
     tables = index_tables(G)
     zero_mask = char_table(G).zero_mask
     forced = tables.forced_mask(G.order // k)
-    certified = [cand for cand in cands if forced & ~zero_mask(cand)]
+    certified = [cand for cand in cands if forced & ~zero_mask(cand)[1]]
     for cand in certified:
         assert cover_complement(tables, cand, 10**18)[0] is None, (G, cand)
     return len(certified)
@@ -369,7 +369,7 @@ def test_subgroup_transversal_on_the_zero_mask_matches_coset_collisions(moduli, 
         else:
             cands = [(0,) + tuple(sorted(rng.sample(range(1, G.order), k - 1))) for _ in range(draws)]
         for cand in cands:
-            entry = subgroup_transversal(tables, zero_mask(cand), k)
+            entry = subgroup_transversal(tables, zero_mask(cand)[1], k)
             H = None if entry is None else entry[0]
             assert H == _coset_transversal_oracle(G, cand), cand
             if H is not None:  # the entry holds H^perp minus 0 as a mask
@@ -382,7 +382,7 @@ def test_subgroup_transversal_on_the_zero_mask_matches_coset_collisions(moduli, 
 def _zero_masks(G, m):
     """R_m: the zero masks of every 0-containing m-set of G."""
     zero_mask = char_table(G).zero_mask
-    return {zero_mask((0,) + rest) for rest in itertools.combinations(range(1, G.order), m - 1)}
+    return {zero_mask((0,) + rest)[1] for rest in itertools.combinations(range(1, G.order), m - 1)}
 
 
 def _seeded_tiling_candidates(G, k, draws, rng):
@@ -424,7 +424,7 @@ def test_tiling_is_the_fourier_criterion_on_zero_masks(moduli, sizes, draws, kin
             cands = _seeded_tiling_candidates(G, k, draws, rng)
         kind_by_mask = {}
         for cand in cands:
-            zmask = zero_mask(cand)
+            zmask = zero_mask(cand)[1]
             out = tiling_complement(tables, cand, zmask, DEFAULT_BUDGET)
             assert out is not UNDECIDED
             kind = None if out is None else "subgroup" if isinstance(out, Subgroup) else "exact-cover"
