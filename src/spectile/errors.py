@@ -125,8 +125,12 @@ def check_candidates(what: str, count: int, sampled: bool) -> None:
 
 def integers(values: Iterable, what: str, error: type[SpectileError]) -> tuple[int, ...]:
     """values as a tuple of ints, through operator.index, which refuses
-    floats and strings instead of truncating them; raises error otherwise."""
+    floats and strings instead of truncating them, and not bool, an int
+    subclass that would pass True for 1; raises error otherwise."""
     try:
+        values = tuple(values)
+        if bool in map(type, values):
+            raise TypeError(f"bool in {list(values)!r}")
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise error(f"{what} must be integers: {exc}") from exc

@@ -157,16 +157,9 @@ class Group:
 
     def add_each(self, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[Element]:
         """x + y for each aligned pair of xs and ys."""
-        return self._each(operator.add, xs, ys)
-
-    def sub_each(self, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[Element]:
-        """x - y for each aligned pair of xs and ys."""
-        return self._each(operator.sub, xs, ys)
-
-    def _each(self, op, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[Element]:
         # one coordinate column at a time, so every loop runs in C
         return zip(*[
-            map(operator.mod, map(op, xc, yc), itertools.repeat(n))
+            map(operator.mod, map(operator.add, xc, yc), itertools.repeat(n))
             for xc, yc, n in zip(zip(*xs), zip(*ys), self.moduli)
         ])
 
@@ -598,9 +591,10 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
 
 # The largest group order the per-group tables admit. IndexTables holds
 # |G|^2 + |G| element indices (add_rows and neg; add_bit_cols adds |G|^2
-# ints on the first exact cover) and the character table M phi(M)
-# coefficients (M <= |G|); the largest group the tests and the benchmark
-# decide on is Z_3^2 x Z_7^2, of order 441.
+# references to |G| shared single-bit ints, about |G|^2 / 8 bytes of them,
+# on the first exact cover) and the character table M phi(M) coefficients
+# (M <= |G|); the largest group the tests and the benchmark decide on is
+# Z_3^2 x Z_7^2, of order 441.
 MAX_TABLE_ORDER = 2048
 
 # The most bytes the packed batch tables of one stem-walk depth may hold
@@ -625,6 +619,8 @@ class IndexTables:
 
     The sweep and the public per-set operations decide on element indices
     through these tables; build one per group with :func:`index_tables`.
+    They hold no subgroup state: each subgroup's annihilator is read from
+    the zero-mask kernel (tiling.subgroup_annihilators).
     """
 
     def __init__(self, G: Group):
@@ -646,7 +642,6 @@ class IndexTables:
         # neg[x] = index(-x): the one table besides the addition rows, so a
         # difference x - y is read as add_rows[x][neg[y]]
         self.neg = [sum(-xi % n * st for xi, n, st in zip(x, G.moduli, strides)) for x in G.elements]
-        self._perp_masks: dict[int, list[tuple[Subgroup, int]]] = {}
         self._forced: dict[int, int] = {}
 
     @cached_property
@@ -724,31 +719,12 @@ class IndexTables:
     # that never reach the cover (the case-5 probe) do not pay for them.
     @cached_property
     def add_bit_cols(self) -> list[list[int]]:
-        """add_bit_cols[s][g] = 1 << index(g + s)."""
-        return [[1 << i for i in row] for row in self.add_rows]  # add is symmetric
+        """add_bit_cols[s][g] = 1 << index(g + s).
 
-    def perp_masks(self, m: int) -> list[tuple[Subgroup, int]]:
-        """(H, bitmask over element indices of H^perp minus 0) for every
-        subgroup H of order m, canonically sorted: the zero mask of a
-        transversal of H covers it (the Fourier tiling criterion). H^perp is
-        annihilator's, with the pairing's weights M/n_i taken once and no
-        element checked."""
-        cached = self._perp_masks.get(m)
-        if cached is None:
-            G = self.group
-            M = G.exponent
-            weights = [M // n for n in G.moduli]
-
-            def perp_mask(H: Subgroup) -> int:
-                rows = [list(map(operator.mul, weights, h)) for h in H.elements[1:]]
-                return sum(
-                    1 << i
-                    for i, g in enumerate(G.elements)
-                    if not any(sum(map(operator.mul, row, g)) % M for row in rows)
-                ) ^ 1
-
-            cached = self._perp_masks[m] = [(H, perp_mask(H)) for H in subgroups_of_order(G, m)]
-        return cached
+        The |G|^2 entries share the |G| ints of one list of bits, so the
+        table holds |G|^2 references, not |G|^2 ints of up to |G| bits."""
+        bits = [1 << i for i in range(self.n)]
+        return [list(map(bits.__getitem__, row)) for row in self.add_rows]  # add is symmetric
 
     @cached_property
     def class_generators(self) -> tuple[tuple[int, ...], ...]:

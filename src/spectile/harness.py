@@ -174,6 +174,8 @@ class VerificationPlan:
             raise InvalidArgument(f"sizes {self.sizes!r} out of range for {self.group!r}")
         if len(set(self.sizes)) != len(self.sizes):
             raise InvalidArgument(f"sizes {self.sizes!r} repeat a size")
+        given = (x for x in (self.seed, self.count_per_size) if x is not None)
+        integers(given, "seed and count", InvalidArgument)  # no float, string or bool
         sampled = self.count_per_size is not None
         if sampled:
             if self.seed is None or self.count_per_size < 1:
@@ -674,10 +676,10 @@ def tile_to_spectrum(
     spectrum of S: the one Fourier test gives both the complement H
     (spectral_to_complement) and the spectrum H^perp. The spectrum is H^perp
     for the first subgroup H of order |G|/|S| that S is a transversal of
-    (tiling.subgroup_transversal, on the zero mask of S), tagged by the
-    divisibility case of |S| (_case_tags), and checked by
-    is_spectral_pair. Sizes 1 and |G|, and a tile with no subgroup
-    complement, take a budgeted generic search.
+    (tiling.subgroup_transversal, on the zero mask of S), built once per
+    subgroup, tagged by the divisibility case of |S| (_case_tags), and
+    checked by is_spectral_pair. Sizes 1 and |G|, and a tile with no
+    subgroup complement, take a budgeted generic search.
     """
     G = shape.group
     if S.group != G or T.group != G:
@@ -688,13 +690,7 @@ def tile_to_spectrum(
     if tag is not SpectrumConstruction.SEARCH_FALLBACK:
         found = subgroup_transversal(index_tables(G), set_zero_mask(S), S.mass)
         if found is not None:
-            # H^perp: 0 and the set bits of the annihilator mask
-            perp, rest = [0], found[1]
-            while rest:
-                low = rest & -rest
-                perp.append(low.bit_length() - 1)
-                rest ^= low
-            lam = Multiset.of_indices(G, perp)
+            lam = found[2]
             if not is_spectral_pair(S, lam):  # pragma: no cover - H^perp is a spectrum
                 raise InvalidArgument("internal error: annihilator spectrum failed verification")
             return ConstructedSpectrum(SpectrumWitness(lam, S.mass * (S.mass - 1) // 2), tag)
@@ -836,6 +832,7 @@ def case5_nonexistence_probe(
     G = shape.group
     q = shape.q
     sizes = integers(sizes, "sizes", InvalidArgument)
+    integers((seed, count_per_size), "seed and count", InvalidArgument)  # no float, string or bool
     if not sizes:
         raise InvalidArgument(
             f"probe needs at least one size; the probe range of {G!r}"

@@ -30,8 +30,6 @@ from .groups import (
     Group,
     IndexTables,
     Multiset,
-    Subgroup,
-    cyclic_subgroup,
     direction_rep,
     index_tables,
     is_prime,
@@ -378,8 +376,8 @@ def direction_trichotomy(shape: PQShape, A: Multiset) -> TrichotomyResult:
                     break
             else:
                 # every coset holds at most one point, so |A| = pq and
-                # <(a, b)> is a tiling complement
-                t = Subgroup(G, cyclic_subgroup(G, shape.join(a, b))).as_set()
+                # <(a, b)>, the coset of 0, is a tiling complement
+                t = Multiset.of_indices(G, [i for i, c in enumerate(ids) if c == ids[0]])
                 witness = ComplementWitness(t=t, method=ComplementMethod.SUBGROUP)
                 if not is_tiling_pair(A, t):  # pragma: no cover
                     raise InvalidArgument("internal error: transversal failed verification")

@@ -3,6 +3,8 @@
 A k-set S is a transversal of a subgroup H of order |G| / k exactly when its
 character sum vanishes on H^perp minus 0 (the Fourier tiling criterion), so
 subgroup_transversal reads it from the zero mask of S: one AND per subgroup.
+Each H^perp is read from the same kernel, as the nonzero complement of the
+zero mask of H, once per group and order (subgroup_annihilators).
 A k-set whose mask misses a class that every tile of size k must hold
 (IndexTables.forced_mask, the prime-power certificate of Lam and Leung) has
 no complement at all, which is read from the mask the same way. Otherwise
@@ -57,8 +59,9 @@ from .errors import (
     NotADivisor,
     Undecided,
     check_candidates,
+    integers,
 )
-from .groups import Group, IndexTables, Multiset, Subgroup, index_tables
+from .groups import Group, IndexTables, Multiset, Subgroup, index_tables, subgroups_of_order
 
 
 class ComplementMethod(str, enum.Enum):
@@ -177,16 +180,31 @@ def cover_complement(
     return _cover_search(tables.n, option_masks, cell_options, option_masks[0], budget)
 
 
+@functools.lru_cache(maxsize=None)
+def subgroup_annihilators(G: Group, m: int) -> tuple[tuple[Subgroup, int, Multiset], ...]:
+    """(H, bitmask over element indices of H^perp minus 0, H^perp) for every
+    subgroup H of order m, in subgroups_of_order order. The character sum of
+    H is |H| on H^perp and 0 off it, so Z(H) is G minus H^perp: the mask is
+    the nonzero complement of the zero mask of H, from the kernel, and
+    H^perp, the indices outside Z(H), is built once as a set."""
+    out = []
+    for H in subgroups_of_order(G, m):
+        zmask = set_zero_mask(H.as_set())
+        perp = Multiset.of_indices(G, [i for i in range(G.order) if not zmask >> i & 1])
+        out.append((H, ((1 << G.order) - 2) & ~zmask, perp))
+    return tuple(out)
+
+
 def subgroup_transversal(
     tables: IndexTables, zmask: int, k: int
-) -> Optional[tuple[Subgroup, int]]:
-    """The (H, H^perp mask) entry of IndexTables.perp_masks for the first
-    subgroup H of order |G| / k (in canonical order) that a k-set with zero
-    mask zmask is a transversal of, or None.
+) -> Optional[tuple[Subgroup, int, Multiset]]:
+    """The (H, H^perp mask, H^perp) entry of subgroup_annihilators for the
+    first subgroup H of order |G| / k (in canonical order) that a k-set with
+    zero mask zmask is a transversal of, or None.
 
     Requires k to divide |G|.
     """
-    for entry in tables.perp_masks(tables.n // k):
+    for entry in subgroup_annihilators(tables.group, tables.n // k):
         if not entry[1] & ~zmask:
             return entry
     return None
@@ -615,6 +633,7 @@ def enumerate_tiles(
     as in the sweep: cover nodes depend on the set, not on its mask.
     """
     sampled = count is not None
+    integers((x for x in (seed, count) if x is not None), "seed and count", InvalidArgument)
     if sampled and (seed is None or count < 1):
         raise InvalidArgument("a sampled tile enumeration needs a seed and a count of at least 1")
     if k < 1 or G.order % k:

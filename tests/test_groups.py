@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,7 @@ from spectile import (
 from spectile import groups
 from spectile.cyclotomic import CharTable
 from spectile.groups import automorphism_generators, automorphism_image, index_tables
+from spectile.tiling import subgroup_annihilators
 
 
 def test_make_group_basic():
@@ -59,6 +61,15 @@ def test_group_refuses_non_integral_moduli():
     assert groups.Group((1, 3)).order == 3
     for moduli in ((2.7, 3), ("2", 3), (2, 3.0)):
         with pytest.raises(InvalidModulus, match="integers"):
+            groups.Group(moduli)
+
+
+def test_group_refuses_bool_moduli():
+    # bool is an int subclass: (True, 3) would be Z_1 x Z_3
+    for moduli in ((True, 3), (2, False)):
+        with pytest.raises(InvalidModulus, match="bool"):
+            make_group(moduli)
+        with pytest.raises(InvalidModulus, match="bool"):
             groups.Group(moduli)
 
 
@@ -103,7 +114,6 @@ def test_group_arithmetic_matches_a_per_coordinate_reference(data):
     assert [G.sub(x, y) for x, y in pairs] == diffs
     xs, ys = zip(*pairs)
     assert list(G.add_each(xs, ys)) == sums
-    assert list(G.sub_each(xs, ys)) == diffs
     assert list(G.add_each((), ())) == []
     for x in xs:
         assert G.neg(x) == tuple(-a % n for a, n in zip(x, moduli))
@@ -765,17 +775,37 @@ def test_class_generators_generate_the_class_action_of_every_automorphism(moduli
     assert _class_closure(tables.class_generators, len(classes)) == induced
 
 
-@pytest.mark.parametrize("moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (24,), (4, 2)], ids=str)
+@pytest.mark.parametrize(
+    "moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (24,), (4, 2), (2, 2, 2, 2), (3, 3, 3)], ids=str
+)
 def test_perp_masks_are_the_annihilators(moduli):
-    # each H^perp mask, paired in place, is annihilator's H^perp minus 0
+    # each H^perp mask, read from the zero-mask kernel, is annihilator's
+    # H^perp minus 0, and the set kept beside it is H^perp
     G = make_group(moduli)
-    tables = groups.IndexTables(G)
     for m in (d for d in range(1, G.order + 1) if G.order % d == 0):
-        entries = tables.perp_masks(m)
-        assert [H for H, _ in entries] == list(subgroups_of_order(G, m))
-        for H, mask in entries:
+        entries = subgroup_annihilators(G, m)
+        assert [H for H, _, _ in entries] == list(subgroups_of_order(G, m))
+        for H, mask, perp_set in entries:
             perp = annihilator(G, H.as_set())
             assert mask == sum(1 << G.index_of(x) for x in perp) ^ 1, (m, H)
+            assert perp_set == perp.as_set(), (m, H)
+
+
+def test_exact_cover_option_bits_share_one_int_per_element():
+    # add_bit_cols holds |G|^2 references to |G| bit ints: on Z_3^2 x Z_7^2
+    # about 1.7 MB, where a fresh int per entry took 13 MB
+    G = make_group([3, 3, 7, 7])
+    tables = groups.IndexTables(G)
+    tracemalloc.start()
+    try:
+        cols = tables.add_bit_cols
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(
+        col == 1 << g for row, cols_s in zip(tables.add_rows, cols) for g, col in zip(row, cols_s)
+    )
+    assert size < 4_000_000, size
 
 
 def test_class_generators_of_z3_squared_times_z5_squared_close_to_s4_times_s5():

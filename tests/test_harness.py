@@ -1604,6 +1604,24 @@ def test_probe_refuses_non_integral_sizes():
         case5_nonexistence_probe(shape, (30.5,), seed=3, count_per_size=1)
 
 
+def test_bool_is_refused_wherever_an_integer_is_read(z6):
+    # bool is an int subclass: True would sweep size 1, and seed False
+    # would draw from the stream "False:k", not "0:k"
+    for kwargs in ({"sizes": (True,)}, {"sizes": (2,), "seed": False, "count_per_size": 3},
+                   {"sizes": (2,), "seed": 0, "count_per_size": True}):
+        with pytest.raises(InvalidArgument, match="bool"):
+            VerificationPlan(group=z6, **kwargs)
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    with pytest.raises(InvalidArgument, match="bool"):
+        case5_nonexistence_probe(shape, (30, True), seed=3, count_per_size=1)
+    with pytest.raises(InvalidArgument, match="bool"):
+        case5_nonexistence_probe(shape, (30,), seed=False, count_per_size=1)
+    with pytest.raises(InvalidArgument, match="bool"):
+        next(enumerate_tiles(z6, 3, seed=False, count=3))
+    plan = VerificationPlan(group=z6, sizes=(2,), seed=0, count_per_size=3)
+    assert (plan.seed, plan.count_per_size) == (0, 3)
+
+
 def test_probe_rejects_repeated_sizes():
     shape = pq_shape(make_group([3, 3, 5, 5]))
     with pytest.raises(InvalidArgument, match="repeat"):

@@ -204,6 +204,9 @@ def test_direction_trichotomy_tile(shape36, z36):
     out = direction_trichotomy(shape36, sub)
     assert out.tile is not None and out.witnesses is None
     assert is_tiling_pair(sub, out.tile.t)
+    # the coset of 0 is <(a, b)>, cyclic of order pq
+    t = out.tile.t
+    assert any(t == Multiset.set_of(z36, groups.cyclic_subgroup(z36, g)) for g in t.support)
 
     small = Multiset.set_of(z36, [z36.coords_of(i) for i in range(4)])
     with pytest.raises(TooSmall):
