@@ -590,11 +590,11 @@ def coset_id_table(H: Subgroup) -> tuple[int, ...]:
 
 
 # The largest group order the per-group tables admit. IndexTables holds
-# |G|^2 + |G| element indices (add_rows and neg; add_bit_cols adds |G|^2
-# references to |G| shared single-bit ints, about |G|^2 / 8 bytes of them,
-# on the first exact cover) and the character table M phi(M) coefficients
-# (M <= |G|); the largest group the tests and the benchmark decide on is
-# Z_3^2 x Z_7^2, of order 441.
+# |G|^2 + |G| element indices (add_rows, |G|^2 references to |G| shared
+# ints, and neg; add_bit_cols adds |G|^2 references to |G| shared
+# single-bit ints, about |G|^2 / 8 bytes of them, on the first exact cover)
+# and the character table M phi(M) coefficients (M <= |G|); the largest
+# group the tests and the benchmark decide on is Z_3^2 x Z_7^2, of order 441.
 MAX_TABLE_ORDER = 2048
 
 # The most bytes the packed batch tables of one stem-walk depth may hold
@@ -631,12 +631,13 @@ class IndexTables:
         # * stride_i over the coordinates, and y runs over the product of the
         # coordinate ranges in index order
         strides = G._radix
-
+        # rows share one list's |G| index ints; sum makes a new int above 256
+        index = list(range(self.n)).__getitem__
         self.add_rows = [
-            list(map(sum, itertools.product(*(
+            list(map(index, map(sum, itertools.product(*(
                 [(xi + j) % n * st for j in range(n)]
                 for xi, n, st in zip(x, G.moduli, strides)
-            ))))
+            )))))
             for x in G.elements
         ]
         # neg[x] = index(-x): the one table besides the addition rows, so a

@@ -6,15 +6,16 @@ same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. Both verdicts of a k-set are functions of its
 zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
-One memo per group and size (spectra._memo), keyed by the word's memo key
-(CharTable.key), holds the verdict of spectra.spectrum_search, which
-find_spectrum reads and fills as well (spectra._spectral_verdict),
+One memo per group and size (spectra._memo) at the default budget, and a
+dict of one job at any other (spectra._verdict_memo), keyed by the word's
+memo key (CharTable.key), holds the verdict of spectra.spectrum_search,
+which find_spectrum reads and fills as well (spectra._spectral_verdict),
 and the outcome of tiling.tiling_complement, which reads the mask for its
 prime-power certificate and its subgroup step; its exact cover does not
 read the mask and runs on the first set of each key (of each orbit, in
 an exhaustive walk) that neither decides. A settled word,
 whose verdicts agree and need no per-set entry, is a bare bool there;
-every other word keeps a (verdict, nodes, tile) tuple. The mask is
+every other word keeps a (verdict, tile, spectrum) tuple. The mask is
 expanded from the word only off the settled path. Both verdicts are
 invariant under the automorphisms of G, which permute the direction
 classes, so an exhaustive walk that settles a word settles the word's
@@ -28,7 +29,8 @@ asked. There is one producer per source: an exhaustive size walks stems
 sampled size draws kernel sums (tiling._draw_blocks). A canonicalized size
 is a walk whose blocks keep only the sets that no automorphism lowers
 (_least_blocks). One loop, _sweep_chunk, tallies them all. A candidate
-whose word is settled, in this sweep or any earlier one of the process, is
+whose word is settled, in this sweep or, at the default budget, any
+earlier one of the process, is
 tallied as a count per verdict (a block of them with list.count) and never
 has its part built; every other candidate goes to the one slow path, which
 tallies it on its own, in enumeration order, and sorts its part into its
@@ -84,8 +86,8 @@ from .spectra import (
     SUBGROUP_TILE,
     TILE_UNSET,
     SpectrumWitness,
-    _memo,
     _spectral_verdict,
+    _verdict_memo,
     find_spectrum,
     is_spectral_pair,
 )
@@ -98,7 +100,6 @@ from .tiling import (
     _draw_blocks,
     _stem_blocks,
     candidate_draws,
-    certified_non_tile,
     find_tiling_complement,
     is_tiling_pair,
     subgroup_transversal,
@@ -122,16 +123,10 @@ def _clique_nodes_bounded(zeros: int, k: int) -> bool:
 def _tile_outcome(
     tables: IndexTables, k: int, zmask: int, budget: int, cand: Callable[[], tuple[int, ...]]
 ) -> Union[int, Undecided]:
-    """The tile outcome of tiling_complement on the k-set cand(), whose zero
-    mask is zmask, or UNDECIDED: NOT_A_TILE when the certificate
-    (tiling.certified_non_tile) or an exhausted exact cover proves it,
-    SUBGROUP_TILE or COVER_TILE by the complement found. The certificate
-    reads the mask alone, so the set is built only when it does not decide;
-    it spends no nodes, so only a cover that runs out of budget is
-    UNDECIDED."""
-    if certified_non_tile(tables, k, zmask):
-        return NOT_A_TILE
-    out = tiling_complement(tables, cand(), zmask, budget)
+    """The tile outcome of tiling_complement on a k-set with zero mask
+    zmask, whose set cand() builds for an exact cover alone: NOT_A_TILE,
+    SUBGROUP_TILE or COVER_TILE by its answer, or UNDECIDED."""
+    out = tiling_complement(tables, k, zmask, cand, budget)
     if out is UNDECIDED:
         return UNDECIDED
     if out is None:
@@ -186,6 +181,7 @@ class VerificationPlan:
         else:
             count = sum(math.comb(self.group.order - 1, k - 1) for k in self.sizes)
         check_candidates(f"plan on {self.group!r}", count, sampled)
+        integers((self.budget, self.workers), "budget and workers", InvalidArgument)
         if self.budget < 1:
             raise InvalidArgument("budget must be positive")
         if self.workers < 1:
@@ -374,19 +370,21 @@ def _sweep_chunk(
     Candidates come in the (keys, part) blocks of tiling: a stem walk's
     (_stem_blocks, through _least_blocks when canonicalized) or a sample's
     (_draw_blocks). keys[i] is candidate i's memo key (_memo), and part(i)
-    its nonzero part as element indices, built only when asked. One map of
-    the memo's lookup reads a block's keys, and list.count counts the
+    its nonzero part as element indices, built only when asked. The memo is
+    the one of the budget (spectra._verdict_memo): the shared _memo(G, k)
+    at DEFAULT_BUDGET, a dict of this call at any other. One map of the
+    memo's lookup reads a block's keys, and list.count counts the
     candidates whose entry is settled, False or True, which
-    SizeTally.add_settled folds in when the loop ends. That takes a budget
-    of at least DEFAULT_BUDGET, and below it a sentinel matches none. A
-    settled entry stays settled, so only the others are looked up again, in
-    order, since the slow path may settle a word that a later candidate
-    shares. The slow path tallies a candidate on its own: it expands the
-    word of its key to the zero mask for the decisions, and appends any
-    undecided entry, violation or mismatch, in enumeration order. The
-    spectral verdict and the certificate read the mask alone, so the
+    SizeTally.add_settled folds in when the loop ends. A settled entry
+    stays settled, so only the others are looked up again, in order, since
+    the slow path may settle a word that a later candidate shares. The slow
+    path tallies a candidate on its own: it expands the word of its key to
+    the zero mask for the decisions, and appends any undecided entry,
+    violation or mismatch, in enumeration order. The spectral verdict, the
+    certificate and the subgroup step read the mask alone, so the
     candidate's part is built, and sorted into its set, only for an exact
-    cover or a listed entry (cand below).
+    cover or a listed entry (cand below). Cover nodes depend on the set, so
+    below DEFAULT_BUDGET no tile outcome is kept and no word settles.
 
     With orbits (an unfiltered stem walk of size k >= 2), every key of the
     orbit of a word that the slow path settles (CharTable.orbit) that is not
@@ -406,12 +404,9 @@ def _sweep_chunk(
     """
     kernel = char_table(G)
     tables = index_tables(G)
-    memo = _memo(G, k)
+    memo = _verdict_memo(G, k, budget)
     get = memo.get
     keep_tiles = budget >= DEFAULT_BUDGET
-    unmatched = object()
-    settled = (False, True) if keep_tiles else (unmatched, unmatched)
-    settled_no, settled_yes = settled
     tally = SizeTally(size=k)
     orbits = orbits and k >= 2
 
@@ -423,16 +418,12 @@ def _sweep_chunk(
         zmask = kernel.expand(key)
         sp, lam = _spectral_verdict(memo, tables, key, zmask, k, budget)
         entry = get(key) if keep_tiles else None
-        tile = TILE_UNSET if entry is None else entry[2]
+        tile = TILE_UNSET if entry is None else entry[1]
         if tile == TILE_UNSET:
             tile = _tile_outcome(tables, k, zmask, budget, cand)
             if entry is not None and tile is not UNDECIDED:
-                settles = (
-                    entry[1] <= DEFAULT_BUDGET
-                    and tile != COVER_TILE
-                    and entry[0] is (tile == SUBGROUP_TILE)
-                )
-                memo[key] = entry[0] if settles else (entry[0], entry[1], tile, entry[3])
+                settles = tile != COVER_TILE and entry[0] is (tile == SUBGROUP_TILE)
+                memo[key] = entry[0] if settles else (entry[0], tile, entry[2])
                 if settles and orbits and _clique_nodes_bounded(zmask.bit_count(), k):
                     for image in kernel.orbit(key):
                         memo.setdefault(image, entry[0])
@@ -466,18 +457,18 @@ def _sweep_chunk(
     no = yes = 0  # candidates with a settled word, by verdict
     for keys, part in blocks:
         entries = list(map(get, keys))
-        batch_no = entries.count(settled_no)
-        batch_yes = entries.count(settled_yes)
+        batch_no = entries.count(False)
+        batch_yes = entries.count(True)
         no += batch_no
         yes += batch_yes
         if batch_no + batch_yes == len(entries):
             continue
-        unsettled = map(operator.not_, map(settled.__contains__, entries))
+        unsettled = map(operator.not_, map((False, True).__contains__, entries))
         for i in itertools.compress(itertools.count(), unsettled):
             entry = get(keys[i])
-            if entry is settled_no:
+            if entry is False:
                 no += 1
-            elif entry is settled_yes:
+            elif entry is True:
                 yes += 1
             else:
                 slow(part, i, keys[i])
@@ -551,22 +542,20 @@ def _jobs(plan: VerificationPlan) -> Iterator[tuple]:
 def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     """Sweep the plan, deciding spectrality and tiling for every candidate.
 
-    Both decisions go through one memo per group and size, _memo(G, k),
-    keyed by the class word of the zero mask: each entry holds the spectral
-    verdict with the clique nodes its search spent, and the tile outcome
-    (not a tile, subgroup tile, exact-cover tile, or not yet decided). The
-    clique search is deterministic, so an entry answers a budget exactly
-    when its nodes fit, else UNDECIDED, as a fresh search would. Cover
-    nodes depend on the set, not on its mask, so the tile outcome is read
-    and stored only at budgets of at least DEFAULT_BUDGET, and never stored
-    UNDECIDED: a report does not depend on what the process swept before.
-    A settled word (verdicts decided and equal, at most DEFAULT_BUDGET
-    clique nodes, a subgroup tile or no tile) is stored as a bare bool,
-    which answers every budget of at least DEFAULT_BUDGET; below it, the
-    clique search runs again and its result is not stored. Every other
-    candidate is tallied on its own, so a key with an exact-cover tile
-    lists each of its sets as a violation. The sweep only tallies: the
-    tiles themselves are listed by tiling.enumerate_tiles.
+    Both decisions go through one memo keyed by the class word of the zero
+    mask: at the default budget the process's memo of the group and size,
+    _memo(G, k), at any other a dict of one job (spectra._verdict_memo), so
+    every entry is the exact verdict at the plan's budget. An entry holds
+    the spectral verdict, the tile outcome (not a tile, subgroup tile,
+    exact-cover tile, or not yet decided) and the spectrum. Neither is
+    stored UNDECIDED, and cover nodes depend on the set, not on its mask,
+    so the tile outcome is stored only at budgets of at least
+    DEFAULT_BUDGET: a report does not depend on what the process swept
+    before. A settled word (verdicts decided and equal, a subgroup tile or
+    no tile) is stored as a bare bool. Every other candidate is tallied on
+    its own, so a key with an exact-cover tile lists each of its sets as a
+    violation. The sweep only tallies: the tiles themselves are listed by
+    tiling.enumerate_tiles.
 
     A stem walk settles a settled word's whole orbit under Aut(G) with it
     (_sweep_chunk); sampled and canonicalized sweeps settle words alone.
@@ -808,17 +797,17 @@ def case5_nonexistence_probe(
     columns. Every decision that is a function of the class word is made
     once per word and size in a call: a dict per size, keyed by the word,
     holds its spectral verdict (_spectral_verdict on its zero mask, under
-    its memo key, CharTable.key, made at the word's first candidate) and its
-    obstruction kind. A verdict that _spectral_verdict searches again
-    without storing (below DEFAULT_BUDGET) is thus searched once per word
-    and size of a call; the search is deterministic, so every candidate of
-    the word gets the verdict its own search would.
+    its memo key, CharTable.key, made at the word's first candidate, on the
+    memo of the budget, spectra._verdict_memo) and its obstruction kind.
+    The search is deterministic, so every candidate of the word gets the
+    verdict its own search would.
     A candidate then costs its draw, its class word, one lookup and the two
     leaf tallies (aligned leaves and the direction gap), which read its
     leaf masks alone. Only a listed candidate (undecided or spectral) is
     sorted into its set, and a spectral one gets its spectrum from
-    find_spectrum, which reads the clique the word's verdict stored (unless
-    the word was settled) and checks it against the set.
+    find_spectrum, which at the default budget reads the clique the word's
+    verdict stored (unless the word was settled) and checks it against the
+    set.
 
     An empty size list is refused, as it is by VerificationPlan: for p = 2
     the probe range is empty, and a probe of no size would report ok.
@@ -832,7 +821,8 @@ def case5_nonexistence_probe(
     G = shape.group
     q = shape.q
     sizes = integers(sizes, "sizes", InvalidArgument)
-    integers((seed, count_per_size), "seed and count", InvalidArgument)  # no float, string or bool
+    # no float, string or bool
+    integers((seed, count_per_size, budget), "seed, count and budget", InvalidArgument)
     if not sizes:
         raise InvalidArgument(
             f"probe needs at least one size; the probe range of {G!r}"
@@ -847,6 +837,8 @@ def case5_nonexistence_probe(
             )
     if count_per_size < 0:
         raise InvalidArgument("count_per_size must be nonnegative")
+    if budget < 1:
+        raise InvalidArgument("budget must be positive")
     check_candidates(f"probe on {G!r}", count_per_size * len(sizes), True)
 
     tables = index_tables(G)
@@ -872,7 +864,7 @@ def case5_nonexistence_probe(
     for size in sizes if col_at else ():
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
-        memo = _memo(G, size)
+        memo = _verdict_memo(G, size, budget)
         # per class word at this size: its spectral verdict and its
         # obstruction kind, a function of the zero mask. A verdict depends
         # on the size, so the dict does too

@@ -8,11 +8,12 @@ node budget, so a missing spectrum is only ever reported after exhaustion.
 
 One memo, one search: spectrum_search is the one spectrum search, on
 element indices and a zero mask, and _spectral_verdict the one spectral
-decision, which reads and fills the memo of its group and size (_memo),
-keyed by class word. find_spectrum, the verification sweeps and the case-5
-probe all decide through it, so a class word is searched once per size and
-process. is_spectral_pair is the independent check every returned witness
-passes, whichever set's search found it: it never reads the zero mask
+decision, which reads and fills the memo of its group, size and budget
+(_verdict_memo), keyed by class word. find_spectrum, the verification
+sweeps and the case-5 probe all decide through it, so at the default
+budget a class word is searched once per size and process.
+is_spectral_pair is the independent check every returned witness passes,
+whichever set's search found it: it never reads the zero mask
 (set_zero_mask, Multiset._zero) or a CharTable.
 It finds the direction classes of L - L on the IndexTables addition rows,
 each difference a - b read as a + (-b) from L's element indices
@@ -216,39 +217,39 @@ def spectrum_search(
     return [0] + [ordered[i] for i in clique], search.nodes
 
 
-# The tile outcome in a memo entry's last slot. TILE_UNSET marks an entry
+# The tile outcome in a memo entry's middle slot. TILE_UNSET marks an entry
 # whose tiling no sweep has decided yet (find_spectrum and the case-5 probe
 # decide none).
 NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
 
-# A settled entry is a bare bool: both verdicts, decided and equal, from a
-# clique search of at most DEFAULT_BUDGET nodes, and a subgroup tile (True)
-# or no tile (False). Every other entry is a (spectral verdict, clique
-# nodes, tile outcome, spectrum) tuple, the spectrum being the clique the
-# search found (element indices), or None when it found none.
-MemoEntry = Union[bool, tuple[bool, int, int, Optional[list[int]]]]
+# A settled entry is a bare bool: both verdicts, decided and equal, and a
+# subgroup tile (True) or no tile (False). Every other entry is a
+# (spectral verdict, tile outcome, spectrum) tuple, the spectrum being the
+# clique the search found (element indices), or None when it found none.
+MemoEntry = Union[bool, tuple[bool, int, Optional[list[int]]]]
 
 
 @lru_cache(maxsize=None)
 def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
-    """Verdicts on the k-sets of G, keyed by class word alone, in the
-    memo-key form of CharTable.key, which a packed batch gives every
-    candidate and set_zero every set: a settled bool or one flat (spectral
-    verdict, clique nodes, tile outcome, spectrum) per word. A byte-string
-    key is hashed and compared as it is; only CharTable.expand, off the
-    settled path, and CharTable.orbit read the word back.
+    """Verdicts at DEFAULT_BUDGET on the k-sets of G, keyed by class word
+    alone, in the memo-key form of CharTable.key, which a packed batch gives
+    every candidate and set_zero every set: a settled bool or one flat
+    (spectral verdict, tile outcome, spectrum) per word. A byte-string key
+    is hashed and compared as it is; only CharTable.expand, off the settled
+    path, and CharTable.orbit read the word back.
 
-    The sweeps (harness.verify_fuglede) and the case-5 probe fill it, and
-    so does every per-set find_spectrum: at most one entry per class word
-    and size that the process realises, searched once and kept.
+    The sweeps (harness.verify_fuglede) and the case-5 probe fill it at the
+    default budget, and so does every per-set find_spectrum: at most one
+    entry per class word and size that the process realises, searched once
+    and kept. Every other budget decides on a dict of its own call
+    (_verdict_memo), so no entry here depends on another budget.
 
     Both properties of a k-set are functions of its zero mask Z(S), which
     its class word expands to: spectrality is the clique search on Z(S); S
     tiles iff some 0-containing |G|/k-set T has Z(S) | Z(T) covering G
     minus 0 (the Fourier tiling criterion); and S is a transversal of a
     subgroup H iff Z(S) covers H^perp minus 0, so the kind of tile is a
-    function of Z(S) as well. harness.verify_fuglede states how budgets
-    read the entries.
+    function of Z(S) as well.
 
     Every verdict is also invariant under the automorphisms of G, which
     permute the direction classes and so the words. An automorphism psi is
@@ -262,31 +263,30 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     return {}
 
 
+def _verdict_memo(G: Group, k: int, budget: int) -> dict[bytes, MemoEntry]:
+    """The memo of the decisions on the k-sets of G at budget, so that every
+    entry is exact at its dict's budget: _memo(G, k) at DEFAULT_BUDGET, else
+    a fresh dict for the one call that asks."""
+    return _memo(G, k) if budget == DEFAULT_BUDGET else {}
+
+
 def _spectral_verdict(
     memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
 ) -> tuple[Union[bool, Undecided], Optional[list[int]]]:
-    """The spectral verdict under budget of the k-sets whose class word has
-    the memo key key (_memo) and whose zero mask is zmask, with the spectrum
-    it came from (the clique of spectrum_search, element indices) when it
-    is True and the entry is not settled; else None. A miss runs the clique
-    search (is there a 0-containing k-set with differences in zmask?) and
-    stores its verdict and clique with TILE_UNSET, unless the search ran out
-    of budget. A stored entry answers a budget exactly: the search is
-    deterministic, so it is UNDECIDED when its nodes exceed the budget, as a
-    fresh search would be. A settled entry does not say how many nodes its
-    search took, so below DEFAULT_BUDGET the search runs again and its
-    result is not stored."""
+    """The spectral verdict of the k-sets whose class word has the memo key
+    key and whose zero mask is zmask, on a memo of budget (_verdict_memo),
+    with the spectrum it came from (the clique of spectrum_search, element
+    indices) when it is True and the entry is not settled; else None. A
+    miss runs the clique search (is there a 0-containing k-set with
+    differences in zmask?) and stores its verdict and clique with
+    TILE_UNSET, unless the search ran out of budget."""
     entry = memo.get(key)
-    if entry.__class__ is bool and budget >= DEFAULT_BUDGET:
-        return entry, None
-    if entry is None or entry.__class__ is bool:
-        lam, nodes = spectrum_search(tables, zmask, k, budget)
+    if entry is None:
+        lam = spectrum_search(tables, zmask, k, budget)[0]
         if lam is UNDECIDED:
             return UNDECIDED, None
-        if entry is None:
-            memo[key] = (lam is not None, nodes, TILE_UNSET, lam)
-        return lam is not None, lam
-    return (UNDECIDED, None) if entry[1] > budget else (entry[0], entry[3])
+        entry = memo[key] = (lam is not None, TILE_UNSET, lam)
+    return (entry, None) if entry.__class__ is bool else (entry[0], entry[2])
 
 
 def find_spectrum(
@@ -298,13 +298,13 @@ def find_spectrum(
     spectrum exists, or UNDECIDED when the node budget ran out first.
 
     The spectrum is a function of S's class word and size, so the decision
-    is _spectral_verdict on the memo of S's group and size, under S's memo
-    key (set_zero), and it fills that memo: a miss searches and stores the
-    verdict with its clique, a stored clique is used without a search, and
-    a settled word, which keeps no clique, is searched again without
-    storing. The result is what spectrum_search on S's own zero mask gives
-    at this budget. Every returned witness is checked against S by
-    is_spectral_pair, whichever set's search found it.
+    is _spectral_verdict under S's memo key (set_zero), on the memo of S's
+    group, size and budget (_verdict_memo): at the default budget a stored
+    clique is used without a search, a miss searches and stores its verdict
+    with its clique, and a word a sweep settled, which keeps no clique, is
+    searched again for its spectrum. The result is what spectrum_search on
+    S's own zero mask gives at this budget. Every returned witness is
+    checked against S by is_spectral_pair, whichever set's search found it.
     """
     if S.mass == 0:
         raise EmptyInput("cannot search a spectrum for the empty set")
@@ -313,12 +313,12 @@ def find_spectrum(
     G, k = S.group, S.mass
     tables = index_tables(G)
     key, zmask = set_zero(S)
-    verdict, lam_idx = _spectral_verdict(_memo(G, k), tables, key, zmask, k, budget)
+    verdict, lam_idx = _spectral_verdict(_verdict_memo(G, k, budget), tables, key, zmask, k, budget)
     if verdict is UNDECIDED:
         return UNDECIDED
     if not verdict:
         return None
-    if lam_idx is None:  # a settled word: its search fits any budget here
+    if lam_idx is None:  # a settled word: its search fit this budget
         lam_idx = spectrum_search(tables, zmask, k, budget)[0]
     lam = Multiset.of_indices(G, lam_idx)
     # re-verify the certificate instead of trusting the search or the memo

@@ -47,7 +47,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclotomic import char_table, set_zero_mask
 from .errors import (
@@ -220,22 +220,22 @@ def certified_non_tile(tables: IndexTables, k: int, zmask: int) -> bool:
 
 
 def tiling_complement(
-    tables: IndexTables, cand: Sequence[int], zmask: int, budget: int
+    tables: IndexTables, k: int, zmask: int, cand: Callable[[], Sequence[int]], budget: int
 ) -> Union[Subgroup, list[int], None, Undecided]:
-    """The tiling policy on the set of element indices cand, whose zero mask
-    is zmask: None when certified_non_tile says so, else a subgroup cand is
-    a transversal of when there is one, else an exact cover's complement
-    (element indices, 0 first).
+    """The tiling policy on a k-set whose zero mask is zmask: None when
+    certified_non_tile says so, else a subgroup the set is a transversal of
+    when there is one, else an exact cover's complement (element indices, 0
+    first) of cand(), the set's element indices, which only the cover reads.
 
     None means no complement exists, proved by the certificate or by an
     exhausted exact cover; the certificate spends no nodes, so it decides at
     every budget. UNDECIDED is returned only when the exact cover runs out
     of budget.
     """
-    if certified_non_tile(tables, len(cand), zmask):
+    if certified_non_tile(tables, k, zmask):
         return None
-    found = subgroup_transversal(tables, zmask, len(cand))
-    return found[0] if found is not None else cover_complement(tables, cand, budget)[0]
+    found = subgroup_transversal(tables, zmask, k)
+    return found[0] if found is not None else cover_complement(tables, cand(), budget)[0]
 
 
 def _require_set(S: Multiset) -> None:
@@ -303,8 +303,8 @@ def find_tiling_complement(
     when the exact cover runs out of budget.
     """
     _require_set(S)
-    tables = index_tables(S.group)
-    return _checked(S, tiling_complement(tables, S.indices, set_zero_mask(S), budget))
+    tables, zmask = index_tables(S.group), set_zero_mask(S)
+    return _checked(S, tiling_complement(tables, S.mass, zmask, lambda: S.indices, budget))
 
 
 @functools.lru_cache(maxsize=None)
@@ -656,7 +656,7 @@ def enumerate_tiles(
                     continue
                 seen.add(cand)
             if out is False:
-                out = tiling_complement(tables, cand, expand(key), budget)
+                out = tiling_complement(tables, k, expand(key), lambda: cand, budget)
                 if out is UNDECIDED:
                     raise InvalidArgument(
                         f"tile enumeration budget exhausted on {list(map(G.coords_of, cand))!r}"

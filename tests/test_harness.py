@@ -41,7 +41,7 @@ from spectile import (
 )
 from spectile import cyclotomic, groups, harness, spectra, tiling
 from spectile.cli import EXIT_USAGE, main
-from spectile.cyclotomic import char_sum, char_table, set_zero_mask
+from spectile.cyclotomic import char_sum, char_table, set_zero, set_zero_mask
 from spectile.errors import DEFAULT_BUDGET, UNDECIDED, Overflow
 from spectile.groups import (
     Subgroup,
@@ -70,10 +70,9 @@ from spectile.tiling import SeededDraws, cover_complement, tiling_complement
 
 def _fresh_memo(m, memo=None):
     """Put one fresh memo function (memo, else a cached empty dict per group
-    and size) in place of _memo wherever the spectral decision reads it: in
-    harness, for the sweeps and the probe, and in spectra, for find_spectrum."""
+    and size) in place of spectra._memo, which the sweeps, the probe and
+    find_spectrum all read at the default budget (spectra._verdict_memo)."""
     memo = memo or lru_cache(maxsize=None)(lambda G, k: {})
-    m.setattr(harness, "_memo", memo)
     m.setattr(spectra, "_memo", memo)
     return memo
 
@@ -666,7 +665,7 @@ def test_tiling_complement_agrees_with_brute_force(moduli, methods_seen):
             cover, _nodes = cover_complement(tables, cand, DEFAULT_BUDGET)
             assert (cover is not None) == expected, cand
             assert (find_complement(Multiset.set_of(G, elems)) is not None) == expected, cand
-            out = tiling_complement(tables, cand, zero_mask(cand)[1], DEFAULT_BUDGET)
+            out = tiling_complement(tables, k, zero_mask(cand)[1], lambda: cand, DEFAULT_BUDGET)
             assert (out is not None) == expected, cand
             if out is None:
                 methods.add(None)
@@ -759,24 +758,30 @@ def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subproces
 def test_reports_after_per_set_calls_are_those_of_a_fresh_process(subprocess_env, monkeypatch):
     # per-set find_spectrum calls on a fresh memo, on the sets the sampled
     # plan draws and on every 0-containing set of Z_2^2 x Z_3, at budget 3
-    # and then at the default budget, store unsettled entries with node
-    # counts and no tile outcome; each sweep over that memo reports what a
+    # and then at the default budget: the budget-3 calls leave the memo
+    # empty, and the default ones store one unsettled entry per realised
+    # word, with no tile outcome; each sweep over that memo reports what a
     # fresh process reports
     memo = _fresh_memo(monkeypatch)
     sampled = {"moduli": [2, 2, 3, 3], "sizes": [2, 4, 6, 9], "seed": 11, "count_per_size": 300}
     walked = {"moduli": [2, 2, 3], "sizes": list(range(1, 13))}
     for budget in (3, DEFAULT_BUDGET):
+        words = set()
         G = make_group(sampled["moduli"])
         for k in sampled["sizes"]:
             rng = random.Random(f"11:{k}")
             for _ in range(sampled["count_per_size"]):
-                find_spectrum(Multiset.of_indices(G, [0] + rng.sample(range(1, G.order), k - 1)), budget)
+                S = Multiset.of_indices(G, [0] + rng.sample(range(1, G.order), k - 1))
+                find_spectrum(S, budget)
+                words.add((k, set_zero(S)[0]))
         G = make_group(walked["moduli"])
         for k in walked["sizes"]:
             for rest in itertools.combinations(range(1, G.order), k - 1):
                 find_spectrum(Multiset.of_indices(G, (0,) + rest), budget)
-    entries = [entry for k in sampled["sizes"] for entry in memo(make_group([2, 2, 3, 3]), k).values()]
-    assert entries and all(entry[2] == TILE_UNSET for entry in entries)
+        G = make_group(sampled["moduli"])
+        stored = {(k, key): entry for k in sampled["sizes"] for key, entry in memo(G, k).items()}
+        assert set(stored) == (words if budget == DEFAULT_BUDGET else set()), budget
+    assert all(entry[1] == TILE_UNSET for entry in stored.values())
     for kwargs in (sampled, {**sampled, "budget": 3}, walked, {**walked, "budget": 3}, sampled):
         kw = dict(kwargs)
         plan = VerificationPlan(group=make_group(kw.pop("moduli")), **kw)
@@ -785,6 +790,65 @@ def test_reports_after_per_set_calls_are_those_of_a_fresh_process(subprocess_env
             capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
         )
         assert _plan_doc(verify_fuglede(plan)) == json.loads(fresh.stdout), kwargs
+
+
+def _off_default_reports() -> list:
+    """Every size of Z_2^2 x Z_3 swept at budget 3 and at DEFAULT_BUDGET + 1,
+    and the case-5 probe of Z_3^2 x Z_5^2 at budget 1000, as _plan_doc and
+    ProbeReport.to_dict documents less elapsed_seconds."""
+    from spectile import (
+        VerificationPlan, case5_nonexistence_probe, make_group, pq_shape, verify_fuglede
+    )
+    from spectile.errors import DEFAULT_BUDGET
+
+    G = make_group([2, 2, 3])
+    docs = [
+        _plan_doc(verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 13)), budget=b)))
+        for b in (3, DEFAULT_BUDGET + 1)
+    ]
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    probe = case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=40, budget=1000).to_dict()
+    probe.pop("elapsed_seconds")
+    return docs + [probe]
+
+
+# a fresh process that prints _off_default_reports
+_FRESH_OFF_DEFAULT = f"""
+import json
+{inspect.getsource(_plan_doc)}
+{inspect.getsource(_off_default_reports)}
+print(json.dumps(_off_default_reports()))
+"""
+
+
+def test_other_budgets_never_touch_the_shared_memo(subprocess_env, monkeypatch):
+    # a default sweep of Z_2^2 x Z_3 at sizes up to 6 and a default probe
+    # of 20 draws fill the memo, settled words included; sweeps of every
+    # size at budget 3 and DEFAULT_BUDGET + 1, find_spectrum at budget 3
+    # and a probe of 40 draws at budget 1000 meet words the memo holds and
+    # words it does not, and decide on dicts of their own, so the memo ends
+    # as it was, and each report is that of a fresh process
+    store = {}
+    _fresh_memo(monkeypatch, lambda G, k: store.setdefault((G, k), {}))
+    G = make_group([2, 2, 3])
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    assert verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 7)))).ok
+    assert case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=20).ok
+    snapshot = {at: dict(memo) for at, memo in store.items()}
+    assert True in store[G, 6].values() and store[shape.group, 30]
+    docs = _off_default_reports()
+    tables = index_tables(G)
+    for rest in itertools.combinations(range(1, 12), 5):
+        S = Multiset.of_indices(G, (0,) + rest)
+        got, own = find_spectrum(S, 3), spectrum_search(tables, set_zero_mask(S), 6, 3)[0]
+        assert got is own if own is None or own is UNDECIDED else got.lam.indices == tuple(sorted(own))
+    assert store == snapshot
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH_OFF_DEFAULT],
+        capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
+    )
+    assert docs == json.loads(fresh.stdout)
+    assert docs[0]["fuglede"]["per_size"]["6"]["undecided"] and docs[1]["fuglede"]["ok"]
 
 
 def test_a_word_whose_verdicts_disagree_is_never_settled(monkeypatch):
@@ -965,7 +1029,7 @@ def test_a_walk_leaves_the_memo_that_settling_words_alone_leaves(moduli, sizes, 
                 _settle_words_alone(m)
             calls = _count_tile_decisions(m)
             verify_fuglede(VerificationPlan(group=G, sizes=sizes))
-            memos.append({k: dict(harness._memo(G, k)) for k in sizes})
+            memos.append({k: dict(spectra._memo(G, k)) for k in sizes})
             decided.append(len(calls))
     assert memos[0] == memos[1]
     assert decided[0] < decided[1] == sum(map(len, memos[1].values()))
@@ -1001,7 +1065,7 @@ def test_orbit_settling_walks_match_a_per_set_tally(z12, monkeypatch):
     report = verify_fuglede(VerificationPlan(group=z12, sizes=sizes))
     for k in sizes:
         assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(z12, k, DEFAULT_BUDGET), k
-    assert len(calls) < sum(len(harness._memo(z12, k)) for k in sizes)
+    assert len(calls) < sum(len(spectra._memo(z12, k)) for k in sizes)
 
 
 def test_sampled_and_canonicalized_plans_settle_no_orbit(monkeypatch):
@@ -1019,7 +1083,7 @@ def test_sampled_and_canonicalized_plans_settle_no_orbit(monkeypatch):
         VerificationPlan(group=z36, sizes=(2, 3, 4, 6, 9), seed=3, count_per_size=300)
     )
     assert sampled.ok
-    assert True in harness._memo(z36, 4).values()
+    assert True in spectra._memo(z36, 4).values()
     z12 = make_group([2, 2, 3])
     assert verify_fuglede(VerificationPlan(group=z12, sizes=(2, 3, 4), canonicalize=True)).ok
     assert verify_fuglede(VerificationPlan(group=make_group([3, 3]), sizes=(1,))).ok
@@ -1620,6 +1684,26 @@ def test_bool_is_refused_wherever_an_integer_is_read(z6):
         next(enumerate_tiles(z6, 3, seed=False, count=3))
     plan = VerificationPlan(group=z6, sizes=(2,), seed=0, count_per_size=3)
     assert (plan.seed, plan.count_per_size) == (0, 3)
+
+
+def test_budgets_and_workers_must_be_positive_integers(z6):
+    # 2.5 would run and print "budget": 2.5, True would pass for 1, and
+    # workers=1.5 would reach multiprocessing as a raw TypeError
+    for kwargs in ({"budget": 2.5}, {"budget": True}, {"workers": True}, {"workers": 1.5},
+                   {"budget": "3"}):
+        with pytest.raises(InvalidArgument, match="integers"):
+            VerificationPlan(group=z6, sizes=(2,), **kwargs)
+    for kwargs in ({"budget": 0}, {"workers": 0}):
+        with pytest.raises(InvalidArgument, match="positive"):
+            VerificationPlan(group=z6, sizes=(2,), **kwargs)
+    shape = pq_shape(make_group([3, 3, 5, 5]))
+    for budget in (2.5, True):
+        with pytest.raises(InvalidArgument, match="integers"):
+            case5_nonexistence_probe(shape, (30,), seed=3, count_per_size=1, budget=budget)
+    for budget in (0, -3):
+        with pytest.raises(InvalidArgument, match="positive"):
+            case5_nonexistence_probe(shape, (30,), seed=3, count_per_size=1, budget=budget)
+    assert case5_nonexistence_probe(shape, (30,), seed=3, count_per_size=1, budget=1).budget == 1
 
 
 def test_probe_rejects_repeated_sizes():

@@ -28,7 +28,7 @@ from spectile import (
     verify_fuglede,
     zero_set,
 )
-from spectile import harness, spectra
+from spectile import spectra
 from spectile.cyclotomic import char_table, set_zero, set_zero_mask
 from spectile.errors import DEFAULT_BUDGET
 from spectile.groups import index_tables
@@ -270,8 +270,10 @@ def test_spectrum_search_matches_the_quadratic_graph_construction(moduli):
 # --- the shared spectral memo ------------------------------------------------
 #
 # find_spectrum decides through the memo the sweeps and the probe fill
-# (spectra._memo), keyed by class word and size. Whatever the memo holds, it
-# must give what a search on the set's own zero mask gives at the same budget.
+# (spectra._memo), keyed by class word and size, at the default budget, and
+# through a dict of its own call at any other (spectra._verdict_memo).
+# Whatever the memo holds, it must give what a search on the set's own zero
+# mask gives at the same budget.
 
 # (moduli, sizes or None for every size, short: whether budget 3 leaves a set
 # undecided)
@@ -284,20 +286,31 @@ def _zero_containing_sets(G, sizes):
             yield Multiset.of_indices(G, (0,) + rest)
 
 
-def _memo_left_by(G, sizes, state, short, monkeypatch):
+def _assert_per_set_entries(memo, G, sizes):
+    """Each entry of memo(G, k) is a realised word of size k with the
+    (verdict, TILE_UNSET, clique) that per-set calls store, and every word
+    is there."""
+    words = {k: set() for k in sizes}
+    for S in _zero_containing_sets(G, sizes):
+        words[S.mass].add(set_zero(S)[0])
+    for k in sizes:
+        assert set(memo(G, k)) == words[k], k
+        for verdict, tile, clique in memo(G, k).values():
+            assert tile == spectra.TILE_UNSET and (clique is not None) is verdict
+
+
+def _memo_left_by(G, sizes, state, monkeypatch):
     """Point the spectral decision at a fresh memo, left as state says:
     cold; after an exhaustive sweep, whose settled words are bare bools
-    with no clique; after a budget-3 sweep, whose entries hold node counts
-    and no tile outcome; or after per-set calls at the default budget,
-    whose entries hold node counts above 3 exactly when some search needs
-    more than 3 nodes (short)."""
+    with no clique; after a budget-3 sweep, which decides on dicts of its
+    own and leaves the memo empty; or after per-set calls at the default
+    budget, which fill it with the realised words alone."""
     memo = lru_cache(maxsize=None)(lambda G, k: {})
     monkeypatch.setattr(spectra, "_memo", memo)
-    monkeypatch.setattr(harness, "_memo", memo)
     if state == "per-set calls":
         for S in _zero_containing_sets(G, sizes):
             find_spectrum(S)
-        assert any(entry[1] > 3 for k in sizes for entry in memo(G, k).values()) is short
+        _assert_per_set_entries(memo, G, sizes)
     elif state != "cold":
         budget = DEFAULT_BUDGET if state == "exhaustive sweep" else 3
         verify_fuglede(VerificationPlan(group=G, sizes=sizes, budget=budget))
@@ -305,7 +318,7 @@ def _memo_left_by(G, sizes, state, short, monkeypatch):
         if state == "exhaustive sweep":
             assert True in entries
         else:
-            assert all(entry[2] == spectra.TILE_UNSET for entry in entries)
+            assert not entries
     return memo
 
 
@@ -317,14 +330,12 @@ def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
 ):
     G = make_group(moduli)
     sizes = sizes or tuple(range(1, G.order + 1))
-    memo = _memo_left_by(G, sizes, state, short, monkeypatch)
+    memo = _memo_left_by(G, sizes, state, monkeypatch)
     tables = index_tables(G)
     seen = dict.fromkeys(("witness", "none", "undecided"), 0)
-    words = {k: set() for k in sizes}
     for S in _zero_containing_sets(G, sizes):
         got = find_spectrum(S, budget)
         own = spectrum_search(tables, set_zero_mask(S), S.mass, budget)[0]
-        words[S.mass].add(set_zero(S)[0])
         if own is UNDECIDED or own is None:
             assert got is own, S
             seen["undecided" if own is UNDECIDED else "none"] += 1
@@ -335,13 +346,12 @@ def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
     assert seen["witness"] and seen["none"]
     assert bool(seen["undecided"]) is (short and budget == 3)
     if state == "cold":
-        # per-set calls add at most one entry per realised word and size,
-        # and never an undecided one
-        for k in sizes:
-            assert set(memo(G, k)) <= words[k]
-            assert all(entry[1] <= budget for entry in memo(G, k).values())
+        # per-set calls at the default budget add one entry per realised
+        # word and size; at budget 3 they decide on dicts of their own
         if budget == DEFAULT_BUDGET:
-            assert all(set(memo(G, k)) == words[k] for k in sizes)
+            _assert_per_set_entries(memo, G, sizes)
+        else:
+            assert not any(memo(G, k) for k in sizes)
 
 
 def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
@@ -351,12 +361,12 @@ def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
     S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
     right = find_spectrum(S)
     key = set_zero(S)[0]
-    verdict, nodes, tile, clique = memo(z36, 6)[key]
+    verdict, tile, clique = memo(z36, 6)[key]
     assert verdict and tile == spectra.TILE_UNSET and right.lam.indices == tuple(sorted(clique))
     # another 0-containing 6-set that is not a spectrum of S
     wrong = [0, 1, 2, 3, 4, 5]
     assert not is_spectral_pair(S, Multiset.of_indices(z36, wrong))
-    memo(z36, 6)[key] = (True, nodes, tile, wrong)
+    memo(z36, 6)[key] = (True, tile, wrong)
     twin = Multiset.set_of(z36, S.support)
     with pytest.raises(InvalidArgument, match="failed verification"):
         find_spectrum(twin)

@@ -425,7 +425,7 @@ def test_tiling_is_the_fourier_criterion_on_zero_masks(moduli, sizes, draws, kin
         kind_by_mask = {}
         for cand in cands:
             zmask = zero_mask(cand)[1]
-            out = tiling_complement(tables, cand, zmask, DEFAULT_BUDGET)
+            out = tiling_complement(tables, k, zmask, lambda: cand, DEFAULT_BUDGET)
             assert out is not UNDECIDED
             kind = None if out is None else "subgroup" if isinstance(out, Subgroup) else "exact-cover"
             assert kind_by_mask.setdefault(zmask, kind) == kind, (k, cand)
