@@ -33,7 +33,22 @@ Element = tuple[int, ...]
 _INT64 = 2**63 - 1
 
 
-@dataclass(frozen=True)
+# the one Group of each moduli tuple, built on first request (Group.__new__)
+_GROUPS: dict[tuple[int, ...], "Group"] = {}
+
+
+def _check_moduli(moduli: tuple[int, ...]) -> None:
+    """Refuse moduli, already integers, that name no group: an empty tuple,
+    a factor below 1, or an order beyond 64-bit range."""
+    if not moduli or min(moduli) < 1:
+        raise InvalidModulus(f"moduli must be positive, got {moduli!r}")
+    order = 1
+    for n in moduli:
+        order *= n
+        if order > _INT64:
+            raise Overflow("group order exceeds 64-bit range")
+
+
 class Group:
     """Direct product Z_{n_1} x ... x Z_{n_k}, immutable and hashable.
 
@@ -42,40 +57,38 @@ class Group:
     zero direction) stay representable. Moduli that are not integers
     (operator.index refuses floats and strings) raise InvalidModulus.
 
-    Groups with equal moduli are equal, as the dataclass defines it, but
-    __eq__ tests identity first and __hash__ hashes the moduli tuple itself:
-    every per-set check compares its sets' groups, and every per-group cache
-    is keyed by the group. The hash is not cached, since it would land in
-    __dict__, which a pickled group starts without. Up to MAX_TABLE_ORDER a
-    group also keeps, once built, the index of every element
-    (_element_index), through which Multiset validates its inputs.
+    There is one Group object per moduli tuple in a process: every
+    construction (the constructor, make_group, copy, deepcopy and
+    unpickling) returns the object kept for the moduli, as plain ints
+    (errors.integers), so groups compare and hash by identity, in C. Every
+    per-set check compares its sets' groups, and every per-group cache is
+    keyed by the group. A group is pickled as its moduli alone, and the
+    tables it keeps once built (elements, and up to MAX_TABLE_ORDER the
+    index of every element, _element_index, through which Multiset
+    validates its inputs) are rebuilt on use in another process.
     """
 
     moduli: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", integers(self.moduli, "moduli", InvalidModulus))
-        if not self.moduli or any(n < 1 for n in self.moduli):
-            raise InvalidModulus(f"moduli must be positive, got {self.moduli!r}")
-        order = 1
-        for n in self.moduli:
-            order *= n
-            if order > _INT64:
-                raise Overflow("group order exceeds 64-bit range")
+    def __new__(cls, moduli: Iterable[int]) -> "Group":
+        moduli = integers(moduli, "moduli", InvalidModulus)
+        G = _GROUPS.get(moduli)
+        if G is None:
+            _check_moduli(moduli)
+            G = object.__new__(cls)
+            G.__dict__["moduli"] = moduli
+            G = _GROUPS.setdefault(moduli, G)
+        return G
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Group is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Group is immutable")
 
     def __reduce__(self):
         # pickled as its moduli: the cached properties are rebuilt on use
         return Group, (self.moduli,)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.moduli == other.moduli
-
-    def __hash__(self) -> int:
-        return hash(self.moduli)
 
     @cached_property
     def order(self) -> int:
@@ -177,11 +190,12 @@ def make_group(moduli: Iterable[int]) -> Group:
     refuses floats and strings) or are below 2, and Overflow when the order
     would not fit in 64 bits.
     """
-    G = Group(moduli)
-    for n in G.moduli:
+    moduli = integers(moduli, "moduli", InvalidModulus)
+    _check_moduli(moduli)
+    for n in moduli:
         if n < 2:
             raise InvalidModulus(f"modulus {n} < 2")
-    return G
+    return Group(moduli)
 
 
 class Multiset:

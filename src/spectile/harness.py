@@ -7,8 +7,8 @@ cover is a violation of it. Both verdicts of a k-set are functions of its
 zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
 One memo per group and size (spectra._memo) at the default budget, and a
-dict of one job at any other (spectra._verdict_memo), keyed by the word's
-memo key (CharTable.key), holds the verdict of spectra.spectrum_search,
+dict per size of one sweep at any other (spectra._verdict_memo), keyed by
+the word's memo key (CharTable.key), holds the verdict of spectra.spectrum_search,
 which find_spectrum reads and fills as well (spectra._spectral_verdict),
 and the outcome of tiling.tiling_complement, which reads the mask for its
 prime-power certificate and its subgroup step; its exact cover does not
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -85,6 +86,7 @@ from .spectra import (
     NOT_A_TILE,
     SUBGROUP_TILE,
     TILE_UNSET,
+    MemoEntry,
     SpectrumWitness,
     _spectral_verdict,
     _verdict_memo,
@@ -332,22 +334,22 @@ def _coords(G: Group, cand: tuple[int, ...]) -> list[list[int]]:
 
 
 def _mismatch_entry(
-    G: Group, cand: tuple[int, ...], lam: Optional[list[int]], tile: bool, budget: int
+    G: Group, cand: tuple[int, ...], lam: Optional[Multiset], tile: bool, budget: int
 ) -> dict:
     """Full witness data for a disagreement (rare: a theorem violation).
 
-    lam is the spectrum (element indices) of the search that decided cand
-    spectral, or None when cand is not spectral; it is checked with
-    is_spectral_pair before it is listed. The search is deterministic on
-    the zero mask and size, so lam is the spectrum find_spectrum gives."""
+    lam is the spectrum in the memo entry of cand's word, the set of the
+    clique of the search that decided cand spectral, or None when cand is
+    not spectral; it is checked with is_spectral_pair before it is listed.
+    The search is deterministic on the zero mask and size, so lam is the
+    spectrum find_spectrum gives."""
     S = Multiset.of_indices(G, cand)
     spectrum = None
     complement = None
     if lam is not None:
-        L = Multiset.of_indices(G, lam)
-        if not is_spectral_pair(S, L):  # pragma: no cover - the search guarantees this
+        if not is_spectral_pair(S, lam):  # pragma: no cover - the search guarantees this
             raise InvalidArgument("internal error: clique witness failed verification")
-        spectrum = [list(x) for x in L.support]
+        spectrum = [list(x) for x in lam.support]
     if tile:
         wit = find_tiling_complement(S, budget)
         if isinstance(wit, ComplementWitness):
@@ -362,7 +364,12 @@ def _mismatch_entry(
 
 
 def _sweep_chunk(
-    G: Group, k: int, blocks: Iterable[tuple], budget: int, orbits: bool = False
+    G: Group,
+    k: int,
+    blocks: Iterable[tuple],
+    budget: int,
+    orbits: bool = False,
+    memo: Optional[dict[bytes, MemoEntry]] = None,
 ) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts: the
     one tally loop of the sweeps.
@@ -371,8 +378,9 @@ def _sweep_chunk(
     (_stem_blocks, through _least_blocks when canonicalized) or a sample's
     (_draw_blocks). keys[i] is candidate i's memo key (_memo), and part(i)
     its nonzero part as element indices, built only when asked. The memo is
-    the one of the budget (spectra._verdict_memo): the shared _memo(G, k)
-    at DEFAULT_BUDGET, a dict of this call at any other. One map of the
+    the given one, else the one of the budget (spectra._verdict_memo): the
+    shared _memo(G, k) at DEFAULT_BUDGET, a dict of this call at any other;
+    a sweep passes every job of a size the same one. One map of the
     memo's lookup reads a block's keys, and list.count counts the
     candidates whose entry is settled, False or True, which
     SizeTally.add_settled folds in when the loop ends. A settled entry
@@ -404,7 +412,8 @@ def _sweep_chunk(
     """
     kernel = char_table(G)
     tables = index_tables(G)
-    memo = _verdict_memo(G, k, budget)
+    if memo is None:
+        memo = _verdict_memo(G, k, budget)
     get = memo.get
     keep_tiles = budget >= DEFAULT_BUDGET
     tally = SizeTally(size=k)
@@ -489,11 +498,13 @@ def _least_blocks(perms: Sequence[Sequence[int]], blocks: Iterable[tuple]) -> It
         yield list(itertools.compress(keys, least)), list(itertools.compress(parts, least)).__getitem__
 
 
-def _sweep_job(job: tuple) -> SizeTally:
+def _sweep_job(memos: Optional[dict[int, dict[bytes, MemoEntry]]], job: tuple) -> SizeTally:
     """One job (plan, k, stems) of verify_fuglede (_jobs), run in this
     process or in a pool's worker: the size-k candidates as tiling's (keys,
-    part) blocks, through the tally loop (_sweep_chunk). A sampled size
-    draws its seeded candidates (_draw_blocks), always as a whole job.
+    part) blocks, through the tally loop (_sweep_chunk), on memos[k], the
+    memo that the serial jobs of the size share, or with memos None (a
+    pool's worker) on the memo of the budget (spectra._verdict_memo). A
+    sampled size draws its seeded candidates (_draw_blocks), always as a whole job.
     Every other size walks the given run of stems (_stem_blocks) and
     settles whole orbits. canonicalize filters the walk's blocks
     (_least_blocks) over all of Aut(G) (groups.automorphism_index_perms),
@@ -508,7 +519,8 @@ def _sweep_job(job: tuple) -> SizeTally:
         if plan.canonicalize:
             blocks = _least_blocks(automorphism_index_perms(G), blocks)
     walk = plan.count_per_size is None and not plan.canonicalize
-    return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk)
+    memo = None if memos is None else memos[k]
+    return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk, memo=memo)
 
 
 # Candidates per job of stems, on average. A batched candidate costs well
@@ -544,8 +556,12 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
 
     Both decisions go through one memo keyed by the class word of the zero
     mask: at the default budget the process's memo of the group and size,
-    _memo(G, k), at any other a dict of one job (spectra._verdict_memo), so
-    every entry is the exact verdict at the plan's budget. An entry holds
+    _memo(G, k), at any other a dict of this call per size
+    (spectra._verdict_memo), so every entry is the exact verdict at the
+    plan's budget. The serial jobs of a size read and fill one memo, so a
+    serial sweep decides a word at most once per size at every budget; a
+    pool's worker decides on the memo of the budget per job, its inherited
+    copy of _memo(G, k) at the default budget. An entry holds
     the spectral verdict, the tile outcome (not a tile, subgroup tile,
     exact-cover tile, or not yet decided) and the spectrum. Neither is
     stored UNDECIDED, and cover nodes depend on the set, not on its mask,
@@ -582,13 +598,16 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     most = len(plan.sizes) if plan.count_per_size is not None else plan.workers
     processes = min(plan.workers, os.cpu_count() or 1, most)
     per_size = {k: SizeTally(size=k) for k in plan.sizes}
-    pool = None
+    pool = memos = None
     if processes > 1:
         import multiprocessing as mp
 
         pool = mp.get_context("fork").Pool(processes)
+    else:
+        memos = {k: _verdict_memo(plan.group, k, plan.budget) for k in plan.sizes}
     with pool or contextlib.nullcontext():
-        for tally in (pool.imap if pool else map)(_sweep_job, _jobs(plan)):
+        run = functools.partial(_sweep_job, memos)
+        for tally in (pool.imap if pool else map)(run, _jobs(plan)):
             per_size[tally.size].merge(tally)
     return VerificationReport(plan, per_size, time.perf_counter() - start)
 

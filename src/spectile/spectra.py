@@ -22,8 +22,11 @@ each difference a - b read as a + (-b) from L's element indices
 class (cyclotomic.char_sum_coeffs, from exponent rows built from
 coordinates, at S's indices). Both are computed once per object: a
 Multiset keeps its class verdicts as S and its difference classes as L
-(_classes). find_spectrum reads a set's memo key and zero mask from
-set_zero, one kernel sum kept on the set.
+(_classes). The memo keeps a word's spectrum as one Multiset, built when
+the word's search result is stored, so every find_spectrum of the word
+returns that object and its difference classes are found once per word.
+find_spectrum reads a set's memo key and zero mask from set_zero, one
+kernel sum kept on the set.
 """
 
 from __future__ import annotations
@@ -225,8 +228,9 @@ NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
 # A settled entry is a bare bool: both verdicts, decided and equal, and a
 # subgroup tile (True) or no tile (False). Every other entry is a
 # (spectral verdict, tile outcome, spectrum) tuple, the spectrum being the
-# clique the search found (element indices), or None when it found none.
-MemoEntry = Union[bool, tuple[bool, int, Optional[list[int]]]]
+# set of the clique the search found, one Multiset per word that every
+# find_spectrum of the word returns and checks, or None when it found none.
+MemoEntry = Union[bool, tuple[bool, int, Optional[Multiset]]]
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +238,8 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     """Verdicts at DEFAULT_BUDGET on the k-sets of G, keyed by class word
     alone, in the memo-key form of CharTable.key, which a packed batch gives
     every candidate and set_zero every set: a settled bool or one flat
-    (spectral verdict, tile outcome, spectrum) per word. A byte-string key
+    (spectral verdict, tile outcome, spectrum) per word, the spectrum a
+    Multiset (MemoEntry). A byte-string key
     is hashed and compared as it is; only CharTable.expand, off the settled
     path, and CharTable.orbit read the word back.
 
@@ -266,26 +271,28 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
 def _verdict_memo(G: Group, k: int, budget: int) -> dict[bytes, MemoEntry]:
     """The memo of the decisions on the k-sets of G at budget, so that every
     entry is exact at its dict's budget: _memo(G, k) at DEFAULT_BUDGET, else
-    a fresh dict for the one call that asks."""
+    a fresh dict for the call that asks (a sweep asks once per size and
+    shares it among the size's jobs)."""
     return _memo(G, k) if budget == DEFAULT_BUDGET else {}
 
 
 def _spectral_verdict(
     memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
-) -> tuple[Union[bool, Undecided], Optional[list[int]]]:
+) -> tuple[Union[bool, Undecided], Optional[Multiset]]:
     """The spectral verdict of the k-sets whose class word has the memo key
     key and whose zero mask is zmask, on a memo of budget (_verdict_memo),
-    with the spectrum it came from (the clique of spectrum_search, element
-    indices) when it is True and the entry is not settled; else None. A
-    miss runs the clique search (is there a 0-containing k-set with
-    differences in zmask?) and stores its verdict and clique with
-    TILE_UNSET, unless the search ran out of budget."""
+    with the spectrum it came from (the set of the clique of
+    spectrum_search) when it is True and the entry is not settled; else
+    None. A miss runs the clique search (is there a 0-containing k-set with
+    differences in zmask?) and stores its verdict and, as one Multiset,
+    its clique with TILE_UNSET, unless the search ran out of budget."""
     entry = memo.get(key)
     if entry is None:
-        lam = spectrum_search(tables, zmask, k, budget)[0]
-        if lam is UNDECIDED:
+        clique = spectrum_search(tables, zmask, k, budget)[0]
+        if clique is UNDECIDED:
             return UNDECIDED, None
-        entry = memo[key] = (lam is not None, TILE_UNSET, lam)
+        lam = None if clique is None else Multiset.of_indices(tables.group, clique)
+        entry = memo[key] = (clique is not None, TILE_UNSET, lam)
     return (entry, None) if entry.__class__ is bool else (entry[0], entry[2])
 
 
@@ -300,11 +307,14 @@ def find_spectrum(
     The spectrum is a function of S's class word and size, so the decision
     is _spectral_verdict under S's memo key (set_zero), on the memo of S's
     group, size and budget (_verdict_memo): at the default budget a stored
-    clique is used without a search, a miss searches and stores its verdict
-    with its clique, and a word a sweep settled, which keeps no clique, is
-    searched again for its spectrum. The result is what spectrum_search on
-    S's own zero mask gives at this budget. Every returned witness is
-    checked against S by is_spectral_pair, whichever set's search found it.
+    spectrum is used without a search, a miss searches and stores its
+    verdict with its spectrum, and a word a sweep settled, which keeps no
+    spectrum, is searched again. A stored spectrum is one Multiset per
+    word, so every set of the word gets the same lam object, whose
+    difference classes is_spectral_pair finds once. The result is what
+    spectrum_search on S's own zero mask gives at this budget. Every
+    returned witness is checked against S by is_spectral_pair, whichever
+    set's search found it.
     """
     if S.mass == 0:
         raise EmptyInput("cannot search a spectrum for the empty set")
@@ -313,14 +323,13 @@ def find_spectrum(
     G, k = S.group, S.mass
     tables = index_tables(G)
     key, zmask = set_zero(S)
-    verdict, lam_idx = _spectral_verdict(_verdict_memo(G, k, budget), tables, key, zmask, k, budget)
+    verdict, lam = _spectral_verdict(_verdict_memo(G, k, budget), tables, key, zmask, k, budget)
     if verdict is UNDECIDED:
         return UNDECIDED
     if not verdict:
         return None
-    if lam_idx is None:  # a settled word: its search fit this budget
-        lam_idx = spectrum_search(tables, zmask, k, budget)[0]
-    lam = Multiset.of_indices(G, lam_idx)
+    if lam is None:  # a settled word: its search fit this budget
+        lam = Multiset.of_indices(G, spectrum_search(tables, zmask, k, budget)[0])
     # re-verify the certificate instead of trusting the search or the memo
     if not is_spectral_pair(S, lam):
         raise InvalidArgument("internal error: clique witness failed verification")

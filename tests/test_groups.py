@@ -3,6 +3,8 @@ import itertools
 import math
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -486,14 +488,71 @@ def test_every_constructor_fills_the_sorted_element_indices(z36):
     assert index_tables.cache_info().currsize == cached
 
 
-def test_a_group_pickles_as_its_moduli():
+def test_a_group_pickles_as_its_moduli(subprocess_env):
     # a pooled sweep pickles its plan, and so its group, into every job: the
-    # cached elements are not part of the pickle and are rebuilt on use
+    # pickle holds the moduli alone, and the cached elements are rebuilt on
+    # use in another process; in this one, unpickling gives the group itself
     G = make_group([3] * 5)
     assert len(G.elements) == 243
-    twin = pickle.loads(pickle.dumps(G))
-    assert twin == G and hash(twin) == hash(G) and vars(twin) == {"moduli": G.moduli}
-    assert twin.elements == G.elements
+    assert G.__reduce__() == (groups.Group, (G.moduli,))
+    data = pickle.dumps(G)
+    assert len(data) < 100
+    assert pickle.loads(data) is G
+    code = (
+        "import pickle, sys; G = pickle.loads(sys.stdin.buffer.read()); "
+        "print(dict(vars(G)), len(G.elements))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=data, capture_output=True, env=subprocess_env,
+        timeout=60, check=True,
+    )
+    assert out.stdout.decode() == f"{ {'moduli': G.moduli} } 243\n"
+
+
+class _Int(int):
+    pass
+
+
+def test_one_group_per_moduli():
+    # every construction returns the one object of its moduli, held as
+    # plain ints, so groups compare and hash by identity
+    G = groups.Group((2, 2, 3, 3))
+    assert G is groups.Group([2, 2, 3, 3]) is make_group((2, 2, 3, 3))
+    assert G is make_group(iter([2, 2, 3, 3])) is groups.Group((_Int(2), 2, 3, _Int(3)))
+    assert G is make_group([_Int(2), _Int(2), _Int(3), _Int(3)])
+    assert G is copy.copy(G) is copy.deepcopy(G) is pickle.loads(pickle.dumps(G))
+    H = groups.Group((_Int(5), _Int(7)))  # first built from int subclasses
+    assert {type(n) for n in H.moduli} == {int} and H is make_group([5, 7])
+    assert groups.Group((2, 1, 3)) is groups.Group([2, 1, 3]) is not make_group([2, 3])
+    assert "__eq__" not in vars(groups.Group) and "__hash__" not in vars(groups.Group)
+    assert hash(G) == object.__hash__(G) and G != make_group([2, 2, 3])
+    with pytest.raises(AttributeError):
+        G.moduli = (2, 3)
+    assert G.moduli == (2, 2, 3, 3)
+
+
+def test_refused_moduli_leave_no_group_behind():
+    # bool, float, zero, negative, empty and overflowing moduli raise as
+    # before, and a refused input is never kept
+    kept = dict(groups._GROUPS)
+    refused = [
+        ((True, 3), InvalidModulus, "bool"),
+        ((2, 3.0), InvalidModulus, "integers"),
+        ((0, 3), InvalidModulus, "positive"),
+        ((-2, 3), InvalidModulus, "positive"),
+        ((), InvalidModulus, "positive"),
+        ((2**32, 2**32), Overflow, "64-bit"),
+        ((1, 2**64), Overflow, "64-bit"),
+    ]
+    for moduli, error, match in refused:
+        for build in (groups.Group, make_group):
+            with pytest.raises(error, match=match):
+                build(moduli)
+    # make_group refuses modulus 1 before it builds the group
+    for moduli in ((1, 3), (11, 1)):
+        with pytest.raises(InvalidModulus, match="< 2"):
+            make_group(moduli)
+    assert groups._GROUPS == kept
 
 
 def _every_construction(G, elems):

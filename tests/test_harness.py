@@ -923,6 +923,31 @@ def test_sampled_tallies_equal_per_set_verdicts_on_the_same_draws(moduli, sizes)
     assert report.violation_count > 0 or moduli != [8]
 
 
+def test_an_off_default_sweep_searches_each_word_once_per_size(subprocess_env, monkeypatch):
+    # at DEFAULT_BUDGET + 1 the serial jobs of a size share one memo, so the
+    # exhaustive size 6 of Z_2^2 x Z_3^2, split into runs of stems, searches
+    # no zero mask twice; the report is that of a fresh process, and of a
+    # sweep with two workers, each deciding on a memo of its own per job
+    searched = []
+    search = spectra.spectrum_search
+    monkeypatch.setattr(
+        spectra, "spectrum_search", lambda *args: searched.append(args[1:3]) or search(*args)
+    )
+    kwargs = {"moduli": [2, 2, 3, 3], "sizes": [6], "budget": DEFAULT_BUDGET + 1}
+    plan = VerificationPlan(group=make_group([2, 2, 3, 3]), sizes=(6,), budget=DEFAULT_BUDGET + 1)
+    assert len(list(harness._jobs(plan))) > 1
+    doc = _plan_doc(verify_fuglede(plan))
+    assert searched and len(set(searched)) == len(searched)
+    assert doc["fuglede"]["per_size"]["6"]["both_yes"]
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH_PLAN, json.dumps(kwargs)],
+        capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
+    )
+    assert doc == json.loads(fresh.stdout)
+    pooled = VerificationPlan(group=plan.group, sizes=(6,), budget=plan.budget, workers=2)
+    assert _plan_doc(verify_fuglede(pooled)) == doc
+
+
 def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subprocess_env):
     # after a default-budget sweep every key is settled (a bare bool) or
     # holds its tile outcome; a key with an exact-cover tile still lists
@@ -935,7 +960,7 @@ def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subproc
     z8 = make_group([8])
     verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4)))
     entries = [entry for k in (2, 4) for entry in _memo(z8, k).values()]
-    assert all(entry.__class__ is bool or entry[2] != TILE_UNSET for entry in entries)
+    assert all(entry.__class__ is bool or entry[1] != TILE_UNSET for entry in entries)
     assert {entry.__class__ for entry in entries} == {bool, tuple}
     zero_mask = char_table(z8).zero_mask
     assert zero_mask((0, 2)) == zero_mask((0, 6))

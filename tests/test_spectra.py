@@ -288,15 +288,21 @@ def _zero_containing_sets(G, sizes):
 
 def _assert_per_set_entries(memo, G, sizes):
     """Each entry of memo(G, k) is a realised word of size k with the
-    (verdict, TILE_UNSET, clique) that per-set calls store, and every word
-    is there."""
-    words = {k: set() for k in sizes}
+    (verdict, TILE_UNSET, spectrum) that per-set calls store, the spectrum
+    being the set of the clique a search on the word's zero mask finds,
+    and every word is there."""
+    words = {k: {} for k in sizes}
     for S in _zero_containing_sets(G, sizes):
-        words[S.mass].add(set_zero(S)[0])
+        key, zmask = set_zero(S)
+        words[S.mass][key] = zmask
+    tables = index_tables(G)
     for k in sizes:
-        assert set(memo(G, k)) == words[k], k
-        for verdict, tile, clique in memo(G, k).values():
-            assert tile == spectra.TILE_UNSET and (clique is not None) is verdict
+        assert set(memo(G, k)) == set(words[k]), k
+        for key, (verdict, tile, lam) in memo(G, k).items():
+            assert tile == spectra.TILE_UNSET and (lam is not None) is verdict
+            clique = spectrum_search(tables, words[k][key], k, DEFAULT_BUDGET)[0]
+            if verdict:
+                assert lam.indices == tuple(sorted(clique)), key
 
 
 def _memo_left_by(G, sizes, state, monkeypatch):
@@ -354,6 +360,40 @@ def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
             assert not any(memo(G, k) for k in sizes)
 
 
+def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
+    # the memo keeps a word's spectrum as one Multiset: every set of the
+    # word gets that object, searched once, and is_spectral_pair finds its
+    # difference classes once (direction_of is read only then), while it
+    # still checks the witness against each set
+    # (test_a_wrong_clique_in_the_memo_is_refused)
+    memo = lru_cache(maxsize=None)(lambda G, k: {})
+    monkeypatch.setattr(spectra, "_memo", memo)
+    searched = []
+    search = spectra.spectrum_search
+    monkeypatch.setattr(
+        spectra, "spectrum_search", lambda *args: searched.append(args[1:]) or search(*args)
+    )
+    reads = []
+
+    class Reads(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    tables = index_tables(z36)
+    monkeypatch.setattr(tables, "direction_of", Reads(tables.direction_of))
+    S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
+    twins = [S.translate((0, 1, 0, 0)), S.translate((1, 1, 2, 1)), Multiset.set_of(z36, S.support)]
+    assert len({S, *twins}) == 3 and {set_zero(A)[0] for A in twins} == {set_zero(S)[0]}
+    first = find_spectrum(S)
+    assert len(searched) == 1 and len(reads) == 6 * 5 // 2
+    assert memo(z36, 6)[set_zero(S)[0]][2] is first.lam
+    for A in twins:
+        got = find_spectrum(A)
+        assert got.lam is first.lam and is_spectral_pair(A, got.lam)
+    assert len(searched) == 1 and len(reads) == 6 * 5 // 2
+
+
 def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
     memo = lru_cache(maxsize=None)(lambda G, k: {})
     monkeypatch.setattr(spectra, "_memo", memo)
@@ -361,11 +401,11 @@ def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
     S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
     right = find_spectrum(S)
     key = set_zero(S)[0]
-    verdict, tile, clique = memo(z36, 6)[key]
-    assert verdict and tile == spectra.TILE_UNSET and right.lam.indices == tuple(sorted(clique))
+    verdict, tile, lam = memo(z36, 6)[key]
+    assert verdict and tile == spectra.TILE_UNSET and right.lam is lam
     # another 0-containing 6-set that is not a spectrum of S
-    wrong = [0, 1, 2, 3, 4, 5]
-    assert not is_spectral_pair(S, Multiset.of_indices(z36, wrong))
+    wrong = Multiset.of_indices(z36, [0, 1, 2, 3, 4, 5])
+    assert not is_spectral_pair(S, wrong)
     memo(z36, 6)[key] = (True, tile, wrong)
     twin = Multiset.set_of(z36, S.support)
     with pytest.raises(InvalidArgument, match="failed verification"):
