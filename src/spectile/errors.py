@@ -134,3 +134,15 @@ def integers(values: Iterable, what: str, error: type[SpectileError]) -> tuple[i
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise error(f"{what} must be integers: {exc}") from exc
+
+
+def check_budget(budget: object) -> int:
+    """budget, a search node budget and a spectral memo key, as a positive
+    int: bool, non-integers (integers) and values below 1 raise
+    InvalidArgument. A plain int passes on one type test."""
+    if type(budget) is int and budget >= 1:
+        return budget
+    (budget,) = integers((budget,), "budget", InvalidArgument)
+    if budget < 1:
+        raise InvalidArgument(f"budget must be positive, got {budget}")
+    return budget

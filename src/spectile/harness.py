@@ -6,9 +6,8 @@ same pass tallies the subgroup-complement claim: a tile found only by exact
 cover is a violation of it. Both verdicts of a k-set are functions of its
 zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
-One memo per group and size (spectra._memo) at the default budget, and a
-dict per size of one sweep at any other (spectra._verdict_memo), keyed by
-the word's memo key (CharTable.key), holds the verdict of spectra.spectrum_search,
+One memo per group, size and budget (spectra._memo), keyed by the word's
+memo key (CharTable.key), holds the verdict of spectra.spectrum_search,
 which find_spectrum reads and fills as well (spectra._spectral_verdict),
 and the outcome of tiling.tiling_complement, which reads the mask for its
 prime-power certificate and its subgroup step; its exact cover does not
@@ -29,12 +28,12 @@ asked. There is one producer per source: an exhaustive size walks stems
 sampled size draws kernel sums (tiling._draw_blocks). A canonicalized size
 is a walk whose blocks keep only the sets that no automorphism lowers
 (_least_blocks). One loop, _sweep_chunk, tallies them all. A candidate
-whose word is settled, in this sweep or, at the default budget, any
-earlier one of the process, is
-tallied as a count per verdict (a block of them with list.count) and never
-has its part built; every other candidate goes to the one slow path, which
-tallies it on its own, in enumeration order, and sorts its part into its
-set only when an exact cover or a listed entry needs the set.
+whose word is settled, in this sweep or any earlier one of the process at
+its budget, is tallied as a count per verdict (a block of them with
+list.count) and never has its part built; every other candidate goes to
+the one slow path, which tallies it on its own, in enumeration order, and
+sorts its part into its set only when an exact cover or a listed entry
+needs the set.
 
 Sampled sweeps and the case-5 probe draw their candidates with
 tiling.SeededDraws: the draws of random.Random(f"{seed}:{k}").sample for
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import itertools
 import math
 import operator
@@ -70,6 +68,7 @@ from .errors import (
     NotPQShape,
     TheoremViolation,
     Undecided,
+    check_budget,
     check_candidates,
     integers,
 )
@@ -81,15 +80,14 @@ from .groups import (
     automorphism_index_perms,
     index_tables,
 )
+from . import spectra
 from .spectra import (
     COVER_TILE,
     NOT_A_TILE,
     SUBGROUP_TILE,
     TILE_UNSET,
-    MemoEntry,
     SpectrumWitness,
     _spectral_verdict,
-    _verdict_memo,
     find_spectrum,
     is_spectral_pair,
 )
@@ -183,9 +181,8 @@ class VerificationPlan:
         else:
             count = sum(math.comb(self.group.order - 1, k - 1) for k in self.sizes)
         check_candidates(f"plan on {self.group!r}", count, sampled)
-        integers((self.budget, self.workers), "budget and workers", InvalidArgument)
-        if self.budget < 1:
-            raise InvalidArgument("budget must be positive")
+        object.__setattr__(self, "budget", check_budget(self.budget))
+        integers((self.workers,), "workers", InvalidArgument)
         if self.workers < 1:
             raise InvalidArgument("workers must be positive")
 
@@ -369,7 +366,6 @@ def _sweep_chunk(
     blocks: Iterable[tuple],
     budget: int,
     orbits: bool = False,
-    memo: Optional[dict[bytes, MemoEntry]] = None,
 ) -> SizeTally:
     """Decide both properties for each candidate and tally the verdicts: the
     one tally loop of the sweeps.
@@ -378,9 +374,8 @@ def _sweep_chunk(
     (_stem_blocks, through _least_blocks when canonicalized) or a sample's
     (_draw_blocks). keys[i] is candidate i's memo key (_memo), and part(i)
     its nonzero part as element indices, built only when asked. The memo is
-    the given one, else the one of the budget (spectra._verdict_memo): the
-    shared _memo(G, k) at DEFAULT_BUDGET, a dict of this call at any other;
-    a sweep passes every job of a size the same one. One map of the
+    the process's memo of the group, size and budget (spectra._memo), which
+    every job of the size in this process reads and fills. One map of the
     memo's lookup reads a block's keys, and list.count counts the
     candidates whose entry is settled, False or True, which
     SizeTally.add_settled folds in when the loop ends. A settled entry
@@ -412,8 +407,7 @@ def _sweep_chunk(
     """
     kernel = char_table(G)
     tables = index_tables(G)
-    if memo is None:
-        memo = _verdict_memo(G, k, budget)
+    memo = spectra._memo(G, k, budget)
     get = memo.get
     keep_tiles = budget >= DEFAULT_BUDGET
     tally = SizeTally(size=k)
@@ -498,13 +492,13 @@ def _least_blocks(perms: Sequence[Sequence[int]], blocks: Iterable[tuple]) -> It
         yield list(itertools.compress(keys, least)), list(itertools.compress(parts, least)).__getitem__
 
 
-def _sweep_job(memos: Optional[dict[int, dict[bytes, MemoEntry]]], job: tuple) -> SizeTally:
+def _sweep_job(job: tuple) -> SizeTally:
     """One job (plan, k, stems) of verify_fuglede (_jobs), run in this
     process or in a pool's worker: the size-k candidates as tiling's (keys,
-    part) blocks, through the tally loop (_sweep_chunk), on memos[k], the
-    memo that the serial jobs of the size share, or with memos None (a
-    pool's worker) on the memo of the budget (spectra._verdict_memo). A
-    sampled size draws its seeded candidates (_draw_blocks), always as a whole job.
+    part) blocks, through the tally loop (_sweep_chunk), on the memo of the
+    process for the group, size and budget, which a worker keeps across all
+    of its jobs. A sampled size draws its seeded candidates (_draw_blocks),
+    always as a whole job.
     Every other size walks the given run of stems (_stem_blocks) and
     settles whole orbits. canonicalize filters the walk's blocks
     (_least_blocks) over all of Aut(G) (groups.automorphism_index_perms),
@@ -519,8 +513,7 @@ def _sweep_job(memos: Optional[dict[int, dict[bytes, MemoEntry]]], job: tuple) -
         if plan.canonicalize:
             blocks = _least_blocks(automorphism_index_perms(G), blocks)
     walk = plan.count_per_size is None and not plan.canonicalize
-    memo = None if memos is None else memos[k]
-    return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk, memo=memo)
+    return _sweep_chunk(G, k, blocks, plan.budget, orbits=walk)
 
 
 # Candidates per job of stems, on average. A batched candidate costs well
@@ -555,13 +548,11 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     """Sweep the plan, deciding spectrality and tiling for every candidate.
 
     Both decisions go through one memo keyed by the class word of the zero
-    mask: at the default budget the process's memo of the group and size,
-    _memo(G, k), at any other a dict of this call per size
-    (spectra._verdict_memo), so every entry is the exact verdict at the
-    plan's budget. The serial jobs of a size read and fill one memo, so a
-    serial sweep decides a word at most once per size at every budget; a
-    pool's worker decides on the memo of the budget per job, its inherited
-    copy of _memo(G, k) at the default budget. An entry holds
+    mask, the process's memo of the group, size and plan's budget
+    (spectra._memo), so every entry is the exact verdict at that budget.
+    Every job of a size reads and fills it, so a word is decided at most
+    once per size and process: a pool's worker forks a copy of the parent's
+    memo and keeps it across its jobs. An entry holds
     the spectral verdict, the tile outcome (not a tile, subgroup tile,
     exact-cover tile, or not yet decided) and the spectrum. Neither is
     stored UNDECIDED, and cover nodes depend on the set, not on its mask,
@@ -598,16 +589,13 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     most = len(plan.sizes) if plan.count_per_size is not None else plan.workers
     processes = min(plan.workers, os.cpu_count() or 1, most)
     per_size = {k: SizeTally(size=k) for k in plan.sizes}
-    pool = memos = None
+    pool = None
     if processes > 1:
         import multiprocessing as mp
 
         pool = mp.get_context("fork").Pool(processes)
-    else:
-        memos = {k: _verdict_memo(plan.group, k, plan.budget) for k in plan.sizes}
     with pool or contextlib.nullcontext():
-        run = functools.partial(_sweep_job, memos)
-        for tally in (pool.imap if pool else map)(run, _jobs(plan)):
+        for tally in (pool.imap if pool else map)(_sweep_job, _jobs(plan)):
             per_size[tally.size].merge(tally)
     return VerificationReport(plan, per_size, time.perf_counter() - start)
 
@@ -689,6 +677,7 @@ def tile_to_spectrum(
     checked by is_spectral_pair. Sizes 1 and |G|, and a tile with no
     subgroup complement, take a budgeted generic search.
     """
+    budget = check_budget(budget)  # checked even when no search runs
     G = shape.group
     if S.group != G or T.group != G:
         raise NotATilingPair("sets live on a different group")
@@ -817,16 +806,16 @@ def case5_nonexistence_probe(
     once per word and size in a call: a dict per size, keyed by the word,
     holds its spectral verdict (_spectral_verdict on its zero mask, under
     its memo key, CharTable.key, made at the word's first candidate, on the
-    memo of the budget, spectra._verdict_memo) and its obstruction kind.
+    process's memo of the group, size and budget, spectra._memo) and its
+    obstruction kind.
     The search is deterministic, so every candidate of the word gets the
     verdict its own search would.
     A candidate then costs its draw, its class word, one lookup and the two
     leaf tallies (aligned leaves and the direction gap), which read its
     leaf masks alone. Only a listed candidate (undecided or spectral) is
     sorted into its set, and a spectral one gets its spectrum from
-    find_spectrum, which at the default budget reads the clique the word's
-    verdict stored (unless the word was settled) and checks it against the
-    set.
+    find_spectrum, which reads the clique the word's verdict stored (unless
+    a sweep settled the word) and checks it against the set.
 
     An empty size list is refused, as it is by VerificationPlan: for p = 2
     the probe range is empty, and a probe of no size would report ok.
@@ -841,7 +830,8 @@ def case5_nonexistence_probe(
     q = shape.q
     sizes = integers(sizes, "sizes", InvalidArgument)
     # no float, string or bool
-    integers((seed, count_per_size, budget), "seed, count and budget", InvalidArgument)
+    integers((seed, count_per_size), "seed and count", InvalidArgument)
+    budget = check_budget(budget)
     if not sizes:
         raise InvalidArgument(
             f"probe needs at least one size; the probe range of {G!r}"
@@ -856,8 +846,6 @@ def case5_nonexistence_probe(
             )
     if count_per_size < 0:
         raise InvalidArgument("count_per_size must be nonnegative")
-    if budget < 1:
-        raise InvalidArgument("budget must be positive")
     check_candidates(f"probe on {G!r}", count_per_size * len(sizes), True)
 
     tables = index_tables(G)
@@ -883,7 +871,7 @@ def case5_nonexistence_probe(
     for size in sizes if col_at else ():
         # gcd(size, |G|) = pq, so q divides size
         leaves_needed = size // q
-        memo = _verdict_memo(G, size, budget)
+        memo = spectra._memo(G, size, budget)
         # per class word at this size: its spectral verdict and its
         # obstruction kind, a function of the zero mask. A verdict depends
         # on the size, so the dict does too

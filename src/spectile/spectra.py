@@ -9,9 +9,9 @@ node budget, so a missing spectrum is only ever reported after exhaustion.
 One memo, one search: spectrum_search is the one spectrum search, on
 element indices and a zero mask, and _spectral_verdict the one spectral
 decision, which reads and fills the memo of its group, size and budget
-(_verdict_memo), keyed by class word. find_spectrum, the verification
-sweeps and the case-5 probe all decide through it, so at the default
-budget a class word is searched once per size and process.
+(_memo), keyed by class word. find_spectrum, the verification sweeps and
+the case-5 probe all decide through it, so a class word is searched once
+per size, budget and process.
 is_spectral_pair is the independent check every returned witness passes,
 whichever set's search found it: it never reads the zero mask
 (set_zero_mask, Multiset._zero) or a CharTable.
@@ -44,6 +44,7 @@ from .errors import (
     GroupMismatch,
     Undecided,
     InvalidArgument,
+    check_budget,
 )
 from .groups import Group, IndexTables, Multiset, Subgroup, coset_id_table, index_tables
 
@@ -234,20 +235,20 @@ MemoEntry = Union[bool, tuple[bool, int, Optional[Multiset]]]
 
 
 @lru_cache(maxsize=None)
-def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
-    """Verdicts at DEFAULT_BUDGET on the k-sets of G, keyed by class word
-    alone, in the memo-key form of CharTable.key, which a packed batch gives
-    every candidate and set_zero every set: a settled bool or one flat
-    (spectral verdict, tile outcome, spectrum) per word, the spectrum a
-    Multiset (MemoEntry). A byte-string key
-    is hashed and compared as it is; only CharTable.expand, off the settled
-    path, and CharTable.orbit read the word back.
+def _memo(G: Group, k: int, budget: int) -> dict[bytes, MemoEntry]:
+    """Verdicts at budget on the k-sets of G, keyed by class word alone, in
+    the memo-key form of CharTable.key, which a packed batch gives every
+    candidate and set_zero every set: a settled bool or one flat (spectral
+    verdict, tile outcome, spectrum) per word, the spectrum a Multiset
+    (MemoEntry). A byte-string key is hashed and compared as it is; only
+    CharTable.expand, off the settled path, and CharTable.orbit read the
+    word back.
 
-    The sweeps (harness.verify_fuglede) and the case-5 probe fill it at the
-    default budget, and so does every per-set find_spectrum: at most one
-    entry per class word and size that the process realises, searched once
-    and kept. Every other budget decides on a dict of its own call
-    (_verdict_memo), so no entry here depends on another budget.
+    The one memo: the sweeps (harness.verify_fuglede), the case-5 probe and
+    every per-set find_spectrum fetch it where they decide, and keep at most
+    one entry per class word realised, searched once; a pool's worker keeps
+    its own across its jobs. Every entry is exact at its budget (a search
+    that runs out stores nothing), so no verdict depends on history.
 
     Both properties of a k-set are functions of its zero mask Z(S), which
     its class word expands to: spectrality is the clique search on Z(S); S
@@ -268,19 +269,11 @@ def _memo(G: Group, k: int) -> dict[bytes, MemoEntry]:
     return {}
 
 
-def _verdict_memo(G: Group, k: int, budget: int) -> dict[bytes, MemoEntry]:
-    """The memo of the decisions on the k-sets of G at budget, so that every
-    entry is exact at its dict's budget: _memo(G, k) at DEFAULT_BUDGET, else
-    a fresh dict for the call that asks (a sweep asks once per size and
-    shares it among the size's jobs)."""
-    return _memo(G, k) if budget == DEFAULT_BUDGET else {}
-
-
 def _spectral_verdict(
     memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
 ) -> tuple[Union[bool, Undecided], Optional[Multiset]]:
     """The spectral verdict of the k-sets whose class word has the memo key
-    key and whose zero mask is zmask, on a memo of budget (_verdict_memo),
+    key and whose zero mask is zmask, on the memo of budget (_memo),
     with the spectrum it came from (the set of the clique of
     spectrum_search) when it is True and the entry is not settled; else
     None. A miss runs the clique search (is there a 0-containing k-set with
@@ -306,12 +299,12 @@ def find_spectrum(
 
     The spectrum is a function of S's class word and size, so the decision
     is _spectral_verdict under S's memo key (set_zero), on the memo of S's
-    group, size and budget (_verdict_memo): at the default budget a stored
-    spectrum is used without a search, a miss searches and stores its
-    verdict with its spectrum, and a word a sweep settled, which keeps no
-    spectrum, is searched again. A stored spectrum is one Multiset per
-    word, so every set of the word gets the same lam object, whose
-    difference classes is_spectral_pair finds once. The result is what
+    group, size and budget (_memo): a stored spectrum is used without a
+    search, a miss searches and stores its verdict with its spectrum, and a
+    word a sweep settled, which keeps no spectrum, is searched again. A
+    stored spectrum is one Multiset per word, so every set of the word gets
+    the same lam object, whose difference classes is_spectral_pair finds
+    once. The result is what
     spectrum_search on S's own zero mask gives at this budget. Every
     returned witness is checked against S by is_spectral_pair, whichever
     set's search found it.
@@ -320,10 +313,11 @@ def find_spectrum(
         raise EmptyInput("cannot search a spectrum for the empty set")
     if not S.is_set:
         raise InvalidArgument("spectrum search expects a set (0/1 multiset)")
+    budget = check_budget(budget)
     G, k = S.group, S.mass
     tables = index_tables(G)
     key, zmask = set_zero(S)
-    verdict, lam = _spectral_verdict(_verdict_memo(G, k, budget), tables, key, zmask, k, budget)
+    verdict, lam = _spectral_verdict(_memo(G, k, budget), tables, key, zmask, k, budget)
     if verdict is UNDECIDED:
         return UNDECIDED
     if not verdict:

@@ -58,6 +58,7 @@ from .errors import (
     InvalidArgument,
     NotADivisor,
     Undecided,
+    check_budget,
     check_candidates,
     integers,
 )
@@ -273,6 +274,7 @@ def find_complement(
     on the zero mask of S, at no search nodes) or an exhausted exact cover
     proved it. UNDECIDED is returned only on budget exhaustion.
     """
+    budget = check_budget(budget)
     _require_set(S)
     if S.group.order % S.mass:  # certified_non_tile, before any table is built
         return None
@@ -302,6 +304,7 @@ def find_tiling_complement(
     mask of S or by an exhausted exact cover; UNDECIDED is returned only
     when the exact cover runs out of budget.
     """
+    budget = check_budget(budget)
     _require_set(S)
     tables, zmask = index_tables(S.group), set_zero_mask(S)
     return _checked(S, tiling_complement(tables, S.mass, zmask, lambda: S.indices, budget))
@@ -634,6 +637,7 @@ def enumerate_tiles(
     """
     sampled = count is not None
     integers((x for x in (seed, count) if x is not None), "seed and count", InvalidArgument)
+    budget = check_budget(budget)
     if sampled and (seed is None or count < 1):
         raise InvalidArgument("a sampled tile enumeration needs a seed and a count of at least 1")
     if k < 1 or G.order % k:

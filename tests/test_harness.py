@@ -69,10 +69,10 @@ from spectile.tiling import SeededDraws, cover_complement, tiling_complement
 
 
 def _fresh_memo(m, memo=None):
-    """Put one fresh memo function (memo, else a cached empty dict per group
-    and size) in place of spectra._memo, which the sweeps, the probe and
-    find_spectrum all read at the default budget (spectra._verdict_memo)."""
-    memo = memo or lru_cache(maxsize=None)(lambda G, k: {})
+    """Put one fresh memo function (memo, else a cached empty dict per group,
+    size and budget) in place of spectra._memo, which the sweeps, the probe
+    and find_spectrum all read at every budget."""
+    memo = memo or lru_cache(maxsize=None)(lambda G, k, budget: {})
     m.setattr(spectra, "_memo", memo)
     return memo
 
@@ -82,7 +82,7 @@ def _own_memo():
     """find_spectrum on a fresh memo of its own, so a per-set oracle reads
     nothing that a sweep or an earlier test stored."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(spectra, "_memo", lru_cache(maxsize=None)(lambda G, k: {}))
+        m.setattr(spectra, "_memo", lru_cache(maxsize=None)(lambda G, k, budget: {}))
         yield
 
 
@@ -748,7 +748,7 @@ def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subproces
         assert doc == json.loads(fresh.stdout), kwargs
         docs.append(doc)
         if kwargs is base:
-            memo = _memo(make_group([2, 2, 3, 3]), 4)
+            memo = _memo(make_group([2, 2, 3, 3]), 4, DEFAULT_BUDGET)
             assert True in memo.values() and False in memo.values()
     low = docs[1]["fuglede"]
     assert low["per_size"]["6"]["undecided"] and low["per_size"]["2"]["both_yes"]
@@ -758,8 +758,9 @@ def test_sampled_reports_do_not_depend_on_the_memo_earlier_sweeps_left(subproces
 def test_reports_after_per_set_calls_are_those_of_a_fresh_process(subprocess_env, monkeypatch):
     # per-set find_spectrum calls on a fresh memo, on the sets the sampled
     # plan draws and on every 0-containing set of Z_2^2 x Z_3, at budget 3
-    # and then at the default budget: the budget-3 calls leave the memo
-    # empty, and the default ones store one unsettled entry per realised
+    # and then at the default budget: the budget-3 calls leave the
+    # default-budget memo empty, and the default ones store one unsettled
+    # entry per realised
     # word, with no tile outcome; each sweep over that memo reports what a
     # fresh process reports
     memo = _fresh_memo(monkeypatch)
@@ -779,7 +780,11 @@ def test_reports_after_per_set_calls_are_those_of_a_fresh_process(subprocess_env
             for rest in itertools.combinations(range(1, G.order), k - 1):
                 find_spectrum(Multiset.of_indices(G, (0,) + rest), budget)
         G = make_group(sampled["moduli"])
-        stored = {(k, key): entry for k in sampled["sizes"] for key, entry in memo(G, k).items()}
+        stored = {
+            (k, key): entry
+            for k in sampled["sizes"]
+            for key, entry in memo(G, k, DEFAULT_BUDGET).items()
+        }
         assert set(stored) == (words if budget == DEFAULT_BUDGET else set()), budget
     assert all(entry[1] == TILE_UNSET for entry in stored.values())
     for kwargs in (sampled, {**sampled, "budget": 3}, walked, {**walked, "budget": 3}, sampled):
@@ -823,26 +828,27 @@ print(json.dumps(_off_default_reports()))
 
 def test_other_budgets_never_touch_the_shared_memo(subprocess_env, monkeypatch):
     # a default sweep of Z_2^2 x Z_3 at sizes up to 6 and a default probe
-    # of 20 draws fill the memo, settled words included; sweeps of every
-    # size at budget 3 and DEFAULT_BUDGET + 1, find_spectrum at budget 3
-    # and a probe of 40 draws at budget 1000 meet words the memo holds and
-    # words it does not, and decide on dicts of their own, so the memo ends
-    # as it was, and each report is that of a fresh process
+    # of 20 draws fill the default-budget memos, settled words included;
+    # sweeps of every size at budget 3 and DEFAULT_BUDGET + 1, find_spectrum
+    # at budget 3 and a probe of 40 draws at budget 1000 meet words those
+    # memos hold and words they do not, and decide on the memos of their
+    # own budgets, so the default-budget memos end as they were, and each
+    # report is that of a fresh process
     store = {}
-    _fresh_memo(monkeypatch, lambda G, k: store.setdefault((G, k), {}))
+    _fresh_memo(monkeypatch, lambda G, k, budget: store.setdefault((G, k, budget), {}))
     G = make_group([2, 2, 3])
     shape = pq_shape(make_group([3, 3, 5, 5]))
     assert verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 7)))).ok
     assert case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=20).ok
     snapshot = {at: dict(memo) for at, memo in store.items()}
-    assert True in store[G, 6].values() and store[shape.group, 30]
+    assert True in store[G, 6, DEFAULT_BUDGET].values() and store[shape.group, 30, DEFAULT_BUDGET]
     docs = _off_default_reports()
     tables = index_tables(G)
     for rest in itertools.combinations(range(1, 12), 5):
         S = Multiset.of_indices(G, (0,) + rest)
         got, own = find_spectrum(S, 3), spectrum_search(tables, set_zero_mask(S), 6, 3)[0]
         assert got is own if own is None or own is UNDECIDED else got.lam.indices == tuple(sorted(own))
-    assert store == snapshot
+    assert {at: memo for at, memo in store.items() if at[2] == DEFAULT_BUDGET} == snapshot
     fresh = subprocess.run(
         [sys.executable, "-c", _FRESH_OFF_DEFAULT],
         capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
@@ -923,16 +929,23 @@ def test_sampled_tallies_equal_per_set_verdicts_on_the_same_draws(moduli, sizes)
     assert report.violation_count > 0 or moduli != [8]
 
 
-def test_an_off_default_sweep_searches_each_word_once_per_size(subprocess_env, monkeypatch):
-    # at DEFAULT_BUDGET + 1 the serial jobs of a size share one memo, so the
-    # exhaustive size 6 of Z_2^2 x Z_3^2, split into runs of stems, searches
-    # no zero mask twice; the report is that of a fresh process, and of a
-    # sweep with two workers, each deciding on a memo of its own per job
+def _recorded_searches(monkeypatch) -> list:
+    """Record the (zero mask, size) of each spectrum_search of this process."""
     searched = []
     search = spectra.spectrum_search
     monkeypatch.setattr(
         spectra, "spectrum_search", lambda *args: searched.append(args[1:3]) or search(*args)
     )
+    return searched
+
+
+def test_an_off_default_sweep_searches_each_word_once_per_size(subprocess_env, monkeypatch):
+    # at DEFAULT_BUDGET + 1 the serial jobs of a size share the memo of
+    # that budget, so the exhaustive size 6 of Z_2^2 x Z_3^2, split into
+    # runs of stems, searches no zero mask twice; the report is that of a
+    # fresh process, and of a cold sweep with two workers
+    _fresh_memo(monkeypatch)
+    searched = _recorded_searches(monkeypatch)
     kwargs = {"moduli": [2, 2, 3, 3], "sizes": [6], "budget": DEFAULT_BUDGET + 1}
     plan = VerificationPlan(group=make_group([2, 2, 3, 3]), sizes=(6,), budget=DEFAULT_BUDGET + 1)
     assert len(list(harness._jobs(plan))) > 1
@@ -945,7 +958,22 @@ def test_an_off_default_sweep_searches_each_word_once_per_size(subprocess_env, m
     )
     assert doc == json.loads(fresh.stdout)
     pooled = VerificationPlan(group=plan.group, sizes=(6,), budget=plan.budget, workers=2)
+    _fresh_memo(monkeypatch)
     assert _plan_doc(verify_fuglede(pooled)) == doc
+
+
+def test_a_pool_worker_decides_a_word_once_per_size(monkeypatch):
+    # a pool's worker runs job after job in one process: two jobs of size
+    # 6 of Z_2^2 x Z_3^2 at DEFAULT_BUDGET + 1, run as a worker runs them,
+    # search no zero mask twice, since both read the process's memo of the
+    # size and budget
+    _fresh_memo(monkeypatch)
+    searched = _recorded_searches(monkeypatch)
+    plan = VerificationPlan(group=make_group([2, 2, 3, 3]), sizes=(6,), budget=DEFAULT_BUDGET + 1)
+    first, second = itertools.islice(harness._jobs(plan), 2)
+    harness._sweep_job(first)
+    harness._sweep_job(second)
+    assert searched and len(set(searched)) == len(searched)
 
 
 def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subprocess_env):
@@ -959,7 +987,7 @@ def test_default_budget_report_does_not_depend_on_earlier_sweeps(capsys, subproc
     )
     z8 = make_group([8])
     verify_fuglede(VerificationPlan(group=z8, sizes=(2, 4)))
-    entries = [entry for k in (2, 4) for entry in _memo(z8, k).values()]
+    entries = [entry for k in (2, 4) for entry in _memo(z8, k, DEFAULT_BUDGET).values()]
     assert all(entry.__class__ is bool or entry[1] != TILE_UNSET for entry in entries)
     assert {entry.__class__ for entry in entries} == {bool, tuple}
     zero_mask = char_table(z8).zero_mask
@@ -1054,7 +1082,7 @@ def test_a_walk_leaves_the_memo_that_settling_words_alone_leaves(moduli, sizes, 
                 _settle_words_alone(m)
             calls = _count_tile_decisions(m)
             verify_fuglede(VerificationPlan(group=G, sizes=sizes))
-            memos.append({k: dict(spectra._memo(G, k)) for k in sizes})
+            memos.append({k: dict(spectra._memo(G, k, DEFAULT_BUDGET)) for k in sizes})
             decided.append(len(calls))
     assert memos[0] == memos[1]
     assert decided[0] < decided[1] == sum(map(len, memos[1].values()))
@@ -1090,7 +1118,7 @@ def test_orbit_settling_walks_match_a_per_set_tally(z12, monkeypatch):
     report = verify_fuglede(VerificationPlan(group=z12, sizes=sizes))
     for k in sizes:
         assert dataclasses.asdict(report.per_size[k]) == _per_set_tally(z12, k, DEFAULT_BUDGET), k
-    assert len(calls) < sum(len(spectra._memo(z12, k)) for k in sizes)
+    assert len(calls) < sum(len(spectra._memo(z12, k, DEFAULT_BUDGET)) for k in sizes)
 
 
 def test_sampled_and_canonicalized_plans_settle_no_orbit(monkeypatch):
@@ -1108,7 +1136,7 @@ def test_sampled_and_canonicalized_plans_settle_no_orbit(monkeypatch):
         VerificationPlan(group=z36, sizes=(2, 3, 4, 6, 9), seed=3, count_per_size=300)
     )
     assert sampled.ok
-    assert True in spectra._memo(z36, 4).values()
+    assert True in spectra._memo(z36, 4, DEFAULT_BUDGET).values()
     z12 = make_group([2, 2, 3])
     assert verify_fuglede(VerificationPlan(group=z12, sizes=(2, 3, 4), canonicalize=True)).ok
     assert verify_fuglede(VerificationPlan(group=make_group([3, 3]), sizes=(1,))).ok
@@ -1128,8 +1156,7 @@ def test_orbits_settle_only_under_the_clique_node_bound(monkeypatch):
     G = make_group([3, 3, 3])
     decided = {}
     for budget in (7, bound - 1, bound):
-        for module in (harness, spectra):
-            monkeypatch.setattr(module, "DEFAULT_BUDGET", budget)
+        monkeypatch.setattr(harness, "DEFAULT_BUDGET", budget)
         assert harness._clique_nodes_bounded(12, 6) is (budget == bound)
         assert not harness._clique_nodes_bounded(13, 6)
         plan = VerificationPlan(group=G, sizes=(6,), budget=budget)
@@ -1146,8 +1173,7 @@ def test_orbits_settle_only_under_the_clique_node_bound(monkeypatch):
         assert bool(docs[0]["fuglede"]["per_size"]["6"]["undecided"]) is (budget == 7)
     # the orbit settles at the bound and not one node below it
     assert decided[bound, False] < decided[bound - 1, False] < decided[bound - 1, True]
-    for module in (harness, spectra):
-        monkeypatch.setattr(module, "DEFAULT_BUDGET", 7)
+    monkeypatch.setattr(harness, "DEFAULT_BUDGET", 7)
     monkeypatch.setattr(harness, "_clique_nodes_bounded", lambda zeros, k: True)
     _fresh_memo(monkeypatch)
     unguarded = verify_fuglede(VerificationPlan(group=G, sizes=(6,), budget=7))
@@ -1559,7 +1585,7 @@ def test_probe_lists_an_undecided_candidate_as_its_drawn_set(monkeypatch, moduli
     # a clique search that never decides makes every candidate undecided;
     # an empty memo stores none of its verdicts, yet the probe searches each
     # class word once, as the search is deterministic
-    _fresh_memo(monkeypatch, lambda G, k: {})
+    _fresh_memo(monkeypatch, lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "spectrum_search", lambda *args: (UNDECIDED, 0))
     searched = _counting(monkeypatch, spectra, "spectrum_search")
     G = make_group(moduli)
@@ -1579,7 +1605,7 @@ def test_the_probe_decides_each_class_word_once(monkeypatch, seed):
     # with a cold memo, the clique search and the obstruction kind each run
     # once per distinct zero mask (so class word) among the drawn sets, not
     # once per candidate
-    _fresh_memo(monkeypatch, lambda G, k: {})
+    _fresh_memo(monkeypatch, lambda G, k, budget: {})
     searched = _counting(monkeypatch, spectra, "spectrum_search")
     classified = _counting(monkeypatch, harness, "_classify_obstruction")
     G = make_group((3, 3, 5, 5))
@@ -1646,7 +1672,7 @@ def shape57():
 def test_the_probe_decides_a_word_once_per_size(monkeypatch, shape57):
     # a verdict depends on the size: a word met at two sizes is decided at each
     assert probe_sizes(shape57)[:2] == (70, 105)
-    _fresh_memo(monkeypatch, lambda G, k: {})
+    _fresh_memo(monkeypatch, lambda G, k, budget: {})
     # every candidate gets the class word of {0}, whose zero mask is empty
     kernel = char_table(shape57.group)
     word = kernel.class_word(kernel.cols[0], 1)
@@ -1729,6 +1755,31 @@ def test_budgets_and_workers_must_be_positive_integers(z6):
         with pytest.raises(InvalidArgument, match="positive"):
             case5_nonexistence_probe(shape, (30,), seed=3, count_per_size=1, budget=budget)
     assert case5_nonexistence_probe(shape, (30,), seed=3, count_per_size=1, budget=1).budget == 1
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True, "7", None], ids=repr)
+def test_every_entry_point_refuses_a_budget_that_is_not_a_positive_int(budget, z36, shape36):
+    # the budget keys the spectral memo (spectra._memo): 2.5 and True would
+    # each key a memo of their own, and "7" and None would reach a search
+    # as a raw TypeError; each entry point refuses them before any search,
+    # tile_to_spectrum too, which builds the annihilator with no search
+    S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
+    T, lam = find_tiling_complement(S).t, find_spectrum(S).lam
+    probe = pq_shape(make_group([3, 3, 5, 5]))
+    match = "positive" if type(budget) is int else "integers"
+    calls = (
+        lambda: find_spectrum(S, budget),
+        lambda: find_tiling_complement(S, budget),
+        lambda: find_complement(S, budget),
+        lambda: next(enumerate_tiles(z36, 6, budget=budget)),
+        lambda: tile_to_spectrum(shape36, S, T, budget),
+        lambda: spectral_to_complement(shape36, S, lam, budget),
+        lambda: VerificationPlan(group=z36, sizes=(2,), budget=budget),
+        lambda: case5_nonexistence_probe(probe, (30,), seed=3, count_per_size=1, budget=budget),
+    )
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=match):
+            call()
 
 
 def test_probe_rejects_repeated_sizes():

@@ -270,10 +270,9 @@ def test_spectrum_search_matches_the_quadratic_graph_construction(moduli):
 # --- the shared spectral memo ------------------------------------------------
 #
 # find_spectrum decides through the memo the sweeps and the probe fill
-# (spectra._memo), keyed by class word and size, at the default budget, and
-# through a dict of its own call at any other (spectra._verdict_memo).
-# Whatever the memo holds, it must give what a search on the set's own zero
-# mask gives at the same budget.
+# (spectra._memo), keyed by class word within one dict per group, size and
+# budget. Whatever the memo holds, it must give what a search on the set's
+# own zero mask gives at the same budget.
 
 # (moduli, sizes or None for every size, short: whether budget 3 leaves a set
 # undecided)
@@ -287,18 +286,18 @@ def _zero_containing_sets(G, sizes):
 
 
 def _assert_per_set_entries(memo, G, sizes):
-    """Each entry of memo(G, k) is a realised word of size k with the
-    (verdict, TILE_UNSET, spectrum) that per-set calls store, the spectrum
-    being the set of the clique a search on the word's zero mask finds,
-    and every word is there."""
+    """Each entry of memo(G, k, DEFAULT_BUDGET) is a realised word of size k
+    with the (verdict, TILE_UNSET, spectrum) that per-set calls store, the
+    spectrum being the set of the clique a search on the word's zero mask
+    finds, and every word is there."""
     words = {k: {} for k in sizes}
     for S in _zero_containing_sets(G, sizes):
         key, zmask = set_zero(S)
         words[S.mass][key] = zmask
     tables = index_tables(G)
     for k in sizes:
-        assert set(memo(G, k)) == set(words[k]), k
-        for key, (verdict, tile, lam) in memo(G, k).items():
+        assert set(memo(G, k, DEFAULT_BUDGET)) == set(words[k]), k
+        for key, (verdict, tile, lam) in memo(G, k, DEFAULT_BUDGET).items():
             assert tile == spectra.TILE_UNSET and (lam is not None) is verdict
             clique = spectrum_search(tables, words[k][key], k, DEFAULT_BUDGET)[0]
             if verdict:
@@ -308,10 +307,11 @@ def _assert_per_set_entries(memo, G, sizes):
 def _memo_left_by(G, sizes, state, monkeypatch):
     """Point the spectral decision at a fresh memo, left as state says:
     cold; after an exhaustive sweep, whose settled words are bare bools
-    with no clique; after a budget-3 sweep, which decides on dicts of its
-    own and leaves the memo empty; or after per-set calls at the default
-    budget, which fill it with the realised words alone."""
-    memo = lru_cache(maxsize=None)(lambda G, k: {})
+    with no clique; after a budget-3 sweep, which fills the budget-3 memos
+    with unsettled entries alone and leaves the default-budget ones empty;
+    or after per-set calls at the default budget, which fill it with the
+    realised words alone."""
+    memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "_memo", memo)
     if state == "per-set calls":
         for S in _zero_containing_sets(G, sizes):
@@ -320,11 +320,12 @@ def _memo_left_by(G, sizes, state, monkeypatch):
     elif state != "cold":
         budget = DEFAULT_BUDGET if state == "exhaustive sweep" else 3
         verify_fuglede(VerificationPlan(group=G, sizes=sizes, budget=budget))
-        entries = [entry for k in sizes for entry in memo(G, k).values()]
+        entries = [entry for k in sizes for entry in memo(G, k, budget).values()]
         if state == "exhaustive sweep":
             assert True in entries
         else:
-            assert not entries
+            assert entries and bool not in map(type, entries)
+            assert not any(memo(G, k, DEFAULT_BUDGET) for k in sizes)
     return memo
 
 
@@ -353,11 +354,11 @@ def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
     assert bool(seen["undecided"]) is (short and budget == 3)
     if state == "cold":
         # per-set calls at the default budget add one entry per realised
-        # word and size; at budget 3 they decide on dicts of their own
+        # word and size; at budget 3 they fill the budget-3 memos alone
         if budget == DEFAULT_BUDGET:
             _assert_per_set_entries(memo, G, sizes)
         else:
-            assert not any(memo(G, k) for k in sizes)
+            assert not any(memo(G, k, DEFAULT_BUDGET) for k in sizes)
 
 
 def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
@@ -366,7 +367,7 @@ def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
     # difference classes once (direction_of is read only then), while it
     # still checks the witness against each set
     # (test_a_wrong_clique_in_the_memo_is_refused)
-    memo = lru_cache(maxsize=None)(lambda G, k: {})
+    memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "_memo", memo)
     searched = []
     search = spectra.spectrum_search
@@ -387,7 +388,7 @@ def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
     assert len({S, *twins}) == 3 and {set_zero(A)[0] for A in twins} == {set_zero(S)[0]}
     first = find_spectrum(S)
     assert len(searched) == 1 and len(reads) == 6 * 5 // 2
-    assert memo(z36, 6)[set_zero(S)[0]][2] is first.lam
+    assert memo(z36, 6, DEFAULT_BUDGET)[set_zero(S)[0]][2] is first.lam
     for A in twins:
         got = find_spectrum(A)
         assert got.lam is first.lam and is_spectral_pair(A, got.lam)
@@ -395,18 +396,18 @@ def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
 
 
 def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
-    memo = lru_cache(maxsize=None)(lambda G, k: {})
+    memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "_memo", memo)
     # a subgroup tile of size 6, spectral, and its annihilator
     S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
     right = find_spectrum(S)
     key = set_zero(S)[0]
-    verdict, tile, lam = memo(z36, 6)[key]
+    verdict, tile, lam = memo(z36, 6, DEFAULT_BUDGET)[key]
     assert verdict and tile == spectra.TILE_UNSET and right.lam is lam
     # another 0-containing 6-set that is not a spectrum of S
     wrong = Multiset.of_indices(z36, [0, 1, 2, 3, 4, 5])
     assert not is_spectral_pair(S, wrong)
-    memo(z36, 6)[key] = (True, tile, wrong)
+    memo(z36, 6, DEFAULT_BUDGET)[key] = (True, tile, wrong)
     twin = Multiset.set_of(z36, S.support)
     with pytest.raises(InvalidArgument, match="failed verification"):
         find_spectrum(twin)
