@@ -2,22 +2,25 @@
 
 Character values are M-th roots of unity (M the group exponent), so every
 character sum lives in Z[zeta_M] = Z[x]/(Phi_M). Vanishing is decided
-exactly: build the mask polynomial sum_x A(x) x^{<x,g>} and test
-divisibility by the M-th cyclotomic polynomial Phi_M. No floating point
-anywhere; floats appear only in tests as a cross-check.
+exactly: the sum is the mask polynomial sum_x A(x) x^{<x,g>} reduced modulo
+the M-th cyclotomic polynomial Phi_M, and it vanishes when the remainder is
+0. Reduction is linear, so the remainder is sum_x A(x) R[<x, g>], R the
+reduced powers zeta_M^t mod Phi_M (_reduced_powers, one table per M). No
+floating point anywhere; floats appear only in tests as a cross-check.
 
 Two paths compute such sums. The zero-mask kernel (CharTable) decides every
 direction class of a set at once and serves the searches and sweeps.
 char_sum_coeffs, the one exact evaluator of the verifiers and of char_sum,
 reads the exponents <x, g> from per-group exponent rows built from
-coordinates (exponent_rows), never from a CharTable; the two share only the
-reduction modulo Phi_M.
+coordinates (exponent_rows), never from a CharTable, and sums the columns
+of R at them; the two share only the reduction modulo Phi_M, R itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from array import array
 from dataclasses import dataclass
@@ -108,6 +111,20 @@ def _reduce(M: int, coeffs: list[int]) -> list[int]:
     return coeffs + [0] * (d - len(coeffs))
 
 
+@lru_cache(maxsize=None)
+def _reduced_powers(M: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_M^t mod Phi_M for t in range(M), each as phi(M) coefficients: the
+    one table of reduced powers per exponent M, which the zero-mask kernel
+    (CharTable.reduced_powers) and char_sum_coeffs (by its columns) read."""
+    return tuple(tuple(_reduce(M, [0] * t + [1])) for t in range(M))
+
+
+@lru_cache(maxsize=None)
+def _power_columns(M: int) -> tuple[tuple[int, ...], ...]:
+    """Column j of _reduced_powers(M): coefficient j of zeta_M^t, by t."""
+    return tuple(zip(*_reduced_powers(M)))
+
+
 @dataclass(frozen=True)
 class CyclotomicInt:
     """An element of Z[zeta_M], stored as the unique remainder mod Phi_M.
@@ -152,7 +169,7 @@ class CyclotomicInt:
 # stem_batches, and zero_mask beside its mask), which expand and orbit read
 # back. Nothing else reads these tables: the verifiers
 # and multiset zero sets go through char_sum_coeffs and its exponent rows,
-# which share only the reduction modulo Phi_M.
+# which share only the reduced powers of zeta_M (_reduced_powers).
 
 
 class CharTable:
@@ -163,7 +180,7 @@ class CharTable:
         self.group = G
         self.M = G.exponent
         self.phi = euler_phi(self.M)
-        self.reduced_powers = [tuple(_reduce(self.M, [0] * t + [1])) for t in range(self.M)]
+        self.reduced_powers = _reduced_powers(self.M)
         self.max_abs = max((abs(c) for row in self.reduced_powers for c in row), default=0)
         self._weights = tuple(self.M // n for n in G.moduli)
         self._batches: dict[int, list[tuple[int, int]]] = {}  # by depth (_batch_tables)
@@ -504,22 +521,20 @@ def char_sum_coeffs(G: Group, A: Multiset, gs: Iterable[Element]) -> Iterator[li
     The one exact character sum besides the zero-mask kernel, and it reads
     no CharTable: the exponents <x, g> of A's support are read from g's
     exponent row (exponent_rows) at A's element indices (Multiset.indices),
-    counted (list.count for sets; for multisets, multiplicities in the same
-    sorted order added), and the count polynomial is reduced mod Phi_M.
-    Inputs are not validated.
+    and coefficient j is sum_x A(x) R[<x, g>][j], R the reduced powers of
+    zeta_M (_reduced_powers), one C-level sum over column j
+    (_power_columns) per coefficient. Reduction mod Phi_M is linear, so
+    this is the remainder of the count polynomial sum_x A(x) x^{<x, g>},
+    coefficient for coefficient. Inputs are not validated.
     """
-    M = G.exponent
-    rows = exponent_rows(G)
+    rows, cols = exponent_rows(G), _power_columns(G.exponent)
     mults = None if A.is_set else list(map(A.mult.__getitem__, A.support))
     for g in gs:
         exps = list(map(rows[g].__getitem__, A.indices))
         if mults is None:
-            counts = list(map(exps.count, range(M)))
+            yield [sum(map(col.__getitem__, exps)) for col in cols]
         else:
-            counts = [0] * M
-            for e, m in zip(exps, mults):
-                counts[e] += m
-        yield _reduce(M, counts)
+            yield [sum(map(operator.mul, map(col.__getitem__, exps), mults)) for col in cols]
 
 
 def char_sum(G: Group, A: Multiset, g: Element) -> CyclotomicInt:

@@ -92,7 +92,7 @@ from .spectra import (
     is_spectral_pair,
 )
 from .structure import (
-    CaseKind, LeafTables, PQShape, aligned_leaves, classify_case, leaf_tables, pq_shape
+    CaseKind, LeafTables, PQShape, aligned_leaves, leaf_tables, pq_shape
 )
 from .tiling import (
     ComplementMethod,
@@ -653,13 +653,29 @@ _CASE_TAGS = {
 }
 
 
+# the divisibility case of a proper size k by the exponents of p and q in
+# gcd(k, |G|), least first, each 0, 1 or 2: the cases of structure.classify_case
+_CASE_KINDS = {
+    (0, 0): CaseKind.TRIVIAL,
+    (0, 1): CaseKind.PRIME,
+    (1, 1): CaseKind.COPRIME_PRODUCT,
+    (0, 2): CaseKind.PRIME_SQUARE,
+    (1, 2): CaseKind.SQUARE_TIMES_PRIME,
+}
+
+
 def _case_tags(shape: PQShape, S: Multiset) -> tuple[SpectrumConstruction, ComplementConstruction]:
     """The (spectrum, complement) tags of a set S with a subgroup complement
-    (_CASE_TAGS). Sizes 1 and |G| tile by the whole group and by {0}; their
-    spectra, {0} and G, are left to the search."""
-    if S.mass == shape.group.order:  # classify_case refuses gcd |G|
+    (_CASE_TAGS), read from |S| and the shape (_CASE_KINDS). Sizes 1 and |G|
+    tile by the whole group and by {0}; their spectra, {0} and G, are left
+    to the search."""
+    n = math.gcd(S.mass, shape.group.order)
+    p, q = shape.p, shape.q
+    a, b = (n % p == 0) + (n % (p * p) == 0), (n % q == 0) + (n % (q * q) == 0)
+    kind = _CASE_KINDS.get((a, b) if a <= b else (b, a))
+    if kind is None:  # |S| = |G|
         return SpectrumConstruction.SEARCH_FALLBACK, ComplementConstruction.WHOLE_GROUP
-    return _CASE_TAGS[classify_case(shape, S).kind]
+    return _CASE_TAGS[kind]
 
 
 def tile_to_spectrum(

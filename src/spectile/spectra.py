@@ -20,9 +20,11 @@ each difference a - b read as a + (-b) from L's element indices
 (Multiset.indices, the one index form of a set) and their negatives
 (IndexTables.neg), and evaluates the exact character sum of S once per
 class (cyclotomic.char_sum_coeffs, from exponent rows built from
-coordinates, at S's indices). Both are computed once per object: a
-Multiset keeps its class verdicts as S and its difference classes as L
-(_classes). The memo keeps a word's spectrum as one Multiset, built when
+coordinates, at S's indices). Both are computed once per object and kept
+as bitmasks over class ids: a Multiset keeps the classes it was evaluated
+at and those where its sum vanishes as S, and its difference classes as L
+(_classes), so a pair is refused by one AND when L meets a class known not
+to vanish. The memo keeps a word's spectrum as one Multiset, built when
 the word's search result is stored, so every find_spectrum of the word
 returns that object and its difference classes are found once per word.
 find_spectrum reads a set's memo key and zero mask from set_zero, one
@@ -59,15 +61,15 @@ class SpectrumWitness:
 
 def _classes(A: Multiset) -> list:
     """A's per-object cache of is_spectral_pair, built on first use:
-    [verdicts, differences]. verdicts maps each direction class evaluated so
-    far on A as the first argument to whether A's character sum vanishes
-    there; differences is the frozenset of direction classes of A - A once A
-    has been the second argument, else None. Both are functions of A alone,
-    so an equal Multiset computes its own and copies and pickles start
-    empty."""
+    [evaluated, differences, vanishing], each a bitmask over direction class
+    ids. evaluated has the classes A's character sum has been evaluated at
+    as the first argument, and vanishing those of them where it vanishes;
+    differences has the direction classes of A - A once A has been the
+    second argument, else None. All are functions of A alone, so an equal
+    Multiset computes its own and copies and pickles start empty."""
     got = A._classes
     if got is None:
-        got = [{}, None]
+        got = [0, None, 0]
         object.__setattr__(A, "_classes", got)
     return got
 
@@ -77,11 +79,14 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
 
     The sums at the generators of <d> are Galois conjugates of the sum at d,
     so L is a spectrum of S exactly when S's character sum vanishes on every
-    direction class of L - L. Each class of a set's differences is found once
-    per L, as a + (-b) on the addition rows with L's indices negated once,
-    and each class's verdict is evaluated once per S
-    (char_sum_coeffs at the class representative), so checking one witness
-    again, or one S against several L, costs only what is new.
+    direction class of L - L. The classes of a set's differences are found
+    once per L, as a + (-b) on the addition rows with L's indices negated
+    once, and kept as one bitmask; each class's verdict is evaluated once
+    per S (char_sum_coeffs at the class representative) and kept in S's
+    evaluated and vanishing masks (_classes). A pair that meets a class
+    known not to vanish is refused by one AND, and only the classes of L
+    that S has not evaluated are evaluated, so checking one witness again,
+    or one S against several L, costs only what is new.
     """
     if S.group != L.group:
         raise GroupMismatch("S and L live on different groups")
@@ -91,8 +96,8 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
         return True  # no nonzero difference
     G = S.group
     tables = index_tables(G)
-    cached = _classes(L)
-    classes = cached[1]
+    of_L = _classes(L)
+    classes = of_L[1]
     if classes is None:
         add, direction_of = tables.add_rows, tables.direction_of
         # a - b = a + (-b); -d shares d's class, so half the differences suffice
@@ -100,16 +105,26 @@ def is_spectral_pair(S: Multiset, L: Multiset) -> bool:
         found = set()
         for i, a in enumerate(L.indices, 1):
             found.update(map(direction_of.__getitem__, map(add[a].__getitem__, negs[i:])))
-        classes = cached[1] = frozenset(found)
-    verdicts = _classes(S)[0]
-    if False in map(verdicts.get, classes):
+        classes = of_L[1] = sum(map((1).__lshift__, found))
+    of_S = _classes(S)
+    evaluated, vanishing = of_S[0], of_S[2]
+    if classes & (evaluated ^ vanishing):  # a class known not to vanish
         return False
-    todo = [c for c in classes if c not in verdicts]
-    reps = [G.elements[tables.direction_classes[c][0]] for c in todo]
-    for c, coeffs in zip(todo, char_sum_coeffs(G, S, reps)):
-        verdicts[c] = vanishes = not any(coeffs)
-        if not vanishes:
+    todo = classes & ~evaluated
+    if not todo:
+        return True
+    ids = []
+    while todo:
+        low = todo & -todo
+        ids.append(low.bit_length() - 1)
+        todo ^= low
+    reps = [G.elements[tables.direction_classes[c][0]] for c in ids]
+    for c, coeffs in zip(ids, char_sum_coeffs(G, S, reps)):
+        bit = 1 << c
+        of_S[0] |= bit
+        if any(coeffs):
             return False
+        of_S[2] |= bit
     return True
 
 

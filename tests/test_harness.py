@@ -24,6 +24,7 @@ from spectile import (
     annihilator,
     automorphism_index_perms,
     case5_nonexistence_probe,
+    classify_case,
     enumerate_tiles,
     find_complement,
     find_spectrum,
@@ -1475,6 +1476,21 @@ def test_spectral_to_complement_tags_by_size(z36, shape36, k):
         assert is_tiling_pair(S, out.witness.t), (k, S)
         count += 1
     assert count
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 3, 3), (2, 2, 5, 5), (3, 3, 5, 5)])
+def test_case_tags_read_from_the_size_are_those_of_classify_case(moduli):
+    # the tags of every proper size, read from |S| and the shape alone, are
+    # the tags of the case structure.classify_case gives; size |G| falls back
+    shape = pq_shape(make_group(moduli))
+    G = shape.group
+    for k in range(1, G.order):
+        S = Multiset.of_indices(G, range(k))
+        assert harness._case_tags(shape, S) == harness._CASE_TAGS[classify_case(shape, S).kind], k
+    assert harness._case_tags(shape, Multiset.of_indices(G, range(G.order))) == (
+        SpectrumConstruction.SEARCH_FALLBACK,
+        ComplementConstruction.WHOLE_GROUP,
+    )
 
 
 def test_spectral_to_complement_rejects(z36, shape36):

@@ -341,6 +341,68 @@ def test_checks_read_no_zero_mask_and_cache_per_object(moduli, monkeypatch):
             assert is_spectral_pair(twin_A, twin_L) == verdict
 
 
+def _count_and_reduce(G, A, g):
+    """The count polynomial of A's character sum at g, sum_x A(x) x^{<x, g>}
+    with <x, g> from the coordinates, reduced by cyclotomic._reduce: the
+    count-and-reduce formula, a second path to char_sum_coeffs's
+    coefficients."""
+    M = G.exponent
+    counts = [0] * M
+    for x, m in A.mult.items():
+        counts[sum(M // n * a * b for a, b, n in zip(x, g, G.moduli)) % M] += m
+    return cyclotomic._reduce(M, counts)
+
+
+def _sets_and_multisets(G, rng):
+    """Random sets of a few sizes, the empty multiset, and random multisets
+    with small and with 2^32-sized multiplicities."""
+    for k in (1, 2, rng.randint(3, G.order - 1), G.order):
+        yield Multiset.of_indices(G, sorted(rng.sample(range(G.order), k)))
+    yield Multiset(G, {})
+    for top in (3, BIG):
+        support = rng.sample(G.elements, rng.randint(1, min(G.order, 12)))
+        yield Multiset(G, {x: rng.randint(1, top) for x in support})
+
+
+@pytest.mark.parametrize(
+    "moduli", [(2, 2, 3, 3), (3, 3, 5, 5), (3, 3, 3, 3, 3), (105,)], ids=lambda m: ",".join(map(str, m))
+)
+def test_char_sum_coeffs_are_the_reduced_count_polynomial(moduli):
+    # coefficient for coefficient at every g; Phi_105 has a coefficient -2,
+    # so there the reduced powers the columns are read from reach +-2
+    G = make_group(moduli)
+    if moduli == (105,):
+        assert max(abs(c) for row in cyclotomic._reduced_powers(105) for c in row) == 2
+    rng = random.Random(sum(moduli) + 5)
+    for A in _sets_and_multisets(G, rng):
+        got = list(cyclotomic.char_sum_coeffs(G, A, G.elements))
+        assert got == [_count_and_reduce(G, A, g) for g in G.elements], A
+
+
+def test_z105_sums_reduce_modulo_the_minimal_polynomial_of_zeta():
+    # the minimal polynomial of zeta_105 = exp(2 pi i / 105), as sympy finds
+    # it, divides the count polynomial less the reduced sum, which has degree
+    # below its 48; {0, 35, 70} is a coset of the subgroup of order 3, so its
+    # sum vanishes at g = 1 and the minimal polynomial divides its count polynomial
+    G = make_group((105,))
+    x = sympy.Symbol("x")
+    minpoly = sympy.minimal_polynomial(sympy.exp(2 * sympy.pi * sympy.I / 105), x, polys=True)
+    assert minpoly.degree() == 48
+    rng = random.Random(105)
+    coset = Multiset.of_indices(G, [0, 35, 70])
+    sets = [coset, Multiset.of_indices(G, [0, 1, 2]), Multiset(G, {(3,): 2, (40,): 5, (77,): 1})]
+    for A in sets:
+        for g in [(1,), *rng.sample(G.elements, 3)]:
+            (coeffs,) = cyclotomic.char_sum_coeffs(G, A, [g])
+            assert len(coeffs) == 48
+            counts = sympy.Poly(sum(m * x ** (a * g[0] % 105) for (a,), m in A.mult.items()), x)
+            reduced = sympy.Poly(sum(c * x**j for j, c in enumerate(coeffs)), x)
+            assert (counts - reduced).rem(minpoly).is_zero, (A, g)
+            assert (not any(coeffs)) == counts.rem(minpoly).is_zero, (A, g)
+    (coeffs,) = cyclotomic.char_sum_coeffs(G, coset, [(1,)])
+    assert not any(coeffs)
+
+
 @pytest.mark.parametrize("M", [6, 15, 25, 3])
 def test_from_polynomial_is_sympys_remainder(M):
     # degrees past M too: the reduction does not assume a count polynomial

@@ -395,6 +395,48 @@ def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
     assert len(searched) == 1 and len(reads) == 6 * 5 // 2
 
 
+def test_each_class_is_evaluated_once_per_set_across_spectra(z36, monkeypatch):
+    # one S checked against many L evaluates each direction class at most
+    # once, and a class known not to vanish refuses an L whose differences
+    # meet it with no evaluation at all
+    tables = index_tables(z36)
+    evaluated = []
+    evaluate = spectra.char_sum_coeffs
+
+    def recorder(G, A, gs):
+        for g, coeffs in zip(gs, evaluate(G, A, gs)):
+            evaluated.append((A, tables.direction_of[G.index_of(g)]))
+            yield coeffs
+
+    S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
+    twin = Multiset.set_of(z36, S.support)
+    zeros, lam = set_zero_mask(twin), find_spectrum(twin).lam
+    monkeypatch.setattr(spectra, "char_sum_coeffs", recorder)
+    rng = random.Random(36)
+    spectra_seen = 0
+    for _ in range(200):
+        L = Multiset.of_indices(z36, [0, *rng.sample(range(1, 36), 5)])
+        differences = {z36.sub(x, y) for x in L.support for y in L.support if x != y}
+        expected = all(zeros >> z36.index_of(d) & 1 for d in differences)
+        assert is_spectral_pair(S, L) == expected
+        spectra_seen += expected
+    assert spectra_seen and is_spectral_pair(S, lam) and is_spectral_pair(S, lam)
+    classes = [c for A, c in evaluated]
+    assert all(A is S for A, _ in evaluated) and len(classes) == len(set(classes))
+    done, _, vanishing = S._classes
+    assert done == sum(1 << c for c in classes)
+    assert vanishing and vanishing != done and not vanishing & ~done
+
+    # a fresh L through a class S is known not to vanish on: refused unevaluated
+    c = next(c for c in classes if not vanishing >> c & 1)
+    rep = tables.direction_classes[c][0]
+    others = [i for i in range(1, 36) if i != rep]
+    L = Multiset.of_indices(z36, [0, rep, *rng.sample(others, 4)])
+    before = len(evaluated)
+    assert not is_spectral_pair(S, L)
+    assert len(evaluated) == before and S._classes[0] == done
+
+
 def test_a_wrong_clique_in_the_memo_is_refused(z36, monkeypatch):
     memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "_memo", memo)
