@@ -7,8 +7,9 @@ cover is a violation of it. Both verdicts of a k-set are functions of its
 zero mask (CharTable.zero_mask), and so of the class word the mask expands
 from (CharTable.class_word, one bit per direction class).
 One memo per group, size and budget (spectra._memo), keyed by the word's
-memo key (CharTable.key), holds the verdict of spectra.spectrum_search,
-which find_spectrum reads and fills as well (spectra._spectral_verdict),
+memo key (CharTable.key), holds the spectral verdict, read from the
+subgroup test or from spectra.spectrum_search, which find_spectrum reads
+and fills as well (spectra._spectral_verdict),
 and the outcome of tiling.tiling_complement, which reads the mask for its
 prime-power certificate and its subgroup step; its exact cover does not
 read the mask and runs on the first set of each key (of each orbit, in
@@ -336,10 +337,11 @@ def _mismatch_entry(
     """Full witness data for a disagreement (rare: a theorem violation).
 
     lam is the spectrum in the memo entry of cand's word, the set of the
-    clique of the search that decided cand spectral, or None when cand is
-    not spectral; it is checked with is_spectral_pair before it is listed.
-    The search is deterministic on the zero mask and size, so lam is the
-    spectrum find_spectrum gives."""
+    clique of the search that decided cand spectral (a mismatch is no
+    subgroup transversal, whose H^perp would be kept instead), or None when
+    cand is not spectral; it is checked with is_spectral_pair before it is
+    listed. The search is deterministic on the zero mask and size, so lam
+    is the spectrum find_spectrum gives."""
     S = Multiset.of_indices(G, cand)
     spectrum = None
     complement = None
@@ -567,14 +569,18 @@ def verify_fuglede(plan: VerificationPlan) -> VerificationReport:
     A stem walk settles a settled word's whole orbit under Aut(G) with it
     (_sweep_chunk); sampled and canonicalized sweeps settle words alone.
 
-    Neither decision consults the other's verdict. Both read the zero mask,
-    but by different arguments: a non-tile verdict comes from the
-    prime-power certificate (IndexTables.forced_mask: a class of order p^a,
-    p not dividing |G|/k, missing from the mask) or from an exact cover, and
-    every tile with no subgroup complement from an exact cover, run once per
-    orbit in a walk and once per key elsewhere, which does not read the
-    mask; so agreement exercises the spectral <=> tile equivalence on the
-    planned group. The certificate spends no nodes and decides at every
+    Neither decision consults the other's verdict. Both read the zero mask.
+    On a subgroup transversal they share one argument: its mask covers
+    H^perp minus 0, which makes H a complement and H^perp a spectrum, so
+    there the two agree by that theorem. Everywhere else they read it by
+    different arguments: the spectral verdict comes from the clique search,
+    a non-tile verdict from the prime-power certificate
+    (IndexTables.forced_mask: a class of order p^a, p not dividing |G|/k,
+    missing from the mask) or from an exact cover, and every tile with no
+    subgroup complement from an exact cover, run once per orbit in a walk
+    and once per key elsewhere, which does not read the mask; so agreement
+    exercises the spectral <=> tile equivalence on the planned group. The
+    certificate and the subgroup test spend no nodes and decide at every
     budget, so a budget-bound sweep lists only the sets whose cover or
     clique search runs out.
 
@@ -690,8 +696,10 @@ def tile_to_spectrum(
     for the first subgroup H of order |G|/|S| that S is a transversal of
     (tiling.subgroup_transversal, on the zero mask of S), built once per
     subgroup, tagged by the divisibility case of |S| (_case_tags), and
-    checked by is_spectral_pair. Sizes 1 and |G|, and a tile with no
-    subgroup complement, take a budgeted generic search.
+    checked by is_spectral_pair. find_spectrum gives a transversal the same
+    object, from the same test. Sizes 1 and |G|, and a tile with no
+    subgroup complement, take find_spectrum, whose budget binds only a tile
+    with no subgroup complement.
     """
     budget = check_budget(budget)  # checked even when no search runs
     G = shape.group
@@ -830,8 +838,8 @@ def case5_nonexistence_probe(
     leaf tallies (aligned leaves and the direction gap), which read its
     leaf masks alone. Only a listed candidate (undecided or spectral) is
     sorted into its set, and a spectral one gets its spectrum from
-    find_spectrum, which reads the clique the word's verdict stored (unless
-    a sweep settled the word) and checks it against the set.
+    find_spectrum, which reads the spectrum the word's verdict stored and
+    checks it against the set.
 
     An empty size list is refused, as it is by VerificationPlan: for p = 2
     the probe range is empty, and a probe of no size would report ok.

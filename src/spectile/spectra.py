@@ -9,11 +9,14 @@ node budget, so a missing spectrum is only ever reported after exhaustion.
 One memo, one search: spectrum_search is the one spectrum search, on
 element indices and a zero mask, and _spectral_verdict the one spectral
 decision, which reads and fills the memo of its group, size and budget
-(_memo), keyed by class word. find_spectrum, the verification sweeps and
-the case-5 probe all decide through it, so a class word is searched once
-per size, budget and process.
+(_memo), keyed by class word. A word whose zero mask covers H^perp minus 0
+for a subgroup H of order |G| / k (tiling.subgroup_transversal) has the
+spectrum H^perp and is decided without a search; every other word is
+searched. find_spectrum, the verification sweeps and the case-5 probe all
+decide through it, so a class word is decided once per size, budget and
+process.
 is_spectral_pair is the independent check every returned witness passes,
-whichever set's search found it: it never reads the zero mask
+whichever set's search or subgroup test found it: it never reads the zero mask
 (set_zero_mask, Multiset._zero) or a CharTable.
 It finds the direction classes of L - L on the IndexTables addition rows,
 each difference a - b read as a + (-b) from L's element indices
@@ -24,9 +27,10 @@ coordinates, at S's indices). Both are computed once per object and kept
 as bitmasks over class ids: a Multiset keeps the classes it was evaluated
 at and those where its sum vanishes as S, and its difference classes as L
 (_classes), so a pair is refused by one AND when L meets a class known not
-to vanish. The memo keeps a word's spectrum as one Multiset, built when
-the word's search result is stored, so every find_spectrum of the word
-returns that object and its difference classes are found once per word.
+to vanish. The memo keeps a word's spectrum as one Multiset, H^perp (kept
+by tiling.subgroup_annihilators) or the set built when the word's search
+result is stored, so every find_spectrum of the word returns that object
+and its difference classes are found once per word.
 find_spectrum reads a set's memo key and zero mask from set_zero, one
 kernel sum kept on the set.
 """
@@ -49,6 +53,7 @@ from .errors import (
     check_budget,
 )
 from .groups import Group, IndexTables, Multiset, Subgroup, coset_id_table, index_tables
+from .tiling import subgroup_transversal
 
 
 @dataclass(frozen=True)
@@ -242,10 +247,12 @@ def spectrum_search(
 NOT_A_TILE, SUBGROUP_TILE, COVER_TILE, TILE_UNSET = range(4)
 
 # A settled entry is a bare bool: both verdicts, decided and equal, and a
-# subgroup tile (True) or no tile (False). Every other entry is a
-# (spectral verdict, tile outcome, spectrum) tuple, the spectrum being the
-# set of the clique the search found, one Multiset per word that every
-# find_spectrum of the word returns and checks, or None when it found none.
+# subgroup tile (True) or no tile (False); a settled True's spectrum is the
+# H^perp of its first subgroup complement, read from the zero mask when
+# asked. Every other entry is a (spectral verdict, tile outcome, spectrum)
+# tuple, the spectrum being H^perp for a subgroup transversal, else the set
+# of the clique the search found, one Multiset per word that every
+# find_spectrum of the word returns and checks, or None when there is none.
 MemoEntry = Union[bool, tuple[bool, int, Optional[Multiset]]]
 
 
@@ -261,16 +268,18 @@ def _memo(G: Group, k: int, budget: int) -> dict[bytes, MemoEntry]:
 
     The one memo: the sweeps (harness.verify_fuglede), the case-5 probe and
     every per-set find_spectrum fetch it where they decide, and keep at most
-    one entry per class word realised, searched once; a pool's worker keeps
-    its own across its jobs. Every entry is exact at its budget (a search
-    that runs out stores nothing), so no verdict depends on history.
+    one entry per class word realised, decided once; a pool's worker keeps
+    its own across its jobs. Every entry is exact at its budget (a
+    subgroup transversal is decided at every budget, and a search that runs
+    out stores nothing), so no verdict depends on history.
 
     Both properties of a k-set are functions of its zero mask Z(S), which
     its class word expands to: spectrality is the clique search on Z(S); S
     tiles iff some 0-containing |G|/k-set T has Z(S) | Z(T) covering G
     minus 0 (the Fourier tiling criterion); and S is a transversal of a
     subgroup H iff Z(S) covers H^perp minus 0, so the kind of tile is a
-    function of Z(S) as well.
+    function of Z(S) as well, and so is the spectrum H^perp a transversal
+    is given in place of a search.
 
     Every verdict is also invariant under the automorphisms of G, which
     permute the direction classes and so the words. An automorphism psi is
@@ -288,41 +297,55 @@ def _spectral_verdict(
     memo: dict[bytes, MemoEntry], tables: IndexTables, key: bytes, zmask: int, k: int, budget: int
 ) -> tuple[Union[bool, Undecided], Optional[Multiset]]:
     """The spectral verdict of the k-sets whose class word has the memo key
-    key and whose zero mask is zmask, on the memo of budget (_memo),
-    with the spectrum it came from (the set of the clique of
-    spectrum_search) when it is True and the entry is not settled; else
-    None. A miss runs the clique search (is there a 0-containing k-set with
-    differences in zmask?) and stores its verdict and, as one Multiset,
-    its clique with TILE_UNSET, unless the search ran out of budget."""
+    key and whose zero mask is zmask, on the memo of budget (_memo), with
+    its spectrum when it is True; else None.
+
+    A set that is a transversal of a subgroup H has the spectrum H^perp,
+    since its zero mask covers H^perp minus 0 (tiling.subgroup_transversal).
+    So a settled True, a subgroup tile, gets the H^perp of the first such H
+    in canonical order (the set subgroup_annihilators keeps), and a miss
+    stores (True, TILE_UNSET, H^perp) when such an H exists. That test
+    spends no search nodes, so it decides at every budget. Any other miss
+    runs the clique search (is there a 0-containing k-set with differences
+    in zmask?) and stores its verdict and, as one Multiset, its clique,
+    with TILE_UNSET, unless the search ran out of budget."""
     entry = memo.get(key)
     if entry is None:
-        clique = spectrum_search(tables, zmask, k, budget)[0]
-        if clique is UNDECIDED:
-            return UNDECIDED, None
-        lam = None if clique is None else Multiset.of_indices(tables.group, clique)
-        entry = memo[key] = (clique is not None, TILE_UNSET, lam)
-    return (entry, None) if entry.__class__ is bool else (entry[0], entry[2])
+        found = None if tables.n % k else subgroup_transversal(tables, zmask, k)
+        if found is not None:
+            entry = memo[key] = (True, TILE_UNSET, found[2])
+        else:
+            clique = spectrum_search(tables, zmask, k, budget)[0]
+            if clique is UNDECIDED:
+                return UNDECIDED, None
+            lam = None if clique is None else Multiset.of_indices(tables.group, clique)
+            entry = memo[key] = (clique is not None, TILE_UNSET, lam)
+    if entry is True:
+        return True, subgroup_transversal(tables, zmask, k)[2]
+    return (entry, None) if entry is False else (entry[0], entry[2])
 
 
 def find_spectrum(
     S: Multiset, budget: int = DEFAULT_BUDGET
 ) -> Union[SpectrumWitness, None, Undecided]:
-    """Search for a spectrum containing 0, by clique search over the zero set.
+    """A spectrum containing 0: H^perp when S is a transversal of a subgroup
+    H, else by clique search over the zero set.
 
     Returns a verified witness, or None when exhaustive search proves no
     spectrum exists, or UNDECIDED when the node budget ran out first.
 
     The spectrum is a function of S's class word and size, so the decision
     is _spectral_verdict under S's memo key (set_zero), on the memo of S's
-    group, size and budget (_memo): a stored spectrum is used without a
-    search, a miss searches and stores its verdict with its spectrum, and a
-    word a sweep settled, which keeps no spectrum, is searched again. A
-    stored spectrum is one Multiset per word, so every set of the word gets
-    the same lam object, whose difference classes is_spectral_pair finds
-    once. The result is what
-    spectrum_search on S's own zero mask gives at this budget. Every
+    group, size and budget (_memo). For a transversal, and for a word a
+    sweep settled True (a subgroup tile), the witness is the H^perp of the
+    first subgroup H in canonical order that S is a transversal of, the
+    set tile_to_spectrum returns, found at no search nodes and so at every
+    budget. Any other word gets the set spectrum_search finds on S's own
+    zero mask at this budget, searched once per word and stored. A spectrum
+    is one Multiset per word, so every set of the word gets the same lam
+    object, whose difference classes is_spectral_pair finds once. Every
     returned witness is checked against S by is_spectral_pair, whichever
-    set's search found it.
+    set's search or subgroup found it.
     """
     if S.mass == 0:
         raise EmptyInput("cannot search a spectrum for the empty set")
@@ -337,11 +360,9 @@ def find_spectrum(
         return UNDECIDED
     if not verdict:
         return None
-    if lam is None:  # a settled word: its search fit this budget
-        lam = Multiset.of_indices(G, spectrum_search(tables, zmask, k, budget)[0])
     # re-verify the certificate instead of trusting the search or the memo
     if not is_spectral_pair(S, lam):
-        raise InvalidArgument("internal error: clique witness failed verification")
+        raise InvalidArgument("internal error: spectrum witness failed verification")
     return SpectrumWitness(lam=lam, checked_pairs=k * (k - 1) // 2)
 
 

@@ -329,10 +329,10 @@ def test_exhaustive_verify_reports_its_unused_seed_as_null(capsys):
 
 
 def test_a_reader_closing_stdout_early_ends_the_command_without_a_traceback(subprocess_env):
-    # every one of the 2 048 sets is undecided at budget 1 and listed twice,
-    # about 150 kB, more than a pipe holds, so the report is still being
-    # written when the reader goes away
-    argv = ["verify", "--group", "2,2,3", "--sizes", "all", "--exhaustive", "--budget", "1"]
+    # at budget 1 the sweep of every size of Z_2 x Z_8 lists 201 undecided
+    # sets, each twice, about 160 kB, more than a pipe holds, so the
+    # report is still being written when the reader goes away
+    argv = ["verify", "--group", "2,8", "--sizes", "all", "--exhaustive", "--budget", "1"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "spectile.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env,
@@ -377,15 +377,17 @@ def _verify_json(capsys, argv):
 
 def test_verify_workers_give_the_same_report(capsys):
     exhaustive = ["verify", "--group", "2,2,3", "--sizes", "2,3,4,6", "--exhaustive"]
-    # sampled draws keep their order: the undecided entries of sizes 4 and 6
-    # are listed in draw order, serial or parallel
-    sampled = ["verify", "--group", "2,2,3,3", "--sizes", "4,6,9", "--budget", "3",
+    # sampled draws keep their order: the undecided entries of size 6, tiles
+    # whose exact cover one node does not finish, are listed in draw order,
+    # serial or parallel
+    sampled = ["verify", "--group", "2,2,3,3", "--sizes", "4,6,9", "--budget", "1",
                "--samples", "40", "--seed", "5"]
     for argv, rc in ((exhaustive, EXIT_OK), (sampled, EXIT_UNDECIDED)):
         serial = _verify_json(capsys, argv + ["--workers", "1"])
         parallel = _verify_json(capsys, argv + ["--workers", "2"])
         assert serial == parallel
         assert serial[0] == rc
+    assert len(serial[1]["fuglede"]["per_size"]["6"]["undecided"]) == 17
 
 
 def test_verify_reports_tiles_without_subgroup_complement(capsys):

@@ -799,7 +799,7 @@ def test_reports_after_per_set_calls_are_those_of_a_fresh_process(subprocess_env
 
 
 def _off_default_reports() -> list:
-    """Every size of Z_2^2 x Z_3 swept at budget 3 and at DEFAULT_BUDGET + 1,
+    """Every size of Z_2 x Z_8 swept at budget 3 and at DEFAULT_BUDGET + 1,
     and the case-5 probe of Z_3^2 x Z_5^2 at budget 1000, as _plan_doc and
     ProbeReport.to_dict documents less elapsed_seconds."""
     from spectile import (
@@ -807,9 +807,9 @@ def _off_default_reports() -> list:
     )
     from spectile.errors import DEFAULT_BUDGET
 
-    G = make_group([2, 2, 3])
+    G = make_group([2, 8])
     docs = [
-        _plan_doc(verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 13)), budget=b)))
+        _plan_doc(verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 17)), budget=b)))
         for b in (3, DEFAULT_BUDGET + 1)
     ]
     shape = pq_shape(make_group([3, 3, 5, 5]))
@@ -827,48 +827,53 @@ print(json.dumps(_off_default_reports()))
 """
 
 
-def test_other_budgets_never_touch_the_shared_memo(subprocess_env, monkeypatch):
-    # a default sweep of Z_2^2 x Z_3 at sizes up to 6 and a default probe
+def test_other_budgets_never_touch_the_shared_memo(subprocess_env, monkeypatch, spectrum_rule):
+    # a default sweep of Z_2 x Z_8 at sizes up to 8 and a default probe
     # of 20 draws fill the default-budget memos, settled words included;
     # sweeps of every size at budget 3 and DEFAULT_BUDGET + 1, find_spectrum
     # at budget 3 and a probe of 40 draws at budget 1000 meet words those
     # memos hold and words they do not, and decide on the memos of their
     # own budgets, so the default-budget memos end as they were, and each
-    # report is that of a fresh process
+    # report is that of a fresh process. Z_2 x Z_8 has 8-sets whose
+    # spectral search takes more than 3 nodes, which the budget-3 sweep
+    # lists as spectral-undecided
     store = {}
     _fresh_memo(monkeypatch, lambda G, k, budget: store.setdefault((G, k, budget), {}))
-    G = make_group([2, 2, 3])
+    G = make_group([2, 8])
     shape = pq_shape(make_group([3, 3, 5, 5]))
-    assert verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 7)))).ok
+    assert verify_fuglede(VerificationPlan(group=G, sizes=tuple(range(1, 9)))).ok
     assert case5_nonexistence_probe(shape, (30,), seed=7, count_per_size=20).ok
     snapshot = {at: dict(memo) for at, memo in store.items()}
-    assert True in store[G, 6, DEFAULT_BUDGET].values() and store[shape.group, 30, DEFAULT_BUDGET]
+    assert True in store[G, 8, DEFAULT_BUDGET].values() and store[shape.group, 30, DEFAULT_BUDGET]
     docs = _off_default_reports()
-    tables = index_tables(G)
-    for rest in itertools.combinations(range(1, 12), 5):
+    for rest in itertools.combinations(range(1, 16), 7):
         S = Multiset.of_indices(G, (0,) + rest)
-        got, own = find_spectrum(S, 3), spectrum_search(tables, set_zero_mask(S), 6, 3)[0]
-        assert got is own if own is None or own is UNDECIDED else got.lam.indices == tuple(sorted(own))
+        got, own = find_spectrum(S, 3), spectrum_rule(S, 3)
+        assert got is own if own is None or own is UNDECIDED else got.lam.indices == own
     assert {at: memo for at, memo in store.items() if at[2] == DEFAULT_BUDGET} == snapshot
     fresh = subprocess.run(
         [sys.executable, "-c", _FRESH_OFF_DEFAULT],
         capture_output=True, text=True, env=subprocess_env, timeout=120, check=True,
     )
     assert docs == json.loads(fresh.stdout)
-    assert docs[0]["fuglede"]["per_size"]["6"]["undecided"] and docs[1]["fuglede"]["ok"]
+    listed = docs[0]["fuglede"]["per_size"]["8"]["undecided"]
+    assert any(entry["spectral"] == "undecided" for entry in listed) and docs[1]["fuglede"]["ok"]
 
 
 def test_a_word_whose_verdicts_disagree_is_never_settled(monkeypatch):
     # a clique search that calls every set non-spectral makes each tile of
-    # Z_8 a mismatch, exact-cover tiles included; a second sweep over the
-    # same memo lists every one of them again
+    # Z_8 that needs a search a mismatch: the exact-cover tiles, which are
+    # transversals of no subgroup (a transversal gets its H^perp with no
+    # search); a second sweep over the same memo lists every one of them
+    # again
     monkeypatch.setattr(spectra, "spectrum_search", lambda *args: (None, 1))
     _fresh_memo(monkeypatch)
     plan = VerificationPlan(group=make_group([8]), sizes=(2, 4))
     first, second = (verify_fuglede(plan) for _ in range(2))
     for report in (first, second):
         for tally in report.per_size.values():
-            assert len(tally.mismatches) == tally.tiles > 0
+            assert [e["set"] for e in tally.mismatches] == [e["set"] for e in tally.violations]
+            assert len(tally.mismatches) == tally.tiles - tally.spectral > 0
         assert report.violation_count > 0
     assert _plan_doc(first) == _plan_doc(second)
 
@@ -1197,7 +1202,10 @@ def test_canonicalize_keeps_one_set_per_orbit(z12, z36, monkeypatch):
     # the acceptance tallies on Z_2^2 x Z_3^2; on Z_2^2 x Z_3 every size
     # tallies as the per-set API does on the least image of each 0-containing
     # set under Aut(G), in lexicographic order; and two workers with jobs of
-    # 3 candidates on average give the serial report, listed entries included
+    # 3 candidates on average give the serial report, listed entries
+    # included: no budget leaves a set of Z_2^2 x Z_3 undecided, so the
+    # listed entries come from Z_2 x Z_3^2 at budget 1, whose size 6 has
+    # tiles that no subgroup or certificate decides
     canon = verify_fuglede(VerificationPlan(group=z36, sizes=(2, 3, 4), canonicalize=True))
     got = [(t.examined, t.spectral, t.tiles) for t in canon.per_size.values()]
     assert got == [(3, 2, 2), (14, 8, 8), (65, 11, 11)]
@@ -1212,15 +1220,18 @@ def test_canonicalize_keeps_one_set_per_orbit(z12, z36, monkeypatch):
         expected = _per_set_tally(z12, k, DEFAULT_BUDGET, parts=sorted(least))
         assert dataclasses.asdict(report.per_size[k]) == expected, k
     monkeypatch.setattr(harness, "_CHUNK", 3)
-    for budget in (DEFAULT_BUDGET, 3):
-        plan = dict(group=z12, sizes=sizes, canonicalize=True, budget=budget)
+    z18 = make_group([2, 3, 3])
+    for group, sizes, budget, expected in (
+        (z12, sizes, DEFAULT_BUDGET, 0), (z18, (2, 3, 6, 9), 1, 8)
+    ):
+        plan = dict(group=group, sizes=sizes, canonicalize=True, budget=budget)
         serial = verify_fuglede(VerificationPlan(**plan)).to_dict()
         pooled = verify_fuglede(VerificationPlan(**plan, workers=2)).to_dict()
         serial.pop("elapsed_seconds")
         pooled.pop("elapsed_seconds")
         assert pooled == serial, budget
         listed = sum(len(t["undecided"]) for t in serial["per_size"].values())
-        assert listed == (0 if budget == DEFAULT_BUDGET else 11), budget
+        assert listed == expected, budget
 
 
 def test_verify_subgroup_tiling_z12(z12):

@@ -10,6 +10,7 @@ coordinate sums s + t by plain modular arithmetic.
 """
 
 import copy
+import itertools
 import pickle
 import random
 from functools import lru_cache
@@ -21,13 +22,20 @@ from spectile import (
     Multiset,
     char_sum,
     find_spectrum,
+    find_tiling_complement,
     is_spectral_pair,
     is_tiling_pair,
     make_group,
+    pq_shape,
+    subgroups_of_order,
+    tile_to_spectrum,
     zero_set,
 )
 from spectile import cyclotomic, spectra, tiling
 from spectile.cyclotomic import CharTable
+from spectile.errors import DEFAULT_BUDGET
+from spectile.groups import coset_id_table, index_tables
+from spectile.spectra import spectrum_search
 
 GROUPS = [(2, 2, 3, 3), (3, 3, 5, 5), (25,), (3, 3, 3, 3, 3)]
 BIG = 1 << 32
@@ -339,6 +347,86 @@ def test_checks_read_no_zero_mask_and_cache_per_object(moduli, monkeypatch):
     for (A, L), verdict in expected.items():
         for twin_A, twin_L in zip(twins[A], twins[L]):
             assert is_spectral_pair(twin_A, twin_L) == verdict
+
+
+def _first_annihilator(G, S):
+    """H^perp, by the coordinate pairing (_perp), of the first subgroup H of
+    order |G| / |S| (subgroups_of_order) that S meets once in every coset,
+    counted by coset ids; None when there is none."""
+    for H in subgroups_of_order(G, G.order // S.mass):
+        ids = coset_id_table(H)
+        if len({ids[i] for i in S.indices}) == S.mass:
+            return _perp(G, H.as_set().support)
+    return None
+
+
+def _assert_spectrum_rule(G, S, shape=None):
+    """find_spectrum(S) gives the annihilator of S's first subgroup
+    complement, else the set spectrum_search finds on the oracle's zero
+    mask of S; every witness passes is_spectral_pair and the oracle's check,
+    and for a tile it is the very object tile_to_spectrum returns. Returns
+    which rule applied: "annihilator", "search" or "none"."""
+    got = find_spectrum(S)
+    perp = _first_annihilator(G, S)
+    zs = _oracle_zero_set(G, _oracle_sums(G, S))
+    if perp is not None:
+        assert sorted(got.lam.support) == perp, S
+        rule = "annihilator"
+    else:
+        zmask = sum(1 << G.index_of(g) for g in zs)
+        own = spectrum_search(index_tables(G), zmask, S.mass, DEFAULT_BUDGET)[0]
+        if own is None:
+            assert got is None, S
+            return "none"
+        assert got.lam.indices == tuple(sorted(own)), S
+        rule = "search"
+    assert is_spectral_pair(S, got.lam) and _oracle_spectral_pair(G, S, zs, got.lam)
+    if shape is not None:
+        T = find_tiling_complement(S)
+        if T is not None:
+            assert tile_to_spectrum(shape, S, T.t).witness.lam is got.lam, S
+    return rule
+
+
+@pytest.mark.parametrize(
+    "moduli, rules",
+    [
+        # Z_12 has spectral sets that are no subgroup's transversal, such
+        # as {0, 6}: the one subgroup of order 6 holds 6
+        ((12,), {"annihilator", "search", "none"}),
+        ((2, 6), {"annihilator", "none"}),
+        ((2, 2, 3), {"annihilator", "none"}),
+    ],
+    ids=["12", "2,6", "2,2,3"],
+)
+def test_find_spectrum_is_the_first_annihilator_else_the_search(moduli, rules, monkeypatch):
+    # every 0-containing set whose size divides |G|, on a fresh memo
+    monkeypatch.setattr(spectra, "_memo", lru_cache(maxsize=None)(lambda G, k, budget: {}))
+    G = make_group(moduli)
+    seen = set()
+    for k in (k for k in range(1, G.order + 1) if G.order % k == 0):
+        for rest in itertools.combinations(range(1, G.order), k - 1):
+            seen.add(_assert_spectrum_rule(G, Multiset.of_indices(G, (0,) + rest)))
+    assert seen == rules
+
+
+def test_find_spectrum_rule_on_seeded_sets_of_the_papers_family(monkeypatch):
+    # seeded sets and seeded transversals of random subgroups of
+    # Z_2^2 x Z_3^2 at every size dividing 36, on a fresh memo; a tile's
+    # spectrum is tile_to_spectrum's own object
+    monkeypatch.setattr(spectra, "_memo", lru_cache(maxsize=None)(lambda G, k, budget: {}))
+    G = make_group([2, 2, 3, 3])
+    shape = pq_shape(G)
+    rng = random.Random(45)
+    seen = set()
+    for k in (1, 2, 3, 4, 6, 9, 12, 18, 36):
+        for _ in range(12):
+            S = Multiset.of_indices(G, [0, *rng.sample(range(1, G.order), k - 1)])
+            seen.add(_assert_spectrum_rule(G, S, shape))
+    for _ in range(10):
+        for H in _random_subgroups(G, rng):
+            seen.add(_assert_spectrum_rule(G, _transversal(G, H, rng), shape))
+    assert seen == {"annihilator", "none"}
 
 
 def _count_and_reduce(G, A, g):

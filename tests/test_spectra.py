@@ -25,6 +25,7 @@ from spectile import (
     make_group,
     spectral_to_complement,
     subgroups_of_order,
+    tiles_by_subgroup,
     verify_fuglede,
     zero_set,
 )
@@ -82,8 +83,16 @@ def test_is_spectral_examples(z6):
 
 
 def test_budget_exhaustion_is_explicit(z36):
+    # Tao's set {0, e_1, ..., e_5} of Z_3^5 is spectral but a transversal of
+    # no subgroup, so its spectrum takes a search, which one node does not
+    # finish; a transversal of Z_2^2 x Z_3^2 gets its H^perp at any budget
+    z3_5 = make_group([3] * 5)
+    tao = Multiset.set_of(z3_5, [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)])
+    assert find_spectrum(tao, budget=1) is UNDECIDED
+    assert isinstance(find_spectrum(tao), SpectrumWitness)
     S = Multiset.set_of(z36, [z36.coords_of(i) for i in range(0, 36, 3)])
-    assert find_spectrum(S, budget=1) is UNDECIDED
+    wit = find_spectrum(S, budget=1)
+    assert wit.lam.mass == 12 and is_spectral_pair(S, wit.lam)
 
 
 def test_spectrum_witness_verifies(z36):
@@ -271,12 +280,21 @@ def test_spectrum_search_matches_the_quadratic_graph_construction(moduli):
 #
 # find_spectrum decides through the memo the sweeps and the probe fill
 # (spectra._memo), keyed by class word within one dict per group, size and
-# budget. Whatever the memo holds, it must give what a search on the set's
-# own zero mask gives at the same budget.
+# budget. Whatever the memo holds, it must give what the set itself gives
+# at the same budget (spectrum_rule): the H^perp of its first subgroup
+# complement, else what a search on its own zero mask finds.
 
 # (moduli, sizes or None for every size, short: whether budget 3 leaves a set
-# undecided)
-MEMO_ORACLE_CASES = [((8,), None, True), ((2, 2, 3), None, True), ((2, 2, 3, 3), (2, 3, 4), False)]
+# undecided). Every spectral set of Z_2^2 x Z_3 is a subgroup transversal,
+# which no budget leaves undecided; Z_8 has spectral sets that are not
+# (its exact-cover tiles), whose searches fit 3 nodes, and Z_4^2 some whose
+# search takes more than 3
+MEMO_ORACLE_CASES = [
+    ((8,), None, False),
+    ((2, 2, 3), None, False),
+    ((2, 2, 3, 3), (2, 3, 4), False),
+    ((4, 4), (2, 4, 8), True),
+]
 
 
 def _zero_containing_sets(G, sizes):
@@ -285,38 +303,35 @@ def _zero_containing_sets(G, sizes):
             yield Multiset.of_indices(G, (0,) + rest)
 
 
-def _assert_per_set_entries(memo, G, sizes):
+def _assert_per_set_entries(memo, G, sizes, spectrum_rule):
     """Each entry of memo(G, k, DEFAULT_BUDGET) is a realised word of size k
     with the (verdict, TILE_UNSET, spectrum) that per-set calls store, the
-    spectrum being the set of the clique a search on the word's zero mask
-    finds, and every word is there."""
+    spectrum being what spectrum_rule gives the word's first set, and every
+    word is there."""
     words = {k: {} for k in sizes}
     for S in _zero_containing_sets(G, sizes):
-        key, zmask = set_zero(S)
-        words[S.mass][key] = zmask
-    tables = index_tables(G)
+        words[S.mass].setdefault(set_zero(S)[0], S)
     for k in sizes:
         assert set(memo(G, k, DEFAULT_BUDGET)) == set(words[k]), k
         for key, (verdict, tile, lam) in memo(G, k, DEFAULT_BUDGET).items():
             assert tile == spectra.TILE_UNSET and (lam is not None) is verdict
-            clique = spectrum_search(tables, words[k][key], k, DEFAULT_BUDGET)[0]
             if verdict:
-                assert lam.indices == tuple(sorted(clique)), key
+                assert lam.indices == spectrum_rule(words[k][key], DEFAULT_BUDGET), key
 
 
-def _memo_left_by(G, sizes, state, monkeypatch):
+def _memo_left_by(G, sizes, state, monkeypatch, spectrum_rule):
     """Point the spectral decision at a fresh memo, left as state says:
     cold; after an exhaustive sweep, whose settled words are bare bools
-    with no clique; after a budget-3 sweep, which fills the budget-3 memos
-    with unsettled entries alone and leaves the default-budget ones empty;
-    or after per-set calls at the default budget, which fill it with the
-    realised words alone."""
+    that keep no spectrum; after a budget-3 sweep, which fills the budget-3
+    memos with unsettled entries alone and leaves the default-budget ones
+    empty; or after per-set calls at the default budget, which fill it with
+    the realised words alone."""
     memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "_memo", memo)
     if state == "per-set calls":
         for S in _zero_containing_sets(G, sizes):
             find_spectrum(S)
-        _assert_per_set_entries(memo, G, sizes)
+        _assert_per_set_entries(memo, G, sizes, spectrum_rule)
     elif state != "cold":
         budget = DEFAULT_BUDGET if state == "exhaustive sweep" else 3
         verify_fuglede(VerificationPlan(group=G, sizes=sizes, budget=budget))
@@ -333,21 +348,20 @@ def _memo_left_by(G, sizes, state, monkeypatch):
 @pytest.mark.parametrize("state", ["cold", "exhaustive sweep", "budget-3 sweep", "per-set calls"])
 @pytest.mark.parametrize("moduli, sizes, short", MEMO_ORACLE_CASES, ids=str)
 def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
-    moduli, sizes, short, state, budget, monkeypatch
+    moduli, sizes, short, state, budget, monkeypatch, spectrum_rule
 ):
     G = make_group(moduli)
     sizes = sizes or tuple(range(1, G.order + 1))
-    memo = _memo_left_by(G, sizes, state, monkeypatch)
-    tables = index_tables(G)
+    memo = _memo_left_by(G, sizes, state, monkeypatch, spectrum_rule)
     seen = dict.fromkeys(("witness", "none", "undecided"), 0)
     for S in _zero_containing_sets(G, sizes):
         got = find_spectrum(S, budget)
-        own = spectrum_search(tables, set_zero_mask(S), S.mass, budget)[0]
+        own = spectrum_rule(S, budget)
         if own is UNDECIDED or own is None:
             assert got is own, S
             seen["undecided" if own is UNDECIDED else "none"] += 1
         else:
-            assert got.lam.indices == tuple(sorted(own)), S
+            assert got.lam.indices == own, S
             assert is_spectral_pair(S, got.lam)
             seen["witness"] += 1
     assert seen["witness"] and seen["none"]
@@ -356,17 +370,19 @@ def test_find_spectrum_on_the_memo_is_the_search_on_the_set(
         # per-set calls at the default budget add one entry per realised
         # word and size; at budget 3 they fill the budget-3 memos alone
         if budget == DEFAULT_BUDGET:
-            _assert_per_set_entries(memo, G, sizes)
+            _assert_per_set_entries(memo, G, sizes, spectrum_rule)
         else:
             assert not any(memo(G, k, DEFAULT_BUDGET) for k in sizes)
 
 
-def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
+def test_sets_of_one_word_share_one_checked_spectrum(monkeypatch):
     # the memo keeps a word's spectrum as one Multiset: every set of the
     # word gets that object, searched once, and is_spectral_pair finds its
     # difference classes once (direction_of is read only then), while it
     # still checks the witness against each set
-    # (test_a_wrong_clique_in_the_memo_is_refused)
+    # (test_a_wrong_clique_in_the_memo_is_refused). Tao's set of Z_3^5 is
+    # spectral and a transversal of no subgroup, so its word takes a search
+    z3_5 = make_group([3] * 5)
     memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
     monkeypatch.setattr(spectra, "_memo", memo)
     searched = []
@@ -381,18 +397,63 @@ def test_sets_of_one_word_share_one_checked_spectrum(z36, monkeypatch):
             reads.append(i)
             return super().__getitem__(i)
 
-    tables = index_tables(z36)
+    tables = index_tables(z3_5)
     monkeypatch.setattr(tables, "direction_of", Reads(tables.direction_of))
-    S = Multiset.set_of(z36, [(a, 0, 0, c) for a in range(2) for c in range(3)])
-    twins = [S.translate((0, 1, 0, 0)), S.translate((1, 1, 2, 1)), Multiset.set_of(z36, S.support)]
+    S = Multiset.set_of(z3_5, [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)])
+    twins = [
+        S.translate((0, 1, 0, 0, 0)), S.translate((1, 1, 2, 1, 0)), Multiset.set_of(z3_5, S.support)
+    ]
     assert len({S, *twins}) == 3 and {set_zero(A)[0] for A in twins} == {set_zero(S)[0]}
     first = find_spectrum(S)
     assert len(searched) == 1 and len(reads) == 6 * 5 // 2
-    assert memo(z36, 6, DEFAULT_BUDGET)[set_zero(S)[0]][2] is first.lam
+    assert memo(z3_5, 6, DEFAULT_BUDGET)[set_zero(S)[0]][2] is first.lam
     for A in twins:
         got = find_spectrum(A)
         assert got.lam is first.lam and is_spectral_pair(A, got.lam)
     assert len(searched) == 1 and len(reads) == 6 * 5 // 2
+
+
+def test_transversals_and_settled_words_take_no_clique_search(z12, monkeypatch):
+    # with every clique search refused, find_spectrum still decides each
+    # transversal of a subgroup at budget 1 (its H^perp) and every word an
+    # exhaustive sweep settled; a word that needs a search reaches it, and
+    # one node leaves it undecided
+    memo = lru_cache(maxsize=None)(lambda G, k, budget: {})
+    monkeypatch.setattr(spectra, "_memo", memo)
+    sizes = tuple(range(1, 13))
+    assert verify_fuglede(VerificationPlan(group=z12, sizes=sizes)).ok
+    z8 = make_group([8])
+    tao_group = make_group([3] * 5)
+    tao = Multiset.set_of(tao_group, [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)])
+    assert find_spectrum(tao, budget=1) is UNDECIDED
+
+    def refused(*_args):
+        raise AssertionError("a clique search ran")
+
+    monkeypatch.setattr(spectra, "spectrum_search", refused)
+    settled = {False: 0, True: 0}
+    for S in _zero_containing_sets(z12, sizes):
+        entry = memo(z12, S.mass, DEFAULT_BUDGET)[set_zero(S)[0]]
+        assert entry.__class__ is bool  # every tile of Z_2^2 x Z_3 is a subgroup tile
+        got = find_spectrum(S)
+        assert (got is not None) is entry
+        if entry:
+            assert is_spectral_pair(S, got.lam)
+        settled[entry] += 1
+    assert settled[True] and settled[False]
+    transversals = 0
+    for G in (z12, z8, make_group([2, 2, 3, 3])):
+        rng = random.Random(G.order)
+        for k in (k for k in range(1, G.order + 1) if G.order % k == 0):
+            for _ in range(20):
+                S = Multiset.of_indices(G, [0, *rng.sample(range(1, G.order), k - 1)])
+                if tiles_by_subgroup(S) is not None:
+                    got = find_spectrum(S, budget=1)
+                    assert got.lam.mass == k and is_spectral_pair(S, got.lam)
+                    transversals += 1
+    assert transversals > 100
+    with pytest.raises(AssertionError, match="a clique search ran"):
+        find_spectrum(Multiset.set_of(tao_group, tao.support), budget=2)
 
 
 def test_each_class_is_evaluated_once_per_set_across_spectra(z36, monkeypatch):
